@@ -1,6 +1,6 @@
 """Command line front end: one workspace file in, one report out.
 
-    purcat <command> [--json] [--seed N] [--depth N] [--jobs N] <input>
+    purcat <command> [--json] [--seed N] [--depth N] <input>
 
 The input is a JSON workspace file (or - for stdin); the report goes to
 stdout as text, or as JSON with --json.  Exit status is 0 for a clean
@@ -16,19 +16,16 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from purcat.exact_linalg import InputError, WorkbenchError
 from purcat.complexes import (
     cone,
     homology,
     homology_invariants,
-    is_acyclic,
-    tensor_module_complex,
     truncate_geq,
     truncate_leq,
 )
-from purcat.purity import default_battery, is_pure_acyclic, is_pure_qis
+from purcat.purity import default_battery, failing_probe_for_acyclic, is_pure_acyclic
 from purcat.resolutions import (
     INJECTIVE,
     PROJECTIVE,
@@ -120,20 +117,26 @@ def _depth_arg(wi: WorkbenchInput, args):
     return depth
 
 
-def _recheck_probes(cx, battery, jobs: int) -> int:
-    """Independent soundness pass: every probe tensor must be acyclic."""
-
-    def check(probe):
-        return is_acyclic(tensor_module_complex(cx, probe))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            flags = list(pool.map(check, battery.probes))
-    else:
-        flags = [check(p) for p in battery.probes]
-    if not all(flags):
-        raise WorkbenchError("pure verdict contradicted by a tensor probe")
-    return len(flags)
+def _purity_results(head: dict, cx):
+    """Decide pure acyclicity of cx; report it after the head keys."""
+    battery = default_battery(cx.ring, cx)
+    verdict = is_pure_acyclic(cx, battery)
+    results = {
+        **head,
+        "verdict": verdict.verdict,
+        "probes": [list(p.invariant_factors) for p in battery.probes],
+    }
+    if verdict.is_pure():
+        # independent soundness pass: every probe tensor must be acyclic
+        if failing_probe_for_acyclic(cx, battery) is not None:
+            raise WorkbenchError("pure verdict contradicted by a tensor probe")
+        results["probes_checked"] = len(battery.probes)
+        return "ok", results
+    results["detail"] = verdict.detail
+    if verdict.probe is not None:
+        results["failing_probe"] = list(verdict.probe.invariant_factors)
+        results["failing_degree"] = verdict.witness
+    return "refuted", results
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +190,7 @@ def cmd_truncate(wi, args):
 
 def cmd_purity(wi, args):
     name, cx = _complex_arg(wi)
-    battery = default_battery(cx.ring, cx)
-    verdict = is_pure_acyclic(cx, battery)
-    results = {
-        "complex": name,
-        "verdict": verdict.verdict,
-        "probes": [list(p.invariant_factors) for p in battery.probes],
-    }
-    if verdict.is_pure():
-        results["probes_checked"] = _recheck_probes(cx, battery, args.jobs)
-        return "ok", results
-    results["detail"] = verdict.detail
-    if verdict.probe is not None:
-        results["failing_probe"] = list(verdict.probe.invariant_factors)
-        results["failing_degree"] = verdict.witness
-    return "refuted", results
+    return _purity_results({"complex": name}, cx)
 
 
 def cmd_qis(wi, args):
@@ -209,22 +198,7 @@ def cmd_qis(wi, args):
     if not f.is_chain_map():
         raise InputError(f"{name!r} is not a chain map")
     c = cone(f).complex
-    battery = default_battery(f.src.ring, c)
-    verdict = is_pure_qis(f, battery)
-    results = {
-        "map": name,
-        "cone_window": _window(c),
-        "verdict": verdict.verdict,
-        "probes": [list(p.invariant_factors) for p in battery.probes],
-    }
-    if verdict.is_pure():
-        results["probes_checked"] = _recheck_probes(c, battery, args.jobs)
-        return "ok", results
-    results["detail"] = verdict.detail
-    if verdict.probe is not None:
-        results["failing_probe"] = list(verdict.probe.invariant_factors)
-        results["failing_degree"] = verdict.witness
-    return "refuted", results
+    return _purity_results({"map": name, "cone_window": _window(c)}, c)
 
 
 def cmd_resolve(wi, args):
@@ -432,8 +406,6 @@ def main(argv=None) -> int:
                     help="seed echoed into the report (default %(default)s)")
     ap.add_argument("--depth", type=int, default=None,
                     help="tower depth override for resolution commands")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker threads for probe re-validation")
     args = ap.parse_args(argv)
 
     started = time.perf_counter()

@@ -46,6 +46,7 @@ from purcat.resolutions import (
     INJECTIVE,
     PROJECTIVE,
     ResolutionCertificate,
+    _require_injective_scope,
     identity_resolution,
     pad_resolution,
     resolve,
@@ -335,8 +336,10 @@ def phom(m: Complex, n: Complex, depth: Optional[int] = None,
     rests on two pure quasi-isomorphisms, from hom(P_m, n) into the
     value and from hom(m, I_n) into the value; whenever a resolution
     map is not the identity, the comparison map it induces is
-    re-verified here before the result is returned.
+    re-verified here before the result is returned.  An n out of scope
+    for pure injective resolutions is rejected before any work on m.
     """
+    _require_injective_scope(n)
     proj, proj_self = _resolution_for(m, PROJECTIVE, depth)
     inj, inj_self = _resolution_for(n, INJECTIVE, depth)
     value_hc = hom_complex(proj.target, inj.target)
@@ -457,8 +460,10 @@ def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
     the homotopy category against the injective side, curry, and return
     to the derived side against the projective side.  depth constrains
     only the resolutions of the three arguments themselves; inner
-    rebuilds pick their own depth.
+    rebuilds pick their own depth.  A c out of scope for pure injective
+    resolutions is rejected before a and b are resolved.
     """
+    _require_injective_scope(c)
     pa = resolve(a, PROJECTIVE, depth=depth)
     pb = resolve(b, PROJECTIVE, depth=depth)
     ic = resolve(c, INJECTIVE, depth=depth)

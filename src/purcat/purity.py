@@ -5,6 +5,14 @@ a pure acyclic complex of finitely presented modules contracts, so
 purity verdicts come from solvable linear systems.  Tensor probes stay
 on as an independent necessary-condition oracle: every NotPure verdict
 prefers a failing probe that plain homology can re-check.
+
+Probes are evaluated arithmetically.  By the Chinese remainder theorem
+R/(d) is the direct sum of the R/(p^k) over the prime powers p^k that
+exactly divide d, and tensor products, homology and kernels all commute
+with finite direct sums.  So only the free probe and the cyclic
+prime-power probes are ever tensored; every other probe is read off its
+parts (see probe_outcomes).  Batteries over Z/m list the divisors of m
+from its factorization, found by trial division.
 """
 
 from __future__ import annotations
@@ -80,11 +88,46 @@ class PurityVerdict:
         return self.verdict == PURE
 
 
+def _factor(n: int) -> list:
+    """[(p, k), ...] with n the product of the p^k, by trial division.
+
+    Each prime is divided out as soon as it is found, so the search stops
+    at the square root of what is left of n, not of n itself.
+    """
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _divisors(n: int) -> list:
+    """The positive divisors of n, ascending."""
+    divs = [1]
+    for p, k in _factor(n):
+        divs = [d * p ** e for d in divs for e in range(k + 1)]
+    return sorted(divs)
+
+
 def probe_battery(ring: Ring, bound: int = 1) -> ProbeBattery:
     """The standard battery: free rank 1 plus small cyclic torsion.
 
-    Over Z/m the divisors of m are complete for purity detection, so the
-    bound only matters over Z.
+    Over Z the torsion probes are Z/d for 2 <= d <= bound.  Over Z/m they
+    are R/(d) for the divisors 1 < d < m, listed in ascending order from
+    the factorization of m; the divisors of m are complete for purity
+    detection, so the bound only matters over Z.  Either way the battery
+    is closed under taking prime-power parts: every prime power exactly
+    dividing a torsion probe's d divides it properly (unless d is one
+    itself) and comes earlier in the battery, which is what lets
+    probe_outcomes tensor prime powers only.
     """
     if bound < 1:
         raise InputError("battery bound must be at least 1")
@@ -93,10 +136,8 @@ def probe_battery(ring: Ring, bound: int = 1) -> ProbeBattery:
         for d in range(2, bound + 1):
             probes.append(cyclic_module(ring, d))
     else:
-        m = ring.modulus
-        for d in range(2, m):
-            if m % d == 0:
-                probes.append(cyclic_module(ring, d))
+        for d in _divisors(ring.modulus)[1:-1]:
+            probes.append(cyclic_module(ring, d))
     return ProbeBattery(ring, tuple(probes))
 
 
@@ -133,22 +174,83 @@ def default_battery(ring: Ring, *objects) -> ProbeBattery:
 # probe evaluation
 
 
+def _primary_parts(probe: FpModule) -> list:
+    """The summands of probe's primary decomposition, as memo keys.
+
+    0 stands for a free summand R, q > 1 for a cyclic summand R/(q)
+    with q a prime power.
+    """
+    free = probe.ring.modulus or 0
+    parts = []
+    for a in probe.invariant_factors:
+        if a == free:
+            parts.append(0)
+        else:
+            parts.extend(p ** k for p, k in _factor(a))
+    return parts
+
+
+def probe_outcomes(battery: ProbeBattery, failures):
+    """Yield (probe, failed) for each battery probe, lazily, in battery order.
+
+    failures(module) lists the places where tensoring with module breaks
+    the property under test: the degrees where homology appears, say.
+    failed is the frozenset of those places for the probe.  failures is
+    only ever called on R and on cyclic prime-power modules R/(p^k), at
+    most once each (memoised by invariant factor); every other probe is
+    read off those parts.
+
+    Why that is exact.  Write d = p_1^k_1 ... p_r^k_r.  The ideals
+    (p_i^k_i) are pairwise comaximal, so the Chinese remainder theorem
+    gives R/(d) = R/(p_1^k_1) (+) ... (+) R/(p_r^k_r) as R-modules, over
+    Z and over Z/m alike (there d is an invariant factor, so d | m and
+    each R/(p_i^k_i) is Z/p_i^k_i).  A probe with several invariant
+    factors splits the same way, factor by factor.  Tensoring with a
+    direct sum gives the direct sum of the tensors, and homology and
+    kernels are additive over direct sums, so a probe fails at a place
+    exactly when one of its parts does: its failed set is the union of
+    its parts' sets.
+
+    In an ascending standard battery the first failing probe is free or
+    a prime power: a failing composite d has a failing part p^k, a proper
+    divisor of d that sits earlier in the battery (see probe_battery).
+    So the first failing probe, and its failed set, come from a direct
+    tensor, exactly as probe-by-probe evaluation would report them.
+    """
+    memo = {}
+    for probe in battery.probes:
+        failed = frozenset()
+        for q in _primary_parts(probe):
+            if q not in memo:
+                part = free_module(probe.ring, 1) if q == 0 else cyclic_module(probe.ring, q)
+                memo[q] = frozenset(failures(part))
+            failed |= memo[q]
+        yield probe, failed
+
+
 def failing_probe_for_mono(f: ModuleMap, battery: ProbeBattery):
     """(probe, induced map with nonzero kernel) or None."""
-    for probe in battery.probes:
-        induced = tensor_map(identity_map(probe), f)
-        if not is_injective(induced):
-            return probe, induced
+
+    def failures(probe):
+        return () if is_injective(tensor_map(identity_map(probe), f)) else ("kernel",)
+
+    for probe, failed in probe_outcomes(battery, failures):
+        if failed:
+            return probe, tensor_map(identity_map(probe), f)
     return None
 
 
 def failing_probe_for_acyclic(cx: Complex, battery: ProbeBattery):
-    """(probe, degree where probe (x) cx has homology) or None."""
-    for probe in battery.probes:
+    """(probe, least degree where probe (x) cx has homology) or None."""
+
+    def failures(probe):
         tensored = tensor_module_complex(cx, probe)
-        for i in range(tensored.lo, tensored.hi + 1):
-            if not homology(tensored, i).is_zero():
-                return probe, i
+        return [i for i in range(tensored.lo, tensored.hi + 1)
+                if not homology(tensored, i).is_zero()]
+
+    for probe, failed in probe_outcomes(battery, failures):
+        if failed:
+            return probe, min(failed)
     return None
 
 

@@ -3,13 +3,25 @@
 Nothing in here calls into the elimination code under test: Smith
 diagonals are recomputed from gcds of minors, solvability is decided by
 exhaustive search over bounded boxes, and module arithmetic is checked
-against hand enumeration.  Keep it slow and obvious.
+against hand enumeration.  The probe oracles at the end walk every
+divisor candidate and tensor every probe directly, where the library
+factors and reads composite probes off their prime-power parts.  Keep
+it slow and obvious.
 """
 
 from itertools import combinations, permutations, product
 from math import gcd
 
 from purcat.exact_linalg import IntMatrix
+from purcat.fpmod import (
+    cyclic_module,
+    free_module,
+    identity_map,
+    is_injective,
+    tensor_map,
+)
+from purcat.complexes import homology, tensor_module_complex
+from purcat.purity import ProbeBattery
 
 
 def det_int(rows):
@@ -98,3 +110,43 @@ def enumerate_module_elements(factors):
     """All elements of a product of cyclic groups Z/f (f > 0)."""
     ranges = [range(f) for f in factors]
     return product(*ranges)
+
+
+# ---------------------------------------------------------------------------
+# probe batteries, probe by probe
+
+
+def slow_probe_battery(ring, bound=1):
+    """The battery by brute force: over Z/m, every d in range(2, m) dividing m."""
+    probes = [free_module(ring, 1)]
+    if ring.modulus is None:
+        probes += [cyclic_module(ring, d) for d in range(2, bound + 1)]
+    else:
+        m = ring.modulus
+        probes += [cyclic_module(ring, d) for d in range(2, m) if m % d == 0]
+    return ProbeBattery(ring, tuple(probes))
+
+
+def homology_degrees(cx, probe):
+    """Degrees where probe (x) cx has homology, from a direct tensor."""
+    tensored = tensor_module_complex(cx, probe)
+    return [i for i in range(tensored.lo, tensored.hi + 1)
+            if not homology(tensored, i).is_zero()]
+
+
+def slow_failing_probe_for_acyclic(cx, battery):
+    """First probe whose direct tensor with cx has homology, with the degree."""
+    for probe in battery.probes:
+        degrees = homology_degrees(cx, probe)
+        if degrees:
+            return probe, degrees[0]
+    return None
+
+
+def slow_failing_probe_for_mono(f, battery):
+    """First probe whose direct tensor with f is not injective, with that map."""
+    for probe in battery.probes:
+        induced = tensor_map(identity_map(probe), f)
+        if not is_injective(induced):
+            return probe, induced
+    return None

@@ -19,6 +19,7 @@ from purcat.complexes import (
 )
 from purcat.purity import is_pure_qis
 from purcat.resolutions import INJECTIVE, PROJECTIVE, UnsupportedRing, resolve
+import purcat.monoidal as monoidal
 from purcat.monoidal import (
     adjunction_iso,
     check_dpur_adjunction,
@@ -260,6 +261,18 @@ def test_phom_rejects_free_targets_over_z():
         phom(a, target)
 
 
+def test_phom_rejects_free_targets_before_resolving(monkeypatch):
+    calls = []
+    monkeypatch.setattr(monoidal, "_resolution_for",
+                        lambda *args: calls.append(args))
+    a = module_complex(cyclic_module(ZZ, 4), 0)
+    target = module_complex(free_module(ZZ, 1), 0)
+    with pytest.raises(UnsupportedRing,
+                       match="pure injective resolutions over the integers need torsion terms"):
+        phom(a, target)
+    assert calls == []
+
+
 def test_phom_invariance_across_paddings():
     rng = random.Random(53)
     ring = Zmod(8)
@@ -330,3 +343,16 @@ def test_dpur_adjunction_with_zero_argument():
     report = check_dpur_adjunction(zero_complex(ring), b, c)
     assert report.ok
     assert all(link.left == () for link in report.links)
+
+
+def test_dpur_adjunction_rejects_free_c_before_resolving(monkeypatch):
+    calls = []
+    monkeypatch.setattr(monoidal, "resolve", lambda *args, **kw: calls.append(args))
+    rng = random.Random(71)
+    a = random_complex(rng, ZZ, 0, 2)
+    b = random_complex(rng, ZZ, 0, 2)
+    c = make_complex(ZZ, 0, [cyclic_module(ZZ, 3), free_module(ZZ, 1)], [[[0]]])
+    with pytest.raises(UnsupportedRing,
+                       match="pure injective resolutions over the integers need torsion terms"):
+        check_dpur_adjunction(a, b, c)
+    assert calls == []

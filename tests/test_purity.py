@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from purcat.exact_linalg import InputError, ZZ, Zmod
 from purcat.fpmod import (
@@ -11,6 +12,7 @@ from purcat.fpmod import (
     direct_sum,
     free_module,
     identity_map,
+    kernel,
     make_map,
     make_module,
     tensor_map,
@@ -18,6 +20,7 @@ from purcat.fpmod import (
 )
 from purcat.complexes import (
     cone,
+    direct_sum_complexes,
     homology,
     hom_module_complex,
     identity_chain_map,
@@ -31,14 +34,23 @@ from purcat.purity import (
     NotAcyclicAt,
     ProbeBattery,
     default_battery,
+    failing_probe_for_acyclic,
+    failing_probe_for_mono,
     is_pure_acyclic,
     is_pure_acyclic_at,
     is_pure_mono,
     is_pure_qis,
     probe_battery,
+    probe_outcomes,
 )
 from purcat.randgen import random_complex, random_contractible, random_pure_acyclic
-from helpers import mat
+from helpers import (
+    homology_degrees,
+    mat,
+    slow_failing_probe_for_acyclic,
+    slow_failing_probe_for_mono,
+    slow_probe_battery,
+)
 
 
 def ses_complex():
@@ -247,3 +259,122 @@ def test_contraction_and_probe_criteria_agree_micro():
         else:
             seen_not += 1
     assert seen_not >= 10
+
+
+# ---------------------------------------------------------------------------
+# arithmetic batteries and prime-power probe evaluation
+
+RINGS = (ZZ, Zmod(12), Zmod(72))
+SAMPLES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def nonsplit_ses(rng, ring):
+    """A non-split short exact sequence 0 -> A -> B -> C -> 0 in degrees 0..2.
+
+    Either 0 -> Z -n-> Z -> Z/n -> 0 over Z, or
+    0 -> R/(p^a) -> R/(p^(a+b)) -> R/(p^b) -> 0 with p^(a+b) dividing m.
+    """
+    if ring.modulus is None and rng.random() < 0.5:
+        n = rng.randint(2, 12)
+        z = free_module(ring, 1)
+        return make_complex(ring, 0, [z, z, cyclic_module(ring, n)],
+                            [mat([[n]]), mat([[1]])])
+    p, top = rng.choice([(2, 2)] if ring.modulus == 12 else [(2, 3), (3, 2)])
+    a = rng.randint(1, top - 1)
+    b = top - a
+    mods = [cyclic_module(ring, p ** a), cyclic_module(ring, p ** top),
+            cyclic_module(ring, p ** b)]
+    return make_complex(ring, 0, mods, [mat([[p ** b]]), mat([[1]])])
+
+
+def sample_complex(rng, ring, nonsplit):
+    """A random complex, or a non-split sequence hidden in a pure acyclic sum."""
+    if not nonsplit:
+        return random_complex(rng, ring, -1, rng.randint(1, 3), max_gens=2)
+    total, _, _ = direct_sum_complexes([nonsplit_ses(rng, ring),
+                                        random_pure_acyclic(rng, ring)])
+    return total
+
+
+def test_probe_battery_matches_divisor_walk():
+    for m in range(2, 501):
+        assert probe_battery(Zmod(m)) == slow_probe_battery(Zmod(m)), m
+
+
+def test_probe_battery_large_modulus():
+    m = 10 ** 12
+    bat = probe_battery(Zmod(m))
+    assert len(bat.probes) == 168
+    facts = [p.invariant_factors for p in bat.probes]
+    assert facts[:5] == [(m,), (2,), (4,), (5,), (8,)]
+    assert facts[-1] == (m // 2,)
+    assert facts[1:] == sorted(facts[1:])
+
+
+@pytest.mark.parametrize("battery, tensored", [
+    (probe_battery(Zmod(72)), [72, 2, 3, 4, 8, 9]),
+    (probe_battery(ZZ, 17), [0, 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17]),
+    (probe_battery(Zmod(60)), [60, 2, 3, 4, 5]),
+])
+def test_probe_outcomes_tensor_each_prime_power_once(battery, tensored):
+    seen = []
+
+    def failures(module):
+        seen.append(module.invariant_factors)
+        return ()
+
+    outcomes = list(probe_outcomes(battery, failures))
+    assert [p for p, _ in outcomes] == list(battery.probes)
+    assert all(failed == frozenset() for _, failed in outcomes)
+    assert seen == [(q,) for q in tensored]
+
+
+def test_probe_outcomes_are_lazy():
+    seen = []
+
+    def failures(module):
+        seen.append(module)
+        return (0,)
+
+    first = next(probe_outcomes(probe_battery(Zmod(72)), failures))
+    assert first[1] == frozenset({0})
+    assert len(seen) == 1
+
+
+def test_probe_outcomes_read_composites_off_parts():
+    # 0 -> Z -6-> Z -> Z/6 -> 0 fails exactly at the probes Z/d, gcd(d, 6) > 1
+    z = free_module(ZZ, 1)
+    cx = make_complex(ZZ, 0, [z, z, cyclic_module(ZZ, 6)], [mat([[6]]), mat([[1]])])
+    bat = probe_battery(ZZ, 12)
+    outcomes = list(probe_outcomes(bat, lambda p: homology_degrees(cx, p)))
+    failing = [p.invariant_factors[0] for p, failed in outcomes if failed]
+    assert failing == [2, 3, 4, 6, 8, 9, 10, 12]
+    assert failing_probe_for_acyclic(cx, bat) == (bat.probes[1], 0)
+
+
+@SAMPLES
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(RINGS),
+       nonsplit=st.booleans())
+def test_probe_outcomes_match_direct_tensors(seed, ring, nonsplit):
+    rng = random.Random(seed)
+    cx = sample_complex(rng, ring, nonsplit)
+    bat = probe_battery(ring, 12)
+    outcomes = list(probe_outcomes(bat, lambda p: homology_degrees(cx, p)))
+    assert [p for p, _ in outcomes] == list(bat.probes)
+    for probe, failed in outcomes:
+        assert failed == frozenset(homology_degrees(cx, probe))
+    assert failing_probe_for_acyclic(cx, bat) == slow_failing_probe_for_acyclic(cx, bat)
+
+
+@SAMPLES
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(RINGS),
+       nonsplit=st.booleans())
+def test_failing_probe_for_mono_matches_direct(seed, ring, nonsplit):
+    rng = random.Random(seed)
+    if nonsplit:
+        f = nonsplit_ses(rng, ring).differential(0)
+    else:
+        cx = random_complex(rng, ring, 0, 3, max_gens=2)
+        _, f = kernel(cx.differential(1))
+    bat = probe_battery(ring, 12)
+    assert failing_probe_for_mono(f, bat) == slow_failing_probe_for_mono(f, bat)
