@@ -16,12 +16,13 @@ everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
-from purcat.exact_linalg import IntMatrix, InputError, Ring, WorkbenchError
+from purcat.exact_linalg import IntMatrix, InputError, Ring
 from purcat.fpmod import (
     FpModule,
     ModuleMap,
+    block_map,
     canonical_form,
     cokernel,
     direct_sum,
@@ -33,7 +34,6 @@ from purcat.fpmod import (
     identity_map,
     kernel,
     make_map,
-    make_module,
     tensor_map,
     tensor_modules,
     zero_map,
@@ -295,17 +295,15 @@ def cone(f: ChainMap) -> Cone:
     sums = {}
     for i in range(lo, hi + 1):
         sums[i] = direct_sum([src.module(i + 1), tgt.module(i)])
-    mods = []
+    mods = [sums[i][0] for i in range(lo, hi + 1)]
     diffs = []
-    for i in range(lo, hi + 1):
-        s, (inj_a, inj_b), (proj_a, proj_b) = sums[i]
-        mods.append(s)
-        if i < hi:
-            _, (inj_a2, inj_b2), _ = sums[i + 1]
-            d = (inj_a2 @ (-src.differential(i + 1)) @ proj_a) \
-                + (inj_b2 @ f.component(i + 1) @ proj_a) \
-                + (inj_b2 @ tgt.differential(i) @ proj_b)
-            diffs.append(d)
+    for i in range(lo, hi):
+        ga, ga2 = src.module(i + 1).generators, src.module(i + 2).generators
+        diffs.append(block_map(mods[i - lo], mods[i + 1 - lo], [
+            (0, 0, -1, src.differential(i + 1).matrix),
+            (ga2, 0, 1, f.component(i + 1).matrix),
+            (ga2, ga, 1, tgt.differential(i).matrix),
+        ]))
     cx = Complex(ring, lo, tuple(mods), tuple(diffs))
     incl = ChainMap(tgt, cx, lo, tuple(sums[i][1][1] for i in range(lo, hi + 1)))
     proj = ChainMap(cx, shift(src, 1), lo, tuple(sums[i][2][0] for i in range(lo, hi + 1)))
@@ -332,11 +330,14 @@ def direct_sum_complexes(cxs: Iterable[Complex]) -> tuple:
     sums = {i: direct_sum([c.module(i) for c in cxs]) for i in range(lo, hi + 1)}
     diffs = []
     for i in range(lo, hi):
-        d = None
-        for k, c in enumerate(cxs):
-            term = sums[i + 1][1][k] @ c.differential(i) @ sums[i][2][k]
-            d = term if d is None else d + term
-        diffs.append(d)
+        blocks = []
+        r0 = c0 = 0
+        for c in cxs:
+            d = c.differential(i)
+            blocks.append((r0, c0, 1, d.matrix))
+            r0 += d.tgt.generators
+            c0 += d.src.generators
+        diffs.append(block_map(sums[i][0], sums[i + 1][0], blocks))
     total = Complex(ring, lo, tuple(sums[i][0] for i in range(lo, hi + 1)), tuple(diffs))
     injs = [ChainMap(c, total, lo, tuple(sums[i][1][k] for i in range(lo, hi + 1)))
             for k, c in enumerate(cxs)]
@@ -505,9 +506,6 @@ class Homotopy:
         comps = tuple(self.component(i) + other.component(i) for i in range(lo, hi))
         return Homotopy(self.src, self.tgt, lo, comps)
 
-    def neg(self) -> "Homotopy":
-        return Homotopy(self.src, self.tgt, self.lo, tuple(c.neg() for c in self.components))
-
 
 def make_homotopy(src: Complex, tgt: Complex, lo: int, components, check: bool = True) -> Homotopy:
     comps = []
@@ -544,13 +542,24 @@ def _as_column(coords, height: int) -> IntMatrix:
     return IntMatrix.column_vector(vals)
 
 
+def _ranges(mods) -> list:
+    """The (start, stop) generator ranges of consecutive direct summands."""
+    out = []
+    start = 0
+    for mod in mods:
+        out.append((start, start + mod.generators))
+        start += mod.generators
+    return out
+
+
 @dataclass(frozen=True)
 class HomComplex:
     """Total hom complex of a pair of complexes, with slot bookkeeping.
 
     Degree i collects Hom(source^j, target^(i+j)) over all j.  slots(i)
-    yields (j, hom_module, injection, projection) for each piece, so
-    elements of degree i convert to and from families of module maps.
+    yields (j, hom_module, start, stop) for each piece, whose coordinates
+    are the generators start..stop-1 of degree i, so elements of degree i
+    convert to and from families of module maps slot by slot.
     The differential sends f to d_tgt . f - (-1)^i f . d_src.
     """
 
@@ -568,11 +577,8 @@ class HomComplex:
     def element_components(self, i: int, coords) -> dict:
         """Decode a degree i element into {j: map source^j -> target^(i+j)}."""
         col = _as_column(coords, self.complex.module(i).generators)
-        out = {}
-        for j, hm, inj, proj in self.slots(i):
-            sub = proj.matrix @ col
-            out[j] = hm.to_map([sub.at(r, 0) for r in range(sub.rows)])
-        return out
+        return {j: hm.to_map([col.data[r][0] for r in range(start, stop)])
+                for j, hm, start, stop in self.slots(i)}
 
     def components_element(self, i: int, family: dict) -> IntMatrix:
         """Encode a family {j: map} as a degree i coordinate column."""
@@ -580,14 +586,12 @@ class HomComplex:
         for j in sorted(family):
             if j not in used and not family[j].is_zero():
                 raise InputError(f"no slot at source degree {j} in hom degree {i}")
-        col = IntMatrix.zeros(self.complex.module(i).generators, 1)
-        for j, hm, inj, proj in self.slots(i):
+        vals = [0] * self.complex.module(i).generators
+        for j, hm, start, stop in self.slots(i):
             f = family.get(j)
-            if f is None:
-                continue
-            coords = hm.from_map(f)
-            col = col + inj.matrix @ IntMatrix.column_vector(list(coords))
-        return self.complex.ring.reduce_matrix(col)
+            if f is not None:
+                vals[start:stop] = hm.from_map(f)
+        return self.complex.ring.reduce_matrix(IntMatrix.column_vector(vals))
 
 
 def hom_complex(source: Complex, target: Complex) -> HomComplex:
@@ -601,31 +605,29 @@ def hom_complex(source: Complex, target: Complex) -> HomComplex:
     slot_data = []
     mods = []
     for i in range(lo, hi + 1):
-        row = []
         j_lo = max(source.lo, target.lo - i)
         j_hi = min(source.hi, target.hi - i)
-        homs = [hom_modules(source.module(j), target.module(i + j)) for j in range(j_lo, j_hi + 1)]
-        total, injs, projs = direct_sum([hm.module for hm in homs])
-        for k, j in enumerate(range(j_lo, j_hi + 1)):
-            row.append((j, homs[k], injs[k], projs[k]))
-        slot_data.append(tuple(row))
-        mods.append(total)
+        js = range(j_lo, j_hi + 1)
+        homs = [hom_modules(source.module(j), target.module(i + j)) for j in js]
+        pieces = [hm.module for hm in homs]
+        slot_data.append(tuple((j, hm, start, stop) for j, hm, (start, stop)
+                               in zip(js, homs, _ranges(pieces))))
+        mods.append(direct_sum(pieces)[0])
     diffs = []
     for i in range(lo, hi):
-        here = slot_data[i - lo]
-        nxt = {j: (hm, inj) for j, hm, inj, _ in slot_data[i + 1 - lo]}
-        d = zero_map(mods[i - lo], mods[i + 1 - lo])
+        nxt = {j: (hm, start) for j, hm, start, _ in slot_data[i + 1 - lo]}
         sign = -1 if i % 2 == 0 else 1
-        for j, hm, inj, proj in here:
+        blocks = []
+        for j, hm, start, _ in slot_data[i - lo]:
             if j in nxt:
-                hm2, inj2 = nxt[j]
+                hm2, start2 = nxt[j]
                 post = hom_post(hm, hm2, target.differential(i + j))
-                d = d + inj2 @ post @ proj
+                blocks.append((start2, start, 1, post.matrix))
             if j - 1 in nxt:
-                hm3, inj3 = nxt[j - 1]
+                hm3, start3 = nxt[j - 1]
                 pre = hom_pre(hm, hm3, source.differential(j - 1))
-                d = d + (inj3 @ pre @ proj).scale(sign)
-        diffs.append(d)
+                blocks.append((start3, start, sign, pre.matrix))
+        diffs.append(block_map(mods[i - lo], mods[i + 1 - lo], blocks))
     cx = Complex(ring, lo, tuple(mods), tuple(diffs))
     return HomComplex(source, target, cx, tuple(slot_data))
 
@@ -634,8 +636,10 @@ def hom_complex(source: Complex, target: Complex) -> HomComplex:
 class TensorComplex:
     """Total tensor product of a pair of complexes, with slot bookkeeping.
 
-    Degree t collects left^i (x) right^(t-i) over all i.  The differential
-    is d (x) 1 + (-1)^i 1 (x) d on the (i, j) slot.
+    Degree t collects left^i (x) right^(t-i) over all i; slots(t) yields
+    (i, t - i, start, stop) for each piece, which occupies the generators
+    start..stop-1 of degree t.  The differential is
+    d (x) 1 + (-1)^i 1 (x) d on the (i, j) slot.
     """
 
     left: Complex
@@ -661,29 +665,27 @@ def tensor_complex(left: Complex, right: Complex) -> TensorComplex:
     slot_data = []
     mods = []
     for t in range(lo, hi + 1):
-        row = []
         i_lo = max(left.lo, t - right.hi)
         i_hi = min(left.hi, t - right.lo)
-        pieces = [tensor_modules(left.module(i), right.module(t - i)) for i in range(i_lo, i_hi + 1)]
-        total, injs, projs = direct_sum(pieces)
-        for k, i in enumerate(range(i_lo, i_hi + 1)):
-            row.append((i, t - i, injs[k], projs[k]))
-        slot_data.append(tuple(row))
-        mods.append(total)
+        ids = range(i_lo, i_hi + 1)
+        pieces = [tensor_modules(left.module(i), right.module(t - i)) for i in ids]
+        slot_data.append(tuple((i, t - i, start, stop)
+                               for i, (start, stop) in zip(ids, _ranges(pieces))))
+        mods.append(direct_sum(pieces)[0])
     diffs = []
     for t in range(lo, hi):
-        here = slot_data[t - lo]
-        nxt = {i: inj for i, _, inj, _ in slot_data[t + 1 - lo]}
-        d = zero_map(mods[t - lo], mods[t + 1 - lo])
-        for i, j, inj, proj in here:
+        nxt = {i: start for i, _, start, _ in slot_data[t + 1 - lo]}
+        blocks = []
+        for i, j, start, _ in slot_data[t - lo]:
             if i + 1 in nxt:
-                step = tensor_map(left.differential(i), identity_map(right.module(j)))
-                d = d + nxt[i + 1] @ step @ proj
+                step = left.differential(i).matrix.kron(
+                    IntMatrix.identity(right.module(j).generators))
+                blocks.append((nxt[i + 1], start, 1, step))
             if i in nxt:
-                step = tensor_map(identity_map(left.module(i)), right.differential(j))
-                sign = -1 if i % 2 else 1
-                d = d + (nxt[i] @ step @ proj).scale(sign)
-        diffs.append(d)
+                step = IntMatrix.identity(left.module(i).generators).kron(
+                    right.differential(j).matrix)
+                blocks.append((nxt[i], start, -1 if i % 2 else 1, step))
+        diffs.append(block_map(mods[t - lo], mods[t + 1 - lo], blocks))
     cx = Complex(ring, lo, tuple(mods), tuple(diffs))
     return TensorComplex(left, right, cx, tuple(slot_data))
 
@@ -692,25 +694,18 @@ def tensor_complex(left: Complex, right: Complex) -> TensorComplex:
 # maps induced on hom and tensor complexes
 
 
+def _window(a: Complex, b: Complex) -> range:
+    return range(min(a.lo, b.lo), max(a.hi, b.hi) + 1)
+
+
 def hom_post_chain_map(src_hc: HomComplex, tgt_hc: HomComplex, u: ChainMap) -> ChainMap:
     """Post-composition Hom(A, M) -> Hom(A, N) along u: M -> N."""
     if src_hc.source != tgt_hc.source:
         raise InputError("post-composition needs a common hom source")
     if u.src != src_hc.target or u.tgt != tgt_hc.target:
         raise InputError("map endpoints do not match the hom complexes")
-    a, b = src_hc.complex, tgt_hc.complex
-    lo = min(a.lo, b.lo)
-    hi = max(a.hi, b.hi)
-    comps = []
-    for i in range(lo, hi + 1):
-        tgt_slots = {j: (hm, inj) for j, hm, inj, _ in tgt_hc.slots(i)}
-        comp = zero_map(a.module(i), b.module(i))
-        for j, hm, inj, proj in src_hc.slots(i):
-            if j in tgt_slots:
-                hm2, inj2 = tgt_slots[j]
-                comp = comp + inj2 @ hom_post(hm, hm2, u.component(i + j)) @ proj
-        comps.append(comp)
-    return ChainMap(a, b, lo, tuple(comps))
+    return _hom_induced(src_hc, tgt_hc,
+                        lambda i, j, hm, hm2: hom_post(hm, hm2, u.component(i + j)))
 
 
 def hom_pre_chain_map(src_hc: HomComplex, tgt_hc: HomComplex, u: ChainMap) -> ChainMap:
@@ -719,19 +714,20 @@ def hom_pre_chain_map(src_hc: HomComplex, tgt_hc: HomComplex, u: ChainMap) -> Ch
         raise InputError("pre-composition needs a common hom target")
     if u.tgt != src_hc.source or u.src != tgt_hc.source:
         raise InputError("map endpoints do not match the hom complexes")
+    return _hom_induced(src_hc, tgt_hc,
+                        lambda i, j, hm, hm2: hom_pre(hm, hm2, u.component(j)))
+
+
+def _hom_induced(src_hc: HomComplex, tgt_hc: HomComplex, step) -> ChainMap:
+    """The chain map placing step(i, j, hm, hm2) from slot j into slot j."""
     a, b = src_hc.complex, tgt_hc.complex
-    lo = min(a.lo, b.lo)
-    hi = max(a.hi, b.hi)
     comps = []
-    for i in range(lo, hi + 1):
-        tgt_slots = {j: (hm, inj) for j, hm, inj, _ in tgt_hc.slots(i)}
-        comp = zero_map(a.module(i), b.module(i))
-        for j, hm, inj, proj in src_hc.slots(i):
-            if j in tgt_slots:
-                hm2, inj2 = tgt_slots[j]
-                comp = comp + inj2 @ hom_pre(hm, hm2, u.component(j)) @ proj
-        comps.append(comp)
-    return ChainMap(a, b, lo, tuple(comps))
+    for i in _window(a, b):
+        tgt_slots = {j: (hm, start) for j, hm, start, _ in tgt_hc.slots(i)}
+        blocks = [(tgt_slots[j][1], start, 1, step(i, j, hm, tgt_slots[j][0]).matrix)
+                  for j, hm, start, _ in src_hc.slots(i) if j in tgt_slots]
+        comps.append(block_map(a.module(i), b.module(i), blocks))
+    return ChainMap(a, b, _window(a, b).start, tuple(comps))
 
 
 def tensor_fixed_left_map(src_tc: TensorComplex, tgt_tc: TensorComplex, u: ChainMap) -> ChainMap:
@@ -740,19 +736,8 @@ def tensor_fixed_left_map(src_tc: TensorComplex, tgt_tc: TensorComplex, u: Chain
         raise InputError("left factors must agree")
     if u.src != src_tc.right or u.tgt != tgt_tc.right:
         raise InputError("map endpoints do not match the tensor complexes")
-    a, b = src_tc.complex, tgt_tc.complex
-    lo = min(a.lo, b.lo)
-    hi = max(a.hi, b.hi)
-    comps = []
-    for t in range(lo, hi + 1):
-        tgt_slots = {i: inj for i, _, inj, _ in tgt_tc.slots(t)}
-        comp = zero_map(a.module(t), b.module(t))
-        for i, j, inj, proj in src_tc.slots(t):
-            if i in tgt_slots:
-                step = tensor_map(identity_map(src_tc.left.module(i)), u.component(j))
-                comp = comp + tgt_slots[i] @ step @ proj
-        comps.append(comp)
-    return ChainMap(a, b, lo, tuple(comps))
+    return _tensor_induced(src_tc, tgt_tc, lambda i, j: IntMatrix.identity(
+        src_tc.left.module(i).generators).kron(u.component(j).matrix))
 
 
 def tensor_fixed_right_map(src_tc: TensorComplex, tgt_tc: TensorComplex, u: ChainMap) -> ChainMap:
@@ -761,19 +746,20 @@ def tensor_fixed_right_map(src_tc: TensorComplex, tgt_tc: TensorComplex, u: Chai
         raise InputError("right factors must agree")
     if u.src != src_tc.left or u.tgt != tgt_tc.left:
         raise InputError("map endpoints do not match the tensor complexes")
+    return _tensor_induced(src_tc, tgt_tc, lambda i, j: u.component(i).matrix.kron(
+        IntMatrix.identity(src_tc.right.module(j).generators)))
+
+
+def _tensor_induced(src_tc: TensorComplex, tgt_tc: TensorComplex, step) -> ChainMap:
+    """The chain map placing step(i, j) from slot (i, j) into slot (i, j)."""
     a, b = src_tc.complex, tgt_tc.complex
-    lo = min(a.lo, b.lo)
-    hi = max(a.hi, b.hi)
     comps = []
-    for t in range(lo, hi + 1):
-        tgt_slots = {i: inj for i, _, inj, _ in tgt_tc.slots(t)}
-        comp = zero_map(a.module(t), b.module(t))
-        for i, j, inj, proj in src_tc.slots(t):
-            if i in tgt_slots:
-                step = tensor_map(u.component(i), identity_map(src_tc.right.module(j)))
-                comp = comp + tgt_slots[i] @ step @ proj
-        comps.append(comp)
-    return ChainMap(a, b, lo, tuple(comps))
+    for t in _window(a, b):
+        tgt_slots = {i: start for i, _, start, _ in tgt_tc.slots(t)}
+        blocks = [(tgt_slots[i], start, 1, step(i, j))
+                  for i, j, start, _ in src_tc.slots(t) if i in tgt_slots]
+        comps.append(block_map(a.module(t), b.module(t), blocks))
+    return ChainMap(a, b, _window(a, b).start, tuple(comps))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional
 
 from purcat.exact_linalg import (
     IntMatrix,
@@ -348,29 +348,39 @@ def direct_sum(mods: Iterable[FpModule]) -> tuple:
     if any(m.ring != ring for m in mods):
         raise InputError("direct_sum over mixed rings")
     total = sum(m.generators for m in mods)
-    rel = block_diag(*[m.relations for m in mods])
-    s = make_module(ring, total, rel)
+    s = make_module(ring, total, block_diag(*[m.relations for m in mods]))
     injections = []
     projections = []
-    offset = 0
+    before = 0
     for m in mods:
-        rows = []
-        for i in range(total):
-            row = [0] * m.generators
-            if offset <= i < offset + m.generators:
-                row[i - offset] = 1
-            rows.append(tuple(row))
-        inj = ModuleMap(m, s, IntMatrix(total, m.generators, tuple(rows)))
-        proj_rows = []
-        for i in range(m.generators):
-            row = [0] * total
-            row[offset + i] = 1
-            proj_rows.append(tuple(row))
-        proj = ModuleMap(s, m, IntMatrix(m.generators, total, tuple(proj_rows)))
-        injections.append(inj)
-        projections.append(proj)
-        offset += m.generators
+        g = m.generators
+        after = total - before - g
+        eye = IntMatrix.identity(g).data
+        zero = (0,) * g
+        inj_rows = (zero,) * before + eye + (zero,) * after
+        proj_rows = tuple((0,) * before + row + (0,) * after for row in eye)
+        injections.append(ModuleMap(m, s, IntMatrix(total, g, inj_rows)))
+        projections.append(ModuleMap(s, m, IntMatrix(g, total, proj_rows)))
+        before += g
     return s, injections, projections
+
+
+def block_map(src: FpModule, tgt: FpModule, blocks: Iterable) -> ModuleMap:
+    """The map src -> tgt that is zero outside the given blocks.
+
+    blocks holds (row offset, column offset, sign, IntMatrix); each block
+    times its sign is added in at its offsets, so a map between direct
+    sums is placed summand by summand, not summed from inj . x . proj.
+    """
+    rows = [[0] * src.generators for _ in range(tgt.generators)]
+    for r0, c0, sign, mat in blocks:
+        for i, row in enumerate(mat.data):
+            out = rows[r0 + i]
+            for j, x in enumerate(row):
+                if x:
+                    out[c0 + j] += sign * x
+    mat = IntMatrix(tgt.generators, src.generators, tuple(tuple(r) for r in rows))
+    return ModuleMap(src, tgt, src.ring.reduce_matrix(mat))
 
 
 def tensor_modules(a: FpModule, b: FpModule) -> FpModule:
@@ -425,8 +435,12 @@ class HomSlot:
 class HomModule:
     """Hom(source, target) as a module plus coordinate conversions.
 
-    Generators are the surviving diagonal slots (i, j); to_map/from_map
-    translate between coordinate vectors and actual ModuleMaps.
+    With U_A . A . V_A and U_B . B . V_B diagonal, a map f: A -> B has
+    diagonal matrix U_B . f . U_A^-1, and Hom(R/<a_i>, R/<b_j>) is cyclic
+    with generator multiplier . E(j, i).  Generators are the surviving
+    slots (i, j); to_map/from_map translate between coordinate vectors
+    and actual ModuleMaps, and hom_post/hom_pre act on coordinates
+    directly.
     """
 
     source: FpModule
@@ -457,24 +471,22 @@ class HomModule:
         if f.src != self.source or f.tgt != self.target:
             raise InputError("from_map got a map between different modules")
         ring = self.source.ring
-        m = ring.modulus
         dm = self.source.decomposition()
         dn = self.target.decomposition()
         lam = ring.reduce_matrix(dn.to_diag @ f.matrix @ dm.from_diag)
-        coords = []
-        for slot in self.slots:
-            x = lam.at(slot.tgt_index, slot.src_index)
-            b = dn.factors[slot.tgt_index]
-            if m is None and b == 0:
-                # free target slot: coordinate is the entry itself
-                val = x
-            else:
-                x %= b
-                if x % slot.multiplier:
-                    raise WorkbenchError("map is not a hom element; not well defined?")
-                val = (x // slot.multiplier) % slot.order
-            coords.append(val)
-        return tuple(coords)
+        return tuple(self.coordinate(slot, lam.at(slot.tgt_index, slot.src_index))
+                     for slot in self.slots)
+
+    def coordinate(self, slot: HomSlot, x: int) -> int:
+        """The coordinate of slot read off the diagonal entry x at (j, i)."""
+        b = self.target.decomposition().factors[slot.tgt_index]
+        if self.source.ring.modulus is None and b == 0:
+            # free target slot: coordinate is the entry itself
+            return x
+        x %= b
+        if x % slot.multiplier:
+            raise WorkbenchError("map is not a hom element; not well defined?")
+        return (x // slot.multiplier) % slot.order
 
 
 def hom_modules(a: FpModule, b: FpModule) -> HomModule:
@@ -505,26 +517,43 @@ def hom_modules(a: FpModule, b: FpModule) -> HomModule:
 
 def hom_post(hm_src: HomModule, hm_tgt: HomModule, phi: ModuleMap) -> ModuleMap:
     """Post-composition Hom(A, B) -> Hom(A, B') induced by phi: B -> B'."""
-    cols = []
-    n = len(hm_src.slots)
-    for s in range(n):
-        coords = [0] * n
-        coords[s] = 1
-        f = hm_src.to_map(coords)
-        cols.append(hm_tgt.from_map(phi @ f))
-    mat = from_columns(cols, len(hm_tgt.slots))
-    return ModuleMap(hm_src.module, hm_tgt.module, hm_src.module.ring.reduce_matrix(mat))
+    if (phi.src != hm_src.target or hm_tgt.source != hm_src.source
+            or hm_tgt.target != phi.tgt):
+        raise InputError("maps are not composable")
+    t = (hm_tgt.target.decomposition().to_diag @ phi.matrix
+         @ hm_src.target.decomposition().from_diag)
+    return _induced(hm_src, hm_tgt, t, IntMatrix.identity(hm_src.source.generators))
 
 
 def hom_pre(hm_src: HomModule, hm_tgt: HomModule, psi: ModuleMap) -> ModuleMap:
     """Pre-composition Hom(A, B) -> Hom(A', B) induced by psi: A' -> A."""
+    if (psi.tgt != hm_src.source or hm_tgt.source != psi.src
+            or hm_tgt.target != hm_src.target):
+        raise InputError("maps are not composable")
+    t = (hm_src.source.decomposition().to_diag @ psi.matrix
+         @ hm_tgt.source.decomposition().from_diag)
+    return _induced(hm_src, hm_tgt, IntMatrix.identity(hm_src.target.generators), t)
+
+
+def _induced(hm_src: HomModule, hm_tgt: HomModule, left: IntMatrix,
+             right: IntMatrix) -> ModuleMap:
+    """The coordinate matrix of f -> g . f . h between Hom modules.
+
+    The basis map of slot s = (i, j) is U^-1 . mult_s E(j, i) . U in the
+    Smith bases U (see HomModule).  Every U . U^-1 in between is the
+    identity (mod m over Z/m), so in diagonal coordinates g . f . h is
+    left . mult_s E(j, i) . right, with left = U . g . U^-1 and
+    right = U . h . U^-1 the change-of-basis products.  Its entry at
+    target slot r = (i', j') is mult_s . left[j', j] . right[i, i'],
+    read as from_map reads it; no full map is built.
+    """
     cols = []
-    n = len(hm_src.slots)
-    for s in range(n):
-        coords = [0] * n
-        coords[s] = 1
-        f = hm_src.to_map(coords)
-        cols.append(hm_tgt.from_map(f @ psi))
+    for s in hm_src.slots:
+        col = []
+        for r in hm_tgt.slots:
+            x = left.data[r.tgt_index][s.tgt_index] * right.data[s.src_index][r.src_index]
+            col.append(hm_tgt.coordinate(r, x * s.multiplier) if x else 0)
+        cols.append(col)
     mat = from_columns(cols, len(hm_tgt.slots))
     return ModuleMap(hm_src.module, hm_tgt.module, hm_src.module.ring.reduce_matrix(mat))
 

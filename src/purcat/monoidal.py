@@ -6,7 +6,10 @@ product meaningful on pure-resolution representatives.  The derived hom
 pairs a pure projective resolution of the first argument with a pure
 injective resolution of the second, and the currying isomorphism
 between hom-from-a-tensor and hom-into-a-hom is produced as an explicit
-pair of mutually inverse chain maps, built slot by slot.
+pair of mutually inverse chain maps.  Their columns are built one basis
+map at a time and slot-locally: a basis map of one Hom slot is curried
+(or uncurried) only into the slots it can reach, and each piece is
+written at its slot's generators; no whole hom complex is decoded.
 """
 
 from __future__ import annotations
@@ -14,19 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from purcat.exact_linalg import InputError, WorkbenchError, from_columns
+from purcat.exact_linalg import IntMatrix, InputError, WorkbenchError, from_columns
 from purcat.fpmod import (
     FpModule,
     HomModule,
     ModuleMap,
+    block_map,
     identity_map,
-    zero_map,
 )
 from purcat.complexes import (
     ChainMap,
     Complex,
     HomComplex,
-    TensorComplex,
     hom_complex,
     hom_post_chain_map,
     hom_pre_chain_map,
@@ -119,27 +121,22 @@ def tensor_swap(a: Complex, b: Complex) -> ChainMap:
     hi = max(x.hi, y.hi)
     comps = []
     for t in range(lo, hi + 1):
-        back = {(i, j): inj for i, j, inj, _ in ba.slots(t)}
-        comp = zero_map(x.module(t), y.module(t))
-        for i, j, _, proj in ab.slots(t):
-            inj = back.get((j, i))
-            if inj is None:
-                continue
+        back = {(i, j): start for i, j, start, _ in ba.slots(t)}
+        blocks = []
+        for i, j, start, _ in ab.slots(t):
             ga = a.module(i).generators
             gb = b.module(j).generators
-            if ga * gb == 0:
+            if (j, i) not in back or ga * gb == 0:
                 continue
-            sign = -1 if (i % 2) and (j % 2) else 1
             cols = []
             for p in range(ga):
                 for q in range(gb):
                     col = [0] * (ga * gb)
-                    col[q * ga + p] = sign
+                    col[q * ga + p] = 1
                     cols.append(col)
-            piece = ModuleMap(proj.tgt, inj.src,
-                              from_columns(cols, ga * gb))
-            comp = comp + inj @ piece @ proj
-        comps.append(comp)
+            sign = -1 if (i % 2) and (j % 2) else 1
+            blocks.append((back[(j, i)], start, sign, from_columns(cols, ga * gb)))
+        comps.append(block_map(x.module(t), y.module(t), blocks))
     return ChainMap(x, y, lo, tuple(comps))
 
 
@@ -147,32 +144,26 @@ def tensor_swap(a: Complex, b: Complex) -> ChainMap:
 # currying between hom and tensor
 
 
-def _curry_map(m: ModuleMap, a: FpModule, b: FpModule, hm: HomModule) -> ModuleMap:
-    """Reindex m: a (x) b -> c as a map a -> Hom(b, c)."""
-    gb = b.generators
-    gc = m.tgt.generators
-    cols = []
-    for p in range(a.generators):
-        f_cols = [[m.matrix.at(r, p * gb + q) for r in range(gc)] for q in range(gb)]
-        f = ModuleMap(b, m.tgt, from_columns(f_cols, gc))
-        cols.append(list(hm.from_map(f)))
-    mat = from_columns(cols, hm.module.generators)
-    return ModuleMap(a, hm.module, a.ring.reduce_matrix(mat))
-
-
-def _uncurry_map(g: ModuleMap, a: FpModule, b: FpModule, hm: HomModule,
-                 pair: FpModule) -> ModuleMap:
-    """Reindex g: a -> Hom(b, c) as a map a (x) b -> c."""
+def _curry_map(mat: IntMatrix, c0: int, a: FpModule, b: FpModule,
+               hm: HomModule) -> IntMatrix:
+    """Reindex the columns c0.. of mat, a map a (x) b -> c, as a map a -> Hom(b, c)."""
     gb = b.generators
     gc = hm.target.generators
     cols = []
     for p in range(a.generators):
-        coords = [g.matrix.at(r, p) for r in range(g.tgt.generators)]
-        f = hm.to_map(coords)
-        for q in range(gb):
-            cols.append([f.matrix.at(r, q) for r in range(gc)])
-    mat = from_columns(cols, gc)
-    return ModuleMap(pair, hm.target, a.ring.reduce_matrix(mat))
+        f_cols = [[mat.data[r][c0 + p * gb + q] for r in range(gc)] for q in range(gb)]
+        cols.append(hm.from_map(ModuleMap(b, hm.target, from_columns(f_cols, gc))))
+    return from_columns(cols, hm.module.generators)
+
+
+def _uncurry_map(mat: IntMatrix, r0: int, a: FpModule, b: FpModule,
+                 hm: HomModule) -> IntMatrix:
+    """Reindex the rows r0.. of mat, a map a -> Hom(b, c), as a map a (x) b -> c."""
+    cols = []
+    for p in range(a.generators):
+        f = hm.to_map([mat.data[r0 + r][p] for r in range(hm.module.generators)])
+        cols.extend(f.matrix.column(q) for q in range(b.generators))
+    return from_columns(cols, hm.target.generators)
 
 
 @dataclass(frozen=True)
@@ -191,61 +182,38 @@ class AdjunctionWitness:
     backward: ChainMap
 
 
-def _curry_column(flat: HomComplex, nested: HomComplex, tc: TensorComplex,
-                  inner: HomComplex, n: int, col) -> list:
-    a = nested.source
-    family = flat.element_components(n, col)
-    out = {}
-    for i, _, _, _ in nested.slots(n):
-        comp = zero_map(a.module(i), inner.complex.module(n + i))
-        for j, hm_bc, inj_h, _ in inner.slots(n + i):
-            big = family.get(i + j)
-            if big is None:
-                continue
-            inj_t = None
-            for ti, tj, inj, _ in tc.slots(i + j):
-                if ti == i and tj == j:
-                    inj_t = inj
-                    break
-            if inj_t is None:
-                continue
-            piece = _curry_map(big @ inj_t, a.module(i), tc.right.module(j), hm_bc)
-            comp = comp + inj_h @ piece
-        out[i] = comp
-    encoded = nested.components_element(n, out)
-    return [encoded.at(r, 0) for r in range(encoded.rows)]
+def _unit_image(src: HomComplex, tgt: HomComplex, n: int, image) -> ModuleMap:
+    """Degree n map src -> tgt from the images of the basis maps.
 
-
-def _uncurry_column(flat: HomComplex, nested: HomComplex, tc: TensorComplex,
-                    inner: HomComplex, n: int, col) -> list:
-    a = nested.source
-    family = nested.element_components(n, col)
-    out = {}
-    for t, _, _, _ in flat.slots(n):
-        comp = zero_map(tc.complex.module(t), flat.target.module(n + t))
-        for i, j, _, proj_t in tc.slots(t):
-            g = family.get(i)
-            if g is None:
-                continue
-            for jj, hm_bc, _, proj_h in inner.slots(n + i):
-                if jj != j:
-                    continue
-                piece = _uncurry_map(proj_h @ g, a.module(i), tc.right.module(j),
-                                     hm_bc, proj_t.tgt)
-                comp = comp + piece @ proj_t
-                break
-        out[t] = comp
-    encoded = flat.components_element(n, out)
-    return [encoded.at(r, 0) for r in range(encoded.rows)]
+    For the k-th basis map f of the slot (j, hm) of src, image(j, f)
+    yields (tgt slot, map) pairs; each map is encoded by that slot's
+    from_map and written at the slot's generators, and slots not named
+    get zero coordinates.
+    """
+    height = tgt.complex.module(n).generators
+    cols = []
+    for j, hm, _, _ in src.slots(n):
+        size = len(hm.slots)
+        for k in range(size):
+            col = [0] * height
+            f = hm.to_map([1 if r == k else 0 for r in range(size)])
+            for (_, hm_out, start, stop), g in image(j, f):
+                col[start:stop] = hm_out.from_map(g)
+            cols.append(col)
+    mat = src.complex.ring.reduce_matrix(from_columns(cols, height))
+    return ModuleMap(src.complex.module(n), tgt.complex.module(n), mat)
 
 
 def adjunction_iso(a: Complex, b: Complex, c: Complex) -> AdjunctionWitness:
     """The currying isomorphism hom((a (x) b), c) ~ hom(a, hom(b, c)).
 
-    Both directions are built generator by generator through the slot
-    bookkeeping of the hom and tensor complexes; no signs appear, and
-    the chain-map condition holds on the nose with the differential
-    conventions used here.
+    Both directions are built one basis map at a time, slot by slot: a
+    basis map of the flat slot Hom((a (x) b)^t, c^(n+t)) restricts to each
+    tensor slot (i, j) of degree t and curries into the inner slot
+    Hom(b^j, c^(n+i+j)), which sits inside the nested slot
+    Hom(a^i, hom(b, c)^(n+i)); uncurrying runs the same slots backwards.
+    No signs appear, and the chain-map condition holds on the nose with
+    the differential conventions used here.
     """
     if a.ring != b.ring or a.ring != c.ring:
         raise InputError("adjunction needs complexes over one ring")
@@ -254,25 +222,36 @@ def adjunction_iso(a: Complex, b: Complex, c: Complex) -> AdjunctionWitness:
     inner = hom_complex(b, c)
     nested = hom_complex(a, inner.complex)
     x, y = flat.complex, nested.complex
-    lo = min(x.lo, y.lo)
-    hi = max(x.hi, y.hi)
+    # tensor slot (i, j) -> its first generator; inner slots by (degree, j)
+    pair_start = {(i, j): start for t in range(tc.complex.lo, tc.complex.hi + 1)
+                  for i, j, start, _ in tc.slots(t)}
+    inner_at = {(k, slot[0]): slot for k in range(inner.complex.lo, inner.complex.hi + 1)
+                for slot in inner.slots(k)}
     fwd = []
     bwd = []
-    for n in range(lo, hi + 1):
-        xg = x.module(n).generators
-        yg = y.module(n).generators
-        f_cols = []
-        for g in range(xg):
-            e = [1 if r == g else 0 for r in range(xg)]
-            f_cols.append(_curry_column(flat, nested, tc, inner, n, e))
-        fwd.append(ModuleMap(x.module(n), y.module(n),
-                             a.ring.reduce_matrix(from_columns(f_cols, yg))))
-        b_cols = []
-        for g in range(yg):
-            e = [1 if r == g else 0 for r in range(yg)]
-            b_cols.append(_uncurry_column(flat, nested, tc, inner, n, e))
-        bwd.append(ModuleMap(y.module(n), x.module(n),
-                             a.ring.reduce_matrix(from_columns(b_cols, xg))))
+    for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 1):
+        nested_at = {slot[0]: slot for slot in nested.slots(n)}
+        flat_at = {slot[0]: slot for slot in flat.slots(n)}
+
+        def curry(t, f):
+            for i, j, t_start, _ in tc.slots(t):
+                if i in nested_at and (n + i, j) in inner_at:
+                    out = nested_at[i]
+                    _, hm_bc, h_start, _ = inner_at[(n + i, j)]
+                    piece = _curry_map(f.matrix, t_start, a.module(i), b.module(j), hm_bc)
+                    yield out, block_map(a.module(i), out[1].target, [(h_start, 0, 1, piece)])
+
+        def uncurry(i, g):
+            for j, hm_bc, h_start, _ in inner.slots(n + i):
+                if i + j in flat_at and (i, j) in pair_start:
+                    out = flat_at[i + j]
+                    piece = _uncurry_map(g.matrix, h_start, a.module(i), b.module(j), hm_bc)
+                    yield out, block_map(out[1].source, hm_bc.target,
+                                         [(0, pair_start[(i, j)], 1, piece)])
+
+        fwd.append(_unit_image(flat, nested, n, curry))
+        bwd.append(_unit_image(nested, flat, n, uncurry))
+    lo = min(x.lo, y.lo)
     forward = ChainMap(x, y, lo, tuple(fwd))
     backward = ChainMap(y, x, lo, tuple(bwd))
     return AdjunctionWitness(flat, inner, nested, forward, backward)

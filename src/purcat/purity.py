@@ -12,12 +12,14 @@ exactly divide d, and tensor products, homology and kernels all commute
 with finite direct sums.  So only the free probe and the cyclic
 prime-power probes are ever tensored; every other probe is read off its
 parts (see probe_outcomes).  Batteries over Z/m list the divisors of m
-from its factorization, found by trial division.
+from its factorization: small primes by trial division, the rest by
+Pollard-Brent rho with Miller-Rabin primality proofs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from purcat.exact_linalg import InputError, Ring, WorkbenchError
@@ -88,25 +90,97 @@ class PurityVerdict:
         return self.verdict == PURE
 
 
-def _factor(n: int) -> list:
-    """[(p, k), ...] with n the product of the p^k, by trial division.
+# Miller-Rabin on the first 13 prime bases is deterministic below this
+# bound (Sorenson & Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
-    Each prime is divided out as soon as it is found, so the search stops
-    at the square root of what is left of n, not of n itself.
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES; a proof for odd 1000 < n < _MR_BOUND."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the composite n, by Pollard-Brent rho.
+
+    The walk y -> y^2 + c starts at 2 with c = 1, 2, ... until one split
+    is found, so the result is deterministic.
     """
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
             k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            out.append((p, k))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batched product overshot: replay the last batch one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _factor(n: int) -> list:
+    """[(p, k), ...] with n the product of the p^k, p ascending.
+
+    Factors below 1000 are divided out first, by trial division in
+    ascending order (so only primes divide).  What is left is split by
+    Pollard-Brent rho, and each factor is proven prime by Miller-Rabin
+    before it is kept, so a prime near 10^18 costs a few modular powers,
+    not 10^9 trial divisions.  Primality above _MR_BOUND (about 3.3e24)
+    cannot be proven that way, so a cofactor that large is rejected
+    before any rho step; rho then only runs below the bound, where its
+    expected cost is about x^(1/4) < 1.4e6 steps.
+    """
+    counts: dict = {}
+    for p in range(2, 1000):
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            counts[p] = counts.get(p, 0) + 1
+    rest = [n] if n > 1 else []
+    while rest:
+        x = rest.pop()
+        if x >= _MR_BOUND:
+            raise WorkbenchError(
+                f"cannot factor {x}: it has no prime factor below 1000, and "
+                f"primality is proven only below {_MR_BOUND}")
+        if x < 10 ** 6 or _is_prime(x):
+            # after the small primes, anything below 1000^2 is prime
+            counts[x] = counts.get(x, 0) + 1
+        else:
+            d = _rho(x)
+            rest += [d, x // d]
+    return sorted(counts.items())
 
 
 def _divisors(n: int) -> list:

@@ -19,11 +19,11 @@ from purcat.exact_linalg import (
     InputError,
     WorkbenchError,
     hstack,
-    vstack,
 )
 from purcat.fpmod import (
     FpModule,
     ModuleMap,
+    block_map,
     cokernel,
     cyclic_module,
     direct_sum,
@@ -333,17 +333,6 @@ class DegreewiseFamily:
         return zero_map(self.src.module(i), self.tgt.module(i))
 
 
-def _summand_inclusion(part: FpModule, total: FpModule, before: int) -> ModuleMap:
-    if part.generators == 0:
-        return zero_map(part, total)
-    mat = vstack(
-        IntMatrix.zeros(before, part.generators),
-        IntMatrix.identity(part.generators),
-        IntMatrix.zeros(total.generators - before - part.generators, part.generators),
-    )
-    return ModuleMap(part, total, mat)
-
-
 # ---------------------------------------------------------------------------
 # the shared extension steps
 
@@ -370,32 +359,34 @@ def _extend_injective(q: ChainMap, inner: Optional[ResolutionCertificate] = None
     lo = min(i_cx.lo, j_cx.lo + 1)
     hi = max(i_cx.hi, j_cx.hi + 1)
     mods = []
-    injs_i, injs_j, projs_i, projs_j = [], [], [], []
+    injs_i, injs_j, projs_i = [], [], []
     for d in range(lo, hi + 1):
         total, injs, projs = direct_sum([i_cx.module(d), j_cx.module(d - 1)])
         mods.append(total)
         injs_i.append(injs[0])
         injs_j.append(injs[1])
         projs_i.append(projs[0])
-        projs_j.append(projs[1])
     diffs = []
     for d in range(lo, hi):
         k = d - lo
-        step = injs_i[k + 1] @ i_cx.differential(d) @ projs_i[k]
-        step = step + injs_j[k + 1] @ gpp.component(d) @ projs_i[k]
-        step = step - injs_j[k + 1] @ j_cx.differential(d - 1) @ projs_j[k]
-        diffs.append(step)
+        gi, gi2 = i_cx.module(d).generators, i_cx.module(d + 1).generators
+        diffs.append(block_map(mods[k], mods[k + 1], [
+            (0, 0, 1, i_cx.differential(d).matrix),
+            (gi2, 0, 1, gpp.component(d).matrix),
+            (gi2, gi, -1, j_cx.differential(d - 1).matrix),
+        ]))
     level = Complex(ring, lo, tuple(mods), tuple(diffs))
     h_comps = []
     for d in range(lo, hi + 1):
         k = d - lo
         n_mod = n_cx.module(d)
-        comp = injs_i[k] @ q.component(d)
-        cmod = cq.complex.module(d - 1)
-        if n_mod.generators and cmod.generators:
-            into_cone = _summand_inclusion(n_mod, cmod, 0)
-            comp = comp + injs_j[k] @ (g.component(d - 1) @ into_cone)
-        h_comps.append(comp)
+        blocks = [(0, 0, 1, q.component(d).matrix)]
+        if n_mod.generators and cq.complex.module(d - 1).generators:
+            # the cone's degree d-1 term starts with N^d
+            g_d = g.component(d - 1).matrix
+            n_part = IntMatrix.from_rows(row[:n_mod.generators] for row in g_d.data)
+            blocks.append((i_cx.module(d).generators, 0, 1, n_part))
+        h_comps.append(block_map(n_mod, mods[k], blocks))
     h = ChainMap(n_cx, level, lo, tuple(h_comps))
     p = ChainMap(level, i_cx, lo, tuple(projs_i))
     section = DegreewiseFamily(i_cx, level, lo, tuple(injs_i))
@@ -429,14 +420,17 @@ def _extend_projective(a: ChainMap, inner: Optional[ResolutionCertificate] = Non
     v_comps = []
     retr_comps = []
     for d in range(lo, level.hi + 1):
-        qd = q_cx.module(d)
-        pd = p_cx.module(d)
+        gq = q_cx.module(d).generators
         total = level.module(d)
-        proj_q = _summand_projection(total, 0, qd)
-        proj_p = _summand_projection(total, qd.generators, pd)
-        comp = a.component(d) @ proj_p - _n_part(w, ca, n_cx, d) @ proj_q
-        v_comps.append(comp)
-        retr_comps.append(proj_p)
+        n_mod = n_cx.module(d)
+        cmod = ca.complex.module(d)
+        blocks = [(0, gq, 1, a.component(d).matrix)]
+        if gq and cmod.generators and n_mod.generators:
+            # w lands in cone(a)^d = P^(d+1) (+) N^d; v uses its N^d rows
+            rows = w.component(d).matrix.data[cmod.generators - n_mod.generators:]
+            blocks.append((0, 0, -1, IntMatrix(n_mod.generators, gq, rows)))
+        v_comps.append(block_map(total, n_mod, blocks))
+        retr_comps.append(_summand_projection(total, gq, p_cx.module(d)))
     v = ChainMap(level, n_cx, lo, tuple(v_comps))
     retraction = DegreewiseFamily(level, p_cx, lo, tuple(retr_comps))
     coker = q_cx
@@ -456,18 +450,6 @@ def _summand_projection(total: FpModule, before: int, part: FpModule) -> ModuleM
         IntMatrix.zeros(part.generators, total.generators - before - part.generators),
     )
     return ModuleMap(total, part, mat)
-
-
-def _n_part(w: ChainMap, ca, n_cx: Complex, d: int) -> ModuleMap:
-    """Degree d of the target component of w: Q -> cone(a), into N^d."""
-    q_mod = w.src.module(d)
-    cmod = ca.complex.module(d)
-    n_mod = n_cx.module(d)
-    if q_mod.generators == 0 or cmod.generators == 0 or n_mod.generators == 0:
-        return zero_map(q_mod, n_mod)
-    p_part = cmod.generators - n_mod.generators
-    proj_n = _summand_projection(cmod, p_part, n_mod)
-    return proj_n @ w.component(d)
 
 
 # ---------------------------------------------------------------------------

@@ -5,22 +5,32 @@ diagonals are recomputed from gcds of minors, solvability is decided by
 exhaustive search over bounded boxes, and module arithmetic is checked
 against hand enumeration.  The probe oracles at the end walk every
 divisor candidate and tensor every probe directly, where the library
-factors and reads composite probes off their prime-power parts.  Keep
-it slow and obvious.
+factors and reads composite probes off their prime-power parts.  The
+assembly oracles after them build every induced map on Hom from full
+maps (to_map, compose, from_map), every map between direct sums as a sum
+of full-size inj . x . proj products, and the currying isomorphism by
+decoding and re-encoding whole hom complexes, where the library reads
+slots off one change-of-basis product and places blocks.  Keep it slow
+and obvious.
 """
 
 from itertools import combinations, permutations, product
 from math import gcd
 
-from purcat.exact_linalg import IntMatrix
+from purcat.exact_linalg import IntMatrix, from_columns
 from purcat.fpmod import (
+    ModuleMap,
     cyclic_module,
+    direct_sum,
     free_module,
+    hom_modules,
     identity_map,
     is_injective,
     tensor_map,
+    tensor_modules,
+    zero_map,
 )
-from purcat.complexes import homology, tensor_module_complex
+from purcat.complexes import homology, tensor_complex, tensor_module_complex
 from purcat.purity import ProbeBattery
 
 
@@ -150,3 +160,232 @@ def slow_failing_probe_for_mono(f, battery):
         if not is_injective(induced):
             return probe, induced
     return None
+
+
+def slow_factor(n):
+    """[(p, k), ...] by trial division over every candidate up to sqrt(n)."""
+    out = []
+    p = 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# induced maps on Hom, slot by slot through full maps
+
+
+def _unit(k, n):
+    return [1 if r == k else 0 for r in range(n)]
+
+
+def slow_hom_post(hm_src, hm_tgt, phi):
+    """Hom(A, B) -> Hom(A, B'): each basis map, composed with phi, read back."""
+    n = len(hm_src.slots)
+    cols = [hm_tgt.from_map(phi @ hm_src.to_map(_unit(s, n))) for s in range(n)]
+    mat = from_columns(cols, len(hm_tgt.slots))
+    return ModuleMap(hm_src.module, hm_tgt.module, hm_src.module.ring.reduce_matrix(mat))
+
+
+def slow_hom_pre(hm_src, hm_tgt, psi):
+    """Hom(A, B) -> Hom(A', B): each basis map, precomposed with psi, read back."""
+    n = len(hm_src.slots)
+    cols = [hm_tgt.from_map(hm_src.to_map(_unit(s, n)) @ psi) for s in range(n)]
+    mat = from_columns(cols, len(hm_tgt.slots))
+    return ModuleMap(hm_src.module, hm_tgt.module, hm_src.module.ring.reduce_matrix(mat))
+
+
+# ---------------------------------------------------------------------------
+# maps between direct sums as sums of inj . x . proj
+
+
+def _dense_sum(src, tgt, terms):
+    """Sum of the full-size maps (sign * inj @ x @ proj) from src to tgt."""
+    total = zero_map(src, tgt)
+    for sign, inj, x, proj in terms:
+        total = total + (inj @ x @ proj).scale(sign)
+    return total
+
+
+def slow_cone_differentials(f):
+    """The differentials of cone(f), summed from summand maps."""
+    src, tgt = f.src, f.tgt
+    lo = min(src.lo - 1, tgt.lo)
+    hi = max(src.hi - 1, tgt.hi)
+    sums = {i: direct_sum([src.module(i + 1), tgt.module(i)]) for i in range(lo, hi + 1)}
+    diffs = []
+    for i in range(lo, hi):
+        s, _, (proj_a, proj_b) = sums[i]
+        s2, (inj_a2, inj_b2), _ = sums[i + 1]
+        diffs.append(_dense_sum(s, s2, [
+            (-1, inj_a2, src.differential(i + 1), proj_a),
+            (1, inj_b2, f.component(i + 1), proj_a),
+            (1, inj_b2, tgt.differential(i), proj_b),
+        ]))
+    return diffs
+
+
+def _hom_sums(source, target, i):
+    """[(j, hom module, injection, projection)] and the sum for hom degree i."""
+    js = [j for j in range(source.lo, source.hi + 1) if target.lo <= i + j <= target.hi]
+    homs = [hom_modules(source.module(j), target.module(i + j)) for j in js]
+    total, injs, projs = direct_sum([hm.module for hm in homs])
+    return list(zip(js, homs, injs, projs)), total
+
+
+def slow_hom_differentials(source, target):
+    """The differentials of hom_complex(source, target), from slow_hom_post/pre."""
+    lo = target.lo - source.hi
+    hi = target.hi - source.lo
+    diffs = []
+    for i in range(lo, hi):
+        here, total = _hom_sums(source, target, i)
+        there, total2 = _hom_sums(source, target, i + 1)
+        nxt = {j: (hm, inj) for j, hm, inj, _ in there}
+        sign = -1 if i % 2 == 0 else 1
+        terms = []
+        for j, hm, _, proj in here:
+            if j in nxt:
+                hm2, inj2 = nxt[j]
+                terms.append((1, inj2, slow_hom_post(hm, hm2, target.differential(i + j)), proj))
+            if j - 1 in nxt:
+                hm3, inj3 = nxt[j - 1]
+                terms.append((sign, inj3, slow_hom_pre(hm, hm3, source.differential(j - 1)), proj))
+        diffs.append(_dense_sum(total, total2, terms))
+    return diffs
+
+
+def _tensor_sums(left, right, t):
+    """[(i, j, injection, projection)] and the sum for tensor degree t."""
+    ids = [i for i in range(left.lo, left.hi + 1) if right.lo <= t - i <= right.hi]
+    total, injs, projs = direct_sum(
+        [tensor_modules(left.module(i), right.module(t - i)) for i in ids])
+    return [(i, t - i, inj, proj) for i, inj, proj in zip(ids, injs, projs)], total
+
+
+def slow_tensor_differentials(left, right):
+    """The differentials of tensor_complex(left, right), from tensor_map."""
+    diffs = []
+    for t in range(left.lo + right.lo, left.hi + right.hi):
+        here, total = _tensor_sums(left, right, t)
+        there, total2 = _tensor_sums(left, right, t + 1)
+        nxt = {i: inj for i, _, inj, _ in there}
+        terms = []
+        for i, j, _, proj in here:
+            if i + 1 in nxt:
+                step = tensor_map(left.differential(i), identity_map(right.module(j)))
+                terms.append((1, nxt[i + 1], step, proj))
+            if i in nxt:
+                step = tensor_map(identity_map(left.module(i)), right.differential(j))
+                terms.append((-1 if i % 2 else 1, nxt[i], step, proj))
+        diffs.append(_dense_sum(total, total2, terms))
+    return diffs
+
+
+# ---------------------------------------------------------------------------
+# currying by decoding and re-encoding whole hom complexes
+
+
+def _hom_summands(hc, i):
+    """{j: (hom module, injection, projection)} for degree i of a HomComplex."""
+    slots = hc.slots(i)
+    if not slots:
+        return {}
+    _, injs, projs = direct_sum([hm.module for _, hm, _, _ in slots])
+    return {j: (hm, inj, proj) for (j, hm, _, _), inj, proj in zip(slots, injs, projs)}
+
+
+def _tensor_injections(tc, t):
+    """{(i, j): (injection, projection)} for degree t of a TensorComplex."""
+    slots = tc.slots(t)
+    if not slots:
+        return {}
+    _, injs, projs = direct_sum([tensor_modules(tc.left.module(i), tc.right.module(j))
+                                 for i, j, _, _ in slots])
+    return {(i, j): (inj, proj) for (i, j, _, _), inj, proj in zip(slots, injs, projs)}
+
+
+def _decode(hc, i, col):
+    return {j: hm.to_map([(proj.matrix @ col).at(r, 0) for r in range(hm.module.generators)])
+            for j, (hm, _, proj) in _hom_summands(hc, i).items()}
+
+
+def _encode(hc, i, family):
+    col = IntMatrix.zeros(hc.complex.module(i).generators, 1)
+    for j, (hm, inj, _) in _hom_summands(hc, i).items():
+        if j in family:
+            col = col + inj.matrix @ IntMatrix.column_vector(hm.from_map(family[j]))
+    return hc.complex.ring.reduce_matrix(col)
+
+
+def _curry_piece(m, a, b, hm):
+    gb, gc = b.generators, m.tgt.generators
+    cols = []
+    for p in range(a.generators):
+        f_cols = [[m.matrix.at(r, p * gb + q) for r in range(gc)] for q in range(gb)]
+        cols.append(list(hm.from_map(ModuleMap(b, m.tgt, from_columns(f_cols, gc)))))
+    return ModuleMap(a, hm.module, a.ring.reduce_matrix(from_columns(cols, hm.module.generators)))
+
+
+def _uncurry_piece(g, a, b, hm, pair):
+    gc = hm.target.generators
+    cols = []
+    for p in range(a.generators):
+        f = hm.to_map([g.matrix.at(r, p) for r in range(g.tgt.generators)])
+        for q in range(b.generators):
+            cols.append([f.matrix.at(r, q) for r in range(gc)])
+    return ModuleMap(pair, hm.target, a.ring.reduce_matrix(from_columns(cols, gc)))
+
+
+def slow_adjunction_maps(w):
+    """(forward, backward) component matrices of an AdjunctionWitness, rebuilt
+    one unit column at a time through whole-complex decoding."""
+    flat, inner, nested = w.flat, w.inner, w.nested
+    a, b = nested.source, inner.source
+    tc = tensor_complex(a, b)
+    x, y = flat.complex, nested.complex
+    lo, hi = min(x.lo, y.lo), max(x.hi, y.hi)
+    fwd, bwd = [], []
+    for n in range(lo, hi + 1):
+        xg, yg = x.module(n).generators, y.module(n).generators
+        cols = []
+        for g in range(xg):
+            family = _decode(flat, n, IntMatrix.column_vector(_unit(g, xg)))
+            out = {}
+            for i, (hm_a, _, _) in _hom_summands(nested, n).items():
+                comp = zero_map(a.module(i), hm_a.target)
+                for j, (hm_bc, inj_h, _) in _hom_summands(inner, n + i).items():
+                    pieces = _tensor_injections(tc, i + j)
+                    if i + j not in family or (i, j) not in pieces:
+                        continue
+                    big = family[i + j] @ pieces[(i, j)][0]
+                    comp = comp + inj_h @ _curry_piece(big, a.module(i), b.module(j), hm_bc)
+                out[i] = comp
+            cols.append(list(_encode(nested, n, out).column(0)))
+        fwd.append(a.ring.reduce_matrix(from_columns(cols, yg)))
+        cols = []
+        for g in range(yg):
+            family = _decode(nested, n, IntMatrix.column_vector(_unit(g, yg)))
+            out = {}
+            for t, (hm_f, _, _) in _hom_summands(flat, n).items():
+                comp = zero_map(hm_f.source, hm_f.target)
+                for (i, j), (_, proj_t) in _tensor_injections(tc, t).items():
+                    inner_slots = _hom_summands(inner, n + i)
+                    if i not in family or j not in inner_slots:
+                        continue
+                    hm_bc, _, proj_h = inner_slots[j]
+                    piece = _uncurry_piece(proj_h @ family[i], a.module(i), b.module(j),
+                                           hm_bc, proj_t.tgt)
+                    comp = comp + piece @ proj_t
+                out[t] = comp
+            cols.append(list(_encode(flat, n, out).column(0)))
+        bwd.append(a.ring.reduce_matrix(from_columns(cols, xg)))
+    return fwd, bwd

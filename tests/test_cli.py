@@ -136,3 +136,19 @@ def test_purity_over_huge_modulus(tmp_path):
     assert res["failing_probe"] == [2]
     assert res["failing_degree"] == 0
     assert report["timing"]["seconds"] < 5
+
+
+def test_purity_over_prime_modulus_near_10_to_18(tmp_path):
+    ring = Zmod(10 ** 18 + 3)
+    code, report = purity(tmp_path, random_pure_acyclic(random.Random(2), ring))
+    assert code == 0
+    assert report["results"]["probes"] == [[10 ** 18 + 3]]
+    assert report["timing"]["seconds"] < 5
+
+
+def test_purity_modulus_beyond_primality_proofs_exits_2(tmp_path):
+    ring = Zmod(2 ** 89 - 1)
+    code, report = purity(tmp_path, module_complex(cyclic_module(ring, 1), 0))
+    assert code == 2
+    assert report["status"] == "error"
+    assert "cannot factor" in report["results"]["error"]

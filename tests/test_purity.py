@@ -1,11 +1,12 @@
 """Purity decisions: batteries, split criteria, probe witnesses."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from purcat.exact_linalg import InputError, ZZ, Zmod
+from purcat.exact_linalg import InputError, WorkbenchError, ZZ, Zmod
 from purcat.fpmod import (
     NotMono,
     cyclic_module,
@@ -31,6 +32,7 @@ from purcat.complexes import (
     zero_complex,
 )
 from purcat.purity import (
+    _factor,
     NotAcyclicAt,
     ProbeBattery,
     default_battery,
@@ -48,6 +50,7 @@ from helpers import (
     homology_degrees,
     mat,
     slow_failing_probe_for_acyclic,
+    slow_factor,
     slow_failing_probe_for_mono,
     slow_probe_battery,
 )
@@ -378,3 +381,32 @@ def test_failing_probe_for_mono_matches_direct(seed, ring, nonsplit):
         _, f = kernel(cx.differential(1))
     bat = probe_battery(ring, 12)
     assert failing_probe_for_mono(f, bat) == slow_failing_probe_for_mono(f, bat)
+
+
+# ---------------------------------------------------------------------------
+# factoring
+
+
+def test_factor_matches_trial_division():
+    for m in range(2, 10 ** 5 + 1):
+        assert _factor(m) == slow_factor(m)
+
+
+def test_factor_splits_large_composites():
+    p, q = 10 ** 9 + 7, 10 ** 9 + 9
+    assert _factor(p * q) == [(p, 1), (q, 1)]
+    assert _factor(12 * p ** 2) == [(2, 2), (3, 1), (p, 2)]
+    assert _factor(1009 ** 3) == [(1009, 3)]
+
+
+def test_factor_prime_near_10_to_18_is_fast():
+    p = 10 ** 18 + 3
+    start = time.perf_counter()
+    assert _factor(p) == [(p, 1)]
+    assert time.perf_counter() - start < 0.1
+
+
+def test_factor_rejects_factor_beyond_primality_proofs():
+    # 2^89 - 1 is prime, but above the bound where 13 Miller-Rabin bases prove it
+    with pytest.raises(WorkbenchError, match="cannot factor"):
+        _factor(3 * (2 ** 89 - 1))
