@@ -30,8 +30,6 @@ from purcat.resolutions import (
     INJECTIVE,
     PROJECTIVE,
     DepthInsufficient,
-    check_colimit_sum_formula,
-    check_limit_product_formula,
     colimit_tower,
     injective_tower,
     limit_tower,
@@ -39,8 +37,6 @@ from purcat.resolutions import (
     required_depth,
     resolve,
     validate_certificate,
-    validate_direct_tower,
-    validate_inverse_tower,
 )
 from purcat.monoidal import check_dpur_adjunction, phom, validate_derived_hom
 from purcat.serialize import (
@@ -218,6 +214,12 @@ def cmd_resolve(wi, args):
 
 
 def cmd_towers(wi, args):
+    """Build the tower, take its (co)limit and report both.
+
+    limit_tower / colimit_tower validate the tower and its formula once
+    and raise if either fails (exit 2), so every report written here has
+    tower_valid and the formula flag true.
+    """
     name, cx = _complex_arg(wi)
     side = _side_arg(wi)
     depth = _depth_arg(wi, args)
@@ -225,15 +227,11 @@ def cmd_towers(wi, args):
         depth = required_depth(cx, side)
     if side == INJECTIVE:
         tower, fs = injective_tower(cx, depth)
-        valid = validate_inverse_tower(tower, fs)
         formula_key = "limit_product_formula"
-        formula = check_limit_product_formula(tower)
         cert = limit_tower(tower, fs)
     else:
         tower, fs = projective_tower(cx, depth)
-        valid = validate_direct_tower(tower, fs)
         formula_key = "colimit_sum_formula"
-        formula = check_colimit_sum_formula(tower)
         cert = colimit_tower(tower, fs)
     levels = []
     for n, level in enumerate(tower.levels):
@@ -250,13 +248,12 @@ def cmd_towers(wi, args):
         "side": side,
         "depth": tower.depth,
         "levels": levels,
-        "tower_valid": valid,
-        formula_key: formula,
+        "tower_valid": True,
+        formula_key: True,
         "certificate_valid": cert_valid,
         "certificate": encode_certificate(cert),
     }
-    ok = valid and formula and cert_valid
-    return ("ok" if ok else "refuted"), results
+    return ("ok" if cert_valid else "refuted"), results
 
 
 def cmd_phom(wi, args):

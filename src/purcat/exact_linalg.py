@@ -42,10 +42,6 @@ class Ring:
         if self.modulus is not None and self.modulus < 2:
             raise InputError("modulus must be at least 2")
 
-    @property
-    def is_integers(self) -> bool:
-        return self.modulus is None
-
     def reduce(self, x: int) -> int:
         if self.modulus is None:
             return x
@@ -55,15 +51,8 @@ class Ring:
         if self.modulus is None:
             return a
         m = self.modulus
-        return IntMatrix(a.rows, a.cols,
-                         tuple(tuple(x % m for x in row) for row in a.data))
-
-    def abs(self, x: int) -> int:
-        """Pivot size: |x| over Z, distance to 0 mod m over Z/m."""
-        if self.modulus is None:
-            return abs(x)
-        x %= self.modulus
-        return min(x, self.modulus - x)
+        return IntMatrix._trusted(a.rows, a.cols,
+                                  tuple(tuple(x % m for x in row) for row in a.data))
 
     def __str__(self) -> str:
         return "Z" if self.modulus is None else f"Z/{self.modulus}"
@@ -82,7 +71,11 @@ def Zmod(m: int) -> Ring:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix; data is a tuple of row tuples."""
+    """Immutable integer matrix; data is a tuple of row tuples.
+
+    The constructor checks the shape; producers whose output shape
+    follows from their operands build through _trusted, which does not.
+    """
 
     rows: int
     cols: int
@@ -95,6 +88,13 @@ class IntMatrix:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _trusted(rows: int, cols: int, data: tuple) -> "IntMatrix":
+        """A matrix whose data is known to have shape rows x cols."""
+        obj = object.__new__(IntMatrix)
+        obj.__dict__.update(rows=rows, cols=cols, data=data)
+        return obj
+
+    @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
         data = tuple(tuple(int(x) for x in row) for row in rows)
         r = len(data)
@@ -104,19 +104,12 @@ class IntMatrix:
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
         row = (0,) * cols
-        return IntMatrix(rows, cols, tuple(row for _ in range(rows)))
+        return IntMatrix._trusted(rows, cols, tuple(row for _ in range(rows)))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
-                                     for i in range(n)))
-
-    @staticmethod
-    def diagonal(entries: Iterable[int], rows: int, cols: int) -> "IntMatrix":
-        ents = list(entries)
-        return IntMatrix(rows, cols,
-                         tuple(tuple(ents[i] if i == j and i < len(ents) else 0
-                                     for j in range(cols)) for i in range(rows)))
+        return IntMatrix._trusted(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
+                                              for i in range(n)))
 
     @staticmethod
     def column_vector(entries: Iterable[int]) -> "IntMatrix":
@@ -148,24 +141,24 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("matrix addition shape mismatch")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.data, other.data)))
+        return IntMatrix._trusted(self.rows, self.cols,
+                                  tuple(tuple(a + b for a, b in zip(ra, rb))
+                                        for ra, rb in zip(self.data, other.data)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("matrix subtraction shape mismatch")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a - b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.data, other.data)))
+        return IntMatrix._trusted(self.rows, self.cols,
+                                  tuple(tuple(a - b for a, b in zip(ra, rb))
+                                        for ra, rb in zip(self.data, other.data)))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(-a for a in row) for row in self.data))
+        return IntMatrix._trusted(self.rows, self.cols,
+                                  tuple(tuple(-a for a in row) for row in self.data))
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(c * a for a in row) for row in self.data))
+        return IntMatrix._trusted(self.rows, self.cols,
+                                  tuple(tuple(c * a for a in row) for row in self.data))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -175,11 +168,11 @@ class IntMatrix:
                     for row in self.data)
         if not self.rows:
             out = ()
-        return IntMatrix(self.rows, other.cols, out)
+        return IntMatrix._trusted(self.rows, other.cols, out)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.data))
-                         if self.rows else tuple(() for _ in range(self.cols)))
+        return IntMatrix._trusted(self.cols, self.rows, tuple(zip(*self.data))
+                                  if self.rows else tuple(() for _ in range(self.cols)))
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product; (i1*other.rows+i2, j1*other.cols+j2) entry
@@ -188,7 +181,8 @@ class IntMatrix:
         for r1 in self.data:
             for r2 in other.data:
                 rows.append(tuple(a * b for a in r1 for b in r2))
-        return IntMatrix(self.rows * other.rows, self.cols * other.cols, tuple(rows))
+        return IntMatrix._trusted(self.rows * other.rows, self.cols * other.cols,
+                                  tuple(rows))
 
 
 def hstack(*mats: IntMatrix) -> IntMatrix:
@@ -199,7 +193,7 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
     if any(m.rows != rows for m in mats):
         raise InputError("hstack row mismatch")
     data = tuple(tuple(x for m in mats for x in m.data[i]) for i in range(rows))
-    return IntMatrix(rows, sum(m.cols for m in mats), data)
+    return IntMatrix._trusted(rows, sum(m.cols for m in mats), data)
 
 
 def vstack(*mats: IntMatrix) -> IntMatrix:
@@ -210,7 +204,7 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
     if any(m.cols != cols for m in mats):
         raise InputError("vstack column mismatch")
     data = tuple(row for m in mats for row in m.data)
-    return IntMatrix(sum(m.rows for m in mats), cols, data)
+    return IntMatrix._trusted(sum(m.rows for m in mats), cols, data)
 
 
 def block_diag(*mats: IntMatrix) -> IntMatrix:
@@ -245,15 +239,15 @@ class SmithDecomposition:
 
     The diagonal entries form a divisibility chain d1 | d2 | ...; over Z
     they are nonnegative, over Z/m they are divisors of m (0 standing
-    for the class of m).  u_inv and v_inv are the recorded inverses.
+    for the class of m).  u_inv is the recorded inverse of U when the
+    caller asked for it, and None otherwise.
     """
 
     ring: Ring
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
+    u_inv: Optional[IntMatrix] = None
 
     def diagonal(self) -> list:
         k = min(self.d.rows, self.d.cols)
@@ -273,8 +267,12 @@ def _unit_scaling_mod(x: int, m: int) -> tuple:
 
 
 @lru_cache(maxsize=8192)
-def smith_normal_form(a_mat: IntMatrix, ring: Ring) -> SmithDecomposition:
+def smith_normal_form(a_mat: IntMatrix, ring: Ring,
+                      inverse: bool = False) -> SmithDecomposition:
     """Smith normal form with change of basis over Z or Z/m.
+
+    U, D and V are always returned; U^-1 is tracked only when inverse is
+    true (FpModule.decomposition needs it), and V^-1 never.
 
     Pivot selection is the smallest nonzero entry in ring size with
     first-occurrence tie-break (row-major scan), which makes the output
@@ -292,9 +290,9 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring) -> SmithDecomposition:
     m = ring.modulus
     a = [list(row) for row in (ring.reduce_matrix(a_mat)).data]
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    ui = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    # rows of U^-1; with no inverse asked for there are none to update
+    ui = [[1 if i == j else 0 for j in range(r)] for i in range(r)] if inverse else []
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    vi = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def red(x: int) -> int:
         return x if m is None else x % m
@@ -316,10 +314,10 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring) -> SmithDecomposition:
                 x = usrc[j]
                 if x:
                     ur[j] -= q * x
-            for i in range(r):
-                x = ui[i][dst]
+            for row in ui:
+                x = row[dst]
                 if x:
-                    ui[i][src] += q * x
+                    row[src] += q * x
         else:
             for j in range(c):
                 x = asrc[j]
@@ -329,14 +327,13 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring) -> SmithDecomposition:
                 x = usrc[j]
                 if x:
                     ur[j] = (ur[j] - q * x) % m
-            for i in range(r):
-                x = ui[i][dst]
+            for row in ui:
+                x = row[dst]
                 if x:
-                    ui[i][src] = (ui[i][src] + q * x) % m
+                    row[src] = (row[src] + q * x) % m
 
     def col_add(dst: int, src: int, q: int) -> None:
-        # col_dst -= q * col_src, tracked in v and vi
-        vr, vdst = vi[src], vi[dst]
+        # col_dst -= q * col_src, tracked in v
         if m is None:
             for i in range(r):
                 x = a[i][src]
@@ -346,10 +343,6 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring) -> SmithDecomposition:
                 x = v[i][src]
                 if x:
                     v[i][dst] -= q * x
-            for j in range(c):
-                x = vdst[j]
-                if x:
-                    vr[j] += q * x
         else:
             for i in range(r):
                 x = a[i][src]
@@ -359,29 +352,24 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring) -> SmithDecomposition:
                 x = v[i][src]
                 if x:
                     v[i][dst] = (v[i][dst] - q * x) % m
-            for j in range(c):
-                x = vdst[j]
-                if x:
-                    vr[j] = (vr[j] + q * x) % m
 
     def row_swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-        for k in range(r):
-            ui[k][i], ui[k][j] = ui[k][j], ui[k][i]
+        for row in ui:
+            row[i], row[j] = row[j], row[i]
 
     def col_swap(i: int, j: int) -> None:
         for k in range(r):
             a[k][i], a[k][j] = a[k][j], a[k][i]
         for k in range(c):
             v[k][i], v[k][j] = v[k][j], v[k][i]
-        vi[i], vi[j] = vi[j], vi[i]
 
     def row_scale(i: int, unit: int, unit_inv: int) -> None:
         a[i] = [red(unit * x) for x in a[i]]
         u[i] = [red(unit * x) for x in u[i]]
-        for k in range(r):
-            ui[k][i] = red(ui[k][i] * unit_inv)
+        for row in ui:
+            row[i] = red(row[i] * unit_inv)
 
     t = 0
     limit = min(r, c)
@@ -493,15 +481,12 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring) -> SmithDecomposition:
                 fix_pair(i, j)
                 di = a[i][i]
 
-    to_mat = lambda rows_: IntMatrix.from_rows(rows_) if rows_ else IntMatrix(0, 0, ())
-    d = IntMatrix(r, c, tuple(tuple(a[i][j] for j in range(c)) for i in range(r)))
+    def frozen(rows_: list, width: int) -> IntMatrix:
+        return IntMatrix._trusted(len(rows_), width, tuple(tuple(row) for row in rows_))
+
     return SmithDecomposition(
-        ring,
-        IntMatrix(r, r, tuple(tuple(row) for row in u)),
-        d,
-        IntMatrix(c, c, tuple(tuple(row) for row in v)),
-        IntMatrix(r, r, tuple(tuple(row) for row in ui)),
-        IntMatrix(c, c, tuple(tuple(row) for row in vi)),
+        ring, frozen(u, r), frozen(a, c), frozen(v, c),
+        frozen(ui, r) if inverse else None,
     )
 
 

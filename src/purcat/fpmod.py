@@ -73,7 +73,7 @@ class FpModule:
         cached = self.__dict__.get("_decomp")
         if cached is not None:
             return cached
-        snf = smith_normal_form(self.relations, self.ring)
+        snf = smith_normal_form(self.relations, self.ring, inverse=True)
         k = min(self.generators, self.relations.cols)
         m = self.ring.modulus
         factors = []
@@ -359,8 +359,8 @@ def direct_sum(mods: Iterable[FpModule]) -> tuple:
         zero = (0,) * g
         inj_rows = (zero,) * before + eye + (zero,) * after
         proj_rows = tuple((0,) * before + row + (0,) * after for row in eye)
-        injections.append(ModuleMap(m, s, IntMatrix(total, g, inj_rows)))
-        projections.append(ModuleMap(s, m, IntMatrix(g, total, proj_rows)))
+        injections.append(ModuleMap(m, s, IntMatrix._trusted(total, g, inj_rows)))
+        projections.append(ModuleMap(s, m, IntMatrix._trusted(g, total, proj_rows)))
         before += g
     return s, injections, projections
 
@@ -379,7 +379,7 @@ def block_map(src: FpModule, tgt: FpModule, blocks: Iterable) -> ModuleMap:
             for j, x in enumerate(row):
                 if x:
                     out[c0 + j] += sign * x
-    mat = IntMatrix(tgt.generators, src.generators, tuple(tuple(r) for r in rows))
+    mat = IntMatrix._trusted(tgt.generators, src.generators, tuple(tuple(r) for r in rows))
     return ModuleMap(src, tgt, src.ring.reduce_matrix(mat))
 
 

@@ -115,20 +115,30 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _rho(n: int) -> int:
-    """A proper factor of the composite n, by Pollard-Brent rho.
+# rho work on one cofactor above _MR_BOUND, in steps times squared bit
+# length (a step's cost): about 2^20 steps, well under a second, at 92 bits
+_RHO_WORK = 1 << 33
+
+
+def _rho(n: int, limit: Optional[int] = None) -> Optional[int]:
+    """A proper factor of n by Pollard-Brent rho.
 
     The walk y -> y^2 + c starts at 2 with c = 1, 2, ... until one split
-    is found, so the result is deterministic.
+    is found, so the result is deterministic.  Without a limit n must be
+    composite.  With one, the walk returns None before it would take
+    more than limit steps; n may then be prime.
     """
-    c = 0
+    c = steps = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if limit is not None and steps + 2 * r > limit:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
+            steps += r
             k = 0
             while k < r and g == 1:
                 ys = y
@@ -137,6 +147,7 @@ def _rho(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
                 k += 128
+            steps += r
             r *= 2
         if g == n:
             # the batched product overshot: replay the last batch one step at a time
@@ -155,10 +166,9 @@ def _factor(n: int) -> list:
     ascending order (so only primes divide).  What is left is split by
     Pollard-Brent rho, and each factor is proven prime by Miller-Rabin
     before it is kept, so a prime near 10^18 costs a few modular powers,
-    not 10^9 trial divisions.  Primality above _MR_BOUND (about 3.3e24)
-    cannot be proven that way, so a cofactor that large is rejected
-    before any rho step; rho then only runs below the bound, where its
-    expected cost is about x^(1/4) < 1.4e6 steps.
+    not 10^9 trial divisions.  Primality is proven that way only below
+    _MR_BOUND (about 3.3e24), so a cofactor above it must split under
+    the rho budget _RHO_WORK, and so must each part above the bound.
     """
     counts: dict = {}
     for p in range(2, 1000):
@@ -170,16 +180,18 @@ def _factor(n: int) -> list:
     rest = [n] if n > 1 else []
     while rest:
         x = rest.pop()
-        if x >= _MR_BOUND:
-            raise WorkbenchError(
-                f"cannot factor {x}: it has no prime factor below 1000, and "
-                f"primality is proven only below {_MR_BOUND}")
-        if x < 10 ** 6 or _is_prime(x):
+        if x < 10 ** 6 or (x < _MR_BOUND and _is_prime(x)):
             # after the small primes, anything below 1000^2 is prime
             counts[x] = counts.get(x, 0) + 1
-        else:
-            d = _rho(x)
-            rest += [d, x // d]
+            continue
+        limit = _RHO_WORK // x.bit_length() ** 2 if x >= _MR_BOUND else None
+        d = _rho(x, limit)
+        if d is None:
+            raise WorkbenchError(
+                f"cannot factor {x}: it has no prime factor below 1000, rho finds "
+                f"no split within {limit} steps, and primality is proven only "
+                f"below {_MR_BOUND}")
+        rest += [d, x // d]
     return sorted(counts.items())
 
 

@@ -105,9 +105,6 @@ class ResolutionCertificate:
     qis_witness: Homotopy
     termwise_flags: tuple
 
-    def resolution_map(self) -> ChainMap:
-        return self.map
-
 
 def _termwise_ok(side: str, target: Complex) -> tuple:
     if side == INJECTIVE:
@@ -531,13 +528,9 @@ def injective_tower(m: Complex, depth: int):
         q = fs[n - 1] @ transitions[n - 1]
         inner = None
         if truncations[n] == truncations[n - 1]:
-            cq = cone(q).complex
-            target = zero_complex(m.ring)
-            zmap = zero_chain_map(cq, target)
-            witness = contract_complex(cone(zmap).complex)
-            if witness is None:
-                raise WorkbenchError("stabilized level has non-contractible cone")
-            inner = ResolutionCertificate(cq, target, zmap, INJECTIVE, witness, ())
+            # stabilized: the zero complex resolves the contractible cone
+            cq, target = cone(q).complex, zero_complex(m.ring)
+            inner = _certificate(cq, target, zero_chain_map(cq, target), INJECTIVE)
         level, h, p, section, kern, kern_incl, inner = _extend_injective(q, inner)
         levels.append(level)
         fs.append(h)
@@ -587,13 +580,8 @@ def projective_tower(m: Complex, depth: int):
         a = transitions[n - 1] @ fs[n - 1]
         inner = None
         if truncations[n] == truncations[n - 1]:
-            ca = cone(a).complex
-            target = zero_complex(m.ring)
-            zmap = zero_chain_map(target, ca)
-            witness = contract_complex(cone(zmap).complex)
-            if witness is None:
-                raise WorkbenchError("stabilized level has non-contractible cone")
-            inner = ResolutionCertificate(ca, target, zmap, PROJECTIVE, witness, ())
+            ca, target = cone(a).complex, zero_complex(m.ring)
+            inner = _certificate(ca, target, zero_chain_map(target, ca), PROJECTIVE)
         level, v, incl, retraction, coker, coker_proj, inner = _extend_projective(a, inner)
         levels.append(level)
         fs.append(v)
@@ -765,34 +753,49 @@ def check_colimit_sum_formula(tower: SemiSplitDirectTower) -> bool:
     return True
 
 
-def limit_tower(tower: SemiSplitInverseTower, fs) -> ResolutionCertificate:
-    """Read the limit off the stabilized tower and certify it directly."""
-    m = tower.source
-    need = required_depth(m, INJECTIVE)
-    if tower.depth < need or tower.truncations[-1] != m:
+def _check_tower(tower, fs, side: str) -> None:
+    """Raise unless the (co)limit can be read off the tower; solves nothing.
+
+    Depth, product or sum formula, degreewise surjective transitions
+    (injective side), then validate_*_tower: each check runs once.
+    """
+    need = required_depth(tower.source, side)
+    if tower.depth < need or tower.truncations[-1] != tower.source:
         raise DepthInsufficient(need)
-    if not check_limit_product_formula(tower):
-        raise WorkbenchError("tower levels violate the degreewise product formula")
-    for t in tower.transitions:
-        for i in range(t.src.lo, t.src.hi + 1):
-            if not is_surjective(t.component(i)):
-                raise WorkbenchError("truncation transition is not degreewise surjective")
-    if not validate_inverse_tower(tower, fs):
+    if side == INJECTIVE:
+        if not check_limit_product_formula(tower):
+            raise WorkbenchError("tower levels violate the degreewise product formula")
+        for t in tower.transitions:
+            for i in range(t.src.lo, t.src.hi + 1):
+                if not is_surjective(t.component(i)):
+                    raise WorkbenchError("truncation transition is not degreewise surjective")
+        valid = validate_inverse_tower(tower, fs)
+    else:
+        if not check_colimit_sum_formula(tower):
+            raise WorkbenchError("tower levels violate the degreewise sum formula")
+        valid = validate_direct_tower(tower, fs)
+    if not valid:
         raise WorkbenchError("tower invariants fail to re-validate")
-    return _certificate(m, tower.levels[-1], fs[-1], INJECTIVE)
+
+
+def limit_tower(tower: SemiSplitInverseTower, fs) -> ResolutionCertificate:
+    """Read the limit off the stabilized tower and certify it directly.
+
+    Raises unless the tower passes validate_inverse_tower and the product
+    formula (_check_tower); the certificate contracts the cone of fs[-1].
+    """
+    _check_tower(tower, fs, INJECTIVE)
+    return _certificate(tower.source, tower.levels[-1], fs[-1], INJECTIVE)
 
 
 def colimit_tower(tower: SemiSplitDirectTower, fs) -> ResolutionCertificate:
-    """Read the colimit off the stabilized tower and certify it directly."""
-    m = tower.source
-    need = required_depth(m, PROJECTIVE)
-    if tower.depth < need or tower.truncations[-1] != m:
-        raise DepthInsufficient(need)
-    if not check_colimit_sum_formula(tower):
-        raise WorkbenchError("tower levels violate the degreewise sum formula")
-    if not validate_direct_tower(tower, fs):
-        raise WorkbenchError("tower invariants fail to re-validate")
-    return _certificate(m, tower.levels[-1], fs[-1], PROJECTIVE)
+    """Read the colimit off the stabilized tower and certify it directly.
+
+    Raises unless the tower passes validate_direct_tower and the sum
+    formula (_check_tower); the certificate contracts the cone of fs[-1].
+    """
+    _check_tower(tower, fs, PROJECTIVE)
+    return _certificate(tower.source, tower.levels[-1], fs[-1], PROJECTIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -839,21 +842,15 @@ def lift_projective(f: ChainMap, r2: ResolutionCertificate):
 # dispatch and padding
 
 
-def _minimize_certificate(cert: ResolutionCertificate) -> ResolutionCertificate:
-    mini, to_min, back_min = minimize_complex(cert.target)
-    mini = trim(mini)
-    if cert.side == INJECTIVE:
-        res_map = _rewindow_map(to_min, cert.target, mini) @ cert.map
-        res_map = _rewindow_map(res_map, cert.source, mini)
-    else:
-        res_map = cert.map @ _rewindow_map(back_min, mini, cert.target)
-        res_map = _rewindow_map(res_map, mini, cert.source)
-    return _certificate(cert.source, mini, res_map, cert.side)
-
-
 def resolve(m: Complex, side: str, depth: Optional[int] = None,
             minimize: bool = True) -> ResolutionCertificate:
-    """Resolve either way: bounded fast path or tower plus (co)limit."""
+    """Resolve either way: bounded fast path or tower plus (co)limit.
+
+    On the tower path the (co)limit is checked as in limit_tower /
+    colimit_tower, the top-level map is minimized when asked, and only
+    the final map is certified: one cone contraction per call.  A
+    non-contractible cone raises WorkbenchError.
+    """
     if side not in (INJECTIVE, PROJECTIVE):
         raise InputError("side must be injective or projective")
     m = trim(m)
@@ -865,15 +862,23 @@ def resolve(m: Complex, side: str, depth: Optional[int] = None,
         if use == 0:
             return resolve_injective_bounded_below(m)
         tower, fs = injective_tower(m, use)
-        cert = limit_tower(tower, fs)
     else:
         if use == 0:
             return resolve_projective_bounded_above(m)
         tower, fs = projective_tower(m, use)
-        cert = colimit_tower(tower, fs)
+    _check_tower(tower, fs, side)
+    source, target, res_map = tower.source, tower.levels[-1], fs[-1]
     if minimize:
-        cert = _minimize_certificate(cert)
-    return cert
+        mini, to_min, back_min = minimize_complex(target)
+        mini = trim(mini)
+        if side == INJECTIVE:
+            res_map = _rewindow_map(to_min, target, mini) @ res_map
+            res_map = _rewindow_map(res_map, source, mini)
+        else:
+            res_map = res_map @ _rewindow_map(back_min, mini, target)
+            res_map = _rewindow_map(res_map, mini, source)
+        target = mini
+    return _certificate(source, target, res_map, side)
 
 
 def pad_resolution(cert: ResolutionCertificate, seed: int) -> ResolutionCertificate:

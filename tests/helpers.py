@@ -10,14 +10,18 @@ assembly oracles after them build every induced map on Hom from full
 maps (to_map, compose, from_map), every map between direct sums as a sum
 of full-size inj . x . proj products, and the currying isomorphism by
 decoding and re-encoding whole hom complexes, where the library reads
-slots off one change-of-basis product and places blocks.  Keep it slow
-and obvious.
+slots off one change-of-basis product and places blocks.  The last two
+oracles are the library's former paths, kept verbatim so the leaner ones
+can be compared with them output for output: the Smith elimination that
+tracked both inverses, and the tower path of resolve that certified the
+(co)limit before minimizing it and certifying again.  Keep it slow and
+obvious.
 """
 
 from itertools import combinations, permutations, product
 from math import gcd
 
-from purcat.exact_linalg import IntMatrix, from_columns
+from purcat.exact_linalg import IntMatrix, _unit_scaling_mod, from_columns
 from purcat.fpmod import (
     ModuleMap,
     cyclic_module,
@@ -30,8 +34,24 @@ from purcat.fpmod import (
     tensor_modules,
     zero_map,
 )
-from purcat.complexes import homology, tensor_complex, tensor_module_complex
+from purcat.complexes import (
+    homology,
+    minimize_complex,
+    tensor_complex,
+    tensor_module_complex,
+    trim,
+)
 from purcat.purity import ProbeBattery
+from purcat.resolutions import (
+    INJECTIVE,
+    _certificate,
+    _rewindow_map,
+    colimit_tower,
+    injective_tower,
+    limit_tower,
+    projective_tower,
+    required_depth,
+)
 
 
 def det_int(rows):
@@ -389,3 +409,255 @@ def slow_adjunction_maps(w):
             cols.append(list(_encode(flat, n, out).column(0)))
         bwd.append(a.ring.reduce_matrix(from_columns(cols, xg)))
     return fwd, bwd
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form as it was, tracking both inverses
+
+
+def slow_smith_normal_form(a_mat, ring):
+    """(U, D, V, U^-1, V^-1) by the elimination smith_normal_form used
+    before it stopped tracking inverses nobody reads.
+
+    Same pivot rule, same operations in the same order, with U^-1 and
+    V^-1 updated at every step; the library's U, D and V must equal
+    these entry for entry.
+    """
+    r, c = a_mat.rows, a_mat.cols
+    m = ring.modulus
+    a = [list(row) for row in (ring.reduce_matrix(a_mat)).data]
+    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    ui = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    vi = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+
+    def red(x: int) -> int:
+        return x if m is None else x % m
+
+    # The elementary operations below branch on the ring outside their
+    # loops and skip zero source entries; the matrices coming out of
+    # vectorized map equations are sparse enough that this matters.
+
+    def row_add(dst: int, src: int, q: int) -> None:
+        # row_dst -= q * row_src, tracked in u and ui
+        ar, asrc = a[dst], a[src]
+        ur, usrc = u[dst], u[src]
+        if m is None:
+            for j in range(c):
+                x = asrc[j]
+                if x:
+                    ar[j] -= q * x
+            for j in range(r):
+                x = usrc[j]
+                if x:
+                    ur[j] -= q * x
+            for i in range(r):
+                x = ui[i][dst]
+                if x:
+                    ui[i][src] += q * x
+        else:
+            for j in range(c):
+                x = asrc[j]
+                if x:
+                    ar[j] = (ar[j] - q * x) % m
+            for j in range(r):
+                x = usrc[j]
+                if x:
+                    ur[j] = (ur[j] - q * x) % m
+            for i in range(r):
+                x = ui[i][dst]
+                if x:
+                    ui[i][src] = (ui[i][src] + q * x) % m
+
+    def col_add(dst: int, src: int, q: int) -> None:
+        # col_dst -= q * col_src, tracked in v and vi
+        vr, vdst = vi[src], vi[dst]
+        if m is None:
+            for i in range(r):
+                x = a[i][src]
+                if x:
+                    a[i][dst] -= q * x
+            for i in range(c):
+                x = v[i][src]
+                if x:
+                    v[i][dst] -= q * x
+            for j in range(c):
+                x = vdst[j]
+                if x:
+                    vr[j] += q * x
+        else:
+            for i in range(r):
+                x = a[i][src]
+                if x:
+                    a[i][dst] = (a[i][dst] - q * x) % m
+            for i in range(c):
+                x = v[i][src]
+                if x:
+                    v[i][dst] = (v[i][dst] - q * x) % m
+            for j in range(c):
+                x = vdst[j]
+                if x:
+                    vr[j] = (vr[j] + q * x) % m
+
+    def row_swap(i: int, j: int) -> None:
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        for k in range(r):
+            ui[k][i], ui[k][j] = ui[k][j], ui[k][i]
+
+    def col_swap(i: int, j: int) -> None:
+        for k in range(r):
+            a[k][i], a[k][j] = a[k][j], a[k][i]
+        for k in range(c):
+            v[k][i], v[k][j] = v[k][j], v[k][i]
+        vi[i], vi[j] = vi[j], vi[i]
+
+    def row_scale(i: int, unit: int, unit_inv: int) -> None:
+        a[i] = [red(unit * x) for x in a[i]]
+        u[i] = [red(unit * x) for x in u[i]]
+        for k in range(r):
+            ui[k][i] = red(ui[k][i] * unit_inv)
+
+    t = 0
+    limit = min(r, c)
+    while t < limit:
+        # locate pivot: smallest ring size, first occurrence.  Entries
+        # of ring size 1 cannot be beaten and rows below t are zero to
+        # the left of column t, so list.index finds them at C speed
+        pi = pj = -1
+        unit_lo = 1
+        unit_hi = -1 if m is None else m - 1
+        for i in range(t, r):
+            row_i = a[i]
+            try:
+                j1 = row_i.index(unit_lo)
+            except ValueError:
+                j1 = -1
+            j2 = -1
+            if unit_hi != unit_lo:
+                try:
+                    j2 = row_i.index(unit_hi)
+                except ValueError:
+                    j2 = -1
+            if j1 >= 0 and (j2 < 0 or j1 < j2):
+                pi, pj = i, j1
+                break
+            if j2 >= 0:
+                pi, pj = i, j2
+                break
+        if pi < 0:
+            # no unit entry anywhere; fall back to the full scan, where
+            # a key of 2 is now the best possible and stops it early
+            best_key = None
+            for i in range(t, r):
+                row_i = a[i]
+                for j in range(t, c):
+                    x = row_i[j]
+                    if x:
+                        key = abs(x) if m is None else min(x, m - x)
+                        if best_key is None or key < best_key:
+                            best_key, pi, pj = key, i, j
+                            if key == 2:
+                                break
+                if best_key == 2:
+                    break
+            if best_key is None:
+                break
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+        if m is None:
+            if a[t][t] < 0:
+                row_scale(t, -1, -1)
+        else:
+            unit, _ = _unit_scaling_mod(a[t][t], m)
+            if unit != 1:
+                row_scale(t, unit, pow(unit, -1, m))
+        p = a[t][t]
+
+        dirty = False
+        for i in range(t + 1, r):
+            x = a[i][t]
+            if x:
+                q, rem = divmod(x, p)
+                row_add(i, t, q)
+                if rem:
+                    dirty = True
+        if dirty:
+            continue
+        for j in range(t + 1, c):
+            x = a[t][j]
+            if x:
+                q, rem = divmod(x, p)
+                col_add(j, t, q)
+                if rem:
+                    dirty = True
+        if dirty:
+            continue
+        t += 1
+
+    # Divisibility is repaired afterwards on the diagonal alone, which
+    # avoids rescanning the remaining block after every pivot.
+
+    def fix_pair(i: int, j: int) -> None:
+        # 2x2 transform sending diag(d_i, d_j) to diag(gcd, lcm); rows
+        # and columns i, j are diagonal on entry and on exit
+        col_add(i, j, -1)
+        while a[j][i]:
+            q = a[i][i] // a[j][i]
+            row_add(i, j, q)
+            row_swap(i, j)
+        g = a[i][i]
+        x = a[i][j]
+        if x:
+            col_add(j, i, x // g)
+        if m is None:
+            if a[j][j] < 0:
+                row_scale(j, -1, -1)
+        elif a[j][j]:
+            unit, _ = _unit_scaling_mod(a[j][j], m)
+            if unit != 1:
+                row_scale(j, unit, pow(unit, -1, m))
+
+    for i in range(t):
+        di = a[i][i]
+        for j in range(i + 1, t):
+            dj = a[j][j]
+            if (di == 0 and dj != 0) or (di != 0 and dj % di):
+                fix_pair(i, j)
+                di = a[i][i]
+
+    return tuple(IntMatrix(len(x), w, tuple(tuple(row) for row in x))
+                 for x, w in ((u, r), (a, c), (v, c), (ui, r), (vi, c)))
+
+
+# ---------------------------------------------------------------------------
+# the tower path of resolve as it was: certify, minimize, certify again
+
+
+def _slow_minimize_certificate(cert):
+    mini, to_min, back_min = minimize_complex(cert.target)
+    mini = trim(mini)
+    if cert.side == INJECTIVE:
+        res_map = _rewindow_map(to_min, cert.target, mini) @ cert.map
+        res_map = _rewindow_map(res_map, cert.source, mini)
+    else:
+        res_map = cert.map @ _rewindow_map(back_min, mini, cert.target)
+        res_map = _rewindow_map(res_map, mini, cert.source)
+    return _certificate(cert.source, mini, res_map, cert.side)
+
+
+def slow_resolve(m, side, depth=None):
+    """resolve(m, side, depth) on the tower path (depth at least 1), with the
+    (co)limit certified by limit_tower / colimit_tower and then minimized
+    and certified again."""
+    m = trim(m)
+    use = required_depth(m, side) if depth is None else depth
+    if side == INJECTIVE:
+        tower, fs = injective_tower(m, use)
+        cert = limit_tower(tower, fs)
+    else:
+        tower, fs = projective_tower(m, use)
+        cert = colimit_tower(tower, fs)
+    return _slow_minimize_certificate(cert)

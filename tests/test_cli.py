@@ -4,10 +4,11 @@ import contextlib
 import io
 import json
 import random
+import time
 
 import pytest
 
-from purcat import cli
+from purcat import cli, resolutions
 from purcat.exact_linalg import ZZ, Zmod
 from purcat.fpmod import cyclic_module, free_module
 from purcat.complexes import make_complex, module_complex, zero_chain_map, zero_complex
@@ -147,8 +148,89 @@ def test_purity_over_prime_modulus_near_10_to_18(tmp_path):
 
 
 def test_purity_modulus_beyond_primality_proofs_exits_2(tmp_path):
+    # 2^89 - 1 is prime: rho finds no split within its budget
     ring = Zmod(2 ** 89 - 1)
+    start = time.perf_counter()
     code, report = purity(tmp_path, module_complex(cyclic_module(ring, 1), 0))
+    assert time.perf_counter() - start < 2
     assert code == 2
     assert report["status"] == "error"
     assert "cannot factor" in report["results"]["error"]
+
+
+def test_purity_over_composite_modulus_beyond_primality_proofs(tmp_path):
+    # (2^31 - 1)(2^61 - 1) > 3.3e24, but rho splits it into provable primes
+    p, q = 2 ** 31 - 1, 2 ** 61 - 1
+    ring = Zmod(p * q)
+    code, report = purity(tmp_path, random_pure_acyclic(random.Random(3), ring))
+    assert code == 0
+    assert report["results"]["probes"] == [[p * q], [p], [q]]
+
+
+def test_ragged_matrix_in_workspace_exits_2(tmp_path):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({
+        "format": 1,
+        "ring": {"kind": "Zmod", "m": 8},
+        "complexes": {"m": {"lo": 0, "hi": 0, "differentials": [],
+                            "modules": [{"generators": 2, "relations": [[4, 0], [0]]}]}},
+        "parameters": {"complex": "m"},
+    }), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["homology", "--json", str(path)])
+    assert code == 2
+    assert "unequal lengths" in json.loads(out.getvalue())["results"]["error"]
+
+
+# ---------------------------------------------------------------------------
+# towers and resolve on the tower path
+
+TOWER_CASES = [
+    ("injective", "validate_inverse_tower",
+     lambda: random_complex(random.Random(7), Zmod(8), -2, 3)),
+    ("projective", "validate_direct_tower",
+     lambda: make_complex(ZZ, 0, [free_module(ZZ, 1), free_module(ZZ, 1),
+                                  cyclic_module(ZZ, 2)], [mat([[2]]), mat([[1]])])),
+]
+
+
+def patch_everywhere(monkeypatch, name, fn):
+    """Replace a resolutions function in every module that binds it."""
+    for module in (resolutions, cli):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, fn)
+
+
+def tower_command(tmp_path, command, cx, side):
+    return run(tmp_path, command, cx.ring, complexes={"m": cx},
+               parameters={"complex": "m", "side": side})
+
+
+@pytest.mark.parametrize("side,name,build", TOWER_CASES)
+@pytest.mark.parametrize("command", ["towers", "resolve"])
+def test_tower_that_fails_to_revalidate_exits_2(tmp_path, monkeypatch, command, side,
+                                                name, build):
+    patch_everywhere(monkeypatch, name, lambda tower, fs: False)
+    code, report = tower_command(tmp_path, command, build(), side)
+    assert code == 2
+    assert report["results"]["error"] == "tower invariants fail to re-validate"
+
+
+@pytest.mark.parametrize("side,name,build", TOWER_CASES)
+def test_towers_validates_its_tower_once(tmp_path, monkeypatch, side, name, build):
+    calls = []
+    original = getattr(resolutions, name)
+
+    def counted(tower, fs):
+        calls.append(tower.depth)
+        return original(tower, fs)
+
+    patch_everywhere(monkeypatch, name, counted)
+    code, report = tower_command(tmp_path, "towers", build(), side)
+    assert code == 0
+    assert calls == [report["results"]["depth"]]
+    formula = "limit_product_formula" if side == "injective" else "colimit_sum_formula"
+    assert report["results"]["tower_valid"] is True
+    assert report["results"][formula] is True
+    assert report["results"]["certificate_valid"] is True

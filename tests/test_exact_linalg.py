@@ -1,12 +1,15 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from purcat.exact_linalg import (
     IntMatrix,
     InputError,
     LinearSystem,
     Ring,
+    SmithDecomposition,
     ZZ,
     Zmod,
     hstack,
@@ -14,27 +17,43 @@ from purcat.exact_linalg import (
     kernel_basis,
     smith_normal_form,
     solve_linear,
+    vstack,
 )
+from purcat.fpmod import block_map, direct_sum, make_module
 
 from helpers import (
     brute_solve_column,
+    det_int,
     expected_smith_diagonal,
     mat,
     random_matrix_rows,
+    slow_smith_normal_form,
 )
 
 RINGS = [ZZ, Zmod(2), Zmod(5), Zmod(6), Zmod(8), Zmod(12)]
 
 
+def assert_invertible(x, ring):
+    """det x is a unit: +-1 over Z, coprime to m over Z/m."""
+    det = det_int(x.to_lists())
+    if ring.modulus is None:
+        assert det in (1, -1), f"det {det} of {x.data} is not a unit over Z"
+    else:
+        assert gcd(det, ring.modulus) == 1, f"det {det} of {x.data} is not a unit mod m"
+
+
 def check_decomposition(a, ring, snf):
     left = ring.reduce_matrix(snf.u @ a @ snf.v)
     assert left == snf.d, f"U A V != D for {a.data} over {ring}"
+    assert_invertible(snf.u, ring)
+    assert_invertible(snf.v, ring)
+    assert snf.u_inv is None
+    # asking for the inverse changes nothing else, and records U^-1
+    with_inv = smith_normal_form(a, ring, inverse=True)
+    assert (with_inv.u, with_inv.d, with_inv.v) == (snf.u, snf.d, snf.v)
     ident_r = IntMatrix.identity(a.rows)
-    ident_c = IntMatrix.identity(a.cols)
-    assert ring.reduce_matrix(snf.u @ snf.u_inv) == ident_r
-    assert ring.reduce_matrix(snf.u_inv @ snf.u) == ident_r
-    assert ring.reduce_matrix(snf.v @ snf.v_inv) == ident_c
-    assert ring.reduce_matrix(snf.v_inv @ snf.v) == ident_c
+    assert ring.reduce_matrix(snf.u @ with_inv.u_inv) == ident_r
+    assert ring.reduce_matrix(with_inv.u_inv @ snf.u) == ident_r
     # diagonal shape and divisibility chain
     for i in range(snf.d.rows):
         for j in range(snf.d.cols):
@@ -94,6 +113,30 @@ def test_smith_random_against_minors_oracle(ring):
         )
 
 
+SNF_RINGS = (ZZ, Zmod(12), Zmod(72))
+
+
+@st.composite
+def small_matrices(draw, max_side=5, bound=30):
+    """(matrix, ring); 0-row and 0-column shapes included."""
+    ring = draw(st.sampled_from(SNF_RINGS))
+    r, c = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    return (ring.reduce_matrix(IntMatrix(r, c, tuple(map(tuple, rows)))), ring)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_matrices())
+def test_smith_matches_the_elimination_tracking_both_inverses(case):
+    a, ring = case
+    u, d, v, u_inv, _ = slow_smith_normal_form(a, ring)
+    snf = smith_normal_form(a, ring)
+    assert (snf.u, snf.d, snf.v) == (u, d, v)
+    assert snf.u_inv is None
+    assert smith_normal_form(a, ring, inverse=True) == SmithDecomposition(ring, u, d, v, u_inv)
+
+
 def test_smith_is_deterministic():
     rng = random.Random(77)
     for _ in range(20):
@@ -102,6 +145,46 @@ def test_smith_is_deterministic():
         first = smith_normal_form(a, ZZ)
         second = smith_normal_form(a, ZZ)
         assert first == second
+
+
+def full_check(x):
+    """The public constructor's shape check on the same fields."""
+    return IntMatrix(x.rows, x.cols, x.data) == x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_matrices(max_side=3, bound=9), small_matrices(max_side=3, bound=9),
+       st.integers(-3, 3))
+def test_trusted_producers_pass_the_shape_check(first, second, c):
+    (a, ring), (b, _) = first, second
+    b_same = IntMatrix.zeros(a.rows, a.cols) if b.rows != a.rows or b.cols != a.cols else b
+    b_chain = IntMatrix.identity(a.cols) if b.rows != a.cols else b
+    outputs = [
+        a @ b_chain, a + b_same, a - b_same, -a, a.scale(c), a.transpose(), a.kron(b),
+        IntMatrix.zeros(a.rows, b.cols), IntMatrix.identity(a.rows),
+        hstack(a, IntMatrix.zeros(a.rows, b.cols)), vstack(a, IntMatrix.zeros(b.rows, a.cols)),
+        ring.reduce_matrix(a),
+    ]
+    snf = smith_normal_form(a, ring, inverse=True)
+    outputs += [snf.u, snf.d, snf.v, snf.u_inv]
+    mods = [make_module(ring, x.rows, x) for x in (a, b)]
+    total, injs, projs = direct_sum(mods)
+    outputs += [f.matrix for f in injs + projs]
+    src, tgt = make_module(ring, a.cols + b.cols), make_module(ring, a.rows + b.rows)
+    outputs.append(block_map(src, tgt, [(0, 0, 1, a), (a.rows, a.cols, -1, b)]).matrix)
+    for x in outputs:
+        assert full_check(x), f"{x.rows}x{x.cols} data {x.data}"
+
+
+def test_ragged_data_is_rejected():
+    with pytest.raises(InputError):
+        IntMatrix(2, 2, ((1, 2), (3,)))
+    with pytest.raises(InputError):
+        IntMatrix(1, 2, ((1, 2), (3, 4)))
+    with pytest.raises(InputError):
+        IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(InputError):
+        IntMatrix.from_rows([[1], [2, 3]])
 
 
 def test_solve_frozen_examples():

@@ -397,6 +397,10 @@ def test_factor_splits_large_composites():
     assert _factor(p * q) == [(p, 1), (q, 1)]
     assert _factor(12 * p ** 2) == [(2, 2), (3, 1), (p, 2)]
     assert _factor(1009 ** 3) == [(1009, 3)]
+    # above the Miller-Rabin bound, split by rho under its work budget
+    p, q = 2 ** 31 - 1, 2 ** 61 - 1
+    assert _factor(p * q) == [(p, 1), (q, 1)]
+    assert _factor(5 * p ** 2 * q) == [(5, 1), (p, 2), (q, 1)]
 
 
 def test_factor_prime_near_10_to_18_is_fast():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from purcat.exact_linalg import InputError, WorkbenchError, ZZ, Zmod
 from purcat.fpmod import cyclic_module, free_module, identity_map
@@ -43,6 +44,8 @@ from purcat.resolutions import (
     validate_direct_tower,
     validate_inverse_tower,
 )
+from purcat.serialize import encode_certificate
+from helpers import slow_resolve
 
 
 def x2_complex(ring, order=4):
@@ -343,4 +346,29 @@ def test_identity_resolution_guards_the_class():
 
 def test_identity_resolution_of_zero_complex():
     cert = identity_resolution(zero_complex(Zmod(12)), "projective")
+    assert validate_certificate(cert)
+
+
+# ---------------------------------------------------------------------------
+# one contraction per resolve: the certificate equals the old path's
+
+
+def tower_input(rng, ring, side):
+    """A random complex whose resolution on this side needs a tower."""
+    while True:
+        lo = rng.randint(-2, -1) if side == "injective" else rng.randint(-1, 1)
+        m = random_complex(rng, ring, lo, rng.randint(2, 3), max_gens=3)
+        if side == "injective" and not all(x.is_torsion() for x in m.modules):
+            continue
+        if required_depth(m, side) >= 1:
+            return m
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from((Zmod(12), ZZ)),
+       side=st.sampled_from(("injective", "projective")))
+def test_tower_resolve_certificate_equals_certify_twice_path(seed, ring, side):
+    m = tower_input(random.Random(seed), ring, side)
+    cert = resolve(m, side)
+    assert encode_certificate(cert) == encode_certificate(slow_resolve(m, side))
     assert validate_certificate(cert)
