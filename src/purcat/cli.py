@@ -257,9 +257,12 @@ def cmd_towers(wi, args):
 
 
 def cmd_phom(wi, args):
+    """Both arguments stand as their own resolutions, so no tower is built;
+    a depth parameter is still checked, then ignored."""
     aname, a = _complex_arg(wi, "a")
     bname, b = _complex_arg(wi, "b")
-    result = phom(a, b, depth=_depth_arg(wi, args))
+    _depth_arg(wi, args)
+    result = phom(a, b)
     ok = validate_derived_hom(result)
     return ("ok" if ok else "refuted"), {
         "a": aname,
@@ -402,7 +405,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help="seed echoed into the report (default %(default)s)")
     ap.add_argument("--depth", type=int, default=None,
-                    help="tower depth override for resolution commands")
+                    help="tower depth for resolve, towers and adjunction "
+                         "(default: the depth the input needs)")
     args = ap.parse_args(argv)
 
     started = time.perf_counter()

@@ -244,7 +244,7 @@ def _nonzero_class_map(hk: KHomGroup) -> Optional[ChainMap]:
     return None
 
 
-def certify_k_pure_injective(subject: Complex, battery=None, trials: int = 0,
+def certify_k_pure_injective(subject: Complex, trials: int = 0,
                              seed: int = 0) -> KPurityCertificate:
     """Certify hom-vanishing from pure acyclic complexes into subject.
 
@@ -268,7 +268,7 @@ def certify_k_pure_injective(subject: Complex, battery=None, trials: int = 0,
     return KPurityCertificate(subject, "injective", PROBE_CONSISTENT, flags, trials=trials)
 
 
-def certify_k_pure_projective(subject: Complex, battery=None, trials: int = 0,
+def certify_k_pure_projective(subject: Complex, trials: int = 0,
                               seed: int = 0) -> KPurityCertificate:
     """Certify hom-vanishing from subject into pure acyclic complexes.
 
@@ -416,16 +416,18 @@ def hom_dpur(a: Complex, b: Complex, depth: Optional[int] = None,
              seed: Optional[int] = None) -> KHomGroup:
     """Hom in the pure derived category: hom_k against a resolution.
 
-    The target is replaced by a certified pure injective resolution.  When
-    no depth budget is given, a target whose terms are already pure
-    injective stands as its own resolution; an explicit depth always asks
-    for the depth-gated tower construction.  An optional seed pads the
-    chosen resolution with an extra contractible summand, which must not
-    change the answer up to isomorphism.
+    The target is replaced by a certified pure injective resolution.  With
+    no depth given and every term of b pure injective (read off the terms,
+    nothing sampled), b stands as its own resolution; otherwise resolve
+    builds one, through the depth-gated tower when a depth is given, and
+    a b out of scope raises UnsupportedRing there before any hom is
+    computed.  An optional seed pads the chosen resolution with an extra
+    contractible summand, which must not change the answer up to
+    isomorphism.
     """
     from purcat.resolutions import identity_resolution, pad_resolution, resolve
 
-    if depth is None and certify_k_pure_injective(b).is_certified():
+    if depth is None and all(_term_pure_injective(t) for t in b.modules):
         cert = identity_resolution(b, "injective")
     else:
         cert = resolve(b, "injective", depth=depth)

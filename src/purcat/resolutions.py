@@ -5,7 +5,10 @@ The bounded builders run the pushout (injective side) and pullback
 (windows crossing zero on the wrong side) goes through towers of
 truncations whose levels extend each other by degreewise split maps, and
 the (co)limit at finite depth is read off degreewise and re-verified.
-Every product ships with a certificate that re-validates from scratch.
+Every resolution is built, then certified once where kept: the builders
+return a bare (target, map), and a cone is contracted only for a
+certificate that is returned or stored in a tower.  Every certificate
+re-validates from scratch.
 """
 
 from __future__ import annotations
@@ -238,6 +241,32 @@ def _build_injective(m: Complex):
     return i_cx, u
 
 
+def _injective_resolution(m: Complex):
+    """(I, u: m -> I), minimal, uncertified; u is rewindowed to m's window."""
+    _require_injective_scope(m)
+    t = trim(m)
+    target = zero_complex(m.ring)
+    res_map = zero_chain_map(m, target)
+    if t.modules:
+        mini, to_min, _ = minimize_complex(t)
+        i_raw, u_raw = _build_injective(mini)
+        i_trim = trim(i_raw)
+        u_trim = _rewindow_map(u_raw, mini, i_trim)
+        target, to_i, _ = minimize_complex(i_trim)
+        res_map = to_i @ u_trim @ to_min
+    return target, _rewindow_map(res_map, m, target)
+
+
+def _bounded_certificate(m: Complex, target: Complex, res_map: ChainMap,
+                         side: str) -> ResolutionCertificate:
+    if m.modules:
+        return _certificate(m, target, res_map, side)
+    # the cone of a map between empty complexes has a one-term zero window;
+    # its contraction is written down as the empty homotopy
+    c = cone(res_map).complex
+    return ResolutionCertificate(m, target, res_map, side, zero_homotopy(c, c), ())
+
+
 def resolve_injective_bounded_below(m: Complex) -> ResolutionCertificate:
     """Resolve by pure injectives via the degreewise pushout induction.
 
@@ -245,24 +274,8 @@ def resolve_injective_bounded_below(m: Complex) -> ResolutionCertificate:
     cokernel; in scope the pushout term is already pure injective, so
     the embedding of each new term is the identity.
     """
-    _require_injective_scope(m)
     m = trim(m)
-    if not m.modules:
-        target = zero_complex(m.ring)
-        res_map = zero_chain_map(m, target)
-        return ResolutionCertificate(
-            m, target, res_map, INJECTIVE, zero_homotopy(
-                cone(res_map).complex, cone(res_map).complex
-            ), ()
-        )
-    mini, to_min, _ = minimize_complex(m)
-    i_raw, u_raw = _build_injective(mini)
-    i_trim = trim(i_raw)
-    u_trim = _rewindow_map(u_raw, mini, i_trim)
-    i_min, to_i, _ = minimize_complex(i_trim)
-    res_map = to_i @ u_trim @ to_min
-    res_map = _rewindow_map(res_map, m, i_min)
-    return _certificate(m, i_min, res_map, INJECTIVE)
+    return _bounded_certificate(m, *_injective_resolution(m), INJECTIVE)
 
 
 def _build_projective(m: Complex):
@@ -285,6 +298,21 @@ def _build_projective(m: Complex):
     return p_cx, v
 
 
+def _projective_resolution(m: Complex):
+    """(P, v: P -> m), minimal, uncertified; v is rewindowed to m's window."""
+    t = trim(m)
+    target = zero_complex(m.ring)
+    res_map = zero_chain_map(target, m)
+    if t.modules:
+        mini, _, back_min = minimize_complex(t)
+        p_raw, v_raw = _build_projective(mini)
+        p_trim = trim(p_raw)
+        v_trim = _rewindow_map(v_raw, p_trim, mini)
+        target, _, back_p = minimize_complex(p_trim)
+        res_map = back_min @ v_trim @ back_p
+    return target, _rewindow_map(res_map, target, m)
+
+
 def resolve_projective_bounded_above(m: Complex) -> ResolutionCertificate:
     """Resolve by pure projectives via the degreewise pullback induction.
 
@@ -292,22 +320,7 @@ def resolve_projective_bounded_above(m: Complex) -> ResolutionCertificate:
     new term covers its pullback by the identity.
     """
     m = trim(m)
-    if not m.modules:
-        target = zero_complex(m.ring)
-        res_map = zero_chain_map(target, m)
-        return ResolutionCertificate(
-            m, target, res_map, PROJECTIVE, zero_homotopy(
-                cone(res_map).complex, cone(res_map).complex
-            ), ()
-        )
-    mini, to_min, back_min = minimize_complex(m)
-    p_raw, v_raw = _build_projective(mini)
-    p_trim = trim(p_raw)
-    v_trim = _rewindow_map(v_raw, p_trim, mini)
-    p_min, to_p, back_p = minimize_complex(p_trim)
-    res_map = back_min @ v_trim @ back_p
-    res_map = _rewindow_map(res_map, p_min, m)
-    return _certificate(m, p_min, res_map, PROJECTIVE)
+    return _bounded_certificate(m, *_projective_resolution(m), PROJECTIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -334,24 +347,23 @@ class DegreewiseFamily:
 # the shared extension steps
 
 
-def _extend_injective(q: ChainMap, inner: Optional[ResolutionCertificate] = None):
+def _extend_injective(q: ChainMap, stable: bool = False):
     """Extend a level along q: N -> I.
 
     Returns (level, h: N -> level, p: level -> I, section, kern,
-    kern_incl, inner) where level is degreewise I (+) J[-1] for J the
-    resolution of cone(q), p is the degreewise split projection with
-    kernel J[-1], and p . h = q on the nose.
+    kern_incl, g) where g: cone(q) -> J is the uncertified resolution of
+    the cone (the zero complex when stable, the cone being contractible),
+    level is degreewise I (+) J[-1], p is the degreewise split projection
+    with kernel J[-1], and p . h = q on the nose.
     """
     n_cx, i_cx = q.src, q.tgt
     ring = q.src.ring
     cq = cone(q)
-    if inner is None:
-        inner = resolve_injective_bounded_below(cq.complex)
-        if inner.source != cq.complex:
-            g_full = _rewindow_map(inner.map, cq.complex, inner.target)
-            inner = _certificate(cq.complex, inner.target, g_full, INJECTIVE)
-    j_cx = inner.target
-    g = inner.map
+    if stable:
+        j_cx = zero_complex(ring)
+        g = zero_chain_map(cq.complex, j_cx)
+    else:
+        j_cx, g = _injective_resolution(cq.complex)
     gpp = g @ cq.inclusion
     lo = min(i_cx.lo, j_cx.lo + 1)
     hi = max(i_cx.hi, j_cx.hi + 1)
@@ -389,26 +401,25 @@ def _extend_injective(q: ChainMap, inner: Optional[ResolutionCertificate] = None
     section = DegreewiseFamily(i_cx, level, lo, tuple(injs_i))
     kern = shift(j_cx, -1)
     kern_incl = ChainMap(kern, level, lo, tuple(injs_j))
-    return level, h, p, section, kern, kern_incl, inner
+    return level, h, p, section, kern, kern_incl, g
 
 
-def _extend_projective(a: ChainMap, inner: Optional[ResolutionCertificate] = None):
+def _extend_projective(a: ChainMap, stable: bool = False):
     """Extend a level along a: P -> N.
 
     Returns (level, v: level -> N, incl: P -> level, retraction, coker,
-    coker_proj, inner) where level is degreewise Q (+) P for Q the
-    resolution of cone(a), incl is the degreewise split inclusion with
-    cokernel Q, and v . incl = a on the nose.
+    coker_proj, w) where w: Q -> cone(a) is the uncertified resolution of
+    the cone (the zero complex when stable), level is degreewise Q (+) P,
+    incl is the degreewise split inclusion with cokernel Q, and
+    v . incl = a on the nose.
     """
     p_cx, n_cx = a.src, a.tgt
     ca = cone(a)
-    if inner is None:
-        inner = resolve_projective_bounded_above(ca.complex)
-        if inner.source != ca.complex:
-            w_full = _rewindow_map(inner.map, inner.target, ca.complex)
-            inner = _certificate(ca.complex, inner.target, w_full, PROJECTIVE)
-    q_cx = inner.target
-    w = inner.map
+    if stable:
+        q_cx = zero_complex(a.src.ring)
+        w = zero_chain_map(q_cx, ca.complex)
+    else:
+        q_cx, w = _projective_resolution(ca.complex)
     w1 = shift_map(ca.projection @ w, -1)
     level_cone = cone(w1)
     level = level_cone.complex
@@ -435,7 +446,7 @@ def _extend_projective(a: ChainMap, inner: Optional[ResolutionCertificate] = Non
     for d in range(lo, level.hi + 1):
         proj_comps.append(_summand_projection(level.module(d), 0, q_cx.module(d)))
     coker_proj = ChainMap(level, coker, lo, tuple(proj_comps))
-    return level, v, incl, retraction, coker, coker_proj, inner
+    return level, v, incl, retraction, coker, coker_proj, w
 
 
 def _summand_projection(total: FpModule, before: int, part: FpModule) -> ModuleMap:
@@ -519,19 +530,14 @@ def injective_tower(m: Complex, depth: int):
             if proj.tgt != truncations[n - 1]:
                 raise WorkbenchError("truncation tower is not nested literally")
             transitions.append(proj)
-    base = resolve_injective_bounded_below(truncations[0])
-    levels = [base.target]
-    fs = [_rewindow_map(base.map, truncations[0], base.target)]
+    base, f0 = _injective_resolution(truncations[0])
+    levels, fs = [base], [f0]
     surjections, sections = [], []
     kernels, kernel_incls, kernel_certs, cone_certs = [], [], [], []
     for n in range(1, depth + 1):
         q = fs[n - 1] @ transitions[n - 1]
-        inner = None
-        if truncations[n] == truncations[n - 1]:
-            # stabilized: the zero complex resolves the contractible cone
-            cq, target = cone(q).complex, zero_complex(m.ring)
-            inner = _certificate(cq, target, zero_chain_map(cq, target), INJECTIVE)
-        level, h, p, section, kern, kern_incl, inner = _extend_injective(q, inner)
+        stable = truncations[n] == truncations[n - 1]
+        level, h, p, section, kern, kern_incl, g = _extend_injective(q, stable)
         levels.append(level)
         fs.append(h)
         surjections.append(p)
@@ -539,7 +545,7 @@ def injective_tower(m: Complex, depth: int):
         kernels.append(kern)
         kernel_incls.append(kern_incl)
         kernel_certs.append(certify_k_pure_injective(kern))
-        cone_certs.append(inner)
+        cone_certs.append(_certificate(g.src, g.tgt, g, INJECTIVE))
     tower = SemiSplitInverseTower(
         m, tuple(truncations), tuple(transitions), tuple(levels),
         tuple(surjections), tuple(sections), tuple(kernels),
@@ -571,18 +577,14 @@ def projective_tower(m: Complex, depth: int):
                     )
                 )
             transitions.append(ChainMap(prev, here, lo, tuple(comps)))
-    base = resolve_projective_bounded_above(truncations[0])
-    levels = [base.target]
-    fs = [_rewindow_map(base.map, base.target, truncations[0])]
+    base, f0 = _projective_resolution(truncations[0])
+    levels, fs = [base], [f0]
     injections, retractions = [], []
     cokernels, coker_projs, coker_certs, cone_certs = [], [], [], []
     for n in range(1, depth + 1):
         a = transitions[n - 1] @ fs[n - 1]
-        inner = None
-        if truncations[n] == truncations[n - 1]:
-            ca, target = cone(a).complex, zero_complex(m.ring)
-            inner = _certificate(ca, target, zero_chain_map(target, ca), PROJECTIVE)
-        level, v, incl, retraction, coker, coker_proj, inner = _extend_projective(a, inner)
+        stable = truncations[n] == truncations[n - 1]
+        level, v, incl, retraction, coker, coker_proj, w = _extend_projective(a, stable)
         levels.append(level)
         fs.append(v)
         injections.append(incl)
@@ -590,7 +592,7 @@ def projective_tower(m: Complex, depth: int):
         cokernels.append(coker)
         coker_projs.append(coker_proj)
         coker_certs.append(certify_k_pure_projective(coker))
-        cone_certs.append(inner)
+        cone_certs.append(_certificate(w.tgt, w.src, w, PROJECTIVE))
     tower = SemiSplitDirectTower(
         m, tuple(truncations), tuple(transitions), tuple(levels),
         tuple(injections), tuple(retractions), tuple(cokernels),
@@ -813,7 +815,7 @@ def lift_injective(f: ChainMap, r1: ResolutionCertificate):
         raise InputError("r1 must be an injective resolution of the target of f")
     _require_injective_scope(f.src)
     q = r1.map @ f
-    level, h, p, _, _, _, _ = _extend_injective(q)
+    level, h, p, *_ = _extend_injective(q)
     r2 = _certificate(f.src, level, h, INJECTIVE)
     square = (p @ h) - (r1.map @ f)
     if not square.is_zero():
@@ -830,7 +832,7 @@ def lift_projective(f: ChainMap, r2: ResolutionCertificate):
     if r2.side != PROJECTIVE or f.src != r2.source:
         raise InputError("r2 must be a projective resolution of the source of f")
     a = f @ r2.map
-    level, v, incl, _, _, _, _ = _extend_projective(a)
+    level, v, incl, *_ = _extend_projective(a)
     r1 = _certificate(f.tgt, level, v, PROJECTIVE)
     square = (v @ incl) - (f @ r2.map)
     if not square.is_zero():
@@ -842,14 +844,13 @@ def lift_projective(f: ChainMap, r2: ResolutionCertificate):
 # dispatch and padding
 
 
-def resolve(m: Complex, side: str, depth: Optional[int] = None,
-            minimize: bool = True) -> ResolutionCertificate:
+def resolve(m: Complex, side: str, depth: Optional[int] = None) -> ResolutionCertificate:
     """Resolve either way: bounded fast path or tower plus (co)limit.
 
     On the tower path the (co)limit is checked as in limit_tower /
-    colimit_tower, the top-level map is minimized when asked, and only
-    the final map is certified: one cone contraction per call.  A
-    non-contractible cone raises WorkbenchError.
+    colimit_tower, the top-level map is minimized, and the final map is
+    certified: a depth-d tower contracts its d cone resolutions and then
+    this one cone.  A non-contractible cone raises WorkbenchError.
     """
     if side not in (INJECTIVE, PROJECTIVE):
         raise InputError("side must be injective or projective")
@@ -867,18 +868,16 @@ def resolve(m: Complex, side: str, depth: Optional[int] = None,
             return resolve_projective_bounded_above(m)
         tower, fs = projective_tower(m, use)
     _check_tower(tower, fs, side)
-    source, target, res_map = tower.source, tower.levels[-1], fs[-1]
-    if minimize:
-        mini, to_min, back_min = minimize_complex(target)
-        mini = trim(mini)
-        if side == INJECTIVE:
-            res_map = _rewindow_map(to_min, target, mini) @ res_map
-            res_map = _rewindow_map(res_map, source, mini)
-        else:
-            res_map = res_map @ _rewindow_map(back_min, mini, target)
-            res_map = _rewindow_map(res_map, mini, source)
-        target = mini
-    return _certificate(source, target, res_map, side)
+    source, top = tower.source, tower.levels[-1]
+    mini, to_min, back_min = minimize_complex(top)
+    mini = trim(mini)
+    if side == INJECTIVE:
+        res_map = _rewindow_map(to_min, top, mini) @ fs[-1]
+        res_map = _rewindow_map(res_map, source, mini)
+    else:
+        res_map = fs[-1] @ _rewindow_map(back_min, mini, top)
+        res_map = _rewindow_map(res_map, mini, source)
+    return _certificate(source, mini, res_map, side)
 
 
 def pad_resolution(cert: ResolutionCertificate, seed: int) -> ResolutionCertificate:

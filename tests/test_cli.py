@@ -11,22 +11,42 @@ import pytest
 from purcat import cli, resolutions
 from purcat.exact_linalg import ZZ, Zmod
 from purcat.fpmod import cyclic_module, free_module
-from purcat.complexes import make_complex, module_complex, zero_chain_map, zero_complex
+from purcat.complexes import (
+    identity_chain_map,
+    make_complex,
+    module_complex,
+    zero_chain_map,
+    zero_complex,
+)
 from purcat.randgen import random_complex, random_pure_acyclic, random_pure_qis
-from purcat.serialize import WorkbenchInput, serialize_input
+from purcat.serialize import WorkbenchInput, decode_certificate, serialize_input
 from helpers import mat
 
 
-def run(tmp_path, command, ring, complexes=None, maps=None, parameters=None):
+def main(argv):
+    """(exit status, stdout) of one in-process run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def run(tmp_path, command, ring, complexes=None, maps=None, parameters=None, flags=()):
     """(exit status, report) of one --json run on a fresh workspace file."""
     ws = WorkbenchInput(ring, complexes=complexes or {}, maps=maps or {},
                         parameters=parameters or {})
     path = tmp_path / f"{command}.json"
     path.write_text(serialize_input(ws), encoding="utf-8")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main([command, "--json", str(path)])
-    return code, json.loads(out.getvalue())
+    code, out = main([command, "--json", *flags, str(path)])
+    return code, json.loads(out)
+
+
+def validate_cert(tmp_path, payload):
+    """(exit status, report) of validate-cert on a JSON payload."""
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out = main(["validate-cert", "--json", str(path)])
+    return code, json.loads(out)
 
 
 def purity(tmp_path, cx):
@@ -234,3 +254,96 @@ def test_towers_validates_its_tower_once(tmp_path, monkeypatch, side, name, buil
     assert report["results"]["tower_valid"] is True
     assert report["results"][formula] is True
     assert report["results"]["certificate_valid"] is True
+
+
+# ---------------------------------------------------------------------------
+# phom, validate-cert and resolve reports
+
+
+def phom_workspace(ring, depth=None):
+    rng = random.Random(89)
+    a = random_complex(rng, ring, -1, 3)
+    b = random_complex(rng, ring, 0, 2)
+    parameters = {"a": "a", "b": "b"}
+    if depth is not None:
+        parameters["depth"] = depth
+    return dict(complexes={"a": a, "b": b}, parameters=parameters)
+
+
+@pytest.mark.parametrize("depth", [None, 3])
+def test_phom_certifies_both_arguments_as_their_own_resolutions(tmp_path, depth):
+    ring = Zmod(12)
+    ws = phom_workspace(ring, depth)
+    code, report = run(tmp_path, "phom", ring, **ws)
+    assert code == 0
+    res = report["results"]
+    assert res["revalidated"] is True
+    for key in ("projective_certificate", "injective_certificate"):
+        assert res[key]["source"] == res[key]["target"]
+        cert = decode_certificate(res[key])
+        assert cert.map.equals(identity_chain_map(cert.source))
+    code, checked = validate_cert(tmp_path, report)
+    assert code == 0
+    assert checked["results"]["checked"] == 2
+    assert all(c["valid"] for c in checked["results"]["certificates"].values())
+
+
+def test_phom_still_rejects_a_malformed_depth(tmp_path):
+    ring = Zmod(12)
+    code, report = run(tmp_path, "phom", ring, **phom_workspace(ring, depth="two"))
+    assert code == 2
+    assert report["results"]["error"] == "depth must be an integer"
+
+
+def resolve_report(tmp_path, cx, side, flags=()):
+    return run(tmp_path, "resolve", cx.ring, complexes={"m": cx},
+               parameters={"complex": "m", "side": side}, flags=flags)
+
+
+def test_validate_cert_refutes_a_tampered_certificate(tmp_path):
+    cx = random_complex(random.Random(97), Zmod(12), -1, 3)
+    code, report = resolve_report(tmp_path, cx, "projective")
+    assert code == 0
+    cert = report["results"]["certificate"]
+    assert validate_cert(tmp_path, cert)[0] == 0
+    witness = cert["qis_witness"]["components"]
+    row = next(r for comp in witness for r in comp if r)
+    row[0] += 1
+    code, checked = validate_cert(tmp_path, cert)
+    assert code == 1
+    assert checked["status"] == "refuted"
+    assert checked["results"]["certificates"]["certificate"]["valid"] is False
+
+
+def test_resolve_below_the_required_depth_exits_2(tmp_path):
+    cx = random_complex(random.Random(101), Zmod(8), -2, 3)
+    need = resolutions.required_depth(cx, "injective")
+    assert need == 2
+    code, report = resolve_report(tmp_path, cx, "injective", flags=("--depth", "1"))
+    assert code == 2
+    assert report["results"] == {"error": f"tower needs depth at least {need}",
+                                 "required_depth": need}
+
+
+def test_text_report(tmp_path):
+    ring = Zmod(4)
+    cx = make_complex(ring, 0, [cyclic_module(ring, 4), cyclic_module(ring, 4)],
+                      [mat([[2]])])
+    path = tmp_path / "homology.json"
+    path.write_text(serialize_input(WorkbenchInput(
+        ring, complexes={"c": cx}, parameters={"complex": "c"})), encoding="utf-8")
+    code, out = main(["homology", "--seed", "7", str(path)])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:-1] == [
+        "command: homology",
+        "seed: 7",
+        "status: ok",
+        "results:",
+        "  complex: c",
+        "  window: 0 1",
+        "  homology:",
+        "    H^0: 2",
+        "    H^1: 2",
+    ]
+    assert lines[-1].startswith("elapsed: ") and lines[-1].endswith("s")

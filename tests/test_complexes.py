@@ -4,20 +4,17 @@ import random
 
 import pytest
 
-from purcat.exact_linalg import IntMatrix, InputError, ZZ, Zmod
+from purcat.exact_linalg import InputError, ZZ, Zmod
 from purcat.fpmod import (
     cyclic_module,
     free_module,
     identity_map,
     is_isomorphic,
     is_surjective,
-    make_map,
     make_module,
     zero_module,
 )
 from purcat.complexes import (
-    ChainMap,
-    Complex,
     complexes_equal,
     cone,
     direct_sum_complexes,

@@ -8,7 +8,6 @@ from purcat.exact_linalg import (
     IntMatrix,
     InputError,
     LinearSystem,
-    Ring,
     SmithDecomposition,
     ZZ,
     Zmod,

@@ -6,13 +6,11 @@ structural identities (factorizations, universal properties).
 """
 
 import random
-from math import gcd
 
 import pytest
 
-from purcat.exact_linalg import IntMatrix, InputError, WorkbenchError, ZZ, Zmod, solve_linear, hstack
+from purcat.exact_linalg import IntMatrix, WorkbenchError, ZZ, Zmod, solve_linear, hstack
 from purcat.fpmod import (
-    HomModule,
     IllDefinedMap,
     MapSolver,
     NotMono,
@@ -40,7 +38,6 @@ from purcat.fpmod import (
     short_exact_sequence,
     tensor_map,
     tensor_modules,
-    zero_map,
     zero_module,
 )
 from helpers import enumerate_module_elements, mat

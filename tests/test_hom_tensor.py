@@ -10,10 +10,7 @@ from purcat.fpmod import (
     cyclic_module,
     free_module,
     hom_modules,
-    identity_map,
-    make_map,
     make_module,
-    tensor_modules,
     zero_map,
 )
 from purcat.complexes import (
@@ -39,7 +36,6 @@ from purcat.complexes import (
     zero_homotopy,
 )
 from purcat.randgen import (
-    null_homotopic_chain_map,
     random_chain_map,
     random_complex,
     random_homotopy,

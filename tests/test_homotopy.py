@@ -9,7 +9,6 @@ from purcat.fpmod import (
     cyclic_module,
     free_module,
     is_isomorphic,
-    make_module,
 )
 from purcat.complexes import (
     cone,
@@ -26,8 +25,6 @@ from purcat.homotopy import (
     BY_BOUNDED_INJECTIVE,
     BY_BOUNDED_PROJECTIVE,
     PROBE_CONSISTENT,
-    KPurityCertificate,
-    NoInverse,
     certify_k_pure_injective,
     certify_k_pure_projective,
     contract_complex,
@@ -366,3 +363,18 @@ def test_hom_dpur_honors_depth_gate():
         hom_dpur(a, b, depth=0)
     group = hom_dpur(a, b, depth=2)
     assert group.invariant_factors == hom_dpur(a, b).invariant_factors
+
+
+def test_hom_dpur_rejects_free_targets_over_z_before_any_hom(monkeypatch):
+    from purcat import homotopy
+    from purcat.resolutions import UnsupportedRing
+
+    calls = []
+    real = homotopy.hom_k
+    monkeypatch.setattr(homotopy, "hom_k",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    a = module_complex(cyclic_module(ZZ, 4), 0)
+    b = make_complex(ZZ, 0, [free_module(ZZ, 1), cyclic_module(ZZ, 2)], [mat([[1]])])
+    with pytest.raises(UnsupportedRing):
+        hom_dpur(a, b)
+    assert calls == []

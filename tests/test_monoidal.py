@@ -263,7 +263,7 @@ def test_phom_rejects_free_targets_over_z():
 
 def test_phom_rejects_free_targets_before_resolving(monkeypatch):
     calls = []
-    monkeypatch.setattr(monoidal, "_resolution_for",
+    monkeypatch.setattr(monoidal, "identity_resolution",
                         lambda *args: calls.append(args))
     a = module_complex(cyclic_module(ZZ, 4), 0)
     target = module_complex(free_module(ZZ, 1), 0)

@@ -16,8 +16,6 @@ from purcat.fpmod import (
     kernel,
     make_map,
     make_module,
-    tensor_map,
-    zero_module,
 )
 from purcat.complexes import (
     cone,
