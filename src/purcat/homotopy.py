@@ -1,19 +1,16 @@
 """Homotopy-category layer.
 
 Hom groups up to homotopy as finitely presented modules, null-homotopy
-and contraction solvers, K-purity certificates with honest verdicts,
-homotopy left inverses and right-roof normalization, and derived hom via
-resolution replacement.
+and contraction solvers, and derived hom via resolution replacement.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from purcat.exact_linalg import IntMatrix, InputError, WorkbenchError
+from purcat.exact_linalg import IntMatrix, InputError
 from purcat.fpmod import (
     FpModule,
     MapSolver,
@@ -28,21 +25,10 @@ from purcat.complexes import (
     Complex,
     HomComplex,
     Homotopy,
-    cone,
     hom_complex,
     homology_data,
-    identity_chain_map,
     zero_homotopy,
 )
-
-BY_BOUNDED_INJECTIVE = "ByBoundedInjective"
-BY_BOUNDED_PROJECTIVE = "ByBoundedProjective"
-PROBE_CONSISTENT = "ProbeConsistent"
-REFUTED = "Refuted"
-
-
-class NoInverse(WorkbenchError):
-    """The requested homotopy inverse does not exist."""
 
 
 # ---------------------------------------------------------------------------
@@ -196,241 +182,21 @@ def contract_complex(cx: Complex) -> Optional[Homotopy]:
 
 
 # ---------------------------------------------------------------------------
-# K-purity certificates
-
-
-@dataclass(frozen=True)
-class KPurityCertificate:
-    """Verdict on hom-vanishing against pure acyclic complexes.
-
-    The bounded routes are proofs read off from the terms; Refuted
-    carries an explicit counterexample pair; ProbeConsistent records
-    only that `trials` sampled pure acyclic complexes found nothing,
-    which is weaker than a proof and is labeled accordingly.
-    """
-
-    subject: Complex
-    side: str
-    route: str
-    evidence: tuple
-    trials: int = 0
-    refutation: Optional[tuple] = None
-
-    def is_certified(self) -> bool:
-        return self.route in (BY_BOUNDED_INJECTIVE, BY_BOUNDED_PROJECTIVE)
-
-
-def _term_pure_injective(mod: FpModule) -> bool:
-    if mod.ring.modulus is not None:
-        return True
-    return mod.is_torsion()
-
-
-def _sample_pure_acyclic(rng: random.Random, ring) -> Complex:
-    from purcat.randgen import random_pure_acyclic
-
-    return random_pure_acyclic(rng, ring, lo=-1, hi=1, max_gens=2)
-
-
-def _nonzero_class_map(hk: KHomGroup) -> Optional[ChainMap]:
-    dec = hk.module.decomposition()
-    for idx, factor in enumerate(dec.factors):
-        if factor != 1:
-            diag = IntMatrix.column_vector(
-                [1 if r == idx else 0 for r in range(hk.module.generators)]
-            )
-            col = hk.module.ring.reduce_matrix(dec.from_diag @ diag)
-            return hk.to_chain_map(col)
-    return None
-
-
-def certify_k_pure_injective(subject: Complex, trials: int = 0,
-                             seed: int = 0) -> KPurityCertificate:
-    """Certify hom-vanishing from pure acyclic complexes into subject.
-
-    Bounded complexes whose every term is pure injective get the proof
-    route.  Otherwise `trials` sampled pure acyclic complexes A are
-    checked for hom_k(A, subject) = 0; survival is only consistency.
-    """
-    flags = tuple(_term_pure_injective(m) for m in subject.modules)
-    if all(flags):
-        return KPurityCertificate(subject, "injective", BY_BOUNDED_INJECTIVE, flags)
-    rng = random.Random(seed)
-    for _ in range(max(trials, 1)):
-        probe = _sample_pure_acyclic(rng, subject.ring)
-        hk = hom_k(probe, subject)
-        if not hk.is_zero():
-            witness = _nonzero_class_map(hk)
-            return KPurityCertificate(
-                subject, "injective", REFUTED, flags,
-                trials=trials, refutation=(probe, witness),
-            )
-    return KPurityCertificate(subject, "injective", PROBE_CONSISTENT, flags, trials=trials)
-
-
-def certify_k_pure_projective(subject: Complex, trials: int = 0,
-                              seed: int = 0) -> KPurityCertificate:
-    """Certify hom-vanishing from subject into pure acyclic complexes.
-
-    Every finitely presented module in scope is pure projective, so any
-    finite-window complex earns the proof route; the sampling loop still
-    runs when trials are requested, as a cross-check.
-    """
-    flags = tuple(True for _ in subject.modules)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        probe = _sample_pure_acyclic(rng, subject.ring)
-        hk = hom_k(subject, probe)
-        if not hk.is_zero():
-            witness = _nonzero_class_map(hk)
-            return KPurityCertificate(
-                subject, "projective", REFUTED, flags,
-                trials=trials, refutation=(probe, witness),
-            )
-    return KPurityCertificate(subject, "projective", BY_BOUNDED_PROJECTIVE, flags,
-                              trials=trials)
-
-
-def validate_k_purity_certificate(cert: KPurityCertificate) -> bool:
-    """Re-check what a certificate claims from its own evidence."""
-    subject = cert.subject
-    if cert.route == BY_BOUNDED_INJECTIVE:
-        return all(cert.evidence) and all(
-            _term_pure_injective(m) for m in subject.modules
-        )
-    if cert.route == BY_BOUNDED_PROJECTIVE:
-        return cert.side == "projective"
-    if cert.route == REFUTED:
-        if cert.refutation is None:
-            return False
-        probe, witness = cert.refutation
-        if witness is None:
-            return False
-        if contract_complex(probe) is None:
-            return False
-        return witness.is_chain_map() and null_homotopy(witness) is None
-    return cert.route == PROBE_CONSISTENT
-
-
-# ---------------------------------------------------------------------------
-# homotopy left inverses and roofs
-
-
-@dataclass(frozen=True)
-class RightRoof:
-    """A span A -> C <- B whose wrong-way leg is a pure quasi-isomorphism.
-
-    qis_witness is a contracting homotopy of cone(right); validate()
-    re-checks it, so the purity claim never rests on trust.
-    """
-
-    left: ChainMap
-    right: ChainMap
-    qis_witness: Homotopy
-
-    def validate(self) -> bool:
-        if self.left.tgt != self.right.tgt:
-            return False
-        c = cone(self.right).complex
-        if self.qis_witness.src != c or self.qis_witness.tgt != c:
-            return False
-        return self.qis_witness.witnesses(identity_chain_map(c))
-
-
-def make_right_roof(left: ChainMap, right: ChainMap) -> RightRoof:
-    if left.tgt != right.tgt:
-        raise InputError("roof legs must share their target")
-    witness = contract_complex(cone(right).complex)
-    if witness is None:
-        raise InputError("roof leg is not a pure quasi-isomorphism")
-    return RightRoof(left, right, witness)
-
-
-def homotopy_left_inverse(u: ChainMap, cert: KPurityCertificate,
-                          check: bool = True):
-    """(v, h) with v a chain map and v . u - id = d h + h d exactly.
-
-    cert must concern u.src on the injective side.  One joint linear
-    system finds v together with its homotopy witness.
-    """
-    if cert.subject != u.src or cert.side != "injective":
-        raise InputError("certificate does not cover the source of u")
-    if cert.route == REFUTED:
-        raise NoInverse("source is refuted K-pure injective")
-    if check:
-        from purcat.purity import is_pure_qis
-
-        verdict = is_pure_qis(u)
-        if not verdict.is_pure():
-            raise InputError("u is not a pure quasi-isomorphism")
-    b, c = u.src, u.tgt
-    lo = min(b.lo, c.lo)
-    hi = max(b.hi, c.hi)
-    solver = MapSolver(b.ring)
-    for i in range(lo, hi + 2):
-        solver.add_map_unknown(("v", i), c.module(i), b.module(i))
-        solver.add_map_unknown(("h", i), b.module(i), b.module(i - 1))
-    for i in range(lo, hi + 1):
-        bi = b.module(i)
-        solver.add_equation(
-            [
-                (IntMatrix.identity(bi.generators), ("v", i), u.component(i).matrix),
-                (b.differential(i - 1).matrix.scale(-1), ("h", i),
-                 IntMatrix.identity(bi.generators)),
-                (IntMatrix.identity(bi.generators).scale(-1), ("h", i + 1),
-                 b.differential(i).matrix),
-            ],
-            identity_map(bi),
-        )
-        solver.add_equation(
-            [
-                (IntMatrix.identity(b.module(i + 1).generators), ("v", i + 1),
-                 c.differential(i).matrix),
-                (b.differential(i).matrix.scale(-1), ("v", i),
-                 IntMatrix.identity(c.module(i).generators)),
-            ],
-            zero_map(c.module(i), b.module(i + 1)),
-        )
-    sol = solver.solve()
-    if sol is None:
-        raise NoInverse("no homotopy left inverse exists")
-    v = ChainMap(c, b, lo, tuple(sol[("v", i)] for i in range(lo, hi + 1)))
-    h = Homotopy(b, b, lo, tuple(sol[("h", i)] for i in range(lo, hi + 2)))
-    return v, h
-
-
-def normalize_roof(roof: RightRoof, cert: KPurityCertificate,
-                   check: bool = True) -> ChainMap:
-    """Turn a roof (f, u) into the direct chain map v . f with v u ~ id."""
-    if check and not roof.validate():
-        raise InputError("roof witness does not validate")
-    v, _ = homotopy_left_inverse(roof.right, cert, check=False)
-    return v @ roof.left
-
-
-# ---------------------------------------------------------------------------
 # derived hom via resolution replacement
 
 
-def hom_dpur(a: Complex, b: Complex, depth: Optional[int] = None,
-             seed: Optional[int] = None) -> KHomGroup:
+def hom_dpur(a: Complex, b: Complex, depth: Optional[int] = None) -> KHomGroup:
     """Hom in the pure derived category: hom_k against a resolution.
 
     The target is replaced by a certified pure injective resolution.  With
-    no depth given and every term of b pure injective (read off the terms,
-    nothing sampled), b stands as its own resolution; otherwise resolve
+    no depth given and every term of b pure injective (resolutions.termwise_ok,
+    read off the terms), b stands as its own resolution; otherwise resolve
     builds one, through the depth-gated tower when a depth is given, and
     a b out of scope raises UnsupportedRing there before any hom is
-    computed.  An optional seed pads the chosen resolution with an extra
-    contractible summand, which must not change the answer up to
-    isomorphism.
+    computed.
     """
-    from purcat.resolutions import identity_resolution, pad_resolution, resolve
+    from purcat.resolutions import INJECTIVE, resolve, termwise_ok
 
-    if depth is None and all(_term_pure_injective(t) for t in b.modules):
-        cert = identity_resolution(b, "injective")
-    else:
-        cert = resolve(b, "injective", depth=depth)
-    if seed is not None:
-        cert = pad_resolution(cert, seed)
-    return hom_k(a, cert.target)
+    if depth is None and all(termwise_ok(INJECTIVE, b)):
+        return hom_k(a, b)
+    return hom_k(a, resolve(b, INJECTIVE, depth=depth).target)

@@ -398,8 +398,10 @@ def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
     the homotopy category against the injective side, curry, and return
     to the derived side against the projective side.  depth constrains
     only the resolutions of the three arguments themselves; inner
-    rebuilds pick their own depth.  A c out of scope for pure injective
-    resolutions is rejected before a and b are resolved.
+    rebuilds pick their own depth.  c is resolved once: with a depth the
+    end-to-end group is taken against that resolution, as hom_dpur would
+    compute it.  A c out of scope for pure injective resolutions is
+    rejected before a and b are resolved.
     """
     _require_injective_scope(c)
     pa = resolve(a, PROJECTIVE, depth=depth)
@@ -409,7 +411,7 @@ def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
     value = hom_complex(pb.target, ic.target).complex
     ab = tensor_complex(a, b).complex
 
-    ends = hom_dpur(ab, c, depth=depth)
+    ends = hom_dpur(ab, c) if depth is None else hom_k(ab, ic.target)
     replaced = hom_dpur(q, ic.target)
     homotopy_side = hom_k(q, ic.target)
     witness = adjunction_iso(pa.target, pb.target, ic.target)

@@ -1,16 +1,28 @@
-"""Homotopy category layer: hom_k, solvers, certificates, roofs."""
+"""Homotopy category layer: hom_k, solvers, and hom_dpur.
+
+The middle section checks the scope rule resolutions.termwise_ok on its
+mathematics: complexes it passes kill maps from pure acyclic complexes
+up to homotopy (and admit homotopy left inverses of pure
+quasi-isomorphisms out of them), and every complex kills maps into pure
+acyclic ones.
+"""
 
 import random
 
 import pytest
 
-from purcat.exact_linalg import IntMatrix, InputError, ZZ, Zmod
+from purcat.exact_linalg import IntMatrix, WorkbenchError, ZZ, Zmod
 from purcat.fpmod import (
+    MapSolver,
     cyclic_module,
     free_module,
+    identity_map,
     is_isomorphic,
+    zero_map,
 )
 from purcat.complexes import (
+    ChainMap,
+    Homotopy,
     cone,
     direct_sum_complexes,
     hom_complex,
@@ -22,20 +34,12 @@ from purcat.complexes import (
     zero_complex,
 )
 from purcat.homotopy import (
-    BY_BOUNDED_INJECTIVE,
-    BY_BOUNDED_PROJECTIVE,
-    PROBE_CONSISTENT,
-    certify_k_pure_injective,
-    certify_k_pure_projective,
     contract_complex,
     hom_dpur,
     hom_k,
-    homotopy_left_inverse,
-    make_right_roof,
-    normalize_roof,
     null_homotopy,
-    validate_k_purity_certificate,
 )
+from purcat.purity import is_pure_qis
 from purcat.randgen import (
     null_homotopic_chain_map,
     random_chain_map,
@@ -43,6 +47,16 @@ from purcat.randgen import (
     random_contractible,
     random_pure_acyclic,
     random_pure_qis,
+)
+from purcat.resolutions import (
+    INJECTIVE,
+    PROJECTIVE,
+    UnsupportedRing,
+    identity_resolution,
+    pad_resolution,
+    resolve,
+    termwise_ok,
+    validate_certificate,
 )
 from helpers import mat
 
@@ -172,49 +186,44 @@ def test_contract_complex_on_generated_contractibles():
 
 
 # ---------------------------------------------------------------------------
-# certificates
+# the termwise scope rule
 
 
 def test_certify_injective_z2_over_z():
     cx = module_complex(cyclic_module(ZZ, 2), 0)
-    cert = certify_k_pure_injective(cx)
-    assert cert.route == BY_BOUNDED_INJECTIVE
-    assert validate_k_purity_certificate(cert)
+    assert termwise_ok(INJECTIVE, cx) == (True,)
+    assert validate_certificate(identity_resolution(cx, INJECTIVE))
 
 
 def test_certify_injective_any_zmod():
     rng = random.Random(31)
     cx = random_complex(rng, Zmod(12), -2, 4)
-    cert = certify_k_pure_injective(cx)
-    assert cert.route == BY_BOUNDED_INJECTIVE
-    assert all(cert.evidence)
-    assert validate_k_purity_certificate(cert)
+    assert all(termwise_ok(INJECTIVE, cx))
+    assert validate_certificate(identity_resolution(cx, INJECTIVE))
 
 
-def test_certify_injective_free_z_is_probe_consistent():
+def test_free_z_term_is_not_pure_injective():
     cx = module_complex(free_module(ZZ, 1), 0)
-    cert = certify_k_pure_injective(cx, trials=5)
-    assert cert.route == PROBE_CONSISTENT
-    assert not cert.is_certified()
-    assert validate_k_purity_certificate(cert)
+    assert termwise_ok(INJECTIVE, cx) == (False,)
+    with pytest.raises(WorkbenchError):
+        identity_resolution(cx, INJECTIVE)
+    with pytest.raises(UnsupportedRing):
+        resolve(cx, INJECTIVE)
 
 
 def test_certify_projective_any_window():
     rng = random.Random(37)
     for ring in (ZZ, Zmod(8)):
         cx = random_complex(rng, ring, -1, 3)
-        cert = certify_k_pure_projective(cx, trials=3)
-        assert cert.route == BY_BOUNDED_PROJECTIVE
-        assert validate_k_purity_certificate(cert)
-    cert = certify_k_pure_projective(zero_complex(ZZ))
-    assert cert.route == BY_BOUNDED_PROJECTIVE
+        assert all(termwise_ok(PROJECTIVE, cx))
+        assert validate_certificate(identity_resolution(cx, PROJECTIVE))
+    assert termwise_ok(PROJECTIVE, zero_complex(ZZ)) == ()
 
 
 def test_certified_injective_kills_pure_acyclic_maps():
     rng = random.Random(41)
     cx = random_complex(rng, Zmod(8), 0, 3)
-    cert = certify_k_pure_injective(cx)
-    assert cert.route == BY_BOUNDED_INJECTIVE
+    assert all(termwise_ok(INJECTIVE, cx))
     for _ in range(10):
         probe = random_pure_acyclic(rng, Zmod(8))
         f = random_chain_map(rng, probe, cx)
@@ -226,23 +235,58 @@ def test_certified_injective_kills_pure_acyclic_maps():
 def test_certified_projective_kills_maps_to_pure_acyclic():
     rng = random.Random(43)
     cx = random_complex(rng, ZZ, 0, 2, max_gens=1)
-    cert = certify_k_pure_projective(cx)
-    assert cert.route == BY_BOUNDED_PROJECTIVE
+    assert all(termwise_ok(PROJECTIVE, cx))
     for _ in range(10):
         probe = random_pure_acyclic(rng, ZZ, max_gens=1)
         f = random_chain_map(rng, cx, probe)
         assert null_homotopy(f) is not None
 
 
-# ---------------------------------------------------------------------------
-# homotopy left inverses and roofs
+def left_inverse(u):
+    """(v, h) with v a chain map and v . u - id = d h + h d, or None.
+
+    One joint linear system in v and h; it has a solution whenever u is a
+    pure quasi-isomorphism out of a K-pure injective complex.
+    """
+    b, c = u.src, u.tgt
+    lo = min(b.lo, c.lo)
+    hi = max(b.hi, c.hi)
+    solver = MapSolver(b.ring)
+    for i in range(lo, hi + 2):
+        solver.add_map_unknown(("v", i), c.module(i), b.module(i))
+        solver.add_map_unknown(("h", i), b.module(i), b.module(i - 1))
+    for i in range(lo, hi + 1):
+        one = IntMatrix.identity(b.module(i).generators)
+        solver.add_equation(
+            [
+                (one, ("v", i), u.component(i).matrix),
+                (b.differential(i - 1).matrix.scale(-1), ("h", i), one),
+                (one.scale(-1), ("h", i + 1), b.differential(i).matrix),
+            ],
+            identity_map(b.module(i)),
+        )
+        solver.add_equation(
+            [
+                (IntMatrix.identity(b.module(i + 1).generators), ("v", i + 1),
+                 c.differential(i).matrix),
+                (b.differential(i).matrix.scale(-1), ("v", i),
+                 IntMatrix.identity(c.module(i).generators)),
+            ],
+            zero_map(c.module(i), b.module(i + 1)),
+        )
+    sol = solver.solve()
+    if sol is None:
+        return None
+    v = ChainMap(c, b, lo, tuple(sol[("v", i)] for i in range(lo, hi + 1)))
+    h = Homotopy(b, b, lo, tuple(sol[("h", i)] for i in range(lo, hi + 2)))
+    return v, h
 
 
 def test_left_inverse_of_identity():
     rng = random.Random(47)
     cx = random_complex(rng, Zmod(4), 0, 3)
-    cert = certify_k_pure_injective(cx)
-    v, h = homotopy_left_inverse(identity_chain_map(cx), cert)
+    assert all(termwise_ok(INJECTIVE, cx))
+    v, h = left_inverse(identity_chain_map(cx))
     assert h.witnesses(v - identity_chain_map(cx))
 
 
@@ -251,8 +295,8 @@ def test_left_inverse_of_summand_inclusion():
     pad = cone(identity_chain_map(module_complex(cyclic_module(Zmod(4), 2), 0))).complex
     total, injs, _ = direct_sum_complexes([m, pad])
     u = injs[0]
-    cert = certify_k_pure_injective(m)
-    v, h = homotopy_left_inverse(u, cert)
+    assert all(termwise_ok(INJECTIVE, m))
+    v, h = left_inverse(u)
     assert (v @ u).is_chain_map()
     assert h.witnesses(v @ u, identity_chain_map(m))
 
@@ -262,8 +306,8 @@ def test_left_inverse_on_random_pure_qis():
     for _ in range(6):
         m = random_complex(rng, Zmod(8), 0, 3)
         u = random_pure_qis(rng, m)
-        cert = certify_k_pure_injective(m)
-        v, h = homotopy_left_inverse(u, cert, check=False)
+        assert all(termwise_ok(INJECTIVE, m))
+        v, h = left_inverse(u)
         assert v.is_chain_map()
         assert h.witnesses(v @ u, identity_chain_map(m))
 
@@ -274,40 +318,8 @@ def test_left_inverse_rejects_non_pure_qis():
     m = module_complex(cyclic_module(Zmod(4), 4), 0)
     n = module_complex(cyclic_module(Zmod(4), 2), 0)
     f = make_chain_map(m, n, 0, [mat([[1]])])
-    cert = certify_k_pure_injective(m)
-    with pytest.raises(InputError):
-        homotopy_left_inverse(f, cert)
-
-
-def test_left_inverse_requires_matching_certificate():
-    cx = module_complex(cyclic_module(Zmod(4), 2), 0)
-    other = module_complex(cyclic_module(Zmod(4), 4), 0)
-    cert = certify_k_pure_injective(other)
-    with pytest.raises(InputError):
-        homotopy_left_inverse(identity_chain_map(cx), cert)
-
-
-def test_normalize_roof_with_identity_leg():
-    rng = random.Random(59)
-    a = random_complex(rng, Zmod(8), 0, 2)
-    c = random_complex(rng, Zmod(8), 0, 2)
-    f = random_chain_map(rng, a, c)
-    roof = make_right_roof(f, identity_chain_map(c))
-    assert roof.validate()
-    cert = certify_k_pure_injective(c)
-    g = normalize_roof(roof, cert)
-    h = null_homotopy(g - f)
-    assert h is not None
-
-
-def test_make_right_roof_rejects_bad_leg():
-    m = module_complex(cyclic_module(Zmod(4), 4), 0)
-    n = module_complex(cyclic_module(Zmod(4), 2), 0)
-    from purcat.complexes import make_chain_map
-
-    u = make_chain_map(m, n, 0, [mat([[1]])])
-    with pytest.raises(InputError):
-        make_right_roof(identity_chain_map(n), u)
+    assert not is_pure_qis(f).is_pure()
+    assert left_inverse(f) is None
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +339,7 @@ def test_hom_dpur_agrees_with_hom_k_on_certified_targets():
     for _ in range(3):
         a = random_complex(rng, Zmod(12), 0, 2)
         b = random_complex(rng, Zmod(12), 0, 2)
-        assert certify_k_pure_injective(b).route == BY_BOUNDED_INJECTIVE
+        assert all(termwise_ok(INJECTIVE, b))
         derived = hom_dpur(a, b)
         plain = hom_k(a, b)
         assert is_isomorphic(derived.module, plain.module)
@@ -346,8 +358,9 @@ def test_hom_dpur_ignores_resolution_choice():
     rng = random.Random(73)
     a = random_complex(rng, Zmod(12), 0, 2)
     b = random_complex(rng, Zmod(12), -1, 3)
-    one = hom_dpur(a, b, seed=5)
-    two = hom_dpur(a, b, seed=8)
+    base = identity_resolution(b, INJECTIVE)
+    one = hom_k(a, pad_resolution(base, 5).target)
+    two = hom_k(a, pad_resolution(base, 8).target)
     bare = hom_dpur(a, b)
     assert one.invariant_factors == two.invariant_factors
     assert one.invariant_factors == bare.invariant_factors

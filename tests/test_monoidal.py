@@ -356,3 +356,24 @@ def test_dpur_adjunction_rejects_free_c_before_resolving(monkeypatch):
                        match="pure injective resolutions over the integers need torsion terms"):
         check_dpur_adjunction(a, b, c)
     assert calls == []
+
+
+@pytest.mark.parametrize("depth", [None, 1])
+def test_dpur_adjunction_resolves_each_argument_once(monkeypatch, depth):
+    import purcat.resolutions as resolutions
+
+    calls = []
+
+    def counted(m, side, depth=None):
+        calls.append(side)
+        return resolve(m, side, depth=depth)
+
+    # hom_dpur looks resolve up in purcat.resolutions at call time
+    monkeypatch.setattr(monoidal, "resolve", counted)
+    monkeypatch.setattr(resolutions, "resolve", counted)
+    rng = random.Random(5)
+    ring = Zmod(12)
+    a, b, c = (random_complex(rng, ring, 0, 2) for _ in range(3))
+    report = check_dpur_adjunction(a, b, c, depth=depth)
+    assert report.ok
+    assert sorted(calls) == [INJECTIVE, PROJECTIVE, PROJECTIVE]

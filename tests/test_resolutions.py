@@ -1,6 +1,7 @@
 """Resolution builders, towers, limits, lifts, and their certificates."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,6 @@ from purcat.complexes import (
     trim,
     zero_complex,
 )
-from purcat.homotopy import BY_BOUNDED_INJECTIVE, BY_BOUNDED_PROJECTIVE
 from purcat.purity import default_battery, is_pure_qis
 from purcat.randgen import random_chain_map, random_complex
 from purcat.resolutions import (
@@ -40,6 +40,7 @@ from purcat.resolutions import (
     resolve,
     resolve_injective_bounded_below,
     resolve_projective_bounded_above,
+    termwise_ok,
     validate_certificate,
     validate_direct_tower,
     validate_inverse_tower,
@@ -153,8 +154,8 @@ def test_injective_tower_z8_window_crossing_zero():
         assert check_inverse_level_cone_identity(tower, fs, n)
     assert check_limit_product_formula(tower)
     assert validate_inverse_tower(tower, fs)
-    for cert in tower.kernel_certificates:
-        assert cert.route == BY_BOUNDED_INJECTIVE
+    for kern in tower.kernels:
+        assert all(termwise_ok("injective", kern))
     cert = limit_tower(tower, fs)
     assert validate_certificate(cert)
 
@@ -168,10 +169,22 @@ def test_projective_tower_over_z():
         assert check_direct_level_cone_identity(tower, fs, n)
     assert check_colimit_sum_formula(tower)
     assert validate_direct_tower(tower, fs)
-    for cert in tower.cokernel_certificates:
-        assert cert.route == BY_BOUNDED_PROJECTIVE
+    for coker in tower.cokernels:
+        assert all(termwise_ok("projective", coker))
     cert = colimit_tower(tower, fs)
     assert validate_certificate(cert)
+
+
+def test_inverse_tower_rereads_kernel_terms():
+    rng = random.Random(7)
+    m = random_complex(rng, Zmod(8), -2, 3)
+    tower, fs = injective_tower(m, 2)
+    assert validate_inverse_tower(tower, fs)
+    # same windows, but a free term over Z is not pure injective
+    bad = tuple(module_complex(free_module(ZZ, 1), k.lo) if k.modules else k
+                for k in tower.kernels)
+    assert bad != tower.kernels
+    assert not validate_inverse_tower(replace(tower, kernels=bad), fs)
 
 
 def test_tower_depth_gate_reports_requirement():
