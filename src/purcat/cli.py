@@ -45,6 +45,7 @@ from purcat.serialize import (
     decode_certificate,
     encode_certificate,
     encode_complex,
+    load_json,
     parse_input,
 )
 
@@ -299,10 +300,7 @@ def cmd_adjunction(wi, args):
 
 def cmd_validate_cert(text, args):
     """Validate certificates from a bare object, a wrapper, or a report."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"input is not valid JSON: {exc}")
+    data = load_json(text)
     found = []
     if isinstance(data, dict):
         if "side" in data and "map" in data:
@@ -424,7 +422,7 @@ def main(argv=None) -> int:
         status, results = "error", {"error": str(exc), "required_depth": exc.required}
     except WorkbenchError as exc:
         status, results = "error", {"error": str(exc)}
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         status, results = "error", {"error": f"cannot read input: {exc}"}
 
     report = {

@@ -698,38 +698,6 @@ def _window(a: Complex, b: Complex) -> range:
     return range(min(a.lo, b.lo), max(a.hi, b.hi) + 1)
 
 
-def hom_post_chain_map(src_hc: HomComplex, tgt_hc: HomComplex, u: ChainMap) -> ChainMap:
-    """Post-composition Hom(A, M) -> Hom(A, N) along u: M -> N."""
-    if src_hc.source != tgt_hc.source:
-        raise InputError("post-composition needs a common hom source")
-    if u.src != src_hc.target or u.tgt != tgt_hc.target:
-        raise InputError("map endpoints do not match the hom complexes")
-    return _hom_induced(src_hc, tgt_hc,
-                        lambda i, j, hm, hm2: hom_post(hm, hm2, u.component(i + j)))
-
-
-def hom_pre_chain_map(src_hc: HomComplex, tgt_hc: HomComplex, u: ChainMap) -> ChainMap:
-    """Pre-composition Hom(M, C) -> Hom(N, C) along u: N -> M."""
-    if src_hc.target != tgt_hc.target:
-        raise InputError("pre-composition needs a common hom target")
-    if u.tgt != src_hc.source or u.src != tgt_hc.source:
-        raise InputError("map endpoints do not match the hom complexes")
-    return _hom_induced(src_hc, tgt_hc,
-                        lambda i, j, hm, hm2: hom_pre(hm, hm2, u.component(j)))
-
-
-def _hom_induced(src_hc: HomComplex, tgt_hc: HomComplex, step) -> ChainMap:
-    """The chain map placing step(i, j, hm, hm2) from slot j into slot j."""
-    a, b = src_hc.complex, tgt_hc.complex
-    comps = []
-    for i in _window(a, b):
-        tgt_slots = {j: (hm, start) for j, hm, start, _ in tgt_hc.slots(i)}
-        blocks = [(tgt_slots[j][1], start, 1, step(i, j, hm, tgt_slots[j][0]).matrix)
-                  for j, hm, start, _ in src_hc.slots(i) if j in tgt_slots]
-        comps.append(block_map(a.module(i), b.module(i), blocks))
-    return ChainMap(a, b, _window(a, b).start, tuple(comps))
-
-
 def tensor_fixed_left_map(src_tc: TensorComplex, tgt_tc: TensorComplex, u: ChainMap) -> ChainMap:
     """The map A (x) M -> A (x) N induced by u: M -> N."""
     if src_tc.left != tgt_tc.left:

@@ -6,6 +6,14 @@ normal form with recorded change of basis, exact linear solving, and
 kernel computation.  Entries are plain Python ints, so intermediate
 values never overflow.  Over Z/m all arithmetic is carried out on
 canonical residues 0..m-1; elimination never leaves that range.
+
+One elimination routine serves both the Smith form and the solver.  Its
+row operations act on whatever rows the caller carries along: the
+identity, which turns into U, or a right-hand side B, which turns into
+U B.  Its column operations come back as a log, which the Smith form
+replays on the identity to get V and the solver replays in reverse on
+the diagonal solution Y to get V Y.  The solver thus never forms U or V,
+yet its pivots, and so its answer, are exactly those of the Smith form.
 """
 
 from __future__ import annotations
@@ -266,13 +274,29 @@ def _unit_scaling_mod(x: int, m: int) -> tuple:
     raise AssertionError("no unit multiplier found")  # unreachable
 
 
-@lru_cache(maxsize=8192)
-def smith_normal_form(a_mat: IntMatrix, ring: Ring,
-                      inverse: bool = False) -> SmithDecomposition:
-    """Smith normal form with change of basis over Z or Z/m.
+def _identity_rows(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    U, D and V are always returned; U^-1 is tracked only when inverse is
-    true (FpModule.decomposition needs it), and V^-1 never.
+
+def _reduced_rows(mat: IntMatrix, m: Optional[int]) -> list:
+    """The rows of mat as lists, reduced mod m over Z/m."""
+    if m is None:
+        return [list(row) for row in mat.data]
+    return [[x % m for x in row] for row in mat.data]
+
+
+def _eliminate(a: list, c: int, m: Optional[int], carry: list, ui: list) -> list:
+    """Bring the rows a of an r x c matrix, reduced over the ring, to
+    Smith form in place; the one elimination behind smith_normal_form
+    and solve_linear.
+
+    Every row operation is applied to a and to the rows of carry, and in
+    inverse to the columns of ui (the rows of U^-1, or no rows when
+    nobody asked for it).  Started from the identity, carry ends as U;
+    started from B, it ends as U @ B.  Column operations touch a alone
+    and are returned in the order performed: (dst, src, q) for
+    col_dst -= q * col_src and (i, j, None) for a swap of columns i and
+    j.  V is the product of these elementary matrices in that order.
 
     Pivot selection is the smallest nonzero entry in ring size with
     first-occurrence tie-break (row-major scan), which makes the output
@@ -281,18 +305,10 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring,
     of m and the divisibility chain survives reduction.  The chain
     itself is enforced after diagonalization by 2x2 transforms on the
     diagonal, not by per-pivot sweeps of the remaining block.
-
-    Matrices and decompositions are immutable, so results are memoized;
-    solving and kernel extraction hit the same differentials over and
-    over and the cache turns those repeats into lookups.
     """
-    r, c = a_mat.rows, a_mat.cols
-    m = ring.modulus
-    a = [list(row) for row in (ring.reduce_matrix(a_mat)).data]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    # rows of U^-1; with no inverse asked for there are none to update
-    ui = [[1 if i == j else 0 for j in range(r)] for i in range(r)] if inverse else []
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    r = len(a)
+    w = len(carry[0]) if r else 0
+    log = []
 
     def red(x: int) -> int:
         return x if m is None else x % m
@@ -302,15 +318,15 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring,
     # vectorized map equations are sparse enough that this matters.
 
     def row_add(dst: int, src: int, q: int) -> None:
-        # row_dst -= q * row_src, tracked in u and ui
+        # row_dst -= q * row_src, in a and carry, tracked in ui
         ar, asrc = a[dst], a[src]
-        ur, usrc = u[dst], u[src]
+        ur, usrc = carry[dst], carry[src]
         if m is None:
             for j in range(c):
                 x = asrc[j]
                 if x:
                     ar[j] -= q * x
-            for j in range(r):
+            for j in range(w):
                 x = usrc[j]
                 if x:
                     ur[j] -= q * x
@@ -323,7 +339,7 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring,
                 x = asrc[j]
                 if x:
                     ar[j] = (ar[j] - q * x) % m
-            for j in range(r):
+            for j in range(w):
                 x = usrc[j]
                 if x:
                     ur[j] = (ur[j] - q * x) % m
@@ -333,41 +349,33 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring,
                     row[src] = (row[src] + q * x) % m
 
     def col_add(dst: int, src: int, q: int) -> None:
-        # col_dst -= q * col_src, tracked in v
+        # col_dst -= q * col_src, logged
         if m is None:
             for i in range(r):
                 x = a[i][src]
                 if x:
                     a[i][dst] -= q * x
-            for i in range(c):
-                x = v[i][src]
-                if x:
-                    v[i][dst] -= q * x
         else:
             for i in range(r):
                 x = a[i][src]
                 if x:
                     a[i][dst] = (a[i][dst] - q * x) % m
-            for i in range(c):
-                x = v[i][src]
-                if x:
-                    v[i][dst] = (v[i][dst] - q * x) % m
+        log.append((dst, src, q))
 
     def row_swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        carry[i], carry[j] = carry[j], carry[i]
         for row in ui:
             row[i], row[j] = row[j], row[i]
 
     def col_swap(i: int, j: int) -> None:
         for k in range(r):
             a[k][i], a[k][j] = a[k][j], a[k][i]
-        for k in range(c):
-            v[k][i], v[k][j] = v[k][j], v[k][i]
+        log.append((i, j, None))
 
     def row_scale(i: int, unit: int, unit_inv: int) -> None:
         a[i] = [red(unit * x) for x in a[i]]
-        u[i] = [red(unit * x) for x in u[i]]
+        carry[i] = [red(unit * x) for x in carry[i]]
         for row in ui:
             row[i] = red(row[i] * unit_inv)
 
@@ -481,6 +489,45 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring,
                 fix_pair(i, j)
                 di = a[i][i]
 
+    return log
+
+
+@lru_cache(maxsize=8192)
+def smith_normal_form(a_mat: IntMatrix, ring: Ring,
+                      inverse: bool = False) -> SmithDecomposition:
+    """Smith normal form with change of basis over Z or Z/m.
+
+    U, D and V are always returned; U^-1 is tracked only when inverse is
+    true (FpModule.decomposition needs it), and V^-1 never.  U is the
+    identity carried through the row operations of _eliminate, V the
+    identity put through its logged column operations in order.
+
+    Matrices and decompositions are immutable, so results are memoized;
+    kernel extraction and module decomposition hit the same
+    differentials over and over and the cache turns those repeats into
+    lookups.
+    """
+    r, c = a_mat.rows, a_mat.cols
+    m = ring.modulus
+    a = _reduced_rows(a_mat, m)
+    u = _identity_rows(r)
+    ui = _identity_rows(r) if inverse else []
+    v = _identity_rows(c)
+    for dst, src, q in _eliminate(a, c, m, u, ui):
+        if q is None:
+            for row in v:
+                row[dst], row[src] = row[src], row[dst]
+        elif m is None:
+            for row in v:
+                x = row[src]
+                if x:
+                    row[dst] -= q * x
+        else:
+            for row in v:
+                x = row[src]
+                if x:
+                    row[dst] = (row[dst] - q * x) % m
+
     def frozen(rows_: list, width: int) -> IntMatrix:
         return IntMatrix._trusted(len(rows_), width, tuple(tuple(row) for row in rows_))
 
@@ -497,9 +544,17 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring,
 def solve_linear(a: IntMatrix, b: IntMatrix, ring: Ring) -> Optional[IntMatrix]:
     """An exact solution X of A @ X = B over the ring, or None.
 
-    The decision goes through the Smith form: with U A V = D the system
-    becomes D Y = U B, which is solvable iff each diagonal congruence
-    d_i * y = (UB)_i is, and then X = V Y.
+    The decision goes through the Smith form U A V = D without forming
+    U or V.  B rides along with the row operations of the elimination,
+    so when A has become D the carried rows are U B, and D Y = U B is
+    solvable iff each diagonal congruence d_i * y = (UB)_i is.  V is the
+    product E_1 E_2 ... E_n of the logged column operations, so
+    V Y = E_1 (E_2 (... (E_n Y))): the log is replayed from its end,
+    with col_dst -= q * col_src acting on Y as y_src -= q * y_dst and a
+    column swap as a row swap.  The pivots are those of
+    smith_normal_form(a, ring), so X equals the product of its V with Y
+    entry for entry: over Z every step is exact, and over Z/m reducing
+    each step mod m commutes with the products.
     """
     if a.rows != b.rows:
         raise InputError("solve_linear: row mismatch")
@@ -508,31 +563,41 @@ def solve_linear(a: IntMatrix, b: IntMatrix, ring: Ring) -> Optional[IntMatrix]:
         return IntMatrix.zeros(0, b.cols) if ring.reduce_matrix(b).is_zero() else None
     if a.rows == 0:
         return IntMatrix.zeros(a.cols, b.cols)
-    snf = smith_normal_form(a, ring)
-    cmat = ring.reduce_matrix(snf.u @ b)
+    d = _reduced_rows(a, m)
+    ub = _reduced_rows(b, m)
+    log = _eliminate(d, a.cols, m, ub, [])
     k = min(a.rows, a.cols)
     y = [[0] * b.cols for _ in range(a.cols)]
     for i in range(a.rows):
-        d = snf.d.at(i, i) if i < k else 0
+        di = d[i][i] if i < k else 0
+        row = ub[i]
         if m is None:
-            if d == 0:
-                if any(cmat.at(i, j) for j in range(b.cols)):
+            if di == 0:
+                if any(row):
                     return None
             else:
                 for j in range(b.cols):
-                    q, rem = divmod(cmat.at(i, j), d)
+                    q, rem = divmod(row[j], di)
                     if rem:
                         return None
                     y[i][j] = q
         else:
-            dd = d if d else m
+            dd = di if di else m
             for j in range(b.cols):
-                q, rem = divmod(cmat.at(i, j), dd)
+                q, rem = divmod(row[j], dd)
                 if rem:
                     return None
-                if d:
+                if di:
                     y[i][j] = q
-    return ring.reduce_matrix(snf.v @ IntMatrix.from_rows(y))
+    for dst, src, q in reversed(log):
+        if q is None:
+            y[dst], y[src] = y[src], y[dst]
+        elif any(y[dst]):
+            if m is None:
+                y[src] = [s - q * t for s, t in zip(y[src], y[dst])]
+            else:
+                y[src] = [(s - q * t) % m for s, t in zip(y[src], y[dst])]
+    return IntMatrix._trusted(a.cols, b.cols, tuple(tuple(row) for row in y))
 
 
 def kernel_basis(a: IntMatrix, ring: Ring) -> IntMatrix:
@@ -566,16 +631,6 @@ def kernel_basis(a: IntMatrix, ring: Ring) -> IntMatrix:
     return from_columns(cols, a.cols)
 
 
-def invert_unimodular(a: IntMatrix, ring: Ring) -> IntMatrix:
-    """Inverse of a matrix invertible over the ring; raises if singular."""
-    if a.rows != a.cols:
-        raise InputError("only square matrices can be inverted")
-    inv = solve_linear(a, IntMatrix.identity(a.rows), ring)
-    if inv is None:
-        raise InputError("matrix is not invertible over the ring")
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # simultaneous linear systems in matrix unknowns
 
@@ -586,7 +641,10 @@ class LinearSystem:
     Unknowns are matrices; each equation is a list of terms
     (L, key, R) plus a right-hand side.  Everything is vectorized
     column-major (vec(L X R) = (R^T kron L) vec X) into one call of
-    solve_linear, so solvability is decided exactly over the ring.
+    solve_linear, so solvability is decided exactly over the ring.  The
+    Kronecker blocks are never formed: each term places only its nonzero
+    products R[q][j] * L[i][p], which is all the coefficient matrix of a
+    sparse map equation holds.
     """
 
     def __init__(self, ring: Ring):
@@ -628,9 +686,11 @@ class LinearSystem:
             for i in range(rows):
                 data[i][j] = entries[idx]
                 idx += 1
-        return IntMatrix.from_rows(data) if rows else IntMatrix(0, cols, ())
+        return IntMatrix._trusted(rows, cols, tuple(map(tuple, data)))
 
-    def solve(self) -> Optional[dict]:
+    def _assemble(self) -> tuple:
+        """The first vec position of each unknown, the stacked coefficient
+        matrix and the right-hand side column."""
         offsets = {}
         total = 0
         for key in self._order:
@@ -640,27 +700,36 @@ class LinearSystem:
         big_rows = []
         rhs_entries = []
         for terms, rhs in self._equations:
-            height = rhs.rows * rhs.cols
-            block = [[0] * total for _ in range(height)]
+            block = [[0] * total for _ in range(rhs.rows * rhs.cols)]
             for left, key, right in terms:
-                coeff = right.transpose().kron(left)
-                off = offsets[key]
-                for i in range(height):
-                    row = block[i]
-                    crow = coeff.data[i]
-                    for j in range(coeff.cols):
-                        row[off + j] += crow[j]
+                # entry (j * L.rows + i, off + q * L.cols + p) of R^T kron L
+                # is R[q][j] * L[i][p]; only nonzero products are placed
+                height, width = left.rows, left.cols
+                nonzero = [[(p, x) for p, x in enumerate(row) if x] for row in left.data]
+                for q, rrow in enumerate(right.data):
+                    base = offsets[key] + q * width
+                    for j, rx in enumerate(rrow):
+                        if not rx:
+                            continue
+                        for i, entries in enumerate(nonzero):
+                            dst = block[j * height + i]
+                            for p, x in entries:
+                                dst[base + p] += rx * x
             big_rows.extend(block)
             rhs_entries.extend(self._vec(rhs))
-        if not big_rows:
-            sol_entries = [0] * total
+        return (offsets,
+                IntMatrix._trusted(len(big_rows), total, tuple(map(tuple, big_rows))),
+                IntMatrix._trusted(len(rhs_entries), 1, tuple((x,) for x in rhs_entries)))
+
+    def solve(self) -> Optional[dict]:
+        offsets, big, rhs = self._assemble()
+        if not big.rows:
+            sol_entries = [0] * big.cols
         else:
-            big = IntMatrix.from_rows(big_rows) if big_rows else IntMatrix(0, total, ())
-            rhs_mat = IntMatrix.column_vector(rhs_entries)
-            sol = solve_linear(big, rhs_mat, self.ring)
+            sol = solve_linear(big, rhs, self.ring)
             if sol is None:
                 return None
-            sol_entries = [sol.at(i, 0) for i in range(total)]
+            sol_entries = [row[0] for row in sol.data]
         out = {}
         for key in self._order:
             rows, cols = self._shapes[key]

@@ -198,6 +198,16 @@ def _decode_map_between(src: Complex, tgt: Complex, data, where: str,
         except WorkbenchError as exc:
             raise InputError(f"{cwhere}: {exc}")
     f = ChainMap(src, tgt, lo, tuple(comps))
+    # every map operation walks f.degrees(); windows far apart would make
+    # that walk unbounded in the size of the input
+    listed = len(src.modules) + len(tgt.modules) + len(comps)
+    degrees = f.degrees()
+    span = degrees.stop - degrees.start  # len() overflows past sys.maxsize
+    if span > listed + 2:
+        raise InputError(
+            f"{where}: source, target and components span {span} degrees "
+            f"but list only {listed}; their windows must overlap or nearly touch"
+        )
     if check_chain and not f.is_chain_map():
         raise InputError(f"{where}: components do not commute with the differentials")
     return f
@@ -360,12 +370,23 @@ def decode_input(data) -> WorkbenchInput:
     return WorkbenchInput(ring, modules, complexes, maps, sections["parameters"])
 
 
-def parse_input(text: str) -> WorkbenchInput:
+def load_json(text: str):
+    """The JSON value of text; text that does not parse is an InputError.
+
+    Besides malformed text that covers nesting too deep for the decoder
+    (a RecursionError) and integers past the interpreter's digit limit
+    (a ValueError).
+    """
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except RecursionError:
+        raise InputError("input is not valid JSON: nested too deeply")
+    except ValueError as exc:
         raise InputError(f"input is not valid JSON: {exc}")
-    return decode_input(data)
+
+
+def parse_input(text: str) -> WorkbenchInput:
+    return decode_input(load_json(text))
 
 
 def encode_input(wi: WorkbenchInput) -> dict:

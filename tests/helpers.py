@@ -1,6 +1,6 @@
 """Independent oracles used to cross-check the library.
 
-Nothing in here calls into the elimination code under test: Smith
+The first oracles call nothing of the elimination code under test: Smith
 diagonals are recomputed from gcds of minors, solvability is decided by
 exhaustive search over bounded boxes, and module arithmetic is checked
 against hand enumeration.  The probe oracles at the end walk every
@@ -10,24 +10,38 @@ assembly oracles after them build every induced map on Hom from full
 maps (to_map, compose, from_map), every map between direct sums as a sum
 of full-size inj . x . proj products, and the currying isomorphism by
 decoding and re-encoding whole hom complexes, where the library reads
-slots off one change-of-basis product and places blocks.  The last two
-oracles are the library's former paths, kept verbatim so the leaner ones
-can be compared with them output for output: the Smith elimination that
-tracked both inverses, and the tower path of resolve that certified the
-(co)limit before minimizing it and certifying again.  Keep it slow and
+slots off one change-of-basis product and places blocks.  The oracles
+near the end are the library's former paths, kept verbatim so the
+leaner ones can be compared with them output for output: the Smith
+elimination that tracked both inverses, exact solving through the full
+U and V of the Smith form, LinearSystem assembly through dense
+Kronecker products, and the tower path of resolve that certified the
+(co)limit before minimizing it and certifying again.  A few constructions
+that only tests use live here too: the chain maps induced on hom
+complexes and the inverse of a unimodular matrix.  Keep it slow and
 obvious.
 """
 
 from itertools import combinations, permutations, product
 from math import gcd
 
-from purcat.exact_linalg import IntMatrix, _unit_scaling_mod, from_columns
+from purcat.exact_linalg import (
+    IntMatrix,
+    InputError,
+    _unit_scaling_mod,
+    from_columns,
+    smith_normal_form,
+    solve_linear,
+)
 from purcat.fpmod import (
     ModuleMap,
+    block_map,
     cyclic_module,
     direct_sum,
     free_module,
     hom_modules,
+    hom_post,
+    hom_pre,
     identity_map,
     is_injective,
     tensor_map,
@@ -35,6 +49,8 @@ from purcat.fpmod import (
     zero_map,
 )
 from purcat.complexes import (
+    ChainMap,
+    _window,
     homology,
     minimize_complex,
     tensor_complex,
@@ -221,6 +237,42 @@ def slow_hom_pre(hm_src, hm_tgt, psi):
     cols = [hm_tgt.from_map(hm_src.to_map(_unit(s, n)) @ psi) for s in range(n)]
     mat = from_columns(cols, len(hm_tgt.slots))
     return ModuleMap(hm_src.module, hm_tgt.module, hm_src.module.ring.reduce_matrix(mat))
+
+
+# ---------------------------------------------------------------------------
+# chain maps induced on hom complexes, slot by slot
+
+
+def hom_post_chain_map(src_hc, tgt_hc, u):
+    """Post-composition Hom(A, M) -> Hom(A, N) along u: M -> N."""
+    if src_hc.source != tgt_hc.source:
+        raise InputError("post-composition needs a common hom source")
+    if u.src != src_hc.target or u.tgt != tgt_hc.target:
+        raise InputError("map endpoints do not match the hom complexes")
+    return _hom_induced(src_hc, tgt_hc,
+                        lambda i, j, hm, hm2: hom_post(hm, hm2, u.component(i + j)))
+
+
+def hom_pre_chain_map(src_hc, tgt_hc, u):
+    """Pre-composition Hom(M, C) -> Hom(N, C) along u: N -> M."""
+    if src_hc.target != tgt_hc.target:
+        raise InputError("pre-composition needs a common hom target")
+    if u.tgt != src_hc.source or u.src != tgt_hc.source:
+        raise InputError("map endpoints do not match the hom complexes")
+    return _hom_induced(src_hc, tgt_hc,
+                        lambda i, j, hm, hm2: hom_pre(hm, hm2, u.component(j)))
+
+
+def _hom_induced(src_hc, tgt_hc, step):
+    """The chain map placing step(i, j, hm, hm2) from slot j into slot j."""
+    a, b = src_hc.complex, tgt_hc.complex
+    comps = []
+    for i in _window(a, b):
+        tgt_slots = {j: (hm, start) for j, hm, start, _ in tgt_hc.slots(i)}
+        blocks = [(tgt_slots[j][1], start, 1, step(i, j, hm, tgt_slots[j][0]).matrix)
+                  for j, hm, start, _ in src_hc.slots(i) if j in tgt_slots]
+        comps.append(block_map(a.module(i), b.module(i), blocks))
+    return ChainMap(a, b, _window(a, b).start, tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +682,81 @@ def slow_smith_normal_form(a_mat, ring):
 
     return tuple(IntMatrix(len(x), w, tuple(tuple(row) for row in x))
                  for x, w in ((u, r), (a, c), (v, c), (ui, r), (vi, c)))
+
+
+# ---------------------------------------------------------------------------
+# exact solving as it was: U and V read off the Smith form, then U B and V Y
+
+
+def slow_solve_linear(a, b, ring):
+    """solve_linear as it was before it carried B through the elimination:
+    the full U and V of smith_normal_form, then the products U @ B and
+    V @ Y.  The library's answer must equal this entry for entry."""
+    if a.rows != b.rows:
+        raise InputError("solve_linear: row mismatch")
+    m = ring.modulus
+    if a.cols == 0:
+        return IntMatrix.zeros(0, b.cols) if ring.reduce_matrix(b).is_zero() else None
+    if a.rows == 0:
+        return IntMatrix.zeros(a.cols, b.cols)
+    snf = smith_normal_form(a, ring)
+    cmat = ring.reduce_matrix(snf.u @ b)
+    k = min(a.rows, a.cols)
+    y = [[0] * b.cols for _ in range(a.cols)]
+    for i in range(a.rows):
+        d = snf.d.at(i, i) if i < k else 0
+        if m is None:
+            if d == 0:
+                if any(cmat.at(i, j) for j in range(b.cols)):
+                    return None
+            else:
+                for j in range(b.cols):
+                    q, rem = divmod(cmat.at(i, j), d)
+                    if rem:
+                        return None
+                    y[i][j] = q
+        else:
+            dd = d if d else m
+            for j in range(b.cols):
+                q, rem = divmod(cmat.at(i, j), dd)
+                if rem:
+                    return None
+                if d:
+                    y[i][j] = q
+    return ring.reduce_matrix(snf.v @ IntMatrix(a.cols, b.cols, tuple(map(tuple, y))))
+
+
+def dense_linear_system(system):
+    """(coefficient matrix, right-hand side column) of a LinearSystem,
+    assembled as it was: one dense R^T kron L per term, added row by row."""
+    offsets, total = {}, 0
+    for key in system._order:
+        offsets[key] = total
+        rows, cols = system._shapes[key]
+        total += rows * cols
+    big_rows, rhs_entries = [], []
+    for terms, rhs in system._equations:
+        height = rhs.rows * rhs.cols
+        block = [[0] * total for _ in range(height)]
+        for left, key, right in terms:
+            coeff = right.transpose().kron(left)
+            for i in range(height):
+                for j in range(coeff.cols):
+                    block[i][offsets[key] + j] += coeff.at(i, j)
+        big_rows.extend(block)
+        rhs_entries.extend(rhs.at(i, j) for j in range(rhs.cols) for i in range(rhs.rows))
+    return (IntMatrix(len(big_rows), total, tuple(map(tuple, big_rows))),
+            IntMatrix(len(rhs_entries), 1, tuple((x,) for x in rhs_entries)))
+
+
+def invert_unimodular(a, ring):
+    """Inverse of a matrix invertible over the ring; raises if singular."""
+    if a.rows != a.cols:
+        raise InputError("only square matrices can be inverted")
+    inv = solve_linear(a, IntMatrix.identity(a.rows), ring)
+    if inv is None:
+        raise InputError("matrix is not invertible over the ring")
+    return inv
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,35 @@ def test_ragged_matrix_in_workspace_exits_2(tmp_path):
     assert "unequal lengths" in json.loads(out.getvalue())["results"]["error"]
 
 
+@pytest.mark.parametrize("command", ["homology", "purity", "resolve", "validate-cert"])
+def test_deeply_nested_json_exits_2(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out = main([command, "--json", str(path)])
+    assert code == 2
+    assert json.loads(out)["results"] == {"error": "input is not valid JSON: nested too deeply"}
+
+
+@pytest.mark.parametrize("command", ["homology", "validate-cert"])
+def test_undecodable_input_exits_2(tmp_path, command):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out = main([command, "--json", str(path)])
+    assert code == 2
+    assert json.loads(out)["results"]["error"].startswith("cannot read input: ")
+
+
+def test_certificate_with_windows_far_apart_exits_2(tmp_path):
+    cx = random_complex(random.Random(97), Zmod(12), -1, 3)
+    cert = resolve_report(tmp_path, cx, "projective")[1]["results"]["certificate"]
+    cert["target"]["lo"] += 10 ** 18
+    cert["target"]["hi"] += 10 ** 18
+    cert["map"]["components"] = []
+    code, checked = validate_cert(tmp_path, cert)
+    assert code == 2
+    assert "windows must overlap" in checked["results"]["error"]
+
+
 # ---------------------------------------------------------------------------
 # towers and resolve on the tower path
 

@@ -12,7 +12,6 @@ from purcat.exact_linalg import (
     ZZ,
     Zmod,
     hstack,
-    invert_unimodular,
     kernel_basis,
     smith_normal_form,
     solve_linear,
@@ -20,13 +19,17 @@ from purcat.exact_linalg import (
 )
 from purcat.fpmod import block_map, direct_sum, make_module
 
+import purcat.exact_linalg as exact_linalg
 from helpers import (
     brute_solve_column,
+    dense_linear_system,
     det_int,
     expected_smith_diagonal,
+    invert_unimodular,
     mat,
     random_matrix_rows,
     slow_smith_normal_form,
+    slow_solve_linear,
 )
 
 RINGS = [ZZ, Zmod(2), Zmod(5), Zmod(6), Zmod(8), Zmod(12)]
@@ -136,6 +139,18 @@ def test_smith_matches_the_elimination_tracking_both_inverses(case):
     assert smith_normal_form(a, ring, inverse=True) == SmithDecomposition(ring, u, d, v, u_inv)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_smith_diagonal_matches_sympy(r, c, data):
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    sympy = pytest.importorskip("sympy")
+    rows = data.draw(st.lists(st.lists(st.integers(-30, 30), min_size=c, max_size=c),
+                              min_size=r, max_size=r))
+    theirs = normalforms.smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    want = [int(theirs[i, i]) for i in range(min(r, c))]
+    assert smith_normal_form(mat(rows), ZZ).diagonal() == want, rows
+
+
 def test_smith_is_deterministic():
     rng = random.Random(77)
     for _ in range(20):
@@ -224,6 +239,48 @@ def test_solve_random(ring):
             )
 
 
+@st.composite
+def linear_systems(draw, max_side=4, bound=12):
+    """(A, B, ring) with B solvable by construction about half the time;
+    empty shapes and several right-hand columns included."""
+    a, ring = draw(small_matrices(max_side=max_side, bound=bound))
+    k = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=k, max_size=k),
+                           min_size=a.cols, max_size=a.cols))
+        b = a @ IntMatrix(a.cols, k, tuple(map(tuple, x0)))
+    else:
+        b = IntMatrix(a.rows, k, tuple(map(tuple, draw(st.lists(
+            st.lists(st.integers(-bound, bound), min_size=k, max_size=k),
+            min_size=a.rows, max_size=a.rows)))))
+    return a, b, ring
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(linear_systems())
+def test_solve_matches_the_full_smith_change_of_basis(case):
+    a, b, ring = case
+    x = solve_linear(a, b, ring)
+    assert x == slow_solve_linear(a, b, ring), f"{a.data} X = {b.data} over {ring}"
+    if x is not None:
+        assert full_check(x)
+        assert ring.reduce_matrix(a @ x) == ring.reduce_matrix(b)
+
+
+def test_solve_never_forms_the_smith_decomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_linear asked for U and V")
+
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", refuse)
+    assert solve_linear(mat([[2, 4], [6, 8]]), mat([[2], [6]]), ZZ) == mat([[1], [0]])
+    assert solve_linear(mat([[2]]), mat([[3]]), ZZ) is None
+    assert solve_linear(mat([[3]]), mat([[1]]), Zmod(7)) == mat([[5]])
+    sys = LinearSystem(Zmod(12))
+    sys.add_unknown("x", 1, 1)
+    sys.add_equation([(mat([[5]]), "x", mat([[1]]))], mat([[1]]))
+    assert sys.solve() == {"x": mat([[5]])}
+
+
 def test_kernel_frozen_examples():
     k = kernel_basis(mat([[2]]), Zmod(4))
     assert k == mat([[2]])
@@ -270,6 +327,49 @@ def test_invert_unimodular():
         invert_unimodular(mat([[2]]), ZZ)
     inv = invert_unimodular(mat([[3]]), Zmod(7))
     assert inv == mat([[5]])
+
+
+@st.composite
+def map_equations(draw, bound=5):
+    """A LinearSystem of one to three equations in up to three unknowns,
+    with sparse coefficients and 0-sized shapes included."""
+    ring = draw(st.sampled_from(SNF_RINGS))
+    side = st.integers(0, 3)
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3, bound))
+
+    def matrix(rows, cols):
+        return IntMatrix(rows, cols, tuple(tuple(draw(st.lists(
+            entry, min_size=cols, max_size=cols))) for _ in range(rows)))
+
+    system = LinearSystem(ring)
+    shapes = [(draw(side), draw(side)) for _ in range(draw(st.integers(1, 3)))]
+    for key, (rows, cols) in enumerate(shapes):
+        system.add_unknown(key, rows, cols)
+    for _ in range(draw(st.integers(1, 3))):
+        h, w = draw(side), draw(side)
+        keys = draw(st.lists(st.sampled_from(range(len(shapes))), max_size=3))
+        terms = [(matrix(h, shapes[key][0]), key, matrix(shapes[key][1], w))
+                 for key in keys]
+        system.add_equation(terms, matrix(h, w))
+    return system
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(map_equations())
+def test_linear_system_assembles_the_dense_kronecker_matrix(system):
+    _, big, rhs = system._assemble()
+    assert (big, rhs) == dense_linear_system(system)
+    assert full_check(big) and full_check(rhs)
+    sol = system.solve()
+    if big.rows:
+        want = slow_solve_linear(big, rhs, system.ring)
+        assert (sol is None) == (want is None)
+    if sol is not None:
+        for terms, c in system._equations:
+            total = IntMatrix.zeros(c.rows, c.cols)
+            for left, key, right in terms:
+                total = total + left @ sol[key] @ right
+            assert system.ring.reduce_matrix(total - c).is_zero()
 
 
 def test_linear_system_basic():

@@ -19,8 +19,6 @@ from purcat.complexes import (
     hom_complex,
     hom_module_chain_map,
     hom_module_complex,
-    hom_post_chain_map,
-    hom_pre_chain_map,
     homology,
     homology_invariants,
     make_complex,
@@ -42,7 +40,7 @@ from purcat.randgen import (
     random_map,
     random_pure_qis,
 )
-from helpers import enumerate_module_elements, mat
+from helpers import enumerate_module_elements, hom_post_chain_map, hom_pre_chain_map, mat
 
 RINGS = [ZZ, Zmod(4), Zmod(12)]
 

@@ -21,15 +21,12 @@ FILES += sorted((ROOT / "tests").glob("*.py"))
 # it means removing it here; a new one fails the ratchet below.
 ORPHANS = frozenset({
     "complexes.complexes_equal",
-    "complexes.hom_post_chain_map",
-    "complexes.hom_pre_chain_map",
     "complexes.is_acyclic",
     "complexes.make_chain_map",
     "complexes.make_complex",
     "complexes.make_homotopy",
     "complexes.tensor_fixed_right_map",
     "complexes.truncate_geq_map",
-    "exact_linalg.invert_unimodular",
     "exact_linalg.vstack",
     "fpmod.is_isomorphic",
     "fpmod.short_exact_sequence",
