@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from purcat.exact_linalg import IntMatrix, InputError, Ring
+from purcat.exact_linalg import IntMatrix, InputError, Ring, _eliminate, _reduced_rows, hstack
 from purcat.fpmod import (
     FpModule,
     ModuleMap,
@@ -419,8 +419,59 @@ def homology_map(f: ChainMap, i: int) -> ModuleMap:
     return make_map(h_src, h_tgt, (proj_tgt @ v).matrix, check=True)
 
 
-def is_acyclic(cx: Complex) -> bool:
-    return all(homology(cx, i).is_zero() for i in range(cx.lo, cx.hi + 1))
+def _order(rel: IntMatrix, ring: Ring) -> Optional[int]:
+    """The order of R^g / span(rel), or None when it is infinite.
+
+    It is the product of the Smith diagonal of rel, which _eliminate
+    leaves in place when it carries no rows.  A zero entry, or a
+    generator beyond the relation columns, counts as m over Z/m and
+    makes the module infinite over Z.
+    """
+    m = ring.modulus
+    a = _reduced_rows(rel, m)
+    _eliminate(a, rel.cols, m, [[] for _ in a], [])
+    size = 1
+    for i in range(rel.rows):
+        d = a[i][i] if i < rel.cols else 0
+        if not d:
+            if m is None:
+                return None
+            d = m
+        size *= d
+    return size
+
+
+def homology_degrees(cx: Complex) -> list:
+    """The degrees of the window where cx has homology, ascending.
+
+    Where C^i and C^(i+1) are finite, H^i = 0 is read off module orders.
+    In C^(i-1) -> C^i -> C^(i+1), im d^(i-1) lies in ker d^i, and
+    |ker d^i| = |C^i| / |im d^i|; so the two are equal, which is
+    H^i = 0, exactly when |C^i| = |im d^(i-1)| * |im d^i|.  Each
+    |im d^j| = |C^(j+1)| / |coker d^j|, where coker d^j is presented by
+    [rel_(j+1) | d^j], and it only needs C^(j+1) finite; the maps into
+    C^lo and out of C^hi are zero, with image of order 1.  Every term
+    over Z/m is finite, and so is every term of a complex tensored with
+    a torsion cyclic module.  Where C^i or C^(i+1) is infinite (free
+    summands over Z), H^i is computed and tested for zero instead.
+    """
+    ring = cx.ring
+    sizes = [_order(mod.relations, ring) for mod in cx.modules]
+    images = [1]
+    for k, d in enumerate(cx.diffs):
+        size = sizes[k + 1]
+        images.append(None if size is None
+                      else size // _order(hstack(d.tgt.relations, d.matrix), ring))
+    images.append(1)
+    out = []
+    for k, size in enumerate(sizes):
+        i = cx.lo + k
+        if size is None or images[k + 1] is None:
+            if not homology(cx, i).is_zero():
+                out.append(i)
+        elif size != images[k] * images[k + 1]:
+            out.append(i)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,15 @@ R/(d) is the direct sum of the R/(p^k) over the prime powers p^k that
 exactly divide d, and tensor products, homology and kernels all commute
 with finite direct sums.  So only the free probe and the cyclic
 prime-power probes are ever tensored; every other probe is read off its
-parts (see probe_outcomes).  Batteries over Z/m list the divisors of m
-from its factorization: small primes by trial division, the rest by
-Pollard-Brent rho with Miller-Rabin primality proofs.
+parts (see probe_outcomes).  Each probe tensor is decided from module
+orders: it is exact in a degree where the order of the term is the
+product of the orders of the images into and out of it.  Homology
+modules are only built where that fails to apply, in the degrees where
+the free probe meets a free term over Z (see complexes.homology_degrees).
+
+Batteries over Z/m list the divisors of m from its factorization: small
+primes by trial division, the rest by Pollard-Brent rho with
+Miller-Rabin primality proofs.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from purcat.complexes import (
     Complex,
     cone,
     homology,
+    homology_degrees,
     identity_chain_map,
     tensor_module_complex,
 )
@@ -327,12 +334,16 @@ def failing_probe_for_mono(f: ModuleMap, battery: ProbeBattery):
 
 
 def failing_probe_for_acyclic(cx: Complex, battery: ProbeBattery):
-    """(probe, least degree where probe (x) cx has homology) or None."""
+    """(probe, least degree where probe (x) cx has homology) or None.
+
+    Each probe tensor is decided by homology_degrees: from module orders
+    wherever the terms are finite, which covers every torsion probe and
+    every probe over Z/m, and by computing homology only in the degrees
+    where the free probe meets a free term over Z.
+    """
 
     def failures(probe):
-        tensored = tensor_module_complex(cx, probe)
-        return [i for i in range(tensored.lo, tensored.hi + 1)
-                if not homology(tensored, i).is_zero()]
+        return homology_degrees(tensor_module_complex(cx, probe))
 
     for probe, failed in probe_outcomes(battery, failures):
         if failed:

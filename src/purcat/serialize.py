@@ -9,6 +9,14 @@ decodes back into an object that can be re-validated from scratch.
 Matrices are row-major integer arrays.  A map matrix has one row per
 target generator and one column per source generator; a relation matrix
 has one row per generator and one column per relation.
+
+A module may have at most MAX_GENERATORS generators.  The generator
+count is the one field whose size the document does not pay for:
+relations left out stand for an empty relation matrix of full height,
+so a short document could ask for any amount of memory.  A larger count
+is rejected before anything is allocated.  The bound sits far above the
+modules of the tests and the benchmark corpora, which have a handful of
+generators each.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from purcat.complexes import ChainMap, Complex, Homotopy, cone
 from purcat.resolutions import INJECTIVE, PROJECTIVE, ResolutionCertificate
 
 FORMAT = 1
+MAX_GENERATORS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +108,8 @@ def decode_module(ring: Ring, data, where: str) -> FpModule:
     g = _as_int(data.get("generators"), f"{where}: generators")
     if g < 0:
         raise InputError(f"{where}: generators must be nonnegative")
+    if g > MAX_GENERATORS:
+        raise InputError(f"{where}: generators must be at most {MAX_GENERATORS}")
     rel = data.get("relations")
     if rel is None:
         return make_module(ring, g)

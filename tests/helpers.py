@@ -5,7 +5,9 @@ diagonals are recomputed from gcds of minors, solvability is decided by
 exhaustive search over bounded boxes, and module arithmetic is checked
 against hand enumeration.  The probe oracles at the end walk every
 divisor candidate and tensor every probe directly, where the library
-factors and reads composite probes off their prime-power parts.  The
+factors and reads composite probes off their prime-power parts, and
+they build a homology module in every degree of every probe tensor,
+where the library compares module orders.  The
 assembly oracles after them build every induced map on Hom from full
 maps (to_map, compose, from_map), every map between direct sums as a sum
 of full-size inj . x . proj products, and the currying isomorphism by
@@ -173,17 +175,20 @@ def slow_probe_battery(ring, bound=1):
     return ProbeBattery(ring, tuple(probes))
 
 
-def homology_degrees(cx, probe):
+def slow_homology_degrees(cx):
+    """Degrees of the window where cx has homology, one homology module each."""
+    return [i for i in range(cx.lo, cx.hi + 1) if not homology(cx, i).is_zero()]
+
+
+def probe_homology_degrees(cx, probe):
     """Degrees where probe (x) cx has homology, from a direct tensor."""
-    tensored = tensor_module_complex(cx, probe)
-    return [i for i in range(tensored.lo, tensored.hi + 1)
-            if not homology(tensored, i).is_zero()]
+    return slow_homology_degrees(tensor_module_complex(cx, probe))
 
 
 def slow_failing_probe_for_acyclic(cx, battery):
     """First probe whose direct tensor with cx has homology, with the degree."""
     for probe in battery.probes:
-        degrees = homology_degrees(cx, probe)
+        degrees = probe_homology_degrees(cx, probe)
         if degrees:
             return probe, degrees[0]
     return None

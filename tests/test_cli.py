@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from purcat import cli, resolutions
+from purcat import cli, complexes, purity as purity_module, resolutions
 from purcat.exact_linalg import ZZ, Zmod
 from purcat.fpmod import cyclic_module, free_module
 from purcat.complexes import (
@@ -19,7 +19,12 @@ from purcat.complexes import (
     zero_complex,
 )
 from purcat.randgen import random_complex, random_pure_acyclic, random_pure_qis
-from purcat.serialize import WorkbenchInput, decode_certificate, serialize_input
+from purcat.serialize import (
+    WorkbenchInput,
+    decode_certificate,
+    encode_input,
+    serialize_input,
+)
 from helpers import mat
 
 
@@ -109,6 +114,45 @@ def test_purity_not_acyclic_fails_at_free_probe(tmp_path):
     assert code == 1
     assert report["results"]["failing_probe"] == [12]
     assert report["results"]["failing_degree"] == 1
+
+
+BIG = Zmod(7 ** 2 * 101 * 263)
+
+
+@pytest.mark.parametrize("cx, code, verdict", [
+    (random_pure_acyclic(random.Random(5), Zmod(72)), 0, "Pure"),
+    # 0 -> Z/7 -> Z/49 -> Z/7 -> 0, exact and not split
+    (ses(BIG, cyclic_module(BIG, 7), cyclic_module(BIG, 49), cyclic_module(BIG, 7), 7, 1),
+     1, "NotPure"),
+])
+def test_purity_over_zm_builds_no_homology_module(tmp_path, monkeypatch, cx, code, verdict):
+    want = purity(tmp_path, cx)
+
+    def refuse(*args):
+        raise AssertionError("a probe tensor asked for a homology module")
+
+    monkeypatch.setattr(complexes, "homology", refuse)
+    monkeypatch.setattr(purity_module, "homology", refuse)
+    got = purity(tmp_path, cx)
+    assert got[0] == want[0] == code
+    assert got[1]["results"]["verdict"] == verdict
+    assert without_timing(got[1]) == without_timing(want[1])
+    if code:
+        assert got[1]["results"]["failing_probe"] == [7]
+        assert got[1]["results"]["failing_degree"] == 0
+
+
+def test_huge_generator_count_exits_2_before_allocating(tmp_path):
+    ws = encode_input(WorkbenchInput(ZZ, complexes={"c": module_complex(free_module(ZZ, 1))},
+                                     parameters={"complex": "c", "degree": 5}))
+    ws["complexes"]["c"]["modules"][0] = {"generators": 10 ** 8}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(ws), encoding="utf-8")
+    start = time.perf_counter()
+    code, out = main(["homology", "--json", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "generators must be at most" in json.loads(out)["results"]["error"]
 
 
 def test_qis_pure(tmp_path):

@@ -19,9 +19,9 @@ from purcat.complexes import (
     cone,
     direct_sum_complexes,
     homology,
+    homology_degrees,
     homology_map,
     identity_chain_map,
-    is_acyclic,
     make_chain_map,
     make_complex,
     minimize_complex,
@@ -153,7 +153,7 @@ def test_cone_of_identity_is_acyclic():
     for ring in RINGS:
         m = make_module(ring, 2, mat([[4, 0], [1, 2]]))
         c = cone(identity_chain_map(module_complex(m, 0)))
-        assert is_acyclic(c.complex)
+        assert not homology_degrees(c.complex)
         assert c.inclusion.is_chain_map()
         assert c.projection.is_chain_map()
 
@@ -188,7 +188,7 @@ def test_contractible_generator_is_acyclic():
     rng = random.Random(23)
     for ring in RINGS:
         cx = random_contractible(rng, ring, pieces=3)
-        assert is_acyclic(cx)
+        assert not homology_degrees(cx)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def test_acyclic_frozen_example():
     # 0 -> Z/2 -> Z/4 -> Z/2 -> 0 is exact
     z2, z4 = cyclic_module(ZZ, 2), cyclic_module(ZZ, 4)
     cx = make_complex(ZZ, 0, [z2, z4, z2], [mat([[2]]), mat([[1]])])
-    assert is_acyclic(cx)
+    assert not homology_degrees(cx)
 
 
 def test_homology_map_frozen():

@@ -6,10 +6,8 @@ belong, ragged or negative shapes, huge windows and moduli; keys
 dropped; list entries removed or added.  parse_input and
 decode_certificate may only raise InputError, validation may only
 answer or raise a WorkbenchError, and the command line must always
-write a report and exit 0, 1 or 2, never raise.
-
-Generator counts stay small on purpose: a free module with a huge
-generator count is allocated in full before anything can reject it.
+write a report and exit 0, 1 or 2, never raise.  Generator counts are
+set to huge values too; decode_module rejects those before allocating.
 """
 
 import contextlib
@@ -45,8 +43,10 @@ CERTIFICATE = encode_certificate(resolve(CX, "projective"))
 
 HUGE = (10 ** 18, -10 ** 18, 2 ** 64 + 1)
 WINDOW_KEYS = ("lo", "hi", "m")
+# values that may be replaced by a huge one
+SIZE_KEYS = WINDOW_KEYS + ("generators",)
 # where hostile edits do the most damage; half of all edits land here
-FOCUS = WINDOW_KEYS + ("components", "modules", "differentials", "relations", "generators")
+FOCUS = SIZE_KEYS + ("components", "modules", "differentials", "relations")
 
 small_ints = st.integers(-3, 3)
 hostile = st.one_of(
@@ -109,7 +109,7 @@ def mutated(draw, base):
             del parent[key]
         elif op == "grow" and isinstance(parent[key], list):
             parent[key].append(copy.deepcopy(draw(hostile)))
-        elif key in WINDOW_KEYS:
+        elif key in SIZE_KEYS:
             parent[key] = copy.deepcopy(draw(st.one_of(st.sampled_from(HUGE), hostile)))
         else:
             parent[key] = copy.deepcopy(draw(hostile))

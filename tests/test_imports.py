@@ -1,13 +1,17 @@
-"""No module-level import that nothing in its own file uses, and no new
-public definition that nothing in the program uses.
+"""No module-level import that nothing in its own file uses, no new
+public definition that nothing in the program uses, and no import from
+outside the standard library in the package.
 
 Checked with the standard library's ast: a name bound by a top-level
 import must appear as a name somewhere in the file (attribute bases
 count; docstrings and comments do not).  Package __init__ files are
-left out, since re-exporting is what their imports are for.
+left out of that check, since re-exporting is what their imports are
+for.  The package declares dependencies = [], so every import in it,
+at any depth, names purcat itself or a standard library module.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,7 +25,6 @@ FILES += sorted((ROOT / "tests").glob("*.py"))
 # it means removing it here; a new one fails the ratchet below.
 ORPHANS = frozenset({
     "complexes.complexes_equal",
-    "complexes.is_acyclic",
     "complexes.make_chain_map",
     "complexes.make_complex",
     "complexes.make_homotopy",
@@ -101,3 +104,26 @@ def orphans() -> set:
 
 def test_no_new_public_definition_only_tests_reach():
     assert orphans() == ORPHANS
+
+
+def foreign_imports(path: Path) -> list:
+    """Imports in path of a module that is neither purcat nor standard library."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top != "purcat" and top not in sys.stdlib_module_names:
+                found.append(f"{path.name} line {node.lineno}: {name}")
+    return found
+
+
+def test_the_package_imports_only_the_standard_library():
+    paths = sorted((ROOT / "src" / "purcat").glob("*.py"))
+    assert paths
+    assert [hit for path in paths for hit in foreign_imports(path)] == []

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from purcat import complexes
 from purcat.exact_linalg import InputError, WorkbenchError, ZZ, Zmod
 from purcat.fpmod import (
     NotMono,
@@ -16,14 +17,17 @@ from purcat.fpmod import (
     kernel,
     make_map,
     make_module,
+    zero_map,
+    zero_module,
 )
 from purcat.complexes import (
+    Complex,
     cone,
     direct_sum_complexes,
     homology,
+    homology_degrees,
     hom_module_complex,
     identity_chain_map,
-    is_acyclic,
     make_complex,
     module_complex,
     tensor_module_complex,
@@ -43,13 +47,19 @@ from purcat.purity import (
     probe_battery,
     probe_outcomes,
 )
-from purcat.randgen import random_complex, random_contractible, random_pure_acyclic
+from purcat.randgen import (
+    random_complex,
+    random_contractible,
+    random_module,
+    random_pure_acyclic,
+)
 from helpers import (
-    homology_degrees,
     mat,
+    probe_homology_degrees,
     slow_failing_probe_for_acyclic,
     slow_factor,
     slow_failing_probe_for_mono,
+    slow_homology_degrees,
     slow_probe_battery,
 )
 
@@ -154,7 +164,7 @@ def test_cone_of_identity_pure_with_homotopy():
 
 def test_ses_acyclic_but_not_pure():
     cx = ses_complex()
-    assert is_acyclic(cx)
+    assert not homology_degrees(cx)
     verdict = is_pure_acyclic(cx)
     assert not verdict.is_pure()
     assert verdict.probe is not None
@@ -238,8 +248,8 @@ def test_pure_verdict_probe_soundness():
             continue
         checked += 1
         for probe in bat.probes:
-            assert is_acyclic(tensor_module_complex(cx, probe))
-            assert is_acyclic(hom_module_complex(probe, cx))
+            assert not homology_degrees(tensor_module_complex(cx, probe))
+            assert not homology_degrees(hom_module_complex(probe, cx))
     assert checked >= 30
 
 
@@ -252,7 +262,7 @@ def test_contraction_and_probe_criteria_agree_micro():
         cx = random_complex(rng, Zmod(4), 0, rng.randint(1, 3), max_gens=2)
         by_contraction = is_pure_acyclic(cx, bat).is_pure()
         by_probes = all(
-            is_acyclic(tensor_module_complex(cx, p)) for p in bat.probes
+            not homology_degrees(tensor_module_complex(cx, p)) for p in bat.probes
         )
         assert by_contraction == by_probes
         if by_contraction:
@@ -273,14 +283,18 @@ def nonsplit_ses(rng, ring):
     """A non-split short exact sequence 0 -> A -> B -> C -> 0 in degrees 0..2.
 
     Either 0 -> Z -n-> Z -> Z/n -> 0 over Z, or
-    0 -> R/(p^a) -> R/(p^(a+b)) -> R/(p^b) -> 0 with p^(a+b) dividing m.
+    0 -> R/(p^a) -> R/(p^(a+b)) -> R/(p^b) -> 0 with p^(a+b) exactly
+    dividing m (p^(a+b) = 8 or 9 over Z).
     """
     if ring.modulus is None and rng.random() < 0.5:
         n = rng.randint(2, 12)
         z = free_module(ring, 1)
         return make_complex(ring, 0, [z, z, cyclic_module(ring, n)],
                             [mat([[n]]), mat([[1]])])
-    p, top = rng.choice([(2, 2)] if ring.modulus == 12 else [(2, 3), (3, 2)])
+    if ring.modulus is None:
+        p, top = rng.choice([(2, 3), (3, 2)])
+    else:
+        p, top = rng.choice([(p, k) for p, k in slow_factor(ring.modulus) if k > 1])
     a = rng.randint(1, top - 1)
     b = top - a
     mods = [cyclic_module(ring, p ** a), cyclic_module(ring, p ** top),
@@ -288,13 +302,45 @@ def nonsplit_ses(rng, ring):
     return make_complex(ring, 0, mods, [mat([[p ** b]]), mat([[1]])])
 
 
-def sample_complex(rng, ring, nonsplit):
-    """A random complex, or a non-split sequence hidden in a pure acyclic sum."""
-    if not nonsplit:
-        return random_complex(rng, ring, -1, rng.randint(1, 3), max_gens=2)
-    total, _, _ = direct_sum_complexes([nonsplit_ses(rng, ring),
-                                        random_pure_acyclic(rng, ring)])
-    return total
+# 7^2 * 101 * 263, about 1.3e6: a large modulus with a square prime power
+BIG = Zmod(7 ** 2 * 101 * 263)
+ORDER_RINGS = RINGS + (BIG,)
+SHAPES = ("random", "nonsplit", "pure", "one-term", "zero-terms")
+
+
+def prime_power_probe(rng, ring):
+    """A cyclic prime-power probe R/(p^e), as probe_outcomes tensors with."""
+    if ring.modulus is None:
+        return cyclic_module(ring, rng.choice([2, 3, 4, 5, 8, 9]))
+    p, k = rng.choice(slow_factor(ring.modulus))
+    return cyclic_module(ring, p ** rng.randint(1, k))
+
+
+def with_zero_terms(rng, ring):
+    """Two random complexes joined by a zero term, zero terms at both ends."""
+    a = random_complex(rng, ring, 0, rng.randint(1, 2), max_gens=2)
+    b = random_complex(rng, ring, 0, rng.randint(1, 2), max_gens=2)
+    z = zero_module(ring)
+    return Complex(ring, -2, (z,) + a.modules + (z,) + b.modules + (z,), (
+        (zero_map(z, a.modules[0]),) + a.diffs
+        + (zero_map(a.modules[-1], z), zero_map(z, b.modules[0])) + b.diffs
+        + (zero_map(b.modules[-1], z),)))
+
+
+def shaped_complex(rng, ring, shape):
+    """A random complex of the named shape; "nonsplit" hides a non-split
+    sequence in a pure acyclic sum."""
+    if shape == "random":
+        return random_complex(rng, ring, -1, rng.randint(1, 4), max_gens=2)
+    if shape == "nonsplit":
+        total, _, _ = direct_sum_complexes([nonsplit_ses(rng, ring),
+                                            random_pure_acyclic(rng, ring)])
+        return total
+    if shape == "pure":
+        return random_pure_acyclic(rng, ring)
+    if shape == "one-term":
+        return module_complex(random_module(rng, ring, max_gens=3), rng.randint(-2, 2))
+    return with_zero_terms(rng, ring)
 
 
 def test_probe_battery_matches_divisor_walk():
@@ -347,24 +393,54 @@ def test_probe_outcomes_read_composites_off_parts():
     z = free_module(ZZ, 1)
     cx = make_complex(ZZ, 0, [z, z, cyclic_module(ZZ, 6)], [mat([[6]]), mat([[1]])])
     bat = probe_battery(ZZ, 12)
-    outcomes = list(probe_outcomes(bat, lambda p: homology_degrees(cx, p)))
+    outcomes = list(probe_outcomes(bat, lambda p: probe_homology_degrees(cx, p)))
     failing = [p.invariant_factors[0] for p, failed in outcomes if failed]
     assert failing == [2, 3, 4, 6, 8, 9, 10, 12]
     assert failing_probe_for_acyclic(cx, bat) == (bat.probes[1], 0)
 
 
 @SAMPLES
-@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(RINGS),
-       nonsplit=st.booleans())
-def test_probe_outcomes_match_direct_tensors(seed, ring, nonsplit):
-    rng = random.Random(seed)
-    cx = sample_complex(rng, ring, nonsplit)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(ORDER_RINGS),
+       shape=st.sampled_from(SHAPES))
+def test_probe_outcomes_match_direct_tensors(seed, ring, shape):
+    cx = shaped_complex(random.Random(seed), ring, shape)
     bat = probe_battery(ring, 12)
-    outcomes = list(probe_outcomes(bat, lambda p: homology_degrees(cx, p)))
+    outcomes = list(probe_outcomes(bat, lambda p: probe_homology_degrees(cx, p)))
     assert [p for p, _ in outcomes] == list(bat.probes)
     for probe, failed in outcomes:
-        assert failed == frozenset(homology_degrees(cx, probe))
+        assert failed == frozenset(probe_homology_degrees(cx, probe))
     assert failing_probe_for_acyclic(cx, bat) == slow_failing_probe_for_acyclic(cx, bat)
+
+
+# ---------------------------------------------------------------------------
+# probe tensors decided by module orders
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(ORDER_RINGS),
+       shape=st.sampled_from(SHAPES), free=st.booleans())
+def test_homology_degrees_match_homology_modules(seed, ring, shape, free):
+    rng = random.Random(seed)
+    cx = shaped_complex(rng, ring, shape)
+    probe = free_module(ring, 1) if free else prime_power_probe(rng, ring)
+    tensored = tensor_module_complex(cx, probe)
+    assert homology_degrees(tensored) == slow_homology_degrees(tensored)
+
+
+def test_homology_degrees_build_homology_only_at_free_terms(monkeypatch):
+    built = []
+
+    def counted(cx, i):
+        built.append(i)
+        return homology(cx, i)
+
+    monkeypatch.setattr(complexes, "homology", counted)
+    # Z -2-> Z -> Z/2: degrees 0 and 1 touch a free term, degree 2 does not
+    cx = ses_complex()
+    assert homology_degrees(cx) == []
+    assert built == [0, 1]
+    assert homology_degrees(tensor_module_complex(cx, cyclic_module(ZZ, 2))) == [0]
+    assert built == [0, 1]
 
 
 @SAMPLES
