@@ -18,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from purcat.exact_linalg import IntMatrix, InputError, Ring, _eliminate, _reduced_rows, hstack
+from purcat.exact_linalg import (
+    IntMatrix,
+    InputError,
+    Ring,
+    hstack,
+    quotient_order,
+    smith_diagonal,
+)
 from purcat.fpmod import (
     FpModule,
     ModuleMap,
@@ -34,7 +41,6 @@ from purcat.fpmod import (
     identity_map,
     kernel,
     make_map,
-    tensor_map,
     tensor_modules,
     zero_map,
     zero_module,
@@ -419,57 +425,58 @@ def homology_map(f: ChainMap, i: int) -> ModuleMap:
     return make_map(h_src, h_tgt, (proj_tgt @ v).matrix, check=True)
 
 
-def _order(rel: IntMatrix, ring: Ring) -> Optional[int]:
-    """The order of R^g / span(rel), or None when it is infinite.
+def smith_diagonals(cx: Complex) -> tuple:
+    """(terms, images): the Smith diagonals that decide every probe of cx.
 
-    It is the product of the Smith diagonal of rel, which _eliminate
-    leaves in place when it carries no rows.  A zero entry, or a
-    generator beyond the relation columns, counts as m over Z/m and
-    makes the module infinite over Z.
-    """
-    m = ring.modulus
-    a = _reduced_rows(rel, m)
-    _eliminate(a, rel.cols, m, [[] for _ in a], [])
-    size = 1
-    for i in range(rel.rows):
-        d = a[i][i] if i < rel.cols else 0
-        if not d:
-            if m is None:
-                return None
-            d = m
-        size *= d
-    return size
-
-
-def homology_degrees(cx: Complex) -> list:
-    """The degrees of the window where cx has homology, ascending.
-
-    Where C^i and C^(i+1) are finite, H^i = 0 is read off module orders.
-    In C^(i-1) -> C^i -> C^(i+1), im d^(i-1) lies in ker d^i, and
-    |ker d^i| = |C^i| / |im d^i|; so the two are equal, which is
-    H^i = 0, exactly when |C^i| = |im d^(i-1)| * |im d^i|.  Each
-    |im d^j| = |C^(j+1)| / |coker d^j|, where coker d^j is presented by
-    [rel_(j+1) | d^j], and it only needs C^(j+1) finite; the maps into
-    C^lo and out of C^hi are zero, with image of order 1.  Every term
-    over Z/m is finite, and so is every term of a complex tensored with
-    a torsion cyclic module.  Where C^i or C^(i+1) is infinite (free
-    summands over Z), H^i is computed and tested for zero instead.
+    terms[k] is the Smith diagonal of the relations of the k-th term of
+    the window, images[k] that of [rel_(k+1) | d^k], which presents
+    coker d^k.  One elimination each; see homology_degrees.
     """
     ring = cx.ring
-    sizes = [_order(mod.relations, ring) for mod in cx.modules]
-    images = [1]
-    for k, d in enumerate(cx.diffs):
+    terms = tuple(smith_diagonal(mod.relations, ring) for mod in cx.modules)
+    images = tuple(smith_diagonal(hstack(d.tgt.relations, d.matrix), ring)
+                   for d in cx.diffs)
+    return terms, images
+
+
+def homology_degrees(cx: Complex, q: Optional[int] = None,
+                     diagonals: Optional[tuple] = None) -> list:
+    """The degrees of the window where cx (x) R/(q) has homology, ascending.
+
+    q is an invariant factor: None, 0 over Z or m over Z/m is the free
+    probe, for which cx (x) R is cx.  diagonals are smith_diagonals(cx),
+    computed here when not given, so a caller probing many q eliminates
+    once.  No tensor complex is built.
+
+    By right exactness, C^j (x) R/(q) and coker(d^j (x) R/(q)) are
+    coker(A) (x) R/(q) for A the relations of C^j and [rel_(j+1) | d^j],
+    and their orders are read off the Smith diagonals of those A by
+    quotient_order.  In C^(i-1) -> C^i -> C^(i+1), im d^(i-1) lies in
+    ker d^i, and |ker d^i| = |C^i| / |im d^i|; so the two are equal,
+    which is H^i = 0, exactly when |C^i| = |im d^(i-1)| * |im d^i|.
+    Each |im d^j| = |C^(j+1)| / |coker d^j| only needs C^(j+1) finite;
+    the maps into C^lo and out of C^hi are zero, with image of order 1.
+    Every order is finite except where the free probe meets a free term
+    over Z; where C^i or C^(i+1) is infinite, H^i is computed and tested
+    for zero instead.
+    """
+    ring = cx.ring
+    if q is None:
+        q = ring.modulus or 0
+    terms, images = diagonals or smith_diagonals(cx)
+    sizes = [quotient_order(diag, q) for diag in terms]
+    image_sizes = [1]
+    for k, diag in enumerate(images):
         size = sizes[k + 1]
-        images.append(None if size is None
-                      else size // _order(hstack(d.tgt.relations, d.matrix), ring))
-    images.append(1)
+        image_sizes.append(None if size is None else size // quotient_order(diag, q))
+    image_sizes.append(1)
     out = []
     for k, size in enumerate(sizes):
         i = cx.lo + k
-        if size is None or images[k + 1] is None:
+        if size is None or image_sizes[k + 1] is None:
             if not homology(cx, i).is_zero():
                 out.append(i)
-        elif size != images[k] * images[k + 1]:
+        elif size != image_sizes[k] * image_sizes[k + 1]:
             out.append(i)
     return out
 
@@ -786,26 +793,29 @@ def _tensor_induced(src_tc: TensorComplex, tgt_tc: TensorComplex, step) -> Chain
 
 
 def tensor_module_complex(cx: Complex, mod: FpModule) -> Complex:
-    """Apply - (x) mod to every term."""
+    """Apply - (x) mod to every term.
+
+    Each term is tensored once; d^k (x) mod is kron(d^k, I) between the
+    terms already made, which is what tensor_map would present.
+    """
     mods = tuple(tensor_modules(m, mod) for m in cx.modules)
-    ident = identity_map(mod)
-    diffs = tuple(tensor_map(d, ident) for d in cx.diffs)
+    ident = IntMatrix.identity(mod.generators)
+    reduce = cx.ring.reduce_matrix
+    diffs = tuple(ModuleMap(mods[k], mods[k + 1], reduce(d.matrix.kron(ident)))
+                  for k, d in enumerate(cx.diffs))
     return Complex(cx.ring, cx.lo, mods, diffs)
 
 
 def tensor_module_chain_map(f: ChainMap, mod: FpModule) -> ChainMap:
     src = tensor_module_complex(f.src, mod)
     tgt = tensor_module_complex(f.tgt, mod)
-    ident = identity_map(mod)
+    ident = IntMatrix.identity(mod.generators)
+    reduce = f.src.ring.reduce_matrix
     lo = min(src.lo, tgt.lo)
     hi = max(src.hi, tgt.hi)
-    comps = []
-    for i in range(lo, hi + 1):
-        c = f.component(i)
-        if c.src.generators == 0 or c.tgt.generators == 0:
-            comps.append(zero_map(src.module(i), tgt.module(i)))
-        else:
-            comps.append(tensor_map(c, ident))
+    comps = [ModuleMap(src.module(i), tgt.module(i),
+                       reduce(f.component(i).matrix.kron(ident)))
+             for i in range(lo, hi + 1)]
     return ChainMap(src, tgt, lo, tuple(comps))
 
 

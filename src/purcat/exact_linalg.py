@@ -537,6 +537,37 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring,
     )
 
 
+def smith_diagonal(a_mat: IntMatrix, ring: Ring) -> tuple:
+    """The Smith diagonal of a_mat, one entry per row, 0 past the last column.
+
+    It is what _eliminate leaves in place when it carries no rows, so
+    neither U nor V is formed, and nothing is cached.
+    """
+    m = ring.modulus
+    a = _reduced_rows(a_mat, m)
+    _eliminate(a, a_mat.cols, m, [[] for _ in a], [])
+    return tuple(a[i][i] if i < a_mat.cols else 0 for i in range(a_mat.rows))
+
+
+def quotient_order(diagonal: tuple, q: int) -> Optional[int]:
+    """|R^g / (span A + q R^g)| for A with the given Smith diagonal, or
+    None when it is infinite.
+
+    That module is coker(A) (x) R/(q), presented by [A | qI].  With
+    UAV = D, U [A | qI] diag(V, U^-1) = [D | qI], which splits row by
+    row into R/(gcd(d_r, q)); a zero entry counts as q.  Over Z, q = 0
+    is the free probe and a zero gcd is a free summand.  Over Z/m every
+    d_r and q divide m (0 standing for m), and q = m is the free probe.
+    """
+    size = 1
+    for d in diagonal:
+        g = gcd(d, q)
+        if not g:
+            return None
+        size *= g
+    return size
+
+
 # ---------------------------------------------------------------------------
 # solving
 

@@ -6,16 +6,21 @@ purity verdicts come from solvable linear systems.  Tensor probes stay
 on as an independent necessary-condition oracle: every NotPure verdict
 prefers a failing probe that plain homology can re-check.
 
-Probes are evaluated arithmetically.  By the Chinese remainder theorem
-R/(d) is the direct sum of the R/(p^k) over the prime powers p^k that
-exactly divide d, and tensor products, homology and kernels all commute
-with finite direct sums.  So only the free probe and the cyclic
-prime-power probes are ever tensored; every other probe is read off its
-parts (see probe_outcomes).  Each probe tensor is decided from module
-orders: it is exact in a degree where the order of the term is the
-product of the orders of the images into and out of it.  Homology
-modules are only built where that fails to apply, in the degrees where
-the free probe meets a free term over Z (see complexes.homology_degrees).
+Probes are evaluated arithmetically, and no probe tensor is built.
+Tensoring is right exact, so a term or cokernel coker(A) tensored with
+R/(q) is presented by [A | qI]; with UAV = D diagonal that is
+equivalent to [D | qI], of order the product of the gcd(d_r, q), a zero
+entry or a row past the last column counting as q.  Over Z the free
+probe is q = 0; over Z/m every invariant factor q divides m and the
+free probe is q = m.  So one elimination per term and per differential
+of the complex (complexes.smith_diagonals) gives the orders of every
+probe tensor, and a probe tensor is exact in degree i exactly when the
+order of its term is the product of the orders of the images into and
+out of it (complexes.homology_degrees).  A probe with several invariant
+factors is the direct sum of its cyclic summands, and homology and
+kernels are additive, so it fails exactly where one of its summands
+does.  Homology modules are only built where the orders are infinite,
+in the degrees where the free probe meets a free term over Z.
 
 Batteries over Z/m list the divisors of m from its factorization: small
 primes by trial division, the rest by Pollard-Brent rho with
@@ -28,7 +33,14 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from purcat.exact_linalg import InputError, Ring, WorkbenchError
+from purcat.exact_linalg import (
+    InputError,
+    Ring,
+    WorkbenchError,
+    hstack,
+    quotient_order,
+    smith_diagonal,
+)
 from purcat.fpmod import (
     FpModule,
     ModuleMap,
@@ -47,7 +59,7 @@ from purcat.complexes import (
     homology,
     homology_degrees,
     identity_chain_map,
-    tensor_module_complex,
+    smith_diagonals,
 )
 from purcat.homotopy import null_homotopy
 
@@ -216,11 +228,7 @@ def probe_battery(ring: Ring, bound: int = 1) -> ProbeBattery:
     Over Z the torsion probes are Z/d for 2 <= d <= bound.  Over Z/m they
     are R/(d) for the divisors 1 < d < m, listed in ascending order from
     the factorization of m; the divisors of m are complete for purity
-    detection, so the bound only matters over Z.  Either way the battery
-    is closed under taking prime-power parts: every prime power exactly
-    dividing a torsion probe's d divides it properly (unless d is one
-    itself) and comes earlier in the battery, which is what lets
-    probe_outcomes tensor prime powers only.
+    detection, so the bound only matters over Z.
     """
     if bound < 1:
         raise InputError("battery bound must be at least 1")
@@ -267,68 +275,30 @@ def default_battery(ring: Ring, *objects) -> ProbeBattery:
 # probe evaluation
 
 
-def _primary_parts(probe: FpModule) -> list:
-    """The summands of probe's primary decomposition, as memo keys.
-
-    0 stands for a free summand R, q > 1 for a cyclic summand R/(q)
-    with q a prime power.
-    """
-    free = probe.ring.modulus or 0
-    parts = []
-    for a in probe.invariant_factors:
-        if a == free:
-            parts.append(0)
-        else:
-            parts.extend(p ** k for p, k in _factor(a))
-    return parts
-
-
-def probe_outcomes(battery: ProbeBattery, failures):
-    """Yield (probe, failed) for each battery probe, lazily, in battery order.
-
-    failures(module) lists the places where tensoring with module breaks
-    the property under test: the degrees where homology appears, say.
-    failed is the frozenset of those places for the probe.  failures is
-    only ever called on R and on cyclic prime-power modules R/(p^k), at
-    most once each (memoised by invariant factor); every other probe is
-    read off those parts.
-
-    Why that is exact.  Write d = p_1^k_1 ... p_r^k_r.  The ideals
-    (p_i^k_i) are pairwise comaximal, so the Chinese remainder theorem
-    gives R/(d) = R/(p_1^k_1) (+) ... (+) R/(p_r^k_r) as R-modules, over
-    Z and over Z/m alike (there d is an invariant factor, so d | m and
-    each R/(p_i^k_i) is Z/p_i^k_i).  A probe with several invariant
-    factors splits the same way, factor by factor.  Tensoring with a
-    direct sum gives the direct sum of the tensors, and homology and
-    kernels are additive over direct sums, so a probe fails at a place
-    exactly when one of its parts does: its failed set is the union of
-    its parts' sets.
-
-    In an ascending standard battery the first failing probe is free or
-    a prime power: a failing composite d has a failing part p^k, a proper
-    divisor of d that sits earlier in the battery (see probe_battery).
-    So the first failing probe, and its failed set, come from a direct
-    tensor, exactly as probe-by-probe evaluation would report them.
-    """
-    memo = {}
-    for probe in battery.probes:
-        failed = frozenset()
-        for q in _primary_parts(probe):
-            if q not in memo:
-                part = free_module(probe.ring, 1) if q == 0 else cyclic_module(probe.ring, q)
-                memo[q] = frozenset(failures(part))
-            failed |= memo[q]
-        yield probe, failed
-
-
 def failing_probe_for_mono(f: ModuleMap, battery: ProbeBattery):
-    """(probe, induced map with nonzero kernel) or None."""
+    """(probe, induced map with nonzero kernel) or None.
 
-    def failures(probe):
-        return () if is_injective(tensor_map(identity_map(probe), f)) else ("kernel",)
+    f (x) R/(q) is injective exactly when |A (x) R/(q)| times
+    |coker f (x) R/(q)| is |B (x) R/(q)|, for f: A -> B, by the exact
+    sequence 0 -> ker -> A (x) R/(q) -> B (x) R/(q) -> coker f (x) R/(q)
+    -> 0 (right exactness gives its last term, presented by
+    [rel_B | f]).  The three orders come from one Smith diagonal each;
+    where one is infinite (the free probe over Z), f itself is tested.
+    A probe fails where one of its invariant factors does, and the
+    induced map is tensored for the failing probe only.
+    """
+    ring = f.src.ring
+    diagonals = [smith_diagonal(rel, ring) for rel in
+                 (f.src.relations, f.tgt.relations, hstack(f.tgt.relations, f.matrix))]
 
-    for probe, failed in probe_outcomes(battery, failures):
-        if failed:
+    def injective(q):
+        a, b, c = (quotient_order(diag, q) for diag in diagonals)
+        if a is None or b is None:
+            return is_injective(f)
+        return a * c == b
+
+    for probe in battery.probes:
+        if not all(injective(q) for q in probe.invariant_factors):
             return probe, tensor_map(identity_map(probe), f)
     return None
 
@@ -336,16 +306,15 @@ def failing_probe_for_mono(f: ModuleMap, battery: ProbeBattery):
 def failing_probe_for_acyclic(cx: Complex, battery: ProbeBattery):
     """(probe, least degree where probe (x) cx has homology) or None.
 
-    Each probe tensor is decided by homology_degrees: from module orders
-    wherever the terms are finite, which covers every torsion probe and
-    every probe over Z/m, and by computing homology only in the degrees
-    where the free probe meets a free term over Z.
+    cx is eliminated once (smith_diagonals); each probe is then decided
+    by homology_degrees from gcds with its invariant factors, and fails
+    wherever one of its cyclic summands does.  Homology modules are
+    built only where the free probe meets a free term over Z.
     """
-
-    def failures(probe):
-        return homology_degrees(tensor_module_complex(cx, probe))
-
-    for probe, failed in probe_outcomes(battery, failures):
+    diagonals = smith_diagonals(cx)
+    for probe in battery.probes:
+        failed = [i for q in probe.invariant_factors
+                  for i in homology_degrees(cx, q, diagonals)]
         if failed:
             return probe, min(failed)
     return None

@@ -3,11 +3,14 @@
 The first oracles call nothing of the elimination code under test: Smith
 diagonals are recomputed from gcds of minors, solvability is decided by
 exhaustive search over bounded boxes, and module arithmetic is checked
-against hand enumeration.  The probe oracles at the end walk every
-divisor candidate and tensor every probe directly, where the library
-factors and reads composite probes off their prime-power parts, and
-they build a homology module in every degree of every probe tensor,
-where the library compares module orders.  The
+against hand enumeration.  The probe oracles after them walk every
+divisor candidate and tensor every probe directly, through tensor_map
+for each differential, and build a homology module in every degree of
+every probe tensor, where the library factors m and reads every probe
+off gcds with the Smith diagonals of the complex itself.  Beside them
+sits the former probe pass, which tensored only R and the prime powers
+and read composite probes off those parts by the Chinese remainder
+theorem (probe_outcomes).  The
 assembly oracles after them build every induced map on Hom from full
 maps (to_map, compose, from_map), every map between direct sums as a sum
 of full-size inj . x . proj products, and the currying isomorphism by
@@ -52,14 +55,14 @@ from purcat.fpmod import (
 )
 from purcat.complexes import (
     ChainMap,
+    Complex,
     _window,
     homology,
     minimize_complex,
     tensor_complex,
-    tensor_module_complex,
     trim,
 )
-from purcat.purity import ProbeBattery
+from purcat.purity import ProbeBattery, _factor
 from purcat.resolutions import (
     INJECTIVE,
     _certificate,
@@ -180,9 +183,35 @@ def slow_homology_degrees(cx):
     return [i for i in range(cx.lo, cx.hi + 1) if not homology(cx, i).is_zero()]
 
 
+def slow_tensor_module_complex(cx, mod):
+    """- (x) mod on every term, each differential through tensor_map, which
+    tensors its source and target terms again."""
+    mods = tuple(tensor_modules(m, mod) for m in cx.modules)
+    ident = identity_map(mod)
+    diffs = tuple(tensor_map(d, ident) for d in cx.diffs)
+    return Complex(cx.ring, cx.lo, mods, diffs)
+
+
+def slow_tensor_module_chain_map(f, mod):
+    """- (x) mod on every component, each through tensor_map."""
+    src = slow_tensor_module_complex(f.src, mod)
+    tgt = slow_tensor_module_complex(f.tgt, mod)
+    ident = identity_map(mod)
+    lo = min(src.lo, tgt.lo)
+    hi = max(src.hi, tgt.hi)
+    comps = []
+    for i in range(lo, hi + 1):
+        c = f.component(i)
+        if c.src.generators == 0 or c.tgt.generators == 0:
+            comps.append(zero_map(src.module(i), tgt.module(i)))
+        else:
+            comps.append(tensor_map(c, ident))
+    return ChainMap(src, tgt, lo, tuple(comps))
+
+
 def probe_homology_degrees(cx, probe):
     """Degrees where probe (x) cx has homology, from a direct tensor."""
-    return slow_homology_degrees(tensor_module_complex(cx, probe))
+    return slow_homology_degrees(slow_tensor_module_complex(cx, probe))
 
 
 def slow_failing_probe_for_acyclic(cx, battery):
@@ -201,6 +230,47 @@ def slow_failing_probe_for_mono(f, battery):
         if not is_injective(induced):
             return probe, induced
     return None
+
+
+def _primary_parts(probe):
+    """The summands of probe's primary decomposition, as memo keys.
+
+    0 stands for a free summand R, q > 1 for a cyclic summand R/(q)
+    with q a prime power.
+    """
+    free = probe.ring.modulus or 0
+    parts = []
+    for a in probe.invariant_factors:
+        if a == free:
+            parts.append(0)
+        else:
+            parts.extend(p ** k for p, k in _factor(a))
+    return parts
+
+
+def probe_outcomes(battery, failures):
+    """Yield (probe, failed) for each battery probe, lazily, in battery order.
+
+    The library's former probe pass, kept as an oracle.  failures(module)
+    lists the places where tensoring with module breaks the property
+    under test, and is only ever called on R and on cyclic prime-power
+    modules R/(p^k), at most once each (memoised by invariant factor);
+    every other probe is read off those parts.  By the Chinese remainder
+    theorem R/(d) is the direct sum of the R/(p^k) over the prime powers
+    exactly dividing d, over Z and over Z/m alike, and a probe with
+    several invariant factors splits factor by factor; tensor products,
+    homology and kernels are additive, so a probe fails exactly where
+    one of its parts does.
+    """
+    memo = {}
+    for probe in battery.probes:
+        failed = frozenset()
+        for q in _primary_parts(probe):
+            if q not in memo:
+                part = free_module(probe.ring, 1) if q == 0 else cyclic_module(probe.ring, q)
+                memo[q] = frozenset(failures(part))
+            failed |= memo[q]
+        yield probe, failed
 
 
 def slow_factor(n):

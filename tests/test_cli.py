@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from purcat import cli, complexes, purity as purity_module, resolutions
+from purcat import cli, complexes, fpmod, purity as purity_module, resolutions
 from purcat.exact_linalg import ZZ, Zmod
 from purcat.fpmod import cyclic_module, free_module
 from purcat.complexes import (
@@ -140,6 +140,25 @@ def test_purity_over_zm_builds_no_homology_module(tmp_path, monkeypatch, cx, cod
     if code:
         assert got[1]["results"]["failing_probe"] == [7]
         assert got[1]["results"]["failing_degree"] == 0
+
+
+@pytest.mark.parametrize("cx, codes", [
+    (random_pure_acyclic(random.Random(5), Zmod(72)), [0, 0]),
+    # 0 -> Z -6-> Z -> Z/6 -> 0: NotPure, and the cone of its identity is Pure
+    (ses(ZZ, free_module(ZZ, 1), free_module(ZZ, 1), cyclic_module(ZZ, 6), 6, 1), [1, 0]),
+])
+def test_purity_and_qis_tensor_no_module(tmp_path, monkeypatch, cx, codes):
+    f = identity_chain_map(cx)
+    want = [purity(tmp_path, cx), qis(tmp_path, f)]
+
+    def refuse(*args):
+        raise AssertionError("a probe asked for a tensor product")
+
+    for module in (fpmod, complexes):
+        monkeypatch.setattr(module, "tensor_modules", refuse)
+    got = [purity(tmp_path, cx), qis(tmp_path, f)]
+    assert [code for code, _ in got] == [code for code, _ in want] == codes
+    assert [without_timing(r) for _, r in got] == [without_timing(r) for _, r in want]
 
 
 def test_huge_generator_count_exits_2_before_allocating(tmp_path):

@@ -38,9 +38,17 @@ from purcat.randgen import (
     random_complex,
     random_homotopy,
     random_map,
+    random_module,
     random_pure_qis,
 )
-from helpers import enumerate_module_elements, hom_post_chain_map, hom_pre_chain_map, mat
+from helpers import (
+    enumerate_module_elements,
+    hom_post_chain_map,
+    hom_pre_chain_map,
+    mat,
+    slow_tensor_module_chain_map,
+    slow_tensor_module_complex,
+)
 
 RINGS = [ZZ, Zmod(4), Zmod(12)]
 
@@ -315,6 +323,18 @@ def test_termwise_module_functors():
         assert_square_zero(ha)
         hf = hom_module_chain_map(q, f)
         assert hf.is_chain_map()
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(12), Zmod(72)])
+def test_termwise_tensor_matches_tensor_map(ring):
+    rng = random.Random(61)
+    for _ in range(6):
+        a = random_complex(rng, ring, -1, 3)
+        b = random_complex(rng, ring, -1, 3)
+        f = random_chain_map(rng, a, b)
+        q = random_module(rng, ring, max_gens=2)
+        assert tensor_module_complex(a, q) == slow_tensor_module_complex(a, q)
+        assert tensor_module_chain_map(f, q) == slow_tensor_module_chain_map(f, q)
 
 
 def test_truncation_induced_maps_commute():

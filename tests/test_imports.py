@@ -1,6 +1,7 @@
 """No module-level import that nothing in its own file uses, no new
-public definition that nothing in the program uses, and no import from
-outside the standard library in the package.
+public definition that nothing in the program uses, no import from
+outside the standard library in the package, and no function that the
+traced benchmark wraps by name (bench/spans.py) renamed away.
 
 Checked with the standard library's ast: a name bound by a top-level
 import must appear as a name somewhere in the file (attribute bases
@@ -11,6 +12,7 @@ at any depth, names purcat itself or a standard library module.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -127,3 +129,27 @@ def test_the_package_imports_only_the_standard_library():
     paths = sorted((ROOT / "src" / "purcat").glob("*.py"))
     assert paths
     assert [hit for path in paths for hit in foreign_imports(path)] == []
+
+
+def traced_targets() -> dict:
+    """TARGETS of bench/spans.py, read without importing the bench."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py defines no TARGETS")
+
+
+def test_every_traced_name_resolves():
+    # the traced benchmark wraps these by name; a rename must fail here too
+    missing = []
+    for module, names in traced_targets().items():
+        mod = importlib.import_module(f"purcat.{module}")
+        for name in names:
+            obj = mod
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{module}.{name}")
+    assert missing == []

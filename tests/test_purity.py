@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from purcat import complexes
+from purcat import complexes, exact_linalg
 from purcat.exact_linalg import InputError, WorkbenchError, ZZ, Zmod
 from purcat.fpmod import (
     NotMono,
@@ -45,7 +45,6 @@ from purcat.purity import (
     is_pure_mono,
     is_pure_qis,
     probe_battery,
-    probe_outcomes,
 )
 from purcat.randgen import (
     random_complex,
@@ -56,6 +55,7 @@ from purcat.randgen import (
 from helpers import (
     mat,
     probe_homology_degrees,
+    probe_outcomes,
     slow_failing_probe_for_acyclic,
     slow_factor,
     slow_failing_probe_for_mono,
@@ -455,6 +455,102 @@ def test_failing_probe_for_mono_matches_direct(seed, ring, nonsplit):
         _, f = kernel(cx.differential(1))
     bat = probe_battery(ring, 12)
     assert failing_probe_for_mono(f, bat) == slow_failing_probe_for_mono(f, bat)
+
+
+# ---------------------------------------------------------------------------
+# every probe read off the complex's own Smith diagonals
+
+
+def mixed_battery(rng, ring):
+    """The free probe, then cyclic probes R/(d) with d composite, prime
+    power or (over Z/m) not dividing m, and probes with several invariant
+    factors, R/(2) (+) R/(6) among them, in random order."""
+    cyclic = [cyclic_module(ring, d) for d in
+              rng.sample([2, 4, 6, 8, 9, 10, 12, 14, 27, 36, 49, 98, 343, 202], 6)]
+    sums = [direct_sum([cyclic_module(ring, 2), cyclic_module(ring, 6)])[0]]
+    sums += [direct_sum([cyclic_module(ring, rng.choice([3, 4, 7, 12, 49])),
+                         cyclic_module(ring, rng.choice([2, 9, 14, 101]))])[0]]
+    if rng.random() < 0.5:
+        sums += [direct_sum([free_module(ring, 1), cyclic_module(ring, 4)])[0]]
+    probes = cyclic + sums
+    rng.shuffle(probes)
+    return ProbeBattery(ring, (free_module(ring, 1),) + tuple(probes))
+
+
+def mixed_map(rng, ring, cx):
+    """A map to probe for injectivity: a non-split mono, a cycle inclusion
+    of cx, or a differential of cx (often not injective at all)."""
+    kind = rng.choice(("nonsplit", "cycles", "differential"))
+    if kind == "nonsplit":
+        return nonsplit_ses(rng, ring).differential(0)
+    degree = rng.randint(cx.lo, cx.hi) if cx.modules else 0
+    if kind == "cycles":
+        return kernel(cx.differential(degree))[1]
+    return cx.differential(degree)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(ORDER_RINGS),
+       shape=st.sampled_from(SHAPES))
+def test_probe_pass_matches_direct_tensors(seed, ring, shape):
+    rng = random.Random(seed)
+    cx = shaped_complex(rng, ring, shape)
+    bat = mixed_battery(rng, ring)
+    assert failing_probe_for_acyclic(cx, bat) == slow_failing_probe_for_acyclic(cx, bat)
+    f = mixed_map(rng, ring, cx)
+    assert failing_probe_for_mono(f, bat) == slow_failing_probe_for_mono(f, bat)
+
+
+def test_composite_and_multi_factor_probes_fail_through_a_summand():
+    # 0 -> Z -6-> Z -> Z/6 -> 0 fails at R/(d) exactly when gcd(d, 6) > 1
+    z = free_module(ZZ, 1)
+    cx = make_complex(ZZ, 0, [z, z, cyclic_module(ZZ, 6)], [mat([[6]]), mat([[1]])])
+    free, z35, z10 = free_module(ZZ, 1), cyclic_module(ZZ, 35), cyclic_module(ZZ, 10)
+    sum_ = direct_sum([cyclic_module(ZZ, 5), cyclic_module(ZZ, 4)])[0]
+    assert failing_probe_for_acyclic(cx, ProbeBattery(ZZ, (free, z35, z10))) == (z10, 0)
+    assert failing_probe_for_acyclic(cx, ProbeBattery(ZZ, (free, z35, sum_))) == (sum_, 0)
+    assert failing_probe_for_acyclic(cx, ProbeBattery(ZZ, (free, z35))) is None
+    # over Z/12 the probes R/(5), R/(8) and R/(10) are 0, R/(4) and R/(2);
+    # 0 -> Z/2 -> Z/4 -> Z/2 -> 0 stays exact under R/(4), not under R/(2)
+    ring = Zmod(12)
+    cx = make_complex(ring, 0, [cyclic_module(ring, 2), cyclic_module(ring, 4),
+                                cyclic_module(ring, 2)], [mat([[2]]), mat([[1]])])
+    z5, z8, z10 = (cyclic_module(ring, d) for d in (5, 8, 10))
+    bat = ProbeBattery(ring, (free_module(ring, 1), z5, z8, z10))
+    assert failing_probe_for_acyclic(cx, bat) == (z10, 0)
+    assert failing_probe_for_mono(cx.differential(0), bat)[0] == z10
+
+
+def pure_z_complex():
+    """The cone of the identity on Z (+) Z/6, Pure with free and torsion terms."""
+    mod = direct_sum([free_module(ZZ, 1), cyclic_module(ZZ, 6)])[0]
+    return cone(identity_chain_map(module_complex(mod))).complex
+
+
+def test_probe_pass_eliminates_the_same_for_any_battery_size(monkeypatch):
+    assert is_pure_acyclic(pure_z_complex()).is_pure()
+    calls = []
+    real = exact_linalg._eliminate
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(exact_linalg, "_eliminate", counted)
+    counts = []
+    for bound in (18, 400):
+        bat = probe_battery(ZZ, bound)
+        # CLI purity lists every probe's invariant factors before the pass
+        for probe in bat.probes:
+            probe.invariant_factors
+        # a fresh complex, whose modules have cached no decomposition yet
+        cx = pure_z_complex()
+        exact_linalg.smith_normal_form.cache_clear()
+        calls.clear()
+        assert failing_probe_for_acyclic(cx, bat) is None
+        counts.append((len(bat.probes), len(calls)))
+    assert counts[0][0] == 18 and counts[1][0] == 400
+    assert counts[0][1] == counts[1][1] > 0
 
 
 # ---------------------------------------------------------------------------
