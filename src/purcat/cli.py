@@ -1,6 +1,6 @@
 """Command line front end: one workspace file in, one report out.
 
-    purcat <command> [--json] [--seed N] [--depth N] <input>
+    purcat <command> <input> [--json] [--seed N] [--depth N]
 
 The input is a JSON workspace file (or - for stdin); the report goes to
 stdout as text, or as JSON with --json.  Exit status is 0 for a clean
@@ -8,14 +8,25 @@ run, 1 for a refuted claim (a NotPure verdict, a failing adjunction
 link, an invalid certificate), and 2 for an error.  Runs are
 deterministic: the same input and seed produce the same report up to
 the timing figure.
+
+The grammar is fixed, so it is parsed by hand rather than with argparse,
+whose set-up would cost a cold run more than many commands' algebra.
+Options may come before, between or after the two positionals, a value
+is given as --seed N or --seed=N (a later option wins), and -h or --help
+anywhere prints the usage to stdout and exits 0.  Anything else (an
+unknown command or option, a missing or extra positional, a missing or
+non-integer value) writes the usage and a one-line reason to stderr and
+exits 2.  Options must be spelt in full (no --js for --json), there is no
+-- separator, and an input other than - must not begin with a dash
+(write ./-name).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from purcat.exact_linalg import InputError, WorkbenchError
 from purcat.complexes import (
@@ -391,21 +402,72 @@ def render_text(report: dict) -> str:
 # entry point
 
 
+USAGE = "usage: purcat [-h] [--json] [--seed SEED] [--depth DEPTH] command input\n"
+
+HELP = f"""{USAGE}
+pure homological algebra workbench for complexes over Z and Z/m
+
+positional arguments:
+  command        one of: {", ".join(COMMANDS)}
+  input          path to a JSON workspace file, or - for stdin
+
+options:
+  -h, --help     show this help message and exit
+  --json         emit the report as JSON
+  --seed SEED    seed echoed into the report (default {DEFAULT_SEED})
+  --depth DEPTH  tower depth for resolve, towers and adjunction (default: the
+                 depth the input needs)
+"""
+
+
+class _UsageError(Exception):
+    """A command line outside the grammar; the message says why."""
+
+
+def _parse_args(argv: list) -> SimpleNamespace:
+    """command, input, json, seed and depth from argv (no -h / --help in it)."""
+    args = SimpleNamespace(json=False, seed=DEFAULT_SEED, depth=None)
+    positionals = []
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--json":
+            args.json = True
+        elif arg == "-" or not arg.startswith("-"):
+            positionals.append(arg)
+        else:
+            name, eq, value = arg.partition("=")
+            if name not in ("--seed", "--depth"):
+                raise _UsageError(f"unrecognized argument: {arg}")
+            if not eq:
+                value = next(rest, None)
+                if value is None:
+                    raise _UsageError(f"argument {name}: expected one argument")
+            try:
+                setattr(args, name[2:], int(value))
+            except ValueError:
+                raise _UsageError(f"argument {name}: invalid int value: {value!r}") from None
+    if len(positionals) < 2:
+        missing = ("command", "input")[len(positionals):]
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if len(positionals) > 2:
+        raise _UsageError(f"unrecognized arguments: {' '.join(positionals[2:])}")
+    args.command, args.input = positionals
+    if args.command not in COMMANDS:
+        raise _UsageError(f"argument command: invalid choice: {args.command!r} "
+                          f"(choose from {', '.join(COMMANDS)})")
+    return args
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="purcat",
-        description="pure homological algebra workbench for complexes over Z and Z/m",
-    )
-    ap.add_argument("command", choices=COMMANDS, metavar="command",
-                    help="one of: " + ", ".join(COMMANDS))
-    ap.add_argument("input", help="path to a JSON workspace file, or - for stdin")
-    ap.add_argument("--json", action="store_true", help="emit the report as JSON")
-    ap.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                    help="seed echoed into the report (default %(default)s)")
-    ap.add_argument("--depth", type=int, default=None,
-                    help="tower depth for resolve, towers and adjunction "
-                         "(default: the depth the input needs)")
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(HELP)
+        return 0
+    try:
+        args = _parse_args(argv)
+    except _UsageError as exc:
+        sys.stderr.write(f"{USAGE}purcat: error: {exc}\n")
+        return 2
 
     started = time.perf_counter()
     try:

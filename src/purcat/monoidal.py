@@ -29,6 +29,7 @@ from purcat.complexes import (
     ChainMap,
     Complex,
     HomComplex,
+    TensorComplex,
     hom_complex,
     homology_invariants,
     tensor_complex,
@@ -197,23 +198,27 @@ def _unit_image(src: HomComplex, tgt: HomComplex, n: int, image) -> ModuleMap:
     return ModuleMap(src.complex.module(n), tgt.complex.module(n), mat)
 
 
-def adjunction_iso(a: Complex, b: Complex, c: Complex) -> AdjunctionWitness:
+def adjunction_iso(tc: TensorComplex, flat: HomComplex, inner: HomComplex,
+                   nested: HomComplex) -> AdjunctionWitness:
     """The currying isomorphism hom((a (x) b), c) ~ hom(a, hom(b, c)).
 
-    Both directions are built one basis map at a time, slot by slot: a
-    basis map of the flat slot Hom((a (x) b)^t, c^(n+t)) restricts to each
-    tensor slot (i, j) of degree t and curries into the inner slot
+    Takes the four complexes it relates as the caller already holds them:
+    tc = tensor_complex(a, b), flat = hom_complex(tc.complex, c),
+    inner = hom_complex(b, c) and nested = hom_complex(a, inner.complex);
+    complexes that do not fit together raise InputError.  Both directions
+    are built one basis map at a time, slot by slot: a basis map of the
+    flat slot Hom((a (x) b)^t, c^(n+t)) restricts to each tensor slot
+    (i, j) of degree t and curries into the inner slot
     Hom(b^j, c^(n+i+j)), which sits inside the nested slot
     Hom(a^i, hom(b, c)^(n+i)); uncurrying runs the same slots backwards.
     No signs appear, and the chain-map condition holds on the nose with
     the differential conventions used here.
     """
-    if a.ring != b.ring or a.ring != c.ring:
-        raise InputError("adjunction needs complexes over one ring")
-    tc = tensor_complex(a, b)
-    flat = hom_complex(tc.complex, c)
-    inner = hom_complex(b, c)
-    nested = hom_complex(a, inner.complex)
+    a, b = tc.left, tc.right
+    if (flat.source != tc.complex or flat.target != inner.target
+            or inner.source != b or nested.source != a
+            or nested.target != inner.complex):
+        raise InputError("adjunction complexes do not fit together")
     x, y = flat.complex, nested.complex
     # tensor slot (i, j) -> its first generator; inner slots by (degree, j)
     pair_start = {(i, j): start for t in range(tc.complex.lo, tc.complex.hi + 1)
@@ -401,21 +406,24 @@ def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
     rebuilds pick their own depth.  c is resolved once: with a depth the
     end-to-end group is taken against that resolution, as hom_dpur would
     compute it.  A c out of scope for pure injective resolutions is
-    rejected before a and b are resolved.
+    rejected before a and b are resolved.  The currying witness is built
+    on the tensor and hom complexes the links already hold.
     """
     _require_injective_scope(c)
     pa = resolve(a, PROJECTIVE, depth=depth)
     pb = resolve(b, PROJECTIVE, depth=depth)
     ic = resolve(c, INJECTIVE, depth=depth)
-    q = tensor_complex(pa.target, pb.target).complex
-    value = hom_complex(pb.target, ic.target).complex
+    tc = tensor_complex(pa.target, pb.target)
+    q = tc.complex
+    inner = hom_complex(pb.target, ic.target)
+    value = inner.complex
     ab = tensor_complex(a, b).complex
 
     ends = hom_dpur(ab, c) if depth is None else hom_k(ab, ic.target)
     replaced = hom_dpur(q, ic.target)
     homotopy_side = hom_k(q, ic.target)
-    witness = adjunction_iso(pa.target, pb.target, ic.target)
     curried = hom_k(pa.target, value)
+    witness = adjunction_iso(tc, homotopy_side.hom, inner, curried.hom)
     derived_again = hom_dpur(pa.target, value)
     other_end = hom_dpur(a, value)
 

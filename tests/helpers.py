@@ -57,6 +57,7 @@ from purcat.complexes import (
     ChainMap,
     Complex,
     _window,
+    hom_complex,
     homology,
     minimize_complex,
     tensor_complex,
@@ -490,6 +491,14 @@ def _uncurry_piece(g, a, b, hm, pair):
         for q in range(b.generators):
             cols.append([f.matrix.at(r, q) for r in range(gc)])
     return ModuleMap(pair, hm.target, a.ring.reduce_matrix(from_columns(cols, gc)))
+
+
+def adjunction_complexes(a, b, c):
+    """(tensor, flat, inner, nested): the four complexes monoidal.adjunction_iso
+    relates, built from a, b and c as check_dpur_adjunction holds them."""
+    tc = tensor_complex(a, b)
+    inner = hom_complex(b, c)
+    return tc, hom_complex(tc.complex, c), inner, hom_complex(a, inner.complex)
 
 
 def slow_adjunction_maps(w):

@@ -17,6 +17,7 @@ from purcat.complexes import cone, hom_complex, tensor_complex
 from purcat.monoidal import adjunction_iso, validate_adjunction_witness
 from purcat.randgen import random_chain_map, random_complex, random_map, random_module
 from helpers import (
+    adjunction_complexes,
     slow_adjunction_maps,
     slow_cone_differentials,
     slow_hom_differentials,
@@ -115,7 +116,7 @@ def test_tensor_complex_matches_dense_oracle(seed, ring):
 def test_adjunction_iso_matches_whole_complex_oracle(seed, ring):
     rng = random.Random(seed)
     a, b, c = (small_complex(rng, ring, max_length=2) for _ in range(3))
-    w = adjunction_iso(a, b, c)
+    w = adjunction_iso(*adjunction_complexes(a, b, c))
     forward, backward = slow_adjunction_maps(w)
     assert [f.matrix for f in w.forward.components] == forward
     assert [f.matrix for f in w.backward.components] == backward

@@ -3,8 +3,12 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -439,3 +443,80 @@ def test_text_report(tmp_path):
         "    H^1: 2",
     ]
     assert lines[-1].startswith("elapsed: ") and lines[-1].endswith("s")
+
+
+# ---------------------------------------------------------------------------
+# the argv grammar: purcat <command> <input> [--json] [--seed N] [--depth N]
+
+# outcomes: the --json towers report of seed 7; a --json report of the
+# handler's own error; the help on stdout; nothing on stdout and the usage
+# with a one-line reason on stderr
+SEED_7, HANDLER_ERROR, HELP, USAGE = "seed-7", "handler-error", "help", "usage"
+
+GRAMMAR = [
+    (["towers", "{ws}", "--json", "--seed", "7"], 0, SEED_7),
+    (["--seed", "7", "--json", "towers", "{ws}"], 0, SEED_7),
+    (["towers", "--seed=7", "{ws}", "--json"], 0, SEED_7),
+    (["--json", "towers", "-", "--seed=7"], 0, SEED_7),
+    (["towers", "{ws}", "--json", "--depth", "-1"], 2, HANDLER_ERROR),
+    (["--help"], 0, HELP),
+    (["towers", "{ws}", "-h"], 0, HELP),
+    (["nosuch", "{ws}"], 2, USAGE),
+    (["towers", "{ws}", "--jsn"], 2, USAGE),
+    (["towers", "{ws}", "--js"], 2, USAGE),
+    (["towers"], 2, USAGE),
+    ([], 2, USAGE),
+    (["towers", "{ws}", "extra"], 2, USAGE),
+    (["towers", "{ws}", "--seed"], 2, USAGE),
+    (["towers", "{ws}", "--seed", "x"], 2, USAGE),
+    (["towers", "{ws}", "--depth=1.5"], 2, USAGE),
+]
+
+
+@pytest.mark.parametrize("argv,code,outcome", GRAMMAR,
+                         ids=lambda v: " ".join(v) or "(none)" if isinstance(v, list) else None)
+def test_argv_grammar(tmp_path, monkeypatch, argv, code, outcome):
+    cx = random_complex(random.Random(7), Zmod(8), -2, 3)
+    text = serialize_input(WorkbenchInput(cx.ring, complexes={"m": cx},
+                                          parameters={"complex": "m", "side": "injective"}))
+    path = tmp_path / "towers.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+
+    def call(args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = cli.main([str(path) if a == "{ws}" else a for a in args])
+            except SystemExit as exc:
+                status = exc.code
+        return status, out.getvalue(), err.getvalue()
+
+    status, out, err = call(argv)
+    assert status == code
+    if outcome == SEED_7:
+        _, reference, _ = call(["towers", "--json", "--seed", "7", "{ws}"])
+        assert json.loads(reference)["seed"] == 7
+        assert without_timing(json.loads(out)) == without_timing(json.loads(reference))
+        assert err == ""
+    elif outcome == HANDLER_ERROR:
+        assert json.loads(out)["results"] == {"error": "tower depth must be nonnegative"}
+    elif outcome == HELP:
+        assert out == cli.HELP and err == ""
+        assert all(command in out for command in cli.COMMANDS)
+    else:
+        assert out == ""
+        assert err.startswith(cli.USAGE)
+        reason = err[len(cli.USAGE):]
+        assert reason.startswith("purcat: error: ") and reason.count("\n") == 1
+
+
+def test_importing_the_cli_loads_no_argument_parser():
+    # argparse and the gettext and locale modules behind its messages cost
+    # a cold run more than many commands' algebra
+    probe = ("import purcat.cli, sys; "
+             "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"

@@ -33,6 +33,7 @@ from purcat.monoidal import (
 )
 from purcat.randgen import random_complex, random_pure_acyclic, random_pure_qis
 from purcat.exact_linalg import InputError
+from helpers import adjunction_complexes
 
 
 def same_homology(x, y) -> bool:
@@ -92,7 +93,7 @@ def test_adjunction_witness_one_term():
     a = module_complex(cyclic_module(ring, 4), 0)
     b = module_complex(cyclic_module(ring, 6), 0)
     c = module_complex(cyclic_module(ring, 12), 0)
-    w = adjunction_iso(a, b, c)
+    w = adjunction_iso(*adjunction_complexes(a, b, c))
     assert validate_adjunction_witness(w)
     assert homology_invariants(w.flat.complex)[0] == (2,)
     assert homology_invariants(w.nested.complex)[0] == (2,)
@@ -105,7 +106,7 @@ def test_adjunction_witness_random():
         a = random_complex(rng, ring, 0, 2)
         b = random_complex(rng, ring, 0, 2)
         c = random_complex(rng, ring, 0, 2)
-        assert validate_adjunction_witness(adjunction_iso(a, b, c))
+        assert validate_adjunction_witness(adjunction_iso(*adjunction_complexes(a, b, c)))
 
 
 def test_adjunction_witness_shifted_windows():
@@ -114,7 +115,7 @@ def test_adjunction_witness_shifted_windows():
     a = random_complex(rng, ring, -2, 2)
     b = random_complex(rng, ring, 1, 2)
     c = random_complex(rng, ring, -1, 3)
-    assert validate_adjunction_witness(adjunction_iso(a, b, c))
+    assert validate_adjunction_witness(adjunction_iso(*adjunction_complexes(a, b, c)))
 
 
 def test_adjunction_witness_over_z():
@@ -122,7 +123,7 @@ def test_adjunction_witness_over_z():
     a = random_complex(rng, ZZ, 0, 2)
     b = random_complex(rng, ZZ, 0, 2)
     c = random_complex(rng, ZZ, 0, 2)
-    assert validate_adjunction_witness(adjunction_iso(a, b, c))
+    assert validate_adjunction_witness(adjunction_iso(*adjunction_complexes(a, b, c)))
 
 
 def test_adjunction_witness_zero_factor():
@@ -130,7 +131,7 @@ def test_adjunction_witness_zero_factor():
     ring = Zmod(8)
     b = random_complex(rng, ring, 0, 2)
     c = random_complex(rng, ring, 0, 2)
-    w = adjunction_iso(zero_complex(ring), b, c)
+    w = adjunction_iso(*adjunction_complexes(zero_complex(ring), b, c))
     assert validate_adjunction_witness(w)
 
 
@@ -138,7 +139,21 @@ def test_adjunction_witness_rejects_mixed_rings():
     a = module_complex(cyclic_module(Zmod(8), 2), 0)
     b = module_complex(cyclic_module(Zmod(12), 2), 0)
     with pytest.raises(InputError):
-        adjunction_iso(a, b, b)
+        adjunction_iso(*adjunction_complexes(a, b, b))
+
+
+@pytest.mark.parametrize("other_ring", [Zmod(8), Zmod(12)])
+@pytest.mark.parametrize("swapped", range(4))
+def test_adjunction_iso_rejects_complexes_that_do_not_fit(swapped, other_ring):
+    rng = random.Random(23)
+    fits = adjunction_complexes(*(random_complex(rng, Zmod(8), 0, 2) for _ in range(3)))
+    assert validate_adjunction_witness(adjunction_iso(*fits))
+    # one of the four from another triple, one degree up
+    other = adjunction_complexes(*(random_complex(rng, other_ring, 1, 2) for _ in range(3)))
+    pieces = list(fits)
+    pieces[swapped] = other[swapped]
+    with pytest.raises(InputError):
+        adjunction_iso(*pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,113 @@
+"""Pinned whole reports: one small seeded workspace per command.
+
+Each case runs the command in process on a fixed workspace, once with
+--json and once as text.  The digests are sha256 prefixes of the JSON
+report with its timing block removed and of the text report with its
+elapsed: line removed, so a change to any verdict, number, certificate,
+key or line of layout shows up here, while the timing figure does not.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+
+import pytest
+
+from purcat import cli
+from purcat.exact_linalg import ZZ, Zmod
+from purcat.randgen import (
+    random_chain_map,
+    random_complex,
+    random_pure_acyclic,
+    random_pure_qis,
+)
+from purcat.serialize import WorkbenchInput, serialize_input
+
+
+def workspaces():
+    """Command -> (ring, complexes, maps, parameters), drawn from fixed seeds.
+
+    The complex c needs a one-level tower on either side, and the
+    adjunction triple has nonzero hom groups, so the tower and currying
+    paths are pinned too.
+    """
+    z12 = Zmod(12)
+    rng = random.Random("reports")
+    src = random_complex(rng, z12, 0, 2)
+    tgt = random_complex(rng, z12, 0, 2)
+    f = random_chain_map(rng, src, tgt)
+    pure = random_pure_acyclic(rng, ZZ)
+    u = random_pure_qis(rng, random_complex(rng, ZZ, 0, 2))
+    c3 = random_complex(random.Random("reports-towers-6"), z12, -1, 3)
+    rng = random.Random("reports-adjunction-27")
+    a, b, c = (random_complex(rng, z12, 0, 2) for _ in range(3))
+    return {
+        "homology": (z12, {"c": c3}, {}, {"complex": "c"}),
+        "cone": (z12, {"s": src, "t": tgt}, {"f": f}, {"map": "f"}),
+        "truncate": (z12, {"c": c3}, {}, {"complex": "c", "degree": 0, "keep": "geq"}),
+        "purity": (ZZ, {"p": pure}, {}, {"complex": "p"}),
+        "qis": (ZZ, {"s": u.src, "t": u.tgt}, {"u": u}, {"map": "u"}),
+        "resolve": (z12, {"c": c3}, {}, {"complex": "c", "side": "projective"}),
+        "towers": (z12, {"c": c3}, {}, {"complex": "c", "side": "injective"}),
+        "phom": (z12, {"a": src, "b": tgt}, {}, {"a": "a", "b": "b"}),
+        "adjunction": (z12, {"a": a, "b": b, "c": c}, {}, {"a": "a", "b": "b", "c": "c"}),
+    }
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def pinned(tmp_path, command):
+    """(exit status, JSON digest, text digest) of one command's report."""
+    if command == "validate-cert":
+        path = workspace_file(tmp_path, "resolve")
+        report = tmp_path / "resolve-report.json"
+        report.write_text(run(["resolve", "--json", str(path)])[1], encoding="utf-8")
+        path = report
+    else:
+        path = workspace_file(tmp_path, command)
+    code, out = run([command, "--json", str(path)])
+    data = json.loads(out)
+    del data["timing"]
+    text_code, text = run([command, str(path)])
+    assert text_code == code
+    lines = text.splitlines(keepends=True)
+    assert lines[-1].startswith("elapsed: ")
+    return code, sha(json.dumps(data, indent=2)), sha("".join(lines[:-1]))
+
+
+def workspace_file(tmp_path, command):
+    ring, complexes, maps, parameters = workspaces()[command]
+    path = tmp_path / f"{command}.json"
+    path.write_text(serialize_input(WorkbenchInput(
+        ring, complexes=complexes, maps=maps, parameters=parameters)), encoding="utf-8")
+    return path
+
+
+DIGESTS = {
+    "homology": (0, "4401501924c65964", "905265569857c538"),
+    "cone": (0, "c8fc5d24278afd49", "cd9b1c1bd9fb2421"),
+    "truncate": (0, "a4cfda0aee16d092", "5a43c2cb898d1038"),
+    "purity": (0, "88c13a7bf92814f0", "aea0759c4071c96c"),
+    "qis": (0, "81d9ef84b95bcece", "1f2cdeb761e33d4f"),
+    "resolve": (0, "3e037a9c360b55b7", "97d809a0e15f6cf6"),
+    "towers": (0, "3cd6873771c6f258", "fcd0eae7757af6cf"),
+    "phom": (0, "36dbfa0e5024535f", "c3978f062f47da4d"),
+    "adjunction": (0, "84ff95debd481ee1", "6cf23e6d92071bd7"),
+    "validate-cert": (0, "7b00fc0891db389c", "4a182981098716a7"),
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_report_digest_is_pinned(tmp_path, command):
+    assert pinned(tmp_path, command) == DIGESTS[command]
