@@ -21,6 +21,7 @@ from purcat.exact_linalg import (
     LinearSystem,
     Ring,
     WorkbenchError,
+    _unit_scaling_mod,
     block_diag,
     from_columns,
     hstack,
@@ -73,6 +74,10 @@ class FpModule:
         cached = self.__dict__.get("_decomp")
         if cached is not None:
             return cached
+        if self.relations.rows == self.relations.cols == 1:
+            dec = _cyclic_decomposition(self.ring, self.relations.data[0][0])
+            object.__setattr__(self, "_decomp", dec)
+            return dec
         snf = smith_normal_form(self.relations, self.ring, inverse=True)
         k = min(self.generators, self.relations.cols)
         m = self.ring.modulus
@@ -130,6 +135,30 @@ class FpModule:
 
     def __str__(self) -> str:
         return f"FpModule({self.ring}, g={self.generators}, inv={self.invariant_factors})"
+
+
+def _cyclic_decomposition(ring: Ring, d: int) -> Decomposition:
+    """The Decomposition of R/(d), read off the one relation [d].
+
+    It is what _eliminate does to a single entry: over Z the sign is
+    moved into U; over Z/m the entry, reduced mod m, is scaled by the
+    unit that turns it into gcd(d, m), and a zero entry is left as is,
+    a free summand standing as the factor m.  So it equals the Smith
+    path entry for entry, without running it.
+    """
+    m = ring.modulus
+    one = IntMatrix.identity(1)
+    if m is None:
+        if d < 0:
+            neg = IntMatrix._trusted(1, 1, ((-1,),))
+            return Decomposition((-d,), neg, neg)
+        return Decomposition((d,), one, one)
+    d %= m
+    if not d:
+        return Decomposition((m,), one, one)
+    u, g = _unit_scaling_mod(d, m)
+    return Decomposition((g,), IntMatrix._trusted(1, 1, ((u,),)),
+                         IntMatrix._trusted(1, 1, ((pow(u, -1, m),),)))
 
 
 def make_module(ring: Ring, generators: int, relations=None) -> FpModule:
@@ -717,16 +746,63 @@ def element_preimage(f: ModuleMap, col: IntMatrix) -> Optional[IntMatrix]:
     return ring.reduce_matrix(x)
 
 
+def retraction(f: ModuleMap) -> Optional[ModuleMap]:
+    """A left inverse r of f: A -> B, with r . f = id_A, or None.
+
+    Solved by direct solves on the Smith coordinates of A, with no
+    vectorized system.  With T = to_diag, F = from_diag and factors a_i,
+    T . rel_A . V = diag(a_i), so a column lies in the relation span of A
+    iff row i of T times it is divisible by a_i (zero over Z when
+    a_i = 0, zero mod m over Z/m when a_i = m).  Write P = T . r.  Both
+    conditions on r, r . f = id mod rel_A and r well defined
+    (r . rel_B in the span of rel_A), then say that row p_i of P solves
+
+        p_i . [f | rel_B] = (T_i, 0)   mod a_i,
+
+    that is, [f | rel_B]^T x = (T_i, 0)^T with a_i I adjoined on the
+    right for a torsion factor and nothing adjoined for a free one.  The
+    rows with one factor share their coefficient matrix and are solved
+    together in one solve_linear; rows with a_i = 1 carry no condition
+    and are zero.  Then r = F . P, since T . F is the identity.  A
+    retraction exists iff every row system is solvable, so None is
+    returned exactly when f does not split; a retraction forces f to be
+    injective, so no injectivity check is made.
+    """
+    a, b = f.src, f.tgt
+    ring = a.ring
+    m = ring.modulus
+    dec = a.decomposition()
+    lhs = hstack(f.matrix, b.relations).transpose()
+    pad = (0,) * b.relations.cols
+    by_factor: dict = {}
+    for i, factor in enumerate(dec.factors):
+        if factor != 1:
+            by_factor.setdefault(factor, []).append(i)
+    p_rows = [(0,) * b.generators] * a.generators
+    for factor, rows in by_factor.items():
+        coeffs = lhs
+        if factor != (0 if m is None else m):
+            coeffs = hstack(lhs, IntMatrix.identity(lhs.rows).scale(factor))
+        rhs = from_columns([dec.to_diag.data[i] + pad for i in rows], lhs.rows)
+        sol = solve_linear(coeffs, rhs, ring)
+        if sol is None:
+            return None
+        for k, i in enumerate(rows):
+            p_rows[i] = tuple(sol.data[j][k] for j in range(b.generators))
+    p = IntMatrix._trusted(a.generators, b.generators, tuple(p_rows))
+    return ModuleMap(b, a, ring.reduce_matrix(dec.from_diag @ p))
+
+
 def has_retraction(f: ModuleMap) -> Optional[ModuleMap]:
-    """A left inverse r with r . f = id, or None; requires f injective."""
+    """A left inverse r with r . f = id, or None; requires f injective.
+
+    The injectivity check raises NotMono; the left inverse itself comes
+    from retraction, which decides split-ness row by row in the Smith
+    coordinates of f.src.
+    """
     if not is_injective(f):
         raise NotMono("has_retraction requires an injective map")
-    solver = MapSolver(f.src.ring)
-    solver.add_map_unknown("r", f.tgt, f.src)
-    solver.add_equation([(IntMatrix.identity(f.src.generators), "r", f.matrix)],
-                        identity_map(f.src))
-    sol = solver.solve()
-    return sol["r"] if sol else None
+    return retraction(f)
 
 
 # ---------------------------------------------------------------------------

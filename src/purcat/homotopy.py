@@ -2,6 +2,15 @@
 
 Hom groups up to homotopy as finitely presented modules, null-homotopy
 and contraction solvers, and derived hom via resolution replacement.
+
+The two solvers differ in shape.  null_homotopy decides d s + s d = f as
+one joint MapSolver system over all degrees.  contract_complex, which
+certifies every resolution, builds no joint system: per degree it takes
+a retraction onto the cycles (fpmod.retraction, one solve_linear per
+distinct invariant factor) and a section of the differential through
+one injective map (factor_through_mono, one solve_linear), and its
+docstring proves that this returns None exactly when the complex is not
+contractible.
 """
 
 from __future__ import annotations
@@ -10,14 +19,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from purcat.exact_linalg import IntMatrix, InputError
+from purcat.exact_linalg import IntMatrix, InputError, WorkbenchError
 from purcat.fpmod import (
     FpModule,
     MapSolver,
     ModuleMap,
+    block_map,
+    direct_sum,
     element_preimage,
-    identity_map,
+    factor_through_mono,
     kernel,
+    retraction,
     zero_map,
 )
 from purcat.complexes import (
@@ -137,46 +149,60 @@ def null_homotopy(f: ChainMap) -> Optional[Homotopy]:
 def contract_complex(cx: Complex) -> Optional[Homotopy]:
     """A contracting homotopy (boundary = identity), or None.
 
-    Built degreewise: first a retraction onto each cycle module, then a
-    section of the differential vanishing under that retraction.  Any
-    valid retraction admits a section when the complex is contractible,
-    so the degreewise choices never need backtracking, which keeps the
-    linear systems small compared to one joint solve.
+    Built degreewise from two maps found by direct solves, with
+    Z^n = ker d^n and incl_n: Z^n -> C^n:
+
+    - a retraction rho_n: C^n -> Z^n with rho_n . incl_n = id
+      (fpmod.retraction, row by row in the Smith coordinates of Z^n);
+    - a section sigma_n: Z^(n+1) -> C^n with d^n . sigma_n = incl_(n+1)
+      and rho_n . sigma_n = 0, which is factor_through_mono of
+      (0; incl_(n+1)) through mu_n = (rho_n; d^n): C^n -> Z^n (+) C^(n+1).
+      For n = lo - 1, where C^n = 0, mu_n is d^n out of the zero module.
+
+    mu_n is injective: its kernel is ker rho_n meet ker d^n = ker rho_n
+    meet Z^n, and rho_n is the identity on Z^n.  So the column solve of
+    factor_through_mono decides the factoring exactly and its
+    well-definedness check always passes: mu_n . X . rel = (0; incl) . rel
+    vanishes, so X . rel lies in ker mu_n = 0.
+
+    Then h^n = sigma_(n-1) . rho_n contracts: for x in C^n put
+    y = x - incl rho_n x, which lies in ker rho_n with d y = d x.
+    sigma_n d x lies in ker rho_n and has boundary d y, so
+    sigma_n d x - y lies in ker rho_n meet Z^n = 0, and
+    d h x + h d x = incl rho_n x + sigma_n d x = x.
+
+    None is returned exactly when cx is not contractible.  If cx is
+    contractible with contraction h, then d^(n-1) h^n is a retraction
+    onto Z^n, so every retraction solve succeeds; and cx is exact, so d
+    restricted to ker rho_n is onto Z^(n+1) for any retraction rho_n
+    (z = d x gives z = d (x - incl rho_n x)), so every section solve
+    succeeds too and no choice needs backtracking.  Conversely, when
+    every solve succeeds the h above is a contraction.
     """
     if not cx.modules:
         return zero_homotopy(cx, cx)
-    kernels = {}
-    for n in range(cx.lo, cx.hi + 2):
-        kernels[n] = kernel(cx.differential(n))
+    kernels = {n: kernel(cx.differential(n)) for n in range(cx.lo, cx.hi + 2)}
     rhos = {}
-    for n in range(cx.lo, cx.hi + 1):
-        z, incl = kernels[n]
-        solver = MapSolver(cx.ring)
-        solver.add_map_unknown("r", cx.module(n), z)
-        solver.add_equation(
-            [(IntMatrix.identity(z.generators), "r", incl.matrix)], identity_map(z)
-        )
-        sol = solver.solve()
-        if sol is None:
-            return None
-        rhos[n] = sol["r"]
     sigmas = {}
     for n in range(cx.lo - 1, cx.hi + 1):
         z1, incl1 = kernels[n + 1]
-        solver = MapSolver(cx.ring)
-        solver.add_map_unknown("s", z1, cx.module(n))
-        solver.add_equation(
-            [(cx.differential(n).matrix, "s", IntMatrix.identity(z1.generators))], incl1
-        )
-        if n >= cx.lo:
-            solver.add_equation(
-                [(rhos[n].matrix, "s", IntMatrix.identity(z1.generators))],
-                zero_map(z1, kernels[n][0]),
-            )
-        sol = solver.solve()
-        if sol is None:
+        if n < cx.lo:
+            mono, want = cx.differential(n), incl1
+        else:
+            z, incl = kernels[n]
+            rho = retraction(incl)
+            if rho is None:
+                return None
+            rhos[n] = rho
+            top = z.generators
+            total, _, _ = direct_sum([z, cx.module(n + 1)])
+            mono = block_map(cx.module(n), total,
+                             [(0, 0, 1, rho.matrix), (top, 0, 1, cx.differential(n).matrix)])
+            want = block_map(z1, total, [(top, 0, 1, incl1.matrix)])
+        try:
+            sigmas[n] = factor_through_mono(mono, want)
+        except WorkbenchError:
             return None
-        sigmas[n] = sol["s"]
     comps = tuple(sigmas[n - 1] @ rhos[n] for n in range(cx.lo, cx.hi + 1))
     return Homotopy(cx, cx, cx.lo, comps)
 

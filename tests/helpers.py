@@ -20,8 +20,10 @@ near the end are the library's former paths, kept verbatim so the
 leaner ones can be compared with them output for output: the Smith
 elimination that tracked both inverses, exact solving through the full
 U and V of the Smith form, LinearSystem assembly through dense
-Kronecker products, and the tower path of resolve that certified the
-(co)limit before minimizing it and certifying again.  A few constructions
+Kronecker products, the tower path of resolve that certified the
+(co)limit before minimizing it and certifying again, module
+decompositions through the Smith form even for one cyclic relation, and
+retractions and contractions solved as vectorized MapSolver systems.  A few constructions
 that only tests use live here too: the chain maps induced on hom
 complexes and the inverse of a unimodular matrix.  Keep it slow and
 obvious.
@@ -39,6 +41,8 @@ from purcat.exact_linalg import (
     solve_linear,
 )
 from purcat.fpmod import (
+    Decomposition,
+    MapSolver,
     ModuleMap,
     block_map,
     cyclic_module,
@@ -49,6 +53,7 @@ from purcat.fpmod import (
     hom_pre,
     identity_map,
     is_injective,
+    kernel,
     tensor_map,
     tensor_modules,
     zero_map,
@@ -56,12 +61,14 @@ from purcat.fpmod import (
 from purcat.complexes import (
     ChainMap,
     Complex,
+    Homotopy,
     _window,
     hom_complex,
     homology,
     minimize_complex,
     tensor_complex,
     trim,
+    zero_homotopy,
 )
 from purcat.purity import ProbeBattery, _factor
 from purcat.resolutions import (
@@ -872,3 +879,79 @@ def slow_resolve(m, side, depth=None):
         tower, fs = projective_tower(m, use)
         cert = colimit_tower(tower, fs)
     return _slow_minimize_certificate(cert)
+
+
+# ---------------------------------------------------------------------------
+# contraction and retraction through the joint map solver, as they were
+
+
+def slow_decomposition(module):
+    """FpModule.decomposition through smith_normal_form for every
+    presentation, the cyclic ones included."""
+    snf = smith_normal_form(module.relations, module.ring, inverse=True)
+    k = min(module.generators, module.relations.cols)
+    m = module.ring.modulus
+    factors = []
+    for i in range(module.generators):
+        d = snf.d.at(i, i) if i < k else 0
+        if m is not None and d == 0:
+            d = m
+        factors.append(d)
+    return Decomposition(tuple(factors), snf.u, snf.u_inv)
+
+
+def slow_retraction(f):
+    """A left inverse r with r . f = id, or None, from one MapSolver system."""
+    solver = MapSolver(f.src.ring)
+    solver.add_map_unknown("r", f.tgt, f.src)
+    solver.add_equation([(IntMatrix.identity(f.src.generators), "r", f.matrix)],
+                        identity_map(f.src))
+    sol = solver.solve()
+    return sol["r"] if sol else None
+
+
+def slow_contract_complex(cx):
+    """A contracting homotopy (boundary = identity), or None.
+
+    Built degreewise: first a retraction onto each cycle module, then a
+    section of the differential vanishing under that retraction.  Any
+    valid retraction admits a section when the complex is contractible,
+    so the degreewise choices never need backtracking, which keeps the
+    linear systems small compared to one joint solve.
+    """
+    if not cx.modules:
+        return zero_homotopy(cx, cx)
+    kernels = {}
+    for n in range(cx.lo, cx.hi + 2):
+        kernels[n] = kernel(cx.differential(n))
+    rhos = {}
+    for n in range(cx.lo, cx.hi + 1):
+        z, incl = kernels[n]
+        solver = MapSolver(cx.ring)
+        solver.add_map_unknown("r", cx.module(n), z)
+        solver.add_equation(
+            [(IntMatrix.identity(z.generators), "r", incl.matrix)], identity_map(z)
+        )
+        sol = solver.solve()
+        if sol is None:
+            return None
+        rhos[n] = sol["r"]
+    sigmas = {}
+    for n in range(cx.lo - 1, cx.hi + 1):
+        z1, incl1 = kernels[n + 1]
+        solver = MapSolver(cx.ring)
+        solver.add_map_unknown("s", z1, cx.module(n))
+        solver.add_equation(
+            [(cx.differential(n).matrix, "s", IntMatrix.identity(z1.generators))], incl1
+        )
+        if n >= cx.lo:
+            solver.add_equation(
+                [(rhos[n].matrix, "s", IntMatrix.identity(z1.generators))],
+                zero_map(z1, kernels[n][0]),
+            )
+        sol = solver.solve()
+        if sol is None:
+            return None
+        sigmas[n] = sol["s"]
+    comps = tuple(sigmas[n - 1] @ rhos[n] for n in range(cx.lo, cx.hi + 1))
+    return Homotopy(cx, cx, cx.lo, comps)

@@ -137,45 +137,45 @@ DIGESTS = {
     "Z-injective-bounded-0": "cd9dd3d1bc6c7ad7",
     "Z-injective-bounded-1": "0815e88b428ac498",
     "Z-injective-deep-0": "38f7e1f43fbb913b",
-    "Z-injective-top": "85a29461a3fe251f",
-    "Z-injective-tower-0": "7801fc50067f3230",
-    "Z-injective-tower-1": "1f4a5e6a2be08ca5",
+    "Z-injective-top": "26a948fa6ad3b976",
+    "Z-injective-tower-0": "ff00536f8932efd8",
+    "Z-injective-tower-1": "b6296d6837bb3bbe",
     "Z-projective-bounded-0": "e8fbff627c841eea",
-    "Z-projective-bounded-1": "0f493c2b92e65698",
-    "Z-projective-deep-0": "bdb7b535d05a39c5",
-    "Z-projective-top": "05013268393efffd",
+    "Z-projective-bounded-1": "43a263a094023a39",
+    "Z-projective-deep-0": "a9ba057d655e1757",
+    "Z-projective-top": "b63578f799aaa3c2",
     "Z-projective-tower-0": "cc1d85969b933927",
     "Z-projective-tower-1": "094f4808648b2f8c",
-    "Z12-injective-bounded-0": "e23c7935df3d7ce7",
-    "Z12-injective-bounded-1": "9c6d514ba3dcbe30",
-    "Z12-injective-deep-0": "357043bfa09e8077",
-    "Z12-injective-top": "4767b06c020de847",
-    "Z12-injective-tower-0": "cbc3413b698a31a8",
-    "Z12-injective-tower-1": "5a2598ec5e2c37ac",
-    "Z12-projective-bounded-0": "8c7d9e6c7c9288ea",
+    "Z12-injective-bounded-0": "1040ebcd4e7a852f",
+    "Z12-injective-bounded-1": "64a9ce4e506a85c6",
+    "Z12-injective-deep-0": "da0d4c2d622d0503",
+    "Z12-injective-top": "07923c7ae0b31311",
+    "Z12-injective-tower-0": "3cb3eb3a63e79147",
+    "Z12-injective-tower-1": "3c70f1354888d365",
+    "Z12-projective-bounded-0": "08932ed8d9c4ac5a",
     "Z12-projective-bounded-1": "c699a61d2e247925",
     "Z12-projective-deep-0": "b6236fb44daa500b",
-    "Z12-projective-top": "ef6ab13f7b36dc82",
-    "Z12-projective-tower-0": "ffc73d5c7cf20fc5",
+    "Z12-projective-top": "fea0ef98ed10bda4",
+    "Z12-projective-tower-0": "95cdeaa9e605e25a",
     "Z12-projective-tower-1": "13ee1495c42fd55c",
     "Z72-injective-bounded-0": "3b2e3c24b01db272",
     "Z72-injective-bounded-1": "f48e21fcbfcc2696",
     "Z72-injective-deep-0": "a2f6e95618603a4e",
-    "Z72-injective-top": "0bf0146b112d2287",
+    "Z72-injective-top": "e63e2ff56d321fa2",
     "Z72-injective-tower-0": "5e5a234682d1a1a4",
     "Z72-injective-tower-1": "fd18de5374c2c99a",
     "Z72-projective-bounded-0": "a9561fd0399a9947",
     "Z72-projective-bounded-1": "e065f11348439e80",
-    "Z72-projective-deep-0": "3e24fbd26d99d9bb",
+    "Z72-projective-deep-0": "8ab2ebc27250072f",
     "Z72-projective-top": "d959c7e6f6ddb0b0",
-    "Z72-projective-tower-0": "6f89f4f988458374",
+    "Z72-projective-tower-0": "f742e41d0d93cdc0",
     "Z72-projective-tower-1": "31f21c3f28b1f2f6",
     "lift-Z-injective": "4c4ff8f85805d821",
     "lift-Z-projective": "690bc986caed0459",
-    "lift-Z12-injective": "96f168e261da745b",
-    "lift-Z12-projective": "00092474cc17c203",
+    "lift-Z12-injective": "ffc8ef2807ba6a41",
+    "lift-Z12-projective": "e060ad88dd812369",
     "lift-Z72-injective": "2e39c8834cfba722",
-    "lift-Z72-projective": "01dd7f6cfacb3cb5",
+    "lift-Z72-projective": "3ee499af099df9ef",
     "zero-injective": "a89ca930fd69a8db",
     "zero-projective": "6a6acb7b6e291d30",
 }

@@ -8,12 +8,15 @@ structural identities (factorizations, universal properties).
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from purcat.exact_linalg import IntMatrix, WorkbenchError, ZZ, Zmod, solve_linear, hstack
 from purcat.fpmod import (
+    FpModule,
     IllDefinedMap,
     MapSolver,
     NotMono,
+    block_map,
     canonical_form,
     cokernel,
     cyclic_module,
@@ -35,12 +38,19 @@ from purcat.fpmod import (
     make_module,
     pullback,
     pushout,
+    retraction,
     short_exact_sequence,
     tensor_map,
     tensor_modules,
     zero_module,
 )
-from helpers import enumerate_module_elements, mat
+from purcat.purity import is_pure_mono
+from helpers import (
+    enumerate_module_elements,
+    mat,
+    slow_decomposition,
+    slow_retraction,
+)
 
 RINGS = [ZZ, Zmod(2), Zmod(5), Zmod(6), Zmod(8), Zmod(12)]
 
@@ -466,6 +476,62 @@ def test_has_retraction():
     assert has_retraction(dbl) is None
     with pytest.raises(NotMono):
         has_retraction(make_map(cyclic_module(ZZ, 4), cyclic_module(ZZ, 2), [[1]]))
+
+
+def _mono(rng, ring, kind):
+    """An injective map of the given kind: "split" is (id; h) into a sum,
+    "doubling" adds Z/2 -> Z/4 by 2 (never split) to a split one, and
+    "kernel" / "image" include the kernel or image of a random map, which
+    may split or not."""
+    a = random_module(rng, ring)
+    b = random_module(rng, ring)
+    if kind in ("split", "doubling"):
+        h = random_map(rng, a, b)
+        s, _, _ = direct_sum([a, b])
+        f = block_map(a, s, [(0, 0, 1, IntMatrix.identity(a.generators)),
+                             (a.generators, 0, 1, h.matrix)])
+        if kind == "split":
+            return f
+        dbl = make_map(cyclic_module(ring, 2), cyclic_module(ring, 4), [[2]])
+        src, _, _ = direct_sum([dbl.src, f.src])
+        tgt, _, _ = direct_sum([dbl.tgt, f.tgt])
+        return block_map(src, tgt, [(0, 0, 1, dbl.matrix), (1, 1, 1, f.matrix)])
+    g = random_map(rng, a, b)
+    return kernel(g)[1] if kind == "kernel" else image(g)[1]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ring=st.sampled_from([ZZ, Zmod(12), Zmod(72)]),
+       kind=st.sampled_from(["split", "doubling", "kernel", "image"]))
+def test_retraction_agrees_with_the_joint_solver(seed, ring, kind):
+    f = _mono(random.Random(seed), ring, kind)
+    assert is_injective(f)
+    r = retraction(f)
+    oracle = slow_retraction(f)
+    assert (r is None) == (oracle is None)
+    if kind == "split":
+        assert r is not None
+    if kind == "doubling":
+        assert r is None
+    verdict = is_pure_mono(f)
+    assert verdict.is_pure() == (r is not None)
+    if r is not None:
+        assert r.is_well_defined()
+        assert (r @ f).equals(identity_map(f.src))
+        assert (verdict.witness @ f).equals(identity_map(f.src))
+    assert (has_retraction(f) is None) == (r is None)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(12), Zmod(72), Zmod(7 ** 2 * 101 * 263)],
+                         ids=str)
+def test_cyclic_decomposition_matches_smith(ring):
+    # the 1x1 fast path of decomposition against the Smith path, entry
+    # for entry, on reduced and unreduced relations
+    for d in range(-60, 61):
+        for module in (cyclic_module(ring, d),
+                       FpModule(ring, 1, IntMatrix.from_rows([[d]]))):
+            assert module.decomposition() == slow_decomposition(module)
 
 
 def test_map_solver_two_unknowns():

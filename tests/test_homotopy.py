@@ -10,8 +10,9 @@ acyclic ones.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from purcat.exact_linalg import IntMatrix, WorkbenchError, ZZ, Zmod
+from purcat.exact_linalg import IntMatrix, LinearSystem, WorkbenchError, ZZ, Zmod
 from purcat.fpmod import (
     MapSolver,
     cyclic_module,
@@ -58,7 +59,7 @@ from purcat.resolutions import (
     termwise_ok,
     validate_certificate,
 )
-from helpers import mat
+from helpers import mat, slow_contract_complex
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +184,66 @@ def test_contract_complex_on_generated_contractibles():
             h = contract_complex(cx)
             assert h is not None
             assert h.witnesses(identity_chain_map(cx))
+
+
+def _short_exact_complex(ring):
+    """0 -> R/2 -> R/4 -> R/2 -> 0: acyclic, not split, so not contractible."""
+    z2, z4 = cyclic_module(ring, 2), cyclic_module(ring, 4)
+    return make_complex(ring, 0, [z2, z4, z2], [mat([[2]]), mat([[1]])])
+
+
+def _draw(rng, ring, kind):
+    if kind == "contractible":
+        return random_contractible(rng, ring, pieces=2)
+    if kind == "pure_acyclic":
+        return random_pure_acyclic(rng, ring)
+    if kind == "identity_cone":
+        return cone(identity_chain_map(random_complex(rng, ring, -1, 2))).complex
+    if kind == "short_exact":
+        return _short_exact_complex(ring)
+    return random_complex(rng, ring, -1, 3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ring=st.sampled_from([ZZ, Zmod(12), Zmod(72), Zmod(7 ** 2 * 101 * 263)]),
+       kind=st.sampled_from(["contractible", "pure_acyclic", "identity_cone",
+                             "short_exact", "random"]))
+def test_contract_complex_agrees_with_map_solver_oracle(seed, ring, kind):
+    cx = _draw(random.Random(seed), ring, kind)
+    fast = contract_complex(cx)
+    oracle = slow_contract_complex(cx)
+    assert (fast is None) == (oracle is None)
+    if kind in ("contractible", "pure_acyclic", "identity_cone"):
+        assert fast is not None
+    if fast is not None:
+        assert fast.witnesses(identity_chain_map(cx))
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(8)], ids=str)
+def test_contract_complex_rejects_acyclic_non_split(ring):
+    cx = _short_exact_complex(ring)
+    assert homology(cx, 1).is_zero()
+    assert contract_complex(cx) is None
+    assert slow_contract_complex(cx) is None
+
+
+def test_contraction_and_resolve_build_no_linear_system(monkeypatch):
+    def refuse(self):
+        raise AssertionError("LinearSystem.solve was called")
+
+    monkeypatch.setattr(LinearSystem, "solve", refuse)
+    rng = random.Random(83)
+    for ring in (ZZ, Zmod(12)):
+        for cx in (random_contractible(rng, ring, pieces=3), random_pure_acyclic(rng, ring),
+                   cone(identity_chain_map(random_complex(rng, ring, -1, 3))).complex):
+            h = contract_complex(cx)
+            assert h is not None
+            assert h.witnesses(identity_chain_map(cx))
+    for side in (INJECTIVE, PROJECTIVE):
+        for _ in range(4):
+            m = random_complex(rng, Zmod(12), -1, 3)
+            assert validate_certificate(resolve(m, side))
 
 
 # ---------------------------------------------------------------------------

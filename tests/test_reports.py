@@ -100,7 +100,7 @@ DIGESTS = {
     "truncate": (0, "a4cfda0aee16d092", "5a43c2cb898d1038"),
     "purity": (0, "88c13a7bf92814f0", "aea0759c4071c96c"),
     "qis": (0, "81d9ef84b95bcece", "1f2cdeb761e33d4f"),
-    "resolve": (0, "3e037a9c360b55b7", "97d809a0e15f6cf6"),
+    "resolve": (0, "4c21952314c5e574", "eb367b94b4e01cf8"),
     "towers": (0, "3cd6873771c6f258", "fcd0eae7757af6cf"),
     "phom": (0, "36dbfa0e5024535f", "c3978f062f47da4d"),
     "adjunction": (0, "84ff95debd481ee1", "6cf23e6d92071bd7"),
