@@ -14,6 +14,13 @@ U B.  Its column operations come back as a log, which the Smith form
 replays on the identity to get V and the solver replays in reverse on
 the diagonal solution Y to get V Y.  The solver thus never forms U or V,
 yet its pivots, and so its answer, are exactly those of the Smith form.
+
+Matrices are stored dense, but the matrices that reach this layer are
+mostly zeros, so products and block assembly do Python work only on
+nonzero entries: a product adds up scaled rows of its right factor for
+the nonzero entries of each left row, identity, block_diag and kron
+write zeros as runs built by tuple arithmetic, and reduce_matrix passes
+zero rows through as they are.
 """
 
 from __future__ import annotations
@@ -56,11 +63,12 @@ class Ring:
         return x % self.modulus
 
     def reduce_matrix(self, a: "IntMatrix") -> "IntMatrix":
+        """a with every entry reduced; a zero row is kept as it is."""
         if self.modulus is None:
             return a
         m = self.modulus
-        return IntMatrix._trusted(a.rows, a.cols,
-                                  tuple(tuple(x % m for x in row) for row in a.data))
+        return IntMatrix._trusted(a.rows, a.cols, tuple([
+            tuple([x % m for x in row]) if any(row) else row for row in a.data]))
 
     def __str__(self) -> str:
         return "Z" if self.modulus is None else f"Z/{self.modulus}"
@@ -81,8 +89,11 @@ def Zmod(m: int) -> Ring:
 class IntMatrix:
     """Immutable integer matrix; data is a tuple of row tuples.
 
-    The constructor checks the shape; producers whose output shape
-    follows from their operands build through _trusted, which does not.
+    Storage is dense: every entry, zero or not, sits in its row tuple.
+    Products and assembly skip the zero entries instead, and may share
+    one zero row tuple between rows.  The constructor checks the shape;
+    producers whose output shape follows from their operands build
+    through _trusted, which does not.
     """
 
     rows: int
@@ -116,8 +127,9 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix._trusted(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
-                                              for i in range(n)))
+        zero = (0,) * n
+        return IntMatrix._trusted(n, n, tuple([zero[:i] + (1,) + zero[i + 1:]
+                                               for i in range(n)]))
 
     @staticmethod
     def column_vector(entries: Iterable[int]) -> "IntMatrix":
@@ -169,14 +181,24 @@ class IntMatrix:
                                   tuple(tuple(c * a for a in row) for row in self.data))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Row i of the product is the sum of a * (row k of other) over the
+        nonzero entries a = self[i, k]; a row with none is one shared
+        zero row.  Zero entries of self cost nothing."""
         if self.cols != other.rows:
             raise InputError("matrix product shape mismatch")
-        cols = list(zip(*other.data)) if other.rows else [()] * other.cols
-        out = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                    for row in self.data)
-        if not self.rows:
-            out = ()
-        return IntMatrix._trusted(self.rows, other.cols, out)
+        right = other.data
+        zero = (0,) * other.cols
+        out = []
+        for row in self.data:
+            acc = None
+            for k, a in enumerate(row):
+                if a:
+                    if acc is None:
+                        acc = [a * b for b in right[k]]
+                    else:
+                        acc = [x + a * b for x, b in zip(acc, right[k])]
+            out.append(zero if acc is None else tuple(acc))
+        return IntMatrix._trusted(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._trusted(self.cols, self.rows, tuple(zip(*self.data))
@@ -184,11 +206,16 @@ class IntMatrix:
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product; (i1*other.rows+i2, j1*other.cols+j2) entry
-        is self[i1,j1] * other[i2,j2]."""
+        is self[i1,j1] * other[i2,j2].  A zero entry of self contributes
+        one shared run of other.cols zeros."""
+        zero = (0,) * other.cols
         rows = []
         for r1 in self.data:
             for r2 in other.data:
-                rows.append(tuple(a * b for a in r1 for b in r2))
+                row = ()
+                for a in r1:
+                    row += tuple([a * b for b in r2]) if a else zero
+                rows.append(row)
         return IntMatrix._trusted(self.rows * other.rows, self.cols * other.cols,
                                   tuple(rows))
 
@@ -216,16 +243,16 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
 
 
 def block_diag(*mats: IntMatrix) -> IntMatrix:
-    rows = sum(m.rows for m in mats)
+    """Each row of each block, padded by the zero runs left and right of
+    its column range."""
     cols = sum(m.cols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    out = []
+    c0 = 0
     for m in mats:
-        for i in range(m.rows):
-            out[r0 + i][c0:c0 + m.cols] = list(m.data[i])
-        r0 += m.rows
+        left, right = (0,) * c0, (0,) * (cols - c0 - m.cols)
+        out.extend([left + row + right for row in m.data])
         c0 += m.cols
-    return IntMatrix.from_rows(out) if rows else IntMatrix(0, cols, ())
+    return IntMatrix._trusted(len(out), cols, tuple(out))
 
 
 def from_columns(cols: Iterable[Iterable[int]], height: int) -> IntMatrix:

@@ -297,7 +297,17 @@ def zero_map(src: FpModule, tgt: FpModule) -> ModuleMap:
 
 
 def kernel(f: ModuleMap) -> tuple:
-    """(K, inclusion) presenting {x in src : f(x) = 0}."""
+    """(K, inclusion) presenting {x in src : f(x) = 0}.
+
+    The generators of K are the columns of gen_mat, the top rows of a
+    kernel basis of [f | rel_tgt], reduced.  Its relations are the top
+    parts y_top of a kernel basis of [gen_mat | rel_src]: each such
+    column has gen_mat . y_top + rel_src . y_bottom = 0 (mod m), so
+    gen_mat . y_top = -rel_src . y_bottom lies in the relation span of
+    src, reducing y_top mod m changes it by multiples of m, and dropping
+    a zero column drops nothing.  The inclusion is therefore well defined
+    by construction and is built without re-checking it.
+    """
     ring = f.src.ring
     gs = f.src.generators
     if gs == 0:
@@ -324,8 +334,7 @@ def kernel(f: ModuleMap) -> tuple:
         if any(col):
             rel_cols.append(col)
     kmod = make_module(ring, k, from_columns(rel_cols, k))
-    incl = make_map(kmod, f.src, gen_mat)
-    return kmod, incl
+    return kmod, ModuleMap(kmod, f.src, gen_mat)
 
 
 def cokernel(f: ModuleMap) -> tuple:
@@ -575,15 +584,27 @@ def _induced(hm_src: HomModule, hm_tgt: HomModule, left: IntMatrix,
     right = U . h . U^-1 the change-of-basis products.  Its entry at
     target slot r = (i', j') is mult_s . left[j', j] . right[i, i'],
     read as from_map reads it; no full map is built.
+
+    Only the pairs (s, r) with left[j', j] and right[i, i'] both nonzero
+    are visited: for each source slot, the nonzero entries of column j
+    of left against those of row i of right, each pair (i', j') looked
+    up among the target slots by a dict.  Every other entry is 0.  For
+    hom_post right is the identity and for hom_pre left is, so each
+    source slot meets one row or one column of the change of basis.
     """
-    cols = []
-    for s in hm_src.slots:
-        col = []
-        for r in hm_tgt.slots:
-            x = left.data[r.tgt_index][s.tgt_index] * right.data[s.src_index][r.src_index]
-            col.append(hm_tgt.coordinate(r, x * s.multiplier) if x else 0)
-        cols.append(col)
-    mat = from_columns(cols, len(hm_tgt.slots))
+    targets = hm_tgt.slots
+    slot_at = {(r.src_index, r.tgt_index): pos for pos, r in enumerate(targets)}
+    left_cols = [[(jp, row[j]) for jp, row in enumerate(left.data) if row[j]]
+                 for j in range(left.cols)]
+    right_rows = [[(ip, y) for ip, y in enumerate(row) if y] for row in right.data]
+    rows = [[0] * len(hm_src.slots) for _ in targets]
+    for c, s in enumerate(hm_src.slots):
+        for ip, y in right_rows[s.src_index]:
+            for jp, x in left_cols[s.tgt_index]:
+                pos = slot_at.get((ip, jp))
+                if pos is not None:
+                    rows[pos][c] = hm_tgt.coordinate(targets[pos], x * y * s.multiplier)
+    mat = IntMatrix._trusted(len(targets), len(hm_src.slots), tuple(map(tuple, rows)))
     return ModuleMap(hm_src.module, hm_tgt.module, hm_src.module.ring.reduce_matrix(mat))
 
 

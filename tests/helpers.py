@@ -22,8 +22,10 @@ elimination that tracked both inverses, exact solving through the full
 U and V of the Smith form, LinearSystem assembly through dense
 Kronecker products, the tower path of resolve that certified the
 (co)limit before minimizing it and certifying again, module
-decompositions through the Smith form even for one cyclic relation, and
-retractions and contractions solved as vectorized MapSolver systems.  A few constructions
+decompositions through the Smith form even for one cyclic relation,
+retractions and contractions solved as vectorized MapSolver systems, and
+matrix products and induced Hom maps that visit every entry and every
+pair of slots, zero or not.  A few constructions
 that only tests use live here too: the chain maps induced on hom
 complexes and the inverse of a unimodular matrix.  Keep it slow and
 obvious.
@@ -955,3 +957,32 @@ def slow_contract_complex(cx):
         sigmas[n] = sol["s"]
     comps = tuple(sigmas[n - 1] @ rhos[n] for n in range(cx.lo, cx.hi + 1))
     return Homotopy(cx, cx, cx.lo, comps)
+
+
+# ---------------------------------------------------------------------------
+# dense products and induced maps, as they were
+
+
+def slow_matmul(self, other):
+    """IntMatrix product as a dense sum over every entry pair."""
+    if self.cols != other.rows:
+        raise InputError("matrix product shape mismatch")
+    cols = list(zip(*other.data)) if other.rows else [()] * other.cols
+    out = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                for row in self.data)
+    if not self.rows:
+        out = ()
+    return IntMatrix._trusted(self.rows, other.cols, out)
+
+
+def slow_induced(hm_src, hm_tgt, left, right):
+    """fpmod._induced visiting every pair of source and target slots."""
+    cols = []
+    for s in hm_src.slots:
+        col = []
+        for r in hm_tgt.slots:
+            x = left.data[r.tgt_index][s.tgt_index] * right.data[s.src_index][r.src_index]
+            col.append(hm_tgt.coordinate(r, x * s.multiplier) if x else 0)
+        cols.append(col)
+    mat = from_columns(cols, len(hm_tgt.slots))
+    return ModuleMap(hm_src.module, hm_tgt.module, hm_src.module.ring.reduce_matrix(mat))

@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from purcat.exact_linalg import (
     IntMatrix,
@@ -11,6 +11,7 @@ from purcat.exact_linalg import (
     SmithDecomposition,
     ZZ,
     Zmod,
+    block_diag,
     hstack,
     kernel_basis,
     smith_normal_form,
@@ -28,6 +29,7 @@ from helpers import (
     invert_unimodular,
     mat,
     random_matrix_rows,
+    slow_matmul,
     slow_smith_normal_form,
     slow_solve_linear,
 )
@@ -188,6 +190,79 @@ def test_trusted_producers_pass_the_shape_check(first, second, c):
     outputs.append(block_map(src, tgt, [(0, 0, 1, a), (a.rows, a.cols, -1, b)]).matrix)
     for x in outputs:
         assert full_check(x), f"{x.rows}x{x.cols} data {x.data}"
+
+
+# Products and assembly skip zero entries; the dense oracles and the
+# definitions below visit every entry.  Inputs run from all zeros to no
+# zeros, with 0-row and 0-column shapes, negative entries and entries
+# past 2^64.
+
+BIG = 2 ** 64
+
+
+def sparse_matrix(rng, rows, cols, density):
+    """rows x cols, each entry nonzero with probability density / 100."""
+    def entry():
+        if rng.randrange(100) >= density:
+            return 0
+        x = rng.choice((rng.randint(1, 12), rng.randint(BIG, 4 * BIG)))
+        return -x if rng.random() < 0.5 else x
+    return IntMatrix(rows, cols, tuple(tuple(entry() for _ in range(cols))
+                                       for _ in range(rows)))
+
+
+def dense_kron(a, b):
+    return IntMatrix(a.rows * b.rows, a.cols * b.cols, tuple(
+        tuple(a.at(i1, j1) * b.at(i2, j2) for j1 in range(a.cols) for j2 in range(b.cols))
+        for i1 in range(a.rows) for i2 in range(b.rows)))
+
+
+def dense_block_diag(mats):
+    cols = sum(m.cols for m in mats)
+    out = []
+    c0 = 0
+    for m in mats:
+        for i in range(m.rows):
+            out.append([m.at(i, j - c0) if c0 <= j < c0 + m.cols else 0 for j in range(cols)])
+        c0 += m.cols
+    return IntMatrix(len(out), cols, tuple(map(tuple, out)))
+
+
+SHAPES = st.integers(0, 6)
+DENSITIES = st.integers(0, 100)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(SNF_RINGS),
+       shape=st.tuples(SHAPES, SHAPES, SHAPES), densities=st.tuples(DENSITIES, DENSITIES))
+@example(seed=1, ring=ZZ, shape=(0, 3, 2), densities=(100, 100))
+@example(seed=2, ring=Zmod(12), shape=(3, 0, 2), densities=(100, 100))
+@example(seed=3, ring=Zmod(72), shape=(2, 3, 0), densities=(100, 0))
+@example(seed=4, ring=Zmod(12), shape=(4, 5, 3), densities=(0, 100))
+@example(seed=5, ring=Zmod(72), shape=(5, 4, 6), densities=(100, 100))
+def test_sparse_products_and_assembly_match_dense_oracles(seed, ring, shape, densities):
+    rng = random.Random(seed)
+    (r, k, c), (da, db) = shape, densities
+    a, b = sparse_matrix(rng, r, k, da), sparse_matrix(rng, k, c, db)
+    for x, y in ((a, b), (ring.reduce_matrix(a), ring.reduce_matrix(b))):
+        product = x @ y
+        assert product == slow_matmul(x, y)
+        assert full_check(product)
+        assert x.kron(y) == dense_kron(x, y)
+        assert full_check(x.kron(y))
+    with pytest.raises(InputError):
+        a @ sparse_matrix(rng, k + 1, c, db)
+    reduced = ring.reduce_matrix(a)
+    assert full_check(reduced)
+    assert reduced.data == tuple(tuple(ring.reduce(x) for x in row) for row in a.data)
+    mats = [a, b, sparse_matrix(rng, c, r, da), IntMatrix.zeros(k, 0), IntMatrix.zeros(0, c)]
+    rng.shuffle(mats)
+    for n in range(len(mats) + 1):
+        assembled = block_diag(*mats[:n])
+        assert assembled == dense_block_diag(mats[:n])
+        assert full_check(assembled)
+    assert IntMatrix.identity(r) == IntMatrix(r, r, tuple(
+        tuple(int(i == j) for j in range(r)) for i in range(r)))
 
 
 def test_ragged_data_is_rejected():

@@ -16,6 +16,7 @@ from purcat.fpmod import (
     IllDefinedMap,
     MapSolver,
     NotMono,
+    _induced,
     block_map,
     canonical_form,
     cokernel,
@@ -49,6 +50,9 @@ from helpers import (
     enumerate_module_elements,
     mat,
     slow_decomposition,
+    slow_hom_post,
+    slow_hom_pre,
+    slow_induced,
     slow_retraction,
 )
 
@@ -394,6 +398,58 @@ def test_hom_post_pre_functorial():
             [sum(pre.matrix.at(i, j) * coords[j] for j in range(len(coords)))
              for i in range(len(hom_a2b.slots))])
         assert via_pre.equals(f @ psi)
+
+
+THREE_RINGS = [ZZ, Zmod(12), Zmod(72)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(THREE_RINGS))
+def test_induced_maps_match_the_dense_slot_walk(seed, ring):
+    # _induced visits only the slot pairs with nonzero change-of-basis
+    # entries; the oracles visit every pair, or build every full map
+    rng = random.Random(seed)
+    a, a2, b, b2 = (random_module(rng, ring, max_gens=4) for _ in range(4))
+    phi, psi = random_map(rng, b, b2), random_map(rng, a2, a)
+    hm, post_tgt, pre_tgt = hom_modules(a, b), hom_modules(a, b2), hom_modules(a2, b)
+    post = hom_post(hm, post_tgt, phi)
+    t = b2.decomposition().to_diag @ phi.matrix @ b.decomposition().from_diag
+    assert post == slow_induced(hm, post_tgt, t, IntMatrix.identity(a.generators))
+    assert post == slow_hom_post(hm, post_tgt, phi)
+    pre = hom_pre(hm, pre_tgt, psi)
+    t = a.decomposition().to_diag @ psi.matrix @ a2.decomposition().from_diag
+    assert pre == slow_induced(hm, pre_tgt, IntMatrix.identity(b.generators), t)
+    assert pre == slow_hom_pre(hm, pre_tgt, psi)
+    # arbitrary change-of-basis matrices on both sides, where some entry
+    # may not be a hom element: both raise, or both give the same map
+    def sparse(rows, cols):
+        return IntMatrix(rows, cols, tuple(
+            tuple(rng.choice((0, 0, 1, rng.randint(-9, 9))) for _ in range(cols))
+            for _ in range(rows)))
+
+    hm2 = hom_modules(a2, b2)
+    left, right = sparse(b2.generators, b.generators), sparse(a.generators, a2.generators)
+    try:
+        want = slow_induced(hm, hm2, left, right)
+    except WorkbenchError:
+        with pytest.raises(WorkbenchError, match="not a hom element"):
+            _induced(hm, hm2, left, right)
+    else:
+        assert _induced(hm, hm2, left, right) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(THREE_RINGS))
+def test_kernel_inclusion_is_well_defined(seed, ring):
+    # kernel builds its inclusion without the well-definedness check
+    rng = random.Random(seed)
+    src, tgt = random_module(rng, ring, max_gens=4), random_module(rng, ring, max_gens=4)
+    f = random_map(rng, src, tgt)
+    k, incl = kernel(f)
+    assert (incl.src, incl.tgt) == (k, src)
+    assert incl.is_well_defined()
+    assert (f @ incl).is_zero()
+    assert make_map(k, src, incl.matrix) == incl
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,19 @@ def test_dpur_adjunction_random_triples():
             assert link.ok, link.name
 
 
+def test_dpur_adjunction_on_a_length_three_z12_triple():
+    # three complexes on [-1, 1] with 4, 7 and 4 invariant factors; the
+    # hom and tensor complexes are large and mostly zeros
+    rng = random.Random(7)
+    ring = Zmod(12)
+    a, b, c = (random_complex(rng, ring, -1, 3, max_gens=3) for _ in range(3))
+    report = check_dpur_adjunction(a, b, c)
+    assert report.ok
+    # recorded from the dense products, before they skipped zero entries
+    factors = (2,) * 12 + (6,) * 6 + (12,) * 6
+    assert [(link.left, link.right) for link in report.links] == [(factors, factors)] * 5
+
+
 def test_dpur_adjunction_with_zero_argument():
     rng = random.Random(67)
     ring = Zmod(8)
