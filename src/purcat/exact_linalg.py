@@ -11,9 +11,11 @@ One elimination routine serves both the Smith form and the solver.  Its
 row operations act on whatever rows the caller carries along: the
 identity, which turns into U, or a right-hand side B, which turns into
 U B.  Its column operations come back as a log, which the Smith form
-replays on the identity to get V and the solver replays in reverse on
-the diagonal solution Y to get V Y.  The solver thus never forms U or V,
-yet its pivots, and so its answer, are exactly those of the Smith form.
+replays on the identity to get V, and which the solver and the kernel
+replay in reverse on a diagonal solution Y to get V Y.  Neither forms U
+or V, yet their pivots, and so their answers, are exactly those of the
+Smith form.  Module decompositions carry the identity to get U and U^-1
+and drop the log.
 
 Matrices are stored dense, but the matrices that reach this layer are
 mostly zeros, so products and block assembly do Python work only on
@@ -305,6 +307,10 @@ def _identity_rows(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _frozen(rows: list, width: int) -> IntMatrix:
+    return IntMatrix._trusted(len(rows), width, tuple(tuple(row) for row in rows))
+
+
 def _reduced_rows(mat: IntMatrix, m: Optional[int]) -> list:
     """The rows of mat as lists, reduced mod m over Z/m."""
     if m is None:
@@ -525,14 +531,15 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring,
     """Smith normal form with change of basis over Z or Z/m.
 
     U, D and V are always returned; U^-1 is tracked only when inverse is
-    true (FpModule.decomposition needs it), and V^-1 never.  U is the
-    identity carried through the row operations of _eliminate, V the
-    identity put through its logged column operations in order.
+    true, and V^-1 never.  U is the identity carried through the row
+    operations of _eliminate, V the identity put through its logged
+    column operations in order.
 
-    Matrices and decompositions are immutable, so results are memoized;
-    kernel extraction and module decomposition hit the same
-    differentials over and over and the cache turns those repeats into
-    lookups.
+    The program itself forms no full decomposition: kernel_basis,
+    smith_row_basis, smith_diagonal and solve_linear each take only what
+    they read from the same elimination.  This stays as the public
+    reference their answers are checked against.  Matrices and
+    decompositions are immutable, so results are memoized.
     """
     r, c = a_mat.rows, a_mat.cols
     m = ring.modulus
@@ -554,14 +561,34 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring,
                 x = row[src]
                 if x:
                     row[dst] = (row[dst] - q * x) % m
-
-    def frozen(rows_: list, width: int) -> IntMatrix:
-        return IntMatrix._trusted(len(rows_), width, tuple(tuple(row) for row in rows_))
-
     return SmithDecomposition(
-        ring, frozen(u, r), frozen(a, c), frozen(v, c),
-        frozen(ui, r) if inverse else None,
+        ring, _frozen(u, r), _frozen(a, c), _frozen(v, c),
+        _frozen(ui, r) if inverse else None,
     )
+
+
+@lru_cache(maxsize=8192)
+def smith_row_basis(a_mat: IntMatrix, ring: Ring) -> tuple:
+    """(diagonal, U, U^-1) of the Smith form U a_mat V = D, with no V.
+
+    diagonal holds one entry per row, 0 past the last column, as
+    smith_diagonal gives it.  _eliminate carries the identity rows,
+    which end as U, and tracks U^-1 in its columns; the column log,
+    which only V is made from, is dropped.  Row operations never read
+    the log and the pivots are chosen from a alone, so this is the very
+    elimination smith_normal_form(a_mat, ring, inverse=True) runs: the
+    diagonal is the diagonal of its D, and U and U^-1 equal its u and
+    u_inv entry for entry.  FpModule.decomposition reads nothing else.
+    Memoized like smith_normal_form, each entry holding no V and no D.
+    """
+    r, c = a_mat.rows, a_mat.cols
+    m = ring.modulus
+    a = _reduced_rows(a_mat, m)
+    u = _identity_rows(r)
+    ui = _identity_rows(r)
+    _eliminate(a, c, m, u, ui)
+    return (tuple(a[i][i] if i < c else 0 for i in range(r)),
+            _frozen(u, r), _frozen(ui, r))
 
 
 def smith_diagonal(a_mat: IntMatrix, ring: Ring) -> tuple:
@@ -599,20 +626,40 @@ def quotient_order(diagonal: tuple, q: int) -> Optional[int]:
 # solving
 
 
+def _replay(log: list, y: list, m: Optional[int]) -> None:
+    """Turn the rows y of a matrix Y into those of V Y, in place.
+
+    log is the column log of _eliminate, and V the product
+    E_1 E_2 ... E_n of its elementary matrices in logged order, so
+    V Y = E_1 (E_2 (... (E_n Y))): the log is applied from its end.
+    col_dst -= q * col_src is right multiplication by I - q e_src e_dst^T,
+    which on Y from the left is y_src -= q * y_dst; a column swap is a
+    row swap.  A step whose y_dst is zero changes nothing and is
+    skipped.  Over Z every step is exact, so the rows end as V Y entry
+    for entry; over Z/m each step reduces mod m, which commutes with
+    the products, so rows that start as canonical residues end as the
+    canonical residues of V Y.
+    """
+    for dst, src, q in reversed(log):
+        if q is None:
+            y[dst], y[src] = y[src], y[dst]
+        elif any(y[dst]):
+            if m is None:
+                y[src] = [s - q * t for s, t in zip(y[src], y[dst])]
+            else:
+                y[src] = [(s - q * t) % m for s, t in zip(y[src], y[dst])]
+
+
 def solve_linear(a: IntMatrix, b: IntMatrix, ring: Ring) -> Optional[IntMatrix]:
     """An exact solution X of A @ X = B over the ring, or None.
 
     The decision goes through the Smith form U A V = D without forming
     U or V.  B rides along with the row operations of the elimination,
     so when A has become D the carried rows are U B, and D Y = U B is
-    solvable iff each diagonal congruence d_i * y = (UB)_i is.  V is the
-    product E_1 E_2 ... E_n of the logged column operations, so
-    V Y = E_1 (E_2 (... (E_n Y))): the log is replayed from its end,
-    with col_dst -= q * col_src acting on Y as y_src -= q * y_dst and a
-    column swap as a row swap.  The pivots are those of
-    smith_normal_form(a, ring), so X equals the product of its V with Y
-    entry for entry: over Z every step is exact, and over Z/m reducing
-    each step mod m commutes with the products.
+    solvable iff each diagonal congruence d_i * y = (UB)_i is.  X = V Y
+    comes from _replay of the logged column operations on Y.  The
+    pivots are those of smith_normal_form(a, ring), so X equals the
+    product of its V with Y entry for entry.
     """
     if a.rows != b.rows:
         raise InputError("solve_linear: row mismatch")
@@ -647,46 +694,56 @@ def solve_linear(a: IntMatrix, b: IntMatrix, ring: Ring) -> Optional[IntMatrix]:
                     return None
                 if di:
                     y[i][j] = q
-    for dst, src, q in reversed(log):
-        if q is None:
-            y[dst], y[src] = y[src], y[dst]
-        elif any(y[dst]):
-            if m is None:
-                y[src] = [s - q * t for s, t in zip(y[src], y[dst])]
-            else:
-                y[src] = [(s - q * t) % m for s, t in zip(y[src], y[dst])]
-    return IntMatrix._trusted(a.cols, b.cols, tuple(tuple(row) for row in y))
+    _replay(log, y, m)
+    return _frozen(y, b.cols)
 
 
+@lru_cache(maxsize=8192)
 def kernel_basis(a: IntMatrix, ring: Ring) -> IntMatrix:
     """Columns generating {x : A x = 0} over the ring.
 
     Over Z the columns are a lattice basis of the kernel (which is
     automatically saturated); over Z/m they generate the kernel
-    submodule, with the congruence freedom (m/d_i) per diagonal entry.
+    submodule, with the congruence freedom (m/d_j) per diagonal entry.
+
+    With U A V = D and x = V y, A x = 0 iff D y = 0, which holds
+    coordinate by coordinate: y_j is free where column j of D is zero
+    (d_j = 0, or j past the last row), and over Z/m it is otherwise a
+    multiple of m/d_j, d_j dividing m; d_j = 1 leaves nothing.  So the
+    kernel is generated by V (c_j e_j) over those j, c_j = 1 for a free
+    y_j and m/d_j otherwise, in increasing j.  _eliminate runs with no
+    carried rows and _replay puts its column log through Y = [c_j e_j],
+    one column per kept j; no U and no full V is formed.  Its pivots
+    are those of smith_normal_form(a, ring), so over Z each column is
+    c_j times column j of that V exactly, and over Z/m both are the
+    canonical residues of c_j V e_j: the replay starts from residues
+    and reduces every step, the reference reduces V and then c_j times
+    it.  The columns therefore equal, entry for entry, the ones read
+    off the full V.  Memoized like smith_normal_form.
     """
     if a.cols == 0:
         return IntMatrix.zeros(0, 0)
     if a.rows == 0:
         return IntMatrix.identity(a.cols)
     m = ring.modulus
-    snf = smith_normal_form(a, ring)
+    d = _reduced_rows(a, m)
+    log = _eliminate(d, a.cols, m, [[] for _ in d], [])
     k = min(a.rows, a.cols)
-    cols = []
+    kept = []
     for j in range(a.cols):
-        if j < k:
-            d = snf.d.at(j, j)
-            if m is None:
-                if d == 0:
-                    cols.append(snf.v.column(j))
-            else:
-                dd = d if d else m
-                coeff = m // dd
-                if coeff % m:
-                    cols.append(tuple(ring.reduce(coeff * x) for x in snf.v.column(j)))
+        dj = d[j][j] if j < k else 0
+        if m is None:
+            if dj == 0:
+                kept.append((j, 1))
         else:
-            cols.append(snf.v.column(j))
-    return from_columns(cols, a.cols)
+            c = m // dj if dj else 1
+            if c % m:
+                kept.append((j, c))
+    y = [[0] * len(kept) for _ in range(a.cols)]
+    for t, (j, c) in enumerate(kept):
+        y[j][t] = c
+    _replay(log, y, m)
+    return _frozen(y, len(kept))
 
 
 # ---------------------------------------------------------------------------

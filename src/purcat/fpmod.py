@@ -4,9 +4,12 @@ A module is a cokernel presentation: `generators` many generators
 subject to the column span of `relations`.  Maps are matrices on
 generators, well defined when they carry source relations into the
 target relation span; equality of maps is always equality modulo the
-target relations.  The Smith decomposition of the relation matrix is
-cached per module and doubles as the membership test, the invariant
-factor computation and the coordinate system for Hom calculations.
+target relations.  The diagonal coordinates of the relation matrix (its
+Smith factors with U and U^-1, no V) are cached per module and serve as
+the invariant factor computation and the coordinate system for Hom
+calculations.  Membership is read per generator when every relation
+column has at most one nonzero entry, as for direct sums of cyclics and
+Hom modules, and through the diagonal coordinates otherwise.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from purcat.exact_linalg import (
     from_columns,
     hstack,
     kernel_basis,
-    smith_normal_form,
+    smith_row_basis,
     solve_linear,
 )
 
@@ -78,16 +81,10 @@ class FpModule:
             dec = _cyclic_decomposition(self.ring, self.relations.data[0][0])
             object.__setattr__(self, "_decomp", dec)
             return dec
-        snf = smith_normal_form(self.relations, self.ring, inverse=True)
-        k = min(self.generators, self.relations.cols)
+        diagonal, u, u_inv = smith_row_basis(self.relations, self.ring)
         m = self.ring.modulus
-        factors = []
-        for i in range(self.generators):
-            d = snf.d.at(i, i) if i < k else 0
-            if m is not None and d == 0:
-                d = m
-            factors.append(d)
-        dec = Decomposition(tuple(factors), snf.u, snf.u_inv)
+        factors = diagonal if m is None else tuple(d or m for d in diagonal)
+        dec = Decomposition(factors, u, u_inv)
         object.__setattr__(self, "_decomp", dec)
         return dec
 
@@ -116,10 +113,36 @@ class FpModule:
     # -- membership -------------------------------------------------------
 
     def contains_in_relations(self, cols: IntMatrix) -> bool:
-        """Do all columns lie in the relation span (mod m over Z/m)?"""
+        """Do all columns lie in the relation span (mod m over Z/m)?
+
+        When every relation column has at most one nonzero entry, the
+        span splits by generator.  A column a e_i adds a R to coordinate
+        i alone, so coordinate i ranges over the ideal generated by the
+        nonzero entries a_1, ..., a_k of row i.  Over Z that ideal is
+        g_i Z with g_i = gcd(a_1, ..., a_k), 0 for an empty row; over
+        Z/m, read mod m, it is g_i Z with g_i = gcd(a_1, ..., a_k, m).
+        So x lies in the span iff g_i divides x_i for every i, 0
+        dividing only 0.  Over Z/m each g_i divides m, so unreduced and
+        negative x_i are read correctly.  No elimination runs.  Any
+        other presentation is read in its diagonal coordinates: with
+        T = to_diag and T rel V = diag(factors), x is in the span iff
+        row i of T x is divisible by factor i.
+        """
         if cols.rows != self.generators:
             raise InputError("membership test shape mismatch")
         if self.generators == 0 or cols.cols == 0:
+            return True
+        if "_ideals" not in self.__dict__:
+            object.__setattr__(self, "_ideals",
+                               _row_ideals(self.relations, self.ring.modulus))
+        ideals = self.__dict__["_ideals"]
+        if ideals is not None:
+            for g, row in zip(ideals, cols.data):
+                if g == 0:
+                    if any(row):
+                        return False
+                elif any(x % g for x in row):
+                    return False
             return True
         dec = self.decomposition()
         image = self.ring.reduce_matrix(dec.to_diag @ cols)
@@ -135,6 +158,24 @@ class FpModule:
 
     def __str__(self) -> str:
         return f"FpModule({self.ring}, g={self.generators}, inv={self.invariant_factors})"
+
+
+def _row_ideals(rel: IntMatrix, m: Optional[int]) -> Optional[tuple]:
+    """Per row, the gcd of its entries (and of m over Z/m), when every
+    column of rel has at most one nonzero entry; None otherwise.  These
+    are the g_i of FpModule.contains_in_relations, cached per module."""
+    ideals = []
+    seen = set()
+    for row in rel.data:
+        g = 0 if m is None else m
+        for j, x in enumerate(row):
+            if x:
+                if j in seen:
+                    return None
+                seen.add(j)
+                g = gcd(g, x)
+        ideals.append(g)
+    return tuple(ideals)
 
 
 def _cyclic_decomposition(ring: Ring, d: int) -> Decomposition:
@@ -299,41 +340,27 @@ def zero_map(src: FpModule, tgt: FpModule) -> ModuleMap:
 def kernel(f: ModuleMap) -> tuple:
     """(K, inclusion) presenting {x in src : f(x) = 0}.
 
-    The generators of K are the columns of gen_mat, the top rows of a
-    kernel basis of [f | rel_tgt], reduced.  Its relations are the top
-    parts y_top of a kernel basis of [gen_mat | rel_src]: each such
-    column has gen_mat . y_top + rel_src . y_bottom = 0 (mod m), so
-    gen_mat . y_top = -rel_src . y_bottom lies in the relation span of
-    src, reducing y_top mod m changes it by multiples of m, and dropping
-    a zero column drops nothing.  The inclusion is therefore well defined
-    by construction and is built without re-checking it.
+    The generators of K are the nonzero columns of the top rows of a
+    kernel basis of [f | rel_tgt] (gen_mat).  Its relations are the
+    nonzero top parts y_top of a kernel basis of [gen_mat | rel_src]:
+    each such column has gen_mat . y_top + rel_src . y_bottom = 0
+    (mod m), so gen_mat . y_top = -rel_src . y_bottom lies in the
+    relation span of src, and dropping a zero column drops nothing.  The
+    inclusion is therefore well defined by construction and is built
+    without re-checking it.
     """
     ring = f.src.ring
     gs = f.src.generators
     if gs == 0:
         z = zero_module(ring)
         return z, zero_map(z, f.src)
-    stacked = hstack(f.matrix, f.tgt.relations)
-    kb = kernel_basis(stacked, ring)
-    cols = []
-    for j in range(kb.cols):
-        col = [kb.at(i, j) for i in range(gs)]
-        col = [ring.reduce(x) for x in col]
-        if any(col):
-            cols.append(col)
-    gen_mat = from_columns(cols, gs)
+    gen_mat = _top_columns(kernel_basis(hstack(f.matrix, f.tgt.relations), ring), gs)
     k = gen_mat.cols
     if k == 0:
         z = zero_module(ring)
         return z, zero_map(z, f.src)
-    stacked2 = hstack(gen_mat, f.src.relations)
-    kb2 = kernel_basis(stacked2, ring)
-    rel_cols = []
-    for j in range(kb2.cols):
-        col = [ring.reduce(kb2.at(i, j)) for i in range(k)]
-        if any(col):
-            rel_cols.append(col)
-    kmod = make_module(ring, k, from_columns(rel_cols, k))
+    rel = _top_columns(kernel_basis(hstack(gen_mat, f.src.relations), ring), k)
+    kmod = make_module(ring, k, rel)
     return kmod, ModuleMap(kmod, f.src, gen_mat)
 
 
@@ -352,17 +379,23 @@ def image(f: ModuleMap) -> tuple:
     if gs == 0:
         z = zero_module(ring)
         return z, zero_map(z, f.tgt), zero_map(f.src, z)
-    stacked = hstack(f.matrix, f.tgt.relations)
-    kb = kernel_basis(stacked, ring)
-    rel_cols = []
-    for j in range(kb.cols):
-        col = [ring.reduce(kb.at(i, j)) for i in range(gs)]
-        if any(col):
-            rel_cols.append(col)
-    imod = make_module(ring, gs, from_columns(rel_cols, gs))
+    rel = _top_columns(kernel_basis(hstack(f.matrix, f.tgt.relations), ring), gs)
+    imod = make_module(ring, gs, rel)
     incl = make_map(imod, f.tgt, f.matrix)
     epi = make_map(f.src, imod, IntMatrix.identity(gs))
     return imod, incl, epi
+
+
+def _top_columns(kb: IntMatrix, count: int) -> IntMatrix:
+    """The nonzero columns of the top count rows of a kernel basis.
+
+    kernel_basis returns canonical residues over Z/m, so the slice needs
+    no reduction.
+    """
+    top = kb.data[:count]
+    kept = [col for col in zip(*top) if any(col)]
+    return IntMatrix._trusted(count, len(kept),
+                              tuple(zip(*kept)) if kept else ((),) * count)
 
 
 def is_injective(f: ModuleMap) -> bool:

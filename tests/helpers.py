@@ -23,9 +23,10 @@ U and V of the Smith form, LinearSystem assembly through dense
 Kronecker products, the tower path of resolve that certified the
 (co)limit before minimizing it and certifying again, module
 decompositions through the Smith form even for one cyclic relation,
-retractions and contractions solved as vectorized MapSolver systems, and
+retractions and contractions solved as vectorized MapSolver systems,
 matrix products and induced Hom maps that visit every entry and every
-pair of slots, zero or not.  A few constructions
+pair of slots, zero or not, and kernels and membership read off the
+full Smith form for every presentation.  A few constructions
 that only tests use live here too: the chain maps induced on hom
 complexes and the inverse of a unimodular matrix.  Keep it slow and
 obvious.
@@ -986,3 +987,53 @@ def slow_induced(hm_src, hm_tgt, left, right):
         cols.append(col)
     mat = from_columns(cols, len(hm_tgt.slots))
     return ModuleMap(hm_src.module, hm_tgt.module, hm_src.module.ring.reduce_matrix(mat))
+
+
+# ---------------------------------------------------------------------------
+# kernels and membership through the full Smith form, as they were
+
+
+def slow_kernel_basis(a, ring):
+    """kernel_basis reading the columns of V off smith_normal_form, each
+    scaled by m/d_j over Z/m and reduced."""
+    if a.cols == 0:
+        return IntMatrix.zeros(0, 0)
+    if a.rows == 0:
+        return IntMatrix.identity(a.cols)
+    m = ring.modulus
+    snf = smith_normal_form(a, ring)
+    k = min(a.rows, a.cols)
+    cols = []
+    for j in range(a.cols):
+        if j < k:
+            d = snf.d.at(j, j)
+            if m is None:
+                if d == 0:
+                    cols.append(snf.v.column(j))
+            else:
+                dd = d if d else m
+                coeff = m // dd
+                if coeff % m:
+                    cols.append(tuple(ring.reduce(coeff * x) for x in snf.v.column(j)))
+        else:
+            cols.append(snf.v.column(j))
+    return from_columns(cols, a.cols)
+
+
+def slow_contains_in_relations(module, cols):
+    """Membership read in the diagonal coordinates of slow_decomposition
+    for every presentation: row i of to_diag . cols divisible by factor i."""
+    if cols.rows != module.generators:
+        raise InputError("membership test shape mismatch")
+    if module.generators == 0 or cols.cols == 0:
+        return True
+    dec = slow_decomposition(module)
+    image = module.ring.reduce_matrix(dec.to_diag @ cols)
+    for i, a in enumerate(dec.factors):
+        row = image.data[i]
+        if a == 0:
+            if any(x != 0 for x in row):
+                return False
+        elif any(x % a for x in row):
+            return False
+    return True

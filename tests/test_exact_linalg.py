@@ -15,12 +15,14 @@ from purcat.exact_linalg import (
     hstack,
     kernel_basis,
     smith_normal_form,
+    smith_row_basis,
     solve_linear,
     vstack,
 )
-from purcat.fpmod import block_map, direct_sum, make_module
+from purcat.fpmod import block_map, direct_sum, kernel, make_map, make_module
 
 import purcat.exact_linalg as exact_linalg
+import purcat.fpmod as fpmod
 from helpers import (
     brute_solve_column,
     dense_linear_system,
@@ -29,6 +31,7 @@ from helpers import (
     invert_unimodular,
     mat,
     random_matrix_rows,
+    slow_kernel_basis,
     slow_matmul,
     slow_smith_normal_form,
     slow_solve_linear,
@@ -393,6 +396,50 @@ def test_kernel_random(ring):
                 assert sol is not None, (
                     f"kernel vector {cand} of {a.data} over {ring} not in span"
                 )
+
+
+@st.composite
+def unreduced_matrices(draw, max_side=6):
+    """(matrix, ring) as callers may pass them: shapes 0..6, whole zero
+    rows and columns, negative and unreduced entries and multiples of m."""
+    ring = draw(st.sampled_from(SNF_RINGS))
+    m = ring.modulus or 12
+    r, c = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    entry = st.one_of(st.sampled_from((0, 0, 0, 1, -1, m, -m, 2 * m + 3, m // 2)),
+                      st.integers(-3 * m, 3 * m))
+    zero_rows = draw(st.sets(st.integers(0, max_side), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max_side), max_size=2))
+    rows = tuple(tuple(0 if i in zero_rows or j in zero_cols else draw(entry)
+                       for j in range(c)) for i in range(r))
+    return IntMatrix(r, c, rows), ring
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(unreduced_matrices())
+def test_kernel_and_row_basis_match_the_full_smith_form(case):
+    a, ring = case
+    assert kernel_basis(a, ring) == slow_kernel_basis(a, ring), f"{a.data} over {ring}"
+    full = smith_normal_form(a, ring, inverse=True)
+    diagonal, u, u_inv = smith_row_basis(a, ring)
+    assert (u, u_inv) == (full.u, full.u_inv)
+    assert diagonal == tuple(full.d.at(i, i) if i < a.cols else 0 for i in range(a.rows))
+
+
+def test_kernels_and_decompositions_never_form_the_smith_decomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("asked for the full Smith decomposition")
+
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(fpmod, "smith_normal_form", refuse, raising=False)
+    kernel_basis.cache_clear()
+    smith_row_basis.cache_clear()
+    assert kernel_basis(mat([[2, 4], [6, 8]]), ZZ).cols == 0
+    assert kernel_basis(mat([[2, 4, 6]]), Zmod(12)) == mat([[6, 10, 9], [0, 1, 0], [0, 0, 1]])
+    module = make_module(Zmod(72), 2, mat([[4, 6], [6, 9]]))
+    assert module.decomposition().factors == (1, 72)
+    f = make_map(module, module, mat([[6, 0], [0, 6]]))
+    k, _ = kernel(f)
+    assert k.invariant_factors == (6,)
 
 
 def test_invert_unimodular():
