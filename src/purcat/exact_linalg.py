@@ -14,8 +14,8 @@ U B.  Its column operations come back as a log, which the Smith form
 replays on the identity to get V, and which the solver and the kernel
 replay in reverse on a diagonal solution Y to get V Y.  Neither forms U
 or V, yet their pivots, and so their answers, are exactly those of the
-Smith form.  Module decompositions carry the identity to get U and U^-1
-and drop the log.
+Smith form.  The Smith form itself forms each factor only when it is
+read, so a module decomposition, which reads U and U^-1, forms no V.
 
 Matrices are stored dense, but the matrices that reach this layer are
 mostly zeros, so products and block assembly do Python work only on
@@ -270,7 +270,6 @@ def from_columns(cols: Iterable[Iterable[int]], height: int) -> IntMatrix:
 # Smith normal form
 
 
-@dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V == D with U, V invertible over the ring and D diagonal.
 
@@ -278,17 +277,89 @@ class SmithDecomposition:
     they are nonnegative, over Z/m they are divisors of m (0 standing
     for the class of m).  u_inv is the recorded inverse of U when the
     caller asked for it, and None otherwise.
+
+    One made by smith_normal_form holds what its one run of _eliminate
+    leaves: the diagonal, the column log and, when inverse was asked
+    for, U and U^-1.  Every other factor is formed on first read and
+    kept: D from the diagonal, V by replaying the log on the identity,
+    and a U that was not carried by running the same elimination again,
+    carrying it.  The elimination is deterministic, so each factor is
+    the one a single run carrying everything would give.  Constructed
+    directly, all the factors are given.
     """
 
-    ring: Ring
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-    u_inv: Optional[IntMatrix] = None
+    __slots__ = ("ring", "_a", "_diag", "_log", "_u", "_d", "_v", "_u_inv", "_kernel")
+
+    def __init__(self, ring: Ring, u: Optional[IntMatrix], d: Optional[IntMatrix],
+                 v: Optional[IntMatrix], u_inv: Optional[IntMatrix] = None):
+        self.ring = ring
+        self._u, self._d, self._v, self._u_inv = u, d, v, u_inv
+        self._a = self._diag = self._log = self._kernel = None
+
+    @property
+    def u(self) -> IntMatrix:
+        if self._u is None:
+            r = self._a.rows
+            m = self.ring.modulus
+            u = _identity_rows(r)
+            _eliminate(_reduced_rows(self._a, m), self._a.cols, m, u, [])
+            self._u = _frozen(u, r)
+        return self._u
+
+    @property
+    def d(self) -> IntMatrix:
+        if self._d is None:
+            c = self._a.cols
+            self._d = _frozen([[x if i == j else 0 for j in range(c)]
+                               for i, x in enumerate(self._diag)], c)
+        return self._d
+
+    @property
+    def v(self) -> IntMatrix:
+        if self._v is None:
+            m = self.ring.modulus
+            v = _identity_rows(self._a.cols)
+            for dst, src, q in self._log:
+                if q is None:
+                    for row in v:
+                        row[dst], row[src] = row[src], row[dst]
+                elif m is None:
+                    for row in v:
+                        x = row[src]
+                        if x:
+                            row[dst] -= q * x
+                else:
+                    for row in v:
+                        x = row[src]
+                        if x:
+                            row[dst] = (row[dst] - q * x) % m
+            self._v = _frozen(v, self._a.cols)
+        return self._v
+
+    @property
+    def u_inv(self) -> Optional[IntMatrix]:
+        return self._u_inv
 
     def diagonal(self) -> list:
-        k = min(self.d.rows, self.d.cols)
-        return [self.d.at(i, i) for i in range(k)]
+        if self._diag is None:
+            k = min(self._d.rows, self._d.cols)
+            return [self._d.at(i, i) for i in range(k)]
+        return list(self._diag[:self._a.cols])
+
+    def _fields(self) -> tuple:
+        return (self.ring, self.u, self.d, self.v, self.u_inv)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SmithDecomposition):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        ring, u, d, v, u_inv = self._fields()
+        return f"SmithDecomposition(ring={ring!r}, u={u!r}, d={d!r}, v={v!r}, u_inv={u_inv!r})"
 
 
 def _unit_scaling_mod(x: int, m: int) -> tuple:
@@ -530,65 +601,35 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring,
                       inverse: bool = False) -> SmithDecomposition:
     """Smith normal form with change of basis over Z or Z/m.
 
-    U, D and V are always returned; U^-1 is tracked only when inverse is
+    U, D and V can always be read; U^-1 is tracked only when inverse is
     true, and V^-1 never.  U is the identity carried through the row
     operations of _eliminate, V the identity put through its logged
     column operations in order.
 
-    The program itself forms no full decomposition: kernel_basis,
-    smith_row_basis, smith_diagonal and solve_linear each take only what
-    they read from the same elimination.  This stays as the public
-    reference their answers are checked against.  Matrices and
-    decompositions are immutable, so results are memoized.
+    The one run of _eliminate carries the identity and U^-1 when inverse
+    is true and no rows otherwise; D, V and an uncarried U are formed
+    only when read (see SmithDecomposition).  So FpModule.decomposition,
+    which asks for the inverse and reads U and U^-1, forms no V, and
+    kernel_basis, which reads the diagonal and the column log, forms
+    neither U nor V.  Matrices and decompositions are immutable, so
+    results are memoized; kernel extraction and module decomposition
+    hit the same matrices over and over, and the cache turns those
+    repeats into lookups.
     """
     r, c = a_mat.rows, a_mat.cols
     m = ring.modulus
     a = _reduced_rows(a_mat, m)
-    u = _identity_rows(r)
+    u = _identity_rows(r) if inverse else [[] for _ in a]
     ui = _identity_rows(r) if inverse else []
-    v = _identity_rows(c)
-    for dst, src, q in _eliminate(a, c, m, u, ui):
-        if q is None:
-            for row in v:
-                row[dst], row[src] = row[src], row[dst]
-        elif m is None:
-            for row in v:
-                x = row[src]
-                if x:
-                    row[dst] -= q * x
-        else:
-            for row in v:
-                x = row[src]
-                if x:
-                    row[dst] = (row[dst] - q * x) % m
-    return SmithDecomposition(
-        ring, _frozen(u, r), _frozen(a, c), _frozen(v, c),
-        _frozen(ui, r) if inverse else None,
-    )
-
-
-@lru_cache(maxsize=8192)
-def smith_row_basis(a_mat: IntMatrix, ring: Ring) -> tuple:
-    """(diagonal, U, U^-1) of the Smith form U a_mat V = D, with no V.
-
-    diagonal holds one entry per row, 0 past the last column, as
-    smith_diagonal gives it.  _eliminate carries the identity rows,
-    which end as U, and tracks U^-1 in its columns; the column log,
-    which only V is made from, is dropped.  Row operations never read
-    the log and the pivots are chosen from a alone, so this is the very
-    elimination smith_normal_form(a_mat, ring, inverse=True) runs: the
-    diagonal is the diagonal of its D, and U and U^-1 equal its u and
-    u_inv entry for entry.  FpModule.decomposition reads nothing else.
-    Memoized like smith_normal_form, each entry holding no V and no D.
-    """
-    r, c = a_mat.rows, a_mat.cols
-    m = ring.modulus
-    a = _reduced_rows(a_mat, m)
-    u = _identity_rows(r)
-    ui = _identity_rows(r)
-    _eliminate(a, c, m, u, ui)
-    return (tuple(a[i][i] if i < c else 0 for i in range(r)),
-            _frozen(u, r), _frozen(ui, r))
+    log = _eliminate(a, c, m, u, ui)
+    if inverse:
+        snf = SmithDecomposition(ring, _frozen(u, r), None, None, _frozen(ui, r))
+    else:
+        snf = SmithDecomposition(ring, None, None, None)
+    snf._a = a_mat
+    snf._diag = tuple(a[i][i] if i < c else 0 for i in range(r))
+    snf._log = log
+    return snf
 
 
 def smith_diagonal(a_mat: IntMatrix, ring: Ring) -> tuple:
@@ -698,7 +739,6 @@ def solve_linear(a: IntMatrix, b: IntMatrix, ring: Ring) -> Optional[IntMatrix]:
     return _frozen(y, b.cols)
 
 
-@lru_cache(maxsize=8192)
 def kernel_basis(a: IntMatrix, ring: Ring) -> IntMatrix:
     """Columns generating {x : A x = 0} over the ring.
 
@@ -711,39 +751,39 @@ def kernel_basis(a: IntMatrix, ring: Ring) -> IntMatrix:
     (d_j = 0, or j past the last row), and over Z/m it is otherwise a
     multiple of m/d_j, d_j dividing m; d_j = 1 leaves nothing.  So the
     kernel is generated by V (c_j e_j) over those j, c_j = 1 for a free
-    y_j and m/d_j otherwise, in increasing j.  _eliminate runs with no
-    carried rows and _replay puts its column log through Y = [c_j e_j],
-    one column per kept j; no U and no full V is formed.  Its pivots
-    are those of smith_normal_form(a, ring), so over Z each column is
-    c_j times column j of that V exactly, and over Z/m both are the
+    y_j and m/d_j otherwise, in increasing j.  The diagonal and the
+    column log come from smith_normal_form(a, ring), which carries no
+    rows, and _replay puts the log through Y = [c_j e_j], one column per
+    kept j, so neither U nor V is formed.  Over Z each column is c_j
+    times column j of that V exactly, and over Z/m both are the
     canonical residues of c_j V e_j: the replay starts from residues
-    and reduces every step, the reference reduces V and then c_j times
-    it.  The columns therefore equal, entry for entry, the ones read
-    off the full V.  Memoized like smith_normal_form.
+    and reduces every step, V reduces every step and is then scaled by
+    c_j.  The columns therefore equal, entry for entry, the ones read
+    off the full V.  They are kept on the memoized decomposition.
     """
     if a.cols == 0:
         return IntMatrix.zeros(0, 0)
     if a.rows == 0:
         return IntMatrix.identity(a.cols)
-    m = ring.modulus
-    d = _reduced_rows(a, m)
-    log = _eliminate(d, a.cols, m, [[] for _ in d], [])
-    k = min(a.rows, a.cols)
-    kept = []
-    for j in range(a.cols):
-        dj = d[j][j] if j < k else 0
-        if m is None:
-            if dj == 0:
-                kept.append((j, 1))
-        else:
-            c = m // dj if dj else 1
-            if c % m:
-                kept.append((j, c))
-    y = [[0] * len(kept) for _ in range(a.cols)]
-    for t, (j, c) in enumerate(kept):
-        y[j][t] = c
-    _replay(log, y, m)
-    return _frozen(y, len(kept))
+    snf = smith_normal_form(a, ring)
+    if snf._kernel is None:
+        m = ring.modulus
+        kept = []
+        for j in range(a.cols):
+            dj = snf._diag[j] if j < a.rows else 0
+            if m is None:
+                if dj == 0:
+                    kept.append((j, 1))
+            else:
+                c = m // dj if dj else 1
+                if c % m:
+                    kept.append((j, c))
+        y = [[0] * len(kept) for _ in range(a.cols)]
+        for t, (j, c) in enumerate(kept):
+            y[j][t] = c
+        _replay(snf._log, y, m)
+        snf._kernel = _frozen(y, len(kept))
+    return snf._kernel
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,10 @@ A module is a cokernel presentation: `generators` many generators
 subject to the column span of `relations`.  Maps are matrices on
 generators, well defined when they carry source relations into the
 target relation span; equality of maps is always equality modulo the
-target relations.  The diagonal coordinates of the relation matrix (its
-Smith factors with U and U^-1, no V) are cached per module and serve as
+target relations.  The Smith factors of the relation matrix, with U and
+U^-1 but no V, are cached per module and serve as the membership test,
 the invariant factor computation and the coordinate system for Hom
-calculations.  Membership is read per generator when every relation
-column has at most one nonzero entry, as for direct sums of cyclics and
-Hom modules, and through the diagonal coordinates otherwise.
+calculations.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from purcat.exact_linalg import (
     from_columns,
     hstack,
     kernel_basis,
-    smith_row_basis,
+    smith_normal_form,
     solve_linear,
 )
 
@@ -74,6 +72,14 @@ class FpModule:
     # -- structure ------------------------------------------------------
 
     def decomposition(self) -> Decomposition:
+        """Invariant factors with the diagonal coordinates U and U^-1.
+
+        With U rel V = D, U maps the generators onto those of
+        R/(d_1) + ... + R/(d_g), d_i = 0 past the last column (m over
+        Z/m).  smith_normal_form(..., inverse=True) carries U and U^-1
+        through its elimination; V, which nothing here reads, is never
+        formed.  Cached per module.
+        """
         cached = self.__dict__.get("_decomp")
         if cached is not None:
             return cached
@@ -81,10 +87,12 @@ class FpModule:
             dec = _cyclic_decomposition(self.ring, self.relations.data[0][0])
             object.__setattr__(self, "_decomp", dec)
             return dec
-        diagonal, u, u_inv = smith_row_basis(self.relations, self.ring)
+        snf = smith_normal_form(self.relations, self.ring, inverse=True)
+        diagonal = snf.diagonal()
+        diagonal += [0] * (self.generators - len(diagonal))
         m = self.ring.modulus
-        factors = diagonal if m is None else tuple(d or m for d in diagonal)
-        dec = Decomposition(factors, u, u_inv)
+        factors = tuple(diagonal) if m is None else tuple(d or m for d in diagonal)
+        dec = Decomposition(factors, snf.u, snf.u_inv)
         object.__setattr__(self, "_decomp", dec)
         return dec
 
@@ -115,34 +123,14 @@ class FpModule:
     def contains_in_relations(self, cols: IntMatrix) -> bool:
         """Do all columns lie in the relation span (mod m over Z/m)?
 
-        When every relation column has at most one nonzero entry, the
-        span splits by generator.  A column a e_i adds a R to coordinate
-        i alone, so coordinate i ranges over the ideal generated by the
-        nonzero entries a_1, ..., a_k of row i.  Over Z that ideal is
-        g_i Z with g_i = gcd(a_1, ..., a_k), 0 for an empty row; over
-        Z/m, read mod m, it is g_i Z with g_i = gcd(a_1, ..., a_k, m).
-        So x lies in the span iff g_i divides x_i for every i, 0
-        dividing only 0.  Over Z/m each g_i divides m, so unreduced and
-        negative x_i are read correctly.  No elimination runs.  Any
-        other presentation is read in its diagonal coordinates: with
-        T = to_diag and T rel V = diag(factors), x is in the span iff
-        row i of T x is divisible by factor i.
+        With U rel V = D (decomposition: to_diag = U, D = diag(factors)),
+        U and V invertible, x = rel y iff U x = D (V^-1 y), so x is in
+        the span iff row i of U x is divisible by factor i for every i,
+        0 dividing only 0.
         """
         if cols.rows != self.generators:
             raise InputError("membership test shape mismatch")
         if self.generators == 0 or cols.cols == 0:
-            return True
-        if "_ideals" not in self.__dict__:
-            object.__setattr__(self, "_ideals",
-                               _row_ideals(self.relations, self.ring.modulus))
-        ideals = self.__dict__["_ideals"]
-        if ideals is not None:
-            for g, row in zip(ideals, cols.data):
-                if g == 0:
-                    if any(row):
-                        return False
-                elif any(x % g for x in row):
-                    return False
             return True
         dec = self.decomposition()
         image = self.ring.reduce_matrix(dec.to_diag @ cols)
@@ -158,24 +146,6 @@ class FpModule:
 
     def __str__(self) -> str:
         return f"FpModule({self.ring}, g={self.generators}, inv={self.invariant_factors})"
-
-
-def _row_ideals(rel: IntMatrix, m: Optional[int]) -> Optional[tuple]:
-    """Per row, the gcd of its entries (and of m over Z/m), when every
-    column of rel has at most one nonzero entry; None otherwise.  These
-    are the g_i of FpModule.contains_in_relations, cached per module."""
-    ideals = []
-    seen = set()
-    for row in rel.data:
-        g = 0 if m is None else m
-        for j, x in enumerate(row):
-            if x:
-                if j in seen:
-                    return None
-                seen.add(j)
-                g = gcd(g, x)
-        ideals.append(g)
-    return tuple(ideals)
 
 
 def _cyclic_decomposition(ring: Ring, d: int) -> Decomposition:

@@ -994,29 +994,29 @@ def slow_induced(hm_src, hm_tgt, left, right):
 
 
 def slow_kernel_basis(a, ring):
-    """kernel_basis reading the columns of V off smith_normal_form, each
-    scaled by m/d_j over Z/m and reduced."""
+    """kernel_basis reading the columns of V off the full elimination of
+    slow_smith_normal_form, each scaled by m/d_j over Z/m and reduced."""
     if a.cols == 0:
         return IntMatrix.zeros(0, 0)
     if a.rows == 0:
         return IntMatrix.identity(a.cols)
     m = ring.modulus
-    snf = smith_normal_form(a, ring)
+    _, d_mat, v_mat, _, _ = slow_smith_normal_form(a, ring)
     k = min(a.rows, a.cols)
     cols = []
     for j in range(a.cols):
         if j < k:
-            d = snf.d.at(j, j)
+            d = d_mat.at(j, j)
             if m is None:
                 if d == 0:
-                    cols.append(snf.v.column(j))
+                    cols.append(v_mat.column(j))
             else:
                 dd = d if d else m
                 coeff = m // dd
                 if coeff % m:
-                    cols.append(tuple(ring.reduce(coeff * x) for x in snf.v.column(j)))
+                    cols.append(tuple(ring.reduce(coeff * x) for x in v_mat.column(j)))
         else:
-            cols.append(snf.v.column(j))
+            cols.append(v_mat.column(j))
     return from_columns(cols, a.cols)
 
 

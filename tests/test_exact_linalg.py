@@ -15,14 +15,12 @@ from purcat.exact_linalg import (
     hstack,
     kernel_basis,
     smith_normal_form,
-    smith_row_basis,
     solve_linear,
     vstack,
 )
 from purcat.fpmod import block_map, direct_sum, kernel, make_map, make_module
 
 import purcat.exact_linalg as exact_linalg
-import purcat.fpmod as fpmod
 from helpers import (
     brute_solve_column,
     dense_linear_system,
@@ -415,24 +413,34 @@ def unreduced_matrices(draw, max_side=6):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(unreduced_matrices())
-def test_kernel_and_row_basis_match_the_full_smith_form(case):
+@given(unreduced_matrices(), st.booleans())
+def test_kernels_and_factors_read_in_any_order_match_the_full_elimination(case, kernel_first):
     a, ring = case
+    u, d, v, u_inv, _ = slow_smith_normal_form(a, ring)
+    smith_normal_form.cache_clear()
+    if kernel_first:
+        assert kernel_basis(a, ring) == slow_kernel_basis(a, ring), f"{a.data} over {ring}"
+    snf, with_inv = smith_normal_form(a, ring), smith_normal_form(a, ring, inverse=True)
+    assert (with_inv.u, with_inv.u_inv) == (u, u_inv)
+    assert snf.diagonal() == with_inv.diagonal() == [d.at(i, i) for i in range(min(d.rows, d.cols))]
+    assert (snf.v, snf.u, snf.d, snf.u_inv) == (v, u, d, None)
+    assert (with_inv.d, with_inv.v) == (d, v)
     assert kernel_basis(a, ring) == slow_kernel_basis(a, ring), f"{a.data} over {ring}"
-    full = smith_normal_form(a, ring, inverse=True)
-    diagonal, u, u_inv = smith_row_basis(a, ring)
-    assert (u, u_inv) == (full.u, full.u_inv)
-    assert diagonal == tuple(full.d.at(i, i) if i < a.cols else 0 for i in range(a.rows))
 
 
-def test_kernels_and_decompositions_never_form_the_smith_decomposition(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("asked for the full Smith decomposition")
+def test_kernels_and_decompositions_form_only_the_factors_they_read(monkeypatch):
+    def carried_only(name):
+        form = getattr(SmithDecomposition, name).fget
 
-    monkeypatch.setattr(exact_linalg, "smith_normal_form", refuse)
-    monkeypatch.setattr(fpmod, "smith_normal_form", refuse, raising=False)
-    kernel_basis.cache_clear()
-    smith_row_basis.cache_clear()
+        def get(snf):
+            assert getattr(snf, "_" + name) is not None, f"formed {name} for {snf._a.data}"
+            return form(snf)
+
+        return property(get)
+
+    smith_normal_form.cache_clear()
+    for name in ("u", "d", "v"):
+        monkeypatch.setattr(SmithDecomposition, name, carried_only(name))
     assert kernel_basis(mat([[2, 4], [6, 8]]), ZZ).cols == 0
     assert kernel_basis(mat([[2, 4, 6]]), Zmod(12)) == mat([[6, 10, 9], [0, 1, 0], [0, 0, 1]])
     module = make_module(Zmod(72), 2, mat([[4, 6], [6, 9]]))
@@ -440,6 +448,8 @@ def test_kernels_and_decompositions_never_form_the_smith_decomposition(monkeypat
     f = make_map(module, module, mat([[6, 0], [0, 6]]))
     k, _ = kernel(f)
     assert k.invariant_factors == (6,)
+    with pytest.raises(AssertionError, match="formed v"):
+        smith_normal_form(module.relations, Zmod(72), inverse=True).v
 
 
 def test_invert_unimodular():
