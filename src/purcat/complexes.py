@@ -16,6 +16,7 @@ everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from purcat.exact_linalg import (
@@ -41,6 +42,9 @@ from purcat.fpmod import (
     identity_map,
     kernel,
     make_map,
+    sum_module,
+    summand_injection,
+    summand_projection,
     tensor_modules,
     zero_map,
     zero_module,
@@ -64,6 +68,8 @@ class Complex:
         return self.lo + len(self.modules) - 1
 
     def module(self, i: int) -> FpModule:
+        """The term in degree i; outside the window, the ring's one shared
+        zero module."""
         if self.lo <= i <= self.hi:
             return self.modules[i - self.lo]
         return zero_module(self.ring)
@@ -279,29 +285,51 @@ def shift_map(f: ChainMap, n: int) -> ChainMap:
 
 @dataclass(frozen=True)
 class Cone:
-    """Cone of f: M -> N with its two structure chain maps.
+    """Cone of map: M -> N; its two structure chain maps are formed on read.
 
-    inclusion: N -> cone (degreewise second-summand injection),
-    projection: cone -> M[1] (degreewise first-summand projection).
+    complex is built by cone.  inclusion: N -> cone (degreewise
+    second-summand injection) and projection: cone -> M[1] (degreewise
+    first-summand projection) are placed from map and complex the first
+    time each is read, and then kept; most callers read only complex.
     """
 
     complex: Complex
-    inclusion: ChainMap
-    projection: ChainMap
+    map: ChainMap
+
+    @cached_property
+    def inclusion(self) -> ChainMap:
+        src, tgt, cx = self.map.src, self.map.tgt, self.complex
+        if not cx.modules:
+            return zero_chain_map(tgt, cx)
+        return ChainMap(tgt, cx, cx.lo, tuple(
+            summand_injection(tgt.module(i), cx.module(i), src.module(i + 1).generators)
+            for i in range(cx.lo, cx.hi + 1)))
+
+    @cached_property
+    def projection(self) -> ChainMap:
+        src, cx = self.map.src, self.complex
+        shifted = shift(src, 1)
+        if not cx.modules:
+            return zero_chain_map(cx, shifted)
+        return ChainMap(cx, shifted, cx.lo, tuple(
+            summand_projection(cx.module(i), src.module(i + 1), 0)
+            for i in range(cx.lo, cx.hi + 1)))
 
 
 def cone(f: ChainMap) -> Cone:
+    """The cone of f, building its complex only.
+
+    Degree i is sum_module([M^(i+1), N^i]) on the window where either
+    summand can be nonzero, and each differential is placed block by
+    block; the structure maps wait on the Cone until read.
+    """
     src, tgt = f.src, f.tgt
     ring = src.ring
     lo = min(src.lo - 1, tgt.lo)
     hi = max(src.hi - 1, tgt.hi)
     if hi < lo:
-        zc = zero_complex(ring)
-        return Cone(zc, zero_chain_map(tgt, zc), zero_chain_map(zc, shift(src, 1)))
-    sums = {}
-    for i in range(lo, hi + 1):
-        sums[i] = direct_sum([src.module(i + 1), tgt.module(i)])
-    mods = [sums[i][0] for i in range(lo, hi + 1)]
+        return Cone(zero_complex(ring), f)
+    mods = [sum_module([src.module(i + 1), tgt.module(i)]) for i in range(lo, hi + 1)]
     diffs = []
     for i in range(lo, hi):
         ga, ga2 = src.module(i + 1).generators, src.module(i + 2).generators
@@ -310,10 +338,7 @@ def cone(f: ChainMap) -> Cone:
             (ga2, 0, 1, f.component(i + 1).matrix),
             (ga2, ga, 1, tgt.differential(i).matrix),
         ]))
-    cx = Complex(ring, lo, tuple(mods), tuple(diffs))
-    incl = ChainMap(tgt, cx, lo, tuple(sums[i][1][1] for i in range(lo, hi + 1)))
-    proj = ChainMap(cx, shift(src, 1), lo, tuple(sums[i][2][0] for i in range(lo, hi + 1)))
-    return Cone(cx, incl, proj)
+    return Cone(Complex(ring, lo, tuple(mods), tuple(diffs)), f)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +695,7 @@ def hom_complex(source: Complex, target: Complex) -> HomComplex:
         pieces = [hm.module for hm in homs]
         slot_data.append(tuple((j, hm, start, stop) for j, hm, (start, stop)
                                in zip(js, homs, _ranges(pieces))))
-        mods.append(direct_sum(pieces)[0])
+        mods.append(sum_module(pieces))
     diffs = []
     for i in range(lo, hi):
         nxt = {j: (hm, start) for j, hm, start, _ in slot_data[i + 1 - lo]}
@@ -729,7 +754,7 @@ def tensor_complex(left: Complex, right: Complex) -> TensorComplex:
         pieces = [tensor_modules(left.module(i), right.module(t - i)) for i in ids]
         slot_data.append(tuple((i, t - i, start, stop)
                                for i, (start, stop) in zip(ids, _ranges(pieces))))
-        mods.append(direct_sum(pieces)[0])
+        mods.append(sum_module(pieces))
     diffs = []
     for t in range(lo, hi):
         nxt = {i: start for i, _, start, _ in slot_data[t + 1 - lo]}

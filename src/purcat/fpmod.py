@@ -13,6 +13,7 @@ calculations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from typing import Iterable, Optional
 
@@ -188,7 +189,10 @@ def make_module(ring: Ring, generators: int, relations=None) -> FpModule:
     return FpModule(ring, generators, ring.reduce_matrix(rel))
 
 
+@cache
 def zero_module(ring: Ring) -> FpModule:
+    """The zero module over ring: one shared object per ring, whose
+    decomposition is formed once."""
     return make_module(ring, 0)
 
 
@@ -380,8 +384,15 @@ def is_surjective(f: ModuleMap) -> bool:
 # biproducts, tensor, hom
 
 
-def direct_sum(mods: Iterable[FpModule]) -> tuple:
-    """(sum, injections, projections) with the block conventions fixed."""
+def sum_module(mods: Iterable[FpModule]) -> FpModule:
+    """The direct sum of mods as a module alone, with no structure maps.
+
+    Its relations are block diagonal, and the generators of each summand
+    follow those of the summands before it.  Nothing else is formed: a
+    caller that reads an injection or a projection places that one map
+    with summand_injection or summand_projection, and direct_sum forms
+    all of them.
+    """
     mods = list(mods)
     if not mods:
         raise InputError("direct_sum needs at least one summand")
@@ -389,20 +400,42 @@ def direct_sum(mods: Iterable[FpModule]) -> tuple:
     if any(m.ring != ring for m in mods):
         raise InputError("direct_sum over mixed rings")
     total = sum(m.generators for m in mods)
-    s = make_module(ring, total, block_diag(*[m.relations for m in mods]))
+    return make_module(ring, total, block_diag(*[m.relations for m in mods]))
+
+
+def summand_injection(part: FpModule, total: FpModule, before: int) -> ModuleMap:
+    """part -> total onto the generators before.. of total, as a summand."""
+    g = part.generators
+    zero = (0,) * g
+    rows = ((zero,) * before + IntMatrix.identity(g).data
+            + (zero,) * (total.generators - before - g))
+    return ModuleMap(part, total, IntMatrix._trusted(total.generators, g, rows))
+
+
+def summand_projection(total: FpModule, part: FpModule, before: int) -> ModuleMap:
+    """total -> part off the generators before.. of total, as a summand."""
+    g = part.generators
+    left, right = (0,) * before, (0,) * (total.generators - before - g)
+    rows = tuple(left + row + right for row in IntMatrix.identity(g).data)
+    return ModuleMap(total, part, IntMatrix._trusted(g, total.generators, rows))
+
+
+def direct_sum(mods: Iterable[FpModule]) -> tuple:
+    """(sum, injections, projections) with the block conventions fixed.
+
+    The sum is sum_module(mods); every injection and projection is formed
+    here, up front, so a caller that reads none of them takes
+    sum_module instead.
+    """
+    mods = list(mods)
+    s = sum_module(mods)
     injections = []
     projections = []
     before = 0
     for m in mods:
-        g = m.generators
-        after = total - before - g
-        eye = IntMatrix.identity(g).data
-        zero = (0,) * g
-        inj_rows = (zero,) * before + eye + (zero,) * after
-        proj_rows = tuple((0,) * before + row + (0,) * after for row in eye)
-        injections.append(ModuleMap(m, s, IntMatrix._trusted(total, g, inj_rows)))
-        projections.append(ModuleMap(s, m, IntMatrix._trusted(g, total, proj_rows)))
-        before += g
+        injections.append(summand_injection(m, s, before))
+        projections.append(summand_projection(s, m, before))
+        before += m.generators
     return s, injections, projections
 
 
@@ -616,23 +649,34 @@ def _induced(hm_src: HomModule, hm_tgt: HomModule, left: IntMatrix,
 
 
 def pushout(f: ModuleMap, g: ModuleMap) -> tuple:
-    """Pushout of f: A -> B, g: A -> C; returns (D, from_b, from_c)."""
+    """Pushout of f: A -> B, g: A -> C; returns (D, from_b, from_c).
+
+    D is the cokernel of (f; -g): A -> B (+) C, whose generators are
+    those of the sum, so the legs are the summand injections into D.
+    """
     if f.src != g.src:
         raise InputError("pushout legs must share their source")
-    s, (ib, ic), _ = direct_sum([f.tgt, g.tgt])
-    h = (ib @ f) - (ic @ g)
-    d, proj = cokernel(h)
-    return d, proj @ ib, proj @ ic
+    gb = f.tgt.generators
+    s = sum_module([f.tgt, g.tgt])
+    h = block_map(f.src, s, [(0, 0, 1, f.matrix), (gb, 0, -1, g.matrix)])
+    d, _ = cokernel(h)
+    return d, summand_injection(f.tgt, d, 0), summand_injection(g.tgt, d, gb)
 
 
 def pullback(f: ModuleMap, g: ModuleMap) -> tuple:
-    """Pullback of f: B -> A, g: C -> A; returns (L, to_b, to_c)."""
+    """Pullback of f: B -> A, g: C -> A; returns (L, to_b, to_c).
+
+    L is the kernel of (f | -g): B (+) C -> A, and the legs are its
+    inclusion followed by the two summand projections.
+    """
     if f.tgt != g.tgt:
         raise InputError("pullback legs must share their target")
-    s, _, (pb, pc) = direct_sum([f.src, g.src])
-    h = (f @ pb) - (g @ pc)
+    gb = f.src.generators
+    s = sum_module([f.src, g.src])
+    h = block_map(s, f.tgt, [(0, 0, 1, f.matrix), (0, gb, -1, g.matrix)])
     l, incl = kernel(h)
-    return l, pb @ incl, pc @ incl
+    return (l, summand_projection(s, f.src, 0) @ incl,
+            summand_projection(s, g.src, gb) @ incl)
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,11 @@ from purcat.fpmod import (
     MapSolver,
     ModuleMap,
     block_map,
-    direct_sum,
     element_preimage,
     factor_through_mono,
     kernel,
     retraction,
+    sum_module,
     zero_map,
 )
 from purcat.complexes import (
@@ -195,7 +195,7 @@ def contract_complex(cx: Complex) -> Optional[Homotopy]:
                 return None
             rhos[n] = rho
             top = z.generators
-            total, _, _ = direct_sum([z, cx.module(n + 1)])
+            total = sum_module([z, cx.module(n + 1)])
             mono = block_map(cx.module(n), total,
                              [(0, 0, 1, rho.matrix), (top, 0, 1, cx.differential(n).matrix)])
             want = block_map(z1, total, [(top, 0, 1, incl1.matrix)])

@@ -6,10 +6,10 @@ product meaningful on pure-resolution representatives.  The derived hom
 pairs a pure projective resolution of the first argument with a pure
 injective resolution of the second, and the currying isomorphism
 between hom-from-a-tensor and hom-into-a-hom is produced as an explicit
-pair of mutually inverse chain maps.  Their columns are built one basis
-map at a time and slot-locally: a basis map of one Hom slot is curried
-(or uncurried) only into the slots it can reach, and each piece is
-written at its slot's generators; no whole hom complex is decoded.
+pair of mutually inverse chain maps.  They are read off slot by slot in
+Smith coordinates: each Hom slot is curried (or uncurried) only into the
+slots it can reach, one change-of-basis product per tensor block, and
+no map is formed per basis element nor any whole hom complex decoded.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Optional
 
 from purcat.exact_linalg import IntMatrix, InputError, from_columns
 from purcat.fpmod import (
-    FpModule,
     HomModule,
     ModuleMap,
     block_map,
@@ -138,28 +137,6 @@ def tensor_swap(a: Complex, b: Complex) -> ChainMap:
 # currying between hom and tensor
 
 
-def _curry_map(mat: IntMatrix, c0: int, a: FpModule, b: FpModule,
-               hm: HomModule) -> IntMatrix:
-    """Reindex the columns c0.. of mat, a map a (x) b -> c, as a map a -> Hom(b, c)."""
-    gb = b.generators
-    gc = hm.target.generators
-    cols = []
-    for p in range(a.generators):
-        f_cols = [[mat.data[r][c0 + p * gb + q] for r in range(gc)] for q in range(gb)]
-        cols.append(hm.from_map(ModuleMap(b, hm.target, from_columns(f_cols, gc))))
-    return from_columns(cols, hm.module.generators)
-
-
-def _uncurry_map(mat: IntMatrix, r0: int, a: FpModule, b: FpModule,
-                 hm: HomModule) -> IntMatrix:
-    """Reindex the rows r0.. of mat, a map a -> Hom(b, c), as a map a (x) b -> c."""
-    cols = []
-    for p in range(a.generators):
-        f = hm.to_map([mat.data[r0 + r][p] for r in range(hm.module.generators)])
-        cols.extend(f.matrix.column(q) for q in range(b.generators))
-    return from_columns(cols, hm.target.generators)
-
-
 @dataclass(frozen=True)
 class AdjunctionWitness:
     """Mutually inverse chain maps realizing the currying isomorphism.
@@ -176,26 +153,82 @@ class AdjunctionWitness:
     backward: ChainMap
 
 
-def _unit_image(src: HomComplex, tgt: HomComplex, n: int, image) -> ModuleMap:
-    """Degree n map src -> tgt from the images of the basis maps.
+def _rows(mat: IntMatrix, start: int, stop: int) -> IntMatrix:
+    return IntMatrix._trusted(stop - start, mat.cols, mat.data[start:stop])
 
-    For the k-th basis map f of the slot (j, hm) of src, image(j, f)
-    yields (tgt slot, map) pairs; each map is encoded by that slot's
-    from_map and written at the slot's generators, and slots not named
-    get zero coordinates.
+
+def _cols(mat: IntMatrix, start: int, stop: int) -> IntMatrix:
+    return IntMatrix._trusted(mat.rows, stop - start,
+                              tuple(row[start:stop] for row in mat.data))
+
+
+def _coordinate(hm: HomModule, slot, x: int) -> int:
+    """hm.coordinate(slot, x), which is 0 for x = 0 without being asked."""
+    return hm.coordinate(slot, x) if x else 0
+
+
+def _read(hm: HomModule, lam: IntMatrix) -> list:
+    """The coordinates of hm read off its diagonal-coordinate matrix lam."""
+    return [_coordinate(hm, s, lam.data[s.tgt_index][s.src_index]) for s in hm.slots]
+
+
+def _curry_block(hm_f: HomModule, seg: int, hm_bc: HomModule, hm_n: HomModule,
+                 h_start: int, h_stop: int) -> list:
+    """Nested coordinates of each basis map of hm_f, curried on one block.
+
+    hm_f = Hom((a (x) b)^t, c^(n+t)), the block a^i (x) b^j starts at
+    generator seg of its source, hm_bc = Hom(b^j, c^(n+i+j)) sits at
+    generators h_start..h_stop of hom(b, c)^(n+i), and hm_n =
+    Hom(a^i, hom(b, c)^(n+i)).  Returns one coordinate column (over
+    hm_n's slots) per slot of hm_f; see adjunction_iso for the formula.
     """
-    height = tgt.complex.module(n).generators
-    cols = []
-    for j, hm, _, _ in src.slots(n):
-        size = len(hm.slots)
-        for k in range(size):
-            col = [0] * height
-            f = hm.to_map([1 if r == k else 0 for r in range(size)])
-            for (_, hm_out, start, stop), g in image(j, f):
-                col[start:stop] = hm_out.from_map(g)
-            cols.append(col)
-    mat = src.complex.ring.reduce_matrix(from_columns(cols, height))
-    return ModuleMap(src.complex.module(n), tgt.complex.module(n), mat)
+    a, b = hm_n.source, hm_bc.source
+    ga, gb = a.generators, b.generators
+    u_t = hm_f.source.decomposition().to_diag
+    u_b_inv = b.decomposition().from_diag
+    u_a_inv = a.decomposition().from_diag
+    u_h = _cols(hm_n.target.decomposition().to_diag, h_start, h_stop)
+    by_row = {}  # segment . U_b^-1 depends on the row i_T only, not on j_C
+    out = []
+    for s in hm_f.slots:
+        w = by_row.get(s.src_index)
+        if w is None:
+            row = u_t.data[s.src_index]
+            block = tuple(row[seg + p * gb:seg + (p + 1) * gb] for p in range(ga))
+            w = by_row[s.src_index] = (IntMatrix._trusted(ga, gb, block) @ u_b_inv).data
+        piece = tuple(
+            tuple(_coordinate(hm_bc, r, s.multiplier * w[p][r.src_index])
+                  for p in range(ga))
+            if r.tgt_index == s.tgt_index else (0,) * ga
+            for r in hm_bc.slots)
+        out.append(_read(hm_n, u_h @ IntMatrix._trusted(len(piece), ga, piece) @ u_a_inv))
+    return out
+
+
+def _uncurry_block(hm_n: HomModule, hm_bc: HomModule, h_start: int, h_stop: int,
+                   hm_f: HomModule, seg: int) -> list:
+    """Flat coordinates of each basis map of hm_n, uncurried on one block.
+
+    The modules and offsets are those of _curry_block.  Returns one
+    coordinate column (over hm_f's slots) per slot of hm_n; see
+    adjunction_iso for the formula.
+    """
+    a, b = hm_n.source, hm_bc.source
+    ga, gb = a.generators, b.generators
+    gc = hm_bc.target.generators
+    u_a = a.decomposition().to_diag
+    u_b = b.decomposition().to_diag
+    u_h_inv = _rows(hm_n.target.decomposition().from_diag, h_start, h_stop)
+    u_t_inv = _rows(hm_f.source.decomposition().from_diag, seg, seg + ga * gb)
+    out = []
+    for s in hm_n.slots:
+        lam = [[0] * gb for _ in range(gc)]
+        for u, r in zip(u_h_inv.data, hm_bc.slots):
+            lam[r.tgt_index][r.src_index] += u[s.tgt_index] * r.multiplier
+        lam_b = IntMatrix._trusted(gc, gb, tuple(map(tuple, lam))) @ u_b
+        v = IntMatrix._trusted(1, ga, (u_a.data[s.src_index],)).scale(s.multiplier)
+        out.append(_read(hm_f, v.kron(lam_b) @ u_t_inv))
+    return out
 
 
 def adjunction_iso(tc: TensorComplex, flat: HomComplex, inner: HomComplex,
@@ -205,14 +238,61 @@ def adjunction_iso(tc: TensorComplex, flat: HomComplex, inner: HomComplex,
     Takes the four complexes it relates as the caller already holds them:
     tc = tensor_complex(a, b), flat = hom_complex(tc.complex, c),
     inner = hom_complex(b, c) and nested = hom_complex(a, inner.complex);
-    complexes that do not fit together raise InputError.  Both directions
-    are built one basis map at a time, slot by slot: a basis map of the
-    flat slot Hom((a (x) b)^t, c^(n+t)) restricts to each tensor slot
-    (i, j) of degree t and curries into the inner slot
+    complexes that do not fit together raise InputError.  A map of the
+    flat slot Hom((a (x) b)^t, c^(n+t)) restricts to each tensor block
+    a^i (x) b^j of degree t and curries into the inner slot
     Hom(b^j, c^(n+i+j)), which sits inside the nested slot
     Hom(a^i, hom(b, c)^(n+i)); uncurrying runs the same slots backwards.
     No signs appear, and the chain-map condition holds on the nose with
     the differential conventions used here.
+
+    Both directions are read off in Smith coordinates, as fpmod._induced
+    reads hom_post and hom_pre, and no map is formed per basis element.
+    Write U_X for the to_diag of a module X (so U_X . X . V_X is
+    diagonal) and U_X^-1 for its from_diag; U_X . U_X^-1 = I exactly
+    over Z and modulo m over Z/m.  A map f: A -> B has Hom coordinates
+    read at each slot (i, j) off the entry (j, i) of U_B . f . U_A^-1 by
+    HomModule.coordinate, and the basis map of that slot is
+    U_B^-1 . mult E(j, i) . U_A.
+
+    Forward.  With T = (a (x) b)^t and C = c^(n+t), the basis map of
+    the flat slot (i_T, j_C) is the outer product of column j_C of
+    U_C^-1 and mult times row i_T of U_T.  Curried on the block (i, j),
+    each generator p of a^i gives the map b^j -> C whose columns are
+    that outer product on the segment p of the block, and its inner
+    coordinates are read off
+
+        U_C . U_C^-1 e_(j_C) . mult (row i_T of U_T, block (i, j),
+        segment p) . U_b^-1  =  e_(j_C) . mult (segment p) . U_b^-1,
+
+    the step U_C . U_C^-1 = I dropping C's bases altogether.  So the
+    inner coordinates are nonzero only on slots (i_b, j_C), where they
+    are read at entry i_b of mult (segment p) . U_b^-1.  These columns,
+    one per p, form the block G of the map a^i -> hom(b, c)^(n+i) at
+    the inner slot's generators, and its nested coordinates are read off
+    one product U_H . G . U_a^-1 per degree, flat slot and tensor block
+    (_curry_block).
+
+    Backward.  Symmetrically, the basis map of the nested slot (i_a, j_H)
+    is column j_H of U_H^-1 (restricted to the inner slot: coordinates u
+    there) times mult row i_a of U_a, call it v.  Each generator p of
+    a^i maps to the inner element v_p u, the map U_C^-1 . L . U_b with
+    L the diagonal-coordinate matrix of u; on the block (i, j) these
+    columns form kron(v, U_C^-1 . L . U_b), and the flat coordinates are
+    read off U_C . kron(v, U_C^-1 . L . U_b) . (rows of U_T^-1 on the
+    block) = kron(v, L . U_b) . (those rows), again by U_C . U_C^-1 = I
+    (_uncurry_block).
+
+    Why this equals the map-by-map construction: that construction
+    reduces each intermediate matrix modulo m, and its products differ
+    from these by the dropped U_C . U_C^-1, so every entry read agrees
+    with the one here modulo m (exactly over Z).  HomModule.coordinate
+    reduces its entry modulo the target factor b first, and b divides m
+    (b = m for a free Z/m summand), so it returns the same coordinate
+    for both; over Z nothing is reduced and the entries are equal.  An
+    entry that is 0 modulo m reads as coordinate 0 there, which is the
+    0 written for the slots (i_b, j) with j != j_C; for the same reason
+    an entry that is 0 here is written as 0 without being read.
     """
     a, b = tc.left, tc.right
     if (flat.source != tc.complex or flat.target != inner.target
@@ -220,36 +300,38 @@ def adjunction_iso(tc: TensorComplex, flat: HomComplex, inner: HomComplex,
             or nested.target != inner.complex):
         raise InputError("adjunction complexes do not fit together")
     x, y = flat.complex, nested.complex
+    ring = x.ring
     # tensor slot (i, j) -> its first generator; inner slots by (degree, j)
     pair_start = {(i, j): start for t in range(tc.complex.lo, tc.complex.hi + 1)
                   for i, j, start, _ in tc.slots(t)}
     inner_at = {(k, slot[0]): slot for k in range(inner.complex.lo, inner.complex.hi + 1)
                 for slot in inner.slots(k)}
+    lo = min(x.lo, y.lo)
     fwd = []
     bwd = []
-    for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 1):
-        nested_at = {slot[0]: slot for slot in nested.slots(n)}
-        flat_at = {slot[0]: slot for slot in flat.slots(n)}
-
-        def curry(t, f):
-            for i, j, t_start, _ in tc.slots(t):
-                if i in nested_at and (n + i, j) in inner_at:
-                    out = nested_at[i]
-                    _, hm_bc, h_start, _ = inner_at[(n + i, j)]
-                    piece = _curry_map(f.matrix, t_start, a.module(i), b.module(j), hm_bc)
-                    yield out, block_map(a.module(i), out[1].target, [(h_start, 0, 1, piece)])
-
-        def uncurry(i, g):
-            for j, hm_bc, h_start, _ in inner.slots(n + i):
-                if i + j in flat_at and (i, j) in pair_start:
-                    out = flat_at[i + j]
-                    piece = _uncurry_map(g.matrix, h_start, a.module(i), b.module(j), hm_bc)
-                    yield out, block_map(out[1].source, hm_bc.target,
-                                         [(0, pair_start[(i, j)], 1, piece)])
-
-        fwd.append(_unit_image(flat, nested, n, curry))
-        bwd.append(_unit_image(nested, flat, n, uncurry))
-    lo = min(x.lo, y.lo)
+    for n in range(lo, max(x.hi, y.hi) + 1):
+        xg, yg = x.module(n).generators, y.module(n).generators
+        to_nested = [[0] * xg for _ in range(yg)]
+        to_flat = [[0] * yg for _ in range(xg)]
+        nested_at = {i: (hm_n, start) for i, hm_n, start, _ in nested.slots(n)}
+        for t, hm_f, f_start, _ in flat.slots(n):
+            for i, j, seg, _ in tc.slots(t):
+                if i not in nested_at or (n + i, j) not in inner_at:
+                    continue
+                hm_n, y_start = nested_at[i]
+                _, hm_bc, h_start, h_stop = inner_at[(n + i, j)]
+                cols = _curry_block(hm_f, seg, hm_bc, hm_n, h_start, h_stop)
+                for k, col in enumerate(cols):
+                    for r, val in enumerate(col):
+                        to_nested[y_start + r][f_start + k] = val
+                cols = _uncurry_block(hm_n, hm_bc, h_start, h_stop, hm_f, seg)
+                for k, col in enumerate(cols):
+                    for r, val in enumerate(col):
+                        to_flat[f_start + r][y_start + k] = val
+        fwd.append(ModuleMap(x.module(n), y.module(n), ring.reduce_matrix(
+            IntMatrix._trusted(yg, xg, tuple(map(tuple, to_nested))))))
+        bwd.append(ModuleMap(y.module(n), x.module(n), ring.reduce_matrix(
+            IntMatrix._trusted(xg, yg, tuple(map(tuple, to_flat))))))
     forward = ChainMap(x, y, lo, tuple(fwd))
     backward = ChainMap(y, x, lo, tuple(bwd))
     return AdjunctionWitness(flat, inner, nested, forward, backward)

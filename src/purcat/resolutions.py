@@ -21,7 +21,6 @@ from purcat.exact_linalg import (
     IntMatrix,
     InputError,
     WorkbenchError,
-    hstack,
 )
 from purcat.fpmod import (
     FpModule,
@@ -29,7 +28,6 @@ from purcat.fpmod import (
     block_map,
     cokernel,
     cyclic_module,
-    direct_sum,
     factor_through_epi,
     factor_through_mono,
     identity_map,
@@ -38,6 +36,9 @@ from purcat.fpmod import (
     kernel,
     pullback,
     pushout,
+    sum_module,
+    summand_injection,
+    summand_projection,
     zero_map,
 )
 from purcat.complexes import (
@@ -368,11 +369,12 @@ def _extend_injective(q: ChainMap, stable: bool = False):
     mods = []
     injs_i, injs_j, projs_i = [], [], []
     for d in range(lo, hi + 1):
-        total, injs, projs = direct_sum([i_cx.module(d), j_cx.module(d - 1)])
+        i_mod, j_mod = i_cx.module(d), j_cx.module(d - 1)
+        total = sum_module([i_mod, j_mod])
         mods.append(total)
-        injs_i.append(injs[0])
-        injs_j.append(injs[1])
-        projs_i.append(projs[0])
+        injs_i.append(summand_injection(i_mod, total, 0))
+        injs_j.append(summand_injection(j_mod, total, i_mod.generators))
+        projs_i.append(summand_projection(total, i_mod, 0))
     diffs = []
     for d in range(lo, hi):
         k = d - lo
@@ -436,26 +438,15 @@ def _extend_projective(a: ChainMap, stable: bool = False):
             rows = w.component(d).matrix.data[cmod.generators - n_mod.generators:]
             blocks.append((0, 0, -1, IntMatrix(n_mod.generators, gq, rows)))
         v_comps.append(block_map(total, n_mod, blocks))
-        retr_comps.append(_summand_projection(total, gq, p_cx.module(d)))
+        retr_comps.append(summand_projection(total, p_cx.module(d), gq))
     v = ChainMap(level, n_cx, lo, tuple(v_comps))
     retraction = DegreewiseFamily(level, p_cx, lo, tuple(retr_comps))
     coker = q_cx
     proj_comps = []
     for d in range(lo, level.hi + 1):
-        proj_comps.append(_summand_projection(level.module(d), 0, q_cx.module(d)))
+        proj_comps.append(summand_projection(level.module(d), q_cx.module(d), 0))
     coker_proj = ChainMap(level, coker, lo, tuple(proj_comps))
     return level, v, incl, retraction, coker, coker_proj, w
-
-
-def _summand_projection(total: FpModule, before: int, part: FpModule) -> ModuleMap:
-    if part.generators == 0:
-        return zero_map(total, part)
-    mat = hstack(
-        IntMatrix.zeros(part.generators, before),
-        IntMatrix.identity(part.generators),
-        IntMatrix.zeros(part.generators, total.generators - before - part.generators),
-    )
-    return ModuleMap(total, part, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +726,7 @@ def check_limit_product_formula(tower: SemiSplitInverseTower) -> bool:
         parts = [base.module(j)]
         for kern in tower.kernels:
             parts.append(kern.module(j))
-        want, _, _ = direct_sum(parts)
+        want = sum_module(parts)
         if not _modules_match(top.module(j), want):
             return False
     return True
@@ -750,7 +741,7 @@ def check_colimit_sum_formula(tower: SemiSplitDirectTower) -> bool:
         for coker in reversed(tower.cokernels):
             parts.append(coker.module(j))
         parts.append(base.module(j))
-        want, _, _ = direct_sum(parts)
+        want = sum_module(parts)
         if not _modules_match(top.module(j), want):
             return False
     return True

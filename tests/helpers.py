@@ -25,8 +25,10 @@ Kronecker products, the tower path of resolve that certified the
 decompositions through the Smith form even for one cyclic relation,
 retractions and contractions solved as vectorized MapSolver systems,
 matrix products and induced Hom maps that visit every entry and every
-pair of slots, zero or not, and kernels and membership read off the
-full Smith form for every presentation.  A few constructions
+pair of slots, zero or not, kernels and membership read off the
+full Smith form for every presentation, the cone with both structure
+maps formed up front, and the currying witness built one basis map at
+a time through to_map and from_map.  A few constructions
 that only tests use live here too: the chain maps induced on hom
 complexes and the inverse of a unimodular matrix.  Keep it slow and
 obvious.
@@ -69,10 +71,14 @@ from purcat.complexes import (
     hom_complex,
     homology,
     minimize_complex,
+    shift,
     tensor_complex,
     trim,
+    zero_chain_map,
+    zero_complex,
     zero_homotopy,
 )
+from purcat.monoidal import AdjunctionWitness
 from purcat.purity import ProbeBattery, _factor
 from purcat.resolutions import (
     INJECTIVE,
@@ -555,6 +561,136 @@ def slow_adjunction_maps(w):
             cols.append(list(_encode(flat, n, out).column(0)))
         bwd.append(a.ring.reduce_matrix(from_columns(cols, xg)))
     return fwd, bwd
+
+
+# ---------------------------------------------------------------------------
+# cone and currying as they were: every map formed up front
+
+
+def slow_cone(f):
+    """(complex, inclusion, projection) of the cone of f, every structure
+    map formed up front from direct_sum, as cone built them."""
+    src, tgt = f.src, f.tgt
+    ring = src.ring
+    lo = min(src.lo - 1, tgt.lo)
+    hi = max(src.hi - 1, tgt.hi)
+    if hi < lo:
+        zc = zero_complex(ring)
+        return zc, zero_chain_map(tgt, zc), zero_chain_map(zc, shift(src, 1))
+    sums = {}
+    for i in range(lo, hi + 1):
+        sums[i] = direct_sum([src.module(i + 1), tgt.module(i)])
+    mods = [sums[i][0] for i in range(lo, hi + 1)]
+    diffs = []
+    for i in range(lo, hi):
+        ga, ga2 = src.module(i + 1).generators, src.module(i + 2).generators
+        diffs.append(block_map(mods[i - lo], mods[i + 1 - lo], [
+            (0, 0, -1, src.differential(i + 1).matrix),
+            (ga2, 0, 1, f.component(i + 1).matrix),
+            (ga2, ga, 1, tgt.differential(i).matrix),
+        ]))
+    cx = Complex(ring, lo, tuple(mods), tuple(diffs))
+    incl = ChainMap(tgt, cx, lo, tuple(sums[i][1][1] for i in range(lo, hi + 1)))
+    proj = ChainMap(cx, shift(src, 1), lo, tuple(sums[i][2][0] for i in range(lo, hi + 1)))
+    return cx, incl, proj
+
+
+def _curry_map(mat, c0, a, b, hm):
+    """Reindex the columns c0.. of mat, a map a (x) b -> c, as a map a -> Hom(b, c)."""
+    gb = b.generators
+    gc = hm.target.generators
+    cols = []
+    for p in range(a.generators):
+        f_cols = [[mat.data[r][c0 + p * gb + q] for r in range(gc)] for q in range(gb)]
+        cols.append(hm.from_map(ModuleMap(b, hm.target, from_columns(f_cols, gc))))
+    return from_columns(cols, hm.module.generators)
+
+
+def _uncurry_map(mat, r0, a, b, hm):
+    """Reindex the rows r0.. of mat, a map a -> Hom(b, c), as a map a (x) b -> c."""
+    cols = []
+    for p in range(a.generators):
+        f = hm.to_map([mat.data[r0 + r][p] for r in range(hm.module.generators)])
+        cols.extend(f.matrix.column(q) for q in range(b.generators))
+    return from_columns(cols, hm.target.generators)
+
+
+def _unit_image(src, tgt, n, image):
+    """Degree n map src -> tgt from the images of the basis maps.
+
+    For the k-th basis map f of the slot (j, hm) of src, image(j, f)
+    yields (tgt slot, map) pairs; each map is encoded by that slot's
+    from_map and written at the slot's generators, and slots not named
+    get zero coordinates.
+    """
+    height = tgt.complex.module(n).generators
+    cols = []
+    for j, hm, _, _ in src.slots(n):
+        size = len(hm.slots)
+        for k in range(size):
+            col = [0] * height
+            f = hm.to_map([1 if r == k else 0 for r in range(size)])
+            for (_, hm_out, start, stop), g in image(j, f):
+                col[start:stop] = hm_out.from_map(g)
+            cols.append(col)
+    mat = src.complex.ring.reduce_matrix(from_columns(cols, height))
+    return ModuleMap(src.complex.module(n), tgt.complex.module(n), mat)
+
+
+def slow_adjunction_iso(tc, flat, inner, nested):
+    """monoidal.adjunction_iso as it was: every column from one basis map.
+
+    Takes the four complexes it relates as the caller already holds them:
+    tc = tensor_complex(a, b), flat = hom_complex(tc.complex, c),
+    inner = hom_complex(b, c) and nested = hom_complex(a, inner.complex);
+    complexes that do not fit together raise InputError.  Both directions
+    are built one basis map at a time, slot by slot: a basis map of the
+    flat slot Hom((a (x) b)^t, c^(n+t)) restricts to each tensor slot
+    (i, j) of degree t and curries into the inner slot
+    Hom(b^j, c^(n+i+j)), which sits inside the nested slot
+    Hom(a^i, hom(b, c)^(n+i)); uncurrying runs the same slots backwards.
+    No signs appear, and the chain-map condition holds on the nose with
+    the differential conventions used here.
+    """
+    a, b = tc.left, tc.right
+    if (flat.source != tc.complex or flat.target != inner.target
+            or inner.source != b or nested.source != a
+            or nested.target != inner.complex):
+        raise InputError("adjunction complexes do not fit together")
+    x, y = flat.complex, nested.complex
+    # tensor slot (i, j) -> its first generator; inner slots by (degree, j)
+    pair_start = {(i, j): start for t in range(tc.complex.lo, tc.complex.hi + 1)
+                  for i, j, start, _ in tc.slots(t)}
+    inner_at = {(k, slot[0]): slot for k in range(inner.complex.lo, inner.complex.hi + 1)
+                for slot in inner.slots(k)}
+    fwd = []
+    bwd = []
+    for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 1):
+        nested_at = {slot[0]: slot for slot in nested.slots(n)}
+        flat_at = {slot[0]: slot for slot in flat.slots(n)}
+
+        def curry(t, f):
+            for i, j, t_start, _ in tc.slots(t):
+                if i in nested_at and (n + i, j) in inner_at:
+                    out = nested_at[i]
+                    _, hm_bc, h_start, _ = inner_at[(n + i, j)]
+                    piece = _curry_map(f.matrix, t_start, a.module(i), b.module(j), hm_bc)
+                    yield out, block_map(a.module(i), out[1].target, [(h_start, 0, 1, piece)])
+
+        def uncurry(i, g):
+            for j, hm_bc, h_start, _ in inner.slots(n + i):
+                if i + j in flat_at and (i, j) in pair_start:
+                    out = flat_at[i + j]
+                    piece = _uncurry_map(g.matrix, h_start, a.module(i), b.module(j), hm_bc)
+                    yield out, block_map(out[1].source, hm_bc.target,
+                                         [(0, pair_start[(i, j)], 1, piece)])
+
+        fwd.append(_unit_image(flat, nested, n, curry))
+        bwd.append(_unit_image(nested, flat, n, uncurry))
+    lo = min(x.lo, y.lo)
+    forward = ChainMap(x, y, lo, tuple(fwd))
+    backward = ChainMap(y, x, lo, tuple(bwd))
+    return AdjunctionWitness(flat, inner, nested, forward, backward)
 
 
 # ---------------------------------------------------------------------------
