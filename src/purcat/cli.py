@@ -9,6 +9,17 @@ link, an invalid certificate), and 2 for an error.  Runs are
 deterministic: the same input and seed produce the same report up to
 the timing figure.
 
+--depth N (or a "depth" parameter in the workspace) sets the depth of the
+semi-split towers that resolve and towers build; without it they build
+the depth the input needs.  For adjunction it sends all three arguments
+through resolve and its towers at that depth, as a cross-check of the
+tower path; without it, adjunction resolves a and b by the one-step
+pullback induction and c by the pushout induction and builds no tower.
+A depth below the one an argument needs is an error (exit 2); any
+other depth gives the same report as none, since the five links compare
+invariant factors of hom groups, which do not depend on the resolutions
+used.
+
 The grammar is fixed, so it is parsed by hand rather than with argparse,
 whose set-up would cost a cold run more than many commands' algebra.
 Options may come before, between or after the two positionals, a value
@@ -416,7 +427,7 @@ options:
   --json         emit the report as JSON
   --seed SEED    seed echoed into the report (default {DEFAULT_SEED})
   --depth DEPTH  tower depth for resolve, towers and adjunction (default: the
-                 depth the input needs)
+                 depth the input needs; adjunction then builds no tower)
 """
 
 

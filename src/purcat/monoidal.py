@@ -45,6 +45,8 @@ from purcat.resolutions import (
     identity_resolution,
     pad_resolution,
     resolve,
+    resolve_injective_bounded_below,
+    resolve_projective_bounded_above,
     validate_certificate,
 )
 
@@ -462,19 +464,6 @@ class AdjunctionReport:
         return self.witness_ok and all(link.ok for link in self.links)
 
 
-def check_internal_hom_identity(a: Complex, b: Complex, c: Complex) -> DegreeComparison:
-    """Internal version: phom((a (x) b), c) against phom(a, phom(b, c)).
-
-    Both sides run the full derived hom pipeline; the comparison is by
-    homology invariant factors in every degree.
-    """
-    ab = tensor_complex(a, b).complex
-    left = phom(ab, c).value
-    inner_value = phom(b, c).value
-    right = phom(a, inner_value).value
-    return _compare_homology(left, right)
-
-
 def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
                           depth: Optional[int] = None) -> AdjunctionReport:
     """Hom groups in the pure derived category agree across the adjunction.
@@ -483,18 +472,56 @@ def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
     hom_dpur(a, phom(b, c)); the four intermediate links are each
     asserted separately: replace both arguments by resolutions, drop to
     the homotopy category against the injective side, curry, and return
-    to the derived side against the projective side.  depth constrains
-    only the resolutions of the three arguments themselves; inner
-    rebuilds pick their own depth.  c is resolved once: with a depth the
-    end-to-end group is taken against that resolution, as hom_dpur would
-    compute it.  A c out of scope for pure injective resolutions is
-    rejected before a and b are resolved.  The currying witness is built
-    on the tensor and hom complexes the links already hold.
+    to the derived side against the projective side.  A c out of scope
+    for pure injective resolutions is rejected before a and b are
+    resolved.  The currying witness is built on the tensor and hom
+    complexes the links already hold.
+
+    With no depth, a and b are resolved by the pullback induction
+    (resolve_projective_bounded_above) and c by the pushout induction
+    (resolve_injective_bounded_below); no tower is built.  These resolve
+    every argument.  A complex here lives on a finite window, so it is
+    bounded above and bounded below.  The pullback induction needs only
+    the first: it starts from the top term and pulls back one degree at
+    a time, down to one degree below the window.  The pushout induction
+    needs only the second: it starts from the bottom term and pushes out
+    one degree at a time, up to one degree above the window.  Each result
+    carries a contraction of the cone of its resolution map, the same
+    certificate a depth-0 resolve gives; resolve itself runs these two
+    inductions whenever its side needs no tower.
+
+    The report cannot depend on which certified resolutions are used.
+    A chain map whose cone is contractible is a homotopy equivalence, so
+    every certified resolution is homotopy equivalent to its source:
+    pa.target to a, pb.target to b and ic.target to c, whether it came
+    from a tower or from one induction.  Tensor products and hom
+    complexes send homotopy equivalences in either argument to homotopy
+    equivalences.  So every complex a link reads (q, value, and the hom
+    complexes hom_k takes from them) is homotopy equivalent to the same
+    complex built from a, b and c, and has the same homology.  Every
+    link compares invariant factors of H^0 of such hom complexes:
+    hom_dpur against a target with pure injective terms (c, ic.target,
+    and value, a Hom into ic.target) is hom_k.  So the bounded and the
+    tower resolutions give the same five pairs of tuples.  The currying
+    witness is a chain isomorphism on whatever complexes it is built
+    from, so witness_ok does not change either.
+
+    With a depth, every argument still goes through resolve(...,
+    depth=depth) and its semi-split towers, as a cross-check of the
+    tower path; depth constrains only the resolutions of the three
+    arguments themselves, and inner rebuilds pick their own depth.  c
+    is resolved once: with a depth the end-to-end group is taken against
+    that resolution, as hom_dpur would compute it.
     """
     _require_injective_scope(c)
-    pa = resolve(a, PROJECTIVE, depth=depth)
-    pb = resolve(b, PROJECTIVE, depth=depth)
-    ic = resolve(c, INJECTIVE, depth=depth)
+    if depth is None:
+        pa = resolve_projective_bounded_above(a)
+        pb = resolve_projective_bounded_above(b)
+        ic = resolve_injective_bounded_below(c)
+    else:
+        pa = resolve(a, PROJECTIVE, depth=depth)
+        pb = resolve(b, PROJECTIVE, depth=depth)
+        ic = resolve(c, INJECTIVE, depth=depth)
     tc = tensor_complex(pa.target, pb.target)
     q = tc.complex
     inner = hom_complex(pb.target, ic.target)

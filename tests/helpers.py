@@ -21,8 +21,10 @@ leaner ones can be compared with them output for output: the Smith
 elimination that tracked both inverses, exact solving through the full
 U and V of the Smith form, LinearSystem assembly through dense
 Kronecker products, the tower path of resolve that certified the
-(co)limit before minimizing it and certifying again, module
-decompositions through the Smith form even for one cyclic relation,
+(co)limit before minimizing it and certifying again, the adjunction
+check that resolved its bounded arguments through resolve and its
+towers, module decompositions through the Smith form even for one
+cyclic relation,
 retractions and contractions solved as vectorized MapSolver systems,
 matrix products and induced Hom maps that visit every entry and every
 pair of slots, zero or not, kernels and membership read off the
@@ -30,7 +32,8 @@ full Smith form for every presentation, the cone with both structure
 maps formed up front, and the currying witness built one basis map at
 a time through to_map and from_map.  A few constructions
 that only tests use live here too: the chain maps induced on hom
-complexes and the inverse of a unimodular matrix.  Keep it slow and
+complexes, the inverse of a unimodular matrix and the internal hom
+identity phom(a (x) b, c) ~ phom(a, phom(b, c)).  Keep it slow and
 obvious.
 """
 
@@ -78,17 +81,29 @@ from purcat.complexes import (
     zero_complex,
     zero_homotopy,
 )
-from purcat.monoidal import AdjunctionWitness
+from purcat.homotopy import hom_dpur, hom_k
+from purcat.monoidal import (
+    AdjunctionReport,
+    AdjunctionWitness,
+    LinkCheck,
+    _compare_homology,
+    adjunction_iso,
+    phom,
+    validate_adjunction_witness,
+)
 from purcat.purity import ProbeBattery, _factor
 from purcat.resolutions import (
     INJECTIVE,
+    PROJECTIVE,
     _certificate,
+    _require_injective_scope,
     _rewindow_map,
     colimit_tower,
     injective_tower,
     limit_tower,
     projective_tower,
     required_depth,
+    resolve,
 )
 
 
@@ -1018,6 +1033,60 @@ def slow_resolve(m, side, depth=None):
         tower, fs = projective_tower(m, use)
         cert = colimit_tower(tower, fs)
     return _slow_minimize_certificate(cert)
+
+
+# ---------------------------------------------------------------------------
+# the closed structure as it was checked: every argument through resolve
+
+
+def slow_check_dpur_adjunction(a, b, c, depth=None):
+    """check_dpur_adjunction with every argument resolved by resolve, which
+    builds a semi-split tower whenever a's or b's window reaches above 0
+    or c's below 0, also when no depth is given."""
+    _require_injective_scope(c)
+    pa = resolve(a, PROJECTIVE, depth=depth)
+    pb = resolve(b, PROJECTIVE, depth=depth)
+    ic = resolve(c, INJECTIVE, depth=depth)
+    tc = tensor_complex(pa.target, pb.target)
+    q = tc.complex
+    inner = hom_complex(pb.target, ic.target)
+    value = inner.complex
+    ab = tensor_complex(a, b).complex
+
+    ends = hom_dpur(ab, c) if depth is None else hom_k(ab, ic.target)
+    replaced = hom_dpur(q, ic.target)
+    homotopy_side = hom_k(q, ic.target)
+    curried = hom_k(pa.target, value)
+    witness = adjunction_iso(tc, homotopy_side.hom, inner, curried.hom)
+    derived_again = hom_dpur(pa.target, value)
+    other_end = hom_dpur(a, value)
+
+    links = (
+        LinkCheck("replace-by-resolutions",
+                  ends.invariant_factors, replaced.invariant_factors),
+        LinkCheck("descend-to-homotopy",
+                  replaced.invariant_factors, homotopy_side.invariant_factors),
+        LinkCheck("curry",
+                  homotopy_side.invariant_factors, curried.invariant_factors),
+        LinkCheck("return-to-derived",
+                  curried.invariant_factors, derived_again.invariant_factors),
+        LinkCheck("end-to-end",
+                  ends.invariant_factors, other_end.invariant_factors),
+    )
+    return AdjunctionReport(links, validate_adjunction_witness(witness))
+
+
+def check_internal_hom_identity(a, b, c):
+    """Internal version: phom((a (x) b), c) against phom(a, phom(b, c)).
+
+    Both sides run the full derived hom pipeline; the comparison is by
+    homology invariant factors in every degree.
+    """
+    ab = tensor_complex(a, b).complex
+    left = phom(ab, c).value
+    inner_value = phom(b, c).value
+    right = phom(a, inner_value).value
+    return _compare_homology(left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ ORPHANS = frozenset({
     "exact_linalg.vstack",
     "fpmod.is_isomorphic",
     "fpmod.short_exact_sequence",
-    "monoidal.check_internal_hom_identity",
     "monoidal.check_phom_invariance",
     "monoidal.check_tensor_descends",
     "monoidal.tensor_swap",

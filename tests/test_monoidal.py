@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from purcat.exact_linalg import ZZ, Zmod
 from purcat.fpmod import cyclic_module, free_module
@@ -18,12 +19,21 @@ from purcat.complexes import (
     zero_complex,
 )
 from purcat.purity import is_pure_qis
-from purcat.resolutions import INJECTIVE, PROJECTIVE, UnsupportedRing, resolve
+import purcat.resolutions as resolutions
+from purcat.resolutions import (
+    INJECTIVE,
+    PROJECTIVE,
+    UnsupportedRing,
+    required_depth,
+    resolve,
+    resolve_injective_bounded_below,
+    resolve_projective_bounded_above,
+    termwise_ok,
+)
 import purcat.monoidal as monoidal
 from purcat.monoidal import (
     adjunction_iso,
     check_dpur_adjunction,
-    check_internal_hom_identity,
     check_phom_invariance,
     check_tensor_descends,
     phom,
@@ -33,7 +43,12 @@ from purcat.monoidal import (
 )
 from purcat.randgen import random_complex, random_pure_acyclic, random_pure_qis
 from purcat.exact_linalg import InputError
-from helpers import adjunction_complexes
+import helpers
+from helpers import (
+    adjunction_complexes,
+    check_internal_hom_identity,
+    slow_check_dpur_adjunction,
+)
 
 
 def same_homology(x, y) -> bool:
@@ -388,20 +403,129 @@ def test_dpur_adjunction_rejects_free_c_before_resolving(monkeypatch):
 
 @pytest.mark.parametrize("depth", [None, 1])
 def test_dpur_adjunction_resolves_each_argument_once(monkeypatch, depth):
-    import purcat.resolutions as resolutions
-
     calls = []
 
     def counted(m, side, depth=None):
         calls.append(side)
         return resolve(m, side, depth=depth)
 
-    # hom_dpur looks resolve up in purcat.resolutions at call time
+    def counted_projective(m):
+        calls.append(PROJECTIVE)
+        return resolve_projective_bounded_above(m)
+
+    def counted_injective(m):
+        calls.append(INJECTIVE)
+        return resolve_injective_bounded_below(m)
+
+    # hom_dpur looks resolve up in purcat.resolutions at call time; with
+    # no depth the arguments go through the bounded resolvers instead
     monkeypatch.setattr(monoidal, "resolve", counted)
     monkeypatch.setattr(resolutions, "resolve", counted)
+    monkeypatch.setattr(monoidal, "resolve_projective_bounded_above", counted_projective)
+    monkeypatch.setattr(monoidal, "resolve_injective_bounded_below", counted_injective)
     rng = random.Random(5)
     ring = Zmod(12)
     a, b, c = (random_complex(rng, ring, 0, 2) for _ in range(3))
     report = check_dpur_adjunction(a, b, c, depth=depth)
     assert report.ok
     assert sorted(calls) == [INJECTIVE, PROJECTIVE, PROJECTIVE]
+
+
+def _no_zero_terms(rng, ring, lo, length, torsion=False):
+    """A random complex on [lo, lo + length - 1] whose terms are all nonzero
+    (and, if asked, pure injective, which over Z means torsion)."""
+    while True:
+        cx = random_complex(rng, ring, lo, length)
+        if any(m.is_zero() for m in cx.modules):
+            continue
+        if not torsion or all(termwise_ok(INJECTIVE, cx)):
+            return cx
+
+
+def test_dpur_adjunction_builds_no_tower_without_a_depth(monkeypatch):
+    # a and b reach above 0 and c below 0, so resolve would build towers
+    rng = random.Random(5)
+    ring = Zmod(12)
+    a, b = (_no_zero_terms(rng, ring, 0, 2) for _ in range(2))
+    c = _no_zero_terms(rng, ring, -1, 2)
+    assert required_depth(a, PROJECTIVE) and required_depth(c, INJECTIVE)
+    built = []
+
+    def counted(tower):
+        def wrapped(m, depth):
+            built.append(tower.__name__)
+            return tower(m, depth)
+        return wrapped
+
+    monkeypatch.setattr(resolutions, "projective_tower",
+                        counted(resolutions.projective_tower))
+    monkeypatch.setattr(resolutions, "injective_tower",
+                        counted(resolutions.injective_tower))
+    assert check_dpur_adjunction(a, b, c, depth=1).ok
+    assert set(built) == {"projective_tower", "injective_tower"}
+
+    def refuse(m, depth):
+        raise AssertionError("a tower was built")
+
+    monkeypatch.setattr(resolutions, "projective_tower", refuse)
+    monkeypatch.setattr(resolutions, "injective_tower", refuse)
+    assert check_dpur_adjunction(a, b, c).ok
+
+
+def test_dpur_adjunction_on_a_length_five_z12_triple():
+    # three complexes on [-1, 3] with 5, 7 and 5 invariant factors; resolved
+    # through towers this triple ran for over ten minutes
+    rng = random.Random(7)
+    ring = Zmod(12)
+    a, b, c = (random_complex(rng, ring, -1, 5, max_gens=3) for _ in range(3))
+    report = check_dpur_adjunction(a, b, c)
+    assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# the bounded route against the tower route
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ring=st.sampled_from((Zmod(12), Zmod(72), ZZ)),
+       zero=st.sampled_from((None, "a", "b", "c")))
+def test_dpur_adjunction_matches_the_tower_route(seed, ring, zero):
+    rng = random.Random(seed)
+    args = {
+        "a": _no_zero_terms(rng, ring, rng.randint(0, 1), 2),
+        "b": _no_zero_terms(rng, ring, rng.randint(0, 1), 2),
+        "c": _no_zero_terms(rng, ring, -1, 2, torsion=True),
+    }
+    # the oracle builds a direct tower for a and b and an inverse one for c
+    assert required_depth(args["a"], PROJECTIVE) >= 1
+    assert required_depth(args["b"], PROJECTIVE) >= 1
+    assert required_depth(args["c"], INJECTIVE) >= 1
+    if zero is not None:
+        args[zero] = zero_complex(ring)
+    fast = check_dpur_adjunction(args["a"], args["b"], args["c"])
+    slow = slow_check_dpur_adjunction(args["a"], args["b"], args["c"])
+    assert fast.links == slow.links
+    assert fast.witness_ok == slow.witness_ok
+    assert fast.ok
+
+
+def test_both_adjunction_routes_reject_free_c_before_resolving(monkeypatch):
+    calls = []
+
+    def record(*args, **kw):
+        calls.append(args)
+
+    for name in ("resolve", "resolve_projective_bounded_above",
+                 "resolve_injective_bounded_below"):
+        monkeypatch.setattr(monoidal, name, record)
+    monkeypatch.setattr(helpers, "resolve", record)
+    rng = random.Random(73)
+    a = random_complex(rng, ZZ, 0, 2)
+    b = random_complex(rng, ZZ, 0, 2)
+    c = make_complex(ZZ, -1, [cyclic_module(ZZ, 3), free_module(ZZ, 1)], [[[0]]])
+    for check in (check_dpur_adjunction, slow_check_dpur_adjunction):
+        with pytest.raises(UnsupportedRing,
+                           match="pure injective resolutions over the integers need torsion terms"):
+            check(a, b, c)
+    assert calls == []

@@ -29,9 +29,10 @@ from purcat.serialize import WorkbenchInput, serialize_input
 def workspaces():
     """Command -> (ring, complexes, maps, parameters), drawn from fixed seeds.
 
-    The complex c needs a one-level tower on either side, and the
-    adjunction triple has nonzero hom groups, so the tower and currying
-    paths are pinned too.
+    The complex c needs a one-level tower on either side, so resolve and
+    towers pin the tower path.  The adjunction triple has nonzero hom
+    groups, so it pins the currying path; it builds no tower, since with
+    no depth its arguments are resolved by the one-step inductions.
     """
     z12 = Zmod(12)
     rng = random.Random("reports")
