@@ -11,14 +11,13 @@ the timing figure.
 
 --depth N (or a "depth" parameter in the workspace) sets the depth of the
 semi-split towers that resolve and towers build; without it they build
-the depth the input needs.  For adjunction it sends all three arguments
-through resolve and its towers at that depth, as a cross-check of the
-tower path; without it, adjunction resolves a and b by the one-step
-pullback induction and c by the pushout induction and builds no tower.
-A depth below the one an argument needs is an error (exit 2); any
-other depth gives the same report as none, since the five links compare
-invariant factors of hom groups, which do not depend on the resolutions
-used.
+the depth the input needs, and a depth below that is an error (exit 2).
+adjunction builds no tower at any depth: it resolves a and b by the
+one-step pullback induction and c by the pushout induction, and only
+checks a depth against the one resolve would need for each argument
+(exit 2 below it).  Any allowed depth gives the report of none, since
+the five links compare invariant factors of hom groups, which do not
+depend on the resolutions used.
 
 The grammar is fixed, so it is parsed by hand rather than with argparse,
 whose set-up would cost a cold run more than many commands' algebra.
@@ -426,8 +425,8 @@ options:
   -h, --help     show this help message and exit
   --json         emit the report as JSON
   --seed SEED    seed echoed into the report (default {DEFAULT_SEED})
-  --depth DEPTH  tower depth for resolve, towers and adjunction (default: the
-                 depth the input needs; adjunction then builds no tower)
+  --depth DEPTH  tower depth for resolve and towers (default: the depth the
+                 input needs); adjunction only checks it and builds no tower
 """
 
 

@@ -40,11 +40,12 @@ from purcat.purity import ProbeBattery, PurityVerdict, default_battery, is_pure_
 from purcat.resolutions import (
     INJECTIVE,
     PROJECTIVE,
+    DepthInsufficient,
     ResolutionCertificate,
     _require_injective_scope,
     identity_resolution,
     pad_resolution,
-    resolve,
+    required_depth,
     resolve_injective_bounded_below,
     resolve_projective_bounded_above,
     validate_certificate,
@@ -477,7 +478,7 @@ def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
     resolved.  The currying witness is built on the tensor and hom
     complexes the links already hold.
 
-    With no depth, a and b are resolved by the pullback induction
+    a and b are resolved by the pullback induction
     (resolve_projective_bounded_above) and c by the pushout induction
     (resolve_injective_bounded_below); no tower is built.  These resolve
     every argument.  A complex here lives on a finite window, so it is
@@ -506,29 +507,27 @@ def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
     witness is a chain isomorphism on whatever complexes it is built
     from, so witness_ok does not change either.
 
-    With a depth, every argument still goes through resolve(...,
-    depth=depth) and its semi-split towers, as a cross-check of the
-    tower path; depth constrains only the resolutions of the three
-    arguments themselves, and inner rebuilds pick their own depth.  c
-    is resolved once: with a depth the end-to-end group is taken against
-    that resolution, as hom_dpur would compute it.
+    For that reason a depth chooses no route.  It is only checked, as
+    resolve checks it: a depth below the tower depth that a or b
+    (projective side) or c (injective side) would need raises
+    DepthInsufficient, and any other depth gives the report of none.
     """
     _require_injective_scope(c)
-    if depth is None:
-        pa = resolve_projective_bounded_above(a)
-        pb = resolve_projective_bounded_above(b)
-        ic = resolve_injective_bounded_below(c)
-    else:
-        pa = resolve(a, PROJECTIVE, depth=depth)
-        pb = resolve(b, PROJECTIVE, depth=depth)
-        ic = resolve(c, INJECTIVE, depth=depth)
+    if depth is not None:
+        for m, side in ((a, PROJECTIVE), (b, PROJECTIVE), (c, INJECTIVE)):
+            need = required_depth(m, side)
+            if depth < need:
+                raise DepthInsufficient(need)
+    pa = resolve_projective_bounded_above(a)
+    pb = resolve_projective_bounded_above(b)
+    ic = resolve_injective_bounded_below(c)
     tc = tensor_complex(pa.target, pb.target)
     q = tc.complex
     inner = hom_complex(pb.target, ic.target)
     value = inner.complex
     ab = tensor_complex(a, b).complex
 
-    ends = hom_dpur(ab, c) if depth is None else hom_k(ab, ic.target)
+    ends = hom_dpur(ab, c)
     replaced = hom_dpur(q, ic.target)
     homotopy_side = hom_k(q, ic.target)
     curried = hom_k(pa.target, value)

@@ -1039,21 +1039,21 @@ def slow_resolve(m, side, depth=None):
 # the closed structure as it was checked: every argument through resolve
 
 
-def slow_check_dpur_adjunction(a, b, c, depth=None):
+def slow_check_dpur_adjunction(a, b, c):
     """check_dpur_adjunction with every argument resolved by resolve, which
-    builds a semi-split tower whenever a's or b's window reaches above 0
-    or c's below 0, also when no depth is given."""
+    builds a semi-split tower of the depth the argument needs whenever a's
+    or b's window reaches above 0 or c's below 0."""
     _require_injective_scope(c)
-    pa = resolve(a, PROJECTIVE, depth=depth)
-    pb = resolve(b, PROJECTIVE, depth=depth)
-    ic = resolve(c, INJECTIVE, depth=depth)
+    pa = resolve(a, PROJECTIVE)
+    pb = resolve(b, PROJECTIVE)
+    ic = resolve(c, INJECTIVE)
     tc = tensor_complex(pa.target, pb.target)
     q = tc.complex
     inner = hom_complex(pb.target, ic.target)
     value = inner.complex
     ab = tensor_complex(a, b).complex
 
-    ends = hom_dpur(ab, c) if depth is None else hom_k(ab, ic.target)
+    ends = hom_dpur(ab, c)
     replaced = hom_dpur(q, ic.target)
     homotopy_side = hom_k(q, ic.target)
     curried = hom_k(pa.target, value)

@@ -421,6 +421,34 @@ def test_resolve_below_the_required_depth_exits_2(tmp_path):
                                  "required_depth": need}
 
 
+def test_adjunction_checks_a_depth_and_builds_no_tower(tmp_path, monkeypatch):
+    ring = Zmod(8)
+    rng = random.Random(101)
+    c = random_complex(rng, ring, -2, 3)
+    assert resolutions.required_depth(c, "injective") == 2
+    a, b = (random_complex(rng, ring, 0, 1) for _ in range(2))
+
+    def refuse(m, depth):
+        raise AssertionError("a tower was built")
+
+    monkeypatch.setattr(resolutions, "projective_tower", refuse)
+    monkeypatch.setattr(resolutions, "injective_tower", refuse)
+    reports = {}
+    for depth in (None, 1, 2, 3):
+        flags = () if depth is None else ("--depth", str(depth))
+        reports[depth] = run(tmp_path, "adjunction", ring,
+                             complexes={"a": a, "b": b, "c": c},
+                             parameters={"a": "a", "b": "b", "c": "c"}, flags=flags)
+    assert reports[1][0] == 2
+    assert reports[1][1]["results"] == {"error": "tower needs depth at least 2",
+                                        "required_depth": 2}
+    code, report = reports[None]
+    assert code == 0 and report["results"]["witness_ok"]
+    for depth in (2, 3):
+        assert reports[depth][0] == 0
+        assert without_timing(reports[depth][1]) == without_timing(report)
+
+
 def test_text_report(tmp_path):
     ring = Zmod(4)
     cx = make_complex(ring, 0, [cyclic_module(ring, 4), cyclic_module(ring, 4)],

@@ -390,14 +390,23 @@ def test_dpur_adjunction_with_zero_argument():
 
 def test_dpur_adjunction_rejects_free_c_before_resolving(monkeypatch):
     calls = []
-    monkeypatch.setattr(monoidal, "resolve", lambda *args, **kw: calls.append(args))
+
+    def record(*args, **kw):
+        calls.append(args)
+
+    for name in ("resolve_projective_bounded_above", "resolve_injective_bounded_below"):
+        monkeypatch.setattr(monoidal, name, record)
+    # hom_dpur and the tower-route oracle resolve through resolve
+    monkeypatch.setattr(resolutions, "resolve", record)
+    monkeypatch.setattr(helpers, "resolve", record)
     rng = random.Random(71)
     a = random_complex(rng, ZZ, 0, 2)
     b = random_complex(rng, ZZ, 0, 2)
     c = make_complex(ZZ, 0, [cyclic_module(ZZ, 3), free_module(ZZ, 1)], [[[0]]])
-    with pytest.raises(UnsupportedRing,
-                       match="pure injective resolutions over the integers need torsion terms"):
-        check_dpur_adjunction(a, b, c)
+    for check in (check_dpur_adjunction, slow_check_dpur_adjunction):
+        with pytest.raises(UnsupportedRing,
+                           match="pure injective resolutions over the integers need torsion terms"):
+            check(a, b, c)
     assert calls == []
 
 
@@ -417,9 +426,8 @@ def test_dpur_adjunction_resolves_each_argument_once(monkeypatch, depth):
         calls.append(INJECTIVE)
         return resolve_injective_bounded_below(m)
 
-    # hom_dpur looks resolve up in purcat.resolutions at call time; with
-    # no depth the arguments go through the bounded resolvers instead
-    monkeypatch.setattr(monoidal, "resolve", counted)
+    # hom_dpur looks resolve up in purcat.resolutions at call time; the
+    # arguments themselves go through the bounded resolvers
     monkeypatch.setattr(resolutions, "resolve", counted)
     monkeypatch.setattr(monoidal, "resolve_projective_bounded_above", counted_projective)
     monkeypatch.setattr(monoidal, "resolve_injective_bounded_below", counted_injective)
@@ -442,34 +450,25 @@ def _no_zero_terms(rng, ring, lo, length, torsion=False):
             return cx
 
 
-def test_dpur_adjunction_builds_no_tower_without_a_depth(monkeypatch):
+def test_dpur_adjunction_builds_no_tower(monkeypatch):
     # a and b reach above 0 and c below 0, so resolve would build towers
     rng = random.Random(5)
     ring = Zmod(12)
     a, b = (_no_zero_terms(rng, ring, 0, 2) for _ in range(2))
     c = _no_zero_terms(rng, ring, -1, 2)
-    assert required_depth(a, PROJECTIVE) and required_depth(c, INJECTIVE)
-    built = []
-
-    def counted(tower):
-        def wrapped(m, depth):
-            built.append(tower.__name__)
-            return tower(m, depth)
-        return wrapped
-
-    monkeypatch.setattr(resolutions, "projective_tower",
-                        counted(resolutions.projective_tower))
-    monkeypatch.setattr(resolutions, "injective_tower",
-                        counted(resolutions.injective_tower))
-    assert check_dpur_adjunction(a, b, c, depth=1).ok
-    assert set(built) == {"projective_tower", "injective_tower"}
+    assert required_depth(a, PROJECTIVE) == required_depth(c, INJECTIVE) == 1
 
     def refuse(m, depth):
         raise AssertionError("a tower was built")
 
     monkeypatch.setattr(resolutions, "projective_tower", refuse)
     monkeypatch.setattr(resolutions, "injective_tower", refuse)
-    assert check_dpur_adjunction(a, b, c).ok
+    report = check_dpur_adjunction(a, b, c)
+    assert report.ok
+    # a depth is only checked against the one resolve would need
+    assert check_dpur_adjunction(a, b, c, depth=1) == report
+    with pytest.raises(resolutions.DepthInsufficient, match="at least 1"):
+        check_dpur_adjunction(a, b, c, depth=0)
 
 
 def test_dpur_adjunction_on_a_length_five_z12_triple():
@@ -508,24 +507,3 @@ def test_dpur_adjunction_matches_the_tower_route(seed, ring, zero):
     assert fast.links == slow.links
     assert fast.witness_ok == slow.witness_ok
     assert fast.ok
-
-
-def test_both_adjunction_routes_reject_free_c_before_resolving(monkeypatch):
-    calls = []
-
-    def record(*args, **kw):
-        calls.append(args)
-
-    for name in ("resolve", "resolve_projective_bounded_above",
-                 "resolve_injective_bounded_below"):
-        monkeypatch.setattr(monoidal, name, record)
-    monkeypatch.setattr(helpers, "resolve", record)
-    rng = random.Random(73)
-    a = random_complex(rng, ZZ, 0, 2)
-    b = random_complex(rng, ZZ, 0, 2)
-    c = make_complex(ZZ, -1, [cyclic_module(ZZ, 3), free_module(ZZ, 1)], [[[0]]])
-    for check in (check_dpur_adjunction, slow_check_dpur_adjunction):
-        with pytest.raises(UnsupportedRing,
-                           match="pure injective resolutions over the integers need torsion terms"):
-            check(a, b, c)
-    assert calls == []
