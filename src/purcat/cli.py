@@ -10,14 +10,12 @@ deterministic: the same input and seed produce the same report up to
 the timing figure.
 
 --depth N (or a "depth" parameter in the workspace) sets the depth of the
-semi-split towers that resolve and towers build; without it they build
-the depth the input needs, and a depth below that is an error (exit 2).
-adjunction builds no tower at any depth: it resolves a and b by the
-one-step pullback induction and c by the pushout induction, and only
-checks a depth against the one resolve would need for each argument
-(exit 2 below it).  Any allowed depth gives the report of none, since
-the five links compare invariant factors of hom groups, which do not
-depend on the resolutions used.
+semi-split tower that towers builds; without it towers builds the depth
+the input needs, and a depth below that is an error (exit 2).  resolve
+and adjunction build no tower at any depth: they resolve by the one-step
+pullback (projective side) and pushout (injective side) inductions, and
+only check a depth against the one towers would need (exit 2 below it).
+Any allowed depth gives the report of none.
 
 The grammar is fixed, so it is parsed by hand rather than with argparse,
 whose set-up would cost a cold run more than many commands' algebra.
@@ -425,8 +423,8 @@ options:
   -h, --help     show this help message and exit
   --json         emit the report as JSON
   --seed SEED    seed echoed into the report (default {DEFAULT_SEED})
-  --depth DEPTH  tower depth for resolve and towers (default: the depth the
-                 input needs); adjunction only checks it and builds no tower
+  --depth DEPTH  tower depth for towers (default: the depth the input
+                 needs); resolve and adjunction only check it
 """
 
 

@@ -1,7 +1,8 @@
 """Homotopy-category layer.
 
 Hom groups up to homotopy as finitely presented modules, null-homotopy
-and contraction solvers, and derived hom via resolution replacement.
+and contraction solvers, and derived hom into a complex of pure
+injectives.
 
 The two solvers differ in shape.  null_homotopy decides d s + s d = f as
 one joint MapSolver system over all degrees.  contract_complex, which
@@ -208,21 +209,18 @@ def contract_complex(cx: Complex) -> Optional[Homotopy]:
 
 
 # ---------------------------------------------------------------------------
-# derived hom via resolution replacement
+# derived hom into pure injectives
 
 
-def hom_dpur(a: Complex, b: Complex, depth: Optional[int] = None) -> KHomGroup:
-    """Hom in the pure derived category: hom_k against a resolution.
+def hom_dpur(a: Complex, b: Complex) -> KHomGroup:
+    """Hom in the pure derived category, for b in scope: hom_k(a, b).
 
-    The target is replaced by a certified pure injective resolution.  With
-    no depth given and every term of b pure injective (resolutions.termwise_ok,
-    read off the terms), b stands as its own resolution; otherwise resolve
-    builds one, through the depth-gated tower when a depth is given, and
-    a b out of scope raises UnsupportedRing there before any hom is
-    computed.
+    Every term of b must be pure injective (resolutions.termwise_ok, read
+    off the terms); otherwise UnsupportedRing is raised before any hom is
+    computed.  A bounded complex of pure injectives is K-pure injective,
+    so b stands as its own resolution and the derived hom is hom_k.
     """
-    from purcat.resolutions import INJECTIVE, resolve, termwise_ok
+    from purcat.resolutions import _require_injective_scope
 
-    if depth is None and all(termwise_ok(INJECTIVE, b)):
-        return hom_k(a, b)
-    return hom_k(a, resolve(b, INJECTIVE, depth=depth).target)
+    _require_injective_scope(b)
+    return hom_k(a, b)

@@ -40,14 +40,11 @@ from purcat.purity import ProbeBattery, PurityVerdict, default_battery, is_pure_
 from purcat.resolutions import (
     INJECTIVE,
     PROJECTIVE,
-    DepthInsufficient,
     ResolutionCertificate,
     _require_injective_scope,
     identity_resolution,
     pad_resolution,
-    required_depth,
-    resolve_injective_bounded_below,
-    resolve_projective_bounded_above,
+    resolve,
     validate_certificate,
 )
 
@@ -478,49 +475,23 @@ def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
     resolved.  The currying witness is built on the tensor and hom
     complexes the links already hold.
 
-    a and b are resolved by the pullback induction
-    (resolve_projective_bounded_above) and c by the pushout induction
-    (resolve_injective_bounded_below); no tower is built.  These resolve
-    every argument.  A complex here lives on a finite window, so it is
-    bounded above and bounded below.  The pullback induction needs only
-    the first: it starts from the top term and pulls back one degree at
-    a time, down to one degree below the window.  The pushout induction
-    needs only the second: it starts from the bottom term and pushes out
-    one degree at a time, up to one degree above the window.  Each result
-    carries a contraction of the cone of its resolution map, the same
-    certificate a depth-0 resolve gives; resolve itself runs these two
-    inductions whenever its side needs no tower.
-
-    The report cannot depend on which certified resolutions are used.
-    A chain map whose cone is contractible is a homotopy equivalence, so
-    every certified resolution is homotopy equivalent to its source:
-    pa.target to a, pb.target to b and ic.target to c, whether it came
-    from a tower or from one induction.  Tensor products and hom
-    complexes send homotopy equivalences in either argument to homotopy
-    equivalences.  So every complex a link reads (q, value, and the hom
-    complexes hom_k takes from them) is homotopy equivalent to the same
-    complex built from a, b and c, and has the same homology.  Every
-    link compares invariant factors of H^0 of such hom complexes:
-    hom_dpur against a target with pure injective terms (c, ic.target,
-    and value, a Hom into ic.target) is hom_k.  So the bounded and the
-    tower resolutions give the same five pairs of tuples.  The currying
-    witness is a chain isomorphism on whatever complexes it is built
-    from, so witness_ok does not change either.
-
-    For that reason a depth chooses no route.  It is only checked, as
-    resolve checks it: a depth below the tower depth that a or b
-    (projective side) or c (injective side) would need raises
-    DepthInsufficient, and any other depth gives the report of none.
+    a and b are resolved on the projective side and c on the injective
+    side by resolve, which checks a depth against each argument in turn
+    (DepthInsufficient below it), gives the same certificate at every
+    allowed depth and builds no tower; its docstring proves that each
+    certified resolution is homotopy equivalent to its source.  Tensor
+    products and hom complexes send homotopy equivalences in either
+    argument to homotopy equivalences, so the links read the same
+    invariant factors from any certified resolutions, a tower's (co)limit
+    included.  Every link compares invariant factors of H^0 of hom
+    complexes: hom_dpur against a target with pure injective terms (c,
+    ic.target, and value, a Hom into ic.target) is hom_k.  The currying
+    witness is a chain isomorphism on whatever complexes it is built from.
     """
     _require_injective_scope(c)
-    if depth is not None:
-        for m, side in ((a, PROJECTIVE), (b, PROJECTIVE), (c, INJECTIVE)):
-            need = required_depth(m, side)
-            if depth < need:
-                raise DepthInsufficient(need)
-    pa = resolve_projective_bounded_above(a)
-    pb = resolve_projective_bounded_above(b)
-    ic = resolve_injective_bounded_below(c)
+    pa = resolve(a, PROJECTIVE, depth)
+    pb = resolve(b, PROJECTIVE, depth)
+    ic = resolve(c, INJECTIVE, depth)
     tc = tensor_complex(pa.target, pb.target)
     q = tc.complex
     inner = hom_complex(pb.target, ic.target)

@@ -1,10 +1,11 @@
 """Constructive pure injective and pure projective resolutions.
 
-The bounded builders run the pushout (injective side) and pullback
-(projective side) inductions degree by degree.  Unbounded-looking input
-(windows crossing zero on the wrong side) goes through towers of
-truncations whose levels extend each other by degreewise split maps, and
-the (co)limit at finite depth is read off degreewise and re-verified.
+resolve runs the pushout (injective side) and pullback (projective
+side) inductions degree by degree; every input is bounded, so these
+resolve it whatever its window.  The towers of truncations whose levels
+extend each other by degreewise split maps are built only on request
+(injective_tower / projective_tower), and their (co)limit at finite
+depth is read off degreewise and re-verified.
 Every resolution is built, then certified once where kept: the builders
 return a bare (target, map), and a cone is contracted only for a
 certificate that is returned or stored in a tower.  Every certificate
@@ -837,39 +838,35 @@ def lift_projective(f: ChainMap, r2: ResolutionCertificate):
 
 
 def resolve(m: Complex, side: str, depth: Optional[int] = None) -> ResolutionCertificate:
-    """Resolve either way: bounded fast path or tower plus (co)limit.
+    """Resolve either way by the one-step induction of that side.
 
-    On the tower path the (co)limit is checked as in limit_tower /
-    colimit_tower, the top-level map is minimized, and the final map is
-    certified: a depth-d tower contracts its d cone resolutions and then
-    this one cone.  A non-contractible cone raises WorkbenchError.
+    A depth is only checked: below the tower depth the side would need
+    (required_depth) it raises DepthInsufficient, and any other depth,
+    or none, gives the same certificate.  No tower is built; towers and
+    limit_tower / colimit_tower build the paper's (co)limits.
+
+    The inductions resolve every input.  A complex here lives on a
+    finite window, so it is bounded above and bounded below.  The
+    pullback induction (resolve_projective_bounded_above) needs only the
+    first: it starts from the top term and pulls back one degree at a
+    time, down to one degree below the window.  The pushout induction
+    (resolve_injective_bounded_below) needs only the second: it starts
+    from the bottom term and pushes out one degree at a time, up to one
+    degree above the window.  The certificate contracts the cone of the
+    resolution map, and a chain map whose cone is contractible is a
+    homotopy equivalence, so the target is homotopy equivalent to m and
+    to the (co)limit of any tower that resolves m; anything read off its
+    homology, or off tensor and hom complexes built from it, agrees.
     """
     if side not in (INJECTIVE, PROJECTIVE):
         raise InputError("side must be injective or projective")
-    m = trim(m)
-    need = required_depth(m, side)
-    if depth is not None and depth < need:
-        raise DepthInsufficient(need)
-    use = need if depth is None else depth
+    if depth is not None:
+        need = required_depth(m, side)
+        if depth < need:
+            raise DepthInsufficient(need)
     if side == INJECTIVE:
-        if use == 0:
-            return resolve_injective_bounded_below(m)
-        tower, fs = injective_tower(m, use)
-    else:
-        if use == 0:
-            return resolve_projective_bounded_above(m)
-        tower, fs = projective_tower(m, use)
-    _check_tower(tower, fs, side)
-    source, top = tower.source, tower.levels[-1]
-    mini, to_min, back_min = minimize_complex(top)
-    mini = trim(mini)
-    if side == INJECTIVE:
-        res_map = _rewindow_map(to_min, top, mini) @ fs[-1]
-        res_map = _rewindow_map(res_map, source, mini)
-    else:
-        res_map = fs[-1] @ _rewindow_map(back_min, mini, top)
-        res_map = _rewindow_map(res_map, mini, source)
-    return _certificate(source, mini, res_map, side)
+        return resolve_injective_bounded_below(m)
+    return resolve_projective_bounded_above(m)
 
 
 def pad_resolution(cert: ResolutionCertificate, seed: int) -> ResolutionCertificate:

@@ -22,8 +22,8 @@ elimination that tracked both inverses, exact solving through the full
 U and V of the Smith form, LinearSystem assembly through dense
 Kronecker products, the tower path of resolve that certified the
 (co)limit before minimizing it and certifying again, the adjunction
-check that resolved its bounded arguments through resolve and its
-towers, module decompositions through the Smith form even for one
+check that resolved its bounded arguments through that tower path,
+module decompositions through the Smith form even for one
 cyclic relation,
 retractions and contractions solved as vectorized MapSolver systems,
 matrix products and induced Hom maps that visit every entry and every
@@ -103,7 +103,6 @@ from purcat.resolutions import (
     limit_tower,
     projective_tower,
     required_depth,
-    resolve,
 )
 
 
@@ -1005,7 +1004,7 @@ def invert_unimodular(a, ring):
 
 
 # ---------------------------------------------------------------------------
-# the tower path of resolve as it was: certify, minimize, certify again
+# resolve as it was, through towers: certify, minimize, certify again
 
 
 def _slow_minimize_certificate(cert):
@@ -1021,9 +1020,9 @@ def _slow_minimize_certificate(cert):
 
 
 def slow_resolve(m, side, depth=None):
-    """resolve(m, side, depth) on the tower path (depth at least 1), with the
-    (co)limit certified by limit_tower / colimit_tower and then minimized
-    and certified again."""
+    """resolve(m, side, depth) through the tower of that depth (by default
+    the depth m needs), with the (co)limit certified by limit_tower /
+    colimit_tower and then minimized and certified again."""
     m = trim(m)
     use = required_depth(m, side) if depth is None else depth
     if side == INJECTIVE:
@@ -1036,17 +1035,16 @@ def slow_resolve(m, side, depth=None):
 
 
 # ---------------------------------------------------------------------------
-# the closed structure as it was checked: every argument through resolve
+# the closed structure as it was checked: every argument through a tower
 
 
 def slow_check_dpur_adjunction(a, b, c):
-    """check_dpur_adjunction with every argument resolved by resolve, which
-    builds a semi-split tower of the depth the argument needs whenever a's
-    or b's window reaches above 0 or c's below 0."""
+    """check_dpur_adjunction with every argument resolved by slow_resolve,
+    which builds a semi-split tower of the depth the argument needs."""
     _require_injective_scope(c)
-    pa = resolve(a, PROJECTIVE)
-    pb = resolve(b, PROJECTIVE)
-    ic = resolve(c, INJECTIVE)
+    pa = slow_resolve(a, PROJECTIVE)
+    pb = slow_resolve(b, PROJECTIVE)
+    ic = slow_resolve(c, INJECTIVE)
     tc = tensor_complex(pa.target, pb.target)
     q = tc.complex
     inner = hom_complex(pb.target, ic.target)

@@ -300,7 +300,7 @@ def test_certificate_with_windows_far_apart_exits_2(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# towers and resolve on the tower path
+# towers
 
 TOWER_CASES = [
     ("injective", "validate_inverse_tower",
@@ -324,7 +324,7 @@ def tower_command(tmp_path, command, cx, side):
 
 
 @pytest.mark.parametrize("side,name,build", TOWER_CASES)
-@pytest.mark.parametrize("command", ["towers", "resolve"])
+@pytest.mark.parametrize("command", ["towers"])
 def test_tower_that_fails_to_revalidate_exits_2(tmp_path, monkeypatch, command, side,
                                                 name, build):
     patch_everywhere(monkeypatch, name, lambda tower, fs: False)

@@ -427,18 +427,6 @@ def test_hom_dpur_ignores_resolution_choice():
     assert one.invariant_factors == bare.invariant_factors
 
 
-def test_hom_dpur_honors_depth_gate():
-    from purcat.resolutions import DepthInsufficient
-
-    rng = random.Random(79)
-    b = random_complex(rng, Zmod(8), -2, 3)
-    a = module_complex(cyclic_module(Zmod(8), 2), 0)
-    with pytest.raises(DepthInsufficient):
-        hom_dpur(a, b, depth=0)
-    group = hom_dpur(a, b, depth=2)
-    assert group.invariant_factors == hom_dpur(a, b).invariant_factors
-
-
 def test_hom_dpur_rejects_free_targets_over_z_before_any_hom(monkeypatch):
     from purcat import homotopy
     from purcat.resolutions import UnsupportedRing

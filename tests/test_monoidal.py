@@ -26,8 +26,6 @@ from purcat.resolutions import (
     UnsupportedRing,
     required_depth,
     resolve,
-    resolve_injective_bounded_below,
-    resolve_projective_bounded_above,
     termwise_ok,
 )
 import purcat.monoidal as monoidal
@@ -394,11 +392,8 @@ def test_dpur_adjunction_rejects_free_c_before_resolving(monkeypatch):
     def record(*args, **kw):
         calls.append(args)
 
-    for name in ("resolve_projective_bounded_above", "resolve_injective_bounded_below"):
-        monkeypatch.setattr(monoidal, name, record)
-    # hom_dpur and the tower-route oracle resolve through resolve
-    monkeypatch.setattr(resolutions, "resolve", record)
-    monkeypatch.setattr(helpers, "resolve", record)
+    monkeypatch.setattr(monoidal, "resolve", record)
+    monkeypatch.setattr(helpers, "slow_resolve", record)
     rng = random.Random(71)
     a = random_complex(rng, ZZ, 0, 2)
     b = random_complex(rng, ZZ, 0, 2)
@@ -416,21 +411,9 @@ def test_dpur_adjunction_resolves_each_argument_once(monkeypatch, depth):
 
     def counted(m, side, depth=None):
         calls.append(side)
-        return resolve(m, side, depth=depth)
+        return resolve(m, side, depth)
 
-    def counted_projective(m):
-        calls.append(PROJECTIVE)
-        return resolve_projective_bounded_above(m)
-
-    def counted_injective(m):
-        calls.append(INJECTIVE)
-        return resolve_injective_bounded_below(m)
-
-    # hom_dpur looks resolve up in purcat.resolutions at call time; the
-    # arguments themselves go through the bounded resolvers
-    monkeypatch.setattr(resolutions, "resolve", counted)
-    monkeypatch.setattr(monoidal, "resolve_projective_bounded_above", counted_projective)
-    monkeypatch.setattr(monoidal, "resolve_injective_bounded_below", counted_injective)
+    monkeypatch.setattr(monoidal, "resolve", counted)
     rng = random.Random(5)
     ring = Zmod(12)
     a, b, c = (random_complex(rng, ring, 0, 2) for _ in range(3))
@@ -451,7 +434,7 @@ def _no_zero_terms(rng, ring, lo, length, torsion=False):
 
 
 def test_dpur_adjunction_builds_no_tower(monkeypatch):
-    # a and b reach above 0 and c below 0, so resolve would build towers
+    # a and b reach above 0 and c below 0, so the tower route would build towers
     rng = random.Random(5)
     ring = Zmod(12)
     a, b = (_no_zero_terms(rng, ring, 0, 2) for _ in range(2))
@@ -465,7 +448,7 @@ def test_dpur_adjunction_builds_no_tower(monkeypatch):
     monkeypatch.setattr(resolutions, "injective_tower", refuse)
     report = check_dpur_adjunction(a, b, c)
     assert report.ok
-    # a depth is only checked against the one resolve would need
+    # a depth is only checked against the one a tower would need
     assert check_dpur_adjunction(a, b, c, depth=1) == report
     with pytest.raises(resolutions.DepthInsufficient, match="at least 1"):
         check_dpur_adjunction(a, b, c, depth=0)

@@ -29,8 +29,9 @@ from purcat.serialize import WorkbenchInput, serialize_input
 def workspaces():
     """Command -> (ring, complexes, maps, parameters), drawn from fixed seeds.
 
-    The complex c needs a one-level tower on either side, so resolve and
-    towers pin the tower path.  The adjunction triple has nonzero hom
+    The complex c needs a one-level tower on either side, so towers pins
+    the tower path and resolve pins a window that crosses 0 on both
+    sides, resolved with no tower.  The adjunction triple has nonzero hom
     groups, so it pins the currying path; it builds no tower, since with
     no depth its arguments are resolved by the one-step inductions.
     """
@@ -101,11 +102,11 @@ DIGESTS = {
     "truncate": (0, "a4cfda0aee16d092", "5a43c2cb898d1038"),
     "purity": (0, "88c13a7bf92814f0", "aea0759c4071c96c"),
     "qis": (0, "81d9ef84b95bcece", "1f2cdeb761e33d4f"),
-    "resolve": (0, "4c21952314c5e574", "eb367b94b4e01cf8"),
+    "resolve": (0, "740114a723b8a2b8", "94e76935809a92d3"),
     "towers": (0, "3cd6873771c6f258", "fcd0eae7757af6cf"),
     "phom": (0, "36dbfa0e5024535f", "c3978f062f47da4d"),
     "adjunction": (0, "84ff95debd481ee1", "6cf23e6d92071bd7"),
-    "validate-cert": (0, "7b00fc0891db389c", "4a182981098716a7"),
+    "validate-cert": (0, "f013f6d22f09cfe0", "433c27a88801cee7"),
 }
 
 
