@@ -4,35 +4,24 @@ Hom groups up to homotopy as finitely presented modules, null-homotopy
 and contraction solvers, and derived hom into a complex of pure
 injectives.
 
-The two solvers differ in shape.  null_homotopy decides d s + s d = f as
-one joint MapSolver system over all degrees.  contract_complex, which
-certifies every resolution, builds no joint system: per degree it takes
-a retraction onto the cycles (fpmod.retraction, one solve_linear per
-distinct invariant factor) and a section of the differential through
-one injective map (factor_through_mono, one solve_linear), and its
-docstring proves that this returns None exactly when the complex is not
-contractible.
+contract_complex certifies every resolution and decides every Pure
+verdict.  It solves one degree at a time from the top down, one
+solve_linear per invariant factor of each term, and its docstring proves
+that it returns None exactly when the complex is not contractible.
+null_homotopy decides d s + s d = f for any chain map f as one joint
+MapSolver system over all degrees; the package no longer calls it, and
+the bench wraps it by name (bench/spans.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Optional
 
-from purcat.exact_linalg import IntMatrix, InputError, WorkbenchError
-from purcat.fpmod import (
-    FpModule,
-    MapSolver,
-    ModuleMap,
-    block_map,
-    element_preimage,
-    factor_through_mono,
-    kernel,
-    retraction,
-    sum_module,
-    zero_map,
-)
+from purcat.exact_linalg import IntMatrix, InputError, from_columns, solve_linear
+from purcat.fpmod import FpModule, MapSolver, ModuleMap, element_preimage, zero_map
 from purcat.complexes import (
     ChainMap,
     Complex,
@@ -148,64 +137,76 @@ def null_homotopy(f: ChainMap) -> Optional[Homotopy]:
 
 
 def contract_complex(cx: Complex) -> Optional[Homotopy]:
-    """A contracting homotopy (boundary = identity), or None.
+    """A contracting homotopy h (d h + h d = id), or None.
 
-    Built degreewise from two maps found by direct solves, with
-    Z^n = ker d^n and incl_n: Z^n -> C^n:
+    Built from the top degree down, starting at h^(hi+1) = 0.  In degree
+    n put e_n = id - h^(n+1) d^n on C^n and solve d^(n-1) h^n = e_n; then
+    d h^n + h^(n+1) d^n = id.
 
-    - a retraction rho_n: C^n -> Z^n with rho_n . incl_n = id
-      (fpmod.retraction, row by row in the Smith coordinates of Z^n);
-    - a section sigma_n: Z^(n+1) -> C^n with d^n . sigma_n = incl_(n+1)
-      and rho_n . sigma_n = 0, which is factor_through_mono of
-      (0; incl_(n+1)) through mu_n = (rho_n; d^n): C^n -> Z^n (+) C^(n+1).
-      For n = lo - 1, where C^n = 0, mu_n is d^n out of the zero module.
+    - d^n e_n = 0: the equation of degree n + 1 gives d^n h^(n+1) =
+      e_(n+1), so d^n e_n = d^n - (id - h^(n+2) d^(n+1)) d^n =
+      h^(n+2) d^(n+1) d^n = 0 (at n = hi, d^n = 0).  So e_n lands in Z^n.
+    - If cx is contractible it is split exact: Z^n = B^n and d^(n-1) has
+      a section s: B^n -> C^(n-1), so h^n = s e_n solves degree n,
+      whatever was chosen above it.  So a solve fails only when cx is not
+      contractible, and when every solve succeeds h contracts: None is
+      returned exactly when cx is not contractible.
 
-    mu_n is injective: its kernel is ker rho_n meet ker d^n = ker rho_n
-    meet Z^n, and rho_n is the identity on Z^n.  So the column solve of
-    factor_through_mono decides the factoring exactly and its
-    well-definedness check always passes: mu_n . X . rel = (0; incl) . rel
-    vanishes, so X . rel lies in ker mu_n = 0.
-
-    Then h^n = sigma_(n-1) . rho_n contracts: for x in C^n put
-    y = x - incl rho_n x, which lies in ker rho_n with d y = d x.
-    sigma_n d x lies in ker rho_n and has boundary d y, so
-    sigma_n d x - y lies in ker rho_n meet Z^n = 0, and
-    d h x + h d x = incl rho_n x + sigma_n d x = x.
-
-    None is returned exactly when cx is not contractible.  If cx is
-    contractible with contraction h, then d^(n-1) h^n is a retraction
-    onto Z^n, so every retraction solve succeeds; and cx is exact, so d
-    restricted to ker rho_n is onto Z^(n+1) for any retraction rho_n
-    (z = d x gives z = d (x - incl rho_n x)), so every section solve
-    succeeds too and no choice needs backtracking.  Conversely, when
-    every solve succeeds the h above is a contraction.
+    Each degree is solved in the Smith coordinates of both terms, with no
+    kernel: T rel_n V = diag(c_j) and F = T^-1 (decomposition), and p_i,
+    F' likewise for C^(n-1).  Write h^n = F' Y T.  F is invertible, so
+    d h^n = e_n mod rel_n iff d F' y_j = e_n F e_j mod rel_n for every
+    column y_j of Y.  h^n is well defined iff T' h^n rel_n = Y diag(c) V^-1
+    has row i in p_i R, that is c_j y_ij in p_i R, that is y_ij in q R
+    with q = p_i / gcd(p_i, c_j) (1 for a free c_j; 0 over Z for
+    p_i = 0 < c_j).  Where p_i = 1, F' e_i is a relation, and y_ij = 0
+    moves d h^n by a relation of C^n only.  So the columns with one
+    factor c share one solve_linear of [d F' diag(q) | rel_n] over the i
+    with p_i != 1 and q != 0, which is solvable iff degree n is; columns
+    with c_j = 1 are zero.  At n = lo, C^(lo-1) = 0 and the one test is
+    whether e_lo lies in the relations.
     """
     if not cx.modules:
         return zero_homotopy(cx, cx)
-    kernels = {n: kernel(cx.differential(n)) for n in range(cx.lo, cx.hi + 2)}
-    rhos = {}
-    sigmas = {}
-    for n in range(cx.lo - 1, cx.hi + 1):
-        z1, incl1 = kernels[n + 1]
-        if n < cx.lo:
-            mono, want = cx.differential(n), incl1
-        else:
-            z, incl = kernels[n]
-            rho = retraction(incl)
-            if rho is None:
+    ring = cx.ring
+    free = ring.modulus or 0
+    comps = []
+    for n in range(cx.hi, cx.lo - 1, -1):
+        term, below = cx.module(n), cx.module(n - 1)
+        g = term.generators
+        e = IntMatrix.identity(g)
+        if comps:
+            e = ring.reduce_matrix(e - comps[-1].matrix @ cx.differential(n).matrix)
+        if n == cx.lo:
+            if not term.contains_in_relations(e):
                 return None
-            rhos[n] = rho
-            top = z.generators
-            total = sum_module([z, cx.module(n + 1)])
-            mono = block_map(cx.module(n), total,
-                             [(0, 0, 1, rho.matrix), (top, 0, 1, cx.differential(n).matrix)])
-            want = block_map(z1, total, [(top, 0, 1, incl1.matrix)])
-        try:
-            sigmas[n] = factor_through_mono(mono, want)
-        except WorkbenchError:
-            return None
-    comps = tuple(sigmas[n - 1] @ rhos[n] for n in range(cx.lo, cx.hi + 1))
-    return Homotopy(cx, cx, cx.lo, comps)
+            comps.append(zero_map(term, below))
+            break
+        dec, dec_below = term.decomposition(), below.decomposition()
+        rhs = ring.reduce_matrix(e @ dec.from_diag)
+        d_diag = ring.reduce_matrix(cx.differential(n - 1).matrix @ dec_below.from_diag)
+        by_factor: dict = {}
+        for j, c in enumerate(dec.factors):
+            if c != 1:
+                by_factor.setdefault(c, []).append(j)
+        y = [[0] * g for _ in range(below.generators)]
+        for c, cols in by_factor.items():
+            scaled = [(i, 1 if c == free else p // gcd(p, c))
+                      for i, p in enumerate(dec_below.factors) if p != 1]
+            scaled = [(i, q) for i, q in scaled if q]
+            a = IntMatrix._trusted(g, len(scaled) + term.relations.cols, tuple(
+                tuple(row[i] * q for i, q in scaled) + rel
+                for row, rel in zip(d_diag.data, term.relations.data)))
+            sol = solve_linear(a, from_columns([rhs.column(j) for j in cols], g), ring)
+            if sol is None:
+                return None
+            for t, (i, q) in enumerate(scaled):
+                for k, j in enumerate(cols):
+                    y[i][j] = q * sol.data[t][k]
+        y_mat = IntMatrix._trusted(below.generators, g, tuple(map(tuple, y)))
+        comps.append(ModuleMap(term, below, ring.reduce_matrix(
+            dec_below.from_diag @ y_mat @ dec.to_diag)))
+    return Homotopy(cx, cx, cx.lo, tuple(reversed(comps)))
 
 
 # ---------------------------------------------------------------------------

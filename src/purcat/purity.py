@@ -58,10 +58,9 @@ from purcat.complexes import (
     cone,
     homology,
     homology_degrees,
-    identity_chain_map,
     smith_diagonals,
 )
-from purcat.homotopy import null_homotopy
+from purcat.homotopy import contract_complex
 
 PURE = "Pure"
 NOT_PURE = "NotPure"
@@ -345,8 +344,15 @@ def is_pure_mono(f: ModuleMap, battery: Optional[ProbeBattery] = None) -> Purity
 
 
 def is_pure_acyclic(cx: Complex, battery: Optional[ProbeBattery] = None) -> PurityVerdict:
-    """Decide pure acyclicity via one contraction system over all degrees."""
-    contraction = null_homotopy(identity_chain_map(cx))
+    """Decide pure acyclicity by contract_complex.
+
+    Over Z and Z/m, pure acyclic means contractible for a bounded complex
+    of finitely presented modules: both rings are Noetherian, so every
+    cycle module is finitely presented, and a pure exact sequence that
+    ends in one splits.  Pure carries the contraction; NotPure carries
+    the battery's first failing probe where there is one.
+    """
+    contraction = contract_complex(cx)
     if contraction is not None:
         return PurityVerdict(PURE, witness=contraction)
     if battery is None:

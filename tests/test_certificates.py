@@ -139,47 +139,47 @@ DIGESTS = {
     "Z-injective-bounded-0": "cd9dd3d1bc6c7ad7",
     "Z-injective-bounded-1": "0815e88b428ac498",
     "Z-injective-deep-0": "38f7e1f43fbb913b",
-    "Z-injective-top": "905f98ce29d8a943",
-    "Z-injective-tower-0": "0a914cec3296a8e9",
-    "Z-injective-tower-1": "022220913141f7a6",
+    "Z-injective-top": "1a0156743e9b9ca3",
+    "Z-injective-tower-0": "207f54d61b1b3364",
+    "Z-injective-tower-1": "d2b423aa2ff0f3c9",
     "Z-projective-bounded-0": "e8fbff627c841eea",
-    "Z-projective-bounded-1": "43a263a094023a39",
-    "Z-projective-deep-0": "885f6cde30952c8e",
-    "Z-projective-top": "ec01c6820d787d12",
-    "Z-projective-tower-0": "53a868c3a7b1de5e",
+    "Z-projective-bounded-1": "91025702081166dd",
+    "Z-projective-deep-0": "736ee78ff606c1a5",
+    "Z-projective-top": "65b7a09dbbf54dae",
+    "Z-projective-tower-0": "d6dc2f48947a245e",
     "Z-projective-tower-1": "df9f631811c91a2d",
-    "Z12-injective-bounded-0": "1040ebcd4e7a852f",
-    "Z12-injective-bounded-1": "64a9ce4e506a85c6",
-    "Z12-injective-deep-0": "1fa250bc05bb6984",
-    "Z12-injective-top": "ace167c82dffbd33",
-    "Z12-injective-tower-0": "b34ab1d675f9419c",
-    "Z12-injective-tower-1": "d2b55eb5252887c2",
-    "Z12-projective-bounded-0": "08932ed8d9c4ac5a",
-    "Z12-projective-bounded-1": "c699a61d2e247925",
-    "Z12-projective-deep-0": "7746b3903737cc88",
-    "Z12-projective-top": "0dc85078c6b7b1b2",
-    "Z12-projective-tower-0": "59b5ff9d9efb3f08",
-    "Z12-projective-tower-1": "7bf46a8e20e2ec11",
+    "Z12-injective-bounded-0": "9917a00d3a19a186",
+    "Z12-injective-bounded-1": "96d543cdebdd1b30",
+    "Z12-injective-deep-0": "927228886ecd9c71",
+    "Z12-injective-top": "773f1bf28f016f25",
+    "Z12-injective-tower-0": "0e331ed2f60ec5a6",
+    "Z12-injective-tower-1": "f5ef6767c399257b",
+    "Z12-projective-bounded-0": "8c7d9e6c7c9288ea",
+    "Z12-projective-bounded-1": "9aa68ac38984f92c",
+    "Z12-projective-deep-0": "7641bed4c9884262",
+    "Z12-projective-top": "cdcdd7a41bd6c289",
+    "Z12-projective-tower-0": "9d0cf8e175ed07bd",
+    "Z12-projective-tower-1": "b0d9a245776d5bb0",
     "Z72-injective-bounded-0": "3b2e3c24b01db272",
     "Z72-injective-bounded-1": "f48e21fcbfcc2696",
-    "Z72-injective-deep-0": "50bf0aedff55d6a3",
-    "Z72-injective-top": "4d63772790e1062b",
+    "Z72-injective-deep-0": "90ddb359cdcc29c9",
+    "Z72-injective-top": "32445ea90a423500",
     "Z72-injective-tower-0": "5e5a234682d1a1a4",
     "Z72-injective-tower-1": "fd18de5374c2c99a",
     "Z72-projective-bounded-0": "a9561fd0399a9947",
     "Z72-projective-bounded-1": "e065f11348439e80",
-    "Z72-projective-deep-0": "123e6bcac9f9f1bd",
-    "Z72-projective-top": "0e6b6bfc3742f76e",
-    "Z72-projective-tower-0": "7639049a1eba6a6a",
+    "Z72-projective-deep-0": "69105ae92fd93e68",
+    "Z72-projective-top": "e0ad7ef73cb38a43",
+    "Z72-projective-tower-0": "e4f1b425c961c0da",
     "Z72-projective-tower-1": "b7be5af15ed3c892",
-    "lift-Z-injective": "4c4ff8f85805d821",
+    "lift-Z-injective": "b8c6a37111050bb5",
     "lift-Z-projective": "690bc986caed0459",
-    "lift-Z12-injective": "ffc8ef2807ba6a41",
-    "lift-Z12-projective": "9a46d0b50428aedf",
+    "lift-Z12-injective": "83c14515191676a4",
+    "lift-Z12-projective": "9a06df9a6d4e4fd6",
     "lift-Z72-injective": "2e39c8834cfba722",
-    "lift-Z72-projective": "c3f58009ba9a5169",
-    "zero-injective": "08cb8a827c83431b",
-    "zero-projective": "c9a24afbeada03e7",
+    "lift-Z72-projective": "a70519f18c454a44",
+    "zero-injective": "20cf1223330f6e1f",
+    "zero-projective": "1640ad680043d476",
 }
 
 

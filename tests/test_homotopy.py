@@ -8,6 +8,7 @@ acyclic ones.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from purcat.complexes import (
     homology,
     identity_chain_map,
     make_complex,
+    make_homotopy,
     module_complex,
     shift,
     zero_complex,
@@ -40,7 +42,7 @@ from purcat.homotopy import (
     hom_k,
     null_homotopy,
 )
-from purcat.purity import is_pure_qis
+from purcat.purity import is_pure_acyclic, is_pure_qis
 from purcat.randgen import (
     null_homotopic_chain_map,
     random_chain_map,
@@ -59,7 +61,7 @@ from purcat.resolutions import (
     termwise_ok,
     validate_certificate,
 )
-from helpers import mat, slow_contract_complex
+from helpers import mat, slow_contract_by_retractions, slow_contract_complex
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +203,11 @@ def _draw(rng, ring, kind):
         return cone(identity_chain_map(random_complex(rng, ring, -1, 2))).complex
     if kind == "short_exact":
         return _short_exact_complex(ring)
+    if kind == "non_acyclic":
+        # a pure acyclic complex plus one nonzero term standing alone
+        lone = module_complex(cyclic_module(ring, rng.choice((0, 2, 3, 4, 6))),
+                              rng.randint(-1, 1))
+        return direct_sum_complexes([random_pure_acyclic(rng, ring), lone])[0]
     return random_complex(rng, ring, -1, 3)
 
 
@@ -226,6 +233,53 @@ def test_contract_complex_rejects_acyclic_non_split(ring):
     assert homology(cx, 1).is_zero()
     assert contract_complex(cx) is None
     assert slow_contract_complex(cx) is None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ring=st.sampled_from([ZZ, Zmod(12), Zmod(72)]),
+       kind=st.sampled_from(["contractible", "pure_acyclic", "identity_cone",
+                             "short_exact", "non_acyclic"]))
+def test_top_down_contraction_agrees_with_both_oracles(seed, ring, kind):
+    cx = _draw(random.Random(seed), ring, kind)
+    fast = contract_complex(cx)
+    assert (fast is None) == (slow_contract_by_retractions(cx) is None)
+    assert (fast is None) == (slow_contract_complex(cx) is None)
+    assert (fast is None) == (kind in ("short_exact", "non_acyclic"))
+    if fast is not None:
+        checked = make_homotopy(cx, cx, fast.lo, fast.components, check=True)
+        assert checked.witnesses(identity_chain_map(cx))
+
+
+def _refuse_everywhere(monkeypatch, owner, name):
+    """Make every purcat module's binding of owner.name raise when called."""
+    def refuse(*args, **kw):
+        raise AssertionError(f"{name} was called")
+
+    monkeypatch.setattr(owner, name, refuse)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("purcat.")
+                and module is not owner and hasattr(module, name)):
+            monkeypatch.setattr(module, name, refuse)
+
+
+def test_contraction_and_purity_use_no_kernel_retraction_or_joint_solve(monkeypatch):
+    from purcat import fpmod
+
+    # three terms with torsion and free summands: (4, 12), (2, 12, 12), (6,)
+    pure = random_pure_acyclic(random.Random(80), Zmod(12), max_gens=3)
+    not_pure = _short_exact_complex(ZZ)
+    for owner, name in ((fpmod, "kernel"), (fpmod, "retraction"),
+                        (fpmod, "factor_through_mono"), (MapSolver, "solve"),
+                        (LinearSystem, "solve")):
+        _refuse_everywhere(monkeypatch, owner, name)
+    h = contract_complex(pure)
+    assert h is not None and h.witnesses(identity_chain_map(pure))
+    assert contract_complex(not_pure) is None
+    assert is_pure_acyclic(pure).is_pure()
+    verdict = is_pure_acyclic(not_pure)
+    assert not verdict.is_pure()
+    assert verdict.probe.invariant_factors == (2,)
 
 
 def test_contraction_and_resolve_build_no_linear_system(monkeypatch):

@@ -341,11 +341,11 @@ def test_dpur_adjunction_links_one_term():
     report = check_dpur_adjunction(a, b, c)
     assert report.ok
     assert report.links[0].left == (2,)
+    # no link compares hom_dpur with hom_k of one pair: both are the
+    # same memoized group, so such a link could never fail
     assert tuple(link.name for link in report.links) == (
         "replace-by-resolutions",
-        "descend-to-homotopy",
         "curry",
-        "return-to-derived",
         "end-to-end",
     )
 
@@ -373,7 +373,7 @@ def test_dpur_adjunction_on_a_length_three_z12_triple():
     assert report.ok
     # recorded from the dense products, before they skipped zero entries
     factors = (2,) * 12 + (6,) * 6 + (12,) * 6
-    assert [(link.left, link.right) for link in report.links] == [(factors, factors)] * 5
+    assert [(link.left, link.right) for link in report.links] == [(factors, factors)] * 3
 
 
 def test_dpur_adjunction_with_zero_argument():
