@@ -11,7 +11,8 @@ the timing figure.
 
 --depth N (or a "depth" parameter in the workspace) sets the depth of the
 semi-split tower that towers builds; without it towers builds the depth
-the input needs, and a depth below that is an error (exit 2).  resolve
+the input needs, and a depth below that is an error (exit 2), as is any
+depth above serialize.MAX_DEPTH, given or needed.  resolve
 and adjunction build no tower at any depth: they resolve by the one-step
 pullback (projective side) and pushout (injective side) inductions, and
 only check a depth against the one towers would need (exit 2 below it).
@@ -60,6 +61,7 @@ from purcat.resolutions import (
 from purcat.monoidal import check_dpur_adjunction, phom, validate_derived_hom
 from purcat.serialize import (
     FORMAT,
+    MAX_DEPTH,
     WorkbenchInput,
     decode_certificate,
     encode_certificate,
@@ -124,13 +126,21 @@ def _side_arg(wi: WorkbenchInput) -> str:
     return side
 
 
+def _bounded_depth(depth: int) -> int:
+    if depth > MAX_DEPTH:
+        raise InputError(f"tower depth {depth} exceeds the limit of {MAX_DEPTH}")
+    return depth
+
+
 def _depth_arg(wi: WorkbenchInput, args):
     if args.depth is not None:
-        return args.depth
+        return _bounded_depth(args.depth)
     depth = wi.parameters.get("depth")
-    if depth is not None and (not isinstance(depth, int) or isinstance(depth, bool)):
+    if depth is None:
+        return None
+    if not isinstance(depth, int) or isinstance(depth, bool):
         raise InputError("depth must be an integer")
-    return depth
+    return _bounded_depth(depth)
 
 
 def _purity_results(head: dict, cx):
@@ -244,7 +254,7 @@ def cmd_towers(wi, args):
     side = _side_arg(wi)
     depth = _depth_arg(wi, args)
     if depth is None:
-        depth = required_depth(cx, side)
+        depth = _bounded_depth(required_depth(cx, side))
     if side == INJECTIVE:
         tower, fs = injective_tower(cx, depth)
         formula_key = "limit_product_formula"
@@ -423,8 +433,8 @@ options:
   -h, --help     show this help message and exit
   --json         emit the report as JSON
   --seed SEED    seed echoed into the report (default {DEFAULT_SEED})
-  --depth DEPTH  tower depth for towers (default: the depth the input
-                 needs); resolve and adjunction only check it
+  --depth DEPTH  tower depth for towers, at most {MAX_DEPTH} (default: the
+                 depth the input needs); resolve and adjunction only check it
 """
 
 

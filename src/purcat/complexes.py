@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Optional
 
 from purcat.exact_linalg import (
@@ -33,6 +34,7 @@ from purcat.fpmod import (
     block_map,
     canonical_form,
     cokernel,
+    diagonal_module,
     direct_sum,
     factor_through_epi,
     factor_through_mono,
@@ -514,7 +516,9 @@ def minimize_complex(cx: Complex) -> tuple:
     """Replace every term by its minimal presentation.
 
     Returns (C', to: C -> C', back: C' -> C) with to . back the identity
-    on the nose and back . to the identity modulo relations.
+    on the nose and back . to the identity modulo relations.  Only the
+    terms change: no differential entry is cancelled, so a contractible
+    summand R/(a) -> R/(a) stays; reduce_complex removes those.
     """
     if not cx.modules:
         ident = identity_chain_map(cx)
@@ -530,6 +534,129 @@ def minimize_complex(cx: Complex) -> tuple:
     to = ChainMap(cx, mini, cx.lo, tuple(f[1] for f in forms))
     back = ChainMap(mini, cx, cx.lo, tuple(f[2] for f in forms))
     return mini, to, back
+
+
+def _is_unit(c: int, a: int) -> bool:
+    """Is multiplication by c an automorphism of R/(a)?  a = 0 only over Z."""
+    return c in (1, -1) if a == 0 else gcd(c, a) == 1
+
+
+def reduce_complex(cx: Complex) -> tuple:
+    """Cancel the contractible summands R/(a) -> R/(a) of cx.
+
+    Returns (R, to: C -> R, back: R -> C) on the window of cx, with
+    to . back the identity on the nose and both homotopy equivalences.
+
+    The terms are first minimized to (+) R/(a_i) (minimize_complex).
+    Then, degree by degree from the bottom, the first pair of summands
+    X = R/(a) in degree n and Y = R/(a) in degree n+1 whose component
+    phi: X -> Y of d^n is multiplication by a unit c of R/(a) (gcd(c, a)
+    = 1; c = +-1 for a = 0 over Z) is cancelled, until d^n has none.  A
+    cancellation only deletes rows of d^(n-1) and columns of d^(n+1), so
+    it makes no new unit there, and one pass leaves no cancellable pair.
+
+    The Gaussian elimination lemma (Kaczynski, Mrozek and Slusarek,
+    Computers Math. Applic. 35, 1998; Bar-Natan, J. Knot Theory
+    Ramifications 16, 2007, Lemma 4.2) for modules.  Write
+    C^n = X (+) A, C^(n+1) = Y (+) B and
+        d^(n-1) = [alpha; beta],  d^n = [[phi, delta], [gamma, eps]],
+        d^(n+1) = [mu, nu].
+    phi^-1 is multiplication by c' with c c' = 1 mod a (c' = c for
+    a = 0), a well-defined map R/(a) -> R/(a), so every block product
+    below is a composite of well-defined maps and each identity is one of
+    module maps, read off the blocks of d.d = 0:
+    phi alpha + delta beta = 0, gamma alpha + eps beta = 0,
+    mu phi + nu gamma = 0 and mu delta + nu eps = 0.  R keeps A and B with
+        d'^(n-1) = beta,  d'^n = eps - gamma phi^-1 delta,  d'^(n+1) = nu.
+    It is a complex: d'^n beta = eps beta + gamma phi^-1 phi alpha
+    = eps beta + gamma alpha = 0, and nu d'^n = nu eps + mu phi phi^-1
+    delta = nu eps + mu delta = 0.  The maps
+        to^n = [0, 1],  to^(n+1) = [-gamma phi^-1, 1],
+        back^n = [-phi^-1 delta; 1],  back^(n+1) = [0; 1],
+    the identity elsewhere, are chain maps: to^(n+1) d^n =
+    [gamma - gamma phi^-1 phi, eps - gamma phi^-1 delta] = d'^n to^n,
+    nu to^(n+1) = [mu, nu] since nu gamma phi^-1 = -mu, d^n back^n =
+    [0; d'^n] = back^(n+1) d'^n and d^(n-1) = back^n beta since
+    alpha = -phi^-1 delta beta.  Their product to . back is [0, 1] [. ; 1]
+    and [-gamma phi^-1, 1] [0; 1], the identity matrix.  With s the map
+    phi^-1: Y -> X in degree n+1 and zero elsewhere,
+    id - back . to = d s + s d: in degree n both sides are
+    [[1, phi^-1 delta], [0, 0]], in degree n+1 both are
+    [[1, 0], [gamma phi^-1, 0]], and elsewhere both are zero.  So each
+    cancellation is a homotopy equivalence with to . back = id on the
+    nose, and so are the composites returned.  Over Z/m the entries are
+    reduced mod m, which keeps to . back the identity; over Z they are
+    left as computed.
+    """
+    mini, min_to, min_back = minimize_complex(cx)
+    if not mini.modules:
+        return mini, min_to, min_back
+    ring, lo = cx.ring, cx.lo
+    red = ring.reduce
+    free = ring.modulus or 0
+    facs = [[next((x for x in row if x), free) for row in mod.relations.data]
+            for mod in mini.modules]
+    diffs = [[list(row) for row in d.matrix.data] for d in mini.diffs]
+    # to[k] is a list of rows and back[k] a list of columns, one per kept
+    # generator, so dropping a generator drops one entry of each
+    sizes = [len(f) for f in facs]
+    to = [[[int(i == j) for j in range(g)] for i in range(g)] for g in sizes]
+    back = [[[int(i == j) for i in range(g)] for j in range(g)] for g in sizes]
+    changed = set()
+    for k, d in enumerate(diffs):
+        while True:
+            pair = next(((x, y) for x in range(len(facs[k]))
+                         for y in range(len(facs[k + 1]))
+                         if facs[k][x] == facs[k + 1][y]
+                         and _is_unit(d[y][x], facs[k][x])), None)
+            if pair is None:
+                break
+            x, y = pair
+            a, c = facs[k][x], d[y][x]
+            inv = c if a == 0 else pow(c, -1, a)
+            gamma = [row[x] * inv for row in d]
+            delta = d[y]
+            for b, row in enumerate(d):
+                if gamma[b] and b != y:
+                    d[b] = [red(e - gamma[b] * f) for e, f in zip(row, delta)]
+                    to[k + 1][b] = [red(e - gamma[b] * f)
+                                    for e, f in zip(to[k + 1][b], to[k + 1][y])]
+            col_x = back[k][x]
+            for j, f in enumerate(delta):
+                if f and j != x:
+                    back[k][j] = [red(e - inv * f * g) for e, g in zip(back[k][j], col_x)]
+            del d[y]
+            for row in d:
+                del row[x]
+            if k > 0:
+                del diffs[k - 1][x]
+            if k + 1 < len(diffs):
+                for row in diffs[k + 1]:
+                    del row[y]
+            del facs[k][x], facs[k + 1][y], to[k][x], to[k + 1][y]
+            del back[k][x], back[k + 1][y]
+            changed.update((k, k + 1))
+    mods = tuple(diagonal_module(ring, f) if k in changed else mini.modules[k]
+                 for k, f in enumerate(facs))
+    out = Complex(ring, lo, mods, tuple(
+        ModuleMap(mods[k], mods[k + 1], IntMatrix._trusted(
+            len(facs[k + 1]), len(facs[k]), tuple(tuple(row) for row in d)))
+        for k, d in enumerate(diffs)))
+    to_comps, back_comps = [], []
+    for k, mod in enumerate(mini.modules):
+        if k not in changed:
+            to_comps.append(min_to.components[k])
+            back_comps.append(min_back.components[k])
+            continue
+        g, h = len(facs[k]), mod.generators
+        to_k = ModuleMap(mod, mods[k], IntMatrix._trusted(
+            g, h, tuple(tuple(row) for row in to[k])))
+        back_k = ModuleMap(mods[k], mod, IntMatrix._trusted(
+            h, g, tuple(tuple(col[i] for col in back[k]) for i in range(h))))
+        to_comps.append(to_k @ min_to.components[k])
+        back_comps.append(min_back.components[k] @ back_k)
+    return (out, ChainMap(cx, out, lo, tuple(to_comps)),
+            ChainMap(out, cx, lo, tuple(back_comps)))
 
 
 def homology_invariants(cx: Complex) -> dict:

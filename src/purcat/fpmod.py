@@ -209,6 +209,20 @@ def is_isomorphic(a: FpModule, b: FpModule) -> bool:
     return a.ring == b.ring and a.invariant_factors == b.invariant_factors
 
 
+def diagonal_module(ring: Ring, factors) -> FpModule:
+    """R/(a_1) (+) ... (+) R/(a_k): one relation column a_i per torsion
+    factor, none for a free one (0 over Z, m over Z/m)."""
+    free = ring.modulus or 0
+    k = len(factors)
+    rel_cols = []
+    for pos, a in enumerate(factors):
+        if a != free:
+            col = [0] * k
+            col[pos] = a
+            rel_cols.append(col)
+    return make_module(ring, k, from_columns(rel_cols, k))
+
+
 def canonical_form(module: FpModule) -> tuple:
     """Minimal presentation (one generator per nonunit invariant factor).
 
@@ -216,17 +230,9 @@ def canonical_form(module: FpModule) -> tuple:
     identity on the nose and from_min . to_min the identity mod relations.
     """
     ring = module.ring
-    m = ring.modulus
     dec = module.decomposition()
     keep = [i for i, a in enumerate(dec.factors) if a != 1]
-    rel_cols = []
-    for pos, i in enumerate(keep):
-        a = dec.factors[i]
-        if (m is None and a != 0) or (m is not None and a != m):
-            col = [0] * len(keep)
-            col[pos] = a
-            rel_cols.append(col)
-    mini = make_module(ring, len(keep), from_columns(rel_cols, len(keep)))
+    mini = diagonal_module(ring, [dec.factors[i] for i in keep])
     sel_rows = [dec.to_diag.data[i] for i in keep]
     to_min = ModuleMap(module, mini, ring.reduce_matrix(
         IntMatrix.from_rows(sel_rows) if keep else IntMatrix.zeros(0, module.generators)))

@@ -54,6 +54,7 @@ from purcat.complexes import (
     identity_chain_map,
     minimize_complex,
     module_complex,
+    reduce_complex,
     shift,
     shift_map,
     tensor_module_chain_map,
@@ -355,6 +356,15 @@ def _extend_injective(q: ChainMap, stable: bool = False):
     the cone (the zero complex when stable, the cone being contractible),
     level is degreewise I (+) J[-1], p is the degreewise split projection
     with kernel J[-1], and p . h = q on the nose.
+
+    J resolves the reduced cone R (reduce_complex), not the cone itself,
+    so each level adds no copy of the contractible summands the previous
+    one made, and g is the composite g0 . to of the resolution
+    g0: R -> J with to: cone(q) -> R.  Both are homotopy equivalences,
+    so cone(g) is contractible and its certificate contracts it.  The
+    level, h and the product formula are built from g alone, whichever
+    g it is, so the degreewise product formula and cone(h) = cone(-g)[-1]
+    hold literally.
     """
     n_cx, i_cx = q.src, q.tgt
     ring = q.src.ring
@@ -363,7 +373,9 @@ def _extend_injective(q: ChainMap, stable: bool = False):
         j_cx = zero_complex(ring)
         g = zero_chain_map(cq.complex, j_cx)
     else:
-        j_cx, g = _injective_resolution(cq.complex)
+        reduced, to, _ = reduce_complex(cq.complex)
+        j_cx, g0 = _injective_resolution(reduced)
+        g = g0 @ to
     gpp = g @ cq.inclusion
     lo = min(i_cx.lo, j_cx.lo + 1)
     hi = max(i_cx.hi, j_cx.hi + 1)
@@ -413,6 +425,12 @@ def _extend_projective(a: ChainMap, stable: bool = False):
     the cone (the zero complex when stable), level is degreewise Q (+) P,
     incl is the degreewise split inclusion with cokernel Q, and
     v . incl = a on the nose.
+
+    Q resolves the reduced cone R (reduce_complex), not the cone itself,
+    and w is the composite back . w0 of the resolution w0: Q -> R with
+    back: R -> cone(a), a homotopy equivalence like w0, so cone(w) is
+    contractible.  The level, v and the sum formula read only w and Q,
+    so the degreewise sum formula and cone(v) = cone(-w) hold literally.
     """
     p_cx, n_cx = a.src, a.tgt
     ca = cone(a)
@@ -420,7 +438,9 @@ def _extend_projective(a: ChainMap, stable: bool = False):
         q_cx = zero_complex(a.src.ring)
         w = zero_chain_map(q_cx, ca.complex)
     else:
-        q_cx, w = _projective_resolution(ca.complex)
+        reduced, _, back = reduce_complex(ca.complex)
+        q_cx, w0 = _projective_resolution(reduced)
+        w = back @ w0
     w1 = shift_map(ca.projection @ w, -1)
     level_cone = cone(w1)
     level = level_cone.complex

@@ -17,6 +17,12 @@ so a short document could ask for any amount of memory.  A larger count
 is rejected before anything is allocated.  The bound sits far above the
 modules of the tests and the benchmark corpora, which have a handful of
 generators each.
+
+A tower depth, from a workspace's "depth" parameter or the command
+line, may be at most MAX_DEPTH for the same reason: towers builds one
+level per unit of depth, past the depth the input needs too, so a short
+document or flag could ask for any amount of work.  The bound sits far
+above the depth of any tower the tests and corpora build (at most 11).
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from purcat.resolutions import INJECTIVE, PROJECTIVE, ResolutionCertificate
 
 FORMAT = 1
 MAX_GENERATORS = 1000
+MAX_DEPTH = 256
 
 
 # ---------------------------------------------------------------------------

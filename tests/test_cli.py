@@ -24,6 +24,7 @@ from purcat.complexes import (
 )
 from purcat.randgen import random_complex, random_pure_acyclic, random_pure_qis
 from purcat.serialize import (
+    MAX_DEPTH,
     WorkbenchInput,
     decode_certificate,
     encode_input,
@@ -447,6 +448,57 @@ def test_adjunction_checks_a_depth_and_builds_no_tower(tmp_path, monkeypatch):
     for depth in (2, 3):
         assert reports[depth][0] == 0
         assert without_timing(reports[depth][1]) == without_timing(report)
+
+
+@pytest.mark.parametrize("side,lo", [("projective", -1), ("injective", -6)])
+def test_deep_z12_towers_stay_small(tmp_path, side, lo):
+    # the L = 8 window of the CI deep steps; with whole cones resolved at
+    # each step its depth-6 tower top had 566 (projective) and 718
+    # (injective) generators
+    cx = random_complex(random.Random(7), Zmod(12), lo, 8, max_gens=3)
+    code, report = run(tmp_path, "towers", cx.ring, complexes={"c": cx},
+                       parameters={"complex": "c", "side": side})
+    assert code == 0
+    res = report["results"]
+    assert res["depth"] == 6
+    assert sum(res["levels"][-1]["generators"]) <= 20
+    assert res["certificate_valid"] is True
+    assert validate_cert(tmp_path, report)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["towers", "resolve", "adjunction"])
+@pytest.mark.parametrize("where", ["flag", "parameter"])
+def test_a_huge_depth_is_rejected_at_once(tmp_path, command, where):
+    ring = Zmod(8)
+    rng = random.Random(101)
+    c = random_complex(rng, ring, -2, 3)
+    a, b = (random_complex(rng, ring, 0, 1) for _ in range(2))
+    parameters = {"complex": "c", "side": "injective", "a": "a", "b": "b", "c": "c"}
+    flags = ()
+    if where == "flag":
+        flags = ("--depth", str(10 ** 9))
+    else:
+        parameters["depth"] = 10 ** 9
+    started = time.perf_counter()
+    code, report = run(tmp_path, command, ring, complexes={"a": a, "b": b, "c": c},
+                       parameters=parameters, flags=flags)
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert report["results"] == {
+        "error": f"tower depth {10 ** 9} exceeds the limit of {MAX_DEPTH}"}
+    if command != "towers":
+        code, _ = run(tmp_path, command, ring, complexes={"a": a, "b": b, "c": c},
+                      parameters=dict(parameters, depth=MAX_DEPTH))
+        assert code == 0
+
+
+def test_towers_rejects_an_input_needing_too_deep_a_tower(tmp_path):
+    cx = module_complex(cyclic_module(Zmod(8), 2), -MAX_DEPTH - 1)
+    code, report = run(tmp_path, "towers", cx.ring, complexes={"c": cx},
+                       parameters={"complex": "c", "side": "injective"})
+    assert code == 2
+    assert report["results"] == {
+        "error": f"tower depth {MAX_DEPTH + 1} exceeds the limit of {MAX_DEPTH}"}
 
 
 def test_text_report(tmp_path):

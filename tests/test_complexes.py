@@ -1,10 +1,12 @@
 """Complex layer tests: shifts, cones, homology, truncation, minimization."""
 
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from purcat.exact_linalg import InputError, ZZ, Zmod
+from purcat.exact_linalg import IntMatrix, InputError, ZZ, Zmod
 from purcat.fpmod import (
     cyclic_module,
     free_module,
@@ -20,12 +22,14 @@ from purcat.complexes import (
     direct_sum_complexes,
     homology,
     homology_degrees,
+    homology_invariants,
     homology_map,
     identity_chain_map,
     make_chain_map,
     make_complex,
     minimize_complex,
     module_complex,
+    reduce_complex,
     shift,
     shift_map,
     trim,
@@ -34,10 +38,12 @@ from purcat.complexes import (
     zero_chain_map,
     zero_complex,
 )
+from purcat.homotopy import contract_complex
 from purcat.randgen import (
     null_homotopic_chain_map,
     random_complex,
     random_contractible,
+    random_pure_acyclic,
 )
 from helpers import mat
 
@@ -336,3 +342,48 @@ def test_minimize_complex_round_trip():
                 assert m.generators == len(m.invariant_factors)
             for i in range(cx.lo, cx.hi + 1):
                 assert is_isomorphic(homology(mini, i), homology(cx, i))
+
+
+# ---------------------------------------------------------------------------
+# reduction
+
+
+def cyclic_factors(mod):
+    """The a_i of a term presented as R/(a_1) (+) ... (+) R/(a_k): each
+    relation column has one nonzero entry, and a generator with none is
+    free."""
+    factors = [mod.ring.modulus or 0] * mod.generators
+    for col in range(mod.relations.cols):
+        (i,) = [r for r in range(mod.generators) if mod.relations.at(r, col)]
+        factors[i] = mod.relations.at(i, col)
+    return factors
+
+
+def reduction_input(rng, ring, kind):
+    if kind == "random":
+        return random_complex(rng, ring, rng.randint(-2, 1), rng.randint(1, 5),
+                              max_gens=3, max_rels=3)
+    if kind == "contractible":
+        return random_contractible(rng, ring, pieces=3)
+    return random_pure_acyclic(rng, ring)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from((ZZ, Zmod(12), Zmod(72))),
+       kind=st.sampled_from(("random", "contractible", "pure acyclic")))
+def test_reduce_complex_is_a_homotopy_equivalence_with_no_unit_left(seed, ring, kind):
+    cx = reduction_input(random.Random(seed), ring, kind)
+    red, to, back = reduce_complex(cx)
+    assert to.is_chain_map() and back.is_chain_map()
+    ident = to @ back
+    for i in range(red.lo, red.hi + 1):
+        assert ident.component(i).matrix == IntMatrix.identity(red.module(i).generators)
+    assert contract_complex(cone(to).complex) is not None
+    assert homology_invariants(red) == homology_invariants(cx)
+    for d in red.diffs:
+        src, tgt = cyclic_factors(d.src), cyclic_factors(d.tgt)
+        for x, a in enumerate(src):
+            for y, b in enumerate(tgt):
+                c = d.matrix.at(y, x)
+                assert a != b or not (c in (1, -1) if a == 0 else gcd(c, a) == 1)
+    assert reduce_complex(cx) == (red, to, back)

@@ -103,7 +103,7 @@ DIGESTS = {
     "purity": (0, "88c13a7bf92814f0", "aea0759c4071c96c"),
     "qis": (0, "81d9ef84b95bcece", "1f2cdeb761e33d4f"),
     "resolve": (0, "b29cd7708f15fc8a", "8b0e6c6081183037"),
-    "towers": (0, "8643e9aab0a38575", "b86a09c0436b1129"),
+    "towers": (0, "8a44419b14bc9292", "887b1e43552d92be"),
     "phom": (0, "36dbfa0e5024535f", "c3978f062f47da4d"),
     "adjunction": (0, "5708f78d13feeff1", "4421b7e4dc59d326"),
     "validate-cert": (0, "f013f6d22f09cfe0", "433c27a88801cee7"),
