@@ -28,6 +28,12 @@ non-integer value) writes the usage and a one-line reason to stderr and
 exits 2.  Options must be spelt in full (no --js for --json), there is no
 -- separator, and an input other than - must not begin with a dash
 (write ./-name).
+
+For the same cold-start reason the value types are slotted records
+(exact_linalg.Record), not generated data classes, whose module would
+import inspect, ast, dis and tokenize at every start.  --json writes
+compact JSON, which the json module encodes in C; indented output would
+go through its Python encoder.
 """
 
 from __future__ import annotations
@@ -376,7 +382,7 @@ HANDLERS = {
 
 
 def serialize_report(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return json.dumps(report) + "\n"
 
 
 def _text_lines(key, value, indent: int, out: list) -> None:

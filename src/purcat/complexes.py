@@ -15,7 +15,6 @@ everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional
@@ -23,7 +22,9 @@ from typing import Iterable, Optional
 from purcat.exact_linalg import (
     IntMatrix,
     InputError,
+    Record,
     Ring,
+    _set,
     hstack,
     quotient_order,
     smith_diagonal,
@@ -36,7 +37,6 @@ from purcat.fpmod import (
     cokernel,
     diagonal_module,
     direct_sum,
-    factor_through_epi,
     factor_through_mono,
     hom_modules,
     hom_post,
@@ -53,17 +53,16 @@ from purcat.fpmod import (
 )
 
 
-@dataclass(frozen=True)
-class Complex:
-    ring: Ring
-    lo: int
-    modules: tuple
-    diffs: tuple
+class Complex(Record):
+    __slots__ = ("ring", "lo", "modules", "diffs")
 
-    def __post_init__(self) -> None:
-        want = max(len(self.modules) - 1, 0)
-        if len(self.diffs) != want:
+    def __init__(self, ring: Ring, lo: int, modules: tuple, diffs: tuple) -> None:
+        if len(diffs) != max(len(modules) - 1, 0):
             raise InputError("complex needs one differential per adjacent pair")
+        _set(self, "ring", ring)
+        _set(self, "lo", lo)
+        _set(self, "modules", modules)
+        _set(self, "diffs", diffs)
 
     @property
     def hi(self) -> int:
@@ -169,12 +168,14 @@ def complexes_equal(a: Complex, b: Complex) -> bool:
 # chain maps
 
 
-@dataclass(frozen=True)
-class ChainMap:
-    src: Complex
-    tgt: Complex
-    lo: int
-    components: tuple
+class ChainMap(Record):
+    __slots__ = ("src", "tgt", "lo", "components")
+
+    def __init__(self, src: Complex, tgt: Complex, lo: int, components: tuple) -> None:
+        _set(self, "src", src)
+        _set(self, "tgt", tgt)
+        _set(self, "lo", lo)
+        _set(self, "components", components)
 
     def component(self, i: int) -> ModuleMap:
         k = i - self.lo
@@ -285,8 +286,7 @@ def shift_map(f: ChainMap, n: int) -> ChainMap:
 # cones
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """Cone of map: M -> N; its two structure chain maps are formed on read.
 
     complex is built by cone.  inclusion: N -> cone (degreewise
@@ -295,8 +295,12 @@ class Cone:
     time each is read, and then kept; most callers read only complex.
     """
 
-    complex: Complex
-    map: ChainMap
+    # __dict__ holds the cached_property values; it is not a field
+    __slots__ = ("complex", "map", "__dict__")
+
+    def __init__(self, complex: Complex, map: ChainMap) -> None:
+        _set(self, "complex", complex)
+        _set(self, "map", map)
 
     @cached_property
     def inclusion(self) -> ChainMap:
@@ -671,18 +675,20 @@ def homology_invariants(cx: Complex) -> dict:
 # homotopies
 
 
-@dataclass(frozen=True)
-class Homotopy:
+class Homotopy(Record):
     """A degree -1 family of maps s^i: src^i -> tgt^(i-1).
 
     Its boundary d.s + s.d is always a chain map; the homotopy witnesses
     f ~ g exactly when the boundary equals f - g.
     """
 
-    src: Complex
-    tgt: Complex
-    lo: int
-    components: tuple
+    __slots__ = ("src", "tgt", "lo", "components")
+
+    def __init__(self, src: Complex, tgt: Complex, lo: int, components: tuple) -> None:
+        _set(self, "src", src)
+        _set(self, "tgt", tgt)
+        _set(self, "lo", lo)
+        _set(self, "components", components)
 
     def component(self, i: int) -> ModuleMap:
         k = i - self.lo
@@ -762,8 +768,7 @@ def _ranges(mods) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class HomComplex:
+class HomComplex(Record):
     """Total hom complex of a pair of complexes, with slot bookkeeping.
 
     Degree i collects Hom(source^j, target^(i+j)) over all j.  slots(i)
@@ -773,10 +778,14 @@ class HomComplex:
     The differential sends f to d_tgt . f - (-1)^i f . d_src.
     """
 
-    source: Complex
-    target: Complex
-    complex: Complex
-    slot_data: tuple
+    __slots__ = ("source", "target", "complex", "slot_data")
+
+    def __init__(self, source: Complex, target: Complex, complex: Complex,
+                 slot_data: tuple) -> None:
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "complex", complex)
+        _set(self, "slot_data", slot_data)
 
     def slots(self, i: int) -> tuple:
         k = i - self.complex.lo
@@ -842,8 +851,7 @@ def hom_complex(source: Complex, target: Complex) -> HomComplex:
     return HomComplex(source, target, cx, tuple(slot_data))
 
 
-@dataclass(frozen=True)
-class TensorComplex:
+class TensorComplex(Record):
     """Total tensor product of a pair of complexes, with slot bookkeeping.
 
     Degree t collects left^i (x) right^(t-i) over all i; slots(t) yields
@@ -852,10 +860,14 @@ class TensorComplex:
     d (x) 1 + (-1)^i 1 (x) d on the (i, j) slot.
     """
 
-    left: Complex
-    right: Complex
-    complex: Complex
-    slot_data: tuple
+    __slots__ = ("left", "right", "complex", "slot_data")
+
+    def __init__(self, left: Complex, right: Complex, complex: Complex,
+                 slot_data: tuple) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "complex", complex)
+        _set(self, "slot_data", slot_data)
 
     def slots(self, t: int) -> tuple:
         k = t - self.complex.lo
@@ -1016,19 +1028,3 @@ def truncate_leq_map(f: ChainMap, n: int):
                 )
             )
     return ChainMap(ts, tt, lo, tuple(comps)), (ts, incl_s), (tt, incl_t)
-
-
-def truncate_geq_map(f: ChainMap, n: int):
-    """Induced map between the >= n truncations.
-
-    Returns (g, (src_trunc, src_proj), (tgt_trunc, tgt_proj)).
-    """
-    ts, proj_s = truncate_geq(f.src, n)
-    tt, proj_t = truncate_geq(f.tgt, n)
-    hi = max(ts.hi, tt.hi)
-    comps = [
-        factor_through_epi(proj_s.component(n), proj_t.component(n) @ f.component(n))
-    ]
-    for i in range(n + 1, hi + 1):
-        comps.append(f.component(i))
-    return ChainMap(ts, tt, n, tuple(comps)), (ts, proj_s), (tt, proj_t)

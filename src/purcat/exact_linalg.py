@@ -27,9 +27,9 @@ zero rows through as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 from typing import Iterable, Optional
 
 
@@ -42,22 +42,75 @@ class InputError(WorkbenchError):
 
 
 # ---------------------------------------------------------------------------
+# records
+
+# stores a field of a record from its __init__, past the raising __setattr__
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the immutable value types.
+
+    A record lists its fields in __slots__ and stores them from a plain
+    __init__ with _set; a slot whose name starts with an underscore (a
+    cache, or __dict__ for cached_property) is not a field.  Records of
+    one class are equal when their field tuples are, and hash as that
+    tuple, which is the hash a frozen data class gives; repr has the
+    data class format, and assignment or deletion raises AttributeError.
+    Nothing is generated with exec, so a record class costs an import
+    about what a plain class does, and no start imports the standard
+    data class module with the inspect, ast, dis and tokenize under it.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        names = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        get = attrgetter(*names)
+        cls._fields = names
+        cls._values = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+# ---------------------------------------------------------------------------
 # rings
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Record):
     """The ring of integers (modulus None) or Z/m for m >= 2.
 
     Elements are represented canonically: arbitrary ints over Z,
     residues in 0..m-1 over Z/m.
     """
 
-    modulus: Optional[int] = None
+    __slots__ = ("modulus",)
 
-    def __post_init__(self) -> None:
-        if self.modulus is not None and self.modulus < 2:
+    def __init__(self, modulus: Optional[int] = None) -> None:
+        if modulus is not None and modulus < 2:
             raise InputError("modulus must be at least 2")
+        _set(self, "modulus", modulus)
 
     def reduce(self, x: int) -> int:
         if self.modulus is None:
@@ -87,8 +140,7 @@ def Zmod(m: int) -> Ring:
 # matrices
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable integer matrix; data is a tuple of row tuples.
 
     Storage is dense: every entry, zero or not, sits in its row tuple.
@@ -98,13 +150,14 @@ class IntMatrix:
     through _trusted, which does not.
     """
 
-    rows: int
-    cols: int
-    data: tuple
+    __slots__ = ("rows", "cols", "data")
 
-    def __post_init__(self) -> None:
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
+    def __init__(self, rows: int, cols: int, data: tuple) -> None:
+        if len(data) != rows or any(len(r) != cols for r in data):
             raise InputError("matrix shape does not match data")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "data", data)
 
     # -- constructors -------------------------------------------------
 
@@ -112,7 +165,9 @@ class IntMatrix:
     def _trusted(rows: int, cols: int, data: tuple) -> "IntMatrix":
         """A matrix whose data is known to have shape rows x cols."""
         obj = object.__new__(IntMatrix)
-        obj.__dict__.update(rows=rows, cols=cols, data=data)
+        _set(obj, "rows", rows)
+        _set(obj, "cols", cols)
+        _set(obj, "data", data)
         return obj
 
     @staticmethod

@@ -12,7 +12,6 @@ calculations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
 from typing import Iterable, Optional
@@ -21,8 +20,10 @@ from purcat.exact_linalg import (
     IntMatrix,
     InputError,
     LinearSystem,
+    Record,
     Ring,
     WorkbenchError,
+    _set,
     _unit_scaling_mod,
     block_diag,
     from_columns,
@@ -45,8 +46,7 @@ class NotMono(WorkbenchError):
 # modules
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Diagonal coordinates of a presentation.
 
     factors[i] is the annihilator of the i-th diagonal generator: over Z
@@ -55,20 +55,25 @@ class Decomposition:
     from_diag are the inverse change-of-basis matrices on generators.
     """
 
-    factors: tuple
-    to_diag: IntMatrix
-    from_diag: IntMatrix
+    __slots__ = ("factors", "to_diag", "from_diag")
+
+    def __init__(self, factors: tuple, to_diag: IntMatrix, from_diag: IntMatrix) -> None:
+        _set(self, "factors", factors)
+        _set(self, "to_diag", to_diag)
+        _set(self, "from_diag", from_diag)
 
 
-@dataclass(frozen=True)
-class FpModule:
-    ring: Ring
-    generators: int
-    relations: IntMatrix
+class FpModule(Record):
+    # _decomp caches decomposition(); it is not a field
+    __slots__ = ("ring", "generators", "relations", "_decomp")
 
-    def __post_init__(self) -> None:
-        if self.relations.rows != self.generators:
+    def __init__(self, ring: Ring, generators: int, relations: IntMatrix) -> None:
+        if relations.rows != generators:
             raise InputError("relation matrix must have one row per generator")
+        _set(self, "ring", ring)
+        _set(self, "generators", generators)
+        _set(self, "relations", relations)
+        _set(self, "_decomp", None)
 
     # -- structure ------------------------------------------------------
 
@@ -81,12 +86,12 @@ class FpModule:
         through its elimination; V, which nothing here reads, is never
         formed.  Cached per module.
         """
-        cached = self.__dict__.get("_decomp")
+        cached = self._decomp
         if cached is not None:
             return cached
         if self.relations.rows == self.relations.cols == 1:
             dec = _cyclic_decomposition(self.ring, self.relations.data[0][0])
-            object.__setattr__(self, "_decomp", dec)
+            _set(self, "_decomp", dec)
             return dec
         snf = smith_normal_form(self.relations, self.ring, inverse=True)
         diagonal = snf.diagonal()
@@ -94,7 +99,7 @@ class FpModule:
         m = self.ring.modulus
         factors = tuple(diagonal) if m is None else tuple(d or m for d in diagonal)
         dec = Decomposition(factors, snf.u, snf.u_inv)
-        object.__setattr__(self, "_decomp", dec)
+        _set(self, "_decomp", dec)
         return dec
 
     @property
@@ -246,15 +251,15 @@ def canonical_form(module: FpModule) -> tuple:
 # maps
 
 
-@dataclass(frozen=True)
-class ModuleMap:
-    src: FpModule
-    tgt: FpModule
-    matrix: IntMatrix
+class ModuleMap(Record):
+    __slots__ = ("src", "tgt", "matrix")
 
-    def __post_init__(self) -> None:
-        if self.matrix.rows != self.tgt.generators or self.matrix.cols != self.src.generators:
+    def __init__(self, src: FpModule, tgt: FpModule, matrix: IntMatrix) -> None:
+        if matrix.rows != tgt.generators or matrix.cols != src.generators:
             raise InputError("map matrix shape must be tgt.generators x src.generators")
+        _set(self, "src", src)
+        _set(self, "tgt", tgt)
+        _set(self, "matrix", matrix)
 
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
         if other.tgt != self.src:
@@ -503,16 +508,17 @@ def _hom_cyclic(ring: Ring, a: int, b: int) -> tuple:
     return g, b // g
 
 
-@dataclass(frozen=True)
-class HomSlot:
-    src_index: int
-    tgt_index: int
-    order: int
-    multiplier: int
+class HomSlot(Record):
+    __slots__ = ("src_index", "tgt_index", "order", "multiplier")
+
+    def __init__(self, src_index: int, tgt_index: int, order: int, multiplier: int) -> None:
+        _set(self, "src_index", src_index)
+        _set(self, "tgt_index", tgt_index)
+        _set(self, "order", order)
+        _set(self, "multiplier", multiplier)
 
 
-@dataclass(frozen=True)
-class HomModule:
+class HomModule(Record):
     """Hom(source, target) as a module plus coordinate conversions.
 
     With U_A . A . V_A and U_B . B . V_B diagonal, a map f: A -> B has
@@ -523,10 +529,14 @@ class HomModule:
     directly.
     """
 
-    source: FpModule
-    target: FpModule
-    module: FpModule
-    slots: tuple
+    __slots__ = ("source", "target", "module", "slots")
+
+    def __init__(self, source: FpModule, target: FpModule, module: FpModule,
+                 slots: tuple) -> None:
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "module", module)
+        _set(self, "slots", slots)
 
     @property
     def invariant_factors(self) -> tuple:
@@ -877,34 +887,3 @@ def has_retraction(f: ModuleMap) -> Optional[ModuleMap]:
     if not is_injective(f):
         raise NotMono("has_retraction requires an injective map")
     return retraction(f)
-
-
-# ---------------------------------------------------------------------------
-# short exact sequences
-
-
-@dataclass(frozen=True)
-class ShortExactSequence:
-    """0 -> A -i-> B -p-> C -> 0, validated exactly."""
-
-    i: ModuleMap
-    p: ModuleMap
-
-
-def short_exact_sequence(i: ModuleMap, p: ModuleMap) -> ShortExactSequence:
-    if i.tgt != p.src:
-        raise InputError("legs of a short exact sequence must be composable")
-    if not is_injective(i):
-        raise WorkbenchError("first leg is not injective")
-    if not is_surjective(p):
-        raise WorkbenchError("second leg is not surjective")
-    if not (p @ i).is_zero():
-        raise WorkbenchError("composite p . i is nonzero")
-    kmod, incl = kernel(p)
-    # image(i) = kernel(p): both inclusions factor through each other
-    try:
-        factor_through_mono(incl, i)
-        factor_through_mono(i, incl)
-    except WorkbenchError as exc:
-        raise WorkbenchError("sequence is not exact in the middle") from exc
-    return ShortExactSequence(i, p)

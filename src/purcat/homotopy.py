@@ -15,12 +15,11 @@ the bench wraps it by name (bench/spans.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Optional
 
-from purcat.exact_linalg import IntMatrix, InputError, from_columns, solve_linear
+from purcat.exact_linalg import IntMatrix, InputError, Record, _set, from_columns, solve_linear
 from purcat.fpmod import FpModule, MapSolver, ModuleMap, element_preimage, zero_map
 from purcat.complexes import (
     ChainMap,
@@ -37,8 +36,7 @@ from purcat.complexes import (
 # hom up to homotopy
 
 
-@dataclass(frozen=True)
-class KHomGroup:
+class KHomGroup(Record):
     """Chain maps source -> target modulo homotopy, as an f.p. module.
 
     module presents the group; to_chain_map picks a representative
@@ -46,12 +44,16 @@ class KHomGroup:
     class coordinates.
     """
 
-    source: Complex
-    target: Complex
-    hom: HomComplex
-    module: FpModule
-    cycle_incl: ModuleMap
-    class_proj: ModuleMap
+    __slots__ = ("source", "target", "hom", "module", "cycle_incl", "class_proj")
+
+    def __init__(self, source: Complex, target: Complex, hom: HomComplex, module: FpModule,
+                 cycle_incl: ModuleMap, class_proj: ModuleMap) -> None:
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "hom", hom)
+        _set(self, "module", module)
+        _set(self, "cycle_incl", cycle_incl)
+        _set(self, "class_proj", class_proj)
 
     @property
     def invariant_factors(self) -> tuple:

@@ -14,10 +14,9 @@ no map is formed per basis element nor any whole hom complex decoded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from purcat.exact_linalg import IntMatrix, InputError, from_columns
+from purcat.exact_linalg import IntMatrix, InputError, Record, _set, from_columns
 from purcat.fpmod import (
     HomModule,
     ModuleMap,
@@ -30,7 +29,6 @@ from purcat.complexes import (
     HomComplex,
     TensorComplex,
     hom_complex,
-    homology_invariants,
     tensor_complex,
     tensor_fixed_left_map,
     truncate_leq_map,
@@ -43,7 +41,6 @@ from purcat.resolutions import (
     ResolutionCertificate,
     _require_injective_scope,
     identity_resolution,
-    pad_resolution,
     resolve,
     validate_certificate,
 )
@@ -53,13 +50,16 @@ from purcat.resolutions import (
 # tensor descent
 
 
-@dataclass(frozen=True)
-class TensorDescentReport:
+class TensorDescentReport(Record):
     """Evidence that a pure qis survives tensoring and truncation."""
 
-    induced: ChainMap
-    tensor_verdict: PurityVerdict
-    truncation_verdicts: dict
+    __slots__ = ("induced", "tensor_verdict", "truncation_verdicts")
+
+    def __init__(self, induced: ChainMap, tensor_verdict: PurityVerdict,
+                 truncation_verdicts: dict) -> None:
+        _set(self, "induced", induced)
+        _set(self, "tensor_verdict", tensor_verdict)
+        _set(self, "truncation_verdicts", truncation_verdicts)
 
     @property
     def ok(self) -> bool:
@@ -137,8 +137,7 @@ def tensor_swap(a: Complex, b: Complex) -> ChainMap:
 # currying between hom and tensor
 
 
-@dataclass(frozen=True)
-class AdjunctionWitness:
+class AdjunctionWitness(Record):
     """Mutually inverse chain maps realizing the currying isomorphism.
 
     forward runs from hom_complex((a (x) b), c) to
@@ -146,11 +145,15 @@ class AdjunctionWitness:
     both composites are the identity in every degree.
     """
 
-    flat: HomComplex
-    inner: HomComplex
-    nested: HomComplex
-    forward: ChainMap
-    backward: ChainMap
+    __slots__ = ("flat", "inner", "nested", "forward", "backward")
+
+    def __init__(self, flat: HomComplex, inner: HomComplex, nested: HomComplex,
+                 forward: ChainMap, backward: ChainMap) -> None:
+        _set(self, "flat", flat)
+        _set(self, "inner", inner)
+        _set(self, "nested", nested)
+        _set(self, "forward", forward)
+        _set(self, "backward", backward)
 
 
 def _rows(mat: IntMatrix, start: int, stop: int) -> IntMatrix:
@@ -362,13 +365,16 @@ def validate_adjunction_witness(w: AdjunctionWitness) -> bool:
 # the derived hom
 
 
-@dataclass(frozen=True)
-class DerivedHomResult:
+class DerivedHomResult(Record):
     """hom complex of a projective-by-injective resolution pair."""
 
-    value: Complex
-    proj_res: ResolutionCertificate
-    inj_res: ResolutionCertificate
+    __slots__ = ("value", "proj_res", "inj_res")
+
+    def __init__(self, value: Complex, proj_res: ResolutionCertificate,
+                 inj_res: ResolutionCertificate) -> None:
+        _set(self, "value", value)
+        _set(self, "proj_res", proj_res)
+        _set(self, "inj_res", inj_res)
 
 
 def phom(m: Complex, n: Complex) -> DerivedHomResult:
@@ -397,65 +403,33 @@ def validate_derived_hom(result: DerivedHomResult) -> bool:
     return rebuilt == result.value
 
 
-@dataclass(frozen=True)
-class DegreeComparison:
-    """Invariant factors of two complexes, compared degree by degree."""
-
-    degrees: dict
-
-    @property
-    def ok(self) -> bool:
-        return all(left == right for left, right in self.degrees.values())
-
-
-def _compare_homology(x: Complex, y: Complex) -> DegreeComparison:
-    hx = homology_invariants(x)
-    hy = homology_invariants(y)
-    out = {}
-    for i in sorted(set(hx) | set(hy)):
-        out[i] = (hx.get(i, ()), hy.get(i, ()))
-    return DegreeComparison(out)
-
-
-def check_phom_invariance(m: Complex, n: Complex, seeds: tuple = (1, 2)) -> DegreeComparison:
-    """Derived hom computed against two padded resolution pairs.
-
-    Each seed perturbs both resolutions with a contractible summand; the
-    two values must have the same homology invariant factors in every
-    degree.
-    """
-    base = phom(m, n)
-    values = []
-    for seed in seeds:
-        proj = pad_resolution(base.proj_res, seed)
-        inj = pad_resolution(base.inj_res, seed)
-        values.append(hom_complex(proj.target, inj.target).complex)
-    return _compare_homology(values[0], values[1])
-
-
 # ---------------------------------------------------------------------------
 # the closed structure on the pure derived category
 
 
-@dataclass(frozen=True)
-class LinkCheck:
+class LinkCheck(Record):
     """One isomorphism link: two invariant factor tuples that must agree."""
 
-    name: str
-    left: tuple
-    right: tuple
+    __slots__ = ("name", "left", "right")
+
+    def __init__(self, name: str, left: tuple, right: tuple) -> None:
+        _set(self, "name", name)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     @property
     def ok(self) -> bool:
         return self.left == self.right
 
 
-@dataclass(frozen=True)
-class AdjunctionReport:
+class AdjunctionReport(Record):
     """Per-link evidence for the derived tensor-hom adjunction."""
 
-    links: tuple
-    witness_ok: bool
+    __slots__ = ("links", "witness_ok")
+
+    def __init__(self, links: tuple, witness_ok: bool) -> None:
+        _set(self, "links", links)
+        _set(self, "witness_ok", witness_ok)
 
     @property
     def ok(self) -> bool:

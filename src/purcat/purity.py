@@ -29,14 +29,15 @@ Miller-Rabin primality proofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
 from purcat.exact_linalg import (
     InputError,
+    Record,
     Ring,
     WorkbenchError,
+    _set,
     hstack,
     quotient_order,
     smith_diagonal,
@@ -74,24 +75,21 @@ class NotAcyclicAt(WorkbenchError):
         self.degree = degree
 
 
-@dataclass(frozen=True)
-class ProbeBattery:
+class ProbeBattery(Record):
     """Finitely presented test modules for tensor probing."""
 
-    ring: Ring
-    probes: tuple
+    __slots__ = ("ring", "probes")
 
-    def __post_init__(self):
-        if not self.probes:
+    def __init__(self, ring: Ring, probes: tuple) -> None:
+        if not probes:
             raise InputError("a probe battery must not be empty")
-        if not any(
-            p.relations.cols == 0 and p.generators == 1 for p in self.probes
-        ):
+        if not any(p.relations.cols == 0 and p.generators == 1 for p in probes):
             raise InputError("a probe battery must contain the free rank 1 module")
+        _set(self, "ring", ring)
+        _set(self, "probes", probes)
 
 
-@dataclass(frozen=True)
-class PurityVerdict:
+class PurityVerdict(Record):
     """Pure or NotPure, with evidence either way.
 
     Pure carries a split witness (retraction or contracting homotopy).
@@ -99,10 +97,14 @@ class PurityVerdict:
     induced data that fails; otherwise only the unsolvability note.
     """
 
-    verdict: str
-    witness: object = None
-    probe: Optional[FpModule] = None
-    detail: str = ""
+    __slots__ = ("verdict", "witness", "probe", "detail")
+
+    def __init__(self, verdict: str, witness: object = None,
+                 probe: Optional[FpModule] = None, detail: str = "") -> None:
+        _set(self, "verdict", verdict)
+        _set(self, "witness", witness)
+        _set(self, "probe", probe)
+        _set(self, "detail", detail)
 
     def is_pure(self) -> bool:
         return self.verdict == PURE

@@ -14,21 +14,20 @@ re-validates from scratch.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from typing import Optional
 
 from purcat.exact_linalg import (
     IntMatrix,
     InputError,
+    Record,
     WorkbenchError,
+    _set,
 )
 from purcat.fpmod import (
     FpModule,
     ModuleMap,
     block_map,
     cokernel,
-    cyclic_module,
     factor_through_epi,
     factor_through_mono,
     identity_map,
@@ -47,13 +46,11 @@ from purcat.complexes import (
     Complex,
     Homotopy,
     cone,
-    direct_sum_complexes,
     hom_module_chain_map,
     hom_module_complex,
     homology_map,
     identity_chain_map,
     minimize_complex,
-    module_complex,
     reduce_complex,
     shift,
     shift_map,
@@ -88,8 +85,7 @@ class DepthInsufficient(WorkbenchError):
 # certificates
 
 
-@dataclass(frozen=True)
-class ResolutionCertificate:
+class ResolutionCertificate(Record):
     """A resolution map together with everything needed to re-check it.
 
     side "injective": map runs source -> target into pure injectives.
@@ -97,12 +93,16 @@ class ResolutionCertificate:
     qis_witness contracts the cone of the map.
     """
 
-    source: Complex
-    target: Complex
-    map: ChainMap
-    side: str
-    qis_witness: Homotopy
-    termwise_flags: tuple
+    __slots__ = ("source", "target", "map", "side", "qis_witness", "termwise_flags")
+
+    def __init__(self, source: Complex, target: Complex, map: ChainMap, side: str,
+                 qis_witness: Homotopy, termwise_flags: tuple) -> None:
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "map", map)
+        _set(self, "side", side)
+        _set(self, "qis_witness", qis_witness)
+        _set(self, "termwise_flags", termwise_flags)
 
 
 def termwise_ok(side: str, cx: Complex) -> tuple:
@@ -242,19 +242,26 @@ def _build_injective(m: Complex):
     return i_cx, u
 
 
-def _injective_resolution(m: Complex):
-    """(I, u: m -> I), minimal, uncertified; u is rewindowed to m's window."""
+def _injective_resolution(m: Complex, minimal: bool = False):
+    """(I, u: m -> I), minimal, uncertified; u is rewindowed to m's window.
+
+    minimal says that m's terms are minimal already (reduce_complex's
+    output), so they are not minimized again.
+    """
     _require_injective_scope(m)
     t = trim(m)
     target = zero_complex(m.ring)
     res_map = zero_chain_map(m, target)
     if t.modules:
-        mini, to_min, _ = minimize_complex(t)
+        mini, to_min = t, None
+        if not minimal:
+            mini, to_min, _ = minimize_complex(t)
         i_raw, u_raw = _build_injective(mini)
         i_trim = trim(i_raw)
         u_trim = _rewindow_map(u_raw, mini, i_trim)
         target, to_i, _ = minimize_complex(i_trim)
-        res_map = to_i @ u_trim @ to_min
+        res_map = to_i @ u_trim
+        res_map = res_map if to_min is None else res_map @ to_min
     return target, _rewindow_map(res_map, m, target)
 
 
@@ -299,18 +306,25 @@ def _build_projective(m: Complex):
     return p_cx, v
 
 
-def _projective_resolution(m: Complex):
-    """(P, v: P -> m), minimal, uncertified; v is rewindowed to m's window."""
+def _projective_resolution(m: Complex, minimal: bool = False):
+    """(P, v: P -> m), minimal, uncertified; v is rewindowed to m's window.
+
+    minimal says that m's terms are minimal already, as for
+    _injective_resolution.
+    """
     t = trim(m)
     target = zero_complex(m.ring)
     res_map = zero_chain_map(target, m)
     if t.modules:
-        mini, _, back_min = minimize_complex(t)
+        mini, back_min = t, None
+        if not minimal:
+            mini, _, back_min = minimize_complex(t)
         p_raw, v_raw = _build_projective(mini)
         p_trim = trim(p_raw)
         v_trim = _rewindow_map(v_raw, p_trim, mini)
         target, _, back_p = minimize_complex(p_trim)
-        res_map = back_min @ v_trim @ back_p
+        res_map = v_trim if back_min is None else back_min @ v_trim
+        res_map = res_map @ back_p
     return target, _rewindow_map(res_map, target, m)
 
 
@@ -328,14 +342,16 @@ def resolve_projective_bounded_above(m: Complex) -> ResolutionCertificate:
 # degreewise families (sections and retractions are not chain maps)
 
 
-@dataclass(frozen=True)
-class DegreewiseFamily:
+class DegreewiseFamily(Record):
     """A bare family of module maps, one per degree, no chain condition."""
 
-    src: Complex
-    tgt: Complex
-    lo: int
-    components: tuple
+    __slots__ = ("src", "tgt", "lo", "components")
+
+    def __init__(self, src: Complex, tgt: Complex, lo: int, components: tuple) -> None:
+        _set(self, "src", src)
+        _set(self, "tgt", tgt)
+        _set(self, "lo", lo)
+        _set(self, "components", components)
 
     def component(self, i: int) -> ModuleMap:
         k = i - self.lo
@@ -374,7 +390,7 @@ def _extend_injective(q: ChainMap, stable: bool = False):
         g = zero_chain_map(cq.complex, j_cx)
     else:
         reduced, to, _ = reduce_complex(cq.complex)
-        j_cx, g0 = _injective_resolution(reduced)
+        j_cx, g0 = _injective_resolution(reduced, minimal=True)
         g = g0 @ to
     gpp = g @ cq.inclusion
     lo = min(i_cx.lo, j_cx.lo + 1)
@@ -439,7 +455,7 @@ def _extend_projective(a: ChainMap, stable: bool = False):
         w = zero_chain_map(q_cx, ca.complex)
     else:
         reduced, _, back = reduce_complex(ca.complex)
-        q_cx, w0 = _projective_resolution(reduced)
+        q_cx, w0 = _projective_resolution(reduced, minimal=True)
         w = back @ w0
     w1 = shift_map(ca.projection @ w, -1)
     level_cone = cone(w1)
@@ -474,8 +490,7 @@ def _extend_projective(a: ChainMap, stable: bool = False):
 # towers
 
 
-@dataclass(frozen=True)
-class SemiSplitInverseTower:
+class SemiSplitInverseTower(Record):
     """Levels resolving deeper and deeper co-truncations of the source.
 
     Each surjection splits degree by degree and its kernel is a bounded
@@ -484,23 +499,28 @@ class SemiSplitInverseTower:
     level-step cone identity literal.
     """
 
-    source: Complex
-    truncations: tuple
-    transitions: tuple
-    levels: tuple
-    surjections: tuple
-    sections: tuple
-    kernels: tuple
-    kernel_inclusions: tuple
-    cone_certificates: tuple
+    __slots__ = ("source", "truncations", "transitions", "levels", "surjections",
+                 "sections", "kernels", "kernel_inclusions", "cone_certificates")
+
+    def __init__(self, source: Complex, truncations: tuple, transitions: tuple,
+                 levels: tuple, surjections: tuple, sections: tuple, kernels: tuple,
+                 kernel_inclusions: tuple, cone_certificates: tuple) -> None:
+        _set(self, "source", source)
+        _set(self, "truncations", truncations)
+        _set(self, "transitions", transitions)
+        _set(self, "levels", levels)
+        _set(self, "surjections", surjections)
+        _set(self, "sections", sections)
+        _set(self, "kernels", kernels)
+        _set(self, "kernel_inclusions", kernel_inclusions)
+        _set(self, "cone_certificates", cone_certificates)
 
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
 
 
-@dataclass(frozen=True)
-class SemiSplitDirectTower:
+class SemiSplitDirectTower(Record):
     """Levels resolving longer and longer truncations of the source.
 
     Each inclusion splits degree by degree and its cokernel is a bounded
@@ -509,15 +529,21 @@ class SemiSplitDirectTower:
     level-step cone identity literal.
     """
 
-    source: Complex
-    truncations: tuple
-    transitions: tuple
-    levels: tuple
-    injections: tuple
-    retractions: tuple
-    cokernels: tuple
-    cokernel_projections: tuple
-    cone_certificates: tuple
+    __slots__ = ("source", "truncations", "transitions", "levels", "injections",
+                 "retractions", "cokernels", "cokernel_projections", "cone_certificates")
+
+    def __init__(self, source: Complex, truncations: tuple, transitions: tuple,
+                 levels: tuple, injections: tuple, retractions: tuple, cokernels: tuple,
+                 cokernel_projections: tuple, cone_certificates: tuple) -> None:
+        _set(self, "source", source)
+        _set(self, "truncations", truncations)
+        _set(self, "transitions", transitions)
+        _set(self, "levels", levels)
+        _set(self, "injections", injections)
+        _set(self, "retractions", retractions)
+        _set(self, "cokernels", cokernels)
+        _set(self, "cokernel_projections", cokernel_projections)
+        _set(self, "cone_certificates", cone_certificates)
 
     @property
     def depth(self) -> int:
@@ -814,47 +840,7 @@ def colimit_tower(tower: SemiSplitDirectTower, fs) -> ResolutionCertificate:
 
 
 # ---------------------------------------------------------------------------
-# lifting
-
-
-def lift_injective(f: ChainMap, r1: ResolutionCertificate):
-    """Lift resolutions along f: M2 -> M1 given r1 resolving M1.
-
-    Returns (r2, g: I2 -> I1, square_homotopy) with g . u2 = u1 . f; the
-    construction happens to make the square strict, so the witness is
-    the zero homotopy.
-    """
-    if r1.side != INJECTIVE or f.tgt != r1.source:
-        raise InputError("r1 must be an injective resolution of the target of f")
-    _require_injective_scope(f.src)
-    q = r1.map @ f
-    level, h, p, *_ = _extend_injective(q)
-    r2 = _certificate(f.src, level, h, INJECTIVE)
-    square = (p @ h) - (r1.map @ f)
-    if not square.is_zero():
-        raise WorkbenchError("lift square unexpectedly fails to commute strictly")
-    return r2, p, zero_homotopy(f.src, r1.target)
-
-
-def lift_projective(f: ChainMap, r2: ResolutionCertificate):
-    """Lift resolutions along f: M2 -> M1 given r2 resolving M2.
-
-    Returns (r1, g: P2 -> P1, square_homotopy) with v1 . g = f . v2
-    strictly; the witness is the zero homotopy.
-    """
-    if r2.side != PROJECTIVE or f.src != r2.source:
-        raise InputError("r2 must be a projective resolution of the source of f")
-    a = f @ r2.map
-    level, v, incl, *_ = _extend_projective(a)
-    r1 = _certificate(f.tgt, level, v, PROJECTIVE)
-    square = (v @ incl) - (f @ r2.map)
-    if not square.is_zero():
-        raise WorkbenchError("lift square unexpectedly fails to commute strictly")
-    return r1, incl, zero_homotopy(r2.target, f.tgt)
-
-
-# ---------------------------------------------------------------------------
-# dispatch and padding
+# dispatch
 
 
 def resolve(m: Complex, side: str, depth: Optional[int] = None) -> ResolutionCertificate:
@@ -887,27 +873,6 @@ def resolve(m: Complex, side: str, depth: Optional[int] = None) -> ResolutionCer
     if side == INJECTIVE:
         return resolve_injective_bounded_below(m)
     return resolve_projective_bounded_above(m)
-
-
-def pad_resolution(cert: ResolutionCertificate, seed: int) -> ResolutionCertificate:
-    """A different but equally valid resolution, varying with the seed.
-
-    Pads the target with the cone of an identity map on a seeded cyclic
-    module; torsion keeps the injective side in scope over the integers.
-    """
-    rng = random.Random(seed)
-    ring = cert.target.ring
-    order = rng.randint(2, 9)
-    spot = rng.randint(cert.target.lo, max(cert.target.lo, cert.target.hi - 1))
-    pad = cone(identity_chain_map(module_complex(cyclic_module(ring, order), spot))).complex
-    total, injs, projs = direct_sum_complexes([cert.target, pad])
-    if cert.side == INJECTIVE:
-        res_map = injs[0] @ cert.map
-        res_map = _rewindow_map(res_map, cert.source, total)
-        return _certificate(cert.source, total, res_map, INJECTIVE)
-    res_map = cert.map @ projs[0]
-    res_map = _rewindow_map(res_map, total, cert.source)
-    return _certificate(cert.source, total, res_map, PROJECTIVE)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ above the depth of any tower the tests and corpora build (at most 11).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import Optional
 
-from purcat.exact_linalg import IntMatrix, InputError, Ring, WorkbenchError
+from purcat.exact_linalg import IntMatrix, InputError, Record, Ring, WorkbenchError
 from purcat.fpmod import FpModule, make_map, make_module
 from purcat.complexes import ChainMap, Complex, Homotopy, cone
 from purcat.resolutions import INJECTIVE, PROJECTIVE, ResolutionCertificate
@@ -348,15 +348,26 @@ def decode_certificate(data, where: str = "certificate") -> ResolutionCertificat
 # workspace files
 
 
-@dataclass
-class WorkbenchInput:
-    """One parsed workspace: a ring, named objects, command parameters."""
+class WorkbenchInput(Record):
+    """One parsed workspace: a ring, named objects, command parameters.
 
-    ring: Ring
-    modules: dict = field(default_factory=dict)
-    complexes: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-    parameters: dict = field(default_factory=dict)
+    Unlike the other records it is mutable, so it compares by its fields
+    but has no hash; a section left out starts as a new empty dict.
+    """
+
+    __slots__ = ("ring", "modules", "complexes", "maps", "parameters")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, ring: Ring, modules: Optional[dict] = None,
+                 complexes: Optional[dict] = None, maps: Optional[dict] = None,
+                 parameters: Optional[dict] = None) -> None:
+        self.ring = ring
+        self.modules = {} if modules is None else modules
+        self.complexes = {} if complexes is None else complexes
+        self.maps = {} if maps is None else maps
+        self.parameters = {} if parameters is None else parameters
 
 
 def decode_input(data) -> WorkbenchInput:

@@ -34,18 +34,23 @@ full Smith form for every presentation, the cone with both structure
 maps formed up front, and the currying witness built one basis map at
 a time through to_map and from_map.  A few constructions
 that only tests use live here too: the chain maps induced on hom
-complexes, the inverse of a unimodular matrix and the internal hom
-identity phom(a (x) b, c) ~ phom(a, phom(b, c)).  Keep it slow and
-obvious.
+complexes, the inverse of a unimodular matrix, the internal hom
+identity phom(a (x) b, c) ~ phom(a, phom(b, c)), validated short exact
+sequences, the map between >= n truncations, lifts of resolutions
+along a map, and resolutions padded by a contractible summand with the
+derived hom compared across them.  Keep it slow and obvious.
 """
 
+import random
 from itertools import combinations, permutations, product
 from math import gcd
 
 from purcat.exact_linalg import (
     IntMatrix,
     InputError,
+    Record,
     WorkbenchError,
+    _set,
     _unit_scaling_mod,
     from_columns,
     smith_normal_form,
@@ -58,6 +63,7 @@ from purcat.fpmod import (
     block_map,
     cyclic_module,
     direct_sum,
+    factor_through_epi,
     factor_through_mono,
     free_module,
     hom_modules,
@@ -65,6 +71,7 @@ from purcat.fpmod import (
     hom_pre,
     identity_map,
     is_injective,
+    is_surjective,
     kernel,
     retraction,
     sum_module,
@@ -77,12 +84,18 @@ from purcat.complexes import (
     Complex,
     Homotopy,
     _window,
+    cone,
+    direct_sum_complexes,
     hom_complex,
     homology,
+    homology_invariants,
+    identity_chain_map,
     minimize_complex,
+    module_complex,
     shift,
     tensor_complex,
     trim,
+    truncate_geq,
     zero_chain_map,
     zero_complex,
     zero_homotopy,
@@ -92,7 +105,6 @@ from purcat.monoidal import (
     AdjunctionReport,
     AdjunctionWitness,
     LinkCheck,
-    _compare_homology,
     adjunction_iso,
     phom,
     validate_adjunction_witness,
@@ -102,6 +114,8 @@ from purcat.resolutions import (
     INJECTIVE,
     PROJECTIVE,
     _certificate,
+    _extend_injective,
+    _extend_projective,
     _require_injective_scope,
     _rewindow_map,
     colimit_tower,
@@ -1278,3 +1292,149 @@ def slow_contains_in_relations(module, cols):
         elif any(x % a for x in row):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# constructions that only tests use: short exact sequences, the map
+# between >= n truncations, lifts of resolutions along a map, padded
+# resolutions and the derived hom compared across them
+
+
+class ShortExactSequence(Record):
+    """0 -> A -i-> B -p-> C -> 0, validated exactly."""
+
+    __slots__ = ("i", "p")
+
+    def __init__(self, i, p):
+        _set(self, "i", i)
+        _set(self, "p", p)
+
+
+def short_exact_sequence(i, p):
+    if i.tgt != p.src:
+        raise InputError("legs of a short exact sequence must be composable")
+    if not is_injective(i):
+        raise WorkbenchError("first leg is not injective")
+    if not is_surjective(p):
+        raise WorkbenchError("second leg is not surjective")
+    if not (p @ i).is_zero():
+        raise WorkbenchError("composite p . i is nonzero")
+    kmod, incl = kernel(p)
+    # image(i) = kernel(p): both inclusions factor through each other
+    try:
+        factor_through_mono(incl, i)
+        factor_through_mono(i, incl)
+    except WorkbenchError as exc:
+        raise WorkbenchError("sequence is not exact in the middle") from exc
+    return ShortExactSequence(i, p)
+
+
+def truncate_geq_map(f, n):
+    """Induced map between the >= n truncations.
+
+    Returns (g, (src_trunc, src_proj), (tgt_trunc, tgt_proj)).
+    """
+    ts, proj_s = truncate_geq(f.src, n)
+    tt, proj_t = truncate_geq(f.tgt, n)
+    hi = max(ts.hi, tt.hi)
+    comps = [
+        factor_through_epi(proj_s.component(n), proj_t.component(n) @ f.component(n))
+    ]
+    for i in range(n + 1, hi + 1):
+        comps.append(f.component(i))
+    return ChainMap(ts, tt, n, tuple(comps)), (ts, proj_s), (tt, proj_t)
+
+
+def lift_injective(f, r1):
+    """Lift resolutions along f: M2 -> M1 given r1 resolving M1.
+
+    Returns (r2, g: I2 -> I1, square_homotopy) with g . u2 = u1 . f; the
+    construction happens to make the square strict, so the witness is
+    the zero homotopy.
+    """
+    if r1.side != INJECTIVE or f.tgt != r1.source:
+        raise InputError("r1 must be an injective resolution of the target of f")
+    _require_injective_scope(f.src)
+    q = r1.map @ f
+    level, h, p, *_ = _extend_injective(q)
+    r2 = _certificate(f.src, level, h, INJECTIVE)
+    square = (p @ h) - (r1.map @ f)
+    if not square.is_zero():
+        raise WorkbenchError("lift square unexpectedly fails to commute strictly")
+    return r2, p, zero_homotopy(f.src, r1.target)
+
+
+def lift_projective(f, r2):
+    """Lift resolutions along f: M2 -> M1 given r2 resolving M2.
+
+    Returns (r1, g: P2 -> P1, square_homotopy) with v1 . g = f . v2
+    strictly; the witness is the zero homotopy.
+    """
+    if r2.side != PROJECTIVE or f.src != r2.source:
+        raise InputError("r2 must be a projective resolution of the source of f")
+    a = f @ r2.map
+    level, v, incl, *_ = _extend_projective(a)
+    r1 = _certificate(f.tgt, level, v, PROJECTIVE)
+    square = (v @ incl) - (f @ r2.map)
+    if not square.is_zero():
+        raise WorkbenchError("lift square unexpectedly fails to commute strictly")
+    return r1, incl, zero_homotopy(r2.target, f.tgt)
+
+
+def pad_resolution(cert, seed):
+    """A different but equally valid resolution, varying with the seed.
+
+    Pads the target with the cone of an identity map on a seeded cyclic
+    module; torsion keeps the injective side in scope over the integers.
+    """
+    rng = random.Random(seed)
+    ring = cert.target.ring
+    order = rng.randint(2, 9)
+    spot = rng.randint(cert.target.lo, max(cert.target.lo, cert.target.hi - 1))
+    pad = cone(identity_chain_map(module_complex(cyclic_module(ring, order), spot))).complex
+    total, injs, projs = direct_sum_complexes([cert.target, pad])
+    if cert.side == INJECTIVE:
+        res_map = injs[0] @ cert.map
+        res_map = _rewindow_map(res_map, cert.source, total)
+        return _certificate(cert.source, total, res_map, INJECTIVE)
+    res_map = cert.map @ projs[0]
+    res_map = _rewindow_map(res_map, total, cert.source)
+    return _certificate(cert.source, total, res_map, PROJECTIVE)
+
+
+class DegreeComparison(Record):
+    """Invariant factors of two complexes, compared degree by degree."""
+
+    __slots__ = ("degrees",)
+
+    def __init__(self, degrees):
+        _set(self, "degrees", degrees)
+
+    @property
+    def ok(self):
+        return all(left == right for left, right in self.degrees.values())
+
+
+def _compare_homology(x, y):
+    hx = homology_invariants(x)
+    hy = homology_invariants(y)
+    out = {}
+    for i in sorted(set(hx) | set(hy)):
+        out[i] = (hx.get(i, ()), hy.get(i, ()))
+    return DegreeComparison(out)
+
+
+def check_phom_invariance(m, n, seeds=(1, 2)):
+    """Derived hom computed against two padded resolution pairs.
+
+    Each seed perturbs both resolutions with a contractible summand; the
+    two values must have the same homology invariant factors in every
+    degree.
+    """
+    base = phom(m, n)
+    values = []
+    for seed in seeds:
+        proj = pad_resolution(base.proj_res, seed)
+        inj = pad_resolution(base.inj_res, seed)
+        values.append(hom_complex(proj.target, inj.target).complex)
+    return _compare_homology(values[0], values[1])

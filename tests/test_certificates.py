@@ -23,16 +23,14 @@ from purcat.randgen import random_chain_map, random_complex
 from purcat.resolutions import (
     colimit_tower,
     injective_tower,
-    lift_injective,
-    lift_projective,
     limit_tower,
-    pad_resolution,
     projective_tower,
     required_depth,
     resolve,
     validate_certificate,
 )
 from purcat.serialize import encode_certificate
+from helpers import lift_injective, lift_projective, pad_resolution
 
 RINGS = {"Z": ZZ, "Z12": Zmod(12), "Z72": Zmod(72)}
 SIDES = ("injective", "projective")

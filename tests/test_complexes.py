@@ -387,3 +387,6 @@ def test_reduce_complex_is_a_homotopy_equivalence_with_no_unit_left(seed, ring, 
                 c = d.matrix.at(y, x)
                 assert a != b or not (c in (1, -1) if a == 0 else gcd(c, a) == 1)
     assert reduce_complex(cx) == (red, to, back)
+    # the terms are minimal, so the tower steps that resolve red do not
+    # minimize them again: minimizing changes nothing
+    assert minimize_complex(red) == (red, identity_chain_map(red), identity_chain_map(red))

@@ -40,7 +40,6 @@ from purcat.fpmod import (
     pullback,
     pushout,
     retraction,
-    short_exact_sequence,
     tensor_map,
     tensor_modules,
     zero_module,
@@ -49,6 +48,7 @@ from purcat.purity import is_pure_mono
 from helpers import (
     enumerate_module_elements,
     mat,
+    short_exact_sequence,
     slow_contains_in_relations,
     slow_decomposition,
     slow_hom_post,

@@ -29,7 +29,6 @@ from purcat.complexes import (
     tensor_fixed_right_map,
     tensor_module_chain_map,
     tensor_module_complex,
-    truncate_geq_map,
     truncate_leq_map,
     zero_homotopy,
 )
@@ -48,6 +47,7 @@ from helpers import (
     mat,
     slow_tensor_module_chain_map,
     slow_tensor_module_complex,
+    truncate_geq_map,
 )
 
 RINGS = [ZZ, Zmod(4), Zmod(12)]

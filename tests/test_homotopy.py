@@ -56,12 +56,11 @@ from purcat.resolutions import (
     PROJECTIVE,
     UnsupportedRing,
     identity_resolution,
-    pad_resolution,
     resolve,
     termwise_ok,
     validate_certificate,
 )
-from helpers import mat, slow_contract_by_retractions, slow_contract_complex
+from helpers import mat, pad_resolution, slow_contract_by_retractions, slow_contract_complex
 
 
 # ---------------------------------------------------------------------------

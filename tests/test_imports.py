@@ -1,7 +1,9 @@
 """No module-level import that nothing in its own file uses, no new
 public definition that nothing in the program uses, no import from
-outside the standard library in the package, and no function that the
-traced benchmark wraps by name (bench/spans.py) renamed away.
+outside the standard library in the package, no dataclasses (or the
+inspect under it) in the package's source or in a cold import of the
+command line, and no function that the traced benchmark wraps by name
+(bench/spans.py) renamed away.
 
 Checked with the standard library's ast: a name bound by a top-level
 import must appear as a name somewhere in the file (attribute bases
@@ -13,6 +15,8 @@ at any depth, names purcat itself or a standard library module.
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,21 +37,16 @@ ORPHANS = frozenset({
     "complexes.make_complex",
     "complexes.make_homotopy",
     "complexes.tensor_fixed_right_map",
-    "complexes.truncate_geq_map",
     "exact_linalg.vstack",
     "fpmod.is_isomorphic",
-    "fpmod.short_exact_sequence",
     # Pure is decided by contract_complex; null_homotopy stays because
     # spans.TARGETS wraps it, and the traced bench run needs it to exist
     "homotopy.null_homotopy",
-    "monoidal.check_phom_invariance",
     "monoidal.check_tensor_descends",
     "monoidal.tensor_swap",
     "purity.is_pure_acyclic_at",
     "randgen.null_homotopic_chain_map",
     "resolutions.injective_step_conditions",
-    "resolutions.lift_injective",
-    "resolutions.lift_projective",
     "resolutions.projective_step_conditions",
 })
 
@@ -111,20 +110,24 @@ def test_no_new_public_definition_only_tests_reach():
     assert orphans() == ORPHANS
 
 
-def foreign_imports(path: Path) -> list:
-    """Imports in path of a module that is neither purcat nor standard library."""
+def imported_modules(path: Path) -> list:
+    """(line, module) for every absolute import in path, at any depth."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            found += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module]
-        else:
-            continue
-        for name in names:
-            top = name.split(".")[0]
-            if top != "purcat" and top not in sys.stdlib_module_names:
-                found.append(f"{path.name} line {node.lineno}: {name}")
+            found.append((node.lineno, node.module))
+    return found
+
+
+def foreign_imports(path: Path) -> list:
+    """Imports in path of a module that is neither purcat nor standard library."""
+    found = []
+    for line, name in imported_modules(path):
+        top = name.split(".")[0]
+        if top != "purcat" and top not in sys.stdlib_module_names:
+            found.append(f"{path.name} line {line}: {name}")
     return found
 
 
@@ -132,6 +135,26 @@ def test_the_package_imports_only_the_standard_library():
     paths = sorted((ROOT / "src" / "purcat").glob("*.py"))
     assert paths
     assert [hit for path in paths for hit in foreign_imports(path)] == []
+
+
+def test_the_package_does_not_import_dataclasses():
+    # the value types are exact_linalg.Record subclasses; the dataclasses
+    # module and the inspect, ast, dis and tokenize under it would cost
+    # every cold start more than most commands' algebra
+    hits = [f"{path.name} line {line}"
+            for path in sorted((ROOT / "src" / "purcat").glob("*.py"))
+            for line, name in imported_modules(path)
+            if name.split(".")[0] == "dataclasses"]
+    assert hits == []
+
+
+def test_a_cold_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without site, as a purcat start sees it
+    code = ("import sys, purcat.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def traced_targets() -> dict:

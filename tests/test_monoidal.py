@@ -32,7 +32,6 @@ import purcat.monoidal as monoidal
 from purcat.monoidal import (
     adjunction_iso,
     check_dpur_adjunction,
-    check_phom_invariance,
     check_tensor_descends,
     phom,
     tensor_swap,
@@ -45,6 +44,7 @@ import helpers
 from helpers import (
     adjunction_complexes,
     check_internal_hom_identity,
+    check_phom_invariance,
     slow_check_dpur_adjunction,
 )
 
