@@ -80,48 +80,12 @@ class Complex(Record):
             return self.diffs[i - self.lo]
         return zero_map(self.module(i), self.module(i + 1))
 
-    def is_zero_complex(self) -> bool:
-        return all(m.is_zero() for m in self.modules)
-
-    def support(self) -> list:
-        return [self.lo + k for k, m in enumerate(self.modules) if not m.is_zero()]
-
     def __str__(self) -> str:
         if not self.modules:
             return f"Complex({self.ring}, empty)"
         shape = ", ".join(f"{self.lo + k}:{m.invariant_factors}"
                           for k, m in enumerate(self.modules))
         return f"Complex({self.ring}, {shape})"
-
-
-def make_complex(ring: Ring, lo: int, modules: Iterable[FpModule],
-                 diffs: Optional[Iterable] = None, check: bool = True) -> Complex:
-    mods = tuple(modules)
-    if any(m.ring != ring for m in mods):
-        raise InputError("complex terms over the wrong ring")
-    if diffs is None:
-        ds = tuple(zero_map(mods[k], mods[k + 1]) for k in range(len(mods) - 1))
-    else:
-        raw = list(diffs)
-        if len(raw) != max(len(mods) - 1, 0):
-            raise InputError("complex needs one differential per adjacent pair")
-        ds = []
-        for k, d in enumerate(raw):
-            if isinstance(d, ModuleMap):
-                if d.src != mods[k] or d.tgt != mods[k + 1]:
-                    raise InputError(f"differential {k} connects the wrong modules")
-                if check and not d.is_well_defined():
-                    raise InputError(f"differential {k} is not well defined")
-                ds.append(d)
-            else:
-                ds.append(make_map(mods[k], mods[k + 1], d, check=check))
-        ds = tuple(ds)
-    cx = Complex(ring, lo, mods, ds)
-    if check:
-        for k in range(len(ds) - 1):
-            if not (ds[k + 1] @ ds[k]).is_zero():
-                raise InputError(f"d.d is nonzero between degrees {lo + k} and {lo + k + 2}")
-    return trim(cx)
 
 
 def zero_complex(ring: Ring) -> Complex:
@@ -146,22 +110,6 @@ def trim(cx: Complex) -> Complex:
         return zero_complex(cx.ring)
     return Complex(cx.ring, lo + start, tuple(mods[start:end]),
                    tuple(cx.diffs[start:end - 1]))
-
-
-def complexes_equal(a: Complex, b: Complex) -> bool:
-    """Same modules degreewise, differentials equal modulo relations."""
-    if a.ring != b.ring:
-        return False
-    if not a.modules or not b.modules:
-        return a.is_zero_complex() and b.is_zero_complex()
-    lo = min(a.lo, b.lo)
-    hi = max(a.hi, b.hi)
-    for i in range(lo, hi + 1):
-        if a.module(i) != b.module(i):
-            return False
-        if not a.differential(i).equals(b.differential(i)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -235,25 +183,6 @@ class ChainMap(Record):
             if not lhs.equals(rhs):
                 return False
         return True
-
-
-def make_chain_map(src: Complex, tgt: Complex, lo: int, components: Iterable,
-                   check: bool = True) -> ChainMap:
-    comps = []
-    for k, c in enumerate(components):
-        i = lo + k
-        if isinstance(c, ModuleMap):
-            if c.src != src.module(i) or c.tgt != tgt.module(i):
-                raise InputError(f"component at degree {i} connects the wrong modules")
-            if check and not c.is_well_defined():
-                raise InputError(f"component at degree {i} is not well defined")
-            comps.append(c)
-        else:
-            comps.append(make_map(src.module(i), tgt.module(i), c, check=check))
-    f = ChainMap(src, tgt, lo, tuple(comps))
-    if check and not f.is_chain_map():
-        raise InputError("components do not commute with the differentials")
-    return f
 
 
 def identity_chain_map(cx: Complex) -> ChainMap:
@@ -446,14 +375,6 @@ def homology_data(cx: Complex, i: int) -> tuple:
 
 def homology(cx: Complex, i: int) -> FpModule:
     return homology_data(cx, i)[0]
-
-
-def homology_map(f: ChainMap, i: int) -> ModuleMap:
-    """The induced map on homology in degree i."""
-    h_src, incl_src, proj_src = homology_data(f.src, i)
-    h_tgt, incl_tgt, proj_tgt = homology_data(f.tgt, i)
-    v = factor_through_mono(incl_tgt, f.component(i) @ incl_src)
-    return make_map(h_src, h_tgt, (proj_tgt @ v).matrix, check=True)
 
 
 def smith_diagonals(cx: Complex) -> tuple:
@@ -723,22 +644,6 @@ class Homotopy(Record):
         return Homotopy(self.src, self.tgt, lo, comps)
 
 
-def make_homotopy(src: Complex, tgt: Complex, lo: int, components, check: bool = True) -> Homotopy:
-    comps = []
-    for k, raw in enumerate(components):
-        i = lo + k
-        a, b = src.module(i), tgt.module(i - 1)
-        if isinstance(raw, ModuleMap):
-            if raw.src != a or raw.tgt != b:
-                raise InputError(f"homotopy component at degree {i} connects the wrong modules")
-            if check and not raw.is_well_defined():
-                raise InputError(f"homotopy component at degree {i} is not well defined")
-            comps.append(raw)
-        else:
-            comps.append(make_map(a, b, raw, check=check))
-    return Homotopy(src, tgt, lo, tuple(comps))
-
-
 def zero_homotopy(src: Complex, tgt: Complex) -> Homotopy:
     return Homotopy(src, tgt, 0, ())
 
@@ -773,8 +678,8 @@ class HomComplex(Record):
 
     Degree i collects Hom(source^j, target^(i+j)) over all j.  slots(i)
     yields (j, hom_module, start, stop) for each piece, whose coordinates
-    are the generators start..stop-1 of degree i, so elements of degree i
-    convert to and from families of module maps slot by slot.
+    are the generators start..stop-1 of degree i, so an element of degree
+    i decodes into a family of module maps slot by slot.
     The differential sends f to d_tgt . f - (-1)^i f . d_src.
     """
 
@@ -798,19 +703,6 @@ class HomComplex(Record):
         col = _as_column(coords, self.complex.module(i).generators)
         return {j: hm.to_map([col.data[r][0] for r in range(start, stop)])
                 for j, hm, start, stop in self.slots(i)}
-
-    def components_element(self, i: int, family: dict) -> IntMatrix:
-        """Encode a family {j: map} as a degree i coordinate column."""
-        used = {j for j, _, _, _ in self.slots(i)}
-        for j in sorted(family):
-            if j not in used and not family[j].is_zero():
-                raise InputError(f"no slot at source degree {j} in hom degree {i}")
-        vals = [0] * self.complex.module(i).generators
-        for j, hm, start, stop in self.slots(i):
-            f = family.get(j)
-            if f is not None:
-                vals[start:stop] = hm.from_map(f)
-        return self.complex.ring.reduce_matrix(IntMatrix.column_vector(vals))
 
 
 def hom_complex(source: Complex, target: Complex) -> HomComplex:
@@ -953,7 +845,7 @@ def _tensor_induced(src_tc: TensorComplex, tgt_tc: TensorComplex, step) -> Chain
 
 
 # ---------------------------------------------------------------------------
-# termwise functors for a single module
+# the termwise tensor with a single module
 
 
 def tensor_module_complex(cx: Complex, mod: FpModule) -> Complex:
@@ -968,41 +860,6 @@ def tensor_module_complex(cx: Complex, mod: FpModule) -> Complex:
     diffs = tuple(ModuleMap(mods[k], mods[k + 1], reduce(d.matrix.kron(ident)))
                   for k, d in enumerate(cx.diffs))
     return Complex(cx.ring, cx.lo, mods, diffs)
-
-
-def tensor_module_chain_map(f: ChainMap, mod: FpModule) -> ChainMap:
-    src = tensor_module_complex(f.src, mod)
-    tgt = tensor_module_complex(f.tgt, mod)
-    ident = IntMatrix.identity(mod.generators)
-    reduce = f.src.ring.reduce_matrix
-    lo = min(src.lo, tgt.lo)
-    hi = max(src.hi, tgt.hi)
-    comps = [ModuleMap(src.module(i), tgt.module(i),
-                       reduce(f.component(i).matrix.kron(ident)))
-             for i in range(lo, hi + 1)]
-    return ChainMap(src, tgt, lo, tuple(comps))
-
-
-def hom_module_complex(mod: FpModule, cx: Complex) -> Complex:
-    """Apply Hom(mod, -) to every term."""
-    homs = [hom_modules(mod, m) for m in cx.modules]
-    mods = tuple(hm.module for hm in homs)
-    diffs = []
-    for k in range(len(cx.modules) - 1):
-        diffs.append(hom_post(homs[k], homs[k + 1], cx.diffs[k]))
-    return Complex(cx.ring, cx.lo, mods, tuple(diffs))
-
-
-def hom_module_chain_map(mod: FpModule, f: ChainMap) -> ChainMap:
-    src = hom_module_complex(mod, f.src)
-    tgt = hom_module_complex(mod, f.tgt)
-    lo = min(src.lo, tgt.lo)
-    hi = max(src.hi, tgt.hi)
-    comps = []
-    for i in range(lo, hi + 1):
-        c = f.component(i)
-        comps.append(hom_post(hom_modules(mod, c.src), hom_modules(mod, c.tgt), c))
-    return ChainMap(src, tgt, lo, tuple(comps))
 
 
 # ---------------------------------------------------------------------------

@@ -207,9 +207,6 @@ class IntMatrix(Record):
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
-    def to_lists(self) -> list:
-        return [list(row) for row in self.data]
-
     def max_abs(self) -> int:
         return max((abs(x) for row in self.data for x in row), default=0)
 
@@ -286,17 +283,6 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
         raise InputError("hstack row mismatch")
     data = tuple(tuple(x for m in mats for x in m.data[i]) for i in range(rows))
     return IntMatrix._trusted(rows, sum(m.cols for m in mats), data)
-
-
-def vstack(*mats: IntMatrix) -> IntMatrix:
-    mats = [m for m in mats]
-    if not mats:
-        raise InputError("vstack needs at least one matrix")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise InputError("vstack column mismatch")
-    data = tuple(row for m in mats for row in m.data)
-    return IntMatrix._trusted(sum(m.rows for m in mats), cols, data)
 
 
 def block_diag(*mats: IntMatrix) -> IntMatrix:

@@ -115,15 +115,6 @@ class FpModule(Record):
             return True
         return 0 not in self.decomposition().factors
 
-    def annihilator_exponent(self) -> Optional[int]:
-        """Least n > 0 with n * self = 0, or None for modules with free part."""
-        n = 1
-        for a in self.decomposition().factors:
-            if a == 0:
-                return None
-            n = n * a // gcd(n, a)
-        return n
-
     # -- membership -------------------------------------------------------
 
     def contains_in_relations(self, cols: IntMatrix) -> bool:
@@ -208,10 +199,6 @@ def free_module(ring: Ring, rank: int) -> FpModule:
 def cyclic_module(ring: Ring, d: int) -> FpModule:
     """R/(d); over Z/m the generator is annihilated by gcd(d, m)."""
     return make_module(ring, 1, IntMatrix.from_rows([[d]]))
-
-
-def is_isomorphic(a: FpModule, b: FpModule) -> bool:
-    return a.ring == b.ring and a.invariant_factors == b.invariant_factors
 
 
 def diagonal_module(ring: Ring, factors) -> FpModule:
@@ -319,7 +306,7 @@ def zero_map(src: FpModule, tgt: FpModule) -> ModuleMap:
 
 
 # ---------------------------------------------------------------------------
-# kernels, cokernels, images
+# kernels and cokernels
 
 
 def kernel(f: ModuleMap) -> tuple:
@@ -355,20 +342,6 @@ def cokernel(f: ModuleMap) -> tuple:
     cmod = make_module(ring, f.tgt.generators, hstack(f.tgt.relations, f.matrix))
     proj = ModuleMap(f.tgt, cmod, IntMatrix.identity(f.tgt.generators))
     return cmod, proj
-
-
-def image(f: ModuleMap) -> tuple:
-    """(Im, inclusion into tgt, surjection from src)."""
-    ring = f.src.ring
-    gs = f.src.generators
-    if gs == 0:
-        z = zero_module(ring)
-        return z, zero_map(z, f.tgt), zero_map(f.src, z)
-    rel = _top_columns(kernel_basis(hstack(f.matrix, f.tgt.relations), ring), gs)
-    imod = make_module(ring, gs, rel)
-    incl = make_map(imod, f.tgt, f.matrix)
-    epi = make_map(f.src, imod, IntMatrix.identity(gs))
-    return imod, incl, epi
 
 
 def _top_columns(kb: IntMatrix, count: int) -> IntMatrix:
@@ -763,8 +736,13 @@ def factor_through_mono(mono: ModuleMap, g: ModuleMap) -> ModuleMap:
     """The unique X with mono . X = g; raises if g misses the image.
 
     Solved column by column: adjoining the target relations to the matrix
-    of the mono turns the congruence into an exact linear system, which is
-    far smaller than the vectorized joint system.
+    of the mono turns the congruence into an exact linear system.  Its
+    solution X is always well defined when mono is injective, for a well
+    defined g: for a relation column r of g.src, g r lies in the relation
+    span of the target, so mono . (X r) = g r is zero there, and as mono
+    is injective X r is zero in mono.src, that is, X r lies in its
+    relation span.  So an X that is not well defined shows that mono is
+    not injective, and NotMono is raised.
     """
     if mono.tgt != g.tgt:
         raise InputError("factor_through_mono: targets differ")
@@ -775,59 +753,9 @@ def factor_through_mono(mono: ModuleMap, g: ModuleMap) -> ModuleMap:
     x = ModuleMap(g.src, mono.src,
                   ring.reduce_matrix(_top_rows(sol, mono.src.generators,
                                                g.src.generators)))
-    if x.is_well_defined():
-        return x
-    # injectivity forces well-definedness, so reaching this point means the
-    # first argument has a kernel; let the joint solver settle it
-    solver = MapSolver(ring)
-    solver.add_map_unknown("x", g.src, mono.src)
-    solver.add_equation([(mono.matrix, "x", IntMatrix.identity(g.src.generators))], g)
-    joint = solver.solve()
-    if joint is None:
-        raise WorkbenchError("map does not factor through the mono")
-    return joint["x"]
-
-
-def factor_through_epi(epi: ModuleMap, g: ModuleMap) -> ModuleMap:
-    """Some X with X . epi = g; raises if g does not kill ker(epi).
-
-    A generator-wise preimage of the identity postcomposed with g gives the
-    candidate directly; whenever a factoring exists at all, g kills the
-    kernel and the candidate is well defined and correct.
-    """
-    if epi.src != g.src:
-        raise InputError("factor_through_epi: sources differ")
-    ring = epi.src.ring
-    sec = solve_linear(hstack(epi.matrix, epi.tgt.relations),
-                       IntMatrix.identity(epi.tgt.generators), ring)
-    if sec is not None:
-        s_mat = _top_rows(sec, epi.src.generators, epi.tgt.generators)
-        x = ModuleMap(epi.tgt, g.tgt, ring.reduce_matrix(g.matrix @ s_mat))
-        if x.is_well_defined() and (x @ epi).equals(g):
-            return x
-    # no section means the first argument is not onto; a failed candidate
-    # means g does not kill the kernel; either way the joint solver is the
-    # honest arbiter
-    solver = MapSolver(ring)
-    solver.add_map_unknown("x", epi.tgt, g.tgt)
-    solver.add_equation([(IntMatrix.identity(g.tgt.generators), "x", epi.matrix)], g)
-    joint = solver.solve()
-    if joint is None:
-        raise WorkbenchError("map does not factor through the epi")
-    return joint["x"]
-
-
-def element_preimage(f: ModuleMap, col: IntMatrix) -> Optional[IntMatrix]:
-    """A generator column x with f(x) = col in the target, or None."""
-    if col.rows != f.tgt.generators or col.cols != 1:
-        raise InputError("element_preimage: column has the wrong shape")
-    ring = f.src.ring
-    rel = f.tgt.relations
-    sol = solve_linear(hstack(f.matrix, rel), col, ring)
-    if sol is None:
-        return None
-    x = IntMatrix.column_vector([sol.at(r, 0) for r in range(f.src.generators)])
-    return ring.reduce_matrix(x)
+    if not x.is_well_defined():
+        raise NotMono("factor_through_mono requires an injective first map")
+    return x
 
 
 def retraction(f: ModuleMap) -> Optional[ModuleMap]:

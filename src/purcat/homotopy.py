@@ -9,8 +9,9 @@ verdict.  It solves one degree at a time from the top down, one
 solve_linear per invariant factor of each term, and its docstring proves
 that it returns None exactly when the complex is not contractible.
 null_homotopy decides d s + s d = f for any chain map f as one joint
-MapSolver system over all degrees; the package no longer calls it, and
-the bench wraps it by name (bench/spans.py).
+MapSolver system over all degrees.  No command calls it, and it is the
+only place the package builds a MapSolver; it stays because the traced
+bench wraps it by name (bench/spans.py).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional
 
-from purcat.exact_linalg import IntMatrix, InputError, Record, _set, from_columns, solve_linear
-from purcat.fpmod import FpModule, MapSolver, ModuleMap, element_preimage, zero_map
+from purcat.exact_linalg import IntMatrix, Record, _set, from_columns, solve_linear
+from purcat.fpmod import FpModule, MapSolver, ModuleMap, zero_map
 from purcat.complexes import (
     ChainMap,
     Complex,
@@ -39,9 +40,9 @@ from purcat.complexes import (
 class KHomGroup(Record):
     """Chain maps source -> target modulo homotopy, as an f.p. module.
 
-    module presents the group; to_chain_map picks a representative
-    cocycle for a class and from_chain_map sends a chain map to its
-    class coordinates.
+    module presents the group as the homology of hom in degree 0:
+    cycle_incl includes the degree 0 cocycles into the hom complex and
+    class_proj sends them onto their classes.
     """
 
     __slots__ = ("source", "target", "hom", "module", "cycle_incl", "class_proj")
@@ -61,36 +62,6 @@ class KHomGroup(Record):
 
     def is_zero(self) -> bool:
         return self.module.is_zero()
-
-    def to_chain_map(self, coords) -> ChainMap:
-        if isinstance(coords, IntMatrix):
-            col = coords
-        else:
-            col = IntMatrix.column_vector(list(coords))
-        z = element_preimage(self.class_proj, col)
-        if z is None:
-            raise InputError("coordinates do not name a homotopy class")
-        ring = self.source.ring
-        cocycle = ring.reduce_matrix(self.cycle_incl.matrix @ z)
-        fam = self.hom.element_components(0, cocycle)
-        lo = min(self.source.lo, self.target.lo)
-        hi = max(self.source.hi, self.target.hi)
-        comps = [
-            fam.get(i, zero_map(self.source.module(i), self.target.module(i)))
-            for i in range(lo, hi + 1)
-        ]
-        return ChainMap(self.source, self.target, lo, tuple(comps))
-
-    def from_chain_map(self, f: ChainMap) -> IntMatrix:
-        if f.src != self.source or f.tgt != self.target:
-            raise InputError("chain map endpoints do not match this hom group")
-        fam = {j: f.component(j) for j, _, _, _ in self.hom.slots(0)}
-        col = self.hom.components_element(0, fam)
-        z = element_preimage(self.cycle_incl, col)
-        if z is None:
-            raise InputError("not a chain map: no representing cocycle")
-        ring = self.source.ring
-        return ring.reduce_matrix(self.class_proj.matrix @ z)
 
 
 @lru_cache(maxsize=256)

@@ -32,47 +32,13 @@ from __future__ import annotations
 from math import gcd
 from typing import Optional
 
-from purcat.exact_linalg import (
-    InputError,
-    Record,
-    Ring,
-    WorkbenchError,
-    _set,
-    hstack,
-    quotient_order,
-    smith_diagonal,
-)
-from purcat.fpmod import (
-    FpModule,
-    ModuleMap,
-    cyclic_module,
-    free_module,
-    has_retraction,
-    identity_map,
-    is_injective,
-    kernel,
-    tensor_map,
-)
-from purcat.complexes import (
-    ChainMap,
-    Complex,
-    cone,
-    homology,
-    homology_degrees,
-    smith_diagonals,
-)
+from purcat.exact_linalg import InputError, Record, Ring, WorkbenchError, _set
+from purcat.fpmod import FpModule, ModuleMap, cyclic_module, free_module
+from purcat.complexes import ChainMap, Complex, cone, homology_degrees, smith_diagonals
 from purcat.homotopy import contract_complex
 
 PURE = "Pure"
 NOT_PURE = "NotPure"
-
-
-class NotAcyclicAt(WorkbenchError):
-    """The complex has homology at the inspected degree."""
-
-    def __init__(self, degree: int):
-        super().__init__(f"complex is not acyclic at degree {degree}")
-        self.degree = degree
 
 
 class ProbeBattery(Record):
@@ -92,9 +58,9 @@ class ProbeBattery(Record):
 class PurityVerdict(Record):
     """Pure or NotPure, with evidence either way.
 
-    Pure carries a split witness (retraction or contracting homotopy).
-    NotPure carries a failing probe when the battery finds one, plus the
-    induced data that fails; otherwise only the unsolvability note.
+    Pure carries the contracting homotopy.  NotPure carries a failing
+    probe when the battery finds one, with the degree where its tensor
+    has homology; otherwise only the unsolvability note.
     """
 
     __slots__ = ("verdict", "witness", "probe", "detail")
@@ -276,34 +242,6 @@ def default_battery(ring: Ring, *objects) -> ProbeBattery:
 # probe evaluation
 
 
-def failing_probe_for_mono(f: ModuleMap, battery: ProbeBattery):
-    """(probe, induced map with nonzero kernel) or None.
-
-    f (x) R/(q) is injective exactly when |A (x) R/(q)| times
-    |coker f (x) R/(q)| is |B (x) R/(q)|, for f: A -> B, by the exact
-    sequence 0 -> ker -> A (x) R/(q) -> B (x) R/(q) -> coker f (x) R/(q)
-    -> 0 (right exactness gives its last term, presented by
-    [rel_B | f]).  The three orders come from one Smith diagonal each;
-    where one is infinite (the free probe over Z), f itself is tested.
-    A probe fails where one of its invariant factors does, and the
-    induced map is tensored for the failing probe only.
-    """
-    ring = f.src.ring
-    diagonals = [smith_diagonal(rel, ring) for rel in
-                 (f.src.relations, f.tgt.relations, hstack(f.tgt.relations, f.matrix))]
-
-    def injective(q):
-        a, b, c = (quotient_order(diag, q) for diag in diagonals)
-        if a is None or b is None:
-            return is_injective(f)
-        return a * c == b
-
-    for probe in battery.probes:
-        if not all(injective(q) for q in probe.invariant_factors):
-            return probe, tensor_map(identity_map(probe), f)
-    return None
-
-
 def failing_probe_for_acyclic(cx: Complex, battery: ProbeBattery):
     """(probe, least degree where probe (x) cx has homology) or None.
 
@@ -323,26 +261,6 @@ def failing_probe_for_acyclic(cx: Complex, battery: ProbeBattery):
 
 # ---------------------------------------------------------------------------
 # decisions
-
-
-def is_pure_mono(f: ModuleMap, battery: Optional[ProbeBattery] = None) -> PurityVerdict:
-    """Decide purity of a monomorphism; the split criterion is exact here."""
-    retraction = has_retraction(f)
-    if retraction is not None:
-        return PurityVerdict(PURE, witness=retraction)
-    if battery is None:
-        battery = default_battery(f.src.ring, f)
-    hit = failing_probe_for_mono(f, battery)
-    if hit is not None:
-        probe, induced = hit
-        return PurityVerdict(
-            NOT_PURE, witness=induced, probe=probe,
-            detail="tensoring with the probe is not injective",
-        )
-    return PurityVerdict(
-        NOT_PURE,
-        detail="no retraction exists; no battery probe exhibits the failure",
-    )
 
 
 def is_pure_acyclic(cx: Complex, battery: Optional[ProbeBattery] = None) -> PurityVerdict:
@@ -370,15 +288,6 @@ def is_pure_acyclic(cx: Complex, battery: Optional[ProbeBattery] = None) -> Puri
         NOT_PURE,
         detail="no contraction exists; no battery probe exhibits the failure",
     )
-
-
-def is_pure_acyclic_at(cx: Complex, n: int,
-                       battery: Optional[ProbeBattery] = None) -> PurityVerdict:
-    """Decide purity of the cycle inclusion at one exact degree."""
-    if not homology(cx, n).is_zero():
-        raise NotAcyclicAt(n)
-    _, incl = kernel(cx.differential(n))
-    return is_pure_mono(incl, battery)
 
 
 def is_pure_qis(f: ChainMap, battery: Optional[ProbeBattery] = None) -> PurityVerdict:

@@ -100,11 +100,6 @@ def random_homotopy(rng: random.Random, src: Complex, tgt: Complex) -> Homotopy:
     return Homotopy(src, tgt, src.lo, tuple(comps))
 
 
-def null_homotopic_chain_map(rng: random.Random, src: Complex, tgt: Complex) -> ChainMap:
-    """d h + h d for a random h; always a chain map, always null-homotopic."""
-    return random_homotopy(rng, src, tgt).boundary()
-
-
 def random_contractible(rng: random.Random, ring: Ring, pieces: int = 2,
                         lo: int = -1, hi: int = 1, max_gens: int = 2) -> Complex:
     """A direct sum of shifted cones of identity maps."""

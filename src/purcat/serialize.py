@@ -195,11 +195,15 @@ def decode_complex(ring: Ring, data, where: str, modules=None) -> Complex:
     return Complex(ring, lo, tuple(mods), tuple(diffs))
 
 
-def _decode_map_between(src: Complex, tgt: Complex, data, where: str,
-                        check_chain: bool = True) -> ChainMap:
+def _decode_components(data, where: str, lo_default: int, src: Complex, tgt: Complex,
+                       step: int) -> tuple:
+    """(lo, maps src^i -> tgt^(i - step)) from {"lo", "components"}.
+
+    step is 0 for a chain map and 1 for a homotopy.
+    """
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object")
-    lo = _as_int(data.get("lo", min(src.lo, tgt.lo)), f"{where}: lo")
+    lo = _as_int(data.get("lo", lo_default), f"{where}: lo")
     raw = data.get("components", [])
     if not isinstance(raw, list):
         raise InputError(f"{where}: components must be a list")
@@ -207,15 +211,19 @@ def _decode_map_between(src: Complex, tgt: Complex, data, where: str,
     for k, entry in enumerate(raw):
         i = lo + k
         cwhere = f"{where}: component at degree {i}"
-        mat = _shaped(
-            decode_matrix(entry, cwhere),
-            tgt.module(i).generators, src.module(i).generators, cwhere,
-        )
+        a, b = src.module(i), tgt.module(i - step)
+        mat = _shaped(decode_matrix(entry, cwhere), b.generators, a.generators, cwhere)
         try:
-            comps.append(make_map(src.module(i), tgt.module(i), mat))
+            comps.append(make_map(a, b, mat))
         except WorkbenchError as exc:
             raise InputError(f"{cwhere}: {exc}")
-    f = ChainMap(src, tgt, lo, tuple(comps))
+    return lo, tuple(comps)
+
+
+def _decode_map_between(src: Complex, tgt: Complex, data, where: str,
+                        check_chain: bool = True) -> ChainMap:
+    lo, comps = _decode_components(data, where, min(src.lo, tgt.lo), src, tgt, 0)
+    f = ChainMap(src, tgt, lo, comps)
     # every map operation walks f.degrees(); windows far apart would make
     # that walk unbounded in the size of the input
     listed = len(src.modules) + len(tgt.modules) + len(comps)
@@ -275,25 +283,7 @@ def _encode_homotopy(h: Homotopy) -> dict:
 
 def _decode_homotopy(c: Complex, data, where: str) -> Homotopy:
     """Rebuild a contraction of c from its component matrices."""
-    if not isinstance(data, dict):
-        raise InputError(f"{where}: expected an object")
-    lo = _as_int(data.get("lo", 0), f"{where}: lo")
-    raw = data.get("components", [])
-    if not isinstance(raw, list):
-        raise InputError(f"{where}: components must be a list")
-    comps = []
-    for k, entry in enumerate(raw):
-        i = lo + k
-        cwhere = f"{where}: component at degree {i}"
-        mat = _shaped(
-            decode_matrix(entry, cwhere),
-            c.module(i - 1).generators, c.module(i).generators, cwhere,
-        )
-        try:
-            comps.append(make_map(c.module(i), c.module(i - 1), mat))
-        except WorkbenchError as exc:
-            raise InputError(f"{cwhere}: {exc}")
-    return Homotopy(c, c, lo, tuple(comps))
+    return Homotopy(c, c, *_decode_components(data, where, 0, c, c, 1))
 
 
 def encode_certificate(cert: ResolutionCertificate) -> dict:

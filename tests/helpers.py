@@ -35,10 +35,14 @@ maps formed up front, and the currying witness built one basis map at
 a time through to_map and from_map.  A few constructions
 that only tests use live here too: the chain maps induced on hom
 complexes, the inverse of a unimodular matrix, the internal hom
-identity phom(a (x) b, c) ~ phom(a, phom(b, c)), validated short exact
-sequences, the map between >= n truncations, lifts of resolutions
-along a map, and resolutions padded by a contractible summand with the
-derived hom compared across them.  Keep it slow and obvious.
+identity phom(a (x) b, c) ~ phom(a, phom(b, c)), validated builders of
+complexes, chain maps and homotopies, null-homotopic chain maps,
+validated short exact sequences, the map between >= n truncations,
+lifts of resolutions along a map, resolutions padded by a contractible
+summand with the derived hom compared across them, factoring through
+an epi, maps induced on homology and by Hom(Q, -) and - (x) Q, and the
+displayed conditions of each step of the two inductions.  Keep it slow
+and obvious.
 """
 
 import random
@@ -53,6 +57,7 @@ from purcat.exact_linalg import (
     _set,
     _unit_scaling_mod,
     from_columns,
+    hstack,
     smith_normal_form,
     solve_linear,
 )
@@ -60,10 +65,11 @@ from purcat.fpmod import (
     Decomposition,
     MapSolver,
     ModuleMap,
+    _top_rows,
     block_map,
+    cokernel,
     cyclic_module,
     direct_sum,
-    factor_through_epi,
     factor_through_mono,
     free_module,
     hom_modules,
@@ -73,6 +79,7 @@ from purcat.fpmod import (
     is_injective,
     is_surjective,
     kernel,
+    make_map,
     retraction,
     sum_module,
     tensor_map,
@@ -88,12 +95,14 @@ from purcat.complexes import (
     direct_sum_complexes,
     hom_complex,
     homology,
+    homology_data,
     homology_invariants,
     identity_chain_map,
     minimize_complex,
     module_complex,
     shift,
     tensor_complex,
+    tensor_module_complex,
     trim,
     truncate_geq,
     zero_chain_map,
@@ -110,6 +119,7 @@ from purcat.monoidal import (
     validate_adjunction_witness,
 )
 from purcat.purity import ProbeBattery, _factor
+from purcat.randgen import random_homotopy
 from purcat.resolutions import (
     INJECTIVE,
     PROJECTIVE,
@@ -271,15 +281,6 @@ def slow_failing_probe_for_acyclic(cx, battery):
         degrees = probe_homology_degrees(cx, probe)
         if degrees:
             return probe, degrees[0]
-    return None
-
-
-def slow_failing_probe_for_mono(f, battery):
-    """First probe whose direct tensor with f is not injective, with that map."""
-    for probe in battery.probes:
-        induced = tensor_map(identity_map(probe), f)
-        if not is_injective(induced):
-            return probe, induced
     return None
 
 
@@ -1295,6 +1296,95 @@ def slow_contains_in_relations(module, cols):
 
 
 # ---------------------------------------------------------------------------
+# validated builders of complexes, chain maps and homotopies, and
+# null-homotopic chain maps, for building test inputs
+
+
+def make_complex(ring, lo, modules, diffs=None, check=True):
+    """A trimmed complex; diffs are ModuleMaps or matrices, all zero when
+    None, and with check every map and every d . d is verified."""
+    mods = tuple(modules)
+    if any(m.ring != ring for m in mods):
+        raise InputError("complex terms over the wrong ring")
+    if diffs is None:
+        ds = tuple(zero_map(mods[k], mods[k + 1]) for k in range(len(mods) - 1))
+    else:
+        raw = list(diffs)
+        if len(raw) != max(len(mods) - 1, 0):
+            raise InputError("complex needs one differential per adjacent pair")
+        ds = []
+        for k, d in enumerate(raw):
+            if isinstance(d, ModuleMap):
+                if d.src != mods[k] or d.tgt != mods[k + 1]:
+                    raise InputError(f"differential {k} connects the wrong modules")
+                if check and not d.is_well_defined():
+                    raise InputError(f"differential {k} is not well defined")
+                ds.append(d)
+            else:
+                ds.append(make_map(mods[k], mods[k + 1], d, check=check))
+        ds = tuple(ds)
+    cx = Complex(ring, lo, mods, ds)
+    if check:
+        for k in range(len(ds) - 1):
+            if not (ds[k + 1] @ ds[k]).is_zero():
+                raise InputError(f"d.d is nonzero between degrees {lo + k} and {lo + k + 2}")
+    return trim(cx)
+
+
+def complexes_equal(a, b):
+    """Same modules degreewise, differentials equal modulo relations."""
+    if a.ring != b.ring:
+        return False
+    if not a.modules or not b.modules:
+        return all(m.is_zero() for m in a.modules + b.modules)
+    for i in range(min(a.lo, b.lo), max(a.hi, b.hi) + 1):
+        if a.module(i) != b.module(i):
+            return False
+        if not a.differential(i).equals(b.differential(i)):
+            return False
+    return True
+
+
+def make_chain_map(src, tgt, lo, components, check=True):
+    comps = []
+    for k, c in enumerate(components):
+        i = lo + k
+        if isinstance(c, ModuleMap):
+            if c.src != src.module(i) or c.tgt != tgt.module(i):
+                raise InputError(f"component at degree {i} connects the wrong modules")
+            if check and not c.is_well_defined():
+                raise InputError(f"component at degree {i} is not well defined")
+            comps.append(c)
+        else:
+            comps.append(make_map(src.module(i), tgt.module(i), c, check=check))
+    f = ChainMap(src, tgt, lo, tuple(comps))
+    if check and not f.is_chain_map():
+        raise InputError("components do not commute with the differentials")
+    return f
+
+
+def make_homotopy(src, tgt, lo, components, check=True):
+    comps = []
+    for k, raw in enumerate(components):
+        i = lo + k
+        a, b = src.module(i), tgt.module(i - 1)
+        if isinstance(raw, ModuleMap):
+            if raw.src != a or raw.tgt != b:
+                raise InputError(f"homotopy component at degree {i} connects the wrong modules")
+            if check and not raw.is_well_defined():
+                raise InputError(f"homotopy component at degree {i} is not well defined")
+            comps.append(raw)
+        else:
+            comps.append(make_map(a, b, raw, check=check))
+    return Homotopy(src, tgt, lo, tuple(comps))
+
+
+def null_homotopic_chain_map(rng, src, tgt):
+    """d h + h d for a random h; always a chain map, always null-homotopic."""
+    return random_homotopy(rng, src, tgt).boundary()
+
+
+# ---------------------------------------------------------------------------
 # constructions that only tests use: short exact sequences, the map
 # between >= n truncations, lifts of resolutions along a map, padded
 # resolutions and the derived hom compared across them
@@ -1438,3 +1528,135 @@ def check_phom_invariance(m, n, seeds=(1, 2)):
         inj = pad_resolution(base.inj_res, seed)
         values.append(hom_complex(proj.target, inj.target).complex)
     return _compare_homology(values[0], values[1])
+
+
+# ---------------------------------------------------------------------------
+# factoring through an epi, maps induced on homology and by the termwise
+# functors of one module, and the displayed conditions of each step of
+# the two inductions
+
+
+def factor_through_epi(epi, g):
+    """Some X with X . epi = g; raises if g does not kill ker(epi).
+
+    A generator-wise preimage of the identity postcomposed with g gives the
+    candidate directly; whenever a factoring exists at all, g kills the
+    kernel and the candidate is well defined and correct.
+    """
+    if epi.src != g.src:
+        raise InputError("factor_through_epi: sources differ")
+    ring = epi.src.ring
+    sec = solve_linear(hstack(epi.matrix, epi.tgt.relations),
+                       IntMatrix.identity(epi.tgt.generators), ring)
+    if sec is not None:
+        s_mat = _top_rows(sec, epi.src.generators, epi.tgt.generators)
+        x = ModuleMap(epi.tgt, g.tgt, ring.reduce_matrix(g.matrix @ s_mat))
+        if x.is_well_defined() and (x @ epi).equals(g):
+            return x
+    # no section means the first argument is not onto; a failed candidate
+    # means g does not kill the kernel; either way the joint solver is the
+    # honest arbiter
+    solver = MapSolver(ring)
+    solver.add_map_unknown("x", epi.tgt, g.tgt)
+    solver.add_equation([(IntMatrix.identity(g.tgt.generators), "x", epi.matrix)], g)
+    joint = solver.solve()
+    if joint is None:
+        raise WorkbenchError("map does not factor through the epi")
+    return joint["x"]
+
+
+def homology_map(f, i):
+    """The induced map on homology in degree i."""
+    h_src, incl_src, proj_src = homology_data(f.src, i)
+    h_tgt, incl_tgt, proj_tgt = homology_data(f.tgt, i)
+    v = factor_through_mono(incl_tgt, f.component(i) @ incl_src)
+    return make_map(h_src, h_tgt, (proj_tgt @ v).matrix, check=True)
+
+
+def tensor_module_chain_map(f, mod):
+    src = tensor_module_complex(f.src, mod)
+    tgt = tensor_module_complex(f.tgt, mod)
+    ident = IntMatrix.identity(mod.generators)
+    reduce = f.src.ring.reduce_matrix
+    lo = min(src.lo, tgt.lo)
+    hi = max(src.hi, tgt.hi)
+    comps = [ModuleMap(src.module(i), tgt.module(i),
+                       reduce(f.component(i).matrix.kron(ident)))
+             for i in range(lo, hi + 1)]
+    return ChainMap(src, tgt, lo, tuple(comps))
+
+
+def hom_module_complex(mod, cx):
+    """Apply Hom(mod, -) to every term."""
+    homs = [hom_modules(mod, m) for m in cx.modules]
+    mods = tuple(hm.module for hm in homs)
+    diffs = []
+    for k in range(len(cx.modules) - 1):
+        diffs.append(hom_post(homs[k], homs[k + 1], cx.diffs[k]))
+    return Complex(cx.ring, cx.lo, mods, tuple(diffs))
+
+
+def hom_module_chain_map(mod, f):
+    src = hom_module_complex(mod, f.src)
+    tgt = hom_module_complex(mod, f.tgt)
+    lo = min(src.lo, tgt.lo)
+    hi = max(src.hi, tgt.hi)
+    comps = []
+    for i in range(lo, hi + 1):
+        c = f.component(i)
+        comps.append(hom_post(hom_modules(mod, c.src), hom_modules(mod, c.tgt), c))
+    return ChainMap(src, tgt, lo, tuple(comps))
+
+
+def injective_step_conditions(cert, battery):
+    """The two displayed conditions of the pushout induction, per probe.
+
+    For each step degree k and probe N: (a) the induced map
+    Coker(d^(k-1) (x) N) -> Coker(e^(k-1) (x) N) is injective, and
+    (b) H^(k-1) of the tensored resolution map is an isomorphism.
+    """
+    m, i_cx, u = cert.source, cert.target, cert.map
+    report = {}
+    for probe in battery.probes:
+        mn = tensor_module_complex(m, probe)
+        in_cx = tensor_module_complex(i_cx, probe)
+        un = tensor_module_chain_map(u, probe)
+        per_probe = {}
+        for k in range(i_cx.lo + 1, i_cx.hi + 2):
+            cok_m, proj_m = cokernel(mn.differential(k - 1))
+            cok_i, proj_i = cokernel(in_cx.differential(k - 1))
+            induced = factor_through_epi(proj_m, proj_i @ un.component(k))
+            hmap = homology_map(un, k - 1)
+            per_probe[k] = (
+                is_injective(induced),
+                is_injective(hmap) and is_surjective(hmap),
+            )
+        report[probe.invariant_factors] = per_probe
+    return report
+
+
+def projective_step_conditions(cert, battery):
+    """The dual displayed conditions of the pullback induction, per probe.
+
+    For each step degree k and probe Q: (a) the induced map
+    Ker(Hom(Q, e^k)) -> Ker(Hom(Q, d^k)) is surjective, and (b) the
+    degree k+1 homology of Hom(Q, resolution map) is an isomorphism.
+    """
+    m, p_cx, v = cert.source, cert.target, cert.map
+    report = {}
+    for probe in battery.probes:
+        hm = hom_module_complex(probe, m)
+        hp = hom_module_complex(probe, p_cx)
+        hv = hom_module_chain_map(probe, v)
+        per_probe = {}
+        for k in range(p_cx.lo - 1, p_cx.hi):
+            ker_p, incl_p = kernel(hp.differential(k))
+            ker_m, incl_m = kernel(hm.differential(k))
+            induced = factor_through_mono(incl_m, hv.component(k) @ incl_p)
+            hmap = homology_map(hv, k + 1)
+            per_probe[k] = (
+                is_surjective(induced),
+                is_injective(hmap) and is_surjective(hmap),
+            )
+        report[probe.invariant_factors] = per_probe
+    return report

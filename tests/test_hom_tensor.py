@@ -17,17 +17,12 @@ from purcat.complexes import (
     ChainMap,
     Homotopy,
     hom_complex,
-    hom_module_chain_map,
-    hom_module_complex,
     homology,
     homology_invariants,
-    make_complex,
-    make_homotopy,
     module_complex,
     tensor_complex,
     tensor_fixed_left_map,
     tensor_fixed_right_map,
-    tensor_module_chain_map,
     tensor_module_complex,
     truncate_leq_map,
     zero_homotopy,
@@ -41,12 +36,18 @@ from purcat.randgen import (
     random_pure_qis,
 )
 from helpers import (
+    _encode,
     enumerate_module_elements,
+    hom_module_chain_map,
+    hom_module_complex,
     hom_post_chain_map,
     hom_pre_chain_map,
+    make_complex,
+    make_homotopy,
     mat,
     slow_tensor_module_chain_map,
     slow_tensor_module_complex,
+    tensor_module_chain_map,
     truncate_geq_map,
 )
 
@@ -144,11 +145,11 @@ def test_hom_element_round_trip():
         for _ in range(3):
             fam = {j: random_map(rng, a.module(j), b.module(i + j))
                    for j, _, _, _ in hc.slots(i)}
-            col = hc.components_element(i, fam)
+            col = _encode(hc, i, fam)
             back = hc.element_components(i, col)
             for j, f in fam.items():
                 assert back[j].equals(f)
-            again = hc.components_element(i, back)
+            again = _encode(hc, i, back)
             assert mod.contains_in_relations(col - again)
 
 

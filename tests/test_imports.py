@@ -1,8 +1,8 @@
-"""No module-level import that nothing in its own file uses, no new
-public definition that nothing in the program uses, no import from
-outside the standard library in the package, no dataclasses (or the
-inspect under it) in the package's source or in a cold import of the
-command line, and no function that the traced benchmark wraps by name
+"""No module-level import that nothing in its own file uses, no
+definition in the package that only tests reach, no import from outside
+the standard library in the package, no dataclasses (or the inspect
+under it) in the package's source or in a cold import of the command
+line, and no function that the traced benchmark wraps by name
 (bench/spans.py) renamed away.
 
 Checked with the standard library's ast: a name bound by a top-level
@@ -11,6 +11,15 @@ count; docstrings and comments do not).  Package __init__ files are
 left out of that check, since re-exporting is what their imports are
 for.  The package declares dependencies = [], so every import in it,
 at any depth, names purcat itself or a standard library module.
+
+Reachability is transitive.  The roots are cli.main with its HANDLERS,
+purcat.__all__, every purcat name a bench/*.py file imports or reads,
+and every name bench/spans.py wraps.  From a reached definition, each
+free name is resolved through its module's scope and its `from purcat.x
+import` bindings; a local variable that shadows a module-level name is
+not a use of it.  A method counts as reached by its attribute name once
+its class is reached.  What nothing reaches must be one of the few
+ALLOWED entries, each with its reason, or leave the package.
 """
 
 import ast
@@ -25,30 +34,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in (ROOT / "src" / "purcat").glob("*.py") if p.name != "__init__.py")
 FILES += sorted((ROOT / "tests").glob("*.py"))
-
-# Public top-level definitions of src/purcat that nothing in src/purcat or
-# the code of bench/*.py references; only tests reach them.  A name the
-# traced benchmark only wraps by name (spans.TARGETS) is not a use of it.
-# Wiring one up or deleting it means removing it here; a new one fails the
-# ratchet below.
-ORPHANS = frozenset({
-    "complexes.complexes_equal",
-    "complexes.make_chain_map",
-    "complexes.make_complex",
-    "complexes.make_homotopy",
-    "complexes.tensor_fixed_right_map",
-    "exact_linalg.vstack",
-    "fpmod.is_isomorphic",
-    # Pure is decided by contract_complex; null_homotopy stays because
-    # spans.TARGETS wraps it, and the traced bench run needs it to exist
-    "homotopy.null_homotopy",
-    "monoidal.check_tensor_descends",
-    "monoidal.tensor_swap",
-    "purity.is_pure_acyclic_at",
-    "randgen.null_homotopic_chain_map",
-    "resolutions.injective_step_conditions",
-    "resolutions.projective_step_conditions",
-})
 
 
 def unused_imports(path: Path) -> list:
@@ -72,42 +57,230 @@ def test_no_unused_module_level_imports(path):
     assert unused_imports(path) == []
 
 
-def _public_definitions(tree: ast.Module) -> list:
-    names = []
-    for node in tree.body:
+# Definitions of src/purcat that no root reaches, and why each stays.  They
+# count as roots themselves, so what only they use needs no entry.  Wiring
+# one up or deleting it means removing it here; a new unreached definition
+# fails the check below.
+ALLOWED = {
+    "monoidal.tensor_swap":
+        "the symmetry a monoidal command emits (ROADMAP item 11)",
+    "monoidal.check_tensor_descends":
+        "descent of the tensor product along a pure qis, for that command",
+    "complexes.tensor_fixed_right_map":
+        "the induced map on a tensor complex that descent and the symmetry use",
+    "fpmod.has_retraction":
+        "the split cycle inclusions that decide periodic complexes (item 12)",
+    "fpmod.HomModule.from_map":
+        "the inverse of to_map, read by the map-by-map oracles in tests/helpers.py",
+}
+
+
+def _local_names(fn) -> set:
+    """The names local to a function or lambda: its arguments and every
+    name its own body stores, imports, catches or defines.  Comprehension
+    targets belong to the comprehension."""
+    args = fn.args
+    local = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    local |= {a.arg for a in (args.vararg, args.kwarg) if a}
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        node = todo.pop()
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.append(node.name)
-        elif isinstance(node, ast.Assign):
-            names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
-    return [n for n in names if not n.startswith("_")]
+            local.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.comprehension):
+            todo += [node.iter, *node.ifs]
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            local.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            local |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            local.add(node.name)
+        todo += ast.iter_child_nodes(node)
+    return local
 
 
-def _references(tree: ast.Module) -> set:
-    refs = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-    return refs
+class _Uses(ast.NodeVisitor):
+    """The free names, attribute names and purcat imports of one definition.
+
+    A name bound in an enclosing function, lambda or comprehension is
+    local there and not a use of the module-level name it shadows.
+    Annotations are not visited: under postponed evaluation they run
+    nothing.
+    """
+
+    def __init__(self):
+        self.names, self.attrs, self.imported = set(), set(), set()
+        self.scopes = []
+
+    def visit_Name(self, node):
+        if not any(node.id in scope for scope in self.scopes):
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        self.attrs.add(node.attr)
+        self.visit(node.value)
+
+    def visit_ImportFrom(self, node):
+        if node.module and node.module.startswith("purcat."):
+            self.imported |= {f"{node.module[7:]}.{a.name}" for a in node.names}
+
+    def _enter(self, local, body):
+        self.scopes.append(local)
+        for node in body:
+            self.visit(node)
+        self.scopes.pop()
+
+    def _defaults(self, args):
+        for node in args.defaults + [d for d in args.kw_defaults if d]:
+            self.visit(node)
+
+    def visit_FunctionDef(self, node):
+        for dec in node.decorator_list:
+            self.visit(dec)
+        self._defaults(node.args)
+        self._enter(_local_names(node), node.body)
+
+    def visit_Lambda(self, node):
+        self._defaults(node.args)
+        self._enter(_local_names(node), [node.body])
+
+    def _comprehension(self, node, results):
+        first, *rest = node.generators
+        self.visit(first.iter)
+        local = {n.id for gen in node.generators for n in ast.walk(gen.target)
+                 if isinstance(n, ast.Name)}
+        self._enter(local, [cond for gen in node.generators for cond in gen.ifs]
+                    + [gen.iter for gen in rest] + results)
+
+    def visit_ListComp(self, node):
+        self._comprehension(node, [node.elt])
+
+    visit_SetComp = visit_GeneratorExp = visit_ListComp
+
+    def visit_DictComp(self, node):
+        self._comprehension(node, [node.key, node.value])
+
+    def visit_AnnAssign(self, node):
+        self.visit(node.target)
+        if node.value is not None:
+            self.visit(node.value)
 
 
-def orphans() -> set:
-    src = sorted((ROOT / "src" / "purcat").glob("*.py"))
-    refs, defined = set(), set()
-    for path in src:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined.update(f"{path.stem}.{n}" for n in _public_definitions(tree))
-        refs |= _references(tree)
+def _definitions() -> tuple:
+    """({"module.name" or "module.Class.method": (module, node)},
+    {module: {bound name: "module.name"}} of its purcat imports)."""
+    defs, bindings = {}, {}
+    for path in sorted((ROOT / "src" / "purcat").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        mod = path.stem
+        binds = bindings[mod] = {}
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("purcat."):
+                binds.update((a.asname or a.name, f"{node.module[7:]}.{a.name}")
+                             for a in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{mod}.{node.name}"] = (mod, node)
+                if isinstance(node, ast.ClassDef):
+                    defs.update((f"{mod}.{node.name}.{item.name}", (mod, item))
+                                for item in node.body if isinstance(item, ast.FunctionDef))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs.update((f"{mod}.{n.id}", (mod, node)) for t in targets
+                            for n in ast.walk(t) if isinstance(n, ast.Name))
+    return defs, bindings
+
+
+def _uses(mod: str, node, defs: dict, bindings: dict) -> tuple:
+    """(definitions, attribute names) that running node can use."""
+    v = _Uses()
+    if isinstance(node, ast.ClassDef):
+        # the class statement; its methods are definitions of their own
+        for part in node.bases + node.keywords + node.decorator_list + [
+                item for item in node.body if not isinstance(item, ast.FunctionDef)]:
+            v.visit(part)
+    else:
+        v.visit(node)
+    used = set(v.imported)
+    for name in v.names:
+        if f"{mod}.{name}" in defs:
+            used.add(f"{mod}.{name}")
+        elif name in bindings[mod]:
+            used.add(bindings[mod][name])
+    return used, v.attrs
+
+
+def roots() -> tuple:
+    """(definitions, attribute names) the package is entered by.
+
+    cli.main with its HANDLERS, the names of purcat.__all__, every purcat
+    name a bench/*.py file imports and every attribute it reads, and every
+    name bench/spans.py wraps (TARGETS).
+    """
+    names, attrs = {"cli.main", "cli.HANDLERS"}, set()
+    init = ast.parse((ROOT / "src" / "purcat" / "__init__.py").read_text(encoding="utf-8"))
+    exported, where = set(), {}
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom):
+            where.update((a.asname or a.name, f"{node.module[7:]}.{a.name}") for a in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    names |= {where[name] for name in exported}
     for path in sorted((ROOT / "bench").glob("*.py")):
-        # the names bench/spans.py wraps are strings, which do not count;
-        # test_every_traced_name_resolves keeps them from being renamed
-        refs |= _references(ast.parse(path.read_text(encoding="utf-8")))
-    return {d for d in defined if d.split(".", 1)[1] not in refs}
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("purcat."):
+                names |= {f"{node.module[7:]}.{a.name}" for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    for module, wrapped in traced_targets().items():
+        for name in wrapped:
+            names.add(f"{module}.{name}")
+            names.add(f"{module}.{name.split('.')[0]}")
+    return names, attrs
 
 
-def test_no_new_public_definition_only_tests_reach():
-    assert orphans() == ORPHANS
+def unreached(extra=()) -> set:
+    """The definitions of src/purcat that no root, nor any of extra, reaches.
+
+    A definition reaches what its free names resolve to, through its own
+    module's scope and its `from purcat.x import` bindings, and the
+    attribute names it reads.  A method is reached once its class is and
+    some reached code reads an attribute of its name; dunder methods come
+    with their class.
+    """
+    defs, bindings = _definitions()
+    names, attrs = roots()
+    todo = [*names, *extra]
+    methods = {}
+    for name in defs:
+        module, *rest = name.split(".")
+        if len(rest) == 2:
+            methods.setdefault(f"{module}.{rest[0]}", []).append((rest[1], name))
+    seen = set()
+    while todo:
+        while todo:
+            name = todo.pop()
+            if name in seen or name not in defs:
+                continue
+            seen.add(name)
+            used, read = _uses(*defs[name], defs, bindings)
+            todo += used
+            attrs |= read
+        todo = [m for cls in seen & methods.keys() for attr, m in methods[cls]
+                if m not in seen and (attr in attrs or attr.startswith("__"))]
+    return set(defs) - seen
+
+
+def test_every_definition_is_reached_from_a_command_or_the_bench():
+    assert len(ALLOWED) <= 5
+    # an allowlisted name must need its entry
+    assert set(ALLOWED) <= unreached()
+    assert unreached(ALLOWED) == set()
 
 
 def imported_modules(path: Path) -> list:

@@ -11,7 +11,6 @@ from purcat.complexes import (
     cone,
     homology_invariants,
     identity_chain_map,
-    make_complex,
     module_complex,
     tensor_complex,
     tensor_fixed_left_map,
@@ -45,6 +44,7 @@ from helpers import (
     adjunction_complexes,
     check_internal_hom_identity,
     check_phom_invariance,
+    make_complex,
     slow_check_dpur_adjunction,
 )
 

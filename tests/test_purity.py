@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from purcat import complexes, exact_linalg
 from purcat.exact_linalg import InputError, WorkbenchError, ZZ, Zmod
 from purcat.fpmod import (
-    NotMono,
     cyclic_module,
     direct_sum,
     free_module,
+    has_retraction,
     identity_map,
     kernel,
     make_map,
@@ -26,23 +26,17 @@ from purcat.complexes import (
     direct_sum_complexes,
     homology,
     homology_degrees,
-    hom_module_complex,
     identity_chain_map,
-    make_complex,
     module_complex,
     tensor_module_complex,
     zero_complex,
 )
 from purcat.purity import (
     _factor,
-    NotAcyclicAt,
     ProbeBattery,
     default_battery,
     failing_probe_for_acyclic,
-    failing_probe_for_mono,
     is_pure_acyclic,
-    is_pure_acyclic_at,
-    is_pure_mono,
     is_pure_qis,
     probe_battery,
 )
@@ -53,12 +47,13 @@ from purcat.randgen import (
     random_pure_acyclic,
 )
 from helpers import (
+    hom_module_complex,
+    make_complex,
     mat,
     probe_homology_degrees,
     probe_outcomes,
-    slow_failing_probe_for_acyclic,
     slow_factor,
-    slow_failing_probe_for_mono,
+    slow_failing_probe_for_acyclic,
     slow_homology_degrees,
     slow_probe_battery,
 )
@@ -110,40 +105,28 @@ def test_default_battery_scales_with_input():
 
 
 # ---------------------------------------------------------------------------
-# pure monomorphisms
+# split monomorphisms, the degreewise criterion for pure acyclicity
 
 
-def test_times_two_not_pure_witness_z2():
-    z = free_module(ZZ, 1)
-    f = make_map(z, z, mat([[2]]))
-    verdict = is_pure_mono(f)
-    assert not verdict.is_pure()
-    assert verdict.probe is not None
-    assert verdict.probe.invariant_factors == (2,)
-    induced = verdict.witness
-    assert induced.matrix.at(0, 0) % 2 == 0
+def split_exact_at(cx, n):
+    """Is cx exact at n with a split cycle inclusion Z^n -> C^n?"""
+    if not homology(cx, n).is_zero():
+        return False
+    return has_retraction(kernel(cx.differential(n))[1]) is not None
 
 
 def test_summand_inclusion_is_pure():
     a = cyclic_module(Zmod(8), 4)
     b = cyclic_module(Zmod(8), 8)
     total, injs, _ = direct_sum([a, b])
-    verdict = is_pure_mono(injs[0])
-    assert verdict.is_pure()
-    r = verdict.witness
+    r = has_retraction(injs[0])
+    assert r is not None
     assert (r @ injs[0]).equals(identity_map(a))
 
 
 def test_identity_is_pure():
     m = make_module(Zmod(12), 2, mat([[4, 0], [0, 6]]))
-    assert is_pure_mono(identity_map(m)).is_pure()
-
-
-def test_is_pure_mono_requires_mono():
-    z = free_module(ZZ, 1)
-    f = make_map(z, cyclic_module(ZZ, 2), mat([[1]]))
-    with pytest.raises(NotMono):
-        is_pure_mono(f)
+    assert has_retraction(identity_map(m)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +158,15 @@ def test_ses_acyclic_but_not_pure():
 
 def test_pure_acyclic_at_rejects_homology():
     cx = module_complex(cyclic_module(ZZ, 2), 0)
-    with pytest.raises(NotAcyclicAt) as err:
-        is_pure_acyclic_at(cx, 0)
-    assert err.value.degree == 0
+    assert not split_exact_at(cx, 0)
+    verdict = is_pure_acyclic(cx)
+    assert not verdict.is_pure()
+    assert verdict.witness == 0
 
 
 def test_pure_acyclic_at_ses():
     cx = ses_complex()
-    assert not is_pure_acyclic_at(cx, 1).is_pure()
+    assert not split_exact_at(cx, 1)
 
 
 def test_pure_acyclic_at_split_middle():
@@ -190,14 +174,14 @@ def test_pure_acyclic_at_split_middle():
     b = cyclic_module(ZZ, 9)
     total, injs, projs = direct_sum([a, b])
     cx = make_complex(ZZ, 0, [a, total, b], [injs[0].matrix, projs[1].matrix])
-    assert is_pure_acyclic_at(cx, 1).is_pure()
+    assert split_exact_at(cx, 1)
 
 
 def test_contractible_pure_at_every_degree():
     rng = random.Random(3)
     cx = random_contractible(rng, Zmod(12))
     for n in range(cx.lo, cx.hi + 1):
-        assert is_pure_acyclic_at(cx, n).is_pure()
+        assert split_exact_at(cx, n)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +211,7 @@ def test_degreewise_equivalence_random():
     for _ in range(25):
         cx = random_complex(rng, Zmod(12), -1, rng.randint(1, 4), max_gens=2)
         total = is_pure_acyclic(cx, bat).is_pure()
-        degreewise = True
-        for n in range(cx.lo, cx.hi + 1):
-            try:
-                if not is_pure_acyclic_at(cx, n, bat).is_pure():
-                    degreewise = False
-            except NotAcyclicAt:
-                degreewise = False
+        degreewise = all(split_exact_at(cx, n) for n in range(cx.lo, cx.hi + 1))
         assert total == degreewise
 
 
@@ -443,20 +421,6 @@ def test_homology_degrees_build_homology_only_at_free_terms(monkeypatch):
     assert built == [0, 1]
 
 
-@SAMPLES
-@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(RINGS),
-       nonsplit=st.booleans())
-def test_failing_probe_for_mono_matches_direct(seed, ring, nonsplit):
-    rng = random.Random(seed)
-    if nonsplit:
-        f = nonsplit_ses(rng, ring).differential(0)
-    else:
-        cx = random_complex(rng, ring, 0, 3, max_gens=2)
-        _, f = kernel(cx.differential(1))
-    bat = probe_battery(ring, 12)
-    assert failing_probe_for_mono(f, bat) == slow_failing_probe_for_mono(f, bat)
-
-
 # ---------------------------------------------------------------------------
 # every probe read off the complex's own Smith diagonals
 
@@ -477,18 +441,6 @@ def mixed_battery(rng, ring):
     return ProbeBattery(ring, (free_module(ring, 1),) + tuple(probes))
 
 
-def mixed_map(rng, ring, cx):
-    """A map to probe for injectivity: a non-split mono, a cycle inclusion
-    of cx, or a differential of cx (often not injective at all)."""
-    kind = rng.choice(("nonsplit", "cycles", "differential"))
-    if kind == "nonsplit":
-        return nonsplit_ses(rng, ring).differential(0)
-    degree = rng.randint(cx.lo, cx.hi) if cx.modules else 0
-    if kind == "cycles":
-        return kernel(cx.differential(degree))[1]
-    return cx.differential(degree)
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(ORDER_RINGS),
        shape=st.sampled_from(SHAPES))
@@ -497,8 +449,6 @@ def test_probe_pass_matches_direct_tensors(seed, ring, shape):
     cx = shaped_complex(rng, ring, shape)
     bat = mixed_battery(rng, ring)
     assert failing_probe_for_acyclic(cx, bat) == slow_failing_probe_for_acyclic(cx, bat)
-    f = mixed_map(rng, ring, cx)
-    assert failing_probe_for_mono(f, bat) == slow_failing_probe_for_mono(f, bat)
 
 
 def test_composite_and_multi_factor_probes_fail_through_a_summand():
@@ -518,7 +468,6 @@ def test_composite_and_multi_factor_probes_fail_through_a_summand():
     z5, z8, z10 = (cyclic_module(ring, d) for d in (5, 8, 10))
     bat = ProbeBattery(ring, (free_module(ring, 1), z5, z8, z10))
     assert failing_probe_for_acyclic(cx, bat) == (z10, 0)
-    assert failing_probe_for_mono(cx.differential(0), bat)[0] == z10
 
 
 def pure_z_complex():

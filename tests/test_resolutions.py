@@ -7,12 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from purcat import resolutions
 from purcat.exact_linalg import InputError, WorkbenchError, ZZ, Zmod
-from purcat.fpmod import cyclic_module, free_module, identity_map
+from purcat.fpmod import cyclic_module, free_module, identity_map, zero_map
 from purcat.complexes import (
-    complexes_equal,
     homology_invariants,
-    make_chain_map,
-    make_complex,
     minimize_complex,
     module_complex,
     trim,
@@ -21,7 +18,9 @@ from purcat.complexes import (
 from purcat.purity import default_battery, is_pure_qis
 from purcat.randgen import random_chain_map, random_complex
 from purcat.resolutions import (
+    DegreewiseFamily,
     DepthInsufficient,
+    SemiSplitDirectTower,
     SemiSplitInverseTower,
     UnsupportedRing,
     check_colimit_sum_formula,
@@ -30,10 +29,8 @@ from purcat.resolutions import (
     check_limit_product_formula,
     colimit_tower,
     identity_resolution,
-    injective_step_conditions,
     injective_tower,
     limit_tower,
-    projective_step_conditions,
     projective_tower,
     required_depth,
     resolve,
@@ -44,7 +41,17 @@ from purcat.resolutions import (
     validate_direct_tower,
     validate_inverse_tower,
 )
-from helpers import lift_injective, lift_projective, pad_resolution, slow_resolve
+from helpers import (
+    complexes_equal,
+    injective_step_conditions,
+    lift_injective,
+    lift_projective,
+    make_chain_map,
+    make_complex,
+    pad_resolution,
+    projective_step_conditions,
+    slow_resolve,
+)
 
 
 def x2_complex(ring, order=4):
@@ -85,7 +92,7 @@ def test_zero_complex_resolves_to_zero_both_sides():
         for side in ("injective", "projective"):
             cert = resolve(z, side)
             assert validate_certificate(cert)
-            assert cert.target.is_zero_complex()
+            assert all(m.is_zero() for m in cert.target.modules)
 
 
 def test_projective_resolution_over_z():
@@ -189,6 +196,48 @@ def test_inverse_tower_rereads_kernel_terms():
     assert not validate_inverse_tower(rebuilt, fs)
 
 
+def _zero_one_component(families, nonzero):
+    """families with the first component whose nonzero() end is not the
+    zero module replaced by the zero map."""
+    n, k = next((n, k) for n, f in enumerate(families)
+                for k, c in enumerate(f.components) if not nonzero(c).is_zero())
+    f = families[n]
+    zero = zero_map(f.components[k].src, f.components[k].tgt)
+    bad = DegreewiseFamily(f.src, f.tgt, f.lo, f.components[:k] + (zero,) + f.components[k + 1:])
+    return families[:n] + (bad,) + families[n + 1:]
+
+
+def test_limit_tower_rejects_a_corrupted_section():
+    rng = random.Random(7)
+    m = random_complex(rng, Zmod(8), -2, 3)
+    tower, fs = injective_tower(m, 2)
+    assert validate_inverse_tower(tower, fs)
+    # a zero section component breaks p . s = id in that degree
+    bad = _zero_one_component(tower.sections, lambda c: c.src)
+    rebuilt = SemiSplitInverseTower(
+        tower.source, tower.truncations, tower.transitions, tower.levels,
+        tower.surjections, bad, tower.kernels,
+        tower.kernel_inclusions, tower.cone_certificates)
+    assert not validate_inverse_tower(rebuilt, fs)
+    with pytest.raises(WorkbenchError, match="re-validate"):
+        limit_tower(rebuilt, fs)
+
+
+def test_colimit_tower_rejects_a_corrupted_retraction():
+    m = random_complex(random.Random(6), Zmod(8), -1, 4)
+    tower, fs = projective_tower(m, required_depth(m, "projective"))
+    assert validate_direct_tower(tower, fs)
+    # a zero retraction component breaks r . incl = id in that degree
+    bad = _zero_one_component(tower.retractions, lambda c: c.tgt)
+    rebuilt = SemiSplitDirectTower(
+        tower.source, tower.truncations, tower.transitions, tower.levels,
+        tower.injections, bad, tower.cokernels,
+        tower.cokernel_projections, tower.cone_certificates)
+    assert not validate_direct_tower(rebuilt, fs)
+    with pytest.raises(WorkbenchError, match="re-validate"):
+        colimit_tower(rebuilt, fs)
+
+
 def test_tower_depth_gate_reports_requirement():
     rng = random.Random(19)
     m = random_complex(rng, Zmod(8), -2, 3)
@@ -206,7 +255,7 @@ def test_tower_stabilizes_beyond_required_depth():
     tower, fs = injective_tower(m, 3)
     assert validate_inverse_tower(tower, fs)
     assert complexes_equal(tower.levels[-1], tower.levels[-2])
-    assert tower.kernels[-1].is_zero_complex()
+    assert all(m.is_zero() for m in tower.kernels[-1].modules)
     cert = limit_tower(tower, fs)
     assert validate_certificate(cert)
 
