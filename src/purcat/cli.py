@@ -13,8 +13,9 @@ the timing figure.
 semi-split tower that towers builds; without it towers builds the depth
 the input needs, and a depth below that is an error (exit 2), as is any
 depth above serialize.MAX_DEPTH, given or needed.  resolve
-and adjunction build no tower at any depth: they resolve by the one-step
-pullback (projective side) and pushout (injective side) inductions, and
+and adjunction build no tower at any depth: they resolve by reducing the
+input (complexes.reduce_complex, which cancels its contractible
+summands; the reduced complex is its own resolution on either side), and
 only check a depth against the one towers would need (exit 2 below it).
 Any allowed depth gives the report of none.
 

@@ -365,16 +365,10 @@ def truncate_leq(cx: Complex, n: int) -> tuple:
 # homology
 
 
-def homology_data(cx: Complex, i: int) -> tuple:
-    """(H, incl: K -> C^i, proj: K -> H) for H = ker d^i / im d^(i-1)."""
-    kmod, incl = kernel(cx.differential(i))
-    u = factor_through_mono(incl, cx.differential(i - 1))
-    h, proj = cokernel(u)
-    return h, incl, proj
-
-
 def homology(cx: Complex, i: int) -> FpModule:
-    return homology_data(cx, i)[0]
+    """H^i = ker d^i / im d^(i-1), presented on the generators of ker d^i."""
+    _, incl = kernel(cx.differential(i))
+    return cokernel(factor_through_mono(incl, cx.differential(i - 1)))[0]
 
 
 def smith_diagonals(cx: Complex) -> tuple:

@@ -634,41 +634,6 @@ def _induced(hm_src: HomModule, hm_tgt: HomModule, left: IntMatrix,
 
 
 # ---------------------------------------------------------------------------
-# pushout, pullback
-
-
-def pushout(f: ModuleMap, g: ModuleMap) -> tuple:
-    """Pushout of f: A -> B, g: A -> C; returns (D, from_b, from_c).
-
-    D is the cokernel of (f; -g): A -> B (+) C, whose generators are
-    those of the sum, so the legs are the summand injections into D.
-    """
-    if f.src != g.src:
-        raise InputError("pushout legs must share their source")
-    gb = f.tgt.generators
-    s = sum_module([f.tgt, g.tgt])
-    h = block_map(f.src, s, [(0, 0, 1, f.matrix), (gb, 0, -1, g.matrix)])
-    d, _ = cokernel(h)
-    return d, summand_injection(f.tgt, d, 0), summand_injection(g.tgt, d, gb)
-
-
-def pullback(f: ModuleMap, g: ModuleMap) -> tuple:
-    """Pullback of f: B -> A, g: C -> A; returns (L, to_b, to_c).
-
-    L is the kernel of (f | -g): B (+) C -> A, and the legs are its
-    inclusion followed by the two summand projections.
-    """
-    if f.tgt != g.tgt:
-        raise InputError("pullback legs must share their target")
-    gb = f.src.generators
-    s = sum_module([f.src, g.src])
-    h = block_map(s, f.tgt, [(0, 0, 1, f.matrix), (0, gb, -1, g.matrix)])
-    l, incl = kernel(h)
-    return (l, summand_projection(s, f.src, 0) @ incl,
-            summand_projection(s, g.src, gb) @ incl)
-
-
-# ---------------------------------------------------------------------------
 # joint solving for maps, retractions, factorizations
 
 

@@ -28,7 +28,7 @@ from purcat.complexes import (
     HomComplex,
     Homotopy,
     hom_complex,
-    homology_data,
+    homology,
     zero_homotopy,
 )
 
@@ -40,21 +40,17 @@ from purcat.complexes import (
 class KHomGroup(Record):
     """Chain maps source -> target modulo homotopy, as an f.p. module.
 
-    module presents the group as the homology of hom in degree 0:
-    cycle_incl includes the degree 0 cocycles into the hom complex and
-    class_proj sends them onto their classes.
+    module presents the group as the homology of hom in degree 0.
     """
 
-    __slots__ = ("source", "target", "hom", "module", "cycle_incl", "class_proj")
+    __slots__ = ("source", "target", "hom", "module")
 
-    def __init__(self, source: Complex, target: Complex, hom: HomComplex, module: FpModule,
-                 cycle_incl: ModuleMap, class_proj: ModuleMap) -> None:
+    def __init__(self, source: Complex, target: Complex, hom: HomComplex,
+                 module: FpModule) -> None:
         _set(self, "source", source)
         _set(self, "target", target)
         _set(self, "hom", hom)
         _set(self, "module", module)
-        _set(self, "cycle_incl", cycle_incl)
-        _set(self, "class_proj", class_proj)
 
     @property
     def invariant_factors(self) -> tuple:
@@ -72,8 +68,7 @@ def hom_k(a: Complex, b: Complex) -> KHomGroup:
     several different comparison routes.
     """
     hc = hom_complex(a, b)
-    h, incl, proj = homology_data(hc.complex, 0)
-    return KHomGroup(a, b, hc, h, incl, proj)
+    return KHomGroup(a, b, hc, homology(hc.complex, 0))
 
 
 # ---------------------------------------------------------------------------

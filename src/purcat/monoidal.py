@@ -450,17 +450,19 @@ def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
     a and b are resolved on the projective side and c on the injective
     side by resolve, which checks a depth against each argument in turn
     (DepthInsufficient below it), gives the same certificate at every
-    allowed depth and builds no tower; its docstring proves that each
-    certified resolution is homotopy equivalent to its source.  Tensor
-    products and hom complexes send homotopy equivalences in either
-    argument to homotopy equivalences, so the links read the same
-    invariant factors from any certified resolutions, a tower's (co)limit
-    included.  Every link compares invariant factors of H^0 of hom
-    complexes: hom_dpur against a target with pure injective terms (c,
-    ic.target, and value, a Hom into ic.target) is hom_k, so no link
-    compares hom_dpur with hom_k of the same pair, which would read one
-    memoized group twice.  The currying witness is a chain isomorphism
-    on whatever complexes it is built from.
+    allowed depth and builds no tower: it reduces each argument
+    (reduce_complex), so the links are read off the reduced complexes,
+    and its docstring proves that each certified resolution is homotopy
+    equivalent to its source.  Tensor products and hom complexes send
+    homotopy equivalences in either argument to homotopy equivalences,
+    so the links read the same invariant factors from any certified
+    resolutions, a tower's (co)limit included.  Every link compares
+    invariant factors of H^0 of hom complexes: hom_dpur against a target
+    with pure injective terms (c, ic.target, and value, a Hom into
+    ic.target) is hom_k, so no link compares hom_dpur with hom_k of the
+    same pair, which would read one memoized group twice.  The currying
+    witness is a chain isomorphism on whatever complexes it is built
+    from.
     """
     _require_injective_scope(c)
     pa = resolve(a, PROJECTIVE, depth)

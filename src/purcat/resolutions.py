@@ -1,15 +1,17 @@
 """Constructive pure injective and pure projective resolutions.
 
-resolve runs the pushout (injective side) and pullback (projective
-side) inductions degree by degree; every input is bounded, so these
-resolve it whatever its window.  The towers of truncations whose levels
-extend each other by degreewise split maps are built only on request
+resolve has one resolver, reduce_complex: it cancels the contractible
+summands of the input, and the reduced complex is its own resolution on
+either side, since every finitely presented term is pure projective and
+every term in the injective scope is pure injective (the proof is in
+resolve's docstring).  Every step of the towers of truncations, whose
+levels extend each other by degreewise split maps, resolves the cone it
+extends along the same way.  The towers are built only on request
 (injective_tower / projective_tower), and their (co)limit at finite
 depth is read off degreewise and re-verified.
-Every resolution is built, then certified once where kept: the builders
-return a bare (target, map), and a cone is contracted only for a
-certificate that is returned or stored in a tower.  Every certificate
-re-validates from scratch.
+Every resolution is built, then certified once where kept: a cone is
+contracted only for a certificate that is returned or stored in a tower.
+Every certificate re-validates from scratch.
 """
 
 from __future__ import annotations
@@ -27,14 +29,10 @@ from purcat.fpmod import (
     FpModule,
     ModuleMap,
     block_map,
-    cokernel,
     factor_through_mono,
     identity_map,
     is_injective,
     is_surjective,
-    kernel,
-    pullback,
-    pushout,
     sum_module,
     summand_injection,
     summand_projection,
@@ -46,7 +44,6 @@ from purcat.complexes import (
     Homotopy,
     cone,
     identity_chain_map,
-    minimize_complex,
     reduce_complex,
     shift,
     shift_map,
@@ -190,7 +187,7 @@ def identity_resolution(m: Complex, side: str) -> ResolutionCertificate:
 
 
 # ---------------------------------------------------------------------------
-# bounded builders
+# the resolver: reduce_complex
 
 
 def _require_injective_scope(cx: Complex) -> None:
@@ -200,136 +197,16 @@ def _require_injective_scope(cx: Complex) -> None:
         )
 
 
-def _rewindow_map(f: ChainMap, src: Complex, tgt: Complex) -> ChainMap:
-    """Rebuild f against trimmed or extended windows of the same terms."""
-    lo = min(src.lo, tgt.lo)
-    hi = max(src.hi, tgt.hi)
-    comps = []
-    for i in range(lo, hi + 1):
-        c = f.component(i)
-        a, b = src.module(i), tgt.module(i)
-        if c.src == a and c.tgt == b:
-            comps.append(c)
-        else:
-            comps.append(zero_map(a, b))
-    return ChainMap(src, tgt, lo, tuple(comps))
+def _reduced(m: Complex) -> tuple:
+    """reduce_complex(m) with R trimmed to its nonzero window: (R, to, back).
 
-
-def _build_injective(m: Complex):
-    """The pushout induction; returns (I, u: m -> I) on window [lo, hi+1]."""
-    ring = m.ring
-    lo, hi = m.lo, m.hi
-    i_mods = [m.module(lo)]
-    i_diffs = []
-    u_comps = [identity_map(m.module(lo))]
-    coker_proj = identity_map(m.module(lo))
-    for k in range(lo + 1, hi + 2):
-        q_prev = coker_proj @ u_comps[-1]
-        d_prev = m.differential(k - 1)
-        c_k, from_b, from_c = pushout(d_prev, q_prev)
-        i_mods.append(c_k)
-        i_diffs.append(from_c @ coker_proj)
-        u_comps.append(from_b)
-        _, coker_proj = cokernel(i_diffs[-1])
-    i_cx = Complex(ring, lo, tuple(i_mods), tuple(i_diffs))
-    u = ChainMap(m, i_cx, lo, tuple(u_comps))
-    return i_cx, u
-
-
-def _injective_resolution(m: Complex, minimal: bool = False):
-    """(I, u: m -> I), minimal, uncertified; u is rewindowed to m's window.
-
-    minimal says that m's terms are minimal already (reduce_complex's
-    output), so they are not minimized again.
+    to: m -> R and back: R -> m keep reduce_complex's components, whose
+    ends outside R's window are the zero modules R has there.
     """
-    _require_injective_scope(m)
-    t = trim(m)
-    target = zero_complex(m.ring)
-    res_map = zero_chain_map(m, target)
-    if t.modules:
-        mini, to_min = t, None
-        if not minimal:
-            mini, to_min, _ = minimize_complex(t)
-        i_raw, u_raw = _build_injective(mini)
-        i_trim = trim(i_raw)
-        u_trim = _rewindow_map(u_raw, mini, i_trim)
-        target, to_i, _ = minimize_complex(i_trim)
-        res_map = to_i @ u_trim
-        res_map = res_map if to_min is None else res_map @ to_min
-    return target, _rewindow_map(res_map, m, target)
-
-
-def _bounded_certificate(m: Complex, target: Complex, res_map: ChainMap,
-                         side: str) -> ResolutionCertificate:
-    if m.modules:
-        return _certificate(m, target, res_map, side)
-    # the cone of a map between empty complexes has a one-term zero window;
-    # its contraction is written down as the empty homotopy
-    c = cone(res_map).complex
-    return ResolutionCertificate(m, target, res_map, side, zero_homotopy(c, c), ())
-
-
-def resolve_injective_bounded_below(m: Complex) -> ResolutionCertificate:
-    """Resolve by pure injectives via the degreewise pushout induction.
-
-    Each step pushes the differential out along the previous embedding's
-    cokernel; in scope the pushout term is already pure injective, so
-    the embedding of each new term is the identity.
-    """
-    m = trim(m)
-    return _bounded_certificate(m, *_injective_resolution(m), INJECTIVE)
-
-
-def _build_projective(m: Complex):
-    """The pullback induction; returns (P, v: P -> m) on window [lo-1, hi]."""
-    ring = m.ring
-    lo, hi = m.lo, m.hi
-    p_mods = [m.module(hi)]
-    p_diffs = []
-    v_comps = [identity_map(m.module(hi))]
-    ker_incl = identity_map(m.module(hi))
-    for k in range(hi - 1, lo - 2, -1):
-        edge = v_comps[0] @ ker_incl
-        l_k, to_b, to_c = pullback(m.differential(k), edge)
-        p_mods.insert(0, l_k)
-        p_diffs.insert(0, ker_incl @ to_c)
-        v_comps.insert(0, to_b)
-        _, ker_incl = kernel(p_diffs[0])
-    p_cx = Complex(ring, lo - 1, tuple(p_mods), tuple(p_diffs))
-    v = ChainMap(p_cx, m, lo - 1, tuple(v_comps))
-    return p_cx, v
-
-
-def _projective_resolution(m: Complex, minimal: bool = False):
-    """(P, v: P -> m), minimal, uncertified; v is rewindowed to m's window.
-
-    minimal says that m's terms are minimal already, as for
-    _injective_resolution.
-    """
-    t = trim(m)
-    target = zero_complex(m.ring)
-    res_map = zero_chain_map(target, m)
-    if t.modules:
-        mini, back_min = t, None
-        if not minimal:
-            mini, _, back_min = minimize_complex(t)
-        p_raw, v_raw = _build_projective(mini)
-        p_trim = trim(p_raw)
-        v_trim = _rewindow_map(v_raw, p_trim, mini)
-        target, _, back_p = minimize_complex(p_trim)
-        res_map = v_trim if back_min is None else back_min @ v_trim
-        res_map = res_map @ back_p
-    return target, _rewindow_map(res_map, target, m)
-
-
-def resolve_projective_bounded_above(m: Complex) -> ResolutionCertificate:
-    """Resolve by pure projectives via the degreewise pullback induction.
-
-    In scope every finitely presented module is pure projective, so each
-    new term covers its pullback by the identity.
-    """
-    m = trim(m)
-    return _bounded_certificate(m, *_projective_resolution(m), PROJECTIVE)
+    reduced, to, back = reduce_complex(m)
+    r = trim(reduced)
+    return (r, ChainMap(m, r, to.lo, to.components),
+            ChainMap(r, m, back.lo, back.components))
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +246,14 @@ def _extend_injective(q: ChainMap, stable: bool = False):
     and inclusion of that cone shifted with it, so p is the degreewise
     split projection with kernel J[-1], and p . h = q on the nose.
 
-    J resolves the reduced cone R (reduce_complex), not the cone itself,
-    so each level adds no copy of the contractible summands the previous
-    one made, and g is the composite g0 . to of the resolution
-    g0: R -> J with to: cone(q) -> R.  Both are homotopy equivalences,
-    so cone(g) is contractible and its certificate contracts it.  The
-    level, h and the product formula are built from g alone, whichever
-    g it is, so the degreewise product formula and cone(h) = cone(-g)[-1]
-    hold literally.
+    J is the reduced cone itself and g its map to: cone(q) -> J, as
+    resolve takes them (_reduced): the terms of the cone are those of N
+    and I, in scope, so J's are pure injective and to is a pure
+    injective resolution by resolve's proof.  Each level adds no copy of
+    the contractible summands the previous one made.  The level, h and
+    the product formula are built from g alone, whichever g it is, so
+    the degreewise product formula and cone(h) = cone(-g)[-1] hold
+    literally.
     """
     n_cx, i_cx = q.src, q.tgt
     cq = cone(q)
@@ -384,9 +261,7 @@ def _extend_injective(q: ChainMap, stable: bool = False):
         j_cx = zero_complex(q.src.ring)
         g = zero_chain_map(cq.complex, j_cx)
     else:
-        reduced, to, _ = reduce_complex(cq.complex)
-        j_cx, g0 = _injective_resolution(reduced, minimal=True)
-        g = g0 @ to
+        j_cx, g, _ = _reduced(cq.complex)
     level_cone = cone(-(g @ cq.inclusion))
     level = shift(level_cone.complex, -1)
     p = shift_map(level_cone.projection, -1)
@@ -419,11 +294,11 @@ def _extend_projective(a: ChainMap, stable: bool = False):
     incl is the degreewise split inclusion with cokernel Q, and
     v . incl = a on the nose.
 
-    Q resolves the reduced cone R (reduce_complex), not the cone itself,
-    and w is the composite back . w0 of the resolution w0: Q -> R with
-    back: R -> cone(a), a homotopy equivalence like w0, so cone(w) is
-    contractible.  The level, v and the sum formula read only w and Q,
-    so the degreewise sum formula and cone(v) = cone(-w) hold literally.
+    Q is the reduced cone itself and w its map back: Q -> cone(a), as
+    resolve takes them (_reduced); a pure projective resolution by
+    resolve's proof.  The level, v and the sum formula read only w and
+    Q, so the degreewise sum formula and cone(v) = cone(-w) hold
+    literally.
     """
     p_cx, n_cx = a.src, a.tgt
     ca = cone(a)
@@ -431,9 +306,7 @@ def _extend_projective(a: ChainMap, stable: bool = False):
         q_cx = zero_complex(a.src.ring)
         w = zero_chain_map(q_cx, ca.complex)
     else:
-        reduced, _, back = reduce_complex(ca.complex)
-        q_cx, w0 = _projective_resolution(reduced, minimal=True)
-        w = back @ w0
+        q_cx, _, w = _reduced(ca.complex)
     w1 = shift_map(ca.projection @ w, -1)
     level_cone = cone(w1)
     level = level_cone.complex
@@ -548,7 +421,7 @@ def injective_tower(m: Complex, depth: int):
             if proj.tgt != truncations[n - 1]:
                 raise WorkbenchError("truncation tower is not nested literally")
             transitions.append(proj)
-    base, f0 = _injective_resolution(truncations[0])
+    base, f0, _ = _reduced(truncations[0])
     levels, fs = [base], [f0]
     surjections, sections = [], []
     kernels, kernel_incls, cone_certs = [], [], []
@@ -594,7 +467,7 @@ def projective_tower(m: Complex, depth: int):
                     )
                 )
             transitions.append(ChainMap(prev, here, lo, tuple(comps)))
-    base, f0 = _projective_resolution(truncations[0])
+    base, _, f0 = _reduced(truncations[0])
     levels, fs = [base], [f0]
     injections, retractions = [], []
     cokernels, coker_projs, cone_certs = [], [], []
@@ -815,29 +688,53 @@ def colimit_tower(tower: SemiSplitDirectTower, fs) -> ResolutionCertificate:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# resolve
 
 
 def resolve(m: Complex, side: str, depth: Optional[int] = None) -> ResolutionCertificate:
-    """Resolve either way by the one-step induction of that side.
+    """Resolve either way by reducing the input: reduce_complex(trim(m)).
 
-    A depth is only checked: below the tower depth the side would need
-    (required_depth) it raises DepthInsufficient, and any other depth,
-    or none, gives the same certificate.  No tower is built; towers and
-    limit_tower / colimit_tower build the paper's (co)limits.
+    With (R, to, back) = reduce_complex(m) and R trimmed to its nonzero
+    window (_reduced), the projective side certifies back: R -> m and
+    the injective side, for m in its scope (_require_injective_scope),
+    to: m -> R.  A depth is only checked: below the tower depth the side
+    would need (required_depth) it raises DepthInsufficient, and any
+    other depth, or none, gives the same certificate.  No tower is
+    built; towers and limit_tower / colimit_tower build the paper's
+    (co)limits.
 
-    The inductions resolve every input.  A complex here lives on a
-    finite window, so it is bounded above and bounded below.  The
-    pullback induction (resolve_projective_bounded_above) needs only the
-    first: it starts from the top term and pulls back one degree at a
-    time, down to one degree below the window.  The pushout induction
-    (resolve_injective_bounded_below) needs only the second: it starts
-    from the bottom term and pushes out one degree at a time, up to one
-    degree above the window.  The certificate contracts the cone of the
-    resolution map, and a chain map whose cone is contractible is a
-    homotopy equivalence, so the target is homotopy equivalent to m and
-    to the (co)limit of any tower that resolves m; anything read off its
-    homology, or off tensor and hom complexes built from it, agrees.
+    Proof that back is a pure projective resolution and to a pure
+    injective one.
+    (1) reduce_complex's lemma: to and back are chain maps with
+    to . back = id and id - back . to = d s + s d, so both are homotopy
+    equivalences, and the cone of a homotopy equivalence is
+    contractible, hence pure acyclic: tensored with any module it stays
+    contractible, so exact.
+    (2) The terms of R are summands of m's minimized terms, each a
+    finite direct sum of cyclic modules over the ring.  Every finitely
+    presented module is pure projective, so R is a bounded complex of
+    pure projectives.  In the injective scope m's terms are torsion over
+    Z or lie over Z/m, so R's summands of them are too, and those are
+    pure injective (termwise_ok).
+    (3) A bounded complex P of pure projectives is K-pure projective:
+    Hom_K(P, A) = 0 for every pure acyclic A.  For P one term X in
+    degree n, Hom_K(X[-n], A) = H^n Hom(X, A), and Hom(X, -) keeps a
+    pure acyclic complex exact since X is pure projective.  A longer P
+    is an extension of its top term by the rest, split degree by
+    degree, so a triangle in K, and Hom_K(-, A) turns it into a long
+    exact sequence whose outer terms vanish by induction on the length.
+    Dually a bounded complex I of pure injectives is K-pure injective:
+    Hom_K(A, I) = 0, since Hom(-, Y) keeps a pure acyclic complex exact
+    for Y pure injective.
+    So back: R -> m is a map from a K-pure projective complex with pure
+    acyclic cone, which is a pure projective resolution, and to: m -> R
+    is one into a K-pure injective complex with pure acyclic cone, a
+    pure injective resolution.  The certificate re-checks what the
+    proof uses: it contracts the cone of the map (contract_complex,
+    None exactly when the cone is not contractible) and reads the flags
+    off R's terms.  A homotopy equivalent target is homotopy equivalent
+    to the (co)limit of any tower that resolves m, so anything read off
+    its homology, or off tensor and hom complexes built from it, agrees.
     """
     if side not in (INJECTIVE, PROJECTIVE):
         raise InputError("side must be injective or projective")
@@ -846,5 +743,13 @@ def resolve(m: Complex, side: str, depth: Optional[int] = None) -> ResolutionCer
         if depth < need:
             raise DepthInsufficient(need)
     if side == INJECTIVE:
-        return resolve_injective_bounded_below(m)
-    return resolve_projective_bounded_above(m)
+        _require_injective_scope(m)
+    m = trim(m)
+    target, to, back = _reduced(m)
+    res_map = to if side == INJECTIVE else back
+    if m.modules:
+        return _certificate(m, target, res_map, side)
+    # the cone of a map between empty complexes has a one-term zero window;
+    # its contraction is written down as the empty homotopy
+    c = cone(res_map).complex
+    return ResolutionCertificate(m, target, res_map, side, zero_homotopy(c, c), ())

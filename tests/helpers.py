@@ -21,7 +21,10 @@ leaner ones can be compared with them output for output: the Smith
 elimination that tracked both inverses, exact solving through the full
 U and V of the Smith form, LinearSystem assembly through dense
 Kronecker products, the tower path of resolve that certified the
-(co)limit before minimizing it and certifying again, the adjunction
+(co)limit before minimizing it and certifying again, the degreewise
+pushout and pullback inductions that resolve ran before it reduced its
+input (slow_resolve_by_inductions), with the module pushout and
+pullback they take, the adjunction
 check that resolved its bounded arguments through that tower path,
 module decompositions through the Smith form even for one
 cyclic relation,
@@ -82,6 +85,8 @@ from purcat.fpmod import (
     make_map,
     retraction,
     sum_module,
+    summand_injection,
+    summand_projection,
     tensor_map,
     tensor_modules,
     zero_map,
@@ -95,7 +100,6 @@ from purcat.complexes import (
     direct_sum_complexes,
     hom_complex,
     homology,
-    homology_data,
     homology_invariants,
     identity_chain_map,
     minimize_complex,
@@ -123,11 +127,11 @@ from purcat.randgen import random_homotopy
 from purcat.resolutions import (
     INJECTIVE,
     PROJECTIVE,
+    ResolutionCertificate,
     _certificate,
     _extend_injective,
     _extend_projective,
     _require_injective_scope,
-    _rewindow_map,
     colimit_tower,
     injective_tower,
     limit_tower,
@@ -1056,6 +1060,151 @@ def slow_resolve(m, side, depth=None):
 
 
 # ---------------------------------------------------------------------------
+# resolve as it was: the paper's pushout and pullback inductions
+
+
+def pushout(f, g):
+    """Pushout of f: A -> B, g: A -> C; returns (D, from_b, from_c).
+
+    D is the cokernel of (f; -g): A -> B (+) C, whose generators are
+    those of the sum, so the legs are the summand injections into D.
+    """
+    if f.src != g.src:
+        raise InputError("pushout legs must share their source")
+    gb = f.tgt.generators
+    s = sum_module([f.tgt, g.tgt])
+    h = block_map(f.src, s, [(0, 0, 1, f.matrix), (gb, 0, -1, g.matrix)])
+    d, _ = cokernel(h)
+    return d, summand_injection(f.tgt, d, 0), summand_injection(g.tgt, d, gb)
+
+
+def pullback(f, g):
+    """Pullback of f: B -> A, g: C -> A; returns (L, to_b, to_c).
+
+    L is the kernel of (f | -g): B (+) C -> A, and the legs are its
+    inclusion followed by the two summand projections.
+    """
+    if f.tgt != g.tgt:
+        raise InputError("pullback legs must share their target")
+    gb = f.src.generators
+    s = sum_module([f.src, g.src])
+    h = block_map(s, f.tgt, [(0, 0, 1, f.matrix), (0, gb, -1, g.matrix)])
+    l, incl = kernel(h)
+    return (l, summand_projection(s, f.src, 0) @ incl,
+            summand_projection(s, g.src, gb) @ incl)
+
+
+def _rewindow_map(f, src, tgt):
+    """Rebuild f against trimmed or extended windows of the same terms."""
+    lo = min(src.lo, tgt.lo)
+    hi = max(src.hi, tgt.hi)
+    comps = []
+    for i in range(lo, hi + 1):
+        c = f.component(i)
+        a, b = src.module(i), tgt.module(i)
+        if c.src == a and c.tgt == b:
+            comps.append(c)
+        else:
+            comps.append(zero_map(a, b))
+    return ChainMap(src, tgt, lo, tuple(comps))
+
+
+def _build_injective(m):
+    """The pushout induction; returns (I, u: m -> I) on window [lo, hi+1].
+
+    Each step pushes the differential out along the previous embedding's
+    cokernel; in scope the pushout term is already pure injective, so
+    the embedding of each new term is the identity.
+    """
+    ring = m.ring
+    lo, hi = m.lo, m.hi
+    i_mods = [m.module(lo)]
+    i_diffs = []
+    u_comps = [identity_map(m.module(lo))]
+    coker_proj = identity_map(m.module(lo))
+    for k in range(lo + 1, hi + 2):
+        q_prev = coker_proj @ u_comps[-1]
+        d_prev = m.differential(k - 1)
+        c_k, from_b, from_c = pushout(d_prev, q_prev)
+        i_mods.append(c_k)
+        i_diffs.append(from_c @ coker_proj)
+        u_comps.append(from_b)
+        _, coker_proj = cokernel(i_diffs[-1])
+    i_cx = Complex(ring, lo, tuple(i_mods), tuple(i_diffs))
+    u = ChainMap(m, i_cx, lo, tuple(u_comps))
+    return i_cx, u
+
+
+def _injective_resolution(m):
+    """(I, u: m -> I), minimal, uncertified; u is rewindowed to m's window."""
+    _require_injective_scope(m)
+    t = trim(m)
+    target = zero_complex(m.ring)
+    res_map = zero_chain_map(m, target)
+    if t.modules:
+        mini, to_min, _ = minimize_complex(t)
+        i_raw, u_raw = _build_injective(mini)
+        i_trim = trim(i_raw)
+        u_trim = _rewindow_map(u_raw, mini, i_trim)
+        target, to_i, _ = minimize_complex(i_trim)
+        res_map = to_i @ u_trim @ to_min
+    return target, _rewindow_map(res_map, m, target)
+
+
+def _build_projective(m):
+    """The pullback induction; returns (P, v: P -> m) on window [lo-1, hi].
+
+    In scope every finitely presented module is pure projective, so each
+    new term covers its pullback by the identity.
+    """
+    ring = m.ring
+    lo, hi = m.lo, m.hi
+    p_mods = [m.module(hi)]
+    p_diffs = []
+    v_comps = [identity_map(m.module(hi))]
+    ker_incl = identity_map(m.module(hi))
+    for k in range(hi - 1, lo - 2, -1):
+        edge = v_comps[0] @ ker_incl
+        l_k, to_b, to_c = pullback(m.differential(k), edge)
+        p_mods.insert(0, l_k)
+        p_diffs.insert(0, ker_incl @ to_c)
+        v_comps.insert(0, to_b)
+        _, ker_incl = kernel(p_diffs[0])
+    p_cx = Complex(ring, lo - 1, tuple(p_mods), tuple(p_diffs))
+    v = ChainMap(p_cx, m, lo - 1, tuple(v_comps))
+    return p_cx, v
+
+
+def _projective_resolution(m):
+    """(P, v: P -> m), minimal, uncertified; v is rewindowed to m's window."""
+    t = trim(m)
+    target = zero_complex(m.ring)
+    res_map = zero_chain_map(target, m)
+    if t.modules:
+        mini, _, back_min = minimize_complex(t)
+        p_raw, v_raw = _build_projective(mini)
+        p_trim = trim(p_raw)
+        v_trim = _rewindow_map(v_raw, p_trim, mini)
+        target, _, back_p = minimize_complex(p_trim)
+        res_map = back_min @ v_trim @ back_p
+    return target, _rewindow_map(res_map, target, m)
+
+
+def slow_resolve_by_inductions(m, side):
+    """resolve(m, side) as the paper builds it: the degreewise pushout
+    induction on the injective side (up to one degree above the window)
+    and the pullback induction on the projective side (down to one
+    degree below it), each on the minimized input and minimized after."""
+    m = trim(m)
+    build = _injective_resolution if side == INJECTIVE else _projective_resolution
+    target, res_map = build(m)
+    if m.modules:
+        return _certificate(m, target, res_map, side)
+    c = cone(res_map).complex
+    return ResolutionCertificate(m, target, res_map, side, zero_homotopy(c, c), ())
+
+
+# ---------------------------------------------------------------------------
 # the closed structure as it was checked: every argument through a tower
 
 
@@ -1563,6 +1712,13 @@ def factor_through_epi(epi, g):
     if joint is None:
         raise WorkbenchError("map does not factor through the epi")
     return joint["x"]
+
+
+def homology_data(cx, i):
+    """(H, incl: K -> C^i, proj: K -> H) for H = ker d^i / im d^(i-1)."""
+    _, incl = kernel(cx.differential(i))
+    h, proj = cokernel(factor_through_mono(incl, cx.differential(i - 1)))
+    return h, incl, proj
 
 
 def homology_map(f, i):

@@ -143,40 +143,40 @@ DIGESTS = {
     "Z-injective-tower-1": "d082f22ec3a19caa",
     "Z-projective-bounded-0": "e8fbff627c841eea",
     "Z-projective-bounded-1": "91025702081166dd",
-    "Z-projective-deep-0": "1434330ad65123ba",
-    "Z-projective-top": "70b405dcaa1fda49",
-    "Z-projective-tower-0": "6c92fed67f48e5ce",
+    "Z-projective-deep-0": "2fe798068cb87726",
+    "Z-projective-top": "a5c93aaceec62182",
+    "Z-projective-tower-0": "5ee2970bae9694ad",
     "Z-projective-tower-1": "df9f631811c91a2d",
-    "Z12-injective-bounded-0": "9917a00d3a19a186",
+    "Z12-injective-bounded-0": "f83a3eed7292358f",
     "Z12-injective-bounded-1": "96d543cdebdd1b30",
-    "Z12-injective-deep-0": "dcdc18cb58508abe",
-    "Z12-injective-top": "8390b5a38f47d0ee",
+    "Z12-injective-deep-0": "e891ea2f17e5aff0",
+    "Z12-injective-top": "fbd3bad7dce3398a",
     "Z12-injective-tower-0": "08edf6a9c2eacd56",
-    "Z12-injective-tower-1": "c652f28340511586",
+    "Z12-injective-tower-1": "7926dc936f544581",
     "Z12-projective-bounded-0": "8c7d9e6c7c9288ea",
     "Z12-projective-bounded-1": "9aa68ac38984f92c",
     "Z12-projective-deep-0": "7641bed4c9884262",
-    "Z12-projective-top": "cdcdd7a41bd6c289",
+    "Z12-projective-top": "9e61a68f68b498b7",
     "Z12-projective-tower-0": "9d0cf8e175ed07bd",
     "Z12-projective-tower-1": "b0d9a245776d5bb0",
-    "Z72-injective-bounded-0": "3b2e3c24b01db272",
+    "Z72-injective-bounded-0": "97b441e79283579d",
     "Z72-injective-bounded-1": "f48e21fcbfcc2696",
     "Z72-injective-deep-0": "91b3debdbaf243b2",
-    "Z72-injective-top": "f78d6bf8726ec211",
+    "Z72-injective-top": "f5cc9503a9681aeb",
     "Z72-injective-tower-0": "5e5a234682d1a1a4",
     "Z72-injective-tower-1": "fd18de5374c2c99a",
     "Z72-projective-bounded-0": "a9561fd0399a9947",
     "Z72-projective-bounded-1": "e065f11348439e80",
-    "Z72-projective-deep-0": "305afe16c6f039c7",
-    "Z72-projective-top": "db51352d274f16be",
+    "Z72-projective-deep-0": "c7a3b3a963b610c2",
+    "Z72-projective-top": "adba1985e98356ce",
     "Z72-projective-tower-0": "e4f1b425c961c0da",
     "Z72-projective-tower-1": "b7be5af15ed3c892",
     "lift-Z-injective": "b8c6a37111050bb5",
     "lift-Z-projective": "690bc986caed0459",
     "lift-Z12-injective": "83c14515191676a4",
-    "lift-Z12-projective": "43a65fdbc0d86327",
-    "lift-Z72-injective": "a8b45a7e043b35b1",
-    "lift-Z72-projective": "a70519f18c454a44",
+    "lift-Z12-projective": "71410d9ed1029116",
+    "lift-Z72-injective": "f2c0c878de673a56",
+    "lift-Z72-projective": "45d6b89985b698fb",
     "zero-injective": "20cf1223330f6e1f",
     "zero-projective": "1640ad680043d476",
 }

@@ -34,8 +34,6 @@ from purcat.fpmod import (
     kernel,
     make_map,
     make_module,
-    pullback,
-    pushout,
     retraction,
     tensor_map,
     tensor_modules,
@@ -45,6 +43,8 @@ from helpers import (
     enumerate_module_elements,
     factor_through_epi,
     mat,
+    pullback,
+    pushout,
     short_exact_sequence,
     slow_contains_in_relations,
     slow_decomposition,
@@ -475,7 +475,7 @@ def test_kernel_inclusion_is_well_defined(seed, ring):
 
 
 # ---------------------------------------------------------------------------
-# pushout / pullback
+# pushout / pullback (the oracle's, in helpers)
 
 
 def test_pushout_frozen():

@@ -24,9 +24,12 @@ from purcat.exact_linalg import (
 )
 from purcat.fpmod import (
     MapSolver,
+    cokernel,
     cyclic_module,
+    factor_through_mono,
     free_module,
     identity_map,
+    kernel,
     zero_map,
 )
 from purcat.complexes import (
@@ -120,13 +123,17 @@ def test_hom_k_kills_boundaries():
     b = random_complex(rng, Zmod(4), 0, 3)
     hk = hom_k(a, b)
     f = null_homotopic_chain_map(rng, a, b)
-    # f as a degree 0 cocycle of hom(a, b), then its class
+    # the degree 0 cocycles of hom(a, b) and their classes, which hk.module presents
+    hc = hk.hom.complex
+    _, incl = kernel(hc.differential(0))
+    classes, class_proj = cokernel(factor_through_mono(incl, hc.differential(-1)))
+    assert classes == hk.module
+    # f as a degree 0 cocycle, then its class
     col = _encode(hk.hom, 0, {j: f.component(j) for j, _, _, _ in hk.hom.slots(0)})
-    incl = hk.cycle_incl
     z = solve_linear(hstack(incl.matrix, incl.tgt.relations), col, a.ring)
     assert z is not None
     z_top = IntMatrix.from_rows(z.data[:incl.src.generators])
-    assert hk.module.contains_in_relations(hk.class_proj.matrix @ z_top)
+    assert hk.module.contains_in_relations(class_proj.matrix @ z_top)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ def workspaces():
     the tower path and resolve pins a window that crosses 0 on both
     sides, resolved with no tower.  The adjunction triple has nonzero hom
     groups, so it pins the currying path; it builds no tower, since with
-    no depth its arguments are resolved by the one-step inductions.
+    no depth its arguments are resolved by reducing them.
     """
     z12 = Zmod(12)
     rng = random.Random("reports")
@@ -102,7 +102,7 @@ DIGESTS = {
     "truncate": (0, "a4cfda0aee16d092", "5a43c2cb898d1038"),
     "purity": (0, "88c13a7bf92814f0", "aea0759c4071c96c"),
     "qis": (0, "81d9ef84b95bcece", "1f2cdeb761e33d4f"),
-    "resolve": (0, "b29cd7708f15fc8a", "8b0e6c6081183037"),
+    "resolve": (0, "36e3aa4eb4bbe61f", "b8f78f991187c853"),
     "towers": (0, "8a44419b14bc9292", "887b1e43552d92be"),
     "phom": (0, "36dbfa0e5024535f", "c3978f062f47da4d"),
     "adjunction": (0, "5708f78d13feeff1", "4421b7e4dc59d326"),
