@@ -39,6 +39,7 @@ go through its Python encoder.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import time
@@ -495,6 +496,10 @@ def main(argv=None) -> int:
         return 2
 
     started = time.perf_counter()
+    # frozen, the imported heap is never walked (or, forked, copied) by the gc
+    thaw = not gc.get_freeze_count()
+    if thaw:
+        gc.freeze()
     try:
         if args.input == "-":
             text = sys.stdin.read()
@@ -511,6 +516,9 @@ def main(argv=None) -> int:
         status, results = "error", {"error": str(exc)}
     except (OSError, UnicodeDecodeError) as exc:
         status, results = "error", {"error": f"cannot read input: {exc}"}
+    finally:
+        if thaw:
+            gc.unfreeze()
 
     report = {
         "format": FORMAT,

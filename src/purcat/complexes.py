@@ -43,6 +43,7 @@ from purcat.fpmod import (
     hom_pre,
     identity_map,
     kernel,
+    lincomb_in_relations,
     make_map,
     sum_module,
     summand_injection,
@@ -63,6 +64,16 @@ class Complex(Record):
         _set(self, "lo", lo)
         _set(self, "modules", modules)
         _set(self, "diffs", diffs)
+
+    # Record's == and hash, spelt out as IntMatrix's are
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Complex:
+            return NotImplemented
+        return self is other or (self.lo == other.lo and self.ring == other.ring
+                                 and self.modules == other.modules and self.diffs == other.diffs)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.lo, self.modules, self.diffs))
 
     @property
     def hi(self) -> int:
@@ -116,14 +127,39 @@ def trim(cx: Complex) -> Complex:
 # chain maps
 
 
+def _at(family, i: int) -> Optional[IntMatrix]:
+    """The degree i matrix of a family of maps; None (zero) off its window."""
+    k = i - family.lo
+    return family.components[k].matrix if 0 <= k < len(family.components) else None
+
+
+def _d(cx: Complex, i: int) -> Optional[IntMatrix]:
+    """The matrix of d^i of cx; None, for zero, outside the window."""
+    k = i - cx.lo
+    return cx.diffs[k].matrix if 0 <= k < len(cx.diffs) else None
+
+
+def vanishes(src: Complex, tgt: Complex, terms) -> bool:
+    """Is a sum of chain maps or degreewise families src -> tgt zero?  A
+    term is (c,), (c, f) or (c, f, g) as in lincomb_in_relations, which
+    checks each degree; no composite or difference is formed."""
+    for i in range(max(src.lo, tgt.lo), min(src.hi, tgt.hi) + 1):
+        if not lincomb_in_relations(tgt.module(i), src.module(i).generators,
+                                    [(c, *[_at(f, i) for f in fs]) for c, *fs in terms]):
+            return False
+    return True
+
+
 class ChainMap(Record):
-    __slots__ = ("src", "tgt", "lo", "components")
+    # _cone caches the complex of cone(self); it is not a field
+    __slots__ = ("src", "tgt", "lo", "components", "_cone")
 
     def __init__(self, src: Complex, tgt: Complex, lo: int, components: tuple) -> None:
         _set(self, "src", src)
         _set(self, "tgt", tgt)
         _set(self, "lo", lo)
         _set(self, "components", components)
+        _set(self, "_cone", None)
 
     def component(self, i: int) -> ModuleMap:
         k = i - self.lo
@@ -144,43 +180,28 @@ class ChainMap(Record):
         comps = tuple(self.component(i) @ other.component(i) for i in range(lo, hi + 1))
         return ChainMap(other.src, self.tgt, lo, comps)
 
-    def _same_shape(self, other: "ChainMap") -> None:
+    def __add__(self, other: "ChainMap") -> "ChainMap":
         if self.src != other.src or self.tgt != other.tgt:
             raise InputError("chain map shape mismatch")
-
-    def __add__(self, other: "ChainMap") -> "ChainMap":
-        self._same_shape(other)
         lo = min(self.lo, other.lo)
         hi = max(self.lo + len(self.components), other.lo + len(other.components)) - 1
         comps = tuple(self.component(i) + other.component(i) for i in range(lo, hi + 1))
         return ChainMap(self.src, self.tgt, lo, comps)
 
-    def __sub__(self, other: "ChainMap") -> "ChainMap":
-        return self + (-other)
-
     def __neg__(self) -> "ChainMap":
         return ChainMap(self.src, self.tgt, self.lo,
                         tuple(-c for c in self.components))
 
-    def scale(self, c: int) -> "ChainMap":
-        return ChainMap(self.src, self.tgt, self.lo,
-                        tuple(f.scale(c) for f in self.components))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
     def equals(self, other: "ChainMap") -> bool:
-        if self.src != other.src or self.tgt != other.tgt:
-            return False
-        return (self - other).is_zero()
+        return (self.src == other.src and self.tgt == other.tgt
+                and vanishes(self.src, self.tgt, ((1, self), (-1, other))))
 
     def is_chain_map(self) -> bool:
-        lo = min(self.src.lo, self.tgt.lo) - 1
-        hi = max(self.src.hi, self.tgt.hi)
-        for i in range(lo, hi + 1):
-            lhs = self.tgt.differential(i) @ self.component(i)
-            rhs = self.component(i + 1) @ self.src.differential(i)
-            if not lhs.equals(rhs):
+        """d f = f d in every degree, one lincomb_in_relations each."""
+        src, tgt = self.src, self.tgt
+        for i in range(min(src.lo, tgt.lo) - 1, max(src.hi, tgt.hi) + 1):
+            if not lincomb_in_relations(tgt.module(i + 1), src.module(i).generators, (
+                    (1, _d(tgt, i), _at(self, i)), (-1, _at(self, i + 1), _d(src, i)))):
                 return False
         return True
 
@@ -252,18 +273,28 @@ class Cone(Record):
 
 
 def cone(f: ChainMap) -> Cone:
-    """The cone of f, building its complex only.
+    """The cone of f, its complex built once per map.
 
     Degree i is sum_module([M^(i+1), N^i]) on the window where either
     summand can be nonzero, and each differential is placed block by
-    block; the structure maps wait on the Cone until read.
+    block; the structure maps wait on the Cone until read.  The complex
+    is kept on f, so a checker reuses the cone its producer contracted.
+    A ChainMap and all it holds are immutable, so the cone, a function
+    of its fields, cannot go stale; the Cone, which refers back to f, is
+    not kept.
     """
+    if f._cone is None:
+        _set(f, "_cone", _cone_complex(f))
+    return Cone(f._cone, f)
+
+
+def _cone_complex(f: ChainMap) -> Complex:
     src, tgt = f.src, f.tgt
     ring = src.ring
     lo = min(src.lo - 1, tgt.lo)
     hi = max(src.hi - 1, tgt.hi)
     if hi < lo:
-        return Cone(zero_complex(ring), f)
+        return zero_complex(ring)
     mods = [sum_module([src.module(i + 1), tgt.module(i)]) for i in range(lo, hi + 1)]
     diffs = []
     for i in range(lo, hi):
@@ -273,7 +304,7 @@ def cone(f: ChainMap) -> Cone:
             (ga2, 0, 1, f.component(i + 1).matrix),
             (ga2, ga, 1, tgt.differential(i).matrix),
         ]))
-    return Cone(Complex(ring, lo, tuple(mods), tuple(diffs)), f)
+    return Complex(ring, lo, tuple(mods), tuple(diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +642,6 @@ class Homotopy(Record):
             return self.components[k]
         return zero_map(self.src.module(i), self.tgt.module(i - 1))
 
-    def degrees(self) -> range:
-        return range(self.lo, self.lo + len(self.components))
-
     def boundary(self) -> ChainMap:
         lo = min(self.src.lo, self.tgt.lo)
         hi = max(self.src.hi, self.tgt.hi)
@@ -625,17 +653,20 @@ class Homotopy(Record):
             )
         return ChainMap(self.src, self.tgt, lo, tuple(comps))
 
-    def witnesses(self, f: ChainMap, g: Optional[ChainMap] = None) -> bool:
-        want = f if g is None else f - g
-        return self.boundary().equals(want)
-
-    def __add__(self, other: "Homotopy") -> "Homotopy":
-        if self.src != other.src or self.tgt != other.tgt:
-            raise InputError("homotopy sum needs matching endpoints")
-        lo = min(self.lo, other.lo)
-        hi = max(self.lo + len(self.components), other.lo + len(other.components))
-        comps = tuple(self.component(i) + other.component(i) for i in range(lo, hi))
-        return Homotopy(self.src, self.tgt, lo, comps)
+    def witnesses(self, f: Optional[ChainMap] = None, g: Optional[ChainMap] = None) -> bool:
+        """Is d s + s d = f - g, f = None standing for the identity?  Each
+        degree is one lincomb_in_relations of d s^i + s^(i+1) d - f^i + g^i,
+        with no map formed; False unless f and g run src -> tgt."""
+        src, tgt = self.src, self.tgt
+        if (f is None and src != tgt) or any(
+                h is not None and (h.src != src or h.tgt != tgt) for h in (f, g)):
+            return False
+        for i in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1):
+            if not lincomb_in_relations(tgt.module(i), src.module(i).generators, (
+                    (1, _d(tgt, i - 1), _at(self, i)), (1, _at(self, i + 1), _d(src, i)),
+                    (-1,) if f is None else (-1, _at(f, i)), (1, None if g is None else _at(g, i)))):
+                return False
+        return True
 
 
 def zero_homotopy(src: Complex, tgt: Complex) -> Homotopy:

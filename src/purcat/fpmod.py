@@ -5,9 +5,12 @@ subject to the column span of `relations`.  Maps are matrices on
 generators, well defined when they carry source relations into the
 target relation span; equality of maps is always equality modulo the
 target relations.  The Smith factors of the relation matrix, with U and
-U^-1 but no V, are cached per module and serve as the membership test,
-the invariant factor computation and the coordinate system for Hom
-calculations.
+U^-1 but no V, are cached per module and serve as the invariant factor
+computation and the coordinate system for Hom calculations.
+
+Every identity between maps is one lincomb_in_relations, a sum on plain
+rows tested once; the test reads row gcds, with no Smith form, for the
+diagonal, sum, tensor and hom modules of minimal terms.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ from purcat.exact_linalg import (
     Record,
     Ring,
     WorkbenchError,
+    _combine,
     _set,
     _unit_scaling_mod,
     block_diag,
     from_columns,
     hstack,
     kernel_basis,
+    lincomb,
     smith_normal_form,
     solve_linear,
 )
@@ -64,8 +69,8 @@ class Decomposition(Record):
 
 
 class FpModule(Record):
-    # _decomp caches decomposition(); it is not a field
-    __slots__ = ("ring", "generators", "relations", "_decomp")
+    # _decomp and _gcds cache decomposition() and the row gcds; not fields
+    __slots__ = ("ring", "generators", "relations", "_decomp", "_gcds")
 
     def __init__(self, ring: Ring, generators: int, relations: IntMatrix) -> None:
         if relations.rows != generators:
@@ -74,6 +79,17 @@ class FpModule(Record):
         _set(self, "generators", generators)
         _set(self, "relations", relations)
         _set(self, "_decomp", None)
+        _set(self, "_gcds", None)
+
+    # Record's == and hash, spelt out as IntMatrix's are
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FpModule:
+            return NotImplemented
+        return self is other or (self.generators == other.generators and self.ring == other.ring
+                                 and self.relations == other.relations)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.generators, self.relations))
 
     # -- structure ------------------------------------------------------
 
@@ -120,25 +136,32 @@ class FpModule(Record):
     def contains_in_relations(self, cols: IntMatrix) -> bool:
         """Do all columns lie in the relation span (mod m over Z/m)?
 
-        With U rel V = D (decomposition: to_diag = U, D = diag(factors)),
-        U and V invertible, x = rel y iff U x = D (V^-1 y), so x is in
-        the span iff row i of U x is divisible by factor i for every i,
-        0 dividing only 0.
+        When no column of rel has two nonzero entries, x is in the span
+        iff g_i = gcd(row i of rel, m) divides x_i for every i (m = 0 over
+        Z; 0 divides only 0).  Proof: each column is a e_i, so the span is
+        the sum of I_i e_i, I_i the ideal generated by row i, which is
+        (g_i) over Z and the image of (g_i) over Z/m; an integer x_i stands
+        for an element of it iff x_i lies in g_i Z + m Z = g_i Z, since
+        g_i divides m.  The g_i are cached, False for any other rel.
+        Otherwise, with U rel V = D (decomposition: to_diag = U), x = rel y
+        iff U x = D V^-1 y, so row i of U x must be divisible by factor i.
         """
         if cols.rows != self.generators:
             raise InputError("membership test shape mismatch")
         if self.generators == 0 or cols.cols == 0:
             return True
-        dec = self.decomposition()
-        image = self.ring.reduce_matrix(dec.to_diag @ cols)
-        for i, a in enumerate(dec.factors):
-            row = image.data[i]
-            if a == 0:
-                if any(x != 0 for x in row):
-                    return False
-            else:
-                if any(x % a for x in row):
-                    return False
+        gcds = self._gcds
+        if gcds is None:
+            rel, m = self.relations.data, self.ring.modulus or 0
+            gcds = (all(len(col) - col.count(0) < 2 for col in zip(*rel))
+                    and tuple(gcd(m, *row) for row in rel))
+            _set(self, "_gcds", gcds)
+        if gcds is False:
+            dec = self.decomposition()
+            gcds, cols = dec.factors, dec.to_diag @ cols
+        for a, row in zip(gcds, cols.data):
+            if a != 1 and (any(x % a for x in row) if a else any(row)):
+                return False
         return True
 
     def __str__(self) -> str:
@@ -251,38 +274,45 @@ class ModuleMap(Record):
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
         if other.tgt != self.src:
             raise InputError("maps are not composable")
-        ring = self.src.ring
-        return ModuleMap(other.src, self.tgt, ring.reduce_matrix(self.matrix @ other.matrix))
+        return _sum_map(other.src, self.tgt, ((1, self.matrix, other.matrix),))
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
         if (self.src, self.tgt) != (other.src, other.tgt):
             raise InputError("map addition shape mismatch")
-        return ModuleMap(self.src, self.tgt, self.src.ring.reduce_matrix(self.matrix + other.matrix))
-
-    def __sub__(self, other: "ModuleMap") -> "ModuleMap":
-        if (self.src, self.tgt) != (other.src, other.tgt):
-            raise InputError("map subtraction shape mismatch")
-        return ModuleMap(self.src, self.tgt, self.src.ring.reduce_matrix(self.matrix - other.matrix))
+        return _sum_map(self.src, self.tgt, ((1, self.matrix), (1, other.matrix)))
 
     def __neg__(self) -> "ModuleMap":
-        return ModuleMap(self.src, self.tgt, self.src.ring.reduce_matrix(-self.matrix))
+        return self.scale(-1)
 
     def scale(self, c: int) -> "ModuleMap":
-        return ModuleMap(self.src, self.tgt, self.src.ring.reduce_matrix(self.matrix.scale(c)))
-
-    def is_zero(self) -> bool:
-        return self.tgt.contains_in_relations(self.matrix)
+        return _sum_map(self.src, self.tgt, ((c, self.matrix),))
 
     def equals(self, other: "ModuleMap") -> bool:
         if (self.src, self.tgt) != (other.src, other.tgt):
             return False
-        return self.tgt.contains_in_relations(self.matrix - other.matrix)
+        return lincomb_in_relations(self.tgt, self.src.generators,
+                                    ((1, self.matrix), (-1, other.matrix)))
 
     def is_well_defined(self) -> bool:
         if self.src.relations.cols == 0:
             return True
-        ring = self.src.ring
-        return self.tgt.contains_in_relations(ring.reduce_matrix(self.matrix @ self.src.relations))
+        return lincomb_in_relations(self.tgt, self.src.relations.cols,
+                                    ((1, self.matrix, self.src.relations),))
+
+
+def _sum_map(src: FpModule, tgt: FpModule, terms) -> ModuleMap:
+    """The map src -> tgt whose matrix is the sum of terms (lincomb)."""
+    return ModuleMap(src, tgt, lincomb(src.ring, tgt.generators, src.generators, terms))
+
+
+def lincomb_in_relations(tgt: FpModule, cols: int, terms) -> bool:
+    """Is the sum of terms, into tgt from cols generators, zero mod the
+    relations of tgt?  Terms as for lincomb: (c,) for c id, (c, A) and
+    (c, A, B); so f = g is ((1, f), (-1, g)) and r f = id ((1, r, f), (-1,)).
+    The sum is formed once on plain rows and tested once."""
+    zero = (0,) * cols
+    rows = tuple([zero if row is None else tuple(row) for row in _combine(tgt.generators, terms)])
+    return tgt.contains_in_relations(IntMatrix._trusted(tgt.generators, cols, rows))
 
 
 def make_map(src: FpModule, tgt: FpModule, matrix, check: bool = True) -> ModuleMap:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional
 
-from purcat.exact_linalg import IntMatrix, Record, _set, from_columns, solve_linear
+from purcat.exact_linalg import IntMatrix, Record, _set, from_columns, lincomb, solve_linear
 from purcat.fpmod import FpModule, MapSolver, ModuleMap, zero_map
 from purcat.complexes import (
     ChainMap,
@@ -144,7 +144,7 @@ def contract_complex(cx: Complex) -> Optional[Homotopy]:
         g = term.generators
         e = IntMatrix.identity(g)
         if comps:
-            e = ring.reduce_matrix(e - comps[-1].matrix @ cx.differential(n).matrix)
+            e = lincomb(ring, g, g, ((1,), (-1, comps[-1].matrix, cx.differential(n).matrix)))
         if n == cx.lo:
             if not term.contains_in_relations(e):
                 return None

@@ -21,7 +21,6 @@ from purcat.fpmod import (
     HomModule,
     ModuleMap,
     block_map,
-    identity_map,
 )
 from purcat.complexes import (
     ChainMap,
@@ -32,6 +31,7 @@ from purcat.complexes import (
     tensor_complex,
     tensor_fixed_left_map,
     truncate_leq_map,
+    vanishes,
 )
 from purcat.homotopy import hom_dpur, hom_k
 from purcat.purity import ProbeBattery, PurityVerdict, default_battery, is_pure_qis
@@ -349,16 +349,8 @@ def validate_adjunction_witness(w: AdjunctionWitness) -> bool:
         return False
     if not w.forward.is_chain_map() or not w.backward.is_chain_map():
         return False
-    lo = min(x.lo, y.lo)
-    hi = max(x.hi, y.hi)
-    for n in range(lo, hi + 1):
-        around = w.backward.component(n) @ w.forward.component(n)
-        if not around.equals(identity_map(x.module(n))):
-            return False
-        around = w.forward.component(n) @ w.backward.component(n)
-        if not around.equals(identity_map(y.module(n))):
-            return False
-    return True
+    return (vanishes(x, x, ((1, w.backward, w.forward), (-1,)))
+            and vanishes(y, y, ((1, w.forward, w.backward), (-1,))))
 
 
 # ---------------------------------------------------------------------------

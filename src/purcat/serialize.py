@@ -31,7 +31,7 @@ import json
 from typing import Optional
 
 from purcat.exact_linalg import IntMatrix, InputError, Record, Ring, WorkbenchError
-from purcat.fpmod import FpModule, make_map, make_module
+from purcat.fpmod import FpModule, lincomb_in_relations, make_map, make_module
 from purcat.complexes import ChainMap, Complex, Homotopy, cone
 from purcat.resolutions import INJECTIVE, PROJECTIVE, ResolutionCertificate
 
@@ -188,7 +188,8 @@ def decode_complex(ring: Ring, data, where: str, modules=None) -> Complex:
         except WorkbenchError as exc:
             raise InputError(f"{dwhere}: {exc}")
     for k in range(len(diffs) - 1):
-        if not (diffs[k + 1] @ diffs[k]).is_zero():
+        if not lincomb_in_relations(mods[k + 2], mods[k].generators,
+                                    ((1, diffs[k + 1].matrix, diffs[k].matrix),)):
             raise InputError(
                 f"{where}: d.d is nonzero between degrees {lo + k} and {lo + k + 2}"
             )

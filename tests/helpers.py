@@ -33,7 +33,9 @@ the contraction by a retraction onto the cycles and a section of the
 differential in each degree,
 matrix products and induced Hom maps that visit every entry and every
 pair of slots, zero or not, kernels and membership read off the
-full Smith form for every presentation, the cone with both structure
+full Smith form for every presentation, every identity between maps
+checked on its difference map formed from dense products
+(slow_lincomb_in_relations), the cone with both structure
 maps formed up front, and the currying witness built one basis map at
 a time through to_map and from_map.  A few constructions
 that only tests use live here too: the chain maps induced on hom
@@ -61,6 +63,7 @@ from purcat.exact_linalg import (
     _unit_scaling_mod,
     from_columns,
     hstack,
+    lincomb,
     smith_normal_form,
     solve_linear,
 )
@@ -522,11 +525,9 @@ def _decode(hc, i, col):
 
 
 def _encode(hc, i, family):
-    col = IntMatrix.zeros(hc.complex.module(i).generators, 1)
-    for j, (hm, inj, _) in _hom_summands(hc, i).items():
-        if j in family:
-            col = col + inj.matrix @ IntMatrix.column_vector(hm.from_map(family[j]))
-    return hc.complex.ring.reduce_matrix(col)
+    terms = [(1, inj.matrix, IntMatrix.column_vector(hm.from_map(family[j])))
+             for j, (hm, inj, _) in _hom_summands(hc, i).items() if j in family]
+    return lincomb(hc.complex.ring, hc.complex.module(i).generators, 1, terms)
 
 
 def _curry_piece(m, a, b, hm):
@@ -1425,6 +1426,38 @@ def slow_kernel_basis(a, ring):
     return from_columns(cols, a.cols)
 
 
+def is_zero_map(f):
+    """The module map f is zero modulo the relations of its target."""
+    return f.tgt.contains_in_relations(f.matrix)
+
+
+def chain_is_zero(f):
+    """f is zero degree by degree, modulo the relations of its target."""
+    return f.equals(zero_chain_map(f.src, f.tgt))
+
+
+def slow_lincomb(rows, cols, terms):
+    """The sum of lincomb's terms over Z, every product formed densely."""
+    total = [[0] * cols for _ in range(rows)]
+    for c, *factors in terms:
+        if any(a is None for a in factors):
+            continue
+        if not factors:
+            prod = IntMatrix.identity(cols)
+        else:
+            prod = factors[0] if len(factors) == 1 else slow_matmul(*factors)
+        for out, row in zip(total, prod.data):
+            out[:] = [x + c * y for x, y in zip(out, row)]
+    return IntMatrix(rows, cols, tuple(map(tuple, total)))
+
+
+def slow_lincomb_in_relations(tgt, cols, terms):
+    """lincomb_in_relations the old way: the difference map formed from
+    dense products and reduced, then membership through the Smith form."""
+    total = slow_lincomb(tgt.generators, cols, terms)
+    return slow_contains_in_relations(tgt, tgt.ring.reduce_matrix(total))
+
+
 def slow_contains_in_relations(module, cols):
     """Membership read in the diagonal coordinates of slow_decomposition
     for every presentation: row i of to_diag . cols divisible by factor i."""
@@ -1475,7 +1508,7 @@ def make_complex(ring, lo, modules, diffs=None, check=True):
     cx = Complex(ring, lo, mods, ds)
     if check:
         for k in range(len(ds) - 1):
-            if not (ds[k + 1] @ ds[k]).is_zero():
+            if not is_zero_map(ds[k + 1] @ ds[k]):
                 raise InputError(f"d.d is nonzero between degrees {lo + k} and {lo + k + 2}")
     return trim(cx)
 
@@ -1556,7 +1589,7 @@ def short_exact_sequence(i, p):
         raise WorkbenchError("first leg is not injective")
     if not is_surjective(p):
         raise WorkbenchError("second leg is not surjective")
-    if not (p @ i).is_zero():
+    if not is_zero_map(p @ i):
         raise WorkbenchError("composite p . i is nonzero")
     kmod, incl = kernel(p)
     # image(i) = kernel(p): both inclusions factor through each other
@@ -1597,8 +1630,7 @@ def lift_injective(f, r1):
     q = r1.map @ f
     level, h, p, *_ = _extend_injective(q)
     r2 = _certificate(f.src, level, h, INJECTIVE)
-    square = (p @ h) - (r1.map @ f)
-    if not square.is_zero():
+    if not (p @ h).equals(r1.map @ f):
         raise WorkbenchError("lift square unexpectedly fails to commute strictly")
     return r2, p, zero_homotopy(f.src, r1.target)
 
@@ -1614,8 +1646,7 @@ def lift_projective(f, r2):
     a = f @ r2.map
     level, v, incl, *_ = _extend_projective(a)
     r1 = _certificate(f.tgt, level, v, PROJECTIVE)
-    square = (v @ incl) - (f @ r2.map)
-    if not square.is_zero():
+    if not (v @ incl).equals(f @ r2.map):
         raise WorkbenchError("lift square unexpectedly fails to commute strictly")
     return r1, incl, zero_homotopy(r2.target, f.tgt)
 

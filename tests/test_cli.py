@@ -1,6 +1,7 @@
 """The command line in-process: purity and qis reports, exit codes, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -598,3 +599,40 @@ def test_importing_the_cli_loads_no_argument_parser():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_main_leaves_the_gc_freeze_count_as_it_found_it(tmp_path, monkeypatch):
+    """main freezes the imported heap for the run and thaws it after, on
+    success, on an error report and on an escaping exception; a heap the
+    caller froze first stays frozen."""
+    seen = []
+    homology = cli.HANDLERS["homology"]
+
+    def spy(wi, args):
+        seen.append(gc.get_freeze_count())
+        return homology(wi, args)
+
+    monkeypatch.setitem(cli.HANDLERS, "homology", spy)
+    before = gc.get_freeze_count()
+    cx = module_complex(cyclic_module(Zmod(4), 2))
+    code, _ = run(tmp_path, "homology", Zmod(4), complexes={"c": cx},
+                  parameters={"complex": "c"})
+    assert code == 0 and seen[-1] > before and gc.get_freeze_count() == before
+    assert main(["homology", str(tmp_path / "missing.json")])[0] == 2
+    assert gc.get_freeze_count() == before
+
+    def boom(wi, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.HANDLERS, "homology", boom)
+    with pytest.raises(RuntimeError):
+        main(["homology", str(tmp_path / "homology.json")])
+    assert gc.get_freeze_count() == before
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        monkeypatch.setitem(cli.HANDLERS, "homology", spy)
+        assert main(["homology", str(tmp_path / "homology.json")])[0] == 0
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()

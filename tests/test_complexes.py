@@ -16,6 +16,7 @@ from purcat.fpmod import (
     zero_module,
 )
 from purcat.complexes import (
+    ChainMap,
     cone,
     direct_sum_complexes,
     homology,
@@ -34,14 +35,18 @@ from purcat.complexes import (
     zero_complex,
 )
 from purcat.homotopy import contract_complex
+from purcat.resolutions import resolve, validate_certificate
 from purcat.randgen import random_complex, random_contractible, random_pure_acyclic
 from helpers import (
+    chain_is_zero,
     complexes_equal,
     homology_map,
+    is_zero_map,
     make_chain_map,
     make_complex,
     mat,
     null_homotopic_chain_map,
+    slow_cone_differentials,
 )
 
 RINGS = [ZZ, Zmod(4), Zmod(6), Zmod(12)]
@@ -103,12 +108,12 @@ def test_chain_map_algebra():
     c2 = two_term(ZZ, 2)
     ident = identity_chain_map(c2)
     f = make_chain_map(c2, c2, 0, [mat([[3]]), mat([[3]])])
-    assert (f - f).is_zero()
+    assert chain_is_zero(f + -f)
     assert (f + ident).equals(make_chain_map(c2, c2, 0, [mat([[4]]), mat([[4]])]))
     assert (f @ ident).equals(f)
-    assert f.scale(0).is_zero()
+    assert (f + f + f).equals(make_chain_map(c2, c2, 0, [mat([[9]]), mat([[9]])]))
     assert not f.equals(ident)
-    assert zero_chain_map(c2, c2).component(0).is_zero()
+    assert is_zero_map(zero_chain_map(c2, c2).component(0))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +173,36 @@ def test_cone_frozen_example():
     assert homology(c.complex, -1).is_zero()
     assert homology(c.complex, 0).invariant_factors == (2,)
     # projection to src[1] and inclusion from tgt compose to zero
-    assert (c.projection @ c.inclusion).is_zero()
+    assert chain_is_zero(c.projection @ c.inclusion)
+
+
+def test_cone_complex_is_built_once_per_map():
+    """A second cone(f) wraps the very complex of the first; an equal but
+    distinct map builds its own, equal one, and nothing is cached on an
+    equal map by building the other's cone."""
+    rng = random.Random(23)
+    for ring in (ZZ, Zmod(12), Zmod(72)):
+        src = random_complex(rng, ring, lo=-1, length=3)
+        f = null_homotopic_chain_map(rng, src, random_complex(rng, ring, lo=0, length=3))
+        first = cone(f)
+        assert cone(f).complex is first.complex and cone(f) == first
+        twin = ChainMap(f.src, f.tgt, f.lo, f.components)
+        assert twin == f and twin is not f and twin._cone is None
+        again = cone(twin).complex
+        assert again == first.complex and again is not first.complex
+        assert again.diffs == tuple(slow_cone_differentials(f))
+        # the cone is no field: equal maps stay equal and hash alike
+        assert hash(twin) == hash(ChainMap(f.src, f.tgt, f.lo, f.components))
+
+
+def test_certificates_check_the_cone_their_producer_contracted():
+    rng = random.Random(29)
+    for ring, side in ((ZZ, "projective"), (Zmod(12), "injective"), (Zmod(72), "projective")):
+        cert = resolve(random_complex(rng, ring, lo=-1, length=3), side)
+        contracted = cert.qis_witness.src
+        assert cone(cert.map).complex is contracted
+        assert validate_certificate(cert)
+        assert cone(cert.map).complex is contracted
 
 
 def test_cone_differential_shape():
@@ -181,7 +215,7 @@ def test_cone_differential_shape():
     for i in range(c.complex.lo, c.complex.hi):
         d1 = c.complex.differential(i)
         d2 = c.complex.differential(i + 1)
-        assert (d2 @ d1).is_zero()
+        assert is_zero_map(d2 @ d1)
     assert c.inclusion.is_chain_map()
     assert c.projection.is_chain_map()
 
@@ -246,7 +280,7 @@ def test_null_homotopic_maps_vanish_in_homology():
         f = null_homotopic_chain_map(rng, src, tgt)
         assert f.is_chain_map()
         for i in range(-2, 3):
-            assert homology_map(f, i).is_zero()
+            assert is_zero_map(homology_map(f, i))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +344,7 @@ def test_direct_sum_complexes_laws():
         assert injs[k].is_chain_map()
         assert projs[k].is_chain_map()
         assert (projs[k] @ injs[k]).equals(identity_chain_map(part))
-    assert (projs[0] @ injs[1]).is_zero()
+    assert chain_is_zero(projs[0] @ injs[1])
     ident = injs[0] @ projs[0] + injs[1] @ projs[1]
     assert ident.equals(identity_chain_map(total))
     for i in range(-1, 3):

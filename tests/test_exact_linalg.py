@@ -14,6 +14,7 @@ from purcat.exact_linalg import (
     block_diag,
     hstack,
     kernel_basis,
+    lincomb,
     smith_normal_form,
     solve_linear,
 )
@@ -176,7 +177,11 @@ def test_trusted_producers_pass_the_shape_check(first, second, c):
     b_same = IntMatrix.zeros(a.rows, a.cols) if b.rows != a.rows or b.cols != a.cols else b
     b_chain = IntMatrix.identity(a.cols) if b.rows != a.cols else b
     outputs = [
-        a @ b_chain, a + b_same, a - b_same, -a, a.scale(c), a.transpose(), a.kron(b),
+        a @ b_chain, a.scale(c), a.transpose(), a.kron(b),
+        lincomb(ring, a.rows, a.cols, ((1, a), (1, b_same))),
+        lincomb(ring, a.rows, a.cols, ((1, a), (-1, b_same), (c, a))),
+        lincomb(ring, a.rows, b_chain.cols, ((c, a, b_chain),)),
+        lincomb(ring, a.rows, a.rows, ((1,), (-1, a, IntMatrix.zeros(a.cols, a.rows)))),
         IntMatrix.zeros(a.rows, b.cols), IntMatrix.identity(a.rows),
         hstack(a, IntMatrix.zeros(a.rows, b.cols)),
         ring.reduce_matrix(a),
@@ -497,10 +502,8 @@ def test_linear_system_assembles_the_dense_kronecker_matrix(system):
         assert (sol is None) == (want is None)
     if sol is not None:
         for terms, c in system._equations:
-            total = IntMatrix.zeros(c.rows, c.cols)
-            for left, key, right in terms:
-                total = total + left @ sol[key] @ right
-            assert system.ring.reduce_matrix(total - c).is_zero()
+            total = [(1, left @ sol[key], right) for left, key, right in terms]
+            assert lincomb(system.ring, c.rows, c.cols, total + [(-1, c)]).is_zero()
 
 
 def test_linear_system_basic():

@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from purcat.exact_linalg import IntMatrix, WorkbenchError, ZZ, Zmod, solve_linear, hstack
+from purcat.exact_linalg import IntMatrix, WorkbenchError, ZZ, Zmod, hstack, lincomb, solve_linear
 from purcat.fpmod import (
     FpModule,
     IllDefinedMap,
@@ -32,6 +32,7 @@ from purcat.fpmod import (
     is_injective,
     is_surjective,
     kernel,
+    lincomb_in_relations,
     make_map,
     make_module,
     retraction,
@@ -42,6 +43,7 @@ from purcat.fpmod import (
 from helpers import (
     enumerate_module_elements,
     factor_through_epi,
+    is_zero_map,
     mat,
     pullback,
     pushout,
@@ -51,6 +53,8 @@ from helpers import (
     slow_hom_post,
     slow_hom_pre,
     slow_induced,
+    slow_lincomb,
+    slow_lincomb_in_relations,
     slow_retraction,
 )
 
@@ -147,7 +151,8 @@ def membership_cases(draw):
     coeffs = IntMatrix(r, k, tuple(tuple(draw(entry) for _ in range(k)) for _ in range(r)))
     noise = IntMatrix(g, k, tuple(tuple(draw(st.sampled_from((0, 0, 0, 1, m, -m * 5, 7)))
                                         for _ in range(k)) for _ in range(g)))
-    return module, rel @ coeffs + noise
+    # summed over Z, so the entries stay unreduced
+    return module, lincomb(ZZ, g, k, ((1, rel, coeffs), (1, noise)))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -157,6 +162,62 @@ def test_membership_matches_the_decomposition_oracle(case):
     assert module.contains_in_relations(cols) == slow_contains_in_relations(module, cols), (
         f"{cols.data} in {module.relations.data} over {module.ring}")
     assert module.decomposition() == slow_decomposition(module)
+
+
+@st.composite
+def lincomb_cases(draw):
+    """(module, cols, terms): a module of membership_cases and up to four
+    terms (c,), (c, A), (c, A, B) or with a None matrix, entries far outside
+    0..m-1; half the time a last pair of terms moves the sum into the
+    relation span, maybe off it again by a small perturbation."""
+    module, _ = draw(membership_cases())
+    g, rel = module.generators, module.relations
+    m = module.ring.modulus or 12
+    entry = st.integers(-3 * m, 3 * m)
+    k = draw(st.integers(0, 3))
+
+    def matrix(rows, cols):
+        return IntMatrix(rows, cols, tuple(tuple(draw(entry) for _ in range(cols))
+                                           for _ in range(rows)))
+
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        c = draw(st.sampled_from((1, -1, 2, m, -m - 1)))
+        kind = draw(st.sampled_from(("id", "one", "two", "none")))
+        if kind == "id" and k == g:
+            terms.append((c,))
+        elif kind == "one":
+            terms.append((c, matrix(g, k)))
+        elif kind == "two":
+            inner = draw(st.integers(0, 3))
+            terms.append((c, matrix(g, inner), matrix(inner, k)))
+        elif kind == "none":
+            terms.append((c, None, matrix(3, k)))
+    if draw(st.booleans()):
+        terms += [(-1, slow_lincomb(g, k, terms)), (1, rel, matrix(rel.cols, k))]
+        if draw(st.booleans()):
+            terms.append((1, IntMatrix(g, k, tuple(tuple(draw(st.sampled_from((0, 0, 1, m)))
+                                                          for _ in range(k))
+                                                    for _ in range(g)))))
+    return module, k, terms
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lincomb_cases())
+def test_lincomb_matches_the_compose_then_compare_oracle(case):
+    """The fused sum and its one membership test against the old path:
+    the difference map from dense products, then Smith membership.  A
+    module with at most one nonzero relation entry per column is decided
+    per generator, without its Smith form."""
+    module, k, terms = case
+    ring, g = module.ring, module.generators
+    assert lincomb(ring, g, k, terms) == ring.reduce_matrix(slow_lincomb(g, k, terms))
+    fast = lincomb_in_relations(module, k, terms)
+    assert fast == slow_lincomb_in_relations(module, k, terms), (terms, module)
+    monomial = all(len(col) - col.count(0) <= 1 for col in zip(*module.relations.data))
+    if g and k:
+        assert bool(module._gcds) == monomial
+        assert (module._decomp is None) == monomial
 
 
 def test_canonical_form_round_trip():
@@ -194,7 +255,7 @@ def test_map_algebra():
     g = make_map(z6, z6, [[5]])
     assert (f + g).equals(make_map(z6, z6, [[1]]))
     assert (f @ g).equals(make_map(z6, z6, [[4]]))
-    assert (f - f).is_zero()
+    assert is_zero_map(f + -f)
     assert (-f).equals(make_map(z6, z6, [[4]]))
     assert f.scale(3).equals(make_map(z6, z6, [[0]]))
     # equality is modulo target relations
@@ -212,13 +273,13 @@ def test_kernel_frozen_examples():
     k, incl = kernel(proj)
     assert k.invariant_factors == (0,)
     assert is_injective(incl)
-    assert (proj @ incl).is_zero()
+    assert is_zero_map(proj @ incl)
     # the kernel of multiplication by 2 on Z/4 is 2Z/4 = Z/2
     z4 = cyclic_module(ZZ, 4)
     twice = make_map(z4, z4, [[2]])
     k2, incl2 = kernel(twice)
     assert k2.invariant_factors == (2,)
-    assert (twice @ incl2).is_zero()
+    assert is_zero_map(twice @ incl2)
 
 
 def test_cokernel_frozen_examples():
@@ -227,7 +288,7 @@ def test_cokernel_frozen_examples():
     c, proj = cokernel(two)
     assert c.invariant_factors == (2,)
     assert is_surjective(proj)
-    assert (proj @ two).is_zero()
+    assert is_zero_map(proj @ two)
 
 
 @pytest.mark.parametrize("modulus", [2, 6, 8, 12])
@@ -240,8 +301,8 @@ def test_kernel_image_cokernel_sizes(modulus):
         f = random_map(rng, src, tgt)
         k, incl = kernel(f)
         c, proj = cokernel(f)
-        assert (f @ incl).is_zero()
-        assert (proj @ f).is_zero()
+        assert is_zero_map(f @ incl)
+        assert is_zero_map(proj @ f)
         # |im f| = |src| / |ker f| = |tgt| / |coker f|
         assert module_size(k) * module_size(tgt) == module_size(src) * module_size(c)
 
@@ -283,7 +344,7 @@ def test_direct_sum_biproduct_laws(ring):
             if i == j:
                 assert comp.equals(identity_map(mi))
             else:
-                assert comp.is_zero()
+                assert is_zero_map(comp)
     total = None
     for inj, proj in zip(injs, projs):
         term = inj @ proj
@@ -392,7 +453,7 @@ def test_hom_zero_iff_no_slots():
     z3 = cyclic_module(ZZ, 3)
     hom = hom_modules(z2, z3)
     assert hom.module.is_zero()
-    assert hom.to_map([]).is_zero() if not hom.slots else True
+    assert is_zero_map(hom.to_map([])) if not hom.slots else True
 
 
 def test_hom_post_pre_functorial():
@@ -470,7 +531,7 @@ def test_kernel_inclusion_is_well_defined(seed, ring):
     k, incl = kernel(f)
     assert (incl.src, incl.tgt) == (k, src)
     assert incl.is_well_defined()
-    assert (f @ incl).is_zero()
+    assert is_zero_map(f @ incl)
     assert make_map(k, src, incl.matrix) == incl
 
 
@@ -668,7 +729,7 @@ def test_short_exact_sequence_rejects_inexact():
     four = make_map(z, z, [[4]])
     z2 = cyclic_module(ZZ, 2)
     proj = make_map(z, z2, [[1]])
-    assert (proj @ four).is_zero()
+    assert is_zero_map(proj @ four)
     with pytest.raises(WorkbenchError):
         short_exact_sequence(four, proj)
 
