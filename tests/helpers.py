@@ -63,7 +63,6 @@ from purcat.exact_linalg import (
     _unit_scaling_mod,
     from_columns,
     hstack,
-    lincomb,
     smith_normal_form,
     solve_linear,
 )
@@ -527,7 +526,7 @@ def _decode(hc, i, col):
 def _encode(hc, i, family):
     terms = [(1, inj.matrix, IntMatrix.column_vector(hm.from_map(family[j])))
              for j, (hm, inj, _) in _hom_summands(hc, i).items() if j in family]
-    return lincomb(hc.complex.ring, hc.complex.module(i).generators, 1, terms)
+    return hc.complex.ring.reduce_matrix(slow_lincomb(hc.complex.module(i).generators, 1, terms))
 
 
 def _curry_piece(m, a, b, hm):

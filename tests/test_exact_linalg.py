@@ -30,6 +30,7 @@ from helpers import (
     mat,
     random_matrix_rows,
     slow_kernel_basis,
+    slow_lincomb,
     slow_matmul,
     slow_smith_normal_form,
     slow_solve_linear,
@@ -503,7 +504,7 @@ def test_linear_system_assembles_the_dense_kronecker_matrix(system):
     if sol is not None:
         for terms, c in system._equations:
             total = [(1, left @ sol[key], right) for left, key, right in terms]
-            assert lincomb(system.ring, c.rows, c.cols, total + [(-1, c)]).is_zero()
+            assert system.ring.reduce_matrix(slow_lincomb(c.rows, c.cols, total + [(-1, c)])).is_zero()
 
 
 def test_linear_system_basic():

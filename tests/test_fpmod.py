@@ -152,7 +152,7 @@ def membership_cases(draw):
     noise = IntMatrix(g, k, tuple(tuple(draw(st.sampled_from((0, 0, 0, 1, m, -m * 5, 7)))
                                         for _ in range(k)) for _ in range(g)))
     # summed over Z, so the entries stay unreduced
-    return module, lincomb(ZZ, g, k, ((1, rel, coeffs), (1, noise)))
+    return module, slow_lincomb(g, k, ((1, rel, coeffs), (1, noise)))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
