@@ -15,7 +15,6 @@ everywhere else:
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional
 
@@ -241,18 +240,18 @@ class Cone(Record):
 
     complex is built by cone.  inclusion: N -> cone (degreewise
     second-summand injection) and projection: cone -> M[1] (degreewise
-    first-summand projection) are placed from map and complex the first
-    time each is read, and then kept; most callers read only complex.
+    first-summand projection) are placed from map and complex on each
+    read; cone makes a fresh Cone per call, most callers read only
+    complex, and none reads either map twice.
     """
 
-    # __dict__ holds the cached_property values; it is not a field
-    __slots__ = ("complex", "map", "__dict__")
+    __slots__ = ("complex", "map")
 
     def __init__(self, complex: Complex, map: ChainMap) -> None:
         _set(self, "complex", complex)
         _set(self, "map", map)
 
-    @cached_property
+    @property
     def inclusion(self) -> ChainMap:
         src, tgt, cx = self.map.src, self.map.tgt, self.complex
         if not cx.modules:
@@ -261,7 +260,7 @@ class Cone(Record):
             summand_injection(tgt.module(i), cx.module(i), src.module(i + 1).generators)
             for i in range(cx.lo, cx.hi + 1)))
 
-    @cached_property
+    @property
     def projection(self) -> ChainMap:
         src, cx = self.map.src, self.complex
         shifted = shift(src, 1)

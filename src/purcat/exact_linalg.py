@@ -53,10 +53,10 @@ class Record:
 
     A record lists its fields in __slots__ and stores them from a plain
     __init__ with _set; a slot whose name starts with an underscore (a
-    cache, or __dict__ for cached_property) is not a field.  Records of
-    one class are equal when their field tuples are, and hash as that
-    tuple, which is the hash a frozen data class gives; repr has the
-    data class format, and assignment or deletion raises AttributeError.
+    cache) is not a field.  Records of one class are equal when their
+    field tuples are, and hash as that tuple, which is the hash a frozen
+    data class gives; repr has the data class format, and assignment or
+    deletion raises AttributeError.
     Nothing is generated with exec, so a record class costs an import
     about what a plain class does, and no start imports the standard
     data class module with the inspect, ast, dis and tokenize under it.

@@ -186,8 +186,11 @@ def hom_dpur(a: Complex, b: Complex) -> KHomGroup:
 
     Every term of b must be pure injective (resolutions.termwise_ok, read
     off the terms); otherwise UnsupportedRing is raised before any hom is
-    computed.  A bounded complex of pure injectives is K-pure injective,
-    so b stands as its own resolution and the derived hom is hom_k.
+    computed.  A bounded complex of pure injectives is K-pure injective
+    (resolutions.resolve proves it), so Hom_K(-, b) already inverts pure
+    quasi-isomorphisms and the derived hom is hom_k(a, b): b is not
+    resolved.  resolve(b, "injective") would give a homotopy equivalent
+    complex, so the group is the one phom's value has in degree 0.
     """
     from purcat.resolutions import _require_injective_scope
 

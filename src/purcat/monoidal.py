@@ -40,7 +40,6 @@ from purcat.resolutions import (
     PROJECTIVE,
     ResolutionCertificate,
     _require_injective_scope,
-    identity_resolution,
     resolve,
     validate_certificate,
 )
@@ -145,12 +144,11 @@ class AdjunctionWitness(Record):
     both composites are the identity in every degree.
     """
 
-    __slots__ = ("flat", "inner", "nested", "forward", "backward")
+    __slots__ = ("flat", "nested", "forward", "backward")
 
-    def __init__(self, flat: HomComplex, inner: HomComplex, nested: HomComplex,
+    def __init__(self, flat: HomComplex, nested: HomComplex,
                  forward: ChainMap, backward: ChainMap) -> None:
         _set(self, "flat", flat)
-        _set(self, "inner", inner)
         _set(self, "nested", nested)
         _set(self, "forward", forward)
         _set(self, "backward", backward)
@@ -337,7 +335,7 @@ def adjunction_iso(tc: TensorComplex, flat: HomComplex, inner: HomComplex,
             IntMatrix._trusted(xg, yg, tuple(map(tuple, to_flat))))))
     forward = ChainMap(x, y, lo, tuple(fwd))
     backward = ChainMap(y, x, lo, tuple(bwd))
-    return AdjunctionWitness(flat, inner, nested, forward, backward)
+    return AdjunctionWitness(flat, nested, forward, backward)
 
 
 def validate_adjunction_witness(w: AdjunctionWitness) -> bool:
@@ -358,31 +356,38 @@ def validate_adjunction_witness(w: AdjunctionWitness) -> bool:
 
 
 class DerivedHomResult(Record):
-    """hom complex of a projective-by-injective resolution pair."""
+    """The hom complex of a projective-by-injective resolution pair."""
 
-    __slots__ = ("value", "proj_res", "inj_res")
+    __slots__ = ("hom", "proj_res", "inj_res")
 
-    def __init__(self, value: Complex, proj_res: ResolutionCertificate,
+    def __init__(self, hom: HomComplex, proj_res: ResolutionCertificate,
                  inj_res: ResolutionCertificate) -> None:
-        _set(self, "value", value)
+        _set(self, "hom", hom)
         _set(self, "proj_res", proj_res)
         _set(self, "inj_res", inj_res)
 
+    @property
+    def value(self) -> Complex:
+        return self.hom.complex
 
-def phom(m: Complex, n: Complex) -> DerivedHomResult:
-    """The derived hom: hom_complex(m, n), both arguments their own resolutions.
 
-    Every finitely presented module is pure projective, and every term of
-    an n that passes the injective scope check (torsion over Z, anything
-    over Z/m) is pure injective; so m and n are bounded K-pure projective
-    and K-pure injective, and both certificates are identity_resolution's
-    written-down contractions.  An n out of scope is rejected before any
-    certificate is made.
+def phom(m: Complex, n: Complex, depth: Optional[int] = None) -> DerivedHomResult:
+    """The derived hom: hom_complex(resolve(m) projective, resolve(n) injective).
+
+    Both arguments are resolved by resolve, whose docstring proves that
+    the reduced complex is a pure projective resolution of m and a pure
+    injective one of n, so the value is the derived hom, and it is
+    homotopy equivalent to hom_complex(m, n): hom complexes send homotopy
+    equivalences in either argument to homotopy equivalences.  A depth is
+    checked as resolve checks it, against m and then n (DepthInsufficient
+    below the need), and any other depth gives the result of none.  An n
+    out of scope for pure injective resolutions (a free term over Z) is
+    rejected before m is resolved.
     """
     _require_injective_scope(n)
-    proj = identity_resolution(m, PROJECTIVE)
-    inj = identity_resolution(n, INJECTIVE)
-    return DerivedHomResult(hom_complex(m, n).complex, proj, inj)
+    proj = resolve(m, PROJECTIVE, depth)
+    inj = resolve(n, INJECTIVE, depth)
+    return DerivedHomResult(hom_complex(proj.target, inj.target), proj, inj)
 
 
 def validate_derived_hom(result: DerivedHomResult) -> bool:
@@ -391,8 +396,7 @@ def validate_derived_hom(result: DerivedHomResult) -> bool:
         return False
     if not validate_certificate(result.inj_res):
         return False
-    rebuilt = hom_complex(result.proj_res.target, result.inj_res.target).complex
-    return rebuilt == result.value
+    return hom_complex(result.proj_res.target, result.inj_res.target) == result.hom
 
 
 # ---------------------------------------------------------------------------
@@ -439,29 +443,29 @@ def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
     b are resolved.  The currying witness is built on the tensor and hom
     complexes the links already hold.
 
-    a and b are resolved on the projective side and c on the injective
-    side by resolve, which checks a depth against each argument in turn
-    (DepthInsufficient below it), gives the same certificate at every
-    allowed depth and builds no tower: it reduces each argument
-    (reduce_complex), so the links are read off the reduced complexes,
-    and its docstring proves that each certified resolution is homotopy
-    equivalent to its source.  Tensor products and hom complexes send
-    homotopy equivalences in either argument to homotopy equivalences,
-    so the links read the same invariant factors from any certified
-    resolutions, a tower's (co)limit included.  Every link compares
-    invariant factors of H^0 of hom complexes: hom_dpur against a target
-    with pure injective terms (c, ic.target, and value, a Hom into
-    ic.target) is hom_k, so no link compares hom_dpur with hom_k of the
-    same pair, which would read one memoized group twice.  The currying
-    witness is a chain isomorphism on whatever complexes it is built
-    from.
+    a is resolved on the projective side by resolve, and the derived hom
+    phom(b, c) supplies b's projective and c's injective resolution with
+    the inner hom complex between them.  Each resolve checks a depth
+    against its argument, a, b and c in turn (DepthInsufficient below
+    it), gives the same certificate at every allowed depth and builds no
+    tower: it reduces each argument (reduce_complex), so the links are
+    read off the reduced complexes, and its docstring proves that each
+    certified resolution is homotopy equivalent to its source.  Tensor
+    products and hom complexes send homotopy equivalences in either
+    argument to homotopy equivalences, so the links read the same
+    invariant factors from any certified resolutions, a tower's
+    (co)limit included.  Every link compares invariant factors of H^0 of
+    hom complexes: hom_dpur against a target with pure injective terms
+    (c, ic.target, and value, a Hom into ic.target) is hom_k, so no link
+    compares hom_dpur with hom_k of the same pair, which would read one
+    memoized group twice.  The currying witness is a chain isomorphism
+    on whatever complexes it is built from.
     """
     _require_injective_scope(c)
     pa = resolve(a, PROJECTIVE, depth)
-    pb = resolve(b, PROJECTIVE, depth)
-    ic = resolve(c, INJECTIVE, depth)
+    bc = phom(b, c, depth)
+    pb, ic, inner = bc.proj_res, bc.inj_res, bc.hom
     tc = tensor_complex(pa.target, pb.target)
-    inner = hom_complex(pb.target, ic.target)
     value = inner.complex
     ab = tensor_complex(a, b).complex
 

@@ -27,7 +27,6 @@ from purcat.exact_linalg import (
 )
 from purcat.fpmod import (
     FpModule,
-    ModuleMap,
     block_map,
     factor_through_mono,
     is_injective,
@@ -41,7 +40,6 @@ from purcat.complexes import (
     Complex,
     Homotopy,
     cone,
-    identity_chain_map,
     reduce_complex,
     shift,
     shift_map,
@@ -51,7 +49,6 @@ from purcat.complexes import (
     zero_chain_map,
     zero_complex,
     vanishes,
-    zero_homotopy,
 )
 from purcat.homotopy import contract_complex
 
@@ -145,50 +142,6 @@ def _certificate(source: Complex, target: Complex, res_map: ChainMap,
     return ResolutionCertificate(
         source, target, res_map, side, witness, termwise_ok(side, target)
     )
-
-
-def _identity_cone_contraction(m: Complex, c: Complex) -> Homotopy:
-    # degree i of the cone of the identity is m^(i+1) (+) m^i; sending
-    # the second block onto the first block one degree down satisfies
-    # d s + s d = id on the nose, so nothing has to be solved for
-    comps = []
-    for i in range(c.lo, c.hi + 1):
-        rows = c.module(i - 1).generators
-        cols = c.module(i).generators
-        top = m.module(i + 1).generators
-        keep = m.module(i).generators
-        data = [[0] * cols for _ in range(rows)]
-        for r in range(keep):
-            data[r][top + r] = 1
-        mat = IntMatrix(rows, cols, tuple(tuple(row) for row in data))
-        comps.append(ModuleMap(c.module(i), c.module(i - 1), mat))
-    return Homotopy(c, c, c.lo, tuple(comps))
-
-
-def identity_resolution(m: Complex, side: str) -> ResolutionCertificate:
-    """Certify a complex as its own resolution.
-
-    Legitimate exactly when every term already lies in the class, which
-    makes the bounded complex K-pure injective (or K-pure projective)
-    and the identity a resolution map.  The certificate is as strong as
-    a computed one: the qis witness is the explicit contraction of the
-    identity cone, written down rather than solved for.
-    """
-    if side not in (INJECTIVE, PROJECTIVE):
-        raise InputError("side must be injective or projective")
-    flags = termwise_ok(side, m)
-    if not all(flags):
-        raise WorkbenchError(
-            "a complex can stand as its own resolution only when every "
-            "term is already in the class"
-        )
-    res_map = identity_chain_map(m)
-    c = cone(res_map).complex
-    if not c.modules:
-        witness = zero_homotopy(c, c)
-    else:
-        witness = _identity_cone_contraction(m, c)
-    return ResolutionCertificate(m, m, res_map, side, witness, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -708,10 +661,4 @@ def resolve(m: Complex, side: str, depth: Optional[int] = None) -> ResolutionCer
         _require_injective_scope(m)
     m = trim(m)
     target, to, back = _reduced(m)
-    res_map = to if side == INJECTIVE else back
-    if m.modules:
-        return _certificate(m, target, res_map, side)
-    # the cone of a map between empty complexes has a one-term zero window;
-    # its contraction is written down as the empty homotopy
-    c = cone(res_map).complex
-    return ResolutionCertificate(m, target, res_map, side, zero_homotopy(c, c), ())
+    return _certificate(m, target, to if side == INJECTIVE else back, side)

@@ -556,10 +556,11 @@ def adjunction_complexes(a, b, c):
     return tc, hom_complex(tc.complex, c), inner, hom_complex(a, inner.complex)
 
 
-def slow_adjunction_maps(w):
+def slow_adjunction_maps(w, inner):
     """(forward, backward) component matrices of an AdjunctionWitness, rebuilt
-    one unit column at a time through whole-complex decoding."""
-    flat, inner, nested = w.flat, w.inner, w.nested
+    one unit column at a time through whole-complex decoding; inner is the
+    hom complex hom_complex(b, c) the witness was built on."""
+    flat, nested = w.flat, w.nested
     a, b = nested.source, inner.source
     tc = tensor_complex(a, b)
     x, y = flat.complex, nested.complex
@@ -729,7 +730,7 @@ def slow_adjunction_iso(tc, flat, inner, nested):
     lo = min(x.lo, y.lo)
     forward = ChainMap(x, y, lo, tuple(fwd))
     backward = ChainMap(y, x, lo, tuple(bwd))
-    return AdjunctionWitness(flat, inner, nested, forward, backward)
+    return AdjunctionWitness(flat, nested, forward, backward)
 
 
 # ---------------------------------------------------------------------------

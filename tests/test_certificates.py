@@ -177,8 +177,8 @@ DIGESTS = {
     "lift-Z12-projective": "71410d9ed1029116",
     "lift-Z72-injective": "f2c0c878de673a56",
     "lift-Z72-projective": "45d6b89985b698fb",
-    "zero-injective": "20cf1223330f6e1f",
-    "zero-projective": "1640ad680043d476",
+    "zero-injective": "8d14b9d47f0567ea",
+    "zero-projective": "0591a3f45500cd34",
 }
 
 

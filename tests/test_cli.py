@@ -202,6 +202,19 @@ def test_qis_not_pure(tmp_path):
                          "failing_probe", "failing_degree"]
 
 
+@pytest.mark.parametrize("command", ["qis", "cone"])
+def test_a_map_that_breaks_the_chain_law_exits_2(tmp_path, command):
+    # Z --1--> Z into itself by 1 in degree 0 and 2 in degree 1: d f != f d
+    z = free_module(ZZ, 1)
+    cx = make_complex(ZZ, 0, [z, z], [mat([[1]])])
+    f = complexes.ChainMap(cx, cx, 0, (fpmod.make_map(z, z, [[1]]), fpmod.make_map(z, z, [[2]])))
+    code, report = run(tmp_path, command, ZZ, complexes={"s": cx}, maps={"f": f},
+                       parameters={"map": "f"})
+    assert code == 2
+    assert report["results"] == {
+        "error": "map 'f': components do not commute with the differentials"}
+
+
 def test_reports_are_deterministic(tmp_path):
     z = free_module(ZZ, 1)
     cx = ses(ZZ, z, z, cyclic_module(ZZ, 6), 6, 1)
@@ -368,20 +381,43 @@ def phom_workspace(ring, depth=None):
 
 @pytest.mark.parametrize("depth", [None, 3])
 def test_phom_certifies_both_arguments_as_their_own_resolutions(tmp_path, depth):
+    # each argument is certified by the resolution resolve gives it: its
+    # reduced complex, the same at every depth at or above the need
     ring = Zmod(12)
     ws = phom_workspace(ring, depth)
     code, report = run(tmp_path, "phom", ring, **ws)
     assert code == 0
     res = report["results"]
     assert res["revalidated"] is True
-    for key in ("projective_certificate", "injective_certificate"):
-        assert res[key]["source"] == res[key]["target"]
+    for key, name, side in (("projective_certificate", "a", "projective"),
+                            ("injective_certificate", "b", "injective")):
         cert = decode_certificate(res[key])
-        assert cert.map.equals(identity_chain_map(cert.source))
+        want = resolutions.resolve(ws["complexes"][name], side)
+        assert cert.source == want.source and cert.target == want.target
+        assert cert.map == want.map and cert.side == side
+    if depth is not None:
+        plain = run(tmp_path, "phom", ring, **phom_workspace(ring))[1]
+        assert without_timing(report) == without_timing(plain)
     code, checked = validate_cert(tmp_path, report)
     assert code == 0
     assert checked["results"]["checked"] == 2
     assert all(c["valid"] for c in checked["results"]["certificates"].values())
+
+
+def test_phom_below_the_required_depth_exits_2(tmp_path):
+    # a needs depth 1 on the projective side and b depth 2 on the injective
+    # side; a is checked first
+    ring = Zmod(8)
+    a = module_complex(cyclic_module(ring, 4), 1)
+    b = random_complex(random.Random(101), ring, -2, 3)
+    assert resolutions.required_depth(a, "projective") == 1
+    assert resolutions.required_depth(b, "injective") == 2
+    for depth, need in ((0, 1), (1, 2)):
+        code, report = run(tmp_path, "phom", ring, complexes={"a": a, "b": b},
+                           parameters={"a": "a", "b": "b", "depth": depth})
+        assert code == 2
+        assert report["results"] == {"error": f"tower needs depth at least {need}",
+                                     "required_depth": need}
 
 
 def test_phom_still_rejects_a_malformed_depth(tmp_path):

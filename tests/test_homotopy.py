@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from purcat.exact_linalg import (
     IntMatrix,
     LinearSystem,
-    WorkbenchError,
     ZZ,
     Zmod,
     hstack,
@@ -62,7 +61,6 @@ from purcat.resolutions import (
     INJECTIVE,
     PROJECTIVE,
     UnsupportedRing,
-    identity_resolution,
     resolve,
     termwise_ok,
     validate_certificate,
@@ -319,21 +317,19 @@ def test_contraction_and_resolve_build_no_linear_system(monkeypatch):
 def test_certify_injective_z2_over_z():
     cx = module_complex(cyclic_module(ZZ, 2), 0)
     assert termwise_ok(INJECTIVE, cx) == (True,)
-    assert validate_certificate(identity_resolution(cx, INJECTIVE))
+    assert validate_certificate(resolve(cx, INJECTIVE))
 
 
 def test_certify_injective_any_zmod():
     rng = random.Random(31)
     cx = random_complex(rng, Zmod(12), -2, 4)
     assert all(termwise_ok(INJECTIVE, cx))
-    assert validate_certificate(identity_resolution(cx, INJECTIVE))
+    assert validate_certificate(resolve(cx, INJECTIVE))
 
 
 def test_free_z_term_is_not_pure_injective():
     cx = module_complex(free_module(ZZ, 1), 0)
     assert termwise_ok(INJECTIVE, cx) == (False,)
-    with pytest.raises(WorkbenchError):
-        identity_resolution(cx, INJECTIVE)
     with pytest.raises(UnsupportedRing):
         resolve(cx, INJECTIVE)
 
@@ -343,7 +339,7 @@ def test_certify_projective_any_window():
     for ring in (ZZ, Zmod(8)):
         cx = random_complex(rng, ring, -1, 3)
         assert all(termwise_ok(PROJECTIVE, cx))
-        assert validate_certificate(identity_resolution(cx, PROJECTIVE))
+        assert validate_certificate(resolve(cx, PROJECTIVE))
     assert termwise_ok(PROJECTIVE, zero_complex(ZZ)) == ()
 
 
@@ -483,7 +479,7 @@ def test_hom_dpur_ignores_resolution_choice():
     rng = random.Random(73)
     a = random_complex(rng, Zmod(12), 0, 2)
     b = random_complex(rng, Zmod(12), -1, 3)
-    base = identity_resolution(b, INJECTIVE)
+    base = resolve(b, INJECTIVE)
     one = hom_k(a, pad_resolution(base, 5).target)
     two = hom_k(a, pad_resolution(base, 8).target)
     bare = hom_dpur(a, b)

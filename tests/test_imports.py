@@ -1,9 +1,9 @@
 """No module-level import that nothing in its own file uses, no
-definition in the package that only tests reach, no import from outside
-the standard library in the package, no dataclasses (or the inspect
-under it) in the package's source or in a cold import of the command
-line, and no function that the traced benchmark wraps by name
-(bench/spans.py) renamed away.
+definition in the package that only tests reach, no record field that
+only tests read, no import from outside the standard library in the
+package, no dataclasses (or the inspect under it) in the package's
+source or in a cold import of the command line, and no function that the
+traced benchmark wraps by name (bench/spans.py) renamed away.
 
 Checked with the standard library's ast: a name bound by a top-level
 import must appear as a name somewhere in the file (attribute bases
@@ -19,7 +19,10 @@ free name is resolved through its module's scope and its `from purcat.x
 import` bindings; a local variable that shadows a module-level name is
 not a use of it.  A method counts as reached by its attribute name once
 its class is reached.  What nothing reaches must be one of the few
-ALLOWED entries, each with its reason, or leave the package.
+ALLOWED entries, each with its reason, or leave the package.  Likewise
+every field of an exact_linalg.Record subclass must be read as an
+attribute somewhere in the package or in bench/, by name, or be one of
+the ALLOWED_FIELDS.
 """
 
 import ast
@@ -281,6 +284,44 @@ def test_every_definition_is_reached_from_a_command_or_the_bench():
     # an allowlisted name must need its entry
     assert set(ALLOWED) <= unreached()
     assert unreached(ALLOWED) == set()
+
+
+# Record fields that nothing in src/purcat or bench/ reads, and why each stays.
+ALLOWED_FIELDS = {
+    "monoidal.TensorDescentReport.induced":
+        "the induced map on tensor complexes, which the monoidal command emits (item 11)",
+}
+
+
+def record_fields() -> set:
+    """"module.Class.field" for every field of every Record subclass of the package."""
+    for path in FILES:
+        if path.parent.name == "purcat":
+            importlib.import_module(f"purcat.{path.stem}")
+    from purcat.exact_linalg import Record
+
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("purcat."):
+                found |= {f"{cls.__module__[7:]}.{cls.__qualname__}.{name}"
+                          for name in cls._fields}
+    return found
+
+
+def unread_fields() -> set:
+    """The record fields that no attribute load in src/purcat or bench/ names."""
+    read = set()
+    for path in [*(ROOT / "src" / "purcat").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {field for field in record_fields() if field.rsplit(".", 1)[1] not in read}
+
+
+def test_every_record_field_is_read_in_the_package_or_the_bench():
+    # an allowlisted field must need its entry, as ALLOWED's names must
+    assert unread_fields() == set(ALLOWED_FIELDS)
 
 
 def imported_modules(path: Path) -> list:

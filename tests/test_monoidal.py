@@ -9,6 +9,7 @@ from purcat.exact_linalg import ZZ, Zmod
 from purcat.fpmod import cyclic_module, free_module
 from purcat.complexes import (
     cone,
+    hom_complex,
     homology_invariants,
     identity_chain_map,
     module_complex,
@@ -291,8 +292,7 @@ def test_phom_rejects_free_targets_over_z():
 
 def test_phom_rejects_free_targets_before_resolving(monkeypatch):
     calls = []
-    monkeypatch.setattr(monoidal, "identity_resolution",
-                        lambda *args: calls.append(args))
+    monkeypatch.setattr(monoidal, "resolve", lambda *args: calls.append(args))
     a = module_complex(cyclic_module(ZZ, 4), 0)
     target = module_complex(free_module(ZZ, 1), 0)
     with pytest.raises(UnsupportedRing,
@@ -307,6 +307,32 @@ def test_phom_invariance_across_paddings():
     m = random_complex(rng, ring, 0, 3)
     n = random_complex(rng, ring, -1, 2)
     assert check_phom_invariance(m, n, seeds=(4, 11)).ok
+
+
+def _generators(cx) -> int:
+    return sum(m.generators for m in cx.modules)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from((ZZ, Zmod(12), Zmod(72))),
+       length=st.integers(1, 4), max_gens=st.integers(1, 3))
+def test_phom_resolves_both_arguments_and_keeps_the_homology(seed, ring, length, max_gens):
+    rng = random.Random(seed)
+    m = random_complex(rng, ring, rng.randint(-1, 1), length, max_gens=max_gens)
+    while True:
+        # over Z only a torsion n has a pure injective resolution
+        n = random_complex(rng, ring, rng.randint(-1, 1), length, max_gens=max_gens,
+                           max_rels=max_gens + 1)
+        if all(termwise_ok(INJECTIVE, n)):
+            break
+    result = phom(m, n)
+    # both certificates re-validate and the value is their hom complex
+    assert validate_derived_hom(result)
+    # the resolutions are homotopy equivalent to m and n, and so is the value
+    # to the plain hom complex
+    assert same_homology(result.value, hom_complex(m, n).complex)
+    assert _generators(result.proj_res.target) <= _generators(m)
+    assert _generators(result.inj_res.target) <= _generators(n)
 
 
 # ---------------------------------------------------------------------------

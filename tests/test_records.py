@@ -3,9 +3,9 @@
 Every exact_linalg.Record subclass of the package is compared with a
 dataclass twin built here from its fields: equal records have equal
 twins, and ==, hash and repr agree with the twin's.  Assignment and
-deletion raise, a filled FpModule decomposition cache and Cone's
-cached structure maps stay outside equality and hash, and copies and
-pickles come back equal.  WorkbenchInput is the one mutable record: it
+deletion raise, a filled FpModule decomposition cache and the cone
+complex kept on a ChainMap stay outside equality and hash, and copies
+and pickles come back equal.  WorkbenchInput is the one mutable record: it
 compares by its fields and has no hash, like a plain dataclass.
 """
 
@@ -20,7 +20,7 @@ import pytest
 
 from purcat.exact_linalg import IntMatrix, Record, ZZ, Zmod
 from purcat.fpmod import FpModule, hom_modules, make_map
-from purcat.complexes import cone, hom_complex, tensor_complex
+from purcat.complexes import ChainMap, cone, hom_complex, tensor_complex
 from purcat.homotopy import hom_k
 from purcat.purity import default_battery, is_pure_acyclic
 from purcat.randgen import random_chain_map, random_complex
@@ -153,11 +153,17 @@ def test_module_cache_is_not_a_field():
 def test_cone_cache_is_not_a_field():
     rng = random.Random(3)
     f = random_chain_map(rng, *(random_complex(rng, ZZ, 0, 2) for _ in range(2)))
+    twin_map = ChainMap(f.src, f.tgt, f.lo, f.components)
+    before = hash(f)
     c, fresh = cone(f), cone(f)
-    before = hash(c)
+    # the cone complex is kept on f, outside its fields
+    assert f._cone is c.complex and twin_map._cone is None
+    assert f == twin_map and hash(f) == hash(twin_map) == before
+    assert repr(f) == repr(twin_map)
+    # a Cone keeps nothing beyond its fields: its structure maps are read off them
+    assert not hasattr(c, "__dict__")
     assert c.inclusion.tgt == c.complex
-    assert "inclusion" in c.__dict__
-    assert c == fresh and hash(c) == hash(fresh) == before
+    assert c == fresh and hash(c) == hash(fresh)
     assert repr(c) == repr(fresh)
 
 

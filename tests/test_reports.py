@@ -104,7 +104,7 @@ DIGESTS = {
     "qis": (0, "81d9ef84b95bcece", "1f2cdeb761e33d4f"),
     "resolve": (0, "36e3aa4eb4bbe61f", "b8f78f991187c853"),
     "towers": (0, "8a44419b14bc9292", "887b1e43552d92be"),
-    "phom": (0, "36dbfa0e5024535f", "c3978f062f47da4d"),
+    "phom": (0, "5fdc82317afccc1a", "3b2aaad788ec6a49"),
     "adjunction": (0, "5708f78d13feeff1", "4421b7e4dc59d326"),
     "validate-cert": (0, "f013f6d22f09cfe0", "433c27a88801cee7"),
 }

@@ -30,7 +30,6 @@ from purcat.resolutions import (
     check_inverse_level_cone_identity,
     check_limit_product_formula,
     colimit_tower,
-    identity_resolution,
     injective_tower,
     limit_tower,
     projective_tower,
@@ -378,41 +377,6 @@ def test_projective_step_conditions_hold_on_traced_runs():
             for ker_epi, homology_iso in per_probe.values():
                 assert ker_epi
                 assert homology_iso
-
-
-# ---------------------------------------------------------------------------
-# identity certificates
-
-
-def test_identity_resolution_validates_both_sides():
-    rng = random.Random(21)
-    ring = Zmod(8)
-    m = random_complex(rng, ring, -1, 3)
-    for side in ("injective", "projective"):
-        cert = identity_resolution(m, side)
-        assert cert.source == m and cert.target == m
-        assert validate_certificate(cert)
-
-
-def test_identity_resolution_over_z():
-    torsion = make_complex(ZZ, 0, [cyclic_module(ZZ, 4), cyclic_module(ZZ, 8)],
-                           [[[2]]])
-    assert validate_certificate(identity_resolution(torsion, "injective"))
-    assert validate_certificate(identity_resolution(z_projective_example(),
-                                                    "projective"))
-
-
-def test_identity_resolution_guards_the_class():
-    free_part = module_complex(free_module(ZZ, 1), 0)
-    with pytest.raises(WorkbenchError):
-        identity_resolution(free_part, "injective")
-    with pytest.raises(InputError):
-        identity_resolution(free_part, "sideways")
-
-
-def test_identity_resolution_of_zero_complex():
-    cert = identity_resolution(zero_complex(Zmod(12)), "projective")
-    assert validate_certificate(cert)
 
 
 # ---------------------------------------------------------------------------
