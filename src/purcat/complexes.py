@@ -277,7 +277,7 @@ def cone(f: ChainMap) -> Cone:
     Degree i is sum_module([M^(i+1), N^i]) on the window where either
     summand can be nonzero, and each differential is placed block by
     block; the structure maps wait on the Cone until read.  The complex
-    is kept on f, so a checker reuses the cone its producer contracted.
+    is kept on f, so a checker reuses the cone its producer certified.
     A ChainMap and all it holds are immutable, so the cone, a function
     of its fields, cannot go stale; the Cone, which refers back to f, is
     not kept.
@@ -493,8 +493,10 @@ def _is_unit(c: int, a: int) -> bool:
 def reduce_complex(cx: Complex) -> tuple:
     """Cancel the contractible summands R/(a) -> R/(a) of cx.
 
-    Returns (R, to: C -> R, back: R -> C) on the window of cx, with
-    to . back the identity on the nose and both homotopy equivalences.
+    Returns (R, to: C -> R, back: R -> C, s) on the window of cx, with
+    to . back the identity on the nose, both homotopy equivalences, and s
+    a Homotopy on cx with id - back . to = d s + s d, s . back = 0,
+    to . s = 0 and s . s = 0.
 
     The terms are first minimized to (+) R/(a_i) (minimize_complex).
     Then, degree by degree from the bottom, the first pair of summands
@@ -533,13 +535,21 @@ def reduce_complex(cx: Complex) -> tuple:
     [[1, phi^-1 delta], [0, 0]], in degree n+1 both are
     [[1, 0], [gamma phi^-1, 0]], and elsewhere both are zero.  So each
     cancellation is a homotopy equivalence with to . back = id on the
-    nose, and so are the composites returned.  Over Z/m the entries are
-    reduced mod m, which keeps to . back the identity; over Z they are
-    left as computed.
+    nose, and so are the composites returned.  The side conditions hold
+    for one cancellation: s is zero off Y, back^(n+1) has no Y part, and
+    to^n and s^n are zero on X.  The composite of (to1, back1, s1) and
+    then (to2, back2, s2) is (to2 to1, back1 back2, s1 + back1 s2 to1),
+    and it keeps all four identities, by those of each step and
+    to1 back1 = id.  So each cancellation adds
+    c' (back column x) (to row y) to s^(n+1), read before the pair is
+    deleted.  minimize_complex's maps compose the same way with s = 0,
+    since its back . to is the identity modulo relations.  Over Z/m the
+    entries are reduced mod m, which keeps to . back the identity; over Z
+    they are left as computed.
     """
     mini, min_to, min_back = minimize_complex(cx)
     if not mini.modules:
-        return mini, min_to, min_back
+        return mini, min_to, min_back, zero_homotopy(cx, cx)
     ring, lo = cx.ring, cx.lo
     red = ring.reduce
     free = ring.modulus or 0
@@ -551,6 +561,8 @@ def reduce_complex(cx: Complex) -> tuple:
     sizes = [len(f) for f in facs]
     to = [[[int(i == j) for j in range(g)] for i in range(g)] for g in sizes]
     back = [[[int(i == j) for i in range(g)] for j in range(g)] for g in sizes]
+    # s[k] is the matrix of s^k as a list of rows, made on the first cancellation
+    s = [None] * len(sizes)
     changed = set()
     for k, d in enumerate(diffs):
         while True:
@@ -563,6 +575,12 @@ def reduce_complex(cx: Complex) -> tuple:
             x, y = pair
             a, c = facs[k][x], d[y][x]
             inv = c if a == 0 else pow(c, -1, a)
+            if s[k + 1] is None:
+                s[k + 1] = [[0] * sizes[k + 1] for _ in range(sizes[k])]
+            row_y = to[k + 1][y]
+            for i, b in enumerate(back[k][x]):
+                if b:
+                    s[k + 1][i] = [red(e + inv * b * f) for e, f in zip(s[k + 1][i], row_y)]
             gamma = [row[x] * inv for row in d]
             delta = d[y]
             for b, row in enumerate(d):
@@ -604,8 +622,16 @@ def reduce_complex(cx: Complex) -> tuple:
             h, g, tuple(tuple(col[i] for col in back[k]) for i in range(h))))
         to_comps.append(to_k @ min_to.components[k])
         back_comps.append(min_back.components[k] @ back_k)
+    s_comps = []
+    for k in range(1, len(sizes)):
+        if s[k] is None:
+            s_comps.append(zero_map(cx.module(lo + k), cx.module(lo + k - 1)))
+            continue
+        s_k = ModuleMap(mini.modules[k], mini.modules[k - 1], IntMatrix._trusted(
+            sizes[k - 1], sizes[k], tuple(map(tuple, s[k]))))
+        s_comps.append(min_back.components[k - 1] @ s_k @ min_to.components[k])
     return (out, ChainMap(cx, out, lo, tuple(to_comps)),
-            ChainMap(out, cx, lo, tuple(back_comps)))
+            ChainMap(out, cx, lo, tuple(back_comps)), Homotopy(cx, cx, lo + 1, tuple(s_comps)))
 
 
 def homology_invariants(cx: Complex) -> dict:

@@ -4,10 +4,12 @@ Hom groups up to homotopy as finitely presented modules, null-homotopy
 and contraction solvers, and derived hom into a complex of pure
 injectives.
 
-contract_complex certifies every resolution and decides every Pure
-verdict.  It solves one degree at a time from the top down, one
-solve_linear per invariant factor of each term, and its docstring proves
-that it returns None exactly when the complex is not contractible.
+contract_complex decides every Pure verdict; no resolution calls it,
+since each writes its contraction down from reduce_complex's homotopy
+(resolutions.resolve).  It solves one degree at a time from the top
+down, one solve_linear per invariant factor of each term, and its
+docstring proves that it returns None exactly when the complex is not
+contractible.
 null_homotopy decides d s + s d = f for any chain map f as one joint
 MapSolver system over all degrees.  No command calls it, and it is the
 only place the package builds a MapSolver; it stays because the traced

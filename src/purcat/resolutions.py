@@ -9,9 +9,10 @@ levels extend each other by degreewise split maps, resolves the cone it
 extends along the same way.  The towers are built only on request
 (injective_tower / projective_tower), and their (co)limit at finite
 depth is read off degreewise and re-verified.
-Every resolution is built, then certified once where kept: a cone is
-contracted only for a certificate that is returned or stored in a tower.
-Every certificate re-validates from scratch.
+Every resolution is certified once, where kept, and nothing is solved
+for: the contraction of its cone is written down from reduce_complex's
+homotopy (_contraction), or recast from a tower's cone certificate
+(_recast).  Every certificate re-validates from scratch.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from purcat.exact_linalg import (
 )
 from purcat.fpmod import (
     FpModule,
+    ModuleMap,
     block_map,
-    factor_through_mono,
     is_injective,
     is_surjective,
     sum_module,
@@ -39,6 +40,7 @@ from purcat.complexes import (
     ChainMap,
     Complex,
     Homotopy,
+    _at,
     cone,
     reduce_complex,
     shift,
@@ -50,7 +52,6 @@ from purcat.complexes import (
     zero_complex,
     vanishes,
 )
-from purcat.homotopy import contract_complex
 
 INJECTIVE = "injective"
 PROJECTIVE = "projective"
@@ -134,14 +135,69 @@ def validate_certificate(cert: ResolutionCertificate) -> bool:
     return w.witnesses()
 
 
-def _certificate(source: Complex, target: Complex, res_map: ChainMap,
-                 side: str) -> ResolutionCertificate:
-    witness = contract_complex(cone(res_map).complex)
-    if witness is None:
+def _certificate(source: Complex, target: Complex, res_map: ChainMap, side: str,
+                 witness: Homotopy) -> ResolutionCertificate:
+    """The certificate of res_map, refused unless witness, built on the
+    complex of cone(res_map), contracts it."""
+    if not witness.witnesses():
         raise WorkbenchError("resolution map has a non-contractible cone")
     return ResolutionCertificate(
         source, target, res_map, side, witness, termwise_ok(side, target)
     )
+
+
+def _signed(mat: IntMatrix, sign: int, top: int, left: int) -> tuple:
+    """The rows of sign . S mat S, S = -1 on the first summand of either
+    end (top rows, left columns): the off-diagonal blocks change sign."""
+    return tuple(tuple(sign * x if (r < top) == (c < left) else -sign * x
+                       for c, x in enumerate(row)) for r, row in enumerate(mat.data))
+
+
+def _contraction(res_map: ChainMap, other: ChainMap, s: Homotopy, side: str) -> Homotopy:
+    """The contraction of cone(res_map) written down from reduce_complex.
+
+    res_map is to (injective) or back (projective) and other the map the
+    other way; in the cone's layout, source^(n+1) first, H^n is
+    [[-s^(n+1), back^n], [0, 0]] for to and [[0, to^n], [0, s^n]] for
+    back (the proof is in resolve).
+    """
+    c = cone(res_map).complex
+    src = res_map.src
+    comps = []
+    for n in range(c.lo, c.hi + 1):
+        a, b = src.module(n).generators, src.module(n + 1).generators
+        if side == INJECTIVE:
+            blocks = ((0, 0, -1, _at(s, n + 1)), (0, b, 1, _at(other, n)))
+        else:
+            blocks = ((0, b, 1, _at(other, n)), (a, b, 1, _at(s, n)))
+        comps.append(block_map(c.module(n), c.module(n - 1),
+                               [blk for blk in blocks if blk[3] is not None]))
+    return Homotopy(c, c, c.lo, tuple(comps))
+
+
+def _recast(h: Homotopy, c: Complex, shift_by: int, u: Optional[ChainMap] = None) -> Homotopy:
+    """h, contracting D, as a contraction of c = D[shift_by], or of
+    c = cone(-u)[shift_by] when D = cone(u); c must have D's terms.
+
+    Shifting multiplies d, so also h, by (-1)^shift_by, and cone(-u) has
+    the differential S d S, S = -1 on the source summand, which S h S
+    contracts.
+    """
+    sign = -1 if shift_by % 2 else 1
+    comps = []
+    for i in range(c.lo, c.hi + 1):
+        here, below = c.module(i), c.module(i - 1)
+        j = i + shift_by
+        mat = _at(h, j)
+        if mat is None:
+            mat = IntMatrix.zeros(below.generators, here.generators)
+        else:
+            top, left = (0, 0) if u is None else (u.src.module(j).generators,
+                                                  u.src.module(j + 1).generators)
+            mat = c.ring.reduce_matrix(IntMatrix._trusted(
+                mat.rows, mat.cols, _signed(mat, sign, top, left)))
+        comps.append(ModuleMap(here, below, mat))
+    return Homotopy(c, c, c.lo, tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +212,40 @@ def _require_injective_scope(cx: Complex) -> None:
 
 
 def _reduced(m: Complex) -> tuple:
-    """reduce_complex(m) with R trimmed to its nonzero window: (R, to, back).
+    """reduce_complex(m) with R trimmed to its nonzero window: (R, to,
+    back, s).
 
     to: m -> R and back: R -> m keep reduce_complex's components, whose
-    ends outside R's window are the zero modules R has there.
+    ends outside R's window are the zero modules R has there; s is
+    reduce_complex's homotopy on m.
     """
-    reduced, to, back = reduce_complex(m)
+    reduced, to, back, s = reduce_complex(m)
     r = trim(reduced)
     return (r, ChainMap(m, r, to.lo, to.components),
-            ChainMap(r, m, back.lo, back.components))
+            ChainMap(r, m, back.lo, back.components), s)
+
+
+def _resolution(m: Complex, side: str) -> tuple:
+    """(R, res_map, witness): _reduced(m)'s to (injective) or back
+    (projective) and the contraction of its cone, written down."""
+    target, to, back, s = _reduced(m)
+    if side == INJECTIVE:
+        return target, to, _contraction(to, back, s, side)
+    return target, back, _contraction(back, to, s, side)
+
+
+def _top_witness(certs, f: ChainMap, base: Complex, side: str) -> Homotopy:
+    """The contraction of cone(f), f the top level map of a tower with
+    cone certificates certs over the base truncation base.
+
+    cone(f) is cone(-g)[-1] (injective) or cone(-w) (projective)
+    literally, g or w the last cone certificate's map, so its witness is
+    recast; at depth 0 f is base's own resolution map.
+    """
+    if not certs:
+        return _resolution(base, side)[2]
+    return _recast(certs[-1].qis_witness, cone(f).complex,
+                   -1 if side == INJECTIVE else 0, certs[-1].map)
 
 
 # ---------------------------------------------------------------------------
@@ -187,33 +268,35 @@ class DegreewiseFamily(Record):
 # the shared extension steps
 
 
-def _extend_injective(q: ChainMap, stable: bool = False):
+def _extend_injective(q: ChainMap, stable: Optional[Homotopy] = None):
     """Extend a level along q: N -> I.
 
     Returns (level, h: N -> level, p: level -> I, section, kern,
-    kern_incl, g) where g: cone(q) -> J is the uncertified resolution of
-    the cone (the zero complex when stable, the cone being contractible),
-    level is cone(-g . incl)[-1] for the cone's inclusion incl: I ->
-    cone(q), degreewise I (+) J[-1], p and kern_incl are the projection
-    and inclusion of that cone shifted with it, so p is the degreewise
-    split projection with kernel J[-1], and p . h = q on the nose.
+    kern_incl, g, hg) where g: cone(q) -> J is the uncertified resolution
+    of the cone and hg a contraction of cone(g), level is
+    cone(-g . incl)[-1] for the cone's inclusion incl: I -> cone(q),
+    degreewise I (+) J[-1], p and kern_incl are the projection and
+    inclusion of that cone shifted with it, so p is the degreewise split
+    projection with kernel J[-1], and p . h = q on the nose.
 
     J is the reduced cone itself and g its map to: cone(q) -> J, as
-    resolve takes them (_reduced): the terms of the cone are those of N
-    and I, in scope, so J's are pure injective and to is a pure
+    resolve takes them (_resolution): the terms of the cone are those of
+    N and I, in scope, so J's are pure injective and to is a pure
     injective resolution by resolve's proof.  Each level adds no copy of
-    the contractible summands the previous one made.  The level, h and
-    the product formula are built from g alone, whichever g it is, so
-    the degreewise product formula and cone(h) = cone(-g)[-1] hold
-    literally.
+    the contractible summands the previous one made.  A stable step
+    passes a contraction of cone(q) as stable; then J = 0 and
+    cone(g) = cone(q)[1].  The level, h and the product formula are
+    built from g alone, so the degreewise product formula and
+    cone(h) = cone(-g)[-1] hold literally.
     """
     n_cx, i_cx = q.src, q.tgt
     cq = cone(q)
-    if stable:
+    if stable is not None:
         j_cx = zero_complex(q.src.ring)
         g = zero_chain_map(cq.complex, j_cx)
+        hg = _recast(stable, cone(g).complex, 1)
     else:
-        j_cx, g, _ = _reduced(cq.complex)
+        j_cx, g, hg = _resolution(cq.complex, INJECTIVE)
     level_cone = cone(-(g @ cq.inclusion))
     level = shift(level_cone.complex, -1)
     p = shift_map(level_cone.projection, -1)
@@ -234,31 +317,33 @@ def _extend_injective(q: ChainMap, stable: bool = False):
         section_comps.append(summand_injection(i_mod, total, 0))
     h = ChainMap(n_cx, level, lo, tuple(h_comps))
     section = DegreewiseFamily(i_cx, level, lo, tuple(section_comps))
-    return level, h, p, section, kern, kern_incl, g
+    return level, h, p, section, kern, kern_incl, g, hg
 
 
-def _extend_projective(a: ChainMap, stable: bool = False):
+def _extend_projective(a: ChainMap, stable: Optional[Homotopy] = None):
     """Extend a level along a: P -> N.
 
     Returns (level, v: level -> N, incl: P -> level, retraction, coker,
-    coker_proj, w) where w: Q -> cone(a) is the uncertified resolution of
-    the cone (the zero complex when stable), level is degreewise Q (+) P,
-    incl is the degreewise split inclusion with cokernel Q, and
-    v . incl = a on the nose.
+    coker_proj, w, hw) where w: Q -> cone(a) is the uncertified
+    resolution of the cone and hw a contraction of cone(w), level is
+    degreewise Q (+) P, incl is the degreewise split inclusion with
+    cokernel Q, and v . incl = a on the nose.
 
     Q is the reduced cone itself and w its map back: Q -> cone(a), as
-    resolve takes them (_reduced); a pure projective resolution by
-    resolve's proof.  The level, v and the sum formula read only w and
-    Q, so the degreewise sum formula and cone(v) = cone(-w) hold
-    literally.
+    resolve takes them (_resolution); a pure projective resolution by
+    resolve's proof.  A stable step passes a contraction of cone(a) as
+    stable; then Q = 0 and cone(w) = cone(a).  The level, v and the sum
+    formula read only w and Q, so the degreewise sum formula and
+    cone(v) = cone(-w) hold literally.
     """
     p_cx, n_cx = a.src, a.tgt
     ca = cone(a)
-    if stable:
+    if stable is not None:
         q_cx = zero_complex(a.src.ring)
         w = zero_chain_map(q_cx, ca.complex)
+        hw = _recast(stable, cone(w).complex, 0)
     else:
-        q_cx, _, w = _reduced(ca.complex)
+        q_cx, w, hw = _resolution(ca.complex, PROJECTIVE)
     w1 = shift_map(ca.projection @ w, -1)
     level_cone = cone(w1)
     level = level_cone.complex
@@ -285,7 +370,7 @@ def _extend_projective(a: ChainMap, stable: bool = False):
     for d in range(lo, level.hi + 1):
         proj_comps.append(summand_projection(level.module(d), q_cx.module(d), 0))
     coker_proj = ChainMap(level, coker, lo, tuple(proj_comps))
-    return level, v, incl, retraction, coker, coker_proj, w
+    return level, v, incl, retraction, coker, coker_proj, w, hw
 
 
 # ---------------------------------------------------------------------------
@@ -373,21 +458,23 @@ def injective_tower(m: Complex, depth: int):
             if proj.tgt != truncations[n - 1]:
                 raise WorkbenchError("truncation tower is not nested literally")
             transitions.append(proj)
-    base, f0, _ = _reduced(truncations[0])
+    base, f0, _, _ = _reduced(truncations[0])
     levels, fs = [base], [f0]
     surjections, sections = [], []
     kernels, kernel_incls, cone_certs = [], [], []
     for n in range(1, depth + 1):
         q = fs[n - 1] @ transitions[n - 1]
-        stable = truncations[n] == truncations[n - 1]
-        level, h, p, section, kern, kern_incl, g = _extend_injective(q, stable)
+        stable = None
+        if truncations[n] == truncations[n - 1]:
+            stable = _top_witness(cone_certs, fs[-1], truncations[0], INJECTIVE)
+        level, h, p, section, kern, kern_incl, g, hg = _extend_injective(q, stable)
         levels.append(level)
         fs.append(h)
         surjections.append(p)
         sections.append(section)
         kernels.append(kern)
         kernel_incls.append(kern_incl)
-        cone_certs.append(_certificate(g.src, g.tgt, g, INJECTIVE))
+        cone_certs.append(_certificate(g.src, g.tgt, g, INJECTIVE, hg))
     tower = SemiSplitInverseTower(
         m, tuple(truncations), tuple(transitions), tuple(levels),
         tuple(surjections), tuple(sections), tuple(kernels),
@@ -409,31 +496,27 @@ def projective_tower(m: Complex, depth: int):
         truncations.append(t_n)
         incls.append(incl)
         if n >= 1:
-            prev, here = truncations[n - 1], truncations[n]
-            lo = min(prev.lo, here.lo)
-            comps = []
-            for i in range(lo, max(prev.hi, here.hi) + 1):
-                comps.append(
-                    factor_through_mono(
-                        incls[n].component(i), incls[n - 1].component(i)
-                    )
-                )
-            transitions.append(ChainMap(prev, here, lo, tuple(comps)))
-    base, _, f0 = _reduced(truncations[0])
+            # truncate_leq(m, n) agrees with m below n, where its inclusion
+            # is the identity, and the (n-1)-th truncation stops below n
+            transitions.append(ChainMap(truncations[n - 1], t_n, incls[n - 1].lo,
+                                        incls[n - 1].components))
+    base, _, f0, _ = _reduced(truncations[0])
     levels, fs = [base], [f0]
     injections, retractions = [], []
     cokernels, coker_projs, cone_certs = [], [], []
     for n in range(1, depth + 1):
         a = transitions[n - 1] @ fs[n - 1]
-        stable = truncations[n] == truncations[n - 1]
-        level, v, incl, retraction, coker, coker_proj, w = _extend_projective(a, stable)
+        stable = None
+        if truncations[n] == truncations[n - 1]:
+            stable = _top_witness(cone_certs, fs[-1], truncations[0], PROJECTIVE)
+        level, v, incl, retraction, coker, coker_proj, w, hw = _extend_projective(a, stable)
         levels.append(level)
         fs.append(v)
         injections.append(incl)
         retractions.append(retraction)
         cokernels.append(coker)
         coker_projs.append(coker_proj)
-        cone_certs.append(_certificate(w.tgt, w.src, w, PROJECTIVE))
+        cone_certs.append(_certificate(w.tgt, w.src, w, PROJECTIVE, hw))
     tower = SemiSplitDirectTower(
         m, tuple(truncations), tuple(transitions), tuple(levels),
         tuple(injections), tuple(retractions), tuple(cokernels),
@@ -452,26 +535,41 @@ def _modules_match(x: FpModule, y: FpModule) -> bool:
     return x == y
 
 
-def _complexes_match(a: Complex, b: Complex) -> bool:
-    degrees = range(min(a.lo, b.lo), max(a.hi, b.hi) + 1)
-    # maps touching a zero module are forced, so only compare the rest
-    return (a.ring == b.ring and all(_modules_match(a.module(i), b.module(i)) for i in degrees)
-            and all(a.differential(i).equals(b.differential(i)) for i in degrees
-                    if a.module(i).generators and a.module(i + 1).generators))
+def _matches_cone(c: Complex, u: ChainMap, shift_by: int) -> bool:
+    """Is c literally cone(-u)[shift_by]?  Read off the cone kept on u: the
+    degree i term is cone(u)^(i+shift_by) and the differential
+    (-1)^shift_by S d S, S = -1 on the source summand, so no map or cone
+    is formed.  Zero terms match whatever their presentation, and the
+    maps touching one are forced, so only the rest are compared."""
+    b = cone(u).complex
+    if c.ring != b.ring:
+        return False
+    sign = -1 if shift_by % 2 else 1
+    for i in range(min(c.lo, b.lo - shift_by), max(c.hi, b.hi - shift_by) + 1):
+        j = i + shift_by
+        here, above = c.module(i), c.module(i + 1)
+        if not _modules_match(here, b.module(j)):
+            return False
+        if not (here.generators and above.generators):
+            continue
+        signed = _signed(b.diffs[j - b.lo].matrix, sign, u.src.module(j + 2).generators,
+                         u.src.module(j + 1).generators)
+        if not c.diffs[i - c.lo].equals(ModuleMap(here, above, IntMatrix._trusted(
+                above.generators, here.generators, signed))):
+            return False
+    return True
 
 
 def check_inverse_level_cone_identity(tower: SemiSplitInverseTower, fs,
                                       n: int) -> bool:
     """The level-n extension satisfies cone(f_n) = cone(-g)[-1] literally."""
-    inner = tower.cone_certificates[n - 1]
-    return _complexes_match(cone(fs[n]).complex, shift(cone(-inner.map).complex, -1))
+    return _matches_cone(cone(fs[n]).complex, tower.cone_certificates[n - 1].map, -1)
 
 
 def check_direct_level_cone_identity(tower: SemiSplitDirectTower, fs,
                                      n: int) -> bool:
     """The level-n extension satisfies cone(f_n) = cone(-w) literally."""
-    inner = tower.cone_certificates[n - 1]
-    return _complexes_match(cone(fs[n]).complex, cone(-inner.map).complex)
+    return _matches_cone(cone(fs[n]).complex, tower.cone_certificates[n - 1].map, 0)
 
 
 def validate_inverse_tower(tower: SemiSplitInverseTower, fs) -> bool:
@@ -582,24 +680,32 @@ def _check_tower(tower, fs, side: str) -> None:
         raise WorkbenchError("tower invariants fail to re-validate")
 
 
+def _tower_top(tower, fs, side: str) -> ResolutionCertificate:
+    _check_tower(tower, fs, side)
+    witness = _top_witness(tower.cone_certificates, fs[-1], tower.truncations[0], side)
+    return _certificate(tower.source, tower.levels[-1], fs[-1], side, witness)
+
+
 def limit_tower(tower: SemiSplitInverseTower, fs) -> ResolutionCertificate:
     """Read the limit off the stabilized tower and certify it directly.
 
     Raises unless the tower passes validate_inverse_tower and the product
-    formula (_check_tower); the certificate contracts the cone of fs[-1].
+    formula (_check_tower); the certificate contracts the cone of fs[-1]
+    with the last cone certificate's witness recast (_top_witness), which
+    the checked identity cone(f_n) = cone(-g)[-1] makes a contraction.
     """
-    _check_tower(tower, fs, INJECTIVE)
-    return _certificate(tower.source, tower.levels[-1], fs[-1], INJECTIVE)
+    return _tower_top(tower, fs, INJECTIVE)
 
 
 def colimit_tower(tower: SemiSplitDirectTower, fs) -> ResolutionCertificate:
     """Read the colimit off the stabilized tower and certify it directly.
 
     Raises unless the tower passes validate_direct_tower and the sum
-    formula (_check_tower); the certificate contracts the cone of fs[-1].
+    formula (_check_tower); the certificate contracts the cone of fs[-1]
+    with the last cone certificate's witness recast (_top_witness), which
+    the checked identity cone(f_n) = cone(-w) makes a contraction.
     """
-    _check_tower(tower, fs, PROJECTIVE)
-    return _certificate(tower.source, tower.levels[-1], fs[-1], PROJECTIVE)
+    return _tower_top(tower, fs, PROJECTIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +751,20 @@ def resolve(m: Complex, side: str, depth: Optional[int] = None) -> ResolutionCer
     acyclic cone, which is a pure projective resolution, and to: m -> R
     is one into a K-pure injective complex with pure acyclic cone, a
     pure injective resolution.  The certificate re-checks what the
-    proof uses: it contracts the cone of the map (contract_complex,
-    None exactly when the cone is not contractible) and reads the flags
-    off R's terms.  A homotopy equivalent target is homotopy equivalent
-    to the (co)limit of any tower that resolves m, so anything read off
-    its homology, or off tensor and hom complexes built from it, agrees.
+    proof uses: a contraction H of the cone of the map, written down
+    from (1), and the flags read off R's terms.  In the cone's layout,
+    source^(n+1) first, with s also reduce_complex's side conditions
+    s . back = 0 and to . s = 0:
+    for back: R -> m, H^n = [[0, to^n], [0, s^n]].  The cone's d^n is
+    [[-d, 0], [back, d]], and d H + H d has blocks to . back = id,
+    -d to + to d = 0, s . back = 0 and back . to + d s + s d = id.
+    For to: m -> R, H^n = [[-s^(n+1), back^n], [0, 0]].  Here d H + H d
+    has blocks d s + s d + back . to = id, back d - d back = 0,
+    -to . s = 0 and to . back = id.
+    _certificate refuses H unless it contracts (Homotopy.witnesses).  A
+    homotopy equivalent target is homotopy equivalent to the (co)limit
+    of any tower that resolves m, so anything read off its homology, or
+    off tensor and hom complexes built from it, agrees.
     """
     if side not in (INJECTIVE, PROJECTIVE):
         raise InputError("side must be injective or projective")
@@ -660,5 +775,5 @@ def resolve(m: Complex, side: str, depth: Optional[int] = None) -> ResolutionCer
     if side == INJECTIVE:
         _require_injective_scope(m)
     m = trim(m)
-    target, to, back = _reduced(m)
-    return _certificate(m, target, to if side == INJECTIVE else back, side)
+    target, res_map, witness = _resolution(m, side)
+    return _certificate(m, target, res_map, side, witness)

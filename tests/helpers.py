@@ -115,7 +115,7 @@ from purcat.complexes import (
     zero_complex,
     zero_homotopy,
 )
-from purcat.homotopy import hom_dpur, hom_k
+from purcat.homotopy import contract_complex, hom_dpur, hom_k
 from purcat.monoidal import (
     AdjunctionReport,
     AdjunctionWitness,
@@ -133,12 +133,14 @@ from purcat.resolutions import (
     _certificate,
     _extend_injective,
     _extend_projective,
+    _recast,
     _require_injective_scope,
     colimit_tower,
     injective_tower,
     limit_tower,
     projective_tower,
     required_depth,
+    termwise_ok,
 )
 
 
@@ -1033,6 +1035,17 @@ def invert_unimodular(a, ring):
 # resolve as it was, through towers: certify, minimize, certify again
 
 
+def solved_certificate(source, target, res_map, side):
+    """A certificate of res_map whose contraction contract_complex solves
+    for, as every certificate was made before the resolutions wrote their
+    contractions down; raises if the cone is not contractible."""
+    witness = contract_complex(cone(res_map).complex)
+    if witness is None:
+        raise WorkbenchError("resolution map has a non-contractible cone")
+    return ResolutionCertificate(source, target, res_map, side, witness,
+                                 termwise_ok(side, target))
+
+
 def _slow_minimize_certificate(cert):
     mini, to_min, back_min = minimize_complex(cert.target)
     mini = trim(mini)
@@ -1042,7 +1055,7 @@ def _slow_minimize_certificate(cert):
     else:
         res_map = cert.map @ _rewindow_map(back_min, mini, cert.target)
         res_map = _rewindow_map(res_map, mini, cert.source)
-    return _certificate(cert.source, mini, res_map, cert.side)
+    return solved_certificate(cert.source, mini, res_map, cert.side)
 
 
 def slow_resolve(m, side, depth=None):
@@ -1200,7 +1213,7 @@ def slow_resolve_by_inductions(m, side):
     build = _injective_resolution if side == INJECTIVE else _projective_resolution
     target, res_map = build(m)
     if m.modules:
-        return _certificate(m, target, res_map, side)
+        return solved_certificate(m, target, res_map, side)
     c = cone(res_map).complex
     return ResolutionCertificate(m, target, res_map, side, zero_homotopy(c, c), ())
 
@@ -1628,8 +1641,8 @@ def lift_injective(f, r1):
         raise InputError("r1 must be an injective resolution of the target of f")
     _require_injective_scope(f.src)
     q = r1.map @ f
-    level, h, p, *_ = _extend_injective(q)
-    r2 = _certificate(f.src, level, h, INJECTIVE)
+    level, h, p, *_, g, hg = _extend_injective(q)
+    r2 = _certificate(f.src, level, h, INJECTIVE, _recast(hg, cone(h).complex, -1, g))
     if not (p @ h).equals(r1.map @ f):
         raise WorkbenchError("lift square unexpectedly fails to commute strictly")
     return r2, p, zero_homotopy(f.src, r1.target)
@@ -1644,8 +1657,8 @@ def lift_projective(f, r2):
     if r2.side != PROJECTIVE or f.src != r2.source:
         raise InputError("r2 must be a projective resolution of the source of f")
     a = f @ r2.map
-    level, v, incl, *_ = _extend_projective(a)
-    r1 = _certificate(f.tgt, level, v, PROJECTIVE)
+    level, v, incl, *_, w, hw = _extend_projective(a)
+    r1 = _certificate(f.tgt, level, v, PROJECTIVE, _recast(hw, cone(v).complex, 0, w))
     if not (v @ incl).equals(f @ r2.map):
         raise WorkbenchError("lift square unexpectedly fails to commute strictly")
     return r1, incl, zero_homotopy(r2.target, f.tgt)
@@ -1666,10 +1679,10 @@ def pad_resolution(cert, seed):
     if cert.side == INJECTIVE:
         res_map = injs[0] @ cert.map
         res_map = _rewindow_map(res_map, cert.source, total)
-        return _certificate(cert.source, total, res_map, INJECTIVE)
+        return solved_certificate(cert.source, total, res_map, INJECTIVE)
     res_map = cert.map @ projs[0]
     res_map = _rewindow_map(res_map, total, cert.source)
-    return _certificate(cert.source, total, res_map, PROJECTIVE)
+    return solved_certificate(cert.source, total, res_map, PROJECTIVE)
 
 
 class DegreeComparison(Record):

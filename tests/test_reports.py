@@ -27,13 +27,16 @@ from purcat.serialize import WorkbenchInput, serialize_input
 
 
 def workspaces():
-    """Command -> (ring, complexes, maps, parameters), drawn from fixed seeds.
+    """Case -> (ring, complexes, maps, parameters), drawn from fixed seeds;
+    each case is named after its command (COMMAND names the others).
 
     The complex c needs a one-level tower on either side, so towers pins
     the tower path and resolve pins a window that crosses 0 on both
-    sides, resolved with no tower.  The adjunction triple has nonzero hom
-    groups, so it pins the currying path; it builds no tower, since with
-    no depth its arguments are resolved by reducing them.
+    sides, resolved with no tower.  The Z/12 phom pair has a zero derived
+    hom; the Z/72 one has nonzero homology in degrees -1 and 0, so its
+    value is pinned too.  The adjunction triple has nonzero hom groups,
+    so it pins the currying path; it builds no tower, since with no depth
+    its arguments are resolved by reducing them.
     """
     z12 = Zmod(12)
     rng = random.Random("reports")
@@ -45,6 +48,8 @@ def workspaces():
     c3 = random_complex(random.Random("reports-towers-6"), z12, -1, 3)
     rng = random.Random("reports-adjunction-27")
     a, b, c = (random_complex(rng, z12, 0, 2) for _ in range(3))
+    rng = random.Random("reports-phom-2")
+    a72, b72 = (random_complex(rng, Zmod(72), 0, 2) for _ in range(2))
     return {
         "homology": (z12, {"c": c3}, {}, {"complex": "c"}),
         "cone": (z12, {"s": src, "t": tgt}, {"f": f}, {"map": "f"}),
@@ -54,6 +59,7 @@ def workspaces():
         "resolve": (z12, {"c": c3}, {}, {"complex": "c", "side": "projective"}),
         "towers": (z12, {"c": c3}, {}, {"complex": "c", "side": "injective"}),
         "phom": (z12, {"a": src, "b": tgt}, {}, {"a": "a", "b": "b"}),
+        "phom-z72": (Zmod(72), {"a": a72, "b": b72}, {}, {"a": "a", "b": "b"}),
         "adjunction": (z12, {"a": a, "b": b, "c": c}, {}, {"a": "a", "b": "b", "c": "c"}),
     }
 
@@ -69,15 +75,19 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def pinned(tmp_path, command):
-    """(exit status, JSON digest, text digest) of one command's report."""
+COMMAND = {"phom-z72": "phom"}
+
+
+def pinned(tmp_path, case):
+    """(exit status, JSON digest, text digest) of one case's report."""
+    command = COMMAND.get(case, case)
     if command == "validate-cert":
         path = workspace_file(tmp_path, "resolve")
         report = tmp_path / "resolve-report.json"
         report.write_text(run(["resolve", "--json", str(path)])[1], encoding="utf-8")
         path = report
     else:
-        path = workspace_file(tmp_path, command)
+        path = workspace_file(tmp_path, case)
     code, out = run([command, "--json", str(path)])
     data = json.loads(out)
     del data["timing"]
@@ -88,9 +98,9 @@ def pinned(tmp_path, command):
     return code, sha(json.dumps(data, indent=2)), sha("".join(lines[:-1]))
 
 
-def workspace_file(tmp_path, command):
-    ring, complexes, maps, parameters = workspaces()[command]
-    path = tmp_path / f"{command}.json"
+def workspace_file(tmp_path, case):
+    ring, complexes, maps, parameters = workspaces()[case]
+    path = tmp_path / f"{case}.json"
     path.write_text(serialize_input(WorkbenchInput(
         ring, complexes=complexes, maps=maps, parameters=parameters)), encoding="utf-8")
     return path
@@ -102,14 +112,15 @@ DIGESTS = {
     "truncate": (0, "a4cfda0aee16d092", "5a43c2cb898d1038"),
     "purity": (0, "88c13a7bf92814f0", "aea0759c4071c96c"),
     "qis": (0, "81d9ef84b95bcece", "1f2cdeb761e33d4f"),
-    "resolve": (0, "36e3aa4eb4bbe61f", "b8f78f991187c853"),
+    "resolve": (0, "fe4f0e93ef36eb2a", "d6d257719f8ed640"),
     "towers": (0, "8a44419b14bc9292", "887b1e43552d92be"),
     "phom": (0, "5fdc82317afccc1a", "3b2aaad788ec6a49"),
+    "phom-z72": (0, "c4a23170928d356a", "b998786d2c894009"),
     "adjunction": (0, "5708f78d13feeff1", "4421b7e4dc59d326"),
     "validate-cert": (0, "f013f6d22f09cfe0", "433c27a88801cee7"),
 }
 
 
-@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("command", cli.COMMANDS + tuple(COMMAND))
 def test_report_digest_is_pinned(tmp_path, command):
     assert pinned(tmp_path, command) == DIGESTS[command]

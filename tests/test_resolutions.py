@@ -9,12 +9,18 @@ from purcat import resolutions
 from purcat.exact_linalg import InputError, WorkbenchError, ZZ, Zmod
 from purcat.fpmod import cyclic_module, free_module, identity_map, zero_map
 from purcat.complexes import (
+    Homotopy,
     cone,
     homology_invariants,
     minimize_complex,
     module_complex,
+    reduce_complex,
+    shift,
+    shift_map,
     trim,
+    vanishes,
     zero_complex,
+    zero_homotopy,
 )
 from purcat.homotopy import contract_complex
 from purcat.purity import default_battery, is_pure_qis
@@ -22,6 +28,7 @@ from purcat.randgen import random_chain_map, random_complex
 from purcat.resolutions import (
     DegreewiseFamily,
     DepthInsufficient,
+    ResolutionCertificate,
     SemiSplitDirectTower,
     SemiSplitInverseTower,
     UnsupportedRing,
@@ -434,7 +441,7 @@ def test_resolve_agrees_with_the_inductions(seed, ring, side):
     assert validate_certificate(fast) and validate_certificate(slow)
     assert nonzero_homology(fast.target) == nonzero_homology(slow.target)
     assert nonzero_homology(fast.target) == nonzero_homology(m)
-    target, to, back = resolutions._reduced(trim(m))
+    target, to, back, _ = resolutions._reduced(trim(m))
     assert fast.target == target
     if side == "injective":
         assert fast.map.equals(to)
@@ -461,11 +468,13 @@ def tower_top(m, side):
        side=st.sampled_from(("injective", "projective")))
 def test_towers_on_reduced_cones_agree_with_towers_on_whole_cones(seed, ring, side):
     # minimize_complex returns (C', to, back) like reduce_complex but
-    # cancels nothing, so the patched run resolves each whole cone
+    # cancels nothing, and its back . to is the identity modulo relations,
+    # so with s = 0 the patched run resolves each whole cone
     m = tower_input(random.Random(seed), ring, side)
     reduced, reduced_tower = tower_top(m, side)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(resolutions, "reduce_complex", minimize_complex)
+        patch.setattr(resolutions, "reduce_complex",
+                      lambda cx: (*minimize_complex(cx), zero_homotopy(cx, cx)))
         whole, whole_tower = tower_top(m, side)
     for cert in (reduced, whole, *reduced_tower.cone_certificates,
                  *whole_tower.cone_certificates):
@@ -473,3 +482,66 @@ def test_towers_on_reduced_cones_agree_with_towers_on_whole_cones(seed, ring, si
     assert nonzero_homology(reduced.target) == nonzero_homology(whole.target)
     assert nonzero_homology(reduced.target) == nonzero_homology(m)
     assert generators(reduced.target) <= generators(whole.target)
+
+
+def tower_certificates(m, side, depth):
+    """The cone certificates of m's tower of this depth and its (co)limit's."""
+    if side == "injective":
+        tower, fs = injective_tower(m, depth)
+        return tower.cone_certificates + (limit_tower(tower, fs),)
+    tower, fs = projective_tower(m, depth)
+    return tower.cone_certificates + (colimit_tower(tower, fs),)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from((ZZ, Zmod(12), Zmod(72))))
+def test_reduce_complex_homotopy_and_the_contractions_written_from_it(seed, ring):
+    rng = random.Random(seed)
+    m = random_complex(rng, ring, rng.randint(-2, 0), rng.randint(1, 4), max_gens=3)
+    red, to, back, s = reduce_complex(m)
+    assert s.witnesses(None, back @ to)
+    # s . back = 0, to . s = 0 and s . s = 0, each of degree -1 or -2
+    assert vanishes(red, shift(m, -1), ((1, s, back),))
+    assert vanishes(m, shift(red, -1), ((1, shift_map(to, -1), s),))
+    s_below = Homotopy(shift(m, -1), shift(m, -2), s.lo + 1, s.components)
+    assert vanishes(m, shift(m, -2), ((1, s_below, s),))
+    # every witness the resolutions write down validates, and the solver,
+    # the oracle, finds each cone contractible too; depth need + 1 has a
+    # stable level once the tower is nonempty
+    for side in ("injective", "projective"):
+        if not all(termwise_ok(side, m)):
+            continue
+        certs = (resolve(m, side),) + tower_certificates(
+            m, side, required_depth(m, side) + 1)
+        for cert in certs:
+            assert validate_certificate(cert)
+            assert contract_complex(cone(cert.map).complex) is not None
+
+
+def test_cone_identity_checks_refute_a_negated_inner_map():
+    # the checks read cone(-g) off the cone kept on g; with g negated they
+    # compare against cone(g), which differs exactly where 2 g is nonzero
+    cases = (("injective", random_complex(random.Random(7), Zmod(8), -2, 3)),
+             ("projective", z_projective_example()))
+    exercised = 0
+    for side, m in cases:
+        depth = required_depth(m, side)
+        if side == "injective":
+            tower, fs = injective_tower(m, depth)
+            check, build = check_inverse_level_cone_identity, SemiSplitInverseTower
+        else:
+            tower, fs = projective_tower(m, depth)
+            check, build = check_direct_level_cone_identity, SemiSplitDirectTower
+        for n in range(1, depth + 1):
+            inner = tower.cone_certificates[n - 1]
+            flipped = ResolutionCertificate(inner.source, inner.target, -inner.map, inner.side,
+                                            inner.qis_witness, inner.termwise_flags)
+            certs = list(tower.cone_certificates)
+            certs[n - 1] = flipped
+            fields = [getattr(tower, name) for name in build._fields]
+            rebuilt = build(*fields[:-1], tuple(certs))
+            g = inner.map
+            assert check(tower, fs, n)
+            assert check(rebuilt, fs, n) == vanishes(g.src, g.tgt, ((2, g),))
+            exercised += not check(rebuilt, fs, n)
+    assert exercised
