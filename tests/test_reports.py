@@ -121,6 +121,6 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("command", cli.COMMANDS + tuple(COMMAND))
-def test_report_digest_is_pinned(tmp_path, command):
-    assert pinned(tmp_path, command) == DIGESTS[command]
+@pytest.mark.parametrize("case", cli.COMMANDS + tuple(COMMAND))
+def test_report_digest_is_pinned(tmp_path, case):
+    assert pinned(tmp_path, case) == DIGESTS[case]
