@@ -66,7 +66,7 @@ from purcat.resolutions import (
     resolve,
     validate_certificate,
 )
-from purcat.monoidal import check_dpur_adjunction, phom, validate_derived_hom
+from purcat.monoidal import check_dpur_adjunction, phom
 from purcat.serialize import (
     FORMAT,
     MAX_DEPTH,
@@ -238,8 +238,6 @@ def cmd_resolve(wi, args):
     name, cx = _complex_arg(wi)
     side = _side_arg(wi)
     cert = resolve(cx, side, depth=_depth_arg(wi, args))
-    if not validate_certificate(cert):
-        raise WorkbenchError("computed certificate failed revalidation")
     return "ok", {
         "complex": name,
         "side": side,
@@ -253,9 +251,10 @@ def cmd_resolve(wi, args):
 def cmd_towers(wi, args):
     """Build the tower, take its (co)limit and report both.
 
-    limit_tower / colimit_tower validate the tower and its formula once
-    and raise if either fails (exit 2), so every report written here has
-    tower_valid and the formula flag true.
+    limit_tower / colimit_tower validate the tower and its formula once,
+    and _certificate checks every certificate where it is made; each
+    raises on a failure (exit 2), so every flag in a report written here
+    is true.
     """
     name, cx = _complex_arg(wi)
     side = _side_arg(wi)
@@ -279,7 +278,6 @@ def cmd_towers(wi, args):
                 level.module(i).generators for i in range(level.lo, level.hi + 1)
             ],
         })
-    cert_valid = validate_certificate(cert)
     results = {
         "complex": name,
         "side": side,
@@ -287,25 +285,26 @@ def cmd_towers(wi, args):
         "levels": levels,
         "tower_valid": True,
         formula_key: True,
-        "certificate_valid": cert_valid,
+        "certificate_valid": True,
         "certificate": encode_certificate(cert),
     }
-    return ("ok" if cert_valid else "refuted"), results
+    return "ok", results
 
 
 def cmd_phom(wi, args):
     """The derived hom of a and b from their resolutions, as resolve makes
-    them: a depth is checked against a, then b (exit 2 below the need)."""
+    them: a depth is checked against a, then b (exit 2 below the need).
+    resolve checks both certificates where it makes them and raises on a
+    failure (exit 2), so revalidated is always true."""
     aname, a = _complex_arg(wi, "a")
     bname, b = _complex_arg(wi, "b")
     result = phom(a, b, depth=_depth_arg(wi, args))
-    ok = validate_derived_hom(result)
-    return ("ok" if ok else "refuted"), {
+    return "ok", {
         "a": aname,
         "b": bname,
         "value_window": _window(result.value),
         "value_homology": _homology_table(result.value),
-        "revalidated": ok,
+        "revalidated": True,
         "projective_certificate": encode_certificate(result.proj_res),
         "injective_certificate": encode_certificate(result.inj_res),
     }

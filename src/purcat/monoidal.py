@@ -41,7 +41,6 @@ from purcat.resolutions import (
     ResolutionCertificate,
     _require_injective_scope,
     resolve,
-    validate_certificate,
 )
 
 
@@ -388,15 +387,6 @@ def phom(m: Complex, n: Complex, depth: Optional[int] = None) -> DerivedHomResul
     proj = resolve(m, PROJECTIVE, depth)
     inj = resolve(n, INJECTIVE, depth)
     return DerivedHomResult(hom_complex(proj.target, inj.target), proj, inj)
-
-
-def validate_derived_hom(result: DerivedHomResult) -> bool:
-    """Certificates re-validate and the value matches the resolution pair."""
-    if not validate_certificate(result.proj_res):
-        return False
-    if not validate_certificate(result.inj_res):
-        return False
-    return hom_complex(result.proj_res.target, result.inj_res.target) == result.hom
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ levels extend each other by degreewise split maps, resolves the cone it
 extends along the same way.  The towers are built only on request
 (injective_tower / projective_tower), and their (co)limit at finite
 depth is read off degreewise and re-verified.
-Every resolution is certified once, where kept, and nothing is solved
-for: the contraction of its cone is written down from reduce_complex's
-homotopy (_contraction), or recast from a tower's cone certificate
-(_recast).  Every certificate re-validates from scratch.
+Every certificate is checked once, by validate_certificate where it is
+made (_certificate), and nothing is solved for: the contraction of its
+cone is written down from reduce_complex's homotopy (_contraction), or
+recast from a tower's cone certificate (_recast).  Every certificate
+re-validates from scratch.
 """
 
 from __future__ import annotations
@@ -137,13 +138,15 @@ def validate_certificate(cert: ResolutionCertificate) -> bool:
 
 def _certificate(source: Complex, target: Complex, res_map: ChainMap, side: str,
                  witness: Homotopy) -> ResolutionCertificate:
-    """The certificate of res_map, refused unless witness, built on the
-    complex of cone(res_map), contracts it."""
-    if not witness.witnesses():
-        raise WorkbenchError("resolution map has a non-contractible cone")
-    return ResolutionCertificate(
+    """The certificate of res_map with witness, refused unless
+    validate_certificate accepts it: the one check of a certificate made
+    in process."""
+    cert = ResolutionCertificate(
         source, target, res_map, side, witness, termwise_ok(side, target)
     )
+    if not validate_certificate(cert):
+        raise WorkbenchError("resolution certificate fails to validate")
+    return cert
 
 
 def _signed(mat: IntMatrix, sign: int, top: int, left: int) -> tuple:
@@ -576,7 +579,8 @@ def validate_inverse_tower(tower: SemiSplitInverseTower, fs) -> bool:
     """Degreewise split exactness, pure injective kernels, cone identities.
 
     Every identity is a sum of products checked by vanishes; p^i . s^i = id
-    makes p^i onto, so that needs no check of its own.
+    makes p^i onto, so that needs no check of its own, and _certificate
+    checked each cone certificate where it was made.
     """
     for n in range(1, tower.depth + 1):
         p, s, t = tower.surjections[n - 1], tower.sections[n - 1], tower.transitions[n - 1]
@@ -585,7 +589,6 @@ def validate_inverse_tower(tower: SemiSplitInverseTower, fs) -> bool:
                 and ki.is_chain_map()
                 and all(is_injective(ki.component(i)) for i in range(kern.lo, kern.hi + 1))
                 and vanishes(kern, prev, ((1, p, ki),)) and all(termwise_ok(INJECTIVE, kern))
-                and validate_certificate(tower.cone_certificates[n - 1])
                 and check_inverse_level_cone_identity(tower, fs, n)
                 and vanishes(fs[n].src, prev, ((1, p, fs[n]), (-1, fs[n - 1], t)))):
             return False
@@ -597,7 +600,8 @@ def validate_direct_tower(tower: SemiSplitDirectTower, fs) -> bool:
 
     Every identity is a sum of products checked by vanishes; r^i . incl^i
     = id makes incl^i one to one, and every finitely presented cokernel
-    term is pure projective, so neither needs a check of its own.
+    term is pure projective, so neither needs a check of its own;
+    _certificate checked each cone certificate where it was made.
     """
     for n in range(1, tower.depth + 1):
         incl, r, t = tower.injections[n - 1], tower.retractions[n - 1], tower.transitions[n - 1]
@@ -606,7 +610,6 @@ def validate_direct_tower(tower: SemiSplitDirectTower, fs) -> bool:
                 and cp.is_chain_map()
                 and all(is_surjective(cp.component(i)) for i in range(level.lo, level.hi + 1))
                 and vanishes(prev, cp.tgt, ((1, cp, incl),))
-                and validate_certificate(tower.cone_certificates[n - 1])
                 and check_direct_level_cone_identity(tower, fs, n)
                 and vanishes(prev, fs[n].tgt, ((1, fs[n], incl), (-1, t, fs[n - 1])))):
             return False
@@ -659,7 +662,8 @@ def _check_tower(tower, fs, side: str) -> None:
     """Raise unless the (co)limit can be read off the tower; solves nothing.
 
     Depth, product or sum formula, degreewise surjective transitions
-    (injective side), then validate_*_tower: each check runs once.
+    (injective side), then validate_*_tower: each check runs once, and
+    the tower's cone certificates were checked where they were made.
     """
     need = required_depth(tower.source, side)
     if tower.depth < need or tower.truncations[-1] != tower.source:
@@ -761,7 +765,8 @@ def resolve(m: Complex, side: str, depth: Optional[int] = None) -> ResolutionCer
     For to: m -> R, H^n = [[-s^(n+1), back^n], [0, 0]].  Here d H + H d
     has blocks d s + s d + back . to = id, back d - d back = 0,
     -to . s = 0 and to . back = id.
-    _certificate refuses H unless it contracts (Homotopy.witnesses).  A
+    _certificate refuses the certificate unless validate_certificate
+    accepts it, H's contraction included (Homotopy.witnesses).  A
     homotopy equivalent target is homotopy equivalent to the (co)limit
     of any tower that resolves m, so anything read off its homology, or
     off tensor and hom complexes built from it, agrees.

@@ -9,19 +9,22 @@ certificate.  `resolve` builds no tower and certifies only its own cone at
 every depth, a tower of depth d with its (co)limit certifies d cone
 resolutions plus the (co)limit's cone, and a lift certifies only the
 lifted resolution's cone.  The paddings are certified by the solving
-oracle, helpers.solved_certificate.
+oracle, helpers.solved_certificate.  One command line run checks the
+contraction of each certificate it makes once, and no other.
 """
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import random
 
 import pytest
 
-from purcat import homotopy, resolutions
+from purcat import cli, homotopy, resolutions
 from purcat.exact_linalg import ZZ, Zmod
-from purcat.complexes import cone, trim, zero_complex
+from purcat.complexes import Homotopy, cone, trim, zero_complex
 from purcat.randgen import random_chain_map, random_complex
 from purcat.resolutions import (
     colimit_tower,
@@ -32,7 +35,7 @@ from purcat.resolutions import (
     resolve,
     validate_certificate,
 )
-from purcat.serialize import encode_certificate
+from purcat.serialize import WorkbenchInput, encode_certificate, serialize_input
 import helpers
 from helpers import lift_injective, lift_projective, pad_resolution
 
@@ -255,3 +258,48 @@ def test_lift_contracts_only_the_lifted_resolution(contractions, ring_name, side
     contractions.clear()
     lifted, _, _ = lift(f, given)
     assert contractions == [cone(lifted.map).complex]
+
+
+# the complexes each command reads, and Homotopy.witnesses calls behind one
+# run: one per certificate made, none again before the report is written
+WITNESS_RUNS = {
+    "resolve-injective": ("resolve", {"complex": "c", "side": "injective"}, (), 1),
+    "resolve-projective": ("resolve", {"complex": "c", "side": "projective"}, (), 1),
+    # the default depth is the need: 1 injective, 2 projective
+    "towers-injective": ("towers", {"complex": "c", "side": "injective"}, (), 2),
+    "towers-projective": ("towers", {"complex": "c", "side": "projective"}, (), 3),
+    "towers-injective-depth-4": ("towers", {"complex": "c", "side": "injective"},
+                                 ("--depth", "4"), 5),
+    "towers-projective-depth-4": ("towers", {"complex": "c", "side": "projective"},
+                                  ("--depth", "4"), 5),
+    "phom": ("phom", {"a": "c", "b": "c"}, (), 2),
+    "adjunction": ("adjunction", {"a": "c", "b": "c", "c": "c"}, (), 3),
+}
+
+
+@pytest.mark.parametrize("command,parameters,flags,count", WITNESS_RUNS.values(),
+                         ids=WITNESS_RUNS.keys())
+def test_each_certificate_is_checked_once(tmp_path, monkeypatch, command, parameters,
+                                          flags, count):
+    """resolve checks 1 certificate, a tower of depth d with its (co)limit
+    d + 1, phom 2 and adjunction 3 (the resolutions of a, b and c)."""
+    ring = Zmod(12)
+    cx = random_complex(random.Random(7), ring, -1, 4, max_gens=3)
+    path = tmp_path / "ws.json"
+    path.write_text(serialize_input(WorkbenchInput(ring, complexes={"c": cx},
+                                                   parameters=parameters)))
+    calls = []
+    real = Homotopy.witnesses
+
+    def counted(self, *args):
+        calls.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(Homotopy, "witnesses", counted)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main([command, "--json", *flags, str(path)])
+    assert code == 0
+    report = json.loads(out.getvalue())["results"]
+    if command == "towers":
+        assert count == report["depth"] + 1
+    assert len(calls) == count

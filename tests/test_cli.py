@@ -17,10 +17,12 @@ from purcat import cli, complexes, fpmod, resolutions
 from purcat.exact_linalg import ZZ, Zmod
 from purcat.fpmod import cyclic_module, free_module
 from purcat.complexes import (
+    cone,
     identity_chain_map,
     module_complex,
     zero_chain_map,
     zero_complex,
+    zero_homotopy,
 )
 from purcat.randgen import random_complex, random_pure_acyclic, random_pure_qis
 from purcat.serialize import (
@@ -363,6 +365,22 @@ def test_towers_validates_its_tower_once(tmp_path, monkeypatch, side, name, buil
     assert report["results"]["tower_valid"] is True
     assert report["results"][formula] is True
     assert report["results"]["certificate_valid"] is True
+
+
+@pytest.mark.parametrize("side", ["injective", "projective"])
+@pytest.mark.parametrize("command", ["resolve", "towers"])
+def test_a_certificate_that_fails_to_validate_exits_2(tmp_path, monkeypatch, command,
+                                                      side):
+    # the zero homotopy of a nonzero cone contracts nothing
+    def zero(res_map, other, s, side):
+        c = cone(res_map).complex
+        return zero_homotopy(c, c)
+
+    monkeypatch.setattr(resolutions, "_contraction", zero)
+    cx = random_complex(random.Random(7), Zmod(12), -1, 4, max_gens=3)
+    code, report = tower_command(tmp_path, command, cx, side)
+    assert code == 2
+    assert report["results"]["error"] == "resolution certificate fails to validate"
 
 
 # ---------------------------------------------------------------------------

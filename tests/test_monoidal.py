@@ -27,6 +27,7 @@ from purcat.resolutions import (
     required_depth,
     resolve,
     termwise_ok,
+    validate_certificate,
 )
 import purcat.monoidal as monoidal
 from purcat.monoidal import (
@@ -36,7 +37,6 @@ from purcat.monoidal import (
     phom,
     tensor_swap,
     validate_adjunction_witness,
-    validate_derived_hom,
 )
 from purcat.randgen import random_complex, random_pure_acyclic, random_pure_qis
 from purcat.exact_linalg import InputError
@@ -280,7 +280,9 @@ def test_phom_certificates_validate():
     result = phom(m, n)
     assert result.proj_res.side == PROJECTIVE
     assert result.inj_res.side == INJECTIVE
-    assert validate_derived_hom(result)
+    assert validate_certificate(result.proj_res)
+    assert validate_certificate(result.inj_res)
+    assert result.hom == hom_complex(result.proj_res.target, result.inj_res.target)
 
 
 def test_phom_rejects_free_targets_over_z():
@@ -327,7 +329,9 @@ def test_phom_resolves_both_arguments_and_keeps_the_homology(seed, ring, length,
             break
     result = phom(m, n)
     # both certificates re-validate and the value is their hom complex
-    assert validate_derived_hom(result)
+    assert validate_certificate(result.proj_res)
+    assert validate_certificate(result.inj_res)
+    assert result.hom == hom_complex(result.proj_res.target, result.inj_res.target)
     # the resolutions are homotopy equivalent to m and n, and so is the value
     # to the plain hom complex
     assert same_homology(result.value, hom_complex(m, n).complex)

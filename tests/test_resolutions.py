@@ -12,6 +12,7 @@ from purcat.complexes import (
     Homotopy,
     cone,
     homology_invariants,
+    identity_chain_map,
     minimize_complex,
     module_complex,
     reduce_complex,
@@ -186,6 +187,17 @@ def test_projective_tower_over_z():
         assert all(termwise_ok("projective", coker))
     cert = colimit_tower(tower, fs)
     assert validate_certificate(cert)
+
+
+def test_certificate_is_refused_unless_it_validates():
+    # Z in degree 0 over Z: the identity's cone contracts, but a free term
+    # over Z is not pure injective, so validate_certificate rejects it
+    m = module_complex(free_module(ZZ, 1), 0)
+    f = identity_chain_map(m)
+    witness = contract_complex(cone(f).complex)
+    assert witness.witnesses()
+    with pytest.raises(WorkbenchError, match="resolution certificate fails to validate"):
+        resolutions._certificate(m, m, f, "injective", witness)
 
 
 def test_inverse_tower_rereads_kernel_terms():
