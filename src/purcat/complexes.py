@@ -540,12 +540,13 @@ def reduce_complex(cx: Complex) -> tuple:
     to^n and s^n are zero on X.  The composite of (to1, back1, s1) and
     then (to2, back2, s2) is (to2 to1, back1 back2, s1 + back1 s2 to1),
     and it keeps all four identities, by those of each step and
-    to1 back1 = id.  So each cancellation adds
+    to1 back1 = id.  to and back start as minimize_complex's maps, a step
+    with s = 0 whose back . to is the identity modulo relations, so each
+    cancellation acts in cx's coordinates: its row and column operations
+    on to and back are to2 to1 and back1 back2, and it adds
     c' (back column x) (to row y) to s^(n+1), read before the pair is
-    deleted.  minimize_complex's maps compose the same way with s = 0,
-    since its back . to is the identity modulo relations.  Over Z/m the
-    entries are reduced mod m, which keeps to . back the identity; over Z
-    they are left as computed.
+    deleted.  Over Z/m the entries are reduced mod m at every step, which
+    keeps to . back the identity; over Z they are left as computed.
     """
     mini, min_to, min_back = minimize_complex(cx)
     if not mini.modules:
@@ -558,12 +559,12 @@ def reduce_complex(cx: Complex) -> tuple:
     diffs = [[list(row) for row in d.matrix.data] for d in mini.diffs]
     # to[k] is a list of rows and back[k] a list of columns, one per kept
     # generator, so dropping a generator drops one entry of each
-    sizes = [len(f) for f in facs]
-    to = [[[int(i == j) for j in range(g)] for i in range(g)] for g in sizes]
-    back = [[[int(i == j) for i in range(g)] for j in range(g)] for g in sizes]
-    # s[k] is the matrix of s^k as a list of rows, made on the first cancellation
-    s = [None] * len(sizes)
-    changed = set()
+    to = [[list(row) for row in f.matrix.data] for f in min_to.components]
+    back = [[list(f.matrix.column(j)) for j in range(f.matrix.cols)]
+            for f in min_back.components]
+    # s[k] is the matrix of s^(lo+k) as a list of rows
+    sizes = [mod.generators for mod in cx.modules]
+    s = [None] + [[[0] * g for _ in range(f)] for f, g in zip(sizes, sizes[1:])]
     for k, d in enumerate(diffs):
         while True:
             pair = next(((x, y) for x in range(len(facs[k]))
@@ -575,8 +576,6 @@ def reduce_complex(cx: Complex) -> tuple:
             x, y = pair
             a, c = facs[k][x], d[y][x]
             inv = c if a == 0 else pow(c, -1, a)
-            if s[k + 1] is None:
-                s[k + 1] = [[0] * sizes[k + 1] for _ in range(sizes[k])]
             row_y = to[k + 1][y]
             for i, b in enumerate(back[k][x]):
                 if b:
@@ -602,36 +601,19 @@ def reduce_complex(cx: Complex) -> tuple:
                     del row[y]
             del facs[k][x], facs[k + 1][y], to[k][x], to[k + 1][y]
             del back[k][x], back[k + 1][y]
-            changed.update((k, k + 1))
-    mods = tuple(diagonal_module(ring, f) if k in changed else mini.modules[k]
-                 for k, f in enumerate(facs))
-    out = Complex(ring, lo, mods, tuple(
-        ModuleMap(mods[k], mods[k + 1], IntMatrix._trusted(
-            len(facs[k + 1]), len(facs[k]), tuple(tuple(row) for row in d)))
-        for k, d in enumerate(diffs)))
-    to_comps, back_comps = [], []
-    for k, mod in enumerate(mini.modules):
-        if k not in changed:
-            to_comps.append(min_to.components[k])
-            back_comps.append(min_back.components[k])
-            continue
-        g, h = len(facs[k]), mod.generators
-        to_k = ModuleMap(mod, mods[k], IntMatrix._trusted(
-            g, h, tuple(tuple(row) for row in to[k])))
-        back_k = ModuleMap(mods[k], mod, IntMatrix._trusted(
-            h, g, tuple(tuple(col[i] for col in back[k]) for i in range(h))))
-        to_comps.append(to_k @ min_to.components[k])
-        back_comps.append(min_back.components[k] @ back_k)
-    s_comps = []
-    for k in range(1, len(sizes)):
-        if s[k] is None:
-            s_comps.append(zero_map(cx.module(lo + k), cx.module(lo + k - 1)))
-            continue
-        s_k = ModuleMap(mini.modules[k], mini.modules[k - 1], IntMatrix._trusted(
-            sizes[k - 1], sizes[k], tuple(map(tuple, s[k]))))
-        s_comps.append(min_back.components[k - 1] @ s_k @ min_to.components[k])
-    return (out, ChainMap(cx, out, lo, tuple(to_comps)),
-            ChainMap(out, cx, lo, tuple(back_comps)), Homotopy(cx, cx, lo + 1, tuple(s_comps)))
+    mods = tuple(mod if mod.generators == len(f) else diagonal_module(ring, f)
+                 for mod, f in zip(mini.modules, facs))
+
+    def as_map(src, tgt, rows):
+        return ModuleMap(src, tgt, IntMatrix._trusted(
+            tgt.generators, src.generators, tuple(map(tuple, rows))))
+
+    out = Complex(ring, lo, mods, tuple(map(as_map, mods, mods[1:], diffs)))
+    back_rows = ([[col[i] for col in cols] for i in range(mod.generators)]
+                 for mod, cols in zip(cx.modules, back))
+    return (out, ChainMap(cx, out, lo, tuple(map(as_map, cx.modules, mods, to))),
+            ChainMap(out, cx, lo, tuple(map(as_map, mods, cx.modules, back_rows))),
+            Homotopy(cx, cx, lo + 1, tuple(map(as_map, cx.modules[1:], cx.modules, s[1:]))))
 
 
 def homology_invariants(cx: Complex) -> dict:

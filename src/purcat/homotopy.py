@@ -1,8 +1,8 @@
 """Homotopy-category layer.
 
 Hom groups up to homotopy as finitely presented modules, null-homotopy
-and contraction solvers, and derived hom into a complex of pure
-injectives.
+and contraction solvers, and the derived hom hom_dpur, which is hom_k
+for every bounded pair.
 
 contract_complex decides every Pure verdict; no resolution calls it,
 since each writes its contraction down from reduce_complex's homotopy
@@ -180,21 +180,22 @@ def contract_complex(cx: Complex) -> Optional[Homotopy]:
 
 
 # ---------------------------------------------------------------------------
-# derived hom into pure injectives
+# derived hom
 
 
 def hom_dpur(a: Complex, b: Complex) -> KHomGroup:
-    """Hom in the pure derived category, for b in scope: hom_k(a, b).
+    """Hom in the pure derived category: hom_k(a, b), for any bounded b.
 
-    Every term of b must be pure injective (resolutions.termwise_ok, read
-    off the terms); otherwise UnsupportedRing is raised before any hom is
-    computed.  A bounded complex of pure injectives is K-pure injective
-    (resolutions.resolve proves it), so Hom_K(-, b) already inverts pure
-    quasi-isomorphisms and the derived hom is hom_k(a, b): b is not
-    resolved.  resolve(b, "injective") would give a homotopy equivalent
-    complex, so the group is the one phom's value has in degree 0.
+    The terms of a are finitely presented, so pure projective, and a
+    bounded complex of pure projectives is K-pure projective
+    (resolutions.resolve, step (3)): Hom_K(a, A) = 0 for A pure acyclic.
+    A morphism a -> b of the pure derived category is a fraction s^-1 f,
+    f: a -> b' and s: b -> b' in K with cone A pure acyclic, so the group
+    is the colimit of Hom_K(a, b') over such s (Verdier).  The triangle
+    b -> b' -> A gives the exact Hom_K(a, A[-1]) -> Hom_K(a, b) ->
+    Hom_K(a, b') -> Hom_K(a, A), whose ends vanish, so every s_* is an
+    isomorphism and the group is Hom_K(a, b), whatever b's terms.  b is
+    not resolved; in the injective scope resolve(b, "injective") is
+    homotopy equivalent to b, so the group is H^0 of phom's value.
     """
-    from purcat.resolutions import _require_injective_scope
-
-    _require_injective_scope(b)
     return hom_k(a, b)

@@ -445,11 +445,11 @@ def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
     argument to homotopy equivalences, so the links read the same
     invariant factors from any certified resolutions, a tower's
     (co)limit included.  Every link compares invariant factors of H^0 of
-    hom complexes: hom_dpur against a target with pure injective terms
-    (c, ic.target, and value, a Hom into ic.target) is hom_k, so no link
-    compares hom_dpur with hom_k of the same pair, which would read one
-    memoized group twice.  The currying witness is a chain isomorphism
-    on whatever complexes it is built from.
+    hom complexes: hom_dpur is hom_k for every bounded pair (its
+    docstring), so no link compares hom_dpur with hom_k of the same pair,
+    which would read one memoized group twice.  c alone is gated, since
+    phom resolves it on the injective side.  The currying witness is a
+    chain isomorphism on whatever complexes it is built from.
     """
     _require_injective_scope(c)
     pa = resolve(a, PROJECTIVE, depth)

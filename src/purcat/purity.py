@@ -2,9 +2,10 @@
 
 Over the supported rings a finitely presented pure submodule splits and
 a pure acyclic complex of finitely presented modules contracts, so
-purity verdicts come from solvable linear systems.  Tensor probes stay
-on as an independent necessary-condition oracle: every NotPure verdict
-prefers a failing probe that plain homology can re-check.
+purity verdicts come from solvable linear systems.  Pure is proven by
+its checked contraction, which contracts every probe tensor too
+(is_pure_acyclic); NotPure prefers a failing probe that plain homology
+can re-check.
 
 Probes are evaluated arithmetically, and no probe tensor is built.
 Tensoring is right exact, so a term or cokernel coker(A) tensored with
@@ -269,11 +270,17 @@ def is_pure_acyclic(cx: Complex, battery: Optional[ProbeBattery] = None) -> Puri
     Over Z and Z/m, pure acyclic means contractible for a bounded complex
     of finitely presented modules: both rings are Noetherian, so every
     cycle module is finitely presented, and a pure exact sequence that
-    ends in one splits.  Pure carries the contraction; NotPure carries
-    the battery's first failing probe where there is one.
+    ends in one splits.  Pure carries the contraction h, checked here
+    (Homotopy.witnesses; WorkbenchError unless d h + h d = id).  It
+    proves every probe P acyclic: - (x) P is additive, so
+    (d (x) 1)(h (x) 1) + (h (x) 1)(d (x) 1) = (d h + h d) (x) 1 = id and
+    h (x) 1 contracts C (x) P.  NotPure carries the battery's first
+    failing probe where there is one.
     """
     contraction = contract_complex(cx)
     if contraction is not None:
+        if not contraction.witnesses():
+            raise WorkbenchError("contraction fails d h + h d = id")
         return PurityVerdict(PURE, witness=contraction)
     if battery is None:
         battery = default_battery(cx.ring, cx)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from purcat import cli, complexes, fpmod, resolutions
+from purcat import cli, complexes, fpmod, purity as purity_layer, resolutions
 from purcat.exact_linalg import ZZ, Zmod
 from purcat.fpmod import cyclic_module, free_module
 from purcat.complexes import (
@@ -202,6 +202,50 @@ def test_qis_not_pure(tmp_path):
     assert res["failing_degree"] == -1
     assert list(res) == ["map", "cone_window", "verdict", "probes", "detail",
                          "failing_probe", "failing_degree"]
+
+
+@pytest.mark.parametrize("command", ["purity", "qis"])
+def test_a_contraction_that_fails_its_check_exits_2(tmp_path, monkeypatch, command):
+    rng = random.Random(7)
+    f = random_pure_qis(rng, random_complex(rng, Zmod(12), 0, 2))
+    real = purity_layer.contract_complex
+
+    def tampered(cx):
+        # the contraction with its first nonzero entry raised by one
+        h = real(cx)
+        comps = list(h.components)
+        k, i, j = next((k, i, j) for k, comp in enumerate(comps)
+                       for i, row in enumerate(comp.matrix.data)
+                       for j, x in enumerate(row) if x)
+        rows = [list(row) for row in comps[k].matrix.data]
+        rows[i][j] += 1
+        comps[k] = fpmod.make_map(comps[k].src, comps[k].tgt, rows, check=False)
+        return complexes.Homotopy(h.src, h.tgt, h.lo, tuple(comps))
+
+    monkeypatch.setattr(purity_layer, "contract_complex", tampered)
+    code, report = purity(tmp_path, cone(f).complex) if command == "purity" else qis(tmp_path, f)
+    assert code == 2
+    assert report["results"] == {"error": "contraction fails d h + h d = id"}
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(12), Zmod(72)])
+def test_a_pure_verdict_evaluates_no_probe(tmp_path, monkeypatch, ring):
+    # the checked contraction proves every listed probe acyclic
+    cx = random_pure_acyclic(random.Random(5), ring)
+    want = [purity(tmp_path, cx), qis(tmp_path, identity_chain_map(cx))]
+
+    def refuse(*args):
+        raise AssertionError("a Pure verdict evaluated a probe")
+
+    # in purity, and in cli in case it imports the function by name again
+    for module in (purity_layer, cli):
+        monkeypatch.setattr(module, "failing_probe_for_acyclic", refuse, raising=False)
+    got = [purity(tmp_path, cx), qis(tmp_path, identity_chain_map(cx))]
+    assert [code for code, _ in got] == [0, 0]
+    for code, report in got:
+        assert report["results"]["verdict"] == "Pure"
+        assert report["results"]["probes_checked"] == len(report["results"]["probes"])
+    assert [without_timing(r) for _, r in got] == [without_timing(r) for _, r in want]
 
 
 @pytest.mark.parametrize("command", ["qis", "cone"])
@@ -545,6 +589,25 @@ def test_a_huge_depth_is_rejected_at_once(tmp_path, command, where):
         assert code == 0
 
 
+@pytest.mark.parametrize("command", ["towers", "resolve", "phom", "adjunction"])
+@pytest.mark.parametrize("where", ["flag", "parameter"])
+def test_a_negative_depth_is_rejected_by_every_command(tmp_path, command, where):
+    # the input needs depth 0, so the negative depth is the only fault
+    ring = Zmod(8)
+    m = module_complex(cyclic_module(ring, 2), 0)
+    assert resolutions.required_depth(m, "injective") == 0
+    parameters = {"complex": "m", "side": "injective", "a": "m", "b": "m", "c": "m"}
+    flags = ()
+    if where == "flag":
+        flags = ("--depth", "-1")
+    else:
+        parameters["depth"] = -1
+    code, report = run(tmp_path, command, ring, complexes={"m": m},
+                       parameters=parameters, flags=flags)
+    assert code == 2
+    assert report["results"] == {"error": "tower depth must be nonnegative"}
+
+
 def test_towers_rejects_an_input_needing_too_deep_a_tower(tmp_path):
     cx = module_complex(cyclic_module(Zmod(8), 2), -MAX_DEPTH - 1)
     code, report = run(tmp_path, "towers", cx.ring, complexes={"c": cx},
@@ -592,6 +655,9 @@ GRAMMAR = [
     (["towers", "--seed=7", "{ws}", "--json"], 0, SEED_7),
     (["--json", "towers", "-", "--seed=7"], 0, SEED_7),
     (["towers", "{ws}", "--json", "--depth", "-1"], 2, HANDLER_ERROR),
+    (["resolve", "{ws}", "--json", "--depth", "-1"], 2, HANDLER_ERROR),
+    (["phom", "{ws}", "--json", "--depth=-1"], 2, HANDLER_ERROR),
+    (["adjunction", "{ws}", "--json", "--depth", "-1"], 2, HANDLER_ERROR),
     (["--help"], 0, HELP),
     (["towers", "{ws}", "-h"], 0, HELP),
     (["nosuch", "{ws}"], 2, USAGE),
@@ -610,8 +676,8 @@ GRAMMAR = [
                          ids=lambda v: " ".join(v) or "(none)" if isinstance(v, list) else None)
 def test_argv_grammar(tmp_path, monkeypatch, argv, code, outcome):
     cx = random_complex(random.Random(7), Zmod(8), -2, 3)
-    text = serialize_input(WorkbenchInput(cx.ring, complexes={"m": cx},
-                                          parameters={"complex": "m", "side": "injective"}))
+    text = serialize_input(WorkbenchInput(cx.ring, complexes={"m": cx}, parameters={
+        "complex": "m", "side": "injective", "a": "m", "b": "m", "c": "m"}))
     path = tmp_path / "towers.json"
     path.write_text(text, encoding="utf-8")
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
