@@ -51,10 +51,11 @@ from purcat.complexes import (
     cone,
     homology,
     homology_invariants,
+    smith_diagonals,
     truncate_geq,
     truncate_leq,
 )
-from purcat.purity import default_battery, is_pure_acyclic
+from purcat.purity import is_pure_acyclic, smith_battery
 from purcat.resolutions import (
     INJECTIVE,
     PROJECTIVE,
@@ -157,11 +158,16 @@ def _depth_arg(wi: WorkbenchInput, args):
 def _purity_results(head: dict, cx):
     """Decide pure acyclicity of cx; report it after the head keys.
 
-    A Pure verdict's contraction is checked where it is made and proves
-    every listed probe acyclic (is_pure_acyclic), so no probe is
-    evaluated for it and probes_checked counts them all."""
-    battery = default_battery(cx.ring, cx)
-    verdict = is_pure_acyclic(cx, battery)
+    Both verdicts list smith_battery, built from one elimination per
+    term and differential (smith_diagonals), which a NotPure verdict
+    then reuses to find the battery's first failing probe; the battery
+    is complete, so one is always found.  A Pure verdict's contraction
+    is checked where it is made and proves every listed probe acyclic
+    (is_pure_acyclic), so no probe is evaluated for it and
+    probes_checked counts them all."""
+    diagonals = smith_diagonals(cx)
+    battery = smith_battery(cx, diagonals)
+    verdict = is_pure_acyclic(cx, battery, diagonals)
     results = {
         **head,
         "verdict": verdict.verdict,

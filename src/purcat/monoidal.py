@@ -34,7 +34,7 @@ from purcat.complexes import (
     vanishes,
 )
 from purcat.homotopy import hom_dpur, hom_k
-from purcat.purity import ProbeBattery, PurityVerdict, default_battery, is_pure_qis
+from purcat.purity import ProbeBattery, PurityVerdict, is_pure_qis
 from purcat.resolutions import (
     INJECTIVE,
     PROJECTIVE,
@@ -78,12 +78,12 @@ def check_tensor_descends(u: ChainMap, a: Complex,
 
     u must itself be a pure quasi-isomorphism; the report carries the
     induced map on tensor products, its verdict, and a verdict for the
-    induced map on <= n truncations at cuts spanning the window.
+    induced map on <= n truncations at cuts spanning the window.  Each
+    verdict probes with battery, or by default with is_pure_qis's own,
+    the smith_battery of the cone it decides.
     """
     if u.src.ring != a.ring:
         raise InputError("the fixed complex must live over the same ring")
-    if battery is None:
-        battery = default_battery(a.ring, u, a)
     if not is_pure_qis(u, battery).is_pure():
         raise InputError("check_tensor_descends needs a pure quasi-isomorphism")
     src_tc = tensor_complex(a, u.src)

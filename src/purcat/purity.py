@@ -23,9 +23,14 @@ kernels are additive, so it fails exactly where one of its summands
 does.  Homology modules are only built where the orders are infinite,
 in the degrees where the free probe meets a free term over Z.
 
-Batteries over Z/m list the divisors of m from its factorization: small
-primes by trial division, the rest by Pollard-Brent rho with
-Miller-Rabin primality proofs.
+Verdicts probe with smith_battery: the free probe and the prime powers
+R/(p^k) read off the same Smith diagonals, so the battery grows with
+the number of primes and their exponents in the entries, not with the
+entries' size.  Only those entries are factored (small primes by trial
+division, the rest by Pollard-Brent rho with Miller-Rabin primality
+proofs); a modulus is only ever divided.  probe_battery and
+default_battery, sized by the entries, remain for the benchmark's
+corpus sizing and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -191,12 +196,14 @@ def _divisors(n: int) -> list:
 
 
 def probe_battery(ring: Ring, bound: int = 1) -> ProbeBattery:
-    """The standard battery: free rank 1 plus small cyclic torsion.
+    """The battery sized by a bound: free rank 1 plus small cyclic torsion.
 
     Over Z the torsion probes are Z/d for 2 <= d <= bound.  Over Z/m they
     are R/(d) for the divisors 1 < d < m, listed in ascending order from
     the factorization of m; the divisors of m are complete for purity
-    detection, so the bound only matters over Z.
+    detection, so the bound only matters over Z.  Verdicts use
+    smith_battery; this one remains for the benchmark's corpus sizing
+    and as the tests' oracle.
     """
     if bound < 1:
         raise InputError("battery bound must be at least 1")
@@ -235,23 +242,97 @@ def _entry_bound(*objects) -> int:
 
 
 def default_battery(ring: Ring, *objects) -> ProbeBattery:
-    """Battery sized from the input: twice its largest entry or divisor."""
+    """Battery sized from the input: twice its largest entry or divisor.
+
+    Its length grows with the entries' size over Z.  Verdicts use
+    smith_battery; this one remains for the benchmark's corpus sizing
+    and as the tests' oracle.
+    """
     return probe_battery(ring, 2 * _entry_bound(*objects))
+
+
+def smith_battery(cx: Complex, diagonals: Optional[tuple] = None) -> ProbeBattery:
+    """The free probe, then R/(q) for q = p^k ascending: for each prime p
+    dividing a nonzero entry of cx's Smith diagonals, k = 1..K_p + 1,
+    with K_p the largest p-valuation among those entries.  Over Z/m, p^k
+    must also properly divide m (R/(m) is the free probe); that is
+    tested by division, and m is never factored.
+
+    diagonals are smith_diagonals(cx), computed here when not given.
+    Only the entries are factored (_factor), so an entry that cannot be
+    factored raises WorkbenchError.
+
+    The battery is complete: if cx is not pure acyclic, one of its
+    probes fails.  Then cx (x) M has homology for some finitely
+    presented M, since every module is a filtered colimit of those and
+    both tensor products and homology commute with such colimits.  Over
+    Z and Z/m, M is a sum of copies of R and of R/(p^k) (k <= v_p(m)
+    over Z/m), and homology is additive, so R, the free probe, or some
+    R/(p^k) fails.  In degree i, cx (x) R/(p^k) is exact when an
+    identity among quotient_orders of the diagonals holds
+    (homology_degrees).  The base-p log of quotient_order(diag, p^k) is
+    the sum of min(v_p(d), k) over its entries d, a zero entry counting
+    k (over Z/m it stands for m, and k <= v_p(m)); so the identity
+    reads E_i(k) = 0 for a signed sum E_i of such logs.
+    - p divides no nonzero entry: every log is k times the number of
+      zero entries, so E_i(k) = k N_i with N_i the same signed count of
+      zero entries.  Over Z the zero entries count ranks, so N_i != 0
+      means cx (x) Q has homology in degree i; Q is flat, so cx has
+      too.  Over Z/m the free probe's orders have base-p log v_p(m)
+      times those counts, so its identity fails in degree i by
+      v_p(m) N_i != 0.  Either way the free probe fails in degree i.
+    - p divides a nonzero entry, so K_p >= 1: for k >= K_p every
+      min(v_p(d), k) is v_p(d), and E_i is affine in k.  An affine
+      function zero at K_p and at K_p + 1 is zero for every k >= K_p,
+      so when R/(p^k) fails in degree i for some k > K_p + 1, so does
+      R/(p^K_p) or R/(p^(K_p + 1)).
+
+    In ascending q its first failing probe is probe_battery's (and so
+    default_battery's), in the same degree, wherever that battery finds
+    one; both decide each probe from the same diagonals.  The free
+    probe comes first in both.  Past it, let R/(d) be that battery's
+    first failing probe.  R/(d) is the sum of the R/(p^v) with p^v
+    exactly dividing d, so one of them fails, and it is listed no later
+    than R/(d): so d = p^v.  The free probe passes,
+    so p divides a nonzero entry, and v <= K_p + 1, else R/(p^K_p) or
+    R/(p^(K_p + 1)) would fail before it.  So R/(d) is listed here, and
+    every probe listed here before it is a smaller proper divisor of m
+    (over Z/m) or a smaller q (over Z), which that battery lists too,
+    before R/(d), where it passes.
+    """
+    ring, m = cx.ring, cx.ring.modulus
+    terms, images = diagonals or smith_diagonals(cx)
+    tops: dict = {}
+    for entry in sorted({abs(d) for diag in terms + images for d in diag} - {0, 1}):
+        for p, k in _factor(entry):
+            tops[p] = max(tops.get(p, 0), k)
+    qs = []
+    for p, top in tops.items():
+        q = p
+        for _ in range(top + 1):
+            if m is not None and (m % q or q == m):
+                break
+            qs.append(q)
+            q *= p
+    return ProbeBattery(ring, (free_module(ring, 1),)
+                        + tuple(cyclic_module(ring, q) for q in sorted(qs)))
 
 
 # ---------------------------------------------------------------------------
 # probe evaluation
 
 
-def failing_probe_for_acyclic(cx: Complex, battery: ProbeBattery):
+def failing_probe_for_acyclic(cx: Complex, battery: ProbeBattery,
+                              diagonals: Optional[tuple] = None):
     """(probe, least degree where probe (x) cx has homology) or None.
 
-    cx is eliminated once (smith_diagonals); each probe is then decided
-    by homology_degrees from gcds with its invariant factors, and fails
-    wherever one of its cyclic summands does.  Homology modules are
-    built only where the free probe meets a free term over Z.
+    cx is eliminated once (smith_diagonals, computed here when not
+    given); each probe is then decided by homology_degrees from gcds
+    with its invariant factors, and fails wherever one of its cyclic
+    summands does.  Homology modules are built only where the free
+    probe meets a free term over Z.
     """
-    diagonals = smith_diagonals(cx)
+    diagonals = diagonals or smith_diagonals(cx)
     for probe in battery.probes:
         failed = [i for q in probe.invariant_factors
                   for i in homology_degrees(cx, q, diagonals)]
@@ -264,7 +345,8 @@ def failing_probe_for_acyclic(cx: Complex, battery: ProbeBattery):
 # decisions
 
 
-def is_pure_acyclic(cx: Complex, battery: Optional[ProbeBattery] = None) -> PurityVerdict:
+def is_pure_acyclic(cx: Complex, battery: Optional[ProbeBattery] = None,
+                    diagonals: Optional[tuple] = None) -> PurityVerdict:
     """Decide pure acyclicity by contract_complex.
 
     Over Z and Z/m, pure acyclic means contractible for a bounded complex
@@ -275,16 +357,21 @@ def is_pure_acyclic(cx: Complex, battery: Optional[ProbeBattery] = None) -> Puri
     proves every probe P acyclic: - (x) P is additive, so
     (d (x) 1)(h (x) 1) + (h (x) 1)(d (x) 1) = (d h + h d) (x) 1 = id and
     h (x) 1 contracts C (x) P.  NotPure carries the battery's first
-    failing probe where there is one.
+    failing probe where there is one.  The battery defaults to
+    smith_battery, which is complete, so then there always is one.
+    diagonals are smith_diagonals(cx), computed here when a NotPure
+    verdict needs them and they are not given; a caller that built
+    the battery from them passes them on.
     """
     contraction = contract_complex(cx)
     if contraction is not None:
         if not contraction.witnesses():
             raise WorkbenchError("contraction fails d h + h d = id")
         return PurityVerdict(PURE, witness=contraction)
+    diagonals = diagonals or smith_diagonals(cx)
     if battery is None:
-        battery = default_battery(cx.ring, cx)
-    hit = failing_probe_for_acyclic(cx, battery)
+        battery = smith_battery(cx, diagonals)
+    hit = failing_probe_for_acyclic(cx, battery, diagonals)
     if hit is not None:
         probe, degree = hit
         return PurityVerdict(

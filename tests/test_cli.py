@@ -97,7 +97,8 @@ def test_purity_not_pure_over_z(tmp_path):
     assert code == 1
     res = report["results"]
     assert report["status"] == "refuted" and res["verdict"] == "NotPure"
-    assert res["probes"] == [[0], [2], [3], [4]]
+    # the free probe and Z/2^k, k <= 2, from the Smith diagonal entry 2
+    assert res["probes"] == [[0], [2], [4]]
     assert res["failing_probe"] == [2]
     assert res["failing_degree"] == 0
     assert "probes_checked" not in res
@@ -110,8 +111,8 @@ def test_purity_not_pure_over_z72(tmp_path):
     code, report = purity(tmp_path, cx)
     assert code == 1
     res = report["results"]
-    assert res["probes"] == [[72], [2], [3], [4], [6], [8], [9], [12], [18],
-                             [24], [36]]
+    # entries 3 and 9: R/(3^k) for k <= 3, capped at v_3(72) = 2
+    assert res["probes"] == [[72], [3], [9]]
     assert res["failing_probe"] == [3]
     assert res["failing_degree"] == 0
 
@@ -271,7 +272,7 @@ def test_reports_are_deterministic(tmp_path):
 
 
 def test_purity_over_huge_modulus(tmp_path):
-    # the divisors of 10^12 come from its factorization, not a range(2, m) walk
+    # the probes come from the entries 2 and 4, and 10^12 is only divided
     ring = Zmod(10 ** 12)
     cx = ses(ring, cyclic_module(ring, 2), cyclic_module(ring, 4),
              cyclic_module(ring, 2), 2, 1)
@@ -279,7 +280,7 @@ def test_purity_over_huge_modulus(tmp_path):
     assert code == 1
     res = report["results"]
     assert res["verdict"] == "NotPure"
-    assert len(res["probes"]) == 168
+    assert res["probes"] == [[10 ** 12], [2], [4], [8]]
     assert res["failing_probe"] == [2]
     assert res["failing_degree"] == 0
     assert report["timing"]["seconds"] < 5
@@ -293,24 +294,67 @@ def test_purity_over_prime_modulus_near_10_to_18(tmp_path):
     assert report["timing"]["seconds"] < 5
 
 
-def test_purity_modulus_beyond_primality_proofs_exits_2(tmp_path):
-    # 2^89 - 1 is prime: rho finds no split within its budget
+def test_purity_over_prime_modulus_beyond_primality_proofs(tmp_path):
+    # 2^89 - 1 is prime, and rho finds no split of it within its budget,
+    # but a modulus is never factored: every entry over Z/p is 0 or 1
     ring = Zmod(2 ** 89 - 1)
     start = time.perf_counter()
     code, report = purity(tmp_path, module_complex(cyclic_module(ring, 1), 0))
+    assert time.perf_counter() - start < 0.1
+    assert code == 0
+    assert report["results"]["probes"] == [[2 ** 89 - 1]]
+
+
+def test_purity_over_composite_modulus_beyond_primality_proofs(tmp_path):
+    # over Z/(p q)^2 the entry p q = (2^31 - 1)(2^61 - 1) > 3.3e24, but
+    # rho splits it into provable primes; the modulus is only divided
+    p, q = 2 ** 31 - 1, 2 ** 61 - 1
+    ring = Zmod((p * q) ** 2)
+    cx = cone(identity_chain_map(module_complex(cyclic_module(ring, p * q)))).complex
+    code, report = purity(tmp_path, cx)
+    assert code == 0
+    assert report["results"]["probes"] == [[(p * q) ** 2], [p], [q], [p ** 2], [q ** 2]]
+    assert report["results"]["probes_checked"] == 5
+
+
+def test_purity_of_a_large_entry_answers_at_once(tmp_path):
+    # the identity cone of Z/20000 = 2^5 5^4: the free probe, 2^k for
+    # k <= 6 and 5^k for k <= 5, where Z/d for d <= 40000 were listed
+    cx = cone(identity_chain_map(module_complex(cyclic_module(ZZ, 20000)))).complex
+    code, report = purity(tmp_path, cx)
+    assert code == 0
+    assert report["timing"]["seconds"] < 0.1
+    # the report as the CLI writes it
+    assert len(json.dumps(report)) < 2000
+    res = report["results"]
+    assert res["verdict"] == "Pure"
+    assert res["probes"] == [[0], [2], [4], [5], [8], [16], [25], [32], [64],
+                             [125], [625], [3125]]
+    assert res["probes_checked"] == len(res["probes"])
+
+
+def test_purity_finds_a_large_prime_probe(tmp_path):
+    # 0 -> Z -p-> Z -> Z/p -> 0 fails only at probes R/(p^k); the battery
+    # sized by the entries would list 2p of them
+    p = 10 ** 12 + 39
+    z = free_module(ZZ, 1)
+    code, report = purity(tmp_path, ses(ZZ, z, z, cyclic_module(ZZ, p), p, 1))
+    assert code == 1
+    res = report["results"]
+    assert res["verdict"] == "NotPure"
+    assert res["probes"] == [[0], [p], [p ** 2]]
+    assert res["failing_probe"] == [p]
+    assert res["failing_degree"] == 0
+
+
+def test_purity_entry_beyond_primality_proofs_exits_2(tmp_path):
+    # 2^89 - 1 is prime: rho finds no split within its budget
+    start = time.perf_counter()
+    code, report = purity(tmp_path, module_complex(cyclic_module(ZZ, 2 ** 89 - 1), 0))
     assert time.perf_counter() - start < 2
     assert code == 2
     assert report["status"] == "error"
     assert "cannot factor" in report["results"]["error"]
-
-
-def test_purity_over_composite_modulus_beyond_primality_proofs(tmp_path):
-    # (2^31 - 1)(2^61 - 1) > 3.3e24, but rho splits it into provable primes
-    p, q = 2 ** 31 - 1, 2 ** 61 - 1
-    ring = Zmod(p * q)
-    code, report = purity(tmp_path, random_pure_acyclic(random.Random(3), ring))
-    assert code == 0
-    assert report["results"]["probes"] == [[p * q], [p], [q]]
 
 
 def test_ragged_matrix_in_workspace_exits_2(tmp_path):

@@ -39,12 +39,15 @@ from purcat.purity import (
     is_pure_acyclic,
     is_pure_qis,
     probe_battery,
+    smith_battery,
 )
+from purcat.homotopy import contract_complex
 from purcat.randgen import (
     random_complex,
     random_contractible,
     random_module,
     random_pure_acyclic,
+    random_pure_qis,
 )
 from helpers import (
     hom_module_complex,
@@ -307,7 +310,8 @@ def with_zero_terms(rng, ring):
 
 def shaped_complex(rng, ring, shape):
     """A random complex of the named shape; "nonsplit" hides a non-split
-    sequence in a pure acyclic sum."""
+    sequence in a pure acyclic sum, and "qis-cone" is the cone of a
+    random pure quasi-isomorphism."""
     if shape == "random":
         return random_complex(rng, ring, -1, rng.randint(1, 4), max_gens=2)
     if shape == "nonsplit":
@@ -316,6 +320,8 @@ def shaped_complex(rng, ring, shape):
         return total
     if shape == "pure":
         return random_pure_acyclic(rng, ring)
+    if shape == "qis-cone":
+        return cone(random_pure_qis(rng, random_complex(rng, ring, 0, 2))).complex
     if shape == "one-term":
         return module_complex(random_module(rng, ring, max_gens=3), rng.randint(-2, 2))
     return with_zero_terms(rng, ring)
@@ -500,6 +506,51 @@ def test_probe_pass_eliminates_the_same_for_any_battery_size(monkeypatch):
         counts.append((len(bat.probes), len(calls)))
     assert counts[0][0] == 18 and counts[1][0] == 400
     assert counts[0][1] == counts[1][1] > 0
+
+
+# ---------------------------------------------------------------------------
+# the battery read off the Smith diagonals
+
+
+def test_smith_battery_lists_prime_powers_of_the_entries():
+    def listed(cx):
+        return [p.invariant_factors for p in smith_battery(cx).probes]
+
+    # Z -2-> Z -> Z/2: entries 2 and 1, so Z/2 and Z/4 after the free probe
+    assert listed(ses_complex()) == [(0,), (2,), (4,)]
+    # 12 = 2^2 3 and 18 = 2 3^2 over Z: 2^k for k <= 3, 3^k for k <= 3
+    z = free_module(ZZ, 1)
+    cx = make_complex(ZZ, 0, [z, z, z], [mat([[12]]), mat([[0]])])
+    cx = direct_sum_complexes([cx, module_complex(cyclic_module(ZZ, 18), 0)])[0]
+    assert listed(cx) == [(0,), (2,), (3,), (4,), (8,), (9,), (27,)]
+    # over Z/72 = Z/(2^3 3^2) the entry 6 gives k <= 2 for both primes; over
+    # Z/8 k stops at v_2(8) = 3, and R/(8) is the free probe, not listed again
+    ring = Zmod(72)
+    cx = module_complex(direct_sum([cyclic_module(ring, 2), cyclic_module(ring, 3)])[0])
+    assert listed(cx) == [(72,), (2,), (3,), (4,), (9,)]
+    assert listed(module_complex(cyclic_module(Zmod(8), 4))) == [(8,), (2,), (4,)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(ORDER_RINGS),
+       shape=st.sampled_from(("random", "pure", "nonsplit", "qis-cone")))
+def test_smith_battery_agrees_with_the_entry_bound_battery(seed, ring, shape):
+    rng = random.Random(seed)
+    cx = shaped_complex(rng, ring, shape)
+    old_battery = default_battery(ring, cx)
+    verdict = is_pure_acyclic(cx)
+    assert verdict.verdict == is_pure_acyclic(cx, old_battery).verdict
+    old = failing_probe_for_acyclic(cx, old_battery)
+    new = failing_probe_for_acyclic(cx, smith_battery(cx))
+    if old is not None:
+        assert (new[0].invariant_factors, new[1]) == (old[0].invariant_factors, old[1])
+    if contract_complex(cx) is None:
+        # complete: some probe fails, and a direct tensor confirms it
+        assert not verdict.is_pure() and new is not None
+        assert (verdict.probe, verdict.witness) == new
+        assert min(probe_homology_degrees(cx, new[0])) == new[1]
+    else:
+        assert verdict.is_pure() and new is None
 
 
 # ---------------------------------------------------------------------------
