@@ -159,15 +159,15 @@ def _purity_results(head: dict, cx):
     """Decide pure acyclicity of cx; report it after the head keys.
 
     Both verdicts list smith_battery, built from one elimination per
-    term and differential (smith_diagonals), which a NotPure verdict
-    then reuses to find the battery's first failing probe; the battery
-    is complete, so one is always found.  A Pure verdict's contraction
-    is checked where it is made and proves every listed probe acyclic
-    (is_pure_acyclic), so no probe is evaluated for it and
-    probes_checked counts them all."""
+    term and differential (smith_diagonals), which is_pure_acyclic
+    reuses on a NotPure verdict to find the battery's first failing
+    probe; the battery is complete, so it always names one.  A Pure
+    verdict's contraction is checked where it is made and proves every
+    listed probe acyclic (is_pure_acyclic), so no probe is evaluated
+    for it and probes_checked counts them all."""
     diagonals = smith_diagonals(cx)
     battery = smith_battery(cx, diagonals)
-    verdict = is_pure_acyclic(cx, battery, diagonals)
+    verdict = is_pure_acyclic(cx, diagonals)
     results = {
         **head,
         "verdict": verdict.verdict,
@@ -177,9 +177,8 @@ def _purity_results(head: dict, cx):
         results["probes_checked"] = len(battery.probes)
         return "ok", results
     results["detail"] = verdict.detail
-    if verdict.probe is not None:
-        results["failing_probe"] = list(verdict.probe.invariant_factors)
-        results["failing_degree"] = verdict.witness
+    results["failing_probe"] = list(verdict.probe.invariant_factors)
+    results["failing_degree"] = verdict.witness
     return "refuted", results
 
 

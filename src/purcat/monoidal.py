@@ -34,7 +34,7 @@ from purcat.complexes import (
     vanishes,
 )
 from purcat.homotopy import hom_dpur, hom_k
-from purcat.purity import ProbeBattery, PurityVerdict, is_pure_qis
+from purcat.purity import PurityVerdict, is_pure_qis
 from purcat.resolutions import (
     INJECTIVE,
     PROJECTIVE,
@@ -72,28 +72,27 @@ def _truncation_cuts(u: ChainMap) -> tuple:
     return tuple(sorted({lo, (lo + hi) // 2, hi}))
 
 
-def check_tensor_descends(u: ChainMap, a: Complex,
-                          battery: Optional[ProbeBattery] = None) -> TensorDescentReport:
+def check_tensor_descends(u: ChainMap, a: Complex) -> TensorDescentReport:
     """Check that a (x) u and the truncations of u stay pure qis.
 
     u must itself be a pure quasi-isomorphism; the report carries the
     induced map on tensor products, its verdict, and a verdict for the
     induced map on <= n truncations at cuts spanning the window.  Each
-    verdict probes with battery, or by default with is_pure_qis's own,
-    the smith_battery of the cone it decides.
+    verdict is is_pure_qis's, which probes a NotPure cone with its
+    smith_battery.
     """
     if u.src.ring != a.ring:
         raise InputError("the fixed complex must live over the same ring")
-    if not is_pure_qis(u, battery).is_pure():
+    if not is_pure_qis(u).is_pure():
         raise InputError("check_tensor_descends needs a pure quasi-isomorphism")
     src_tc = tensor_complex(a, u.src)
     tgt_tc = tensor_complex(a, u.tgt)
     induced = tensor_fixed_left_map(src_tc, tgt_tc, u)
-    tensor_verdict = is_pure_qis(induced, battery)
+    tensor_verdict = is_pure_qis(induced)
     truncation_verdicts = {}
     for n in _truncation_cuts(u):
         tu, _, _ = truncate_leq_map(u, n)
-        truncation_verdicts[n] = is_pure_qis(tu, battery)
+        truncation_verdicts[n] = is_pure_qis(tu)
     return TensorDescentReport(induced, tensor_verdict, truncation_verdicts)
 
 

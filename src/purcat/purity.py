@@ -3,9 +3,11 @@
 Over the supported rings a finitely presented pure submodule splits and
 a pure acyclic complex of finitely presented modules contracts, so
 purity verdicts come from solvable linear systems.  Pure is proven by
-its checked contraction, which contracts every probe tensor too
-(is_pure_acyclic); NotPure prefers a failing probe that plain homology
-can re-check.
+its checked contraction, which contracts every probe tensor too; NotPure
+names the first probe of smith_battery whose tensor has homology, which
+plain homology can re-check (is_pure_acyclic).  The battery is complete,
+so the two decisions check each other: a complex with no contraction
+and no failing probe is an error, not a verdict.
 
 Probes are evaluated arithmetically, and no probe tensor is built.
 Tensoring is right exact, so a term or cokernel coker(A) tensored with
@@ -23,14 +25,14 @@ kernels are additive, so it fails exactly where one of its summands
 does.  Homology modules are only built where the orders are infinite,
 in the degrees where the free probe meets a free term over Z.
 
-Verdicts probe with smith_battery: the free probe and the prime powers
-R/(p^k) read off the same Smith diagonals, so the battery grows with
-the number of primes and their exponents in the entries, not with the
-entries' size.  Only those entries are factored (small primes by trial
-division, the rest by Pollard-Brent rho with Miller-Rabin primality
-proofs); a modulus is only ever divided.  probe_battery and
-default_battery, sized by the entries, remain for the benchmark's
-corpus sizing and as the tests' oracle.
+The one battery is smith_battery: the free probe and the prime powers
+R/(p^k) read off the same Smith diagonals, so it grows with the number
+of primes and their exponents in the entries, not with the entries'
+size.  Only those entries are factored (small primes by trial division,
+the rest by Pollard-Brent rho with Miller-Rabin primality proofs); a
+modulus is only ever divided.  probe_battery and default_battery, sized
+by the entries, remain for the benchmark's corpus sizing and as the
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ NOT_PURE = "NotPure"
 
 
 class ProbeBattery(Record):
-    """Finitely presented test modules for tensor probing."""
+    """Finitely presented test modules for tensor probing, one of them free
+    of rank 1.  Verdicts probe with smith_battery; failing_probe_for_acyclic
+    takes any battery, for the tests' oracles."""
 
     __slots__ = ("ring", "probes")
 
@@ -64,9 +68,9 @@ class ProbeBattery(Record):
 class PurityVerdict(Record):
     """Pure or NotPure, with evidence either way.
 
-    Pure carries the contracting homotopy.  NotPure carries a failing
-    probe when the battery finds one, with the degree where its tensor
-    has homology; otherwise only the unsolvability note.
+    Pure carries the contracting homotopy.  NotPure carries the first
+    failing probe of smith_battery and, as its witness, the least degree
+    where that probe's tensor has homology.
     """
 
     __slots__ = ("verdict", "witness", "probe", "detail")
@@ -253,10 +257,10 @@ def default_battery(ring: Ring, *objects) -> ProbeBattery:
 
 def smith_battery(cx: Complex, diagonals: Optional[tuple] = None) -> ProbeBattery:
     """The free probe, then R/(q) for q = p^k ascending: for each prime p
-    dividing a nonzero entry of cx's Smith diagonals, k = 1..K_p + 1,
-    with K_p the largest p-valuation among those entries.  Over Z/m, p^k
-    must also properly divide m (R/(m) is the free probe); that is
-    tested by division, and m is never factored.
+    dividing a nonzero entry of cx's Smith diagonals, k = 1..K_p, with
+    K_p the largest p-valuation among those entries.  Over Z/m every
+    nonzero entry is a proper divisor of m (each pivot is scaled to
+    gcd(pivot, m)), and so is every such p^k; m is never factored.
 
     diagonals are smith_diagonals(cx), computed here when not given.
     Only the entries are factored (_factor), so an entry that cannot be
@@ -273,19 +277,21 @@ def smith_battery(cx: Complex, diagonals: Optional[tuple] = None) -> ProbeBatter
     (homology_degrees).  The base-p log of quotient_order(diag, p^k) is
     the sum of min(v_p(d), k) over its entries d, a zero entry counting
     k (over Z/m it stands for m, and k <= v_p(m)); so the identity
-    reads E_i(k) = 0 for a signed sum E_i of such logs.
-    - p divides no nonzero entry: every log is k times the number of
-      zero entries, so E_i(k) = k N_i with N_i the same signed count of
-      zero entries.  Over Z the zero entries count ranks, so N_i != 0
-      means cx (x) Q has homology in degree i; Q is flat, so cx has
-      too.  Over Z/m the free probe's orders have base-p log v_p(m)
-      times those counts, so its identity fails in degree i by
-      v_p(m) N_i != 0.  Either way the free probe fails in degree i.
-    - p divides a nonzero entry, so K_p >= 1: for k >= K_p every
-      min(v_p(d), k) is v_p(d), and E_i is affine in k.  An affine
-      function zero at K_p and at K_p + 1 is zero for every k >= K_p,
-      so when R/(p^k) fails in degree i for some k > K_p + 1, so does
-      R/(p^K_p) or R/(p^(K_p + 1)).
+    reads E_i(k) = 0 for a signed sum E_i of such logs.  Let N_i be the
+    same signed count of zero entries.
+    - Over Z the zero entries count ranks, so N_i != 0 means cx (x) Q
+      has homology in degree i; Q is flat, so cx has too, and the free
+      probe fails in degree i.  Over Z/m every nonzero entry divides m,
+      and the free probe's orders have base-p log E_i(v_p(m)), so when
+      it passes in degree i, E_i(v_p(m)) = 0.
+    - For k >= K_p every min(v_p(d), k) over a nonzero entry d is
+      v_p(d), so E_i is affine there: E_i(k) = a + N_i k.  If p divides
+      no nonzero entry, K_p = 0 and a = 0.
+    So let the free probe pass in degree i.  Over Z, N_i = 0 and E_i is
+    constant for k >= K_p, equal to E_i(K_p).  Over Z/m, E_i vanishes at
+    v_p(m) >= K_p, so if it vanishes at K_p too it vanishes on all of
+    [K_p, v_p(m)].  Either way R/(p^k) with k > K_p fails in degree i
+    only if R/(p^K_p) does, and for K_p = 0 never.
 
     In ascending q its first failing probe is probe_battery's (and so
     default_battery's), in the same degree, wherever that battery finds
@@ -293,29 +299,21 @@ def smith_battery(cx: Complex, diagonals: Optional[tuple] = None) -> ProbeBatter
     probe comes first in both.  Past it, let R/(d) be that battery's
     first failing probe.  R/(d) is the sum of the R/(p^v) with p^v
     exactly dividing d, so one of them fails, and it is listed no later
-    than R/(d): so d = p^v.  The free probe passes,
-    so p divides a nonzero entry, and v <= K_p + 1, else R/(p^K_p) or
-    R/(p^(K_p + 1)) would fail before it.  So R/(d) is listed here, and
-    every probe listed here before it is a smaller proper divisor of m
-    (over Z/m) or a smaller q (over Z), which that battery lists too,
-    before R/(d), where it passes.
+    than R/(d): so d = p^v.  The free probe passes, so p divides a
+    nonzero entry, and v <= K_p, else R/(p^K_p) would fail before it.
+    So R/(d) is listed here, and every probe listed here before it is a
+    smaller proper divisor of m (over Z/m) or a smaller q (over Z),
+    which that battery lists too, before R/(d), where it passes.
     """
-    ring, m = cx.ring, cx.ring.modulus
+    ring = cx.ring
     terms, images = diagonals or smith_diagonals(cx)
     tops: dict = {}
-    for entry in sorted({abs(d) for diag in terms + images for d in diag} - {0, 1}):
+    for entry in {abs(d) for diag in terms + images for d in diag} - {0, 1}:
         for p, k in _factor(entry):
             tops[p] = max(tops.get(p, 0), k)
-    qs = []
-    for p, top in tops.items():
-        q = p
-        for _ in range(top + 1):
-            if m is not None and (m % q or q == m):
-                break
-            qs.append(q)
-            q *= p
+    qs = sorted(p ** k for p, top in tops.items() for k in range(1, top + 1))
     return ProbeBattery(ring, (free_module(ring, 1),)
-                        + tuple(cyclic_module(ring, q) for q in sorted(qs)))
+                        + tuple(cyclic_module(ring, q) for q in qs))
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +343,8 @@ def failing_probe_for_acyclic(cx: Complex, battery: ProbeBattery,
 # decisions
 
 
-def is_pure_acyclic(cx: Complex, battery: Optional[ProbeBattery] = None,
-                    diagonals: Optional[tuple] = None) -> PurityVerdict:
-    """Decide pure acyclicity by contract_complex.
+def is_pure_acyclic(cx: Complex, diagonals: Optional[tuple] = None) -> PurityVerdict:
+    """Decide pure acyclicity by contract_complex; name a failing probe if not.
 
     Over Z and Z/m, pure acyclic means contractible for a bounded complex
     of finitely presented modules: both rings are Noetherian, so every
@@ -356,12 +353,11 @@ def is_pure_acyclic(cx: Complex, battery: Optional[ProbeBattery] = None,
     (Homotopy.witnesses; WorkbenchError unless d h + h d = id).  It
     proves every probe P acyclic: - (x) P is additive, so
     (d (x) 1)(h (x) 1) + (h (x) 1)(d (x) 1) = (d h + h d) (x) 1 = id and
-    h (x) 1 contracts C (x) P.  NotPure carries the battery's first
-    failing probe where there is one.  The battery defaults to
-    smith_battery, which is complete, so then there always is one.
-    diagonals are smith_diagonals(cx), computed here when a NotPure
-    verdict needs them and they are not given; a caller that built
-    the battery from them passes them on.
+    h (x) 1 contracts C (x) P.  NotPure carries the first failing probe
+    of smith_battery, which is complete, so a complex with no
+    contraction and no failing probe raises WorkbenchError.  diagonals
+    are smith_diagonals(cx), computed here when a NotPure verdict needs
+    them and they are not given.
     """
     contraction = contract_complex(cx)
     if contraction is not None:
@@ -369,21 +365,17 @@ def is_pure_acyclic(cx: Complex, battery: Optional[ProbeBattery] = None,
             raise WorkbenchError("contraction fails d h + h d = id")
         return PurityVerdict(PURE, witness=contraction)
     diagonals = diagonals or smith_diagonals(cx)
-    if battery is None:
-        battery = smith_battery(cx, diagonals)
-    hit = failing_probe_for_acyclic(cx, battery, diagonals)
-    if hit is not None:
-        probe, degree = hit
-        return PurityVerdict(
-            NOT_PURE, witness=degree, probe=probe,
-            detail=f"probe tensor has homology in degree {degree}",
-        )
+    hit = failing_probe_for_acyclic(cx, smith_battery(cx, diagonals), diagonals)
+    if hit is None:
+        raise WorkbenchError("no contraction exists, yet no probe of the complete "
+                             "battery fails: the two decisions disagree")
+    probe, degree = hit
     return PurityVerdict(
-        NOT_PURE,
-        detail="no contraction exists; no battery probe exhibits the failure",
+        NOT_PURE, witness=degree, probe=probe,
+        detail=f"probe tensor has homology in degree {degree}",
     )
 
 
-def is_pure_qis(f: ChainMap, battery: Optional[ProbeBattery] = None) -> PurityVerdict:
-    """Decide whether the cone of f is pure acyclic."""
-    return is_pure_acyclic(cone(f).complex, battery)
+def is_pure_qis(f: ChainMap) -> PurityVerdict:
+    """Decide whether the cone of f is pure acyclic (is_pure_acyclic)."""
+    return is_pure_acyclic(cone(f).complex)

@@ -10,7 +10,9 @@ every probe tensor, where the library factors m and reads every probe
 off gcds with the Smith diagonals of the complex itself.  Beside them
 sits the former probe pass, which tensored only R and the prime powers
 and read composite probes off those parts by the Chinese remainder
-theorem (probe_outcomes).  The
+theorem (probe_outcomes), and the former Smith battery, which listed
+each prime power one exponent past the largest (uncapped_smith_battery).
+The
 assembly oracles after them build every induced map on Hom from full
 maps (to_map, compose, from_map), every map between direct sums as a sum
 of full-size inj . x . proj products, and the currying isomorphism by
@@ -107,6 +109,7 @@ from purcat.complexes import (
     minimize_complex,
     module_complex,
     shift,
+    smith_diagonals,
     tensor_complex,
     tensor_module_complex,
     trim,
@@ -245,6 +248,23 @@ def slow_probe_battery(ring, bound=1):
         m = ring.modulus
         probes += [cyclic_module(ring, d) for d in range(2, m) if m % d == 0]
     return ProbeBattery(ring, tuple(probes))
+
+
+def uncapped_smith_battery(cx):
+    """The battery read off the Smith diagonals with one more exponent:
+    the free probe, then R/(p^k) ascending for k = 1..K_p + 1, K_p the
+    largest p-valuation of a nonzero diagonal entry (over Z/m, p^k a
+    proper divisor of m).  smith_battery stops at K_p."""
+    m = cx.ring.modulus
+    terms, images = smith_diagonals(cx)
+    tops = {}
+    for d in {abs(d) for diag in terms + images for d in diag} - {0, 1}:
+        for p, k in _factor(d):
+            tops[p] = max(tops.get(p, 0), k)
+    qs = sorted(p ** k for p, top in tops.items() for k in range(1, top + 2)
+                if m is None or (m % p ** k == 0 and p ** k != m))
+    return ProbeBattery(cx.ring, (free_module(cx.ring, 1),)
+                        + tuple(cyclic_module(cx.ring, q) for q in qs))
 
 
 def slow_homology_degrees(cx):

@@ -76,6 +76,10 @@ def ses(ring, a, b, c, into, onto):
     return make_complex(ring, 0, [a, b, c], [mat([[into]]), mat([[onto]])])
 
 
+NO_PROBE_FAILS = ("no contraction exists, yet no probe of the complete battery "
+                  "fails: the two decisions disagree")
+
+
 def without_timing(report):
     return {k: v for k, v in report.items() if k != "timing"}
 
@@ -97,8 +101,8 @@ def test_purity_not_pure_over_z(tmp_path):
     assert code == 1
     res = report["results"]
     assert report["status"] == "refuted" and res["verdict"] == "NotPure"
-    # the free probe and Z/2^k, k <= 2, from the Smith diagonal entry 2
-    assert res["probes"] == [[0], [2], [4]]
+    # the free probe and Z/2, from the Smith diagonal entry 2
+    assert res["probes"] == [[0], [2]]
     assert res["failing_probe"] == [2]
     assert res["failing_degree"] == 0
     assert "probes_checked" not in res
@@ -111,7 +115,7 @@ def test_purity_not_pure_over_z72(tmp_path):
     code, report = purity(tmp_path, cx)
     assert code == 1
     res = report["results"]
-    # entries 3 and 9: R/(3^k) for k <= 3, capped at v_3(72) = 2
+    # entries 3 and 9: R/(3^k) for k <= 2, the largest 3-valuation
     assert res["probes"] == [[72], [3], [9]]
     assert res["failing_probe"] == [3]
     assert res["failing_degree"] == 0
@@ -229,6 +233,21 @@ def test_a_contraction_that_fails_its_check_exits_2(tmp_path, monkeypatch, comma
     assert report["results"] == {"error": "contraction fails d h + h d = id"}
 
 
+@pytest.mark.parametrize("command", ["purity", "qis"])
+def test_no_contraction_and_no_failing_probe_exits_2(tmp_path, monkeypatch, command):
+    # the battery is complete, so a NotPure verdict without a probe is an error
+    z2, z4 = cyclic_module(ZZ, 2), cyclic_module(ZZ, 4)
+    cx = ses(ZZ, z2, z4, z2, 2, 1)
+    monkeypatch.setattr(purity_layer, "failing_probe_for_acyclic", lambda *args: None)
+    if command == "purity":
+        code, report = purity(tmp_path, cx)
+    else:
+        code, report = qis(tmp_path, zero_chain_map(cx, zero_complex(ZZ)))
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["results"] == {"error": NO_PROBE_FAILS}
+
+
 @pytest.mark.parametrize("ring", [ZZ, Zmod(12), Zmod(72)])
 def test_a_pure_verdict_evaluates_no_probe(tmp_path, monkeypatch, ring):
     # the checked contraction proves every listed probe acyclic
@@ -280,7 +299,7 @@ def test_purity_over_huge_modulus(tmp_path):
     assert code == 1
     res = report["results"]
     assert res["verdict"] == "NotPure"
-    assert res["probes"] == [[10 ** 12], [2], [4], [8]]
+    assert res["probes"] == [[10 ** 12], [2], [4]]
     assert res["failing_probe"] == [2]
     assert res["failing_degree"] == 0
     assert report["timing"]["seconds"] < 5
@@ -313,13 +332,13 @@ def test_purity_over_composite_modulus_beyond_primality_proofs(tmp_path):
     cx = cone(identity_chain_map(module_complex(cyclic_module(ring, p * q)))).complex
     code, report = purity(tmp_path, cx)
     assert code == 0
-    assert report["results"]["probes"] == [[(p * q) ** 2], [p], [q], [p ** 2], [q ** 2]]
-    assert report["results"]["probes_checked"] == 5
+    assert report["results"]["probes"] == [[(p * q) ** 2], [p], [q]]
+    assert report["results"]["probes_checked"] == 3
 
 
 def test_purity_of_a_large_entry_answers_at_once(tmp_path):
     # the identity cone of Z/20000 = 2^5 5^4: the free probe, 2^k for
-    # k <= 6 and 5^k for k <= 5, where Z/d for d <= 40000 were listed
+    # k <= 5 and 5^k for k <= 4, where Z/d for d <= 40000 were listed
     cx = cone(identity_chain_map(module_complex(cyclic_module(ZZ, 20000)))).complex
     code, report = purity(tmp_path, cx)
     assert code == 0
@@ -328,8 +347,7 @@ def test_purity_of_a_large_entry_answers_at_once(tmp_path):
     assert len(json.dumps(report)) < 2000
     res = report["results"]
     assert res["verdict"] == "Pure"
-    assert res["probes"] == [[0], [2], [4], [5], [8], [16], [25], [32], [64],
-                             [125], [625], [3125]]
+    assert res["probes"] == [[0], [2], [4], [5], [8], [16], [25], [32], [125], [625]]
     assert res["probes_checked"] == len(res["probes"])
 
 
@@ -342,7 +360,7 @@ def test_purity_finds_a_large_prime_probe(tmp_path):
     assert code == 1
     res = report["results"]
     assert res["verdict"] == "NotPure"
-    assert res["probes"] == [[0], [p], [p ** 2]]
+    assert res["probes"] == [[0], [p]]
     assert res["failing_probe"] == [p]
     assert res["failing_degree"] == 0
 

@@ -6,9 +6,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from purcat import complexes, exact_linalg
+from purcat import complexes, exact_linalg, purity as purity_layer
 from purcat.exact_linalg import InputError, WorkbenchError, ZZ, Zmod
 from purcat.fpmod import (
+    cokernel,
     cyclic_module,
     direct_sum,
     free_module,
@@ -59,6 +60,7 @@ from helpers import (
     slow_failing_probe_for_acyclic,
     slow_homology_degrees,
     slow_probe_battery,
+    uncapped_smith_battery,
 )
 
 
@@ -204,16 +206,29 @@ def test_map_to_zero_not_pure_qis():
     assert not is_pure_qis(zero_chain_map(cx, zero_complex(ZZ))).is_pure()
 
 
+def test_no_contraction_and_no_failing_probe_raises(monkeypatch):
+    # the contraction and the complete battery check each other: no
+    # contraction and no failing probe is an error, not a NotPure verdict
+    from purcat.complexes import zero_chain_map
+
+    cx = ses_complex()
+    assert contract_complex(cx) is None
+    monkeypatch.setattr(purity_layer, "failing_probe_for_acyclic", lambda *args: None)
+    with pytest.raises(WorkbenchError, match="no probe of the complete battery fails"):
+        is_pure_acyclic(cx)
+    with pytest.raises(WorkbenchError, match="no probe of the complete battery fails"):
+        is_pure_qis(zero_chain_map(cx, zero_complex(ZZ)))
+
+
 # ---------------------------------------------------------------------------
 # agreement properties
 
 
 def test_degreewise_equivalence_random():
     rng = random.Random(7)
-    bat = probe_battery(Zmod(12), 1)
     for _ in range(25):
         cx = random_complex(rng, Zmod(12), -1, rng.randint(1, 4), max_gens=2)
-        total = is_pure_acyclic(cx, bat).is_pure()
+        total = is_pure_acyclic(cx).is_pure()
         degreewise = all(split_exact_at(cx, n) for n in range(cx.lo, cx.hi + 1))
         assert total == degreewise
 
@@ -224,7 +239,7 @@ def test_pure_verdict_probe_soundness():
     checked = 0
     for _ in range(40):
         cx = random_pure_acyclic(rng, Zmod(12))
-        verdict = is_pure_acyclic(cx, bat)
+        verdict = is_pure_acyclic(cx)
         if not verdict.is_pure():
             continue
         checked += 1
@@ -241,15 +256,17 @@ def test_contraction_and_probe_criteria_agree_micro():
     seen_not = 0
     for _ in range(60):
         cx = random_complex(rng, Zmod(4), 0, rng.randint(1, 3), max_gens=2)
-        by_contraction = is_pure_acyclic(cx, bat).is_pure()
+        verdict = is_pure_acyclic(cx)
         by_probes = all(
             not homology_degrees(tensor_module_complex(cx, p)) for p in bat.probes
         )
-        assert by_contraction == by_probes
-        if by_contraction:
+        assert verdict.is_pure() == by_probes == (failing_probe_for_acyclic(cx, bat) is None)
+        if verdict.is_pure():
             seen_pure += 1
         else:
             seen_not += 1
+            failed = homology_degrees(tensor_module_complex(cx, verdict.probe))
+            assert min(failed) == verdict.witness
     assert seen_not >= 10
 
 
@@ -516,19 +533,38 @@ def test_smith_battery_lists_prime_powers_of_the_entries():
     def listed(cx):
         return [p.invariant_factors for p in smith_battery(cx).probes]
 
-    # Z -2-> Z -> Z/2: entries 2 and 1, so Z/2 and Z/4 after the free probe
-    assert listed(ses_complex()) == [(0,), (2,), (4,)]
-    # 12 = 2^2 3 and 18 = 2 3^2 over Z: 2^k for k <= 3, 3^k for k <= 3
+    # Z -2-> Z -> Z/2: entries 2 and 1, so Z/2 after the free probe
+    assert listed(ses_complex()) == [(0,), (2,)]
+    # 12 = 2^2 3 and 18 = 2 3^2 over Z: 2^k and 3^k for k <= 2
     z = free_module(ZZ, 1)
     cx = make_complex(ZZ, 0, [z, z, z], [mat([[12]]), mat([[0]])])
     cx = direct_sum_complexes([cx, module_complex(cyclic_module(ZZ, 18), 0)])[0]
-    assert listed(cx) == [(0,), (2,), (3,), (4,), (8,), (9,), (27,)]
-    # over Z/72 = Z/(2^3 3^2) the entry 6 gives k <= 2 for both primes; over
-    # Z/8 k stops at v_2(8) = 3, and R/(8) is the free probe, not listed again
+    assert listed(cx) == [(0,), (2,), (3,), (4,), (9,)]
+    # over Z/72 = Z/(2^3 3^2) the entry 6 gives k <= 1 for both primes; over
+    # Z/8 the entry 4 gives k <= 2, and over Z/4 R/(4) is the free probe,
+    # not listed again
     ring = Zmod(72)
     cx = module_complex(direct_sum([cyclic_module(ring, 2), cyclic_module(ring, 3)])[0])
-    assert listed(cx) == [(72,), (2,), (3,), (4,), (9,)]
+    assert listed(cx) == [(72,), (2,), (3,)]
     assert listed(module_complex(cyclic_module(Zmod(8), 4))) == [(8,), (2,), (4,)]
+    z4 = Zmod(4)
+    cx = make_complex(z4, 0, [free_module(z4, 1)] * 2, [mat([[2]])])
+    assert listed(cx) == [(4,), (2,)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(54), Zmod(81)])
+def test_the_first_failing_probe_can_be_a_square(ring):
+    # Z/9 -> Z/27 + Z/3 by (3, 1) onto its cokernel: A n 3B = 3A but
+    # A n 9B != 9A, so R/(3) passes and R/(9) is the first failing probe
+    a = make_module(ring, 1, [[9]])
+    b = make_module(ring, 2, [[27, 0], [0, 3]])
+    f = make_map(a, b, [[3], [1]])
+    c, g = cokernel(f)
+    cx = Complex(ring, 0, (a, b, c), (f, g))
+    verdict = is_pure_acyclic(cx)
+    assert verdict.probe.invariant_factors == (9,) and verdict.witness == 0
+    assert probe_homology_degrees(cx, cyclic_module(ring, 3)) == []
+    assert probe_homology_degrees(cx, verdict.probe) == [0]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -537,13 +573,15 @@ def test_smith_battery_lists_prime_powers_of_the_entries():
 def test_smith_battery_agrees_with_the_entry_bound_battery(seed, ring, shape):
     rng = random.Random(seed)
     cx = shaped_complex(rng, ring, shape)
-    old_battery = default_battery(ring, cx)
     verdict = is_pure_acyclic(cx)
-    assert verdict.verdict == is_pure_acyclic(cx, old_battery).verdict
-    old = failing_probe_for_acyclic(cx, old_battery)
     new = failing_probe_for_acyclic(cx, smith_battery(cx))
-    if old is not None:
-        assert (new[0].invariant_factors, new[1]) == (old[0].invariant_factors, old[1])
+    # the entry-bound battery and the one with exponents up to K_p + 1
+    # find the same first failing probe, in the same degree, where they find one
+    for oracle in (default_battery(ring, cx), uncapped_smith_battery(cx)):
+        old = failing_probe_for_acyclic(cx, oracle)
+        assert (old is None) == (new is None)
+        if old is not None:
+            assert (new[0].invariant_factors, new[1]) == (old[0].invariant_factors, old[1])
     if contract_complex(cx) is None:
         # complete: some probe fails, and a direct tensor confirms it
         assert not verdict.is_pure() and new is not None

@@ -110,8 +110,8 @@ DIGESTS = {
     "homology": (0, "4401501924c65964", "905265569857c538"),
     "cone": (0, "c8fc5d24278afd49", "cd9b1c1bd9fb2421"),
     "truncate": (0, "a4cfda0aee16d092", "5a43c2cb898d1038"),
-    "purity": (0, "8f1c6e23a1e99d6a", "53afcd04cb69fb9f"),
-    "qis": (0, "d1aa0390d6dee9b5", "c557ad6a0464adff"),
+    "purity": (0, "008fb13a7a273d49", "def6a5bc69ce9718"),
+    "qis": (0, "bff60797792b01c1", "5af7f0217dc3b8ec"),
     "resolve": (0, "fe4f0e93ef36eb2a", "d6d257719f8ed640"),
     "towers": (0, "8a44419b14bc9292", "887b1e43552d92be"),
     "phom": (0, "5fdc82317afccc1a", "3b2aaad788ec6a49"),
