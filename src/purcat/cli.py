@@ -176,7 +176,6 @@ def _purity_results(head: dict, cx):
     if verdict.is_pure():
         results["probes_checked"] = len(battery.probes)
         return "ok", results
-    results["detail"] = verdict.detail
     results["failing_probe"] = list(verdict.probe.invariant_factors)
     results["failing_degree"] = verdict.witness
     return "refuted", results

@@ -490,71 +490,124 @@ def _is_unit(c: int, a: int) -> bool:
     return c in (1, -1) if a == 0 else gcd(c, a) == 1
 
 
+def _coprime_base(orders) -> list:
+    """Pairwise coprime b > 1 with every nonzero order a product of their
+    powers, from gcds alone: nothing is factored.  Each distinct order x
+    meets the base once: a b sharing a factor with x gives way to a coprime
+    base of b and the part of x made of b's primes, and what is left of x
+    joins the base.  So the work is quadratic in the number of orders.
+    """
+    base: list = []
+    for x in sorted(set(orders) - {0}):
+        kept = []
+        for b in base:
+            if gcd(x, b) == 1:
+                kept.append(b)
+                continue
+            # gcd(x, b^n), n the bit length of x: the part of x made of b's primes
+            part, local = gcd(x, pow(b, x.bit_length(), x)), []
+            x //= part
+            todo = [b, part]
+            while todo:
+                y = todo.pop()
+                c = next((c for c in local if gcd(y, c) > 1), 0)
+                if c:
+                    g = gcd(y, c)
+                    local.remove(c)
+                    todo += [g, c // g, y // g]
+                elif y > 1:
+                    local.append(y)
+            kept += local
+        base = kept + [x] * (x > 1)
+    return base
+
+
+def _crt_parts(a: int, base: list) -> list:
+    """[(q, e)]: R/(a) as the sum of the R/(q), q the base powers exactly
+    dividing a, with e = (a/q)((a/q)^-1 mod q) the idempotent lifting
+    R/(q) back; [(a, 1)] where that is one part or a is free over Z."""
+    qs = [gcd(a, pow(b, a.bit_length(), a)) for b in base if a and a % b == 0]
+    if len(qs) < 2:
+        return [(a, 1)]
+    return [(q, a // q * pow(a // q, -1, q)) for q in qs]
+
+
 def reduce_complex(cx: Complex) -> tuple:
-    """Cancel the contractible summands R/(a) -> R/(a) of cx.
+    """Cancel the contractible summands of cx; all of them if cx is contractible.
 
-    Returns (R, to: C -> R, back: R -> C, s) on the window of cx, with
-    to . back the identity on the nose, both homotopy equivalences, and s
-    a Homotopy on cx with id - back . to = d s + s d, s . back = 0,
-    to . s = 0 and s . s = 0.
+    Returns (R, to: C -> R, back: R -> C, s) on the window of cx: chain maps
+    with to . back = id and a Homotopy s on cx with id - back . to =
+    d s + s d, s . back = 0, to . s = 0 and s . s = 0, all as maps.  So to
+    and back are homotopy equivalences, and if R = 0 then back . to = 0 and
+    s contracts cx.
 
-    The terms are first minimized to (+) R/(a_i) (minimize_complex).
-    Then, degree by degree from the bottom, the first pair of summands
-    X = R/(a) in degree n and Y = R/(a) in degree n+1 whose component
-    phi: X -> Y of d^n is multiplication by a unit c of R/(a) (gcd(c, a)
-    = 1; c = +-1 for a = 0 over Z) is cancelled, until d^n has none.  A
-    cancellation only deletes rows of d^(n-1) and columns of d^(n+1), so
-    it makes no new unit there, and one pass leaves no cancellable pair.
+    The terms are minimized to (+) R/(a_i) (minimize_complex), and each
+    R/(a) is split into the R/(q) over one coprime base of all the a
+    (_coprime_base, _crt_parts; a free summand over Z stays whole).  That is
+    an isomorphism S: to copies a row to each part and back scales a column
+    by the part's idempotent, so to . back = S S^-1 = id as maps; on a split
+    summand its matrix is [1; 1] [e_1, e_2], and where nothing splits it is
+    the identity matrix.  Then, degree by degree from the bottom, the first
+    pair X = R/(a) in degree n, Y = R/(a) in degree n+1 whose component
+    phi: X -> Y of d^n is a unit c of R/(a) (gcd(c, a) = 1; c = +-1 for
+    a = 0 over Z) is cancelled, until none is left.  Then the Euclid step
+    takes the first X whose entries in the rows of its order have a unit
+    gcd and makes one of them a unit by row operations among those rows: a
+    change of basis P of C^(n+1), which turns d^n, d^(n+1), to and back into
+    P d^n, d^(n+1) P^-1, P to and back P^-1, keeps s, and so keeps every
+    identity.  A cancellation deletes rows of d^(n-1) and columns of
+    d^(n+1), and P leaves d^(n-1) alone, so one pass leaves no cancellable
+    X.  If anything was split, the result is minimized again and the maps
+    composed, so R's terms are in invariant-factor form.
 
-    The Gaussian elimination lemma (Kaczynski, Mrozek and Slusarek,
-    Computers Math. Applic. 35, 1998; Bar-Natan, J. Knot Theory
-    Ramifications 16, 2007, Lemma 4.2) for modules.  Write
-    C^n = X (+) A, C^(n+1) = Y (+) B and
-        d^(n-1) = [alpha; beta],  d^n = [[phi, delta], [gamma, eps]],
-        d^(n+1) = [mu, nu].
-    phi^-1 is multiplication by c' with c c' = 1 mod a (c' = c for
-    a = 0), a well-defined map R/(a) -> R/(a), so every block product
-    below is a composite of well-defined maps and each identity is one of
-    module maps, read off the blocks of d.d = 0:
-    phi alpha + delta beta = 0, gamma alpha + eps beta = 0,
-    mu phi + nu gamma = 0 and mu delta + nu eps = 0.  R keeps A and B with
-        d'^(n-1) = beta,  d'^n = eps - gamma phi^-1 delta,  d'^(n+1) = nu.
-    It is a complex: d'^n beta = eps beta + gamma phi^-1 phi alpha
-    = eps beta + gamma alpha = 0, and nu d'^n = nu eps + mu phi phi^-1
-    delta = nu eps + mu delta = 0.  The maps
-        to^n = [0, 1],  to^(n+1) = [-gamma phi^-1, 1],
-        back^n = [-phi^-1 delta; 1],  back^(n+1) = [0; 1],
-    the identity elsewhere, are chain maps: to^(n+1) d^n =
-    [gamma - gamma phi^-1 phi, eps - gamma phi^-1 delta] = d'^n to^n,
-    nu to^(n+1) = [mu, nu] since nu gamma phi^-1 = -mu, d^n back^n =
-    [0; d'^n] = back^(n+1) d'^n and d^(n-1) = back^n beta since
-    alpha = -phi^-1 delta beta.  Their product to . back is [0, 1] [. ; 1]
-    and [-gamma phi^-1, 1] [0; 1], the identity matrix.  With s the map
-    phi^-1: Y -> X in degree n+1 and zero elsewhere,
-    id - back . to = d s + s d: in degree n both sides are
-    [[1, phi^-1 delta], [0, 0]], in degree n+1 both are
-    [[1, 0], [gamma phi^-1, 0]], and elsewhere both are zero.  So each
-    cancellation is a homotopy equivalence with to . back = id on the
-    nose, and so are the composites returned.  The side conditions hold
-    for one cancellation: s is zero off Y, back^(n+1) has no Y part, and
-    to^n and s^n are zero on X.  The composite of (to1, back1, s1) and
-    then (to2, back2, s2) is (to2 to1, back1 back2, s1 + back1 s2 to1),
-    and it keeps all four identities, by those of each step and
-    to1 back1 = id.  to and back start as minimize_complex's maps, a step
-    with s = 0 whose back . to is the identity modulo relations, so each
-    cancellation acts in cx's coordinates: its row and column operations
-    on to and back are to2 to1 and back1 back2, and it adds
-    c' (back column x) (to row y) to s^(n+1), read before the pair is
-    deleted.  Over Z/m the entries are reduced mod m at every step, which
-    keeps to . back the identity; over Z they are left as computed.
+    One cancellation is the Gaussian elimination lemma (Kaczynski, Mrozek
+    and Slusarek, Computers Math. Applic. 35, 1998; Bar-Natan, J. Knot
+    Theory Ramifications 16, 2007, Lemma 4.2) for modules.  Write
+    C^n = X (+) A, C^(n+1) = Y (+) B, d^(n-1) = [alpha; beta],
+    d^n = [[phi, delta], [gamma, eps]] and d^(n+1) = [mu, nu].  phi^-1 is
+    multiplication by c' with c c' = 1 mod a (c' = c for a = 0), a
+    well-defined map, so each identity below is one of module maps, read
+    off the blocks of d.d = 0: phi alpha + delta beta = 0, gamma alpha +
+    eps beta = 0, mu phi + nu gamma = 0 and mu delta + nu eps = 0.  R keeps
+    A and B with d'^(n-1) = beta, d'^n = eps - gamma phi^-1 delta and
+    d'^(n+1) = nu, a complex: d'^n beta = eps beta + gamma alpha = 0 and
+    nu d'^n = nu eps + mu delta = 0.  to^n = [0, 1], to^(n+1) =
+    [-gamma phi^-1, 1], back^n = [-phi^-1 delta; 1] and back^(n+1) = [0; 1],
+    the identity elsewhere, are chain maps: to^(n+1) d^n = [0, d'^n] =
+    d'^n to^n, nu to^(n+1) = [mu, nu] since nu gamma phi^-1 = -mu,
+    d^n back^n = [0; d'^n] = back^(n+1) d'^n and back^n beta = d^(n-1)
+    since alpha = -phi^-1 delta beta; to . back is the identity matrix.
+    With s = phi^-1: Y -> X in degree n+1 and zero elsewhere,
+    id - back . to = d s + s d is [[1, phi^-1 delta], [0, 0]] in degree n,
+    [[1, 0], [gamma phi^-1, 0]] in degree n+1 and zero elsewhere.  The side
+    conditions hold: s is zero off Y, back^(n+1) has no Y part, and to^n
+    and s^n vanish on X.  The composite of (to1, back1, s1) and then
+    (to2, back2, s2) is (to2 to1, back1 back2, s1 + back1 s2 to1), which
+    keeps all four identities, by those of each step and to1 back1 = id.
+    So each step acts in cx's coordinates: row and column operations on to
+    and back, and c' (back column x) (to row y) added to s^(n+1), read
+    before the pair is deleted.  Over Z/m the entries are reduced mod m at
+    every step; over Z they are left as computed.
+
+    Completeness.  Let C be contractible, with lowest nonzero term C^n.
+    Then h d^n = id on C^n, so d^n restricted to a summand X = R/(b^e)
+    (b in the base) is a split mono.  Localize at a prime p dividing b:
+    X_p is indecomposable with a local endomorphism ring, and id = sum
+    h_Y d_Y over the summands Y of C^(n+1), so some h_Y d_Y is a unit and
+    d_Y: X_p -> Y_p is an isomorphism.  Y's order is a base power with X's
+    p-valuation, so it is b^e, and p does not divide the entry d_Y.  So the
+    gcd of X's entries in the rows of order b^e is prime to b, a unit.  For
+    a free X over Z, h kills the torsion rows, so the free-row entries have
+    gcd 1.  Either way the Euclid step cancels X.  Each step is a homotopy
+    equivalence, so what is left stays contractible: C^n empties, then
+    C^(n+1), and so on, and R = 0.
     """
     mini, min_to, min_back = minimize_complex(cx)
     if not mini.modules:
         return mini, min_to, min_back, zero_homotopy(cx, cx)
     ring, lo = cx.ring, cx.lo
     red = ring.reduce
-    free = ring.modulus or 0
-    facs = [[next((x for x in row if x), free) for row in mod.relations.data]
+    facs = [[next((x for x in row if x), ring.modulus or 0) for row in mod.relations.data]
             for mod in mini.modules]
     diffs = [[list(row) for row in d.matrix.data] for d in mini.diffs]
     # to[k] is a list of rows and back[k] a list of columns, one per kept
@@ -562,15 +615,49 @@ def reduce_complex(cx: Complex) -> tuple:
     to = [[list(row) for row in f.matrix.data] for f in min_to.components]
     back = [[list(f.matrix.column(j)) for j in range(f.matrix.cols)]
             for f in min_back.components]
+    base = _coprime_base(a for f in facs for a in f)
+    plan = [[(x, q, e) for x, a in enumerate(f) for q, e in _crt_parts(a, base)] for f in facs]
+    split = any(len(p) > len(f) for p, f in zip(plan, facs))
+    if split:
+        diffs = [[[ex * d[y][x] % qy if qy else ex * d[y][x] for x, _, ex in plan[k]]
+                  for y, qy, _ in plan[k + 1]] for k, d in enumerate(diffs)]
+        to = [[to[k][x] for x, _, _ in p] for k, p in enumerate(plan)]
+        back = [[[red(e * b) for b in back[k][x]] for x, _, e in p] for k, p in enumerate(plan)]
+        facs = [[q for _, q, _ in p] for p in plan]
     # s[k] is the matrix of s^(lo+k) as a list of rows
     sizes = [mod.generators for mod in cx.modules]
     s = [None] + [[[0] * g for _ in range(f)] for f, g in zip(sizes, sizes[1:])]
+
+    def euclid(k):
+        """The pair (x, y) the Euclid step makes in d^k, or None."""
+        d = diffs[k]
+        for x, a in enumerate(facs[k]):
+            rows = [y for y, b in enumerate(facs[k + 1]) if b == a and d[y][x]]
+            if not rows or not _is_unit(gcd(*(d[y][x] for y in rows)), a):
+                continue
+            while True:
+                y = min(rows, key=lambda r: abs(d[r][x]))
+                if _is_unit(d[y][x], a):
+                    return x, y
+                for z in rows:
+                    t = d[z][x] // d[y][x] if z != y else 0
+                    if t:
+                        # row z -= t row y, so column y += t column z
+                        d[z] = [red(e - t * f) for e, f in zip(d[z], d[y])]
+                        to[k + 1][z] = [red(e - t * f) for e, f in zip(to[k + 1][z], to[k + 1][y])]
+                        back[k + 1][y] = [red(e + t * f)
+                                          for e, f in zip(back[k + 1][y], back[k + 1][z])]
+                        for row in diffs[k + 1] if k + 1 < len(diffs) else ():
+                            row[y] = red(row[y] + t * row[z])
+                rows = [z for z in rows if d[z][x]]
+        return None
+
     for k, d in enumerate(diffs):
         while True:
             pair = next(((x, y) for x in range(len(facs[k]))
                          for y in range(len(facs[k + 1]))
                          if facs[k][x] == facs[k + 1][y]
-                         and _is_unit(d[y][x], facs[k][x])), None)
+                         and _is_unit(d[y][x], facs[k][x])), None) or euclid(k)
             if pair is None:
                 break
             x, y = pair
@@ -601,7 +688,7 @@ def reduce_complex(cx: Complex) -> tuple:
                     del row[y]
             del facs[k][x], facs[k + 1][y], to[k][x], to[k + 1][y]
             del back[k][x], back[k + 1][y]
-    mods = tuple(mod if mod.generators == len(f) else diagonal_module(ring, f)
+    mods = tuple(mod if mod.generators == len(f) and not split else diagonal_module(ring, f)
                  for mod, f in zip(mini.modules, facs))
 
     def as_map(src, tgt, rows):
@@ -611,9 +698,13 @@ def reduce_complex(cx: Complex) -> tuple:
     out = Complex(ring, lo, mods, tuple(map(as_map, mods, mods[1:], diffs)))
     back_rows = ([[col[i] for col in cols] for i in range(mod.generators)]
                  for mod, cols in zip(cx.modules, back))
-    return (out, ChainMap(cx, out, lo, tuple(map(as_map, cx.modules, mods, to))),
-            ChainMap(out, cx, lo, tuple(map(as_map, mods, cx.modules, back_rows))),
-            Homotopy(cx, cx, lo + 1, tuple(map(as_map, cx.modules[1:], cx.modules, s[1:]))))
+    to = ChainMap(cx, out, lo, tuple(map(as_map, cx.modules, mods, to)))
+    back = ChainMap(out, cx, lo, tuple(map(as_map, mods, cx.modules, back_rows)))
+    if split:
+        out, to_min, back_min = minimize_complex(out)
+        to, back = to_min @ to, back @ back_min
+    return out, to, back, Homotopy(cx, cx, lo + 1, tuple(map(
+        as_map, cx.modules[1:], cx.modules, s[1:])))
 
 
 def homology_invariants(cx: Complex) -> dict:

@@ -1,15 +1,15 @@
 """Homotopy-category layer.
 
-Hom groups up to homotopy as finitely presented modules, null-homotopy
-and contraction solvers, and the derived hom hom_dpur, which is hom_k
-for every bounded pair.
+Hom groups up to homotopy as finitely presented modules, the
+null-homotopy solver, the contraction and the derived hom hom_dpur, which
+is hom_k for every bounded pair.
 
-contract_complex decides every Pure verdict; no resolution calls it,
-since each writes its contraction down from reduce_complex's homotopy
-(resolutions.resolve).  It solves one degree at a time from the top
-down, one solve_linear per invariant factor of each term, and its
-docstring proves that it returns None exactly when the complex is not
-contractible.
+contract_complex decides every Pure verdict.  It solves nothing: it
+returns the homotopy of complexes.reduce_complex, which is complete on
+contractible complexes (its docstring has the proof), when the reduced
+complex is zero, and None otherwise.  No resolution calls it, since
+each writes its contraction down from the same homotopy
+(resolutions.resolve).
 null_homotopy decides d s + s d = f for any chain map f as one joint
 MapSolver system over all degrees.  No command calls it, and it is the
 only place the package builds a MapSolver; it stays because the traced
@@ -19,11 +19,10 @@ bench wraps it by name (bench/spans.py).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 from typing import Optional
 
-from purcat.exact_linalg import IntMatrix, Record, _set, from_columns, lincomb, solve_linear
-from purcat.fpmod import FpModule, MapSolver, ModuleMap, zero_map
+from purcat.exact_linalg import IntMatrix, Record, _set
+from purcat.fpmod import FpModule, MapSolver
 from purcat.complexes import (
     ChainMap,
     Complex,
@@ -31,7 +30,7 @@ from purcat.complexes import (
     Homotopy,
     hom_complex,
     homology,
-    zero_homotopy,
+    reduce_complex,
 )
 
 
@@ -109,74 +108,13 @@ def null_homotopy(f: ChainMap) -> Optional[Homotopy]:
 def contract_complex(cx: Complex) -> Optional[Homotopy]:
     """A contracting homotopy h (d h + h d = id), or None.
 
-    Built from the top degree down, starting at h^(hi+1) = 0.  In degree
-    n put e_n = id - h^(n+1) d^n on C^n and solve d^(n-1) h^n = e_n; then
-    d h^n + h^(n+1) d^n = id.
-
-    - d^n e_n = 0: the equation of degree n + 1 gives d^n h^(n+1) =
-      e_(n+1), so d^n e_n = d^n - (id - h^(n+2) d^(n+1)) d^n =
-      h^(n+2) d^(n+1) d^n = 0 (at n = hi, d^n = 0).  So e_n lands in Z^n.
-    - If cx is contractible it is split exact: Z^n = B^n and d^(n-1) has
-      a section s: B^n -> C^(n-1), so h^n = s e_n solves degree n,
-      whatever was chosen above it.  So a solve fails only when cx is not
-      contractible, and when every solve succeeds h contracts: None is
-      returned exactly when cx is not contractible.
-
-    Each degree is solved in the Smith coordinates of both terms, with no
-    kernel: T rel_n V = diag(c_j) and F = T^-1 (decomposition), and p_i,
-    F' likewise for C^(n-1).  Write h^n = F' Y T.  F is invertible, so
-    d h^n = e_n mod rel_n iff d F' y_j = e_n F e_j mod rel_n for every
-    column y_j of Y.  h^n is well defined iff T' h^n rel_n = Y diag(c) V^-1
-    has row i in p_i R, that is c_j y_ij in p_i R, that is y_ij in q R
-    with q = p_i / gcd(p_i, c_j) (1 for a free c_j; 0 over Z for
-    p_i = 0 < c_j).  Where p_i = 1, F' e_i is a relation, and y_ij = 0
-    moves d h^n by a relation of C^n only.  So the columns with one
-    factor c share one solve_linear of [d F' diag(q) | rel_n] over the i
-    with p_i != 1 and q != 0, which is solvable iff degree n is; columns
-    with c_j = 1 are zero.  At n = lo, C^(lo-1) = 0 and the one test is
-    whether e_lo lies in the relations.
+    reduce_complex(cx) is complete on contractible complexes, so its
+    reduced complex has no generators exactly when cx is contractible,
+    and then its homotopy s contracts cx: id - back . to = d s + s d and
+    back . to factors through zero.  Nothing is solved.
     """
-    if not cx.modules:
-        return zero_homotopy(cx, cx)
-    ring = cx.ring
-    free = ring.modulus or 0
-    comps = []
-    for n in range(cx.hi, cx.lo - 1, -1):
-        term, below = cx.module(n), cx.module(n - 1)
-        g = term.generators
-        e = IntMatrix.identity(g)
-        if comps:
-            e = lincomb(ring, g, g, ((1,), (-1, comps[-1].matrix, cx.differential(n).matrix)))
-        if n == cx.lo:
-            if not term.contains_in_relations(e):
-                return None
-            comps.append(zero_map(term, below))
-            break
-        dec, dec_below = term.decomposition(), below.decomposition()
-        rhs = ring.reduce_matrix(e @ dec.from_diag)
-        d_diag = ring.reduce_matrix(cx.differential(n - 1).matrix @ dec_below.from_diag)
-        by_factor: dict = {}
-        for j, c in enumerate(dec.factors):
-            if c != 1:
-                by_factor.setdefault(c, []).append(j)
-        y = [[0] * g for _ in range(below.generators)]
-        for c, cols in by_factor.items():
-            scaled = [(i, 1 if c == free else p // gcd(p, c))
-                      for i, p in enumerate(dec_below.factors) if p != 1]
-            scaled = [(i, q) for i, q in scaled if q]
-            a = IntMatrix._trusted(g, len(scaled) + term.relations.cols, tuple(
-                tuple(row[i] * q for i, q in scaled) + rel
-                for row, rel in zip(d_diag.data, term.relations.data)))
-            sol = solve_linear(a, from_columns([rhs.column(j) for j in cols], g), ring)
-            if sol is None:
-                return None
-            for t, (i, q) in enumerate(scaled):
-                for k, j in enumerate(cols):
-                    y[i][j] = q * sol.data[t][k]
-        y_mat = IntMatrix._trusted(below.generators, g, tuple(map(tuple, y)))
-        comps.append(ModuleMap(term, below, ring.reduce_matrix(
-            dec_below.from_diag @ y_mat @ dec.to_diag)))
-    return Homotopy(cx, cx, cx.lo, tuple(reversed(comps)))
+    reduced, _, _, s = reduce_complex(cx)
+    return None if any(mod.generators for mod in reduced.modules) else s
 
 
 # ---------------------------------------------------------------------------

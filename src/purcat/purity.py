@@ -2,8 +2,9 @@
 
 Over the supported rings a finitely presented pure submodule splits and
 a pure acyclic complex of finitely presented modules contracts, so
-purity verdicts come from solvable linear systems.  Pure is proven by
-its checked contraction, which contracts every probe tensor too; NotPure
+Pure is decided by complexes.reduce_complex, which is complete on
+contractible complexes, and nothing is solved.  Pure is proven by its
+checked contraction, which contracts every probe tensor too; NotPure
 names the first probe of smith_battery whose tensor has homology, which
 plain homology can re-check (is_pure_acyclic).  The battery is complete,
 so the two decisions check each other: a complex with no contraction
@@ -73,14 +74,13 @@ class PurityVerdict(Record):
     where that probe's tensor has homology.
     """
 
-    __slots__ = ("verdict", "witness", "probe", "detail")
+    __slots__ = ("verdict", "witness", "probe")
 
     def __init__(self, verdict: str, witness: object = None,
-                 probe: Optional[FpModule] = None, detail: str = "") -> None:
+                 probe: Optional[FpModule] = None) -> None:
         _set(self, "verdict", verdict)
         _set(self, "witness", witness)
         _set(self, "probe", probe)
-        _set(self, "detail", detail)
 
     def is_pure(self) -> bool:
         return self.verdict == PURE
@@ -370,10 +370,7 @@ def is_pure_acyclic(cx: Complex, diagonals: Optional[tuple] = None) -> PurityVer
         raise WorkbenchError("no contraction exists, yet no probe of the complete "
                              "battery fails: the two decisions disagree")
     probe, degree = hit
-    return PurityVerdict(
-        NOT_PURE, witness=degree, probe=probe,
-        detail=f"probe tensor has homology in degree {degree}",
-    )
+    return PurityVerdict(NOT_PURE, witness=degree, probe=probe)
 
 
 def is_pure_qis(f: ChainMap) -> PurityVerdict:

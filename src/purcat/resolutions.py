@@ -6,14 +6,15 @@ either side, since every finitely presented term is pure projective and
 every term in the injective scope is pure injective (the proof is in
 resolve's docstring).  Every step of the towers of truncations, whose
 levels extend each other by degreewise split maps, resolves the cone it
-extends along the same way.  The towers are built only on request
-(injective_tower / projective_tower), and their (co)limit at finite
-depth is read off degreewise and re-verified.
+extends along the same way; at a stable step that cone is contractible,
+and reduce_complex, complete there, reduces it to zero.  The towers are
+built only on request (injective_tower / projective_tower), and their
+(co)limit at finite depth is read off degreewise and re-verified.
 Every certificate is checked once, by validate_certificate where it is
 made (_certificate), and nothing is solved for: the contraction of its
 cone is written down from reduce_complex's homotopy (_contraction), or
-recast from a tower's cone certificate (_recast).  Every certificate
-re-validates from scratch.
+recast from a tower's last cone certificate (_recast).  Every
+certificate re-validates from scratch.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ from purcat.complexes import (
     trim,
     truncate_geq,
     truncate_leq,
-    zero_chain_map,
-    zero_complex,
     vanishes,
 )
 
@@ -178,9 +177,8 @@ def _contraction(res_map: ChainMap, other: ChainMap, s: Homotopy, side: str) -> 
     return Homotopy(c, c, c.lo, tuple(comps))
 
 
-def _recast(h: Homotopy, c: Complex, shift_by: int, u: Optional[ChainMap] = None) -> Homotopy:
-    """h, contracting D, as a contraction of c = D[shift_by], or of
-    c = cone(-u)[shift_by] when D = cone(u); c must have D's terms.
+def _recast(h: Homotopy, c: Complex, shift_by: int, u: ChainMap) -> Homotopy:
+    """h, contracting cone(u), as a contraction of c = cone(-u)[shift_by].
 
     Shifting multiplies d, so also h, by (-1)^shift_by, and cone(-u) has
     the differential S d S, S = -1 on the source summand, which S h S
@@ -195,10 +193,8 @@ def _recast(h: Homotopy, c: Complex, shift_by: int, u: Optional[ChainMap] = None
         if mat is None:
             mat = IntMatrix.zeros(below.generators, here.generators)
         else:
-            top, left = (0, 0) if u is None else (u.src.module(j).generators,
-                                                  u.src.module(j + 1).generators)
-            mat = c.ring.reduce_matrix(IntMatrix._trusted(
-                mat.rows, mat.cols, _signed(mat, sign, top, left)))
+            mat = c.ring.reduce_matrix(IntMatrix._trusted(mat.rows, mat.cols, _signed(
+                mat, sign, u.src.module(j).generators, u.src.module(j + 1).generators)))
         comps.append(ModuleMap(here, below, mat))
     return Homotopy(c, c, c.lo, tuple(comps))
 
@@ -237,20 +233,6 @@ def _resolution(m: Complex, side: str) -> tuple:
     return target, back, _contraction(back, to, s, side)
 
 
-def _top_witness(certs, f: ChainMap, base: Complex, side: str) -> Homotopy:
-    """The contraction of cone(f), f the top level map of a tower with
-    cone certificates certs over the base truncation base.
-
-    cone(f) is cone(-g)[-1] (injective) or cone(-w) (projective)
-    literally, g or w the last cone certificate's map, so its witness is
-    recast; at depth 0 f is base's own resolution map.
-    """
-    if not certs:
-        return _resolution(base, side)[2]
-    return _recast(certs[-1].qis_witness, cone(f).complex,
-                   -1 if side == INJECTIVE else 0, certs[-1].map)
-
-
 # ---------------------------------------------------------------------------
 # degreewise families (sections and retractions are not chain maps)
 
@@ -271,7 +253,7 @@ class DegreewiseFamily(Record):
 # the shared extension steps
 
 
-def _extend_injective(q: ChainMap, stable: Optional[Homotopy] = None):
+def _extend_injective(q: ChainMap):
     """Extend a level along q: N -> I.
 
     Returns (level, h: N -> level, p: level -> I, section, kern,
@@ -286,20 +268,15 @@ def _extend_injective(q: ChainMap, stable: Optional[Homotopy] = None):
     resolve takes them (_resolution): the terms of the cone are those of
     N and I, in scope, so J's are pure injective and to is a pure
     injective resolution by resolve's proof.  Each level adds no copy of
-    the contractible summands the previous one made.  A stable step
-    passes a contraction of cone(q) as stable; then J = 0 and
-    cone(g) = cone(q)[1].  The level, h and the product formula are
-    built from g alone, so the degreewise product formula and
+    the contractible summands the previous one made.  At a stable step q
+    is a homotopy equivalence, so cone(q) is contractible, reduce_complex
+    reduces it to zero, and J = 0.  The level, h and the product formula
+    are built from g alone, so the degreewise product formula and
     cone(h) = cone(-g)[-1] hold literally.
     """
     n_cx, i_cx = q.src, q.tgt
     cq = cone(q)
-    if stable is not None:
-        j_cx = zero_complex(q.src.ring)
-        g = zero_chain_map(cq.complex, j_cx)
-        hg = _recast(stable, cone(g).complex, 1)
-    else:
-        j_cx, g, hg = _resolution(cq.complex, INJECTIVE)
+    j_cx, g, hg = _resolution(cq.complex, INJECTIVE)
     level_cone = cone(-(g @ cq.inclusion))
     level = shift(level_cone.complex, -1)
     p = shift_map(level_cone.projection, -1)
@@ -323,7 +300,7 @@ def _extend_injective(q: ChainMap, stable: Optional[Homotopy] = None):
     return level, h, p, section, kern, kern_incl, g, hg
 
 
-def _extend_projective(a: ChainMap, stable: Optional[Homotopy] = None):
+def _extend_projective(a: ChainMap):
     """Extend a level along a: P -> N.
 
     Returns (level, v: level -> N, incl: P -> level, retraction, coker,
@@ -334,19 +311,14 @@ def _extend_projective(a: ChainMap, stable: Optional[Homotopy] = None):
 
     Q is the reduced cone itself and w its map back: Q -> cone(a), as
     resolve takes them (_resolution); a pure projective resolution by
-    resolve's proof.  A stable step passes a contraction of cone(a) as
-    stable; then Q = 0 and cone(w) = cone(a).  The level, v and the sum
-    formula read only w and Q, so the degreewise sum formula and
-    cone(v) = cone(-w) hold literally.
+    resolve's proof.  At a stable step cone(a) is contractible, so Q = 0
+    (_extend_injective).  The level, v and the sum formula read only w
+    and Q, so the degreewise sum formula and cone(v) = cone(-w) hold
+    literally.
     """
     p_cx, n_cx = a.src, a.tgt
     ca = cone(a)
-    if stable is not None:
-        q_cx = zero_complex(a.src.ring)
-        w = zero_chain_map(q_cx, ca.complex)
-        hw = _recast(stable, cone(w).complex, 0)
-    else:
-        q_cx, w, hw = _resolution(ca.complex, PROJECTIVE)
+    q_cx, w, hw = _resolution(ca.complex, PROJECTIVE)
     w1 = shift_map(ca.projection @ w, -1)
     level_cone = cone(w1)
     level = level_cone.complex
@@ -444,7 +416,8 @@ def injective_tower(m: Complex, depth: int):
     """Build the inverse tower of resolutions of the co-truncations.
 
     Returns (tower, fs) with fs[n] the resolution map of the n-th
-    co-truncation.  Stabilized steps extend by the zero resolution, so
+    co-truncation.  A stabilized step resolves a contractible cone, which
+    reduce_complex reduces to zero, so it extends by the zero complex and
     the degreewise product formula stays literally true at every level.
     """
     _require_injective_scope(m)
@@ -467,10 +440,7 @@ def injective_tower(m: Complex, depth: int):
     kernels, kernel_incls, cone_certs = [], [], []
     for n in range(1, depth + 1):
         q = fs[n - 1] @ transitions[n - 1]
-        stable = None
-        if truncations[n] == truncations[n - 1]:
-            stable = _top_witness(cone_certs, fs[-1], truncations[0], INJECTIVE)
-        level, h, p, section, kern, kern_incl, g, hg = _extend_injective(q, stable)
+        level, h, p, section, kern, kern_incl, g, hg = _extend_injective(q)
         levels.append(level)
         fs.append(h)
         surjections.append(p)
@@ -487,7 +457,8 @@ def injective_tower(m: Complex, depth: int):
 
 
 def projective_tower(m: Complex, depth: int):
-    """Dual tower: resolutions of the truncations linked by split monos."""
+    """Dual tower: resolutions of the truncations linked by split monos; a
+    stabilized step extends by the zero complex, as in injective_tower."""
     m = trim(m)
     if depth < 0:
         raise InputError("tower depth must be nonnegative")
@@ -509,10 +480,7 @@ def projective_tower(m: Complex, depth: int):
     cokernels, coker_projs, cone_certs = [], [], []
     for n in range(1, depth + 1):
         a = transitions[n - 1] @ fs[n - 1]
-        stable = None
-        if truncations[n] == truncations[n - 1]:
-            stable = _top_witness(cone_certs, fs[-1], truncations[0], PROJECTIVE)
-        level, v, incl, retraction, coker, coker_proj, w, hw = _extend_projective(a, stable)
+        level, v, incl, retraction, coker, coker_proj, w, hw = _extend_projective(a)
         levels.append(level)
         fs.append(v)
         injections.append(incl)
@@ -685,8 +653,15 @@ def _check_tower(tower, fs, side: str) -> None:
 
 
 def _tower_top(tower, fs, side: str) -> ResolutionCertificate:
+    """The certificate of fs[-1].  cone(fs[-1]) is cone(-g)[-1]
+    (injective) or cone(-w) (projective) literally, g or w the last cone
+    certificate's map, so its witness is recast; at depth 0 fs[-1] is the
+    base's own resolution map."""
     _check_tower(tower, fs, side)
-    witness = _top_witness(tower.cone_certificates, fs[-1], tower.truncations[0], side)
+    certs = tower.cone_certificates
+    witness = (_recast(certs[-1].qis_witness, cone(fs[-1]).complex,
+                       -1 if side == INJECTIVE else 0, certs[-1].map) if certs
+               else _resolution(tower.truncations[0], side)[2])
     return _certificate(tower.source, tower.levels[-1], fs[-1], side, witness)
 
 
@@ -695,7 +670,7 @@ def limit_tower(tower: SemiSplitInverseTower, fs) -> ResolutionCertificate:
 
     Raises unless the tower passes validate_inverse_tower and the product
     formula (_check_tower); the certificate contracts the cone of fs[-1]
-    with the last cone certificate's witness recast (_top_witness), which
+    with the last cone certificate's witness recast (_tower_top), which
     the checked identity cone(f_n) = cone(-g)[-1] makes a contraction.
     """
     return _tower_top(tower, fs, INJECTIVE)
@@ -706,7 +681,7 @@ def colimit_tower(tower: SemiSplitDirectTower, fs) -> ResolutionCertificate:
 
     Raises unless the tower passes validate_direct_tower and the sum
     formula (_check_tower); the certificate contracts the cone of fs[-1]
-    with the last cone certificate's witness recast (_top_witness), which
+    with the last cone certificate's witness recast (_tower_top), which
     the checked identity cone(f_n) = cone(-w) makes a contraction.
     """
     return _tower_top(tower, fs, PROJECTIVE)

@@ -118,7 +118,7 @@ from purcat.complexes import (
     zero_complex,
     zero_homotopy,
 )
-from purcat.homotopy import contract_complex, hom_dpur, hom_k
+from purcat.homotopy import hom_dpur, hom_k
 from purcat.monoidal import (
     AdjunctionReport,
     AdjunctionWitness,
@@ -1056,10 +1056,10 @@ def invert_unimodular(a, ring):
 
 
 def solved_certificate(source, target, res_map, side):
-    """A certificate of res_map whose contraction contract_complex solves
-    for, as every certificate was made before the resolutions wrote their
-    contractions down; raises if the cone is not contractible."""
-    witness = contract_complex(cone(res_map).complex)
+    """A certificate of res_map whose contraction slow_contract_complex
+    solves for, as every certificate was made before the resolutions wrote
+    their contractions down; raises if the cone is not contractible."""
+    witness = slow_contract_complex(cone(res_map).complex)
     if witness is None:
         raise WorkbenchError("resolution map has a non-contractible cone")
     return ResolutionCertificate(source, target, res_map, side, witness,

@@ -205,7 +205,7 @@ def test_qis_not_pure(tmp_path):
     assert res["cone_window"] == [-1, -1]
     assert res["failing_probe"] == [0]
     assert res["failing_degree"] == -1
-    assert list(res) == ["map", "cone_window", "verdict", "probes", "detail",
+    assert list(res) == ["map", "cone_window", "verdict", "probes",
                          "failing_probe", "failing_degree"]
 
 

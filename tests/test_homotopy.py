@@ -25,6 +25,7 @@ from purcat.fpmod import (
     MapSolver,
     cokernel,
     cyclic_module,
+    diagonal_module,
     factor_through_mono,
     free_module,
     identity_map,
@@ -40,6 +41,7 @@ from purcat.complexes import (
     homology,
     identity_chain_map,
     module_complex,
+    reduce_complex,
     shift,
     zero_complex,
 )
@@ -223,7 +225,8 @@ def _draw(rng, ring, kind):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
-       ring=st.sampled_from([ZZ, Zmod(12), Zmod(72), Zmod(7 ** 2 * 101 * 263)]),
+       ring=st.sampled_from([ZZ, Zmod(12), Zmod(60), Zmod(72), Zmod(210),
+                             Zmod(7 ** 2 * 101 * 263)]),
        kind=st.sampled_from(["contractible", "pure_acyclic", "identity_cone",
                              "short_exact", "random"]))
 def test_contract_complex_agrees_with_map_solver_oracle(seed, ring, kind):
@@ -243,6 +246,28 @@ def test_contract_complex_rejects_acyclic_non_split(ring):
     assert homology(cx, 1).is_zero()
     assert contract_complex(cx) is None
     assert slow_contract_complex(cx) is None
+
+
+def _greedy_misses():
+    """Contractible complexes that no unit entry cancels: the Euclid step
+    (Z, Z/12) or the coprime split (the last) is needed."""
+    z12 = Zmod(12)
+    return [
+        make_complex(ZZ, 0, [free_module(ZZ, 2)] * 2, [mat([[2, 3], [3, 5]])]),
+        make_complex(z12, 0, [free_module(z12, 2)] * 2, [mat([[2, 3], [9, 2]])]),
+        make_complex(z12, 0, [cyclic_module(z12, 6), diagonal_module(z12, [2, 12]),
+                              cyclic_module(z12, 4)], [mat([[1], [2]]), mat([[2, 1]])]),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_complexes_greedy_cancellation_misses_reduce_to_zero(index):
+    cx = _greedy_misses()[index]
+    red, to, back, s = reduce_complex(cx)
+    assert all(m.is_zero() for m in red.modules)
+    assert contract_complex(cx) == s
+    assert s.witnesses()
+    assert slow_contract_complex(cx) is not None
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -290,6 +315,19 @@ def test_contraction_and_purity_use_no_kernel_retraction_or_joint_solve(monkeypa
     verdict = is_pure_acyclic(not_pure)
     assert not verdict.is_pure()
     assert verdict.probe.invariant_factors == (2,)
+
+
+def test_a_pure_verdict_solves_nothing(monkeypatch):
+    from purcat import exact_linalg
+
+    _refuse_everywhere(monkeypatch, exact_linalg, "solve_linear")
+    rng = random.Random(31)
+    cxs = _greedy_misses()
+    for ring in (ZZ, Zmod(12), Zmod(72)):
+        cxs += [random_pure_acyclic(rng, ring, max_gens=3),
+                cone(identity_chain_map(random_complex(rng, ring, -1, 3))).complex]
+    for cx in cxs:
+        assert is_pure_acyclic(cx).is_pure()
 
 
 def test_contraction_and_resolve_build_no_linear_system(monkeypatch):

@@ -341,6 +341,19 @@ def shaped_complex(rng, ring, shape):
         return cone(random_pure_qis(rng, random_complex(rng, ring, 0, 2))).complex
     if shape == "one-term":
         return module_complex(random_module(rng, ring, max_gens=3), rng.randint(-2, 2))
+    if shape == "square":
+        # Z/p^2 -> Z/p^3 (+) Z/p by (p, 1) onto its cokernel, in a pure
+        # acyclic sum: R/(p) passes and R/(p^2) is the first failing probe;
+        # over Z/m that needs p^3 | m, else the draw is a "nonsplit" one
+        cubes = [p for p in (2, 3, 5) if ring.modulus is None or ring.modulus % p ** 3 == 0]
+        if not cubes:
+            return shaped_complex(rng, ring, "nonsplit")
+        p = rng.choice(cubes)
+        a = make_module(ring, 1, [[p ** 2]])
+        f = make_map(a, make_module(ring, 2, [[p ** 3, 0], [0, p]]), [[p], [1]])
+        c, g = cokernel(f)
+        return direct_sum_complexes([Complex(ring, 0, (a, f.tgt, c), (f, g)),
+                                     random_pure_acyclic(rng, ring)])[0]
     return with_zero_terms(rng, ring)
 
 
@@ -569,7 +582,7 @@ def test_the_first_failing_probe_can_be_a_square(ring):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(ORDER_RINGS),
-       shape=st.sampled_from(("random", "pure", "nonsplit", "qis-cone")))
+       shape=st.sampled_from(("random", "pure", "nonsplit", "qis-cone", "square")))
 def test_smith_battery_agrees_with_the_entry_bound_battery(seed, ring, shape):
     rng = random.Random(seed)
     cx = shaped_complex(rng, ring, shape)

@@ -112,10 +112,10 @@ DIGESTS = {
     "truncate": (0, "a4cfda0aee16d092", "5a43c2cb898d1038"),
     "purity": (0, "008fb13a7a273d49", "def6a5bc69ce9718"),
     "qis": (0, "bff60797792b01c1", "5af7f0217dc3b8ec"),
-    "resolve": (0, "fe4f0e93ef36eb2a", "d6d257719f8ed640"),
-    "towers": (0, "8a44419b14bc9292", "887b1e43552d92be"),
+    "resolve": (0, "267c5d07d239d1bb", "61ccf62de2c958ed"),
+    "towers": (0, "7d1660bc9e371ce7", "788d9f8432d4e0d4"),
     "phom": (0, "5fdc82317afccc1a", "3b2aaad788ec6a49"),
-    "phom-z72": (0, "c4a23170928d356a", "b998786d2c894009"),
+    "phom-z72": (0, "18213f4860066bc9", "c10c42ea64146f0b"),
     "adjunction": (0, "5708f78d13feeff1", "4421b7e4dc59d326"),
     "validate-cert": (0, "f013f6d22f09cfe0", "433c27a88801cee7"),
 }
