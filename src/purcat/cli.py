@@ -257,12 +257,14 @@ def cmd_resolve(wi, args):
 
 
 def cmd_towers(wi, args):
-    """Build the tower, take its (co)limit and report both.
+    """Build the side's semi-split tower, take its (co)limit and report both.
 
-    limit_tower / colimit_tower validate the tower and its formula once,
-    and _certificate checks every certificate where it is made; each
-    raises on a failure (exit 2), so every flag in a report written here
-    is true.
+    One tower record serves both sides (resolutions.SemiSplitTower):
+    limit_tower or colimit_tower checks its sum formula and validates it
+    once, and _certificate checks every certificate where it is made;
+    each raises on a failure (exit 2), so every flag in a report written
+    here is true.  At depth 0 the (co)limit is the base's resolution,
+    certified with the contraction of the base's one reduction.
     """
     name, cx = _complex_arg(wi)
     side = _side_arg(wi)

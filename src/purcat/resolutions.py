@@ -4,12 +4,16 @@ resolve has one resolver, reduce_complex: it cancels the contractible
 summands of the input, and the reduced complex is its own resolution on
 either side, since every finitely presented term is pure projective and
 every term in the injective scope is pure injective (the proof is in
-resolve's docstring).  Every step of the towers of truncations, whose
-levels extend each other by degreewise split maps, resolves the cone it
-extends along the same way; at a stable step that cone is contractible,
-and reduce_complex, complete there, reduces it to zero.  The towers are
-built only on request (injective_tower / projective_tower), and their
-(co)limit at finite depth is read off degreewise and re-verified.
+resolve's docstring).
+The paper's (co)limits are built on request, from one semi-split tower
+(SemiSplitTower, built by _tower) whose side picks the truncations: the
+co-truncations with split surjections between levels (injective, the
+inverse tower) or the truncations with split inclusions (projective, the
+direct tower), after Spaltenstein.  Each level extends the one below
+along a cone, resolved by reducing it; at a stable step that cone is
+contractible, and reduce_complex, complete there, reduces it to zero.
+The (co)limit at finite depth is the top level, read off once
+validate_tower and check_sum_formula accept the tower (_tower_top).
 Every certificate is checked once, by validate_certificate where it is
 made (_certificate), and nothing is solved for: the contraction of its
 cone is written down from reduce_complex's homotopy (_contraction), or
@@ -352,148 +356,112 @@ def _extend_projective(a: ChainMap):
 # towers
 
 
-class SemiSplitInverseTower(Record):
-    """Levels resolving deeper and deeper co-truncations of the source.
+class SemiSplitTower(Record):
+    """Levels resolving deeper and deeper truncations of the source.
 
-    Each surjection splits degree by degree and its kernel is a bounded
-    complex of pure injectives, which validate_inverse_tower re-reads off
-    its terms; cone_certificates carry the inner resolutions that make the
-    level-step cone identity literal.
+    side "injective": the inverse tower of the co-truncations; downs are
+    the surjections levels[n] -> levels[n-1], chain maps, ups their
+    degreewise sections, complements the kernels, bounded complexes of
+    pure injectives, and complement_maps their inclusions.
+    side "projective": the direct tower of the truncations; ups are the
+    inclusions levels[n-1] -> levels[n], chain maps, downs their
+    degreewise retractions, complements the cokernels, finitely presented
+    hence pure projective, and complement_maps the projections onto them.
+    Either way downs[n-1] . ups[n-1] = id, cone_certificates[n-1]
+    certifies the inner resolution that makes level n's cone identity
+    literal, and base_witness contracts the cone of the base's
+    resolution map, the top's witness at depth 0.
     """
 
-    __slots__ = ("source", "truncations", "transitions", "levels", "surjections",
-                 "sections", "kernels", "kernel_inclusions", "cone_certificates")
+    __slots__ = ("side", "source", "truncations", "transitions", "levels", "downs", "ups",
+                 "complements", "complement_maps", "cone_certificates", "base_witness")
 
-    def __init__(self, source: Complex, truncations: tuple, transitions: tuple,
-                 levels: tuple, surjections: tuple, sections: tuple, kernels: tuple,
-                 kernel_inclusions: tuple, cone_certificates: tuple) -> None:
+    def __init__(self, side: str, source: Complex, truncations: tuple, transitions: tuple,
+                 levels: tuple, downs: tuple, ups: tuple, complements: tuple,
+                 complement_maps: tuple, cone_certificates: tuple,
+                 base_witness: Homotopy) -> None:
+        _set(self, "side", side)
         _set(self, "source", source)
         _set(self, "truncations", truncations)
         _set(self, "transitions", transitions)
         _set(self, "levels", levels)
-        _set(self, "surjections", surjections)
-        _set(self, "sections", sections)
-        _set(self, "kernels", kernels)
-        _set(self, "kernel_inclusions", kernel_inclusions)
+        _set(self, "downs", downs)
+        _set(self, "ups", ups)
+        _set(self, "complements", complements)
+        _set(self, "complement_maps", complement_maps)
         _set(self, "cone_certificates", cone_certificates)
+        _set(self, "base_witness", base_witness)
 
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
 
 
-class SemiSplitDirectTower(Record):
-    """Levels resolving longer and longer truncations of the source.
+# cone(f_n) = cone(-inner)[shift] at every level of a side's tower
+_CONE_SHIFT = {INJECTIVE: -1, PROJECTIVE: 0}
 
-    Each inclusion splits degree by degree and its cokernel is a bounded
-    complex of finitely presented, hence pure projective, terms;
-    cone_certificates carry the inner resolutions that make the
-    level-step cone identity literal.
+
+def _tower(m: Complex, depth: int, side: str):
+    """Build the side's tower of the given depth: (tower, fs), fs[n] the
+    resolution map of the n-th truncation.
+
+    The truncations keep degrees >= -n (injective) or <= n (projective).
+    Level 0 is the base's resolution (_resolution), and level n extends
+    level n-1 along its map composed with the transition
+    (_extend_injective / _extend_projective).  A stabilized step resolves
+    a contractible cone, which reduce_complex reduces to zero, so it
+    extends by the zero complex and the degreewise sum formula stays
+    literally true at every level.
     """
-
-    __slots__ = ("source", "truncations", "transitions", "levels", "injections",
-                 "retractions", "cokernels", "cokernel_projections", "cone_certificates")
-
-    def __init__(self, source: Complex, truncations: tuple, transitions: tuple,
-                 levels: tuple, injections: tuple, retractions: tuple, cokernels: tuple,
-                 cokernel_projections: tuple, cone_certificates: tuple) -> None:
-        _set(self, "source", source)
-        _set(self, "truncations", truncations)
-        _set(self, "transitions", transitions)
-        _set(self, "levels", levels)
-        _set(self, "injections", injections)
-        _set(self, "retractions", retractions)
-        _set(self, "cokernels", cokernels)
-        _set(self, "cokernel_projections", cokernel_projections)
-        _set(self, "cone_certificates", cone_certificates)
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
+    injective = side == INJECTIVE
+    if injective:
+        _require_injective_scope(m)
+    m = trim(m)
+    if depth < 0:
+        raise InputError("tower depth must be nonnegative")
+    truncations, transitions = [], []
+    for n in range(depth + 1):
+        if injective:
+            t_n, _ = truncate_geq(m, -n)
+            if n:
+                _, proj = truncate_geq(t_n, -(n - 1))
+                if proj.tgt != truncations[-1]:
+                    raise WorkbenchError("truncation tower is not nested literally")
+                transitions.append(proj)
+        else:
+            t_n, incl = truncate_leq(m, n)
+            if n:
+                # truncate_leq(m, n) agrees with m below n, where its inclusion
+                # is the identity, and the (n-1)-th truncation stops below n
+                transitions.append(ChainMap(truncations[-1], t_n, prev.lo, prev.components))
+            prev = incl
+        truncations.append(t_n)
+    base, f0, base_witness = _resolution(truncations[0], side)
+    fs, steps, certs = [f0], [], []
+    extend = _extend_injective if injective else _extend_projective
+    for t in transitions:
+        step = extend(fs[-1] @ t if injective else t @ fs[-1])
+        inner, hw = step[6:]
+        ends = (inner.src, inner.tgt) if injective else (inner.tgt, inner.src)
+        certs.append(_certificate(*ends, inner, side, hw))
+        fs.append(step[1])
+        steps.append(step)
+    # each step is (level, f_n, leg, split, complement, complement map, inner map, witness)
+    levels, _, legs, splits, comps, comp_maps, _, _ = zip(*steps) if steps else ((),) * 8
+    downs, ups = (legs, splits) if injective else (splits, legs)
+    tower = SemiSplitTower(side, m, tuple(truncations), tuple(transitions), (base,) + levels,
+                           downs, ups, comps, comp_maps, tuple(certs), base_witness)
+    return tower, tuple(fs)
 
 
 def injective_tower(m: Complex, depth: int):
-    """Build the inverse tower of resolutions of the co-truncations.
-
-    Returns (tower, fs) with fs[n] the resolution map of the n-th
-    co-truncation.  A stabilized step resolves a contractible cone, which
-    reduce_complex reduces to zero, so it extends by the zero complex and
-    the degreewise product formula stays literally true at every level.
-    """
-    _require_injective_scope(m)
-    m = trim(m)
-    if depth < 0:
-        raise InputError("tower depth must be nonnegative")
-    truncations = []
-    transitions = []
-    for n in range(depth + 1):
-        t_n, _ = truncate_geq(m, -n)
-        truncations.append(t_n)
-        if n >= 1:
-            _, proj = truncate_geq(truncations[n], -(n - 1))
-            if proj.tgt != truncations[n - 1]:
-                raise WorkbenchError("truncation tower is not nested literally")
-            transitions.append(proj)
-    base, f0, _, _ = _reduced(truncations[0])
-    levels, fs = [base], [f0]
-    surjections, sections = [], []
-    kernels, kernel_incls, cone_certs = [], [], []
-    for n in range(1, depth + 1):
-        q = fs[n - 1] @ transitions[n - 1]
-        level, h, p, section, kern, kern_incl, g, hg = _extend_injective(q)
-        levels.append(level)
-        fs.append(h)
-        surjections.append(p)
-        sections.append(section)
-        kernels.append(kern)
-        kernel_incls.append(kern_incl)
-        cone_certs.append(_certificate(g.src, g.tgt, g, INJECTIVE, hg))
-    tower = SemiSplitInverseTower(
-        m, tuple(truncations), tuple(transitions), tuple(levels),
-        tuple(surjections), tuple(sections), tuple(kernels),
-        tuple(kernel_incls), tuple(cone_certs),
-    )
-    return tower, tuple(fs)
+    """The inverse tower of the co-truncations of m (_tower)."""
+    return _tower(m, depth, INJECTIVE)
 
 
 def projective_tower(m: Complex, depth: int):
-    """Dual tower: resolutions of the truncations linked by split monos; a
-    stabilized step extends by the zero complex, as in injective_tower."""
-    m = trim(m)
-    if depth < 0:
-        raise InputError("tower depth must be nonnegative")
-    truncations = []
-    transitions = []
-    incls = []
-    for n in range(depth + 1):
-        t_n, incl = truncate_leq(m, n)
-        truncations.append(t_n)
-        incls.append(incl)
-        if n >= 1:
-            # truncate_leq(m, n) agrees with m below n, where its inclusion
-            # is the identity, and the (n-1)-th truncation stops below n
-            transitions.append(ChainMap(truncations[n - 1], t_n, incls[n - 1].lo,
-                                        incls[n - 1].components))
-    base, _, f0, _ = _reduced(truncations[0])
-    levels, fs = [base], [f0]
-    injections, retractions = [], []
-    cokernels, coker_projs, cone_certs = [], [], []
-    for n in range(1, depth + 1):
-        a = transitions[n - 1] @ fs[n - 1]
-        level, v, incl, retraction, coker, coker_proj, w, hw = _extend_projective(a)
-        levels.append(level)
-        fs.append(v)
-        injections.append(incl)
-        retractions.append(retraction)
-        cokernels.append(coker)
-        coker_projs.append(coker_proj)
-        cone_certs.append(_certificate(w.tgt, w.src, w, PROJECTIVE, hw))
-    tower = SemiSplitDirectTower(
-        m, tuple(truncations), tuple(transitions), tuple(levels),
-        tuple(injections), tuple(retractions), tuple(cokernels),
-        tuple(coker_projs), tuple(cone_certs),
-    )
-    return tower, tuple(fs)
+    """The direct tower of the truncations of m (_tower)."""
+    return _tower(m, depth, PROJECTIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -531,57 +499,55 @@ def _matches_cone(c: Complex, u: ChainMap, shift_by: int) -> bool:
     return True
 
 
-def check_inverse_level_cone_identity(tower: SemiSplitInverseTower, fs,
-                                      n: int) -> bool:
-    """The level-n extension satisfies cone(f_n) = cone(-g)[-1] literally."""
-    return _matches_cone(cone(fs[n]).complex, tower.cone_certificates[n - 1].map, -1)
+def validate_tower(tower: SemiSplitTower, fs) -> bool:
+    """Degreewise split extensions, complements in the side's class, cone
+    identities and commuting squares, level by level.
 
-
-def check_direct_level_cone_identity(tower: SemiSplitDirectTower, fs,
-                                     n: int) -> bool:
-    """The level-n extension satisfies cone(f_n) = cone(-w) literally."""
-    return _matches_cone(cone(fs[n]).complex, tower.cone_certificates[n - 1].map, 0)
-
-
-def validate_inverse_tower(tower: SemiSplitInverseTower, fs) -> bool:
-    """Degreewise split exactness, pure injective kernels, cone identities.
-
-    Every identity is a sum of products checked by vanishes; p^i . s^i = id
-    makes p^i onto, so that needs no check of its own, and _certificate
-    checked each cone certificate where it was made.
+    Each composite below is read toward the base on the injective side
+    and away from it on the projective side, and every identity is a sum
+    of products checked by vanishes.  With leg the chain-map half of the
+    split (the down injective, the up projective) and c the complement
+    map, each level n has
+    - down . up = id, which makes the down onto or the up one to one, so
+      neither needs a check of its own;
+    - leg and c chain maps, c degreewise one to one (injective) or onto
+      (projective), and leg . c = 0 (c . up = 0);
+    - complement terms in the side's class (termwise_ok);
+    - cone(f_n) = cone(-g)[-1] (injective) or cone(-w) (projective)
+      literally, g or w the map of the level's cone certificate, which
+      _certificate checked where it was made;
+    - down . f_n = f_(n-1) . t (f_n . up = t . f_(n-1)), t the transition.
     """
+    injective = tower.side == INJECTIVE
+    split = is_injective if injective else is_surjective
+
+    def vanishing(*terms):
+        terms = [(k, a, b) if injective else (k, b, a) for k, a, b in terms]
+        return vanishes(terms[0][2].src, terms[0][1].tgt, terms)
+
     for n in range(1, tower.depth + 1):
-        p, s, t = tower.surjections[n - 1], tower.sections[n - 1], tower.transitions[n - 1]
-        prev, kern, ki = tower.levels[n - 1], tower.kernels[n - 1], tower.kernel_inclusions[n - 1]
-        if not (vanishes(prev, prev, ((1, p, s), (-1,))) and p.is_chain_map()
-                and ki.is_chain_map()
-                and all(is_injective(ki.component(i)) for i in range(kern.lo, kern.hi + 1))
-                and vanishes(kern, prev, ((1, p, ki),)) and all(termwise_ok(INJECTIVE, kern))
-                and check_inverse_level_cone_identity(tower, fs, n)
-                and vanishes(fs[n].src, prev, ((1, p, fs[n]), (-1, fs[n - 1], t)))):
+        down, up, prev = tower.downs[n - 1], tower.ups[n - 1], tower.levels[n - 1]
+        leg, c = (down if injective else up), tower.complement_maps[n - 1]
+        if not (vanishes(prev, prev, ((1, down, up), (-1,))) and leg.is_chain_map()
+                and c.is_chain_map()
+                and all(split(c.component(i)) for i in range(c.src.lo, c.src.hi + 1))
+                and vanishing((1, leg, c))
+                and all(termwise_ok(tower.side, tower.complements[n - 1]))
+                and _matches_cone(cone(fs[n]).complex, tower.cone_certificates[n - 1].map,
+                                  _CONE_SHIFT[tower.side])
+                and vanishing((1, leg, fs[n]), (-1, fs[n - 1], tower.transitions[n - 1]))):
             return False
     return True
 
 
-def validate_direct_tower(tower: SemiSplitDirectTower, fs) -> bool:
-    """Degreewise split monos and cone identities.
+def validate_inverse_tower(tower: SemiSplitTower, fs) -> bool:
+    """validate_tower on an injective side tower."""
+    return validate_tower(tower, fs)
 
-    Every identity is a sum of products checked by vanishes; r^i . incl^i
-    = id makes incl^i one to one, and every finitely presented cokernel
-    term is pure projective, so neither needs a check of its own;
-    _certificate checked each cone certificate where it was made.
-    """
-    for n in range(1, tower.depth + 1):
-        incl, r, t = tower.injections[n - 1], tower.retractions[n - 1], tower.transitions[n - 1]
-        level, prev, cp = tower.levels[n], tower.levels[n - 1], tower.cokernel_projections[n - 1]
-        if not (vanishes(prev, prev, ((1, r, incl), (-1,))) and incl.is_chain_map()
-                and cp.is_chain_map()
-                and all(is_surjective(cp.component(i)) for i in range(level.lo, level.hi + 1))
-                and vanishes(prev, cp.tgt, ((1, cp, incl),))
-                and check_direct_level_cone_identity(tower, fs, n)
-                and vanishes(prev, fs[n].tgt, ((1, fs[n], incl), (-1, t, fs[n - 1])))):
-            return False
-    return True
+
+def validate_direct_tower(tower: SemiSplitTower, fs) -> bool:
+    """validate_tower on a projective side tower."""
+    return validate_tower(tower, fs)
 
 
 # ---------------------------------------------------------------------------
@@ -597,94 +563,67 @@ def required_depth(m: Complex, side: str) -> int:
     return max(0, m.hi)
 
 
-def check_limit_product_formula(tower: SemiSplitInverseTower) -> bool:
-    """Top level degree j equals I_0^j (+) sum of kernel terms, literally."""
-    top = tower.levels[-1]
-    base = tower.levels[0]
+def check_sum_formula(tower: SemiSplitTower) -> bool:
+    """Each degree of the top level is literally the sum of the base's
+    and the complements' terms, in the order the steps lay them out:
+    I_0 (+) K_1 (+) ... (+) K_n, the product formula of the limit
+    (injective), or Q_n (+) ... (+) Q_1 (+) P_0 (projective)."""
+    top, base = tower.levels[-1], tower.levels[0]
     for j in range(top.lo, top.hi + 1):
-        parts = [base.module(j)]
-        for kern in tower.kernels:
-            parts.append(kern.module(j))
-        want = sum_module(parts)
-        if not _modules_match(top.module(j), want):
+        parts = [base.module(j)] + [c.module(j) for c in tower.complements]
+        if tower.side == PROJECTIVE:
+            parts.reverse()
+        if not _modules_match(top.module(j), sum_module(parts)):
             return False
     return True
 
 
-def check_colimit_sum_formula(tower: SemiSplitDirectTower) -> bool:
-    """Top level degree j equals the cokernel terms plus P_0^j, literally."""
-    top = tower.levels[-1]
-    base = tower.levels[0]
-    for j in range(top.lo, top.hi + 1):
-        parts = []
-        for coker in reversed(tower.cokernels):
-            parts.append(coker.module(j))
-        parts.append(base.module(j))
-        want = sum_module(parts)
-        if not _modules_match(top.module(j), want):
-            return False
-    return True
-
-
-def _check_tower(tower, fs, side: str) -> None:
+def _check_tower(tower: SemiSplitTower, fs) -> None:
     """Raise unless the (co)limit can be read off the tower; solves nothing.
 
-    Depth, product or sum formula, degreewise surjective transitions
-    (injective side), then validate_*_tower: each check runs once, and
-    the tower's cone certificates were checked where they were made.
+    Depth, sum formula, degreewise surjective transitions (injective
+    side), then the validator, called through the side's entry point,
+    whose name the bench's spans wrap: each check runs once, and the
+    tower's cone certificates were checked where they were made.
     """
-    need = required_depth(tower.source, side)
+    injective = tower.side == INJECTIVE
+    need = required_depth(tower.source, tower.side)
     if tower.depth < need or tower.truncations[-1] != tower.source:
         raise DepthInsufficient(need)
-    if side == INJECTIVE:
-        if not check_limit_product_formula(tower):
-            raise WorkbenchError("tower levels violate the degreewise product formula")
+    if not check_sum_formula(tower):
+        formula = "product" if injective else "sum"
+        raise WorkbenchError(f"tower levels violate the degreewise {formula} formula")
+    if injective:
         for t in tower.transitions:
             for i in range(t.src.lo, t.src.hi + 1):
                 if not is_surjective(t.component(i)):
                     raise WorkbenchError("truncation transition is not degreewise surjective")
-        valid = validate_inverse_tower(tower, fs)
-    else:
-        if not check_colimit_sum_formula(tower):
-            raise WorkbenchError("tower levels violate the degreewise sum formula")
-        valid = validate_direct_tower(tower, fs)
-    if not valid:
+    if not (validate_inverse_tower if injective else validate_direct_tower)(tower, fs):
         raise WorkbenchError("tower invariants fail to re-validate")
 
 
-def _tower_top(tower, fs, side: str) -> ResolutionCertificate:
-    """The certificate of fs[-1].  cone(fs[-1]) is cone(-g)[-1]
-    (injective) or cone(-w) (projective) literally, g or w the last cone
-    certificate's map, so its witness is recast; at depth 0 fs[-1] is the
-    base's own resolution map."""
-    _check_tower(tower, fs, side)
+def _tower_top(tower: SemiSplitTower, fs) -> ResolutionCertificate:
+    """The certificate of fs[-1], once _check_tower passes.  cone(fs[-1])
+    is cone(-g)[-1] (injective) or cone(-w) (projective) literally, g or
+    w the last cone certificate's map, so its witness is recast; at
+    depth 0 fs[-1] is the base's resolution map and its witness the
+    base's, kept from the one reduction of the base."""
+    _check_tower(tower, fs)
     certs = tower.cone_certificates
     witness = (_recast(certs[-1].qis_witness, cone(fs[-1]).complex,
-                       -1 if side == INJECTIVE else 0, certs[-1].map) if certs
-               else _resolution(tower.truncations[0], side)[2])
-    return _certificate(tower.source, tower.levels[-1], fs[-1], side, witness)
+                       _CONE_SHIFT[tower.side], certs[-1].map) if certs
+               else tower.base_witness)
+    return _certificate(tower.source, tower.levels[-1], fs[-1], tower.side, witness)
 
 
-def limit_tower(tower: SemiSplitInverseTower, fs) -> ResolutionCertificate:
-    """Read the limit off the stabilized tower and certify it directly.
-
-    Raises unless the tower passes validate_inverse_tower and the product
-    formula (_check_tower); the certificate contracts the cone of fs[-1]
-    with the last cone certificate's witness recast (_tower_top), which
-    the checked identity cone(f_n) = cone(-g)[-1] makes a contraction.
-    """
-    return _tower_top(tower, fs, INJECTIVE)
+def limit_tower(tower: SemiSplitTower, fs) -> ResolutionCertificate:
+    """The limit of an injective side tower, read off and certified (_tower_top)."""
+    return _tower_top(tower, fs)
 
 
-def colimit_tower(tower: SemiSplitDirectTower, fs) -> ResolutionCertificate:
-    """Read the colimit off the stabilized tower and certify it directly.
-
-    Raises unless the tower passes validate_direct_tower and the sum
-    formula (_check_tower); the certificate contracts the cone of fs[-1]
-    with the last cone certificate's witness recast (_tower_top), which
-    the checked identity cone(f_n) = cone(-w) makes a contraction.
-    """
-    return _tower_top(tower, fs, PROJECTIVE)
+def colimit_tower(tower: SemiSplitTower, fs) -> ResolutionCertificate:
+    """The colimit of a projective side tower, read off and certified (_tower_top)."""
+    return _tower_top(tower, fs)
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ def test_resolve_builds_no_tower_and_contracts_once_at_every_depth(
     def refuse(*args):
         raise AssertionError("a tower was built")
 
-    for name in ("injective_tower", "projective_tower", "_check_tower"):
+    for name in ("_tower", "injective_tower", "projective_tower", "_check_tower"):
         monkeypatch.setattr(resolutions, name, refuse)
     for m, need in inputs(ring_name, side).values():
         certs = []
@@ -250,6 +250,45 @@ def test_tower_resolve_contracts_once_per_level_and_once_at_the_top(
         contractions.clear()
         tower_certs(m, side, need + 1)
         assert len(contractions) == need + 2
+
+
+# the towers certificates of the two bounded draws of each ring and side,
+# which need no tower: the same as when the base was reduced twice
+DEPTH_ZERO_DIGESTS = {
+    "Z-injective": "5cb9eda3288ff54e",
+    "Z-projective": "7000bd739565c5f0",
+    "Z12-injective": "566b94f52cf23712",
+    "Z12-projective": "067741c26f2e9cf0",
+    "Z72-injective": "6497ef43cd02ffdb",
+    "Z72-projective": "b5bc6963c40b79e9",
+}
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@pytest.mark.parametrize("side", SIDES)
+def test_depth_zero_towers_reduce_their_base_once(tmp_path, monkeypatch, ring_name, side):
+    """The base, its map and the contraction of its cone, the top's
+    witness at depth 0, come from one reduce_complex, and the certificate
+    is resolve's."""
+    calls = []
+    real = resolutions.reduce_complex
+    monkeypatch.setattr(resolutions, "reduce_complex", lambda cx: calls.append(cx) or real(cx))
+    h = hashlib.sha256()
+    for name in ("bounded-0", "bounded-1"):
+        m, need = inputs(ring_name, side)[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_input(WorkbenchInput(
+            m.ring, complexes={"c": m}, parameters={"complex": "c", "side": side})))
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["towers", "--json", str(path)]) == 0
+        results = json.loads(out.getvalue())["results"]
+        assert need == results["depth"] == 0
+        assert len(calls) == 1
+        cert = results["certificate"]
+        assert cert == json.loads(json.dumps(encode_certificate(resolve(m, side))))
+        h.update(json.dumps(cert, sort_keys=True).encode())
+    assert h.hexdigest()[:16] == DEPTH_ZERO_DIGESTS[f"{ring_name}-{side}"]
 
 
 @pytest.mark.parametrize("ring_name", sorted(RINGS))

@@ -1,5 +1,6 @@
 """Resolution builders, towers, limits, lifts, and their certificates."""
 
+import functools
 import random
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from purcat import resolutions
 from purcat.exact_linalg import InputError, WorkbenchError, ZZ, Zmod
-from purcat.fpmod import cyclic_module, free_module, identity_map, zero_map
+from purcat.fpmod import IllDefinedMap, cyclic_module, free_module, identity_map, make_map, zero_map
 from purcat.complexes import (
+    ChainMap,
+    Complex,
     Homotopy,
     cone,
     homology_invariants,
@@ -30,13 +33,9 @@ from purcat.resolutions import (
     DegreewiseFamily,
     DepthInsufficient,
     ResolutionCertificate,
-    SemiSplitDirectTower,
-    SemiSplitInverseTower,
+    SemiSplitTower,
     UnsupportedRing,
-    check_colimit_sum_formula,
-    check_direct_level_cone_identity,
-    check_inverse_level_cone_identity,
-    check_limit_product_formula,
+    check_sum_formula,
     colimit_tower,
     injective_tower,
     limit_tower,
@@ -47,6 +46,7 @@ from purcat.resolutions import (
     validate_certificate,
     validate_direct_tower,
     validate_inverse_tower,
+    validate_tower,
 )
 from helpers import (
     chain_is_zero,
@@ -157,35 +157,38 @@ def test_certified_maps_are_pure_qis_z8():
 # towers
 
 
-def test_injective_tower_z8_window_crossing_zero():
-    rng = random.Random(7)
-    ring = Zmod(8)
-    m = random_complex(rng, ring, -2, 3)
-    need = required_depth(m, "injective")
-    assert need == 2
-    tower, fs = injective_tower(m, need)
-    for n in range(1, need + 1):
-        assert check_inverse_level_cone_identity(tower, fs, n)
-    assert check_limit_product_formula(tower)
-    assert validate_inverse_tower(tower, fs)
-    for kern in tower.kernels:
-        assert all(termwise_ok("injective", kern))
-    cert = limit_tower(tower, fs)
-    assert validate_certificate(cert)
+SIDES = ("injective", "projective")
+BUILD = {"injective": injective_tower, "projective": projective_tower}
+VALIDATE = {"injective": validate_inverse_tower, "projective": validate_direct_tower}
+TOP = {"injective": limit_tower, "projective": colimit_tower}
+CONE_SHIFT = {"injective": -1, "projective": 0}
 
 
-def test_projective_tower_over_z():
-    m = z_projective_example()
-    need = required_depth(m, "projective")
+def tower_example(side):
+    """A complex whose tower on this side needs depth 2: a Z/8 window
+    crossing 0 (injective) or z_projective_example (projective)."""
+    if side == "injective":
+        return random_complex(random.Random(7), Zmod(8), -2, 3)
+    return z_projective_example()
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_tower_levels_split_and_satisfy_the_cone_identity(side):
+    m = tower_example(side)
+    need = required_depth(m, side)
     assert need == 2
-    tower, fs = projective_tower(m, need)
+    tower, fs = BUILD[side](m, need)
+    assert tower.side == side and tower.depth == need
     for n in range(1, need + 1):
-        assert check_direct_level_cone_identity(tower, fs, n)
-    assert check_colimit_sum_formula(tower)
-    assert validate_direct_tower(tower, fs)
-    for coker in tower.cokernels:
-        assert all(termwise_ok("projective", coker))
-    cert = colimit_tower(tower, fs)
+        prev = tower.levels[n - 1]
+        assert vanishes(prev, prev, ((1, tower.downs[n - 1], tower.ups[n - 1]), (-1,)))
+        assert resolutions._matches_cone(cone(fs[n]).complex,
+                                         tower.cone_certificates[n - 1].map, CONE_SHIFT[side])
+    assert check_sum_formula(tower)
+    assert validate_tower(tower, fs) and VALIDATE[side](tower, fs)
+    for complement in tower.complements:
+        assert all(termwise_ok(side, complement))
+    cert = TOP[side](tower, fs)
     assert validate_certificate(cert)
 
 
@@ -200,62 +203,220 @@ def test_certificate_is_refused_unless_it_validates():
         resolutions._certificate(m, m, f, "injective", witness)
 
 
-def test_inverse_tower_rereads_kernel_terms():
-    rng = random.Random(7)
-    m = random_complex(rng, Zmod(8), -2, 3)
-    tower, fs = injective_tower(m, 2)
-    assert validate_inverse_tower(tower, fs)
-    # same windows, but a free term over Z is not pure injective
+# ---------------------------------------------------------------------------
+# tampered towers: each corrupts one field so that one check fails alone
+
+
+def rebuilt(tower, **fields):
+    values = {name: getattr(tower, name) for name in SemiSplitTower._fields}
+    return SemiSplitTower(**{**values, **fields})
+
+
+def replaced(seq, k, value):
+    return seq[:k] + (value,) + seq[k + 1:]
+
+
+def legs(tower):
+    """The field holding the chain-map half of each split."""
+    return "downs" if tower.side == "injective" else "ups"
+
+
+def composite_vanishes(tower, k, a, b):
+    """Is k a . b (injective) or k b . a (projective) zero?"""
+    outer, inner = (a, b) if tower.side == "injective" else (b, a)
+    return vanishes(inner.src, outer.tgt, ((k, outer, inner),))
+
+
+def zero_split_component(tower, fs):
+    """A zero component in the split's degreewise half, where the level
+    below is nonzero: down . up = id fails in that degree."""
+    key = "ups" if tower.side == "injective" else "downs"
+    below = (lambda c: c.src) if key == "ups" else (lambda c: c.tgt)
+    n, k = next((n, k) for n, f in enumerate(getattr(tower, key))
+                for k, c in enumerate(f.components) if not below(c).is_zero())
+    f = getattr(tower, key)[n]
+    bad = DegreewiseFamily(f.src, f.tgt, f.lo, replaced(f.components, k, zero_map(
+        f.components[k].src, f.components[k].tgt)))
+    return rebuilt(tower, **{key: replaced(getattr(tower, key), n, bad)})
+
+
+def leg_on_another_source(tower, fs):
+    """The leg on a copy of its source with one differential negated.
+    Its components are fixed by down . up = id and its composite with the
+    complement map, so only the ends it carries can break the chain law
+    alone."""
+    for n, leg in enumerate(getattr(tower, legs(tower))):
+        cx = leg.src
+        for k, d in enumerate(cx.diffs):
+            bad = ChainMap(Complex(cx.ring, cx.lo, cx.modules, replaced(cx.diffs, k, -d)),
+                           leg.tgt, leg.lo, leg.components)
+            if not bad.is_chain_map():
+                return rebuilt(tower, **{legs(tower): replaced(getattr(tower, legs(tower)), n, bad)})
+
+
+def negated_complement_component(tower, fs):
+    """One component of a complement map negated: still one to one or
+    onto, still killed by the leg, no longer a chain map."""
+    for n, c in enumerate(tower.complement_maps):
+        for k, comp in enumerate(c.components):
+            bad = ChainMap(c.src, c.tgt, c.lo, replaced(c.components, k, -comp))
+            if not bad.is_chain_map():
+                return rebuilt(tower, complement_maps=replaced(tower.complement_maps, n, bad))
+
+
+def zero_complement_map(tower, fs):
+    """The zero map in place of a nonzero complement's map."""
+    n = next(n for n, c in enumerate(tower.complements) if any(x.generators for x in c.modules))
+    c = tower.complement_maps[n]
+    bad = ChainMap(c.src, c.tgt, c.lo, tuple(zero_map(x.src, x.tgt) for x in c.components))
+    return rebuilt(tower, complement_maps=replaced(tower.complement_maps, n, bad))
+
+
+def complement_map_through_the_split(tower, fs):
+    """incl + s psi (injective) or proj + psi r (projective), psi a map
+    with one nonzero entry between the complement and the level below:
+    the first that keeps the complement map a chain map, one to one or
+    onto, but not killed by the leg."""
+    injective = tower.side == "injective"
+    mod = tower.source.ring.modulus
+    scalars = [x for x in range(1, mod) if mod % x == 0] if mod else [1]
+    for n, c in enumerate(tower.complement_maps):
+        split = (tower.ups if injective else tower.downs)[n]
+        ends = (tower.complements[n], tower.levels[n])
+        src, tgt = ends if injective else ends[::-1]
+        for k, comp in enumerate(c.components):
+            a, b = src.module(c.lo + k), tgt.module(c.lo + k)
+            j = c.lo + k - split.lo
+            if not 0 <= j < len(split.components):
+                continue
+            s = split.components[j]
+            for row in range(b.generators):
+                for col in range(a.generators):
+                    for x in scalars:
+                        try:
+                            psi = make_map(a, b, [[x if (r, q) == (row, col) else 0
+                                                   for q in range(a.generators)]
+                                                  for r in range(b.generators)])
+                        except IllDefinedMap:
+                            continue
+                        bad = ChainMap(c.src, c.tgt, c.lo, replaced(
+                            c.components, k, comp + (s @ psi if injective else psi @ s)))
+                        if bad.is_chain_map() and not composite_vanishes(
+                                tower, 1, getattr(tower, legs(tower))[n], bad):
+                            return rebuilt(tower, complement_maps=replaced(
+                                tower.complement_maps, n, bad))
+
+
+def free_kernel_terms(tower, fs):
+    """The same windows, but a free term over Z is not pure injective."""
     bad = tuple(module_complex(free_module(ZZ, 1), k.lo) if k.modules else k
-                for k in tower.kernels)
-    assert bad != tower.kernels
-    rebuilt = SemiSplitInverseTower(
-        tower.source, tower.truncations, tower.transitions, tower.levels,
-        tower.surjections, tower.sections, bad, tower.kernel_inclusions,
-        tower.cone_certificates)
-    assert not validate_inverse_tower(rebuilt, fs)
+                for k in tower.complements)
+    assert bad != tower.complements
+    return rebuilt(tower, complements=bad)
 
 
-def _zero_one_component(families, nonzero):
-    """families with the first component whose nonzero() end is not the
-    zero module replaced by the zero map."""
-    n, k = next((n, k) for n, f in enumerate(families)
-                for k, c in enumerate(f.components) if not nonzero(c).is_zero())
-    f = families[n]
-    zero = zero_map(f.components[k].src, f.components[k].tgt)
-    bad = DegreewiseFamily(f.src, f.tgt, f.lo, f.components[:k] + (zero,) + f.components[k + 1:])
-    return families[:n] + (bad,) + families[n + 1:]
+def zero_complement(tower, fs):
+    """A nonzero complement replaced by the zero complex: every check of
+    the validator still holds, but the top level is no longer the sum."""
+    n = next(n for n, c in enumerate(tower.complements) if any(x.generators for x in c.modules))
+    return rebuilt(tower, complements=replaced(tower.complements, n,
+                                               zero_complex(tower.source.ring)))
 
 
-def test_limit_tower_rejects_a_corrupted_section():
-    rng = random.Random(7)
-    m = random_complex(rng, Zmod(8), -2, 3)
-    tower, fs = injective_tower(m, 2)
-    assert validate_inverse_tower(tower, fs)
-    # a zero section component breaks p . s = id in that degree
-    bad = _zero_one_component(tower.sections, lambda c: c.src)
-    rebuilt = SemiSplitInverseTower(
-        tower.source, tower.truncations, tower.transitions, tower.levels,
-        tower.surjections, bad, tower.kernels,
-        tower.kernel_inclusions, tower.cone_certificates)
-    assert not validate_inverse_tower(rebuilt, fs)
-    with pytest.raises(WorkbenchError, match="re-validate"):
-        limit_tower(rebuilt, fs)
+def negated_inner_map(tower, fs):
+    """A cone certificate whose map is negated where 2 g is nonzero."""
+    for n, inner in enumerate(tower.cone_certificates):
+        g = inner.map
+        if not vanishes(g.src, g.tgt, ((2, g),)):
+            flipped = ResolutionCertificate(inner.source, inner.target, -g, inner.side,
+                                            inner.qis_witness, inner.termwise_flags)
+            return rebuilt(tower, cone_certificates=replaced(tower.cone_certificates, n, flipped))
 
 
-def test_colimit_tower_rejects_a_corrupted_retraction():
-    m = random_complex(random.Random(6), Zmod(8), -1, 4)
-    tower, fs = projective_tower(m, required_depth(m, "projective"))
-    assert validate_direct_tower(tower, fs)
-    # a zero retraction component breaks r . incl = id in that degree
-    bad = _zero_one_component(tower.retractions, lambda c: c.tgt)
-    rebuilt = SemiSplitDirectTower(
-        tower.source, tower.truncations, tower.transitions, tower.levels,
-        tower.injections, bad, tower.cokernels,
-        tower.cokernel_projections, tower.cone_certificates)
-    assert not validate_direct_tower(rebuilt, fs)
-    with pytest.raises(WorkbenchError, match="re-validate"):
-        colimit_tower(rebuilt, fs)
+def negated_transition(tower, fs):
+    """A transition negated where 2 f_(n-1) t (2 t f_(n-1)) is nonzero:
+    still onto, but the square no longer commutes."""
+    for n, t in enumerate(tower.transitions):
+        if not composite_vanishes(tower, 2, fs[n], t):
+            return rebuilt(tower, transitions=replaced(tower.transitions, n, -t))
+
+
+def transition_zeroed_below_an_empty_level(tower, fs):
+    """A transition component zeroed in a degree where the truncation
+    below is nonzero but its level is zero: the square still commutes,
+    and only the transitions' surjectivity fails."""
+    for n, t in enumerate(tower.transitions):
+        for k, comp in enumerate(t.components):
+            if comp.tgt.generators and not tower.levels[n].module(t.lo + k).generators:
+                bad = ChainMap(t.src, t.tgt, t.lo, replaced(t.components, k, zero_map(
+                    comp.src, comp.tgt)))
+                return rebuilt(tower, transitions=replaced(tower.transitions, n, bad))
+
+
+# check -> (tamper, sides, ring, the error the (co)limit raises).  Every
+# term over Z/m is pure injective, so the kernel terms are re-read over Z;
+# the projective side has no kernel terms to re-read (every finitely
+# presented term is pure projective) and no surjectivity of its
+# transitions to check
+TAMPERS = {
+    "down . up = id": (zero_split_component, SIDES, "Z72", "re-validate"),
+    "leg is a chain map": (leg_on_another_source, SIDES, "Z72", "re-validate"),
+    "complement map is a chain map": (negated_complement_component, SIDES, "Z72",
+                                      "re-validate"),
+    "complement map one to one or onto": (zero_complement_map, SIDES, "Z72", "re-validate"),
+    "leg and complement map compose to 0": (complement_map_through_the_split, SIDES, "Z72",
+                                            "re-validate"),
+    "pure injective kernel terms": (free_kernel_terms, ("injective",), "Z", "product formula"),
+    "sum formula": (zero_complement, SIDES, "Z72", "formula"),
+    "cone identity": (negated_inner_map, SIDES, "Z72", "re-validate"),
+    "commuting square": (negated_transition, SIDES, "Z72", "re-validate"),
+    "transitions onto": (transition_zeroed_below_an_empty_level, ("injective",), "Z72",
+                         "not degreewise surjective"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def tamper_tower(side, ring_name):
+    """A tower of depth 2 on which every tamper of its side and ring applies:
+    random draws over Z/72 (on [-2, 1] or [-1, 2]) and, with torsion terms,
+    over Z (on [-2, 0])."""
+    seed, lo, length = {("injective", "Z72"): (117, -2, 4), ("projective", "Z72"): (62, -1, 4),
+                        ("injective", "Z"): (5, -2, 3)}[side, ring_name]
+    ring = Zmod(72) if ring_name == "Z72" else ZZ
+    m = random_complex(random.Random(seed), ring, lo, length, max_gens=3)
+    return BUILD[side](m, required_depth(m, side))
+
+
+@pytest.mark.parametrize("side,check", [(side, check) for check, (_, sides, _, _) in TAMPERS.items()
+                                        for side in sides])
+def test_tower_checks_refuse_one_corrupted_field(side, check):
+    tamper, _, ring_name, error = TAMPERS[check]
+    tower, fs = tamper_tower(side, ring_name)
+    assert tower.depth == 2 and VALIDATE[side](tower, fs)
+    bad = tamper(tower, fs)
+    assert bad is not None
+    # the sum formula and the transitions are checked by the (co)limit, not
+    # the validator
+    assert VALIDATE[side](bad, fs) == (check in ("sum formula", "transitions onto"))
+    with pytest.raises(WorkbenchError, match=error):
+        TOP[side](bad, fs)
+
+
+def test_cone_identity_checks_refute_a_negated_inner_map():
+    # the check reads cone(-g) off the cone kept on g; with g negated it
+    # compares against cone(g), which differs exactly where 2 g is nonzero
+    exercised = 0
+    for side in SIDES:
+        m = tower_example(side)
+        tower, fs = BUILD[side](m, required_depth(m, side))
+        for n, inner in enumerate(tower.cone_certificates):
+            flipped = ResolutionCertificate(inner.source, inner.target, -inner.map, inner.side,
+                                            inner.qis_witness, inner.termwise_flags)
+            bad = rebuilt(tower, cone_certificates=replaced(tower.cone_certificates, n, flipped))
+            g = inner.map
+            assert validate_tower(bad, fs) == vanishes(g.src, g.tgt, ((2, g),))
+            exercised += not validate_tower(bad, fs)
+    assert exercised
 
 
 def test_tower_depth_gate_reports_requirement():
@@ -275,7 +436,7 @@ def test_tower_stabilizes_beyond_required_depth():
     tower, fs = injective_tower(m, 3)
     assert validate_inverse_tower(tower, fs)
     assert complexes_equal(tower.levels[-1], tower.levels[-2])
-    assert all(m.is_zero() for m in tower.kernels[-1].modules)
+    assert all(m.is_zero() for m in tower.complements[-1].modules)
     cert = limit_tower(tower, fs)
     assert validate_certificate(cert)
 
@@ -467,12 +628,8 @@ def test_resolve_agrees_with_the_inductions(seed, ring, side):
 
 def tower_top(m, side):
     """The (co)limit certificate of the tower m needs, and the tower."""
-    depth = required_depth(m, side)
-    if side == "injective":
-        tower, fs = injective_tower(m, depth)
-        return limit_tower(tower, fs), tower
-    tower, fs = projective_tower(m, depth)
-    return colimit_tower(tower, fs), tower
+    tower, fs = BUILD[side](m, required_depth(m, side))
+    return TOP[side](tower, fs), tower
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -498,11 +655,8 @@ def test_towers_on_reduced_cones_agree_with_towers_on_whole_cones(seed, ring, si
 
 def tower_certificates(m, side, depth):
     """The cone certificates of m's tower of this depth and its (co)limit's."""
-    if side == "injective":
-        tower, fs = injective_tower(m, depth)
-        return tower.cone_certificates + (limit_tower(tower, fs),)
-    tower, fs = projective_tower(m, depth)
-    return tower.cone_certificates + (colimit_tower(tower, fs),)
+    tower, fs = BUILD[side](m, depth)
+    return tower.cone_certificates + (TOP[side](tower, fs),)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -528,32 +682,3 @@ def test_reduce_complex_homotopy_and_the_contractions_written_from_it(seed, ring
         for cert in certs:
             assert validate_certificate(cert)
             assert contract_complex(cone(cert.map).complex) is not None
-
-
-def test_cone_identity_checks_refute_a_negated_inner_map():
-    # the checks read cone(-g) off the cone kept on g; with g negated they
-    # compare against cone(g), which differs exactly where 2 g is nonzero
-    cases = (("injective", random_complex(random.Random(7), Zmod(8), -2, 3)),
-             ("projective", z_projective_example()))
-    exercised = 0
-    for side, m in cases:
-        depth = required_depth(m, side)
-        if side == "injective":
-            tower, fs = injective_tower(m, depth)
-            check, build = check_inverse_level_cone_identity, SemiSplitInverseTower
-        else:
-            tower, fs = projective_tower(m, depth)
-            check, build = check_direct_level_cone_identity, SemiSplitDirectTower
-        for n in range(1, depth + 1):
-            inner = tower.cone_certificates[n - 1]
-            flipped = ResolutionCertificate(inner.source, inner.target, -inner.map, inner.side,
-                                            inner.qis_witness, inner.termwise_flags)
-            certs = list(tower.cone_certificates)
-            certs[n - 1] = flipped
-            fields = [getattr(tower, name) for name in build._fields]
-            rebuilt = build(*fields[:-1], tuple(certs))
-            g = inner.map
-            assert check(tower, fs, n)
-            assert check(rebuilt, fs, n) == vanishes(g.src, g.tgt, ((2, g),))
-            exercised += not check(rebuilt, fs, n)
-    assert exercised
