@@ -1,13 +1,13 @@
 """Command line front end: one workspace file in, one report out.
 
-    purcat <command> <input> [--json] [--seed N] [--depth N]
+    purcat <command> <input> [--json] [--depth N]
 
 The input is a JSON workspace file (or - for stdin); the report goes to
 stdout as text, or as JSON with --json.  Exit status is 0 for a clean
 run, 1 for a refuted claim (a NotPure verdict, a failing adjunction
 link, an invalid certificate), and 2 for an error.  Runs are
-deterministic: the same input and seed produce the same report up to
-the timing figure.
+deterministic: the same input produces the same report up to the
+timing figure.
 
 --depth N (or a "depth" parameter in the workspace) sets the depth of the
 semi-split tower that towers builds; without it towers builds the depth
@@ -23,7 +23,7 @@ it).  Any allowed depth gives the report of none.
 The grammar is fixed, so it is parsed by hand rather than with argparse,
 whose set-up would cost a cold run more than many commands' algebra.
 Options may come before, between or after the two positionals, a value
-is given as --seed N or --seed=N (a later option wins), and -h or --help
+is given as --depth N or --depth=N (a later option wins), and -h or --help
 anywhere prints the usage to stdout and exits 0.  Anything else (an
 unknown command or option, a missing or extra positional, a missing or
 non-integer value) writes the usage and a one-line reason to stderr and
@@ -79,8 +79,6 @@ from purcat.serialize import (
     load_json,
     parse_input,
 )
-
-DEFAULT_SEED = 1729
 
 COMMANDS = (
     "homology",
@@ -435,7 +433,7 @@ def render_text(report: dict) -> str:
 # entry point
 
 
-USAGE = "usage: purcat [-h] [--json] [--seed SEED] [--depth DEPTH] command input\n"
+USAGE = "usage: purcat [-h] [--json] [--depth DEPTH] command input\n"
 
 HELP = f"""{USAGE}
 pure homological algebra workbench for complexes over Z and Z/m
@@ -447,7 +445,6 @@ positional arguments:
 options:
   -h, --help     show this help message and exit
   --json         emit the report as JSON
-  --seed SEED    seed echoed into the report (default {DEFAULT_SEED})
   --depth DEPTH  tower depth for towers, at most {MAX_DEPTH} (default: the
                  depth the input needs); resolve, phom and adjunction only
                  check it
@@ -459,8 +456,8 @@ class _UsageError(Exception):
 
 
 def _parse_args(argv: list) -> SimpleNamespace:
-    """command, input, json, seed and depth from argv (no -h / --help in it)."""
-    args = SimpleNamespace(json=False, seed=DEFAULT_SEED, depth=None)
+    """command, input, json and depth from argv (no -h / --help in it)."""
+    args = SimpleNamespace(json=False, depth=None)
     positionals = []
     rest = iter(argv)
     for arg in rest:
@@ -470,14 +467,14 @@ def _parse_args(argv: list) -> SimpleNamespace:
             positionals.append(arg)
         else:
             name, eq, value = arg.partition("=")
-            if name not in ("--seed", "--depth"):
+            if name != "--depth":
                 raise _UsageError(f"unrecognized argument: {arg}")
             if not eq:
                 value = next(rest, None)
                 if value is None:
                     raise _UsageError(f"argument {name}: expected one argument")
             try:
-                setattr(args, name[2:], int(value))
+                args.depth = int(value)
             except ValueError:
                 raise _UsageError(f"argument {name}: invalid int value: {value!r}") from None
     if len(positionals) < 2:
@@ -531,7 +528,6 @@ def main(argv=None) -> int:
     report = {
         "format": FORMAT,
         "command": args.command,
-        "seed": args.seed,
         "status": status,
         "results": results,
         "timing": {"seconds": round(time.perf_counter() - started, 6)},

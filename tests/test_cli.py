@@ -686,12 +686,11 @@ def test_text_report(tmp_path):
     path = tmp_path / "homology.json"
     path.write_text(serialize_input(WorkbenchInput(
         ring, complexes={"c": cx}, parameters={"complex": "c"})), encoding="utf-8")
-    code, out = main(["homology", "--seed", "7", str(path)])
+    code, out = main(["homology", str(path)])
     assert code == 0
     lines = out.splitlines()
     assert lines[:-1] == [
         "command: homology",
-        "seed: 7",
         "status: ok",
         "results:",
         "  complex: c",
@@ -704,18 +703,18 @@ def test_text_report(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the argv grammar: purcat <command> <input> [--json] [--seed N] [--depth N]
+# the argv grammar: purcat <command> <input> [--json] [--depth N]
 
-# outcomes: the --json towers report of seed 7; a --json report of the
+# outcomes: the --json towers report of depth 3; a --json report of the
 # handler's own error; the help on stdout; nothing on stdout and the usage
 # with a one-line reason on stderr
-SEED_7, HANDLER_ERROR, HELP, USAGE = "seed-7", "handler-error", "help", "usage"
+DEPTH_3, HANDLER_ERROR, HELP, USAGE = "depth-3", "handler-error", "help", "usage"
 
 GRAMMAR = [
-    (["towers", "{ws}", "--json", "--seed", "7"], 0, SEED_7),
-    (["--seed", "7", "--json", "towers", "{ws}"], 0, SEED_7),
-    (["towers", "--seed=7", "{ws}", "--json"], 0, SEED_7),
-    (["--json", "towers", "-", "--seed=7"], 0, SEED_7),
+    (["towers", "{ws}", "--json", "--depth", "3"], 0, DEPTH_3),
+    (["--depth", "3", "--json", "towers", "{ws}"], 0, DEPTH_3),
+    (["towers", "--depth=3", "{ws}", "--json"], 0, DEPTH_3),
+    (["--json", "towers", "-", "--depth=3"], 0, DEPTH_3),
     (["towers", "{ws}", "--json", "--depth", "-1"], 2, HANDLER_ERROR),
     (["resolve", "{ws}", "--json", "--depth", "-1"], 2, HANDLER_ERROR),
     (["phom", "{ws}", "--json", "--depth=-1"], 2, HANDLER_ERROR),
@@ -728,8 +727,11 @@ GRAMMAR = [
     (["towers"], 2, USAGE),
     ([], 2, USAGE),
     (["towers", "{ws}", "extra"], 2, USAGE),
+    # --seed is no option
     (["towers", "{ws}", "--seed"], 2, USAGE),
     (["towers", "{ws}", "--seed", "x"], 2, USAGE),
+    (["towers", "{ws}", "--depth"], 2, USAGE),
+    (["towers", "{ws}", "--depth", "x"], 2, USAGE),
     (["towers", "{ws}", "--depth=1.5"], 2, USAGE),
 ]
 
@@ -755,9 +757,10 @@ def test_argv_grammar(tmp_path, monkeypatch, argv, code, outcome):
 
     status, out, err = call(argv)
     assert status == code
-    if outcome == SEED_7:
-        _, reference, _ = call(["towers", "--json", "--seed", "7", "{ws}"])
-        assert json.loads(reference)["seed"] == 7
+    if outcome == DEPTH_3:
+        _, reference, _ = call(["towers", "--json", "--depth", "3", "{ws}"])
+        # the workspace needs depth 2, so the default would not give this report
+        assert json.loads(reference)["results"]["depth"] == 3
         assert without_timing(json.loads(out)) == without_timing(json.loads(reference))
         assert err == ""
     elif outcome == HANDLER_ERROR:

@@ -107,17 +107,17 @@ def workspace_file(tmp_path, case):
 
 
 DIGESTS = {
-    "homology": (0, "4401501924c65964", "905265569857c538"),
-    "cone": (0, "c8fc5d24278afd49", "cd9b1c1bd9fb2421"),
-    "truncate": (0, "a4cfda0aee16d092", "5a43c2cb898d1038"),
-    "purity": (0, "008fb13a7a273d49", "def6a5bc69ce9718"),
-    "qis": (0, "bff60797792b01c1", "5af7f0217dc3b8ec"),
-    "resolve": (0, "267c5d07d239d1bb", "61ccf62de2c958ed"),
-    "towers": (0, "7d1660bc9e371ce7", "788d9f8432d4e0d4"),
-    "phom": (0, "5fdc82317afccc1a", "3b2aaad788ec6a49"),
-    "phom-z72": (0, "18213f4860066bc9", "c10c42ea64146f0b"),
-    "adjunction": (0, "5708f78d13feeff1", "4421b7e4dc59d326"),
-    "validate-cert": (0, "f013f6d22f09cfe0", "433c27a88801cee7"),
+    "homology": (0, "0d9a296216da419b", "30300e684c7f024d"),
+    "cone": (0, "a5863127dab6db7a", "eb0d55313dec982d"),
+    "truncate": (0, "2578664e9cc2fb9a", "e8de6623a9bbf55b"),
+    "purity": (0, "bd1f5280fe0c5d29", "2f77404acd6491af"),
+    "qis": (0, "30a61dc60d07c96c", "50583f529636b49f"),
+    "resolve": (0, "26f82a6202c0e208", "0f400ad0ceaf24d1"),
+    "towers": (0, "4967f49d23290ac6", "190e86e5b92820d0"),
+    "phom": (0, "699b8d37e1df83a7", "6735b7372fff72cc"),
+    "phom-z72": (0, "4d1ccbf2aad66ed2", "07ba2b225cee9497"),
+    "adjunction": (0, "333c298b1423ef6d", "a7725f9636538b9d"),
+    "validate-cert": (0, "6dd8a819fd492dd2", "6fbe89506b8f17cd"),
 }
 
 
