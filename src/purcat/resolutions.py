@@ -328,8 +328,7 @@ def _extend_projective(a: ChainMap):
     level = level_cone.complex
     incl = level_cone.inclusion
     lo = level.lo
-    v_comps = []
-    retr_comps = []
+    v_comps, retr_comps, proj_comps = [], [], []
     for d in range(lo, level.hi + 1):
         gq = q_cx.module(d).generators
         total = level.module(d)
@@ -342,14 +341,11 @@ def _extend_projective(a: ChainMap):
             blocks.append((0, 0, -1, IntMatrix(n_mod.generators, gq, rows)))
         v_comps.append(block_map(total, n_mod, blocks))
         retr_comps.append(summand_projection(total, p_cx.module(d), gq))
+        proj_comps.append(summand_projection(total, q_cx.module(d), 0))
     v = ChainMap(level, n_cx, lo, tuple(v_comps))
     retraction = DegreewiseFamily(level, p_cx, lo, tuple(retr_comps))
-    coker = q_cx
-    proj_comps = []
-    for d in range(lo, level.hi + 1):
-        proj_comps.append(summand_projection(level.module(d), q_cx.module(d), 0))
-    coker_proj = ChainMap(level, coker, lo, tuple(proj_comps))
-    return level, v, incl, retraction, coker, coker_proj, w, hw
+    coker_proj = ChainMap(level, q_cx, lo, tuple(proj_comps))
+    return level, v, incl, retraction, q_cx, coker_proj, w, hw
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +429,9 @@ def _tower(m: Complex, depth: int, side: str):
             if n:
                 # truncate_leq(m, n) agrees with m below n, where its inclusion
                 # is the identity, and the (n-1)-th truncation stops below n
-                transitions.append(ChainMap(truncations[-1], t_n, prev.lo, prev.components))
-            prev = incl
+                transitions.append(ChainMap(truncations[-1], t_n, prev_incl.lo,
+                                            prev_incl.components))
+            prev_incl = incl
         truncations.append(t_n)
     base, f0, base_witness = _resolution(truncations[0], side)
     fs, steps, certs = [f0], [], []
