@@ -24,7 +24,7 @@ from purcat.complexes import ChainMap, cone, hom_complex, tensor_complex
 from purcat.homotopy import hom_k
 from purcat.purity import default_battery, is_pure_acyclic
 from purcat.randgen import random_chain_map, random_complex
-from purcat.resolutions import injective_tower, resolve
+from purcat.resolutions import SemiSplitTower, injective_tower, resolve
 from purcat.monoidal import check_dpur_adjunction, phom
 from purcat.serialize import WorkbenchInput
 
@@ -40,6 +40,14 @@ def record_classes() -> list:
 
 
 CLASSES = record_classes()
+
+# The tower record serves both of the paper's towers, told apart by its side
+# field: each side is a case of its own, under the name of its tower.
+TOWER_SIDES = {SemiSplitTower: [("SemiSplitInverseTower", "injective"),
+                                ("SemiSplitDirectTower", "projective")]}
+CASES = [pytest.param(cls, side, id=name)
+         for cls in CLASSES
+         for name, side in TOWER_SIDES.get(cls, [(cls.__name__, None)])]
 
 
 @cache
@@ -68,16 +76,28 @@ def test_every_defining_module_has_records():
                        "resolutions", "monoidal", "serialize"}
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
-def test_init_takes_the_fields_in_order(cls):
+def case_values(cls, side) -> list:
+    """Distinct stand-ins for the fields, with the side in its own field."""
+    return [side if name == "side" else (k, f"v{k}")
+            for k, name in enumerate(cls._fields)]
+
+
+@pytest.mark.parametrize("cls, side", CASES)
+def test_init_takes_the_fields_in_order(cls, side):
     assert cls._fields
     params = list(inspect.signature(cls.__init__).parameters)
     assert params == ["self", *cls._fields]
+    if side is not None:
+        # the tower record only stores its arguments: each lands in its field
+        values = case_values(cls, side)
+        obj = cls(*values)
+        assert [getattr(obj, name) for name in cls._fields] == values
+        assert obj.side == side
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
-def test_records_agree_with_their_dataclass_twins(cls):
-    values = [(k, f"v{k}") for k in range(len(cls._fields))]
+@pytest.mark.parametrize("cls, side", CASES)
+def test_records_agree_with_their_dataclass_twins(cls, side):
+    values = case_values(cls, side)
     other = values[:-1] + [("other",)]
     a, b, c = filled(cls, values), filled(cls, list(values)), filled(cls, other)
     ta, tb, tc = twin_of(a), twin_of(b), twin_of(c)
