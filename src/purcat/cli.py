@@ -156,10 +156,12 @@ def _depth_arg(wi: WorkbenchInput, args):
 def _purity_results(head: dict, cx):
     """Decide pure acyclicity of cx; report it after the head keys.
 
-    Both verdicts list smith_battery, built from one elimination per
-    term and differential (smith_diagonals), which is_pure_acyclic
-    reuses on a NotPure verdict to find the battery's first failing
-    probe; the battery is complete, so it always names one.  A Pure
+    Both verdicts list smith_battery, the free probe and the powers of
+    the coprime base of the entries of one elimination per term and
+    differential (smith_diagonals), found by gcds alone, so no entry is
+    factored and none is refused for its size.  is_pure_acyclic reuses
+    those diagonals on a NotPure verdict to find the battery's first
+    failing probe; the battery is complete, so it always names one.  A Pure
     verdict's contraction is checked where it is made and proves every
     listed probe acyclic (is_pure_acyclic), so no probe is evaluated
     for it and probes_checked counts them all."""

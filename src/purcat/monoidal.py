@@ -79,7 +79,7 @@ def check_tensor_descends(u: ChainMap, a: Complex) -> TensorDescentReport:
     induced map on tensor products, its verdict, and a verdict for the
     induced map on <= n truncations at cuts spanning the window.  Each
     verdict is is_pure_qis's, which probes a NotPure cone with its
-    smith_battery.
+    smith_battery, the powers of the coprime base of its Smith entries.
     """
     if u.src.ring != a.ring:
         raise InputError("the fixed complex must live over the same ring")

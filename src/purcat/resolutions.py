@@ -505,6 +505,9 @@ def validate_tower(tower: SemiSplitTower, fs) -> bool:
     of products checked by vanishes.  With leg the chain-map half of the
     split (the down injective, the up projective) and c the complement
     map, each level n has
+    - down and up between levels[n] and levels[n-1], c meeting levels[n],
+      and f_n landing in levels[n] (leaving it), compared by identity
+      first, then ==;
     - down . up = id, which makes the down onto or the up one to one, so
       neither needs a check of its own;
     - leg and c chain maps, c degreewise one to one (injective) or onto
@@ -522,10 +525,15 @@ def validate_tower(tower: SemiSplitTower, fs) -> bool:
         terms = [(k, a, b) if injective else (k, b, a) for k, a, b in terms]
         return vanishes(terms[0][2].src, terms[0][1].tgt, terms)
 
+    if not all((f.tgt if injective else f.src) == level for f, level in zip(fs, tower.levels)):
+        return False
     for n in range(1, tower.depth + 1):
-        down, up, prev = tower.downs[n - 1], tower.ups[n - 1], tower.levels[n - 1]
+        down, up, prev, level = (tower.downs[n - 1], tower.ups[n - 1], tower.levels[n - 1],
+                                 tower.levels[n])
         leg, c = (down if injective else up), tower.complement_maps[n - 1]
-        if not (vanishes(prev, prev, ((1, down, up), (-1,))) and leg.is_chain_map()
+        if not ((down.src, down.tgt, up.src, up.tgt) == (level, prev, prev, level)
+                and (c.tgt if injective else c.src) == level
+                and vanishes(prev, prev, ((1, down, up), (-1,))) and leg.is_chain_map()
                 and c.is_chain_map()
                 and all(split(c.component(i)) for i in range(c.src.lo, c.src.hi + 1))
                 and vanishing((1, leg, c))
@@ -564,8 +572,11 @@ def check_sum_formula(tower: SemiSplitTower) -> bool:
     """Each degree of the top level is literally the sum of the base's
     and the complements' terms, in the order the steps lay them out:
     I_0 (+) K_1 (+) ... (+) K_n, the product formula of the limit
-    (injective), or Q_n (+) ... (+) Q_1 (+) P_0 (projective)."""
+    (injective), or Q_n (+) ... (+) Q_1 (+) P_0 (projective).  A part
+    over another ring violates it."""
     top, base = tower.levels[-1], tower.levels[0]
+    if any(part.ring != top.ring for part in (base,) + tower.complements):
+        return False
     for j in range(top.lo, top.hi + 1):
         parts = [base.module(j)] + [c.module(j) for c in tower.complements]
         if tower.side == PROJECTIVE:

@@ -6,13 +6,14 @@ exhaustive search over bounded boxes, and module arithmetic is checked
 against hand enumeration.  The probe oracles after them walk every
 divisor candidate and tensor every probe directly, through tensor_map
 for each differential, and build a homology module in every degree of
-every probe tensor, where the library factors m and reads every probe
-off gcds with the Smith diagonals of the complex itself.  Beside them
-sits the former probe pass, which tensored only R and the prime powers
-and read composite probes off those parts by the Chinese remainder
-theorem (probe_outcomes), and the former Smith battery, which listed
-each prime power one exponent past the largest (uncapped_smith_battery).
-The
+every probe tensor, where the library divides m up to its square root
+and reads every probe off gcds with the Smith diagonals of the complex
+itself.  Beside them sits the former probe pass, which tensored only R
+and the prime powers and read composite probes off those parts by the
+Chinese remainder theorem (probe_outcomes), and the prime-power battery
+of the Smith entries, listing each prime power one exponent past the
+largest (uncapped_smith_battery), where the library lists powers of a
+coprime base; both factor by trial division (slow_factor).  The
 assembly oracles after them build every induced map on Hom from full
 maps (to_map, compose, from_map), every map between direct sums as a sum
 of full-size inj . x . proj products, and the currying isomorphism by
@@ -127,7 +128,7 @@ from purcat.monoidal import (
     phom,
     validate_adjunction_witness,
 )
-from purcat.purity import ProbeBattery, _factor
+from purcat.purity import ProbeBattery
 from purcat.randgen import random_homotopy
 from purcat.resolutions import (
     INJECTIVE,
@@ -250,18 +251,19 @@ def slow_probe_battery(ring, bound=1):
     return ProbeBattery(ring, tuple(probes))
 
 
-def uncapped_smith_battery(cx):
-    """The battery read off the Smith diagonals with one more exponent:
-    the free probe, then R/(p^k) ascending for k = 1..K_p + 1, K_p the
-    largest p-valuation of a nonzero diagonal entry (over Z/m, p^k a
-    proper divisor of m).  smith_battery stops at K_p."""
+def uncapped_smith_battery(cx, extra=1):
+    """The prime-power battery of the Smith diagonals: the free probe,
+    then R/(p^k) ascending for k = 1..K_p + extra, K_p the largest
+    p-valuation of a nonzero diagonal entry (over Z/m, p^k a proper
+    divisor of m).  With extra 0 it lists each prime's own exponents,
+    and smith_battery is never longer; extra 1 goes one exponent past."""
     m = cx.ring.modulus
     terms, images = smith_diagonals(cx)
     tops = {}
     for d in {abs(d) for diag in terms + images for d in diag} - {0, 1}:
-        for p, k in _factor(d):
+        for p, k in slow_factor(d):
             tops[p] = max(tops.get(p, 0), k)
-    qs = sorted(p ** k for p, top in tops.items() for k in range(1, top + 2)
+    qs = sorted(p ** k for p, top in tops.items() for k in range(1, top + 1 + extra)
                 if m is None or (m % p ** k == 0 and p ** k != m))
     return ProbeBattery(cx.ring, (free_module(cx.ring, 1),)
                         + tuple(cyclic_module(cx.ring, q) for q in qs))
@@ -324,7 +326,7 @@ def _primary_parts(probe):
         if a == free:
             parts.append(0)
         else:
-            parts.extend(p ** k for p, k in _factor(a))
+            parts.extend(p ** k for p, k in slow_factor(a))
     return parts
 
 

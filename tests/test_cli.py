@@ -314,8 +314,8 @@ def test_purity_over_prime_modulus_near_10_to_18(tmp_path):
 
 
 def test_purity_over_prime_modulus_beyond_primality_proofs(tmp_path):
-    # 2^89 - 1 is prime, and rho finds no split of it within its budget,
-    # but a modulus is never factored: every entry over Z/p is 0 or 1
+    # 2^89 - 1 is prime, but a modulus is never factored: every entry
+    # over Z/p is 0 or 1
     ring = Zmod(2 ** 89 - 1)
     start = time.perf_counter()
     code, report = purity(tmp_path, module_complex(cyclic_module(ring, 1), 0))
@@ -325,20 +325,21 @@ def test_purity_over_prime_modulus_beyond_primality_proofs(tmp_path):
 
 
 def test_purity_over_composite_modulus_beyond_primality_proofs(tmp_path):
-    # over Z/(p q)^2 the entry p q = (2^31 - 1)(2^61 - 1) > 3.3e24, but
-    # rho splits it into provable primes; the modulus is only divided
+    # over Z/(p q)^2 the one entry p q = (2^31 - 1)(2^61 - 1) is its own
+    # coprime base, so it is listed whole; neither it nor the modulus is
+    # factored
     p, q = 2 ** 31 - 1, 2 ** 61 - 1
     ring = Zmod((p * q) ** 2)
     cx = cone(identity_chain_map(module_complex(cyclic_module(ring, p * q)))).complex
     code, report = purity(tmp_path, cx)
     assert code == 0
-    assert report["results"]["probes"] == [[(p * q) ** 2], [p], [q]]
-    assert report["results"]["probes_checked"] == 3
+    assert report["results"]["probes"] == [[(p * q) ** 2], [p * q]]
+    assert report["results"]["probes_checked"] == 2
 
 
 def test_purity_of_a_large_entry_answers_at_once(tmp_path):
-    # the identity cone of Z/20000 = 2^5 5^4: the free probe, 2^k for
-    # k <= 5 and 5^k for k <= 4, where Z/d for d <= 40000 were listed
+    # the identity cone of Z/20000: the free probe and the one entry,
+    # its own coprime base, where Z/d for d <= 40000 were listed
     cx = cone(identity_chain_map(module_complex(cyclic_module(ZZ, 20000)))).complex
     code, report = purity(tmp_path, cx)
     assert code == 0
@@ -347,7 +348,7 @@ def test_purity_of_a_large_entry_answers_at_once(tmp_path):
     assert len(json.dumps(report)) < 2000
     res = report["results"]
     assert res["verdict"] == "Pure"
-    assert res["probes"] == [[0], [2], [4], [5], [8], [16], [25], [32], [125], [625]]
+    assert res["probes"] == [[0], [20000]]
     assert res["probes_checked"] == len(res["probes"])
 
 
@@ -365,14 +366,33 @@ def test_purity_finds_a_large_prime_probe(tmp_path):
     assert res["failing_degree"] == 0
 
 
-def test_purity_entry_beyond_primality_proofs_exits_2(tmp_path):
-    # 2^89 - 1 is prime: rho finds no split within its budget
+def test_purity_of_an_entry_beyond_primality_proofs_is_decided(tmp_path):
+    # Z/(2^89 - 1) alone: the prime entry is never factored, and the free
+    # probe already fails, as the term has homology
     start = time.perf_counter()
     code, report = purity(tmp_path, module_complex(cyclic_module(ZZ, 2 ** 89 - 1), 0))
-    assert time.perf_counter() - start < 2
-    assert code == 2
-    assert report["status"] == "error"
-    assert "cannot factor" in report["results"]["error"]
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    res = report["results"]
+    assert res["verdict"] == "NotPure"
+    assert res["failing_probe"] == [0]
+    assert res["failing_degree"] == 0
+
+
+def test_purity_of_a_product_of_large_primes_names_the_product(tmp_path):
+    # 0 -> Z -ab-> Z -> Z/ab -> 0 for the primes a = 2^127 - 1 and
+    # b = 2^107 - 1: the entry ab is its own coprime base and the witness
+    a, b = 2 ** 127 - 1, 2 ** 107 - 1
+    z = free_module(ZZ, 1)
+    start = time.perf_counter()
+    code, report = purity(tmp_path, ses(ZZ, z, z, cyclic_module(ZZ, a * b), a * b, 1))
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    res = report["results"]
+    assert res["verdict"] == "NotPure"
+    assert res["probes"] == [[0], [a * b]]
+    assert res["failing_probe"] == [a * b]
+    assert res["failing_degree"] == 0
 
 
 def test_ragged_matrix_in_workspace_exits_2(tmp_path):

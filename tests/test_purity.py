@@ -1,7 +1,6 @@
 """Purity decisions: batteries, split criteria, probe witnesses."""
 
 import random
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,11 +28,11 @@ from purcat.complexes import (
     homology_degrees,
     identity_chain_map,
     module_complex,
+    tensor_complex,
     tensor_module_complex,
     zero_complex,
 )
 from purcat.purity import (
-    _factor,
     ProbeBattery,
     default_battery,
     failing_probe_for_acyclic,
@@ -542,27 +541,40 @@ def test_probe_pass_eliminates_the_same_for_any_battery_size(monkeypatch):
 # the battery read off the Smith diagonals
 
 
-def test_smith_battery_lists_prime_powers_of_the_entries():
+def test_smith_battery_lists_powers_of_the_coprime_base_of_the_entries():
     def listed(cx):
-        return [p.invariant_factors for p in smith_battery(cx).probes]
+        return [p.invariant_factors[0] for p in smith_battery(cx).probes]
 
-    # Z -2-> Z -> Z/2: entries 2 and 1, so Z/2 after the free probe
-    assert listed(ses_complex()) == [(0,), (2,)]
-    # 12 = 2^2 3 and 18 = 2 3^2 over Z: 2^k and 3^k for k <= 2
     z = free_module(ZZ, 1)
+    # Z -2-> Z -> Z/2: entries 2 and 1, so Z/2 after the free probe
+    assert listed(ses_complex()) == [0, 2]
+    # Z -6-> Z -> Z/6: the base is {6}, so Z/6 is listed, not Z/2 and Z/3,
+    # and it is the witness
+    cx = make_complex(ZZ, 0, [z, z, cyclic_module(ZZ, 6)], [mat([[6]]), mat([[1]])])
+    assert listed(cx) == [0, 6]
+    verdict = is_pure_acyclic(cx)
+    assert (verdict.probe.invariant_factors, verdict.witness) == ((6,), 0)
+    # 12 and 18 over Z share 2 and 3 to different powers: the base is
+    # {2, 3}, 2^k and 3^k for k <= 2, as the prime powers are
     cx = make_complex(ZZ, 0, [z, z, z], [mat([[12]]), mat([[0]])])
     cx = direct_sum_complexes([cx, module_complex(cyclic_module(ZZ, 18), 0)])[0]
-    assert listed(cx) == [(0,), (2,), (3,), (4,), (9,)]
-    # over Z/72 = Z/(2^3 3^2) the entry 6 gives k <= 1 for both primes; over
-    # Z/8 the entry 4 gives k <= 2, and over Z/4 R/(4) is the free probe,
-    # not listed again
+    assert listed(cx) == [0, 2, 3, 4, 9]
+    # 6 and 36 have the base {6}: 6^t for t <= 2, where the primes list 4
+    cx = module_complex(direct_sum([cyclic_module(ZZ, 6), cyclic_module(ZZ, 36)])[0])
+    assert listed(cx) == [0, 6, 36]
+    # the identity cone of Z/20000 = 2^5 5^4: one base element, one probe
+    cx = cone(identity_chain_map(module_complex(cyclic_module(ZZ, 20000)))).complex
+    assert listed(cx) == [0, 20000]
+    # over Z/72 the module Z/2 (+) Z/3 has the Smith entries 1 and 6; over
+    # Z/8 the entry 4 is its own base, and over Z/4 R/(4) is the free
+    # probe, not listed again
     ring = Zmod(72)
     cx = module_complex(direct_sum([cyclic_module(ring, 2), cyclic_module(ring, 3)])[0])
-    assert listed(cx) == [(72,), (2,), (3,)]
-    assert listed(module_complex(cyclic_module(Zmod(8), 4))) == [(8,), (2,), (4,)]
+    assert listed(cx) == [72, 6]
+    assert listed(module_complex(cyclic_module(Zmod(8), 4))) == [8, 4]
     z4 = Zmod(4)
     cx = make_complex(z4, 0, [free_module(z4, 1)] * 2, [mat([[2]])])
-    assert listed(cx) == [(4,), (2,)]
+    assert listed(cx) == [4, 2]
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(54), Zmod(81)])
@@ -587,51 +599,22 @@ def test_smith_battery_agrees_with_the_entry_bound_battery(seed, ring, shape):
     rng = random.Random(seed)
     cx = shaped_complex(rng, ring, shape)
     verdict = is_pure_acyclic(cx)
-    new = failing_probe_for_acyclic(cx, smith_battery(cx))
-    # the entry-bound battery and the one with exponents up to K_p + 1
-    # find the same first failing probe, in the same degree, where they find one
+    battery = smith_battery(cx)
+    new = failing_probe_for_acyclic(cx, battery)
+    # the entry-bound battery and the prime powers up to K_p + 1 agree on
+    # whether some probe fails
     for oracle in (default_battery(ring, cx), uncapped_smith_battery(cx)):
-        old = failing_probe_for_acyclic(cx, oracle)
-        assert (old is None) == (new is None)
-        if old is not None:
-            assert (new[0].invariant_factors, new[1]) == (old[0].invariant_factors, old[1])
+        assert (failing_probe_for_acyclic(cx, oracle) is None) == (new is None)
+    # each base element lists no more powers than each of its primes
+    assert len(battery.probes) <= len(uncapped_smith_battery(cx, extra=0).probes)
     if contract_complex(cx) is None:
-        # complete: some probe fails, and a direct tensor confirms it
+        # complete: some probe fails, and a direct tensor confirms it has
+        # homology in the named degree and in no lower one
         assert not verdict.is_pure() and new is not None
         assert (verdict.probe, verdict.witness) == new
-        assert min(probe_homology_degrees(cx, new[0])) == new[1]
+        probe, degree = new
+        tc = tensor_complex(cx, module_complex(probe)).complex
+        assert not homology(tc, degree).is_zero()
+        assert all(homology(tc, i).is_zero() for i in range(tc.lo, degree))
     else:
         assert verdict.is_pure() and new is None
-
-
-# ---------------------------------------------------------------------------
-# factoring
-
-
-def test_factor_matches_trial_division():
-    for m in range(2, 10 ** 5 + 1):
-        assert _factor(m) == slow_factor(m)
-
-
-def test_factor_splits_large_composites():
-    p, q = 10 ** 9 + 7, 10 ** 9 + 9
-    assert _factor(p * q) == [(p, 1), (q, 1)]
-    assert _factor(12 * p ** 2) == [(2, 2), (3, 1), (p, 2)]
-    assert _factor(1009 ** 3) == [(1009, 3)]
-    # above the Miller-Rabin bound, split by rho under its work budget
-    p, q = 2 ** 31 - 1, 2 ** 61 - 1
-    assert _factor(p * q) == [(p, 1), (q, 1)]
-    assert _factor(5 * p ** 2 * q) == [(5, 1), (p, 2), (q, 1)]
-
-
-def test_factor_prime_near_10_to_18_is_fast():
-    p = 10 ** 18 + 3
-    start = time.perf_counter()
-    assert _factor(p) == [(p, 1)]
-    assert time.perf_counter() - start < 0.1
-
-
-def test_factor_rejects_factor_beyond_primality_proofs():
-    # 2^89 - 1 is prime, but above the bound where 13 Miller-Rabin bases prove it
-    with pytest.raises(WorkbenchError, match="cannot factor"):
-        _factor(3 * (2 ** 89 - 1))

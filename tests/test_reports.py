@@ -110,7 +110,7 @@ DIGESTS = {
     "homology": (0, "0d9a296216da419b", "30300e684c7f024d"),
     "cone": (0, "a5863127dab6db7a", "eb0d55313dec982d"),
     "truncate": (0, "2578664e9cc2fb9a", "e8de6623a9bbf55b"),
-    "purity": (0, "bd1f5280fe0c5d29", "2f77404acd6491af"),
+    "purity": (0, "a1151757f86c0cb3", "0ef2f23b04fd8aba"),
     "qis": (0, "30a61dc60d07c96c", "50583f529636b49f"),
     "resolve": (0, "26f82a6202c0e208", "0f400ad0ceaf24d1"),
     "towers": (0, "4967f49d23290ac6", "190e86e5b92820d0"),

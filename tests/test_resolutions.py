@@ -315,6 +315,16 @@ def free_kernel_terms(tower, fs):
     return rebuilt(tower, complements=bad)
 
 
+def negated_level(tower, fs):
+    """levels[1] with every differential negated: the same terms, so the
+    split identity and every chain law still hold, and only the ends of
+    the maps that meet the level tell the copy apart."""
+    level = tower.levels[1]
+    bad = Complex(level.ring, level.lo, level.modules, tuple(-d for d in level.diffs))
+    assert bad != level
+    return rebuilt(tower, levels=replaced(tower.levels, 1, bad))
+
+
 def zero_complement(tower, fs):
     """A nonzero complement replaced by the zero complex: every check of
     the validator still holds, but the top level is no longer the sum."""
@@ -368,6 +378,7 @@ TAMPERS = {
                                             "re-validate"),
     "pure injective kernel terms": (free_kernel_terms, ("injective",), "Z", "product formula"),
     "sum formula": (zero_complement, SIDES, "Z72", "formula"),
+    "maps meet their levels": (negated_level, SIDES, "Z72", "re-validate"),
     "cone identity": (negated_inner_map, SIDES, "Z72", "re-validate"),
     "commuting square": (negated_transition, SIDES, "Z72", "re-validate"),
     "transitions onto": (transition_zeroed_below_an_empty_level, ("injective",), "Z72",
@@ -399,6 +410,20 @@ def test_tower_checks_refuse_one_corrupted_field(side, check):
     # the validator
     assert VALIDATE[side](bad, fs) == (check in ("sum formula", "transitions onto"))
     with pytest.raises(WorkbenchError, match=error):
+        TOP[side](bad, fs)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_complements_over_another_ring_violate_the_formula(side):
+    # Z kernels in a Z/72 tower: the (co)limit names the formula, and no
+    # direct sum over mixed rings is attempted
+    tower, fs = tamper_tower(side, "Z72")
+    bad = rebuilt(tower, complements=tuple(
+        module_complex(free_module(ZZ, 1), k.lo) if k.modules else k
+        for k in tower.complements))
+    assert bad.complements != tower.complements and not check_sum_formula(bad)
+    formula = "product" if side == "injective" else "sum"
+    with pytest.raises(WorkbenchError, match=f"violate the degreewise {formula} formula"):
         TOP[side](bad, fs)
 
 
