@@ -157,7 +157,7 @@ def _purity_results(head: dict, cx):
     """Decide pure acyclicity of cx; report it after the head keys.
 
     Both verdicts list smith_battery, the free probe and the powers of
-    the coprime base of the entries of one elimination per term and
+    the coprime base of the entries of one Smith diagonal per term and
     differential (smith_diagonals), found by gcds alone, so no entry is
     factored and none is refused for its size.  is_pure_acyclic reuses
     those diagonals on a NotPure verdict to find the battery's first

@@ -26,7 +26,7 @@ from purcat.exact_linalg import (
     _set,
     hstack,
     quotient_order,
-    smith_diagonal,
+    smith_normal_form,
 )
 from purcat.fpmod import (
     FpModule,
@@ -402,15 +402,22 @@ def homology(cx: Complex, i: int) -> FpModule:
 
 
 def smith_diagonals(cx: Complex) -> tuple:
-    """(terms, images): the Smith diagonals that decide every probe of cx.
+    """(terms, images): the Smith diagonals that decide every probe of cx,
+    one entry per row, 0 past the last column.
 
     terms[k] is the Smith diagonal of the relations of the k-th term of
-    the window, images[k] that of [rel_(k+1) | d^k], which presents
-    coker d^k.  One elimination each; see homology_degrees.
+    the window, read off its cached decomposition with the free factor m
+    over Z/m read back as 0; reduce_complex reads the same decomposition,
+    and a cyclic term is never eliminated.  images[k] is the diagonal of
+    the memoized smith_normal_form of [rel_(k+1) | d^k], which presents
+    coker d^k.  So each matrix is eliminated at most once; see
+    homology_degrees.
     """
     ring = cx.ring
-    terms = tuple(smith_diagonal(mod.relations, ring) for mod in cx.modules)
-    images = tuple(smith_diagonal(hstack(d.tgt.relations, d.matrix), ring)
+    m = ring.modulus
+    terms = tuple(tuple(0 if d == m else d for d in mod.decomposition().factors)
+                  for mod in cx.modules)
+    images = tuple(smith_normal_form(hstack(d.tgt.relations, d.matrix), ring)._diag
                    for d in cx.diffs)
     return terms, images
 
@@ -421,7 +428,7 @@ def homology_degrees(cx: Complex, q: Optional[int] = None,
 
     q is an invariant factor: None, 0 over Z or m over Z/m is the free
     probe, for which cx (x) R is cx.  diagonals are smith_diagonals(cx),
-    computed here when not given, so a caller probing many q eliminates
+    computed here when not given, so a caller probing many q reads them
     once.  No tensor complex is built.
 
     By right exactness, C^j (x) R/(q) and coker(d^j (x) R/(q)) are

@@ -10,12 +10,13 @@ canonical residues 0..m-1; elimination never leaves that range.
 One elimination routine serves both the Smith form and the solver.  Its
 row operations act on whatever rows the caller carries along: the
 identity, which turns into U, or a right-hand side B, which turns into
-U B.  Its column operations come back as a log, which the Smith form
-replays on the identity to get V, and which the solver and the kernel
-replay in reverse on a diagonal solution Y to get V Y.  Neither forms U
-or V, yet their pivots, and so their answers, are exactly those of the
-Smith form.  The Smith form itself forms each factor only when it is
-read, so a module decomposition, which reads U and U^-1, forms no V.
+U B.  Its column operations come back as a log, and one replay (_replay)
+puts any Y through it to get V Y: the Smith form replays it on the
+identity to get V, and the solver and the kernel on a diagonal solution
+Y.  The solver and the kernel form neither U nor V, yet their pivots,
+and so their answers, are exactly those of the Smith form.  The Smith
+form itself forms each factor only when it is read, so a module
+decomposition, which reads U and U^-1, forms no V.
 
 Matrices are stored dense, but the matrices that reach this layer are
 mostly zeros, so products and block assembly do Python work only on
@@ -208,9 +209,6 @@ class IntMatrix(Record):
     def at(self, i: int, j: int) -> int:
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)
 
@@ -245,10 +243,6 @@ class IntMatrix(Record):
                         acc = [x + a * b for x, b in zip(acc, right[k])]
             out.append(zero if acc is None else tuple(acc))
         return IntMatrix._trusted(self.rows, other.cols, tuple(out))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._trusted(self.cols, self.rows, tuple(zip(*self.data))
-                                  if self.rows else tuple(() for _ in range(self.cols)))
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product; (i1*other.rows+i2, j1*other.cols+j2) entry
@@ -331,6 +325,11 @@ def block_diag(*mats: IntMatrix) -> IntMatrix:
     return IntMatrix._trusted(len(out), cols, tuple(out))
 
 
+def _rows(mat: IntMatrix, start: int, stop: int) -> IntMatrix:
+    """Rows start..stop-1 of mat, shared, not copied."""
+    return IntMatrix._trusted(stop - start, mat.cols, mat.data[start:stop])
+
+
 def from_columns(cols: Iterable[Iterable[int]], height: int) -> IntMatrix:
     cols = [list(c) for c in cols]
     for c in cols:
@@ -355,7 +354,7 @@ class SmithDecomposition:
     One made by smith_normal_form holds what its one run of _eliminate
     leaves: the diagonal, the column log and, when inverse was asked
     for, U and U^-1.  Every other factor is formed on first read and
-    kept: D from the diagonal, V by replaying the log on the identity,
+    kept: D from the diagonal, V by _replay of the log on the identity,
     and a U that was not carried by running the same elimination again,
     carrying it.  The elimination is deterministic, so each factor is
     the one a single run carrying everything would give.  Constructed
@@ -391,22 +390,8 @@ class SmithDecomposition:
     @property
     def v(self) -> IntMatrix:
         if self._v is None:
-            m = self.ring.modulus
             v = _identity_rows(self._a.cols)
-            for dst, src, q in self._log:
-                if q is None:
-                    for row in v:
-                        row[dst], row[src] = row[src], row[dst]
-                elif m is None:
-                    for row in v:
-                        x = row[src]
-                        if x:
-                            row[dst] -= q * x
-                else:
-                    for row in v:
-                        x = row[src]
-                        if x:
-                            row[dst] = (row[dst] - q * x) % m
+            _replay(self._log, v, self.ring.modulus)
             self._v = _frozen(v, self._a.cols)
         return self._v
 
@@ -678,17 +663,18 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring,
     U, D and V can always be read; U^-1 is tracked only when inverse is
     true, and V^-1 never.  U is the identity carried through the row
     operations of _eliminate, V the identity put through its logged
-    column operations in order.
+    column operations by _replay, as V I = V.
 
     The one run of _eliminate carries the identity and U^-1 when inverse
     is true and no rows otherwise; D, V and an uncarried U are formed
     only when read (see SmithDecomposition).  So FpModule.decomposition,
-    which asks for the inverse and reads U and U^-1, forms no V, and
+    which asks for the inverse and reads U and U^-1, forms no V,
     kernel_basis, which reads the diagonal and the column log, forms
-    neither U nor V.  Matrices and decompositions are immutable, so
-    results are memoized; kernel extraction and module decomposition
-    hit the same matrices over and over, and the cache turns those
-    repeats into lookups.
+    neither U nor V, and complexes.smith_diagonals reads the diagonal
+    alone, one entry per row.  Matrices and decompositions are
+    immutable, so results are memoized; kernel extraction and module
+    decomposition hit the same matrices over and over, and the cache
+    turns those repeats into lookups.
     """
     r, c = a_mat.rows, a_mat.cols
     m = ring.modulus
@@ -704,18 +690,6 @@ def smith_normal_form(a_mat: IntMatrix, ring: Ring,
     snf._diag = tuple(a[i][i] if i < c else 0 for i in range(r))
     snf._log = log
     return snf
-
-
-def smith_diagonal(a_mat: IntMatrix, ring: Ring) -> tuple:
-    """The Smith diagonal of a_mat, one entry per row, 0 past the last column.
-
-    It is what _eliminate leaves in place when it carries no rows, so
-    neither U nor V is formed, and nothing is cached.
-    """
-    m = ring.modulus
-    a = _reduced_rows(a_mat, m)
-    _eliminate(a, a_mat.cols, m, [[] for _ in a], [])
-    return tuple(a[i][i] if i < a_mat.cols else 0 for i in range(a_mat.rows))
 
 
 def quotient_order(diagonal: tuple, q: int) -> Optional[int]:

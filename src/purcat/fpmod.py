@@ -27,6 +27,7 @@ from purcat.exact_linalg import (
     Ring,
     WorkbenchError,
     _combine,
+    _rows,
     _set,
     _unit_scaling_mod,
     block_diag,
@@ -721,12 +722,6 @@ class MapSolver:
         return out
 
 
-def _top_rows(mat: IntMatrix, count: int, cols: int) -> IntMatrix:
-    if count == 0:
-        return IntMatrix.zeros(0, cols)
-    return IntMatrix.from_rows(mat.row(i) for i in range(count))
-
-
 def factor_through_mono(mono: ModuleMap, g: ModuleMap) -> ModuleMap:
     """The unique X with mono . X = g; raises if g misses the image.
 
@@ -745,68 +740,25 @@ def factor_through_mono(mono: ModuleMap, g: ModuleMap) -> ModuleMap:
     sol = solve_linear(hstack(mono.matrix, mono.tgt.relations), g.matrix, ring)
     if sol is None:
         raise WorkbenchError("map does not factor through the mono")
-    x = ModuleMap(g.src, mono.src,
-                  ring.reduce_matrix(_top_rows(sol, mono.src.generators,
-                                               g.src.generators)))
+    x = ModuleMap(g.src, mono.src, ring.reduce_matrix(_rows(sol, 0, mono.src.generators)))
     if not x.is_well_defined():
         raise NotMono("factor_through_mono requires an injective first map")
     return x
 
 
-def retraction(f: ModuleMap) -> Optional[ModuleMap]:
-    """A left inverse r of f: A -> B, with r . f = id_A, or None.
-
-    Solved by direct solves on the Smith coordinates of A, with no
-    vectorized system.  With T = to_diag, F = from_diag and factors a_i,
-    T . rel_A . V = diag(a_i), so a column lies in the relation span of A
-    iff row i of T times it is divisible by a_i (zero over Z when
-    a_i = 0, zero mod m over Z/m when a_i = m).  Write P = T . r.  Both
-    conditions on r, r . f = id mod rel_A and r well defined
-    (r . rel_B in the span of rel_A), then say that row p_i of P solves
-
-        p_i . [f | rel_B] = (T_i, 0)   mod a_i,
-
-    that is, [f | rel_B]^T x = (T_i, 0)^T with a_i I adjoined on the
-    right for a torsion factor and nothing adjoined for a free one.  The
-    rows with one factor share their coefficient matrix and are solved
-    together in one solve_linear; rows with a_i = 1 carry no condition
-    and are zero.  Then r = F . P, since T . F is the identity.  A
-    retraction exists iff every row system is solvable, so None is
-    returned exactly when f does not split; a retraction forces f to be
-    injective, so no injectivity check is made.
-    """
-    a, b = f.src, f.tgt
-    ring = a.ring
-    m = ring.modulus
-    dec = a.decomposition()
-    lhs = hstack(f.matrix, b.relations).transpose()
-    pad = (0,) * b.relations.cols
-    by_factor: dict = {}
-    for i, factor in enumerate(dec.factors):
-        if factor != 1:
-            by_factor.setdefault(factor, []).append(i)
-    p_rows = [(0,) * b.generators] * a.generators
-    for factor, rows in by_factor.items():
-        coeffs = lhs
-        if factor != (0 if m is None else m):
-            coeffs = hstack(lhs, IntMatrix.identity(lhs.rows).scale(factor))
-        rhs = from_columns([dec.to_diag.data[i] + pad for i in rows], lhs.rows)
-        sol = solve_linear(coeffs, rhs, ring)
-        if sol is None:
-            return None
-        for k, i in enumerate(rows):
-            p_rows[i] = tuple(sol.data[j][k] for j in range(b.generators))
-    p = IntMatrix._trusted(a.generators, b.generators, tuple(p_rows))
-    return ModuleMap(b, a, ring.reduce_matrix(dec.from_diag @ p))
-
-
 def has_retraction(f: ModuleMap) -> Optional[ModuleMap]:
-    """A left inverse r with r . f = id, or None; requires f injective.
+    """A left inverse r of f: A -> B, with r . f = id_A, or None; requires
+    f injective, and raises NotMono otherwise.
 
-    The injectivity check raises NotMono; the left inverse itself comes
-    from retraction, which decides split-ness row by row in the Smith
-    coordinates of f.src.
+    r is solved as one MapSolver system: an unknown map B -> A, well
+    defined by construction, with the one equation r . f = id_A modulo
+    the relations of A.  None comes back exactly when f does not split.
     """
     if not is_injective(f):
         raise NotMono("has_retraction requires an injective map")
-    return retraction(f)
+    solver = MapSolver(f.src.ring)
+    solver.add_map_unknown("r", f.tgt, f.src)
+    solver.add_equation([(IntMatrix.identity(f.src.generators), "r", f.matrix)],
+                        identity_map(f.src))
+    sol = solver.solve()
+    return sol["r"] if sol else None

@@ -11,9 +11,9 @@ complex is zero, and None otherwise.  No resolution calls it, since
 each writes its contraction down from the same homotopy
 (resolutions.resolve).
 null_homotopy decides d s + s d = f for any chain map f as one joint
-MapSolver system over all degrees.  No command calls it, and it is the
-only place the package builds a MapSolver; it stays because the traced
-bench wraps it by name (bench/spans.py).
+MapSolver system over all degrees.  No command calls it; it stays
+because the traced bench wraps it by name (bench/spans.py).  The only
+other MapSolver the package builds is fpmod.has_retraction's.
 """
 
 from __future__ import annotations

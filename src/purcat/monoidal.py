@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from purcat.exact_linalg import IntMatrix, InputError, Record, _set, from_columns
+from purcat.exact_linalg import IntMatrix, InputError, Record, _rows, _set, from_columns
 from purcat.fpmod import (
     HomModule,
     ModuleMap,
@@ -150,10 +150,6 @@ class AdjunctionWitness(Record):
         _set(self, "nested", nested)
         _set(self, "forward", forward)
         _set(self, "backward", backward)
-
-
-def _rows(mat: IntMatrix, start: int, stop: int) -> IntMatrix:
-    return IntMatrix._trusted(stop - start, mat.cols, mat.data[start:stop])
 
 
 def _cols(mat: IntMatrix, start: int, stop: int) -> IntMatrix:

@@ -16,14 +16,16 @@ R/(q) is presented by [A | qI]; with UAV = D diagonal that is
 equivalent to [D | qI], of order the product of the gcd(d_r, q), a zero
 entry or a row past the last column counting as q.  Over Z the free
 probe is q = 0; over Z/m every invariant factor q divides m and the
-free probe is q = m.  So one elimination per term and per differential
-of the complex (complexes.smith_diagonals) gives the orders of every
-probe tensor, and a probe tensor is exact in degree i exactly when the
-order of its term is the product of the orders of the images into and
-out of it (complexes.homology_degrees).  A probe with several invariant
-factors is the direct sum of its cyclic summands, and homology and
-kernels are additive, so it fails exactly where one of its summands
-does.  Homology modules are only built where the orders are infinite,
+free probe is q = m.  So one Smith diagonal per term and per
+differential of the complex gives the orders of every probe tensor
+(complexes.smith_diagonals: a term's diagonal is read off its cached
+decomposition, which reduce_complex reads too, and an image's off the
+memoized smith_normal_form), and a probe tensor is exact in degree i
+exactly when the order of its term is the product of the orders of the
+images into and out of it (complexes.homology_degrees).  A probe with
+several invariant factors is the direct sum of its cyclic summands, and
+homology and kernels are additive, so it fails exactly where one of its
+summands does.  Homology modules are only built where the orders are infinite,
 in the degrees where the free probe meets a free term over Z.
 
 The one battery is smith_battery: the free probe and the powers R/(b^t)
@@ -220,11 +222,11 @@ def failing_probe_for_acyclic(cx: Complex, battery: ProbeBattery,
                               diagonals: Optional[tuple] = None):
     """(probe, least degree where probe (x) cx has homology) or None.
 
-    cx is eliminated once (smith_diagonals, computed here when not
-    given); each probe is then decided by homology_degrees from gcds
-    with its invariant factors, and fails wherever one of its cyclic
-    summands does.  Homology modules are built only where the free
-    probe meets a free term over Z.
+    cx's Smith diagonals are read once (smith_diagonals, computed here
+    when not given); each probe is then decided by homology_degrees from
+    gcds with its invariant factors, and fails wherever one of its
+    cyclic summands does.  Homology modules are built only where the
+    free probe meets a free term over Z.
     """
     diagonals = diagonals or smith_diagonals(cx)
     for probe in battery.probes:

@@ -506,8 +506,9 @@ def validate_tower(tower: SemiSplitTower, fs) -> bool:
     split (the down injective, the up projective) and c the complement
     map, each level n has
     - down and up between levels[n] and levels[n-1], c meeting levels[n],
-      and f_n landing in levels[n] (leaving it), compared by identity
-      first, then ==;
+      f_n running from truncations[n] to levels[n] (the other way), and
+      the transition from truncations[n] to truncations[n-1] (the other
+      way), compared by identity first, then ==;
     - down . up = id, which makes the down onto or the up one to one, so
       neither needs a check of its own;
     - leg and c chain maps, c degreewise one to one (injective) or onto
@@ -525,13 +526,19 @@ def validate_tower(tower: SemiSplitTower, fs) -> bool:
         terms = [(k, a, b) if injective else (k, b, a) for k, a, b in terms]
         return vanishes(terms[0][2].src, terms[0][1].tgt, terms)
 
-    if not all((f.tgt if injective else f.src) == level for f, level in zip(fs, tower.levels)):
+    def ends(f):
+        return (f.src, f.tgt) if injective else (f.tgt, f.src)
+
+    if not all(ends(f) == (trunc, level)
+               for f, trunc, level in zip(fs, tower.truncations, tower.levels)):
         return False
     for n in range(1, tower.depth + 1):
         down, up, prev, level = (tower.downs[n - 1], tower.ups[n - 1], tower.levels[n - 1],
                                  tower.levels[n])
         leg, c = (down if injective else up), tower.complement_maps[n - 1]
+        t = tower.transitions[n - 1]
         if not ((down.src, down.tgt, up.src, up.tgt) == (level, prev, prev, level)
+                and ends(t) == (tower.truncations[n], tower.truncations[n - 1])
                 and (c.tgt if injective else c.src) == level
                 and vanishes(prev, prev, ((1, down, up), (-1,))) and leg.is_chain_map()
                 and c.is_chain_map()
@@ -540,7 +547,7 @@ def validate_tower(tower: SemiSplitTower, fs) -> bool:
                 and all(termwise_ok(tower.side, tower.complements[n - 1]))
                 and _matches_cone(cone(fs[n]).complex, tower.cone_certificates[n - 1].map,
                                   _CONE_SHIFT[tower.side])
-                and vanishing((1, leg, fs[n]), (-1, fs[n - 1], tower.transitions[n - 1]))):
+                and vanishing((1, leg, fs[n]), (-1, fs[n - 1], t))):
             return False
     return True
 

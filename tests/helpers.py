@@ -21,11 +21,12 @@ decoding and re-encoding whole hom complexes, where the library reads
 slots off one change-of-basis product and places blocks.  The oracles
 near the end are the library's former paths, kept verbatim so the
 leaner ones can be compared with them output for output: the Smith
-elimination that tracked both inverses, exact solving through the full
-U and V of the Smith form, LinearSystem assembly through dense
-Kronecker products, the tower path of resolve that certified the
-(co)limit before minimizing it and certifying again, the degreewise
-pushout and pullback inductions that resolve ran before it reduced its
+elimination that tracked both inverses, the Smith diagonals of a
+complex eliminated afresh for every term and image, exact solving
+through the full U and V of the Smith form, LinearSystem assembly
+through dense Kronecker products, the tower path of resolve that
+certified the (co)limit before minimizing it and certifying again, the
+degreewise pushout and pullback inductions that resolve ran before it reduced its
 input (slow_resolve_by_inductions), with the module pushout and
 pullback they take, the adjunction
 check that resolved its bounded arguments through that tower path,
@@ -62,6 +63,7 @@ from purcat.exact_linalg import (
     InputError,
     Record,
     WorkbenchError,
+    _rows,
     _set,
     _unit_scaling_mod,
     from_columns,
@@ -73,7 +75,6 @@ from purcat.fpmod import (
     Decomposition,
     MapSolver,
     ModuleMap,
-    _top_rows,
     block_map,
     cokernel,
     cyclic_module,
@@ -88,7 +89,6 @@ from purcat.fpmod import (
     is_surjective,
     kernel,
     make_map,
-    retraction,
     sum_module,
     summand_injection,
     summand_projection,
@@ -978,6 +978,18 @@ def slow_smith_normal_form(a_mat, ring):
                  for x, w in ((u, r), (a, c), (v, c), (ui, r), (vi, c)))
 
 
+def slow_smith_diagonals(cx):
+    """smith_diagonals as it was: the relations of every term and every
+    [rel_(k+1) | d^k] eliminated afresh, here by slow_smith_normal_form,
+    with one entry per row, 0 past the last column."""
+    def diagonal(a):
+        d = slow_smith_normal_form(a, cx.ring)[1]
+        return tuple(d.at(i, i) if i < d.cols else 0 for i in range(d.rows))
+
+    return (tuple(diagonal(mod.relations) for mod in cx.modules),
+            tuple(diagonal(hstack(f.tgt.relations, f.matrix)) for f in cx.diffs))
+
+
 # ---------------------------------------------------------------------------
 # exact solving as it was: U and V read off the Smith form, then U B and V Y
 
@@ -1033,7 +1045,9 @@ def dense_linear_system(system):
         height = rhs.rows * rhs.cols
         block = [[0] * total for _ in range(height)]
         for left, key, right in terms:
-            coeff = right.transpose().kron(left)
+            transposed = IntMatrix(right.cols, right.rows, tuple(zip(*right.data)) if right.rows
+                                   else tuple(() for _ in range(right.cols)))
+            coeff = transposed.kron(left)
             for i in range(height):
                 for j in range(coeff.cols):
                     block[i][offsets[key] + j] += coeff.at(i, j)
@@ -1366,7 +1380,7 @@ def slow_contract_by_retractions(cx):
     """contract_complex as it was: degreewise from two direct solves,
     with Z^n = ker d^n and incl_n: Z^n -> C^n.
 
-    A retraction rho_n: C^n -> Z^n (fpmod.retraction) and a section
+    A retraction rho_n: C^n -> Z^n (slow_retraction) and a section
     sigma_n: Z^(n+1) -> C^n with d^n . sigma_n = incl_(n+1) and
     rho_n . sigma_n = 0, which is factor_through_mono of (0; incl_(n+1))
     through the mono (rho_n; d^n): C^n -> Z^n (+) C^(n+1); then
@@ -1384,7 +1398,7 @@ def slow_contract_by_retractions(cx):
             mono, want = cx.differential(n), incl1
         else:
             z, incl = kernels[n]
-            rho = retraction(incl)
+            rho = slow_retraction(incl)
             if rho is None:
                 return None
             rhos[n] = rho
@@ -1764,7 +1778,7 @@ def factor_through_epi(epi, g):
     sec = solve_linear(hstack(epi.matrix, epi.tgt.relations),
                        IntMatrix.identity(epi.tgt.generators), ring)
     if sec is not None:
-        s_mat = _top_rows(sec, epi.src.generators, epi.tgt.generators)
+        s_mat = _rows(sec, 0, epi.src.generators)
         x = ModuleMap(epi.tgt, g.tgt, ring.reduce_matrix(g.matrix @ s_mat))
         if x.is_well_defined() and (x @ epi).equals(g):
             return x

@@ -28,6 +28,7 @@ from purcat.complexes import (
     homology_degrees,
     identity_chain_map,
     module_complex,
+    smith_diagonals,
     tensor_complex,
     tensor_module_complex,
     zero_complex,
@@ -59,6 +60,7 @@ from helpers import (
     slow_failing_probe_for_acyclic,
     slow_homology_degrees,
     slow_probe_battery,
+    slow_smith_diagonals,
     uncapped_smith_battery,
 )
 
@@ -535,6 +537,34 @@ def test_probe_pass_eliminates_the_same_for_any_battery_size(monkeypatch):
         counts.append((len(bat.probes), len(calls)))
     assert counts[0][0] == 18 and counts[1][0] == 400
     assert counts[0][1] == counts[1][1] > 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from([ZZ, Zmod(12), Zmod(72)]))
+def test_smith_diagonals_match_fresh_eliminations(seed, ring):
+    # terms of up to three generators and three relations: free terms,
+    # free summands past the last relation, several relations per term
+    cx = random_complex(random.Random(seed), ring, -1, 4, max_gens=3, max_rels=3)
+    assert smith_diagonals(cx) == slow_smith_diagonals(cx)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(72)], ids=str)
+def test_a_second_smith_diagonals_eliminates_nothing(monkeypatch, ring):
+    calls = []
+    real = exact_linalg._eliminate
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(exact_linalg, "_eliminate", counted)
+    exact_linalg.smith_normal_form.cache_clear()
+    cx = random_complex(random.Random(8), ring, -1, 4, max_gens=3, max_rels=3)
+    first = smith_diagonals(cx)
+    assert calls
+    calls.clear()
+    assert smith_diagonals(cx) == first
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -315,14 +315,45 @@ def free_kernel_terms(tower, fs):
     return rebuilt(tower, complements=bad)
 
 
+def negated(cx):
+    """cx with every differential negated, which must change it."""
+    bad = Complex(cx.ring, cx.lo, cx.modules, tuple(-d for d in cx.diffs))
+    assert bad != cx
+    return bad
+
+
 def negated_level(tower, fs):
     """levels[1] with every differential negated: the same terms, so the
     split identity and every chain law still hold, and only the ends of
     the maps that meet the level tell the copy apart."""
-    level = tower.levels[1]
-    bad = Complex(level.ring, level.lo, level.modules, tuple(-d for d in level.diffs))
-    assert bad != level
-    return rebuilt(tower, levels=replaced(tower.levels, 1, bad))
+    return rebuilt(tower, levels=replaced(tower.levels, 1, negated(tower.levels[1])))
+
+
+def negated_truncation(tower, fs):
+    """truncations[0] with every differential negated: only the ends of
+    f_0 and of the first transition tell the copy apart."""
+    return rebuilt(tower, truncations=replaced(tower.truncations, 0,
+                                               negated(tower.truncations[0])))
+
+
+def transition_between_negated_truncations(tower, fs):
+    """The first transition, its components kept, re-pointed between the
+    negated truncations it ran between: a chain map still, and the square
+    still commutes."""
+    t = tower.transitions[0]
+    bad = ChainMap(negated(t.src), negated(t.tgt), t.lo, t.components)
+    return rebuilt(tower, transitions=replaced(tower.transitions, 0, bad))
+
+
+def resolution_map_from_a_negated_truncation(tower, fs):
+    """(tower, fs) with f_0 re-pointed at its truncation end to the
+    negated truncation, its components kept."""
+    f = fs[0]
+    if tower.side == "injective":
+        bad = ChainMap(negated(f.src), f.tgt, f.lo, f.components)
+    else:
+        bad = ChainMap(f.src, negated(f.tgt), f.lo, f.components)
+    return tower, replaced(fs, 0, bad)
 
 
 def zero_complement(tower, fs):
@@ -363,11 +394,12 @@ def transition_zeroed_below_an_empty_level(tower, fs):
                 return rebuilt(tower, transitions=replaced(tower.transitions, n, bad))
 
 
-# check -> (tamper, sides, ring, the error the (co)limit raises).  Every
+# check -> (tamper, sides, tower, the error the (co)limit raises).  Every
 # term over Z/m is pure injective, so the kernel terms are re-read over Z;
 # the projective side has no kernel terms to re-read (every finitely
 # presented term is pure projective) and no surjectivity of its
 # transitions to check
+LOW = "Z72 on [-2, 1]"
 TAMPERS = {
     "down . up = id": (zero_split_component, SIDES, "Z72", "re-validate"),
     "leg is a chain map": (leg_on_another_source, SIDES, "Z72", "re-validate"),
@@ -379,6 +411,11 @@ TAMPERS = {
     "pure injective kernel terms": (free_kernel_terms, ("injective",), "Z", "product formula"),
     "sum formula": (zero_complement, SIDES, "Z72", "formula"),
     "maps meet their levels": (negated_level, SIDES, "Z72", "re-validate"),
+    "maps meet their truncations": (negated_truncation, SIDES, LOW, "re-validate"),
+    "transitions meet the truncations": (transition_between_negated_truncations, SIDES, LOW,
+                                         "re-validate"),
+    "resolution maps meet the truncations": (resolution_map_from_a_negated_truncation, SIDES,
+                                             LOW, "re-validate"),
     "cone identity": (negated_inner_map, SIDES, "Z72", "re-validate"),
     "commuting square": (negated_transition, SIDES, "Z72", "re-validate"),
     "transitions onto": (transition_zeroed_below_an_empty_level, ("injective",), "Z72",
@@ -387,30 +424,34 @@ TAMPERS = {
 
 
 @functools.lru_cache(maxsize=None)
-def tamper_tower(side, ring_name):
-    """A tower of depth 2 on which every tamper of its side and ring applies:
+def tamper_tower(side, name):
+    """A tower of depth 2 on which every tamper of its side and name applies:
     random draws over Z/72 (on [-2, 1] or [-1, 2]) and, with torsion terms,
-    over Z (on [-2, 0])."""
+    over Z (on [-2, 0]).  LOW is the draw on [-2, 1] on either side, whose
+    lowest truncation has a differential that negation changes."""
     seed, lo, length = {("injective", "Z72"): (117, -2, 4), ("projective", "Z72"): (62, -1, 4),
-                        ("injective", "Z"): (5, -2, 3)}[side, ring_name]
-    ring = Zmod(72) if ring_name == "Z72" else ZZ
+                        ("injective", "Z"): (5, -2, 3), ("injective", LOW): (117, -2, 4),
+                        ("projective", LOW): (117, -2, 4)}[side, name]
+    ring = ZZ if name == "Z" else Zmod(72)
     m = random_complex(random.Random(seed), ring, lo, length, max_gens=3)
-    return BUILD[side](m, required_depth(m, side))
+    return BUILD[side](m, 2)
 
 
 @pytest.mark.parametrize("side,check", [(side, check) for check, (_, sides, _, _) in TAMPERS.items()
                                         for side in sides])
 def test_tower_checks_refuse_one_corrupted_field(side, check):
-    tamper, _, ring_name, error = TAMPERS[check]
-    tower, fs = tamper_tower(side, ring_name)
+    tamper, _, name, error = TAMPERS[check]
+    tower, fs = tamper_tower(side, name)
     assert tower.depth == 2 and VALIDATE[side](tower, fs)
     bad = tamper(tower, fs)
     assert bad is not None
+    # a tamper of the resolution maps returns them with the tower
+    bad, bad_fs = bad if isinstance(bad, tuple) else (bad, fs)
     # the sum formula and the transitions are checked by the (co)limit, not
     # the validator
-    assert VALIDATE[side](bad, fs) == (check in ("sum formula", "transitions onto"))
+    assert VALIDATE[side](bad, bad_fs) == (check in ("sum formula", "transitions onto"))
     with pytest.raises(WorkbenchError, match=error):
-        TOP[side](bad, fs)
+        TOP[side](bad, bad_fs)
 
 
 @pytest.mark.parametrize("side", SIDES)
