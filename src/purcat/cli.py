@@ -11,14 +11,12 @@ timing figure.
 
 --depth N (or a "depth" parameter in the workspace) sets the depth of the
 semi-split tower that towers builds; without it towers builds the depth
-the input needs, and a depth below that is an error (exit 2), as is,
-for any command, a negative depth or one above serialize.MAX_DEPTH
-(given or needed).  resolve, phom and adjunction build no tower at
-any depth: they resolve by reducing each input
+the input needs.  For towers, a depth below that need, a negative depth
+and one above serialize.MAX_DEPTH (given or needed) are errors (exit 2).
+Every other command ignores both forms of depth: none builds a tower.
+resolve, phom and adjunction resolve by reducing each input
 (complexes.reduce_complex, which cancels its contractible summands; the
-reduced complex is its own resolution on either side), and only check a
-depth against the one towers would need for each input (exit 2 below
-it).  Any allowed depth gives the report of none.
+reduced complex is its own resolution on either side).
 
 The grammar is fixed, so it is parsed by hand rather than with argparse,
 whose set-up would cost a cold run more than many commands' algebra.
@@ -34,8 +32,8 @@ exits 2.  Options must be spelt in full (no --js for --json), there is no
 For the same cold-start reason the value types are slotted records
 (exact_linalg.Record), not generated data classes, whose module would
 import inspect, ast, dis and tokenize at every start.  --json writes
-compact JSON, which the json module encodes in C; indented output would
-go through its Python encoder.
+single-line JSON, which the json module encodes in C; indented output
+would go through its Python encoder.
 """
 
 from __future__ import annotations
@@ -245,7 +243,7 @@ def cmd_qis(wi, args):
 def cmd_resolve(wi, args):
     name, cx = _complex_arg(wi)
     side = _side_arg(wi)
-    cert = resolve(cx, side, depth=_depth_arg(wi, args))
+    cert = resolve(cx, side)
     return "ok", {
         "complex": name,
         "side": side,
@@ -303,12 +301,11 @@ def cmd_towers(wi, args):
 
 def cmd_phom(wi, args):
     """The derived hom of a and b from their resolutions, as resolve makes
-    them: a depth is checked against a, then b (exit 2 below the need).
-    resolve checks both certificates where it makes them and raises on a
-    failure (exit 2), so revalidated is always true."""
+    them.  resolve checks both certificates where it makes them and
+    raises on a failure (exit 2), so revalidated is always true."""
     aname, a = _complex_arg(wi, "a")
     bname, b = _complex_arg(wi, "b")
-    result = phom(a, b, depth=_depth_arg(wi, args))
+    result = phom(a, b)
     return "ok", {
         "a": aname,
         "b": bname,
@@ -324,7 +321,7 @@ def cmd_adjunction(wi, args):
     aname, a = _complex_arg(wi, "a")
     bname, b = _complex_arg(wi, "b")
     cname, c = _complex_arg(wi, "c")
-    report = check_dpur_adjunction(a, b, c, depth=_depth_arg(wi, args))
+    report = check_dpur_adjunction(a, b, c)
     links = {}
     for link in report.links:
         links[link.name] = {
@@ -448,8 +445,7 @@ options:
   -h, --help     show this help message and exit
   --json         emit the report as JSON
   --depth DEPTH  tower depth for towers, at most {MAX_DEPTH} (default: the
-                 depth the input needs); resolve, phom and adjunction only
-                 check it
+                 depth the input needs); other commands ignore it
 """
 
 

@@ -65,8 +65,11 @@ class KHomGroup(Record):
 def hom_k(a: Complex, b: Complex) -> KHomGroup:
     """Hom in the homotopy category, presented as an f.p. module.
 
-    Memoized: the adjunction checks ask for the same hom group along
-    several different comparison routes.
+    Memoized, by equality of the two complexes.  The memo hits when
+    monoidal.check_dpur_adjunction reads one pair twice, which happens
+    when its inputs are already reduced: if reduce_complex leaves a (x) b
+    and c as they are, the links `ends` and `replaced` ask for one pair,
+    and if it leaves a as it is, `curried` and `other_end` do.
     """
     hc = hom_complex(a, b)
     return KHomGroup(a, b, hc, homology(hc.complex, 0))

@@ -14,8 +14,6 @@ no map is formed per basis element nor any whole hom complex decoded.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from purcat.exact_linalg import IntMatrix, InputError, Record, _rows, _set, from_columns
 from purcat.fpmod import (
     HomModule,
@@ -365,22 +363,21 @@ class DerivedHomResult(Record):
         return self.hom.complex
 
 
-def phom(m: Complex, n: Complex, depth: Optional[int] = None) -> DerivedHomResult:
+def phom(m: Complex, n: Complex) -> DerivedHomResult:
     """The derived hom: hom_complex(resolve(m) projective, resolve(n) injective).
 
     Both arguments are resolved by resolve, whose docstring proves that
     the reduced complex is a pure projective resolution of m and a pure
     injective one of n, so the value is the derived hom, and it is
     homotopy equivalent to hom_complex(m, n): hom complexes send homotopy
-    equivalences in either argument to homotopy equivalences.  A depth is
-    checked as resolve checks it, against m and then n (DepthInsufficient
-    below the need), and any other depth gives the result of none.  An n
-    out of scope for pure injective resolutions (a free term over Z) is
-    rejected before m is resolved.
+    equivalences in either argument to homotopy equivalences.  No tower
+    is built, so phom takes no depth.  An n out of scope for pure
+    injective resolutions (a free term over Z) is rejected before m is
+    resolved.
     """
     _require_injective_scope(n)
-    proj = resolve(m, PROJECTIVE, depth)
-    inj = resolve(n, INJECTIVE, depth)
+    proj = resolve(m, PROJECTIVE)
+    inj = resolve(n, INJECTIVE)
     return DerivedHomResult(hom_complex(proj.target, inj.target), proj, inj)
 
 
@@ -417,8 +414,7 @@ class AdjunctionReport(Record):
         return self.witness_ok and all(link.ok for link in self.links)
 
 
-def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
-                          depth: Optional[int] = None) -> AdjunctionReport:
+def check_dpur_adjunction(a: Complex, b: Complex, c: Complex) -> AdjunctionReport:
     """Hom groups in the pure derived category agree across the adjunction.
 
     The end-to-end link compares hom_dpur((a (x) b), c) with
@@ -430,12 +426,10 @@ def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
 
     a is resolved on the projective side by resolve, and the derived hom
     phom(b, c) supplies b's projective and c's injective resolution with
-    the inner hom complex between them.  Each resolve checks a depth
-    against its argument, a, b and c in turn (DepthInsufficient below
-    it), gives the same certificate at every allowed depth and builds no
-    tower: it reduces each argument (reduce_complex), so the links are
-    read off the reduced complexes, and its docstring proves that each
-    certified resolution is homotopy equivalent to its source.  Tensor
+    the inner hom complex between them.  resolve builds no tower, so no
+    depth is taken: it reduces each argument (reduce_complex), so the
+    links are read off the reduced complexes, and its docstring proves
+    that each certified resolution is homotopy equivalent to its source.  Tensor
     products and hom complexes send homotopy equivalences in either
     argument to homotopy equivalences, so the links read the same
     invariant factors from any certified resolutions, a tower's
@@ -447,8 +441,8 @@ def check_dpur_adjunction(a: Complex, b: Complex, c: Complex,
     chain isomorphism on whatever complexes it is built from.
     """
     _require_injective_scope(c)
-    pa = resolve(a, PROJECTIVE, depth)
-    bc = phom(b, c, depth)
+    pa = resolve(a, PROJECTIVE)
+    bc = phom(b, c)
     pb, ic, inner = bc.proj_res, bc.inj_res, bc.hom
     tc = tensor_complex(pa.target, pb.target)
     value = inner.complex

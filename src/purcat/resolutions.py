@@ -23,8 +23,6 @@ certificate re-validates from scratch.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from purcat.exact_linalg import (
     IntMatrix,
     InputError,
@@ -645,17 +643,16 @@ def colimit_tower(tower: SemiSplitTower, fs) -> ResolutionCertificate:
 # resolve
 
 
-def resolve(m: Complex, side: str, depth: Optional[int] = None) -> ResolutionCertificate:
+def resolve(m: Complex, side: str) -> ResolutionCertificate:
     """Resolve either way by reducing the input: reduce_complex(trim(m)).
 
     With (R, to, back) = reduce_complex(m) and R trimmed to its nonzero
     window (_reduced), the projective side certifies back: R -> m and
     the injective side, for m in its scope (_require_injective_scope),
-    to: m -> R.  A depth is only checked: below the tower depth the side
-    would need (required_depth) it raises DepthInsufficient, and any
-    other depth, or none, gives the same certificate.  No tower is
-    built; towers and limit_tower / colimit_tower build the paper's
-    (co)limits.
+    to: m -> R.  No tower is built, so resolve takes no depth; depth
+    belongs to the semi-split towers (injective_tower, projective_tower)
+    whose (co)limits limit_tower / colimit_tower read off, and only they
+    raise DepthInsufficient.
 
     Proof that back is a pure projective resolution and to a pure
     injective one.
@@ -702,10 +699,6 @@ def resolve(m: Complex, side: str, depth: Optional[int] = None) -> ResolutionCer
     """
     if side not in (INJECTIVE, PROJECTIVE):
         raise InputError("side must be injective or projective")
-    if depth is not None:
-        need = required_depth(m, side)
-        if depth < need:
-            raise DepthInsufficient(need)
     if side == INJECTIVE:
         _require_injective_scope(m)
     m = trim(m)

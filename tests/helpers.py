@@ -1094,17 +1094,17 @@ def _slow_minimize_certificate(cert):
     return solved_certificate(cert.source, mini, res_map, cert.side)
 
 
-def slow_resolve(m, side, depth=None):
-    """resolve(m, side, depth) through the tower of that depth (by default
-    the depth m needs), with the (co)limit certified by limit_tower /
-    colimit_tower and then minimized and certified again."""
+def slow_resolve(m, side):
+    """resolve(m, side) through the tower of the depth m needs, with the
+    (co)limit certified by limit_tower / colimit_tower and then minimized
+    and certified again."""
     m = trim(m)
-    use = required_depth(m, side) if depth is None else depth
+    depth = required_depth(m, side)
     if side == INJECTIVE:
-        tower, fs = injective_tower(m, use)
+        tower, fs = injective_tower(m, depth)
         cert = limit_tower(tower, fs)
     else:
-        tower, fs = projective_tower(m, use)
+        tower, fs = projective_tower(m, depth)
         cert = colimit_tower(tower, fs)
     return _slow_minimize_certificate(cert)
 

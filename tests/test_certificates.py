@@ -5,10 +5,10 @@ certificate; a change to any map, target window or contraction shows up
 here.  The counts pin that each resolution is certified once, where its
 certificate is kept, and that no contraction is solved for: every one is
 written down from reduce_complex's homotopy or recast from a cone
-certificate.  `resolve` builds no tower and certifies only its own cone at
-every depth, a tower of depth d with its (co)limit certifies d cone
-resolutions plus the (co)limit's cone, and a lift certifies only the
-lifted resolution's cone.  The paddings are certified by the solving
+certificate.  `resolve` builds no tower and certifies only its own cone,
+and the command ignores any depth it is given; a tower of depth d with
+its (co)limit certifies d cone resolutions plus the (co)limit's cone,
+and a lift certifies only the lifted resolution's cone.  The paddings are certified by the solving
 oracle, helpers.solved_certificate.  One command line run checks the
 contraction of each certificate it makes once, and no other.
 """
@@ -119,11 +119,11 @@ def lift_cert(ring_name, side):
 
 
 def pinned(m, side, need):
-    """resolve at depth None, need and need + 1; the tower of depth need + 1
-    with its cone certificates and (co)limit; two paddings."""
-    certs = [resolve(m, side, depth=depth) for depth in (None, need, need + 1)]
-    return (certs + tower_certs(m, side, need + 1)
-            + [pad_resolution(certs[0], seed) for seed in (1, 2)])
+    """resolve; the tower of depth need + 1 with its cone certificates and
+    (co)limit; two paddings of resolve's certificate."""
+    cert = resolve(m, side)
+    return ([cert] + tower_certs(m, side, need + 1)
+            + [pad_resolution(cert, seed) for seed in (1, 2)])
 
 
 def cases():
@@ -143,50 +143,50 @@ def cases():
 
 
 DIGESTS = {
-    "Z-injective-bounded-0": "eb3d7133c3b63f46",
-    "Z-injective-bounded-1": "a4b12b40eaa31d8f",
-    "Z-injective-deep-0": "3fd2db844f975cdf",
-    "Z-injective-top": "a12b5ce054c54aa3",
-    "Z-injective-tower-0": "781c25258ab7b353",
-    "Z-injective-tower-1": "8e95c3d89399051d",
-    "Z-projective-bounded-0": "026cf11b6dd505ab",
-    "Z-projective-bounded-1": "914ba2bfcaceac86",
-    "Z-projective-deep-0": "6ae474fbd6aa37c5",
-    "Z-projective-top": "eb5b0cfe4a170d37",
-    "Z-projective-tower-0": "6c4fe18b445b3c1c",
-    "Z-projective-tower-1": "ef05ccd6f7da3bd7",
-    "Z12-injective-bounded-0": "5cde03fca598549f",
-    "Z12-injective-bounded-1": "91720a6b7b9bc3bf",
-    "Z12-injective-deep-0": "32dcd585196474a5",
-    "Z12-injective-top": "11b8ea0cb035fa24",
-    "Z12-injective-tower-0": "5ea8839970fe3d16",
-    "Z12-injective-tower-1": "539f52228a4340bc",
-    "Z12-projective-bounded-0": "caa252b23cabca97",
-    "Z12-projective-bounded-1": "bfe214fb0ff66551",
-    "Z12-projective-deep-0": "b4f6dcb213d99cb6",
-    "Z12-projective-top": "ac86b62d1b62f0c3",
-    "Z12-projective-tower-0": "a1b78a37107e3a44",
-    "Z12-projective-tower-1": "7afb1d8600ae7410",
-    "Z72-injective-bounded-0": "4ede60018f21d58e",
-    "Z72-injective-bounded-1": "6355e44ba1d6c63b",
-    "Z72-injective-deep-0": "d19587cb6bcc1be5",
-    "Z72-injective-top": "554d066652b72883",
-    "Z72-injective-tower-0": "31abf0b69424ae64",
-    "Z72-injective-tower-1": "2d50751b97d92585",
-    "Z72-projective-bounded-0": "02a1124b0ec5ccdc",
-    "Z72-projective-bounded-1": "01abb06cede64ee3",
-    "Z72-projective-deep-0": "33c4ce64070ec27e",
-    "Z72-projective-top": "21082f79d25a5d49",
-    "Z72-projective-tower-0": "54fa1e44b4e94a86",
-    "Z72-projective-tower-1": "5bc1b87d4a4d7764",
+    "Z-injective-bounded-0": "317e17fcecc3065a",
+    "Z-injective-bounded-1": "4ac9e225b9b4aefa",
+    "Z-injective-deep-0": "d96fb954a8c6b00b",
+    "Z-injective-top": "0f352c69aac5fd19",
+    "Z-injective-tower-0": "481a070cfa20f723",
+    "Z-injective-tower-1": "ceabee259ac6413a",
+    "Z-projective-bounded-0": "961cf22c2961af91",
+    "Z-projective-bounded-1": "a61e0ddd5aeef1b2",
+    "Z-projective-deep-0": "10f4a2df3fe0d88a",
+    "Z-projective-top": "4f7bee98eaf0cf4a",
+    "Z-projective-tower-0": "6ca47278532d4f07",
+    "Z-projective-tower-1": "f210a271da865033",
+    "Z12-injective-bounded-0": "56ea7888c336e3bf",
+    "Z12-injective-bounded-1": "9a252f6ef1bc40b5",
+    "Z12-injective-deep-0": "a5e8d7e5b0b7ce39",
+    "Z12-injective-top": "36004a1289496bd6",
+    "Z12-injective-tower-0": "ff155a816499967a",
+    "Z12-injective-tower-1": "cc2ace7d355c4306",
+    "Z12-projective-bounded-0": "25b9e09c96937b08",
+    "Z12-projective-bounded-1": "4bed1e8158064c8a",
+    "Z12-projective-deep-0": "20b929f37938d121",
+    "Z12-projective-top": "9c382f8d9f9d8711",
+    "Z12-projective-tower-0": "0556e5d1f5c696ff",
+    "Z12-projective-tower-1": "fc23067b8ea7316d",
+    "Z72-injective-bounded-0": "8bb61e500d3c81a3",
+    "Z72-injective-bounded-1": "fbc018ae8f169131",
+    "Z72-injective-deep-0": "30a3b33327cf1b1a",
+    "Z72-injective-top": "67531d4e4c3d9c2c",
+    "Z72-injective-tower-0": "9034979ad48f8731",
+    "Z72-injective-tower-1": "770720166c5eca52",
+    "Z72-projective-bounded-0": "96dd316d493b8a6e",
+    "Z72-projective-bounded-1": "02dd807c12a844e4",
+    "Z72-projective-deep-0": "3c6768f1da6dc2e4",
+    "Z72-projective-top": "9a2a8bbd2ea56913",
+    "Z72-projective-tower-0": "4292384f476ddd3e",
+    "Z72-projective-tower-1": "5d343364ca3347ca",
     "lift-Z-injective": "e5b0ca53cf2e65e6",
     "lift-Z-projective": "a0cb64c736f8003f",
     "lift-Z12-injective": "ac7731ee72cedfb7",
     "lift-Z12-projective": "a3c8b9edc85d75da",
     "lift-Z72-injective": "f2c0c878de673a56",
     "lift-Z72-projective": "c4d643d57f09d333",
-    "zero-injective": "122454b534e453bc",
-    "zero-projective": "184f0f5035726bec",
+    "zero-injective": "e692603c1a833503",
+    "zero-projective": "79d502507548d2ba",
 }
 
 
@@ -227,19 +227,25 @@ def test_resolutions_do_not_import_the_solver():
 @pytest.mark.parametrize("ring_name", sorted(RINGS))
 @pytest.mark.parametrize("side", SIDES)
 def test_resolve_builds_no_tower_and_contracts_once_at_every_depth(
-        monkeypatch, contractions, ring_name, side):
+        tmp_path, monkeypatch, contractions, ring_name, side):
+    """The resolve command, with no depth, a depth below the need and one
+    above it, certifies resolve's certificate and contracts once."""
     def refuse(*args):
         raise AssertionError("a tower was built")
 
     for name in ("_tower", "injective_tower", "projective_tower", "_check_tower"):
         monkeypatch.setattr(resolutions, name, refuse)
+    path = tmp_path / "ws.json"
     for m, need in inputs(ring_name, side).values():
-        certs = []
-        for depth in (None, need, need + 1):
+        want = json.loads(json.dumps(encode_certificate(resolve(m, side))))
+        path.write_text(serialize_input(WorkbenchInput(
+            m.ring, complexes={"c": m}, parameters={"complex": "c", "side": side})))
+        for flags in ((), ("--depth", str(need - 1)), ("--depth", str(need + 1))):
             contractions.clear()
-            certs.append(encode_certificate(resolve(m, side, depth=depth)))
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(["resolve", "--json", *flags, str(path)]) == 0
             assert len(contractions) == 1
-        assert certs[0] == certs[1] == certs[2]
+            assert json.loads(out.getvalue())["results"]["certificate"] == want
 
 
 @pytest.mark.parametrize("ring_name", sorted(RINGS))

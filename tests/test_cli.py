@@ -526,7 +526,7 @@ def phom_workspace(ring, depth=None):
 @pytest.mark.parametrize("depth", [None, 3])
 def test_phom_certifies_both_arguments_as_their_own_resolutions(tmp_path, depth):
     # each argument is certified by the resolution resolve gives it: its
-    # reduced complex, the same at every depth at or above the need
+    # reduced complex, whatever depth the workspace names
     ring = Zmod(12)
     ws = phom_workspace(ring, depth)
     code, report = run(tmp_path, "phom", ring, **ws)
@@ -548,27 +548,12 @@ def test_phom_certifies_both_arguments_as_their_own_resolutions(tmp_path, depth)
     assert all(c["valid"] for c in checked["results"]["certificates"].values())
 
 
-def test_phom_below_the_required_depth_exits_2(tmp_path):
-    # a needs depth 1 on the projective side and b depth 2 on the injective
-    # side; a is checked first
-    ring = Zmod(8)
-    a = module_complex(cyclic_module(ring, 4), 1)
-    b = random_complex(random.Random(101), ring, -2, 3)
-    assert resolutions.required_depth(a, "projective") == 1
-    assert resolutions.required_depth(b, "injective") == 2
-    for depth, need in ((0, 1), (1, 2)):
-        code, report = run(tmp_path, "phom", ring, complexes={"a": a, "b": b},
-                           parameters={"a": "a", "b": "b", "depth": depth})
-        assert code == 2
-        assert report["results"] == {"error": f"tower needs depth at least {need}",
-                                     "required_depth": need}
-
-
-def test_phom_still_rejects_a_malformed_depth(tmp_path):
+def test_phom_ignores_a_malformed_depth(tmp_path):
     ring = Zmod(12)
     code, report = run(tmp_path, "phom", ring, **phom_workspace(ring, depth="two"))
-    assert code == 2
-    assert report["results"]["error"] == "depth must be an integer"
+    assert code == 0
+    plain = run(tmp_path, "phom", ring, **phom_workspace(ring))[1]
+    assert without_timing(report) == without_timing(plain)
 
 
 def resolve_report(tmp_path, cx, side, flags=()):
@@ -591,44 +576,6 @@ def test_validate_cert_refutes_a_tampered_certificate(tmp_path):
     assert checked["results"]["certificates"]["certificate"]["valid"] is False
 
 
-def test_resolve_below_the_required_depth_exits_2(tmp_path):
-    cx = random_complex(random.Random(101), Zmod(8), -2, 3)
-    need = resolutions.required_depth(cx, "injective")
-    assert need == 2
-    code, report = resolve_report(tmp_path, cx, "injective", flags=("--depth", "1"))
-    assert code == 2
-    assert report["results"] == {"error": f"tower needs depth at least {need}",
-                                 "required_depth": need}
-
-
-def test_adjunction_checks_a_depth_and_builds_no_tower(tmp_path, monkeypatch):
-    ring = Zmod(8)
-    rng = random.Random(101)
-    c = random_complex(rng, ring, -2, 3)
-    assert resolutions.required_depth(c, "injective") == 2
-    a, b = (random_complex(rng, ring, 0, 1) for _ in range(2))
-
-    def refuse(m, depth):
-        raise AssertionError("a tower was built")
-
-    monkeypatch.setattr(resolutions, "projective_tower", refuse)
-    monkeypatch.setattr(resolutions, "injective_tower", refuse)
-    reports = {}
-    for depth in (None, 1, 2, 3):
-        flags = () if depth is None else ("--depth", str(depth))
-        reports[depth] = run(tmp_path, "adjunction", ring,
-                             complexes={"a": a, "b": b, "c": c},
-                             parameters={"a": "a", "b": "b", "c": "c"}, flags=flags)
-    assert reports[1][0] == 2
-    assert reports[1][1]["results"] == {"error": "tower needs depth at least 2",
-                                        "required_depth": 2}
-    code, report = reports[None]
-    assert code == 0 and report["results"]["witness_ok"]
-    for depth in (2, 3):
-        assert reports[depth][0] == 0
-        assert without_timing(reports[depth][1]) == without_timing(report)
-
-
 @pytest.mark.parametrize("side,lo", [("projective", -1), ("injective", -6)])
 def test_deep_z12_towers_stay_small(tmp_path, side, lo):
     # the L = 8 window of the CI deep steps; with whole cones resolved at
@@ -645,49 +592,75 @@ def test_deep_z12_towers_stay_small(tmp_path, side, lo):
     assert validate_cert(tmp_path, report)[0] == 0
 
 
-@pytest.mark.parametrize("command", ["towers", "resolve", "adjunction"])
-@pytest.mark.parametrize("where", ["flag", "parameter"])
-def test_a_huge_depth_is_rejected_at_once(tmp_path, command, where):
-    ring = Zmod(8)
-    rng = random.Random(101)
-    c = random_complex(rng, ring, -2, 3)
-    a, b = (random_complex(rng, ring, 0, 1) for _ in range(2))
-    parameters = {"complex": "c", "side": "injective", "a": "a", "b": "b", "c": "c"}
-    flags = ()
+def depth_form(where, depth, parameters):
+    """(flags, parameters) that name the depth by flag or in the workspace."""
     if where == "flag":
-        flags = ("--depth", str(10 ** 9))
-    else:
-        parameters["depth"] = 10 ** 9
+        return ("--depth", str(depth)), parameters
+    return (), dict(parameters, depth=depth)
+
+
+@pytest.mark.parametrize("where", ["flag", "parameter"])
+def test_towers_rejects_a_huge_depth_at_once(tmp_path, where):
+    cx = random_complex(random.Random(101), Zmod(8), -2, 3)
+    flags, parameters = depth_form(where, 10 ** 9, {"complex": "c", "side": "injective"})
     started = time.perf_counter()
-    code, report = run(tmp_path, command, ring, complexes={"a": a, "b": b, "c": c},
+    code, report = run(tmp_path, "towers", cx.ring, complexes={"c": cx},
                        parameters=parameters, flags=flags)
     assert time.perf_counter() - started < 1
     assert code == 2
     assert report["results"] == {
         "error": f"tower depth {10 ** 9} exceeds the limit of {MAX_DEPTH}"}
-    if command != "towers":
-        code, _ = run(tmp_path, command, ring, complexes={"a": a, "b": b, "c": c},
-                      parameters=dict(parameters, depth=MAX_DEPTH))
-        assert code == 0
 
 
-@pytest.mark.parametrize("command", ["towers", "resolve", "phom", "adjunction"])
 @pytest.mark.parametrize("where", ["flag", "parameter"])
-def test_a_negative_depth_is_rejected_by_every_command(tmp_path, command, where):
+def test_towers_rejects_a_negative_depth(tmp_path, where):
     # the input needs depth 0, so the negative depth is the only fault
-    ring = Zmod(8)
-    m = module_complex(cyclic_module(ring, 2), 0)
+    m = module_complex(cyclic_module(Zmod(8), 2), 0)
     assert resolutions.required_depth(m, "injective") == 0
-    parameters = {"complex": "m", "side": "injective", "a": "m", "b": "m", "c": "m"}
-    flags = ()
-    if where == "flag":
-        flags = ("--depth", "-1")
-    else:
-        parameters["depth"] = -1
-    code, report = run(tmp_path, command, ring, complexes={"m": m},
+    flags, parameters = depth_form(where, -1, {"complex": "m", "side": "injective"})
+    code, report = run(tmp_path, "towers", m.ring, complexes={"m": m},
                        parameters=parameters, flags=flags)
     assert code == 2
     assert report["results"] == {"error": "tower depth must be nonnegative"}
+
+
+@pytest.mark.parametrize("depth", [-1, 0, 10 ** 9])
+@pytest.mark.parametrize("command,where", [
+    (command, where) for command in cli.COMMANDS for where in ("flag", "parameter")
+    # validate-cert reads a report, not a workspace
+    if command != "towers" and (where == "flag" or command != "validate-cert")])
+def test_every_command_but_towers_ignores_depth(tmp_path, monkeypatch, command, where,
+                                                depth):
+    # c needs an injective tower of depth 2 and a a projective one of depth
+    # 1, so depth 0 lies below the need of resolve, phom and adjunction;
+    # no command here builds a tower at any depth
+    ring = Zmod(8)
+    c = random_complex(random.Random(101), ring, -2, 3)
+    a = module_complex(cyclic_module(ring, 4), 1)
+    assert resolutions.required_depth(c, "injective") == 2
+    assert resolutions.required_depth(a, "projective") == 1
+
+    def refuse(*args):
+        raise AssertionError("a tower was built")
+
+    monkeypatch.setattr(resolutions, "_tower", refuse)
+    ws = dict(complexes={"a": a, "c": c}, maps={"f": identity_chain_map(c)},
+              parameters={"complex": "c", "side": "injective", "degree": 0, "map": "f",
+                          "a": "a", "b": "c", "c": "c"})
+    if command == "validate-cert":
+        report = run(tmp_path, "resolve", ring, **ws)[1]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        want = main([command, "--json", str(path)])
+        got = main([command, "--json", "--depth", str(depth), str(path)])
+        want, got = [(code, json.loads(out)) for code, out in (want, got)]
+    else:
+        want = run(tmp_path, command, ring, **ws)
+        flags, ws["parameters"] = depth_form(where, depth, ws["parameters"])
+        got = run(tmp_path, command, ring, **ws, flags=flags)
+    assert want[0] in (0, 1)
+    assert got[0] == want[0]
+    assert without_timing(got[1]) == without_timing(want[1])
 
 
 def test_towers_rejects_an_input_needing_too_deep_a_tower(tmp_path):
@@ -736,9 +709,6 @@ GRAMMAR = [
     (["towers", "--depth=3", "{ws}", "--json"], 0, DEPTH_3),
     (["--json", "towers", "-", "--depth=3"], 0, DEPTH_3),
     (["towers", "{ws}", "--json", "--depth", "-1"], 2, HANDLER_ERROR),
-    (["resolve", "{ws}", "--json", "--depth", "-1"], 2, HANDLER_ERROR),
-    (["phom", "{ws}", "--json", "--depth=-1"], 2, HANDLER_ERROR),
-    (["adjunction", "{ws}", "--json", "--depth", "-1"], 2, HANDLER_ERROR),
     (["--help"], 0, HELP),
     (["towers", "{ws}", "-h"], 0, HELP),
     (["nosuch", "{ws}"], 2, USAGE),

@@ -435,21 +435,31 @@ def test_dpur_adjunction_rejects_free_c_before_resolving(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("depth", [None, 1])
-def test_dpur_adjunction_resolves_each_argument_once(monkeypatch, depth):
+def test_dpur_adjunction_resolves_each_argument_once(monkeypatch):
     calls = []
 
-    def counted(m, side, depth=None):
+    def counted(m, side):
         calls.append(side)
-        return resolve(m, side, depth)
+        return resolve(m, side)
 
     monkeypatch.setattr(monoidal, "resolve", counted)
     rng = random.Random(5)
     ring = Zmod(12)
     a, b, c = (random_complex(rng, ring, 0, 2) for _ in range(3))
-    report = check_dpur_adjunction(a, b, c, depth=depth)
+    report = check_dpur_adjunction(a, b, c)
     assert report.ok
     assert sorted(calls) == [INJECTIVE, PROJECTIVE, PROJECTIVE]
+
+
+def test_hom_k_memo_hits_on_reduced_adjunction_inputs():
+    # one-term inputs are their own reductions, so `replaced` reads the pair
+    # of `ends` and `other_end` the pair of `curried`
+    ring = Zmod(12)
+    a, b, c = (module_complex(cyclic_module(ring, n), 0) for n in (4, 6, 4))
+    monoidal.hom_k.cache_clear()
+    assert check_dpur_adjunction(a, b, c).ok
+    info = monoidal.hom_k.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
 
 
 def _no_zero_terms(rng, ring, lo, length, torsion=False):
@@ -478,10 +488,6 @@ def test_dpur_adjunction_builds_no_tower(monkeypatch):
     monkeypatch.setattr(resolutions, "injective_tower", refuse)
     report = check_dpur_adjunction(a, b, c)
     assert report.ok
-    # a depth is only checked against the one a tower would need
-    assert check_dpur_adjunction(a, b, c, depth=1) == report
-    with pytest.raises(resolutions.DepthInsufficient, match="at least 1"):
-        check_dpur_adjunction(a, b, c, depth=0)
 
 
 def test_dpur_adjunction_on_a_length_five_z12_triple():

@@ -35,8 +35,8 @@ def workspaces():
     sides, resolved with no tower.  The Z/12 phom pair has a zero derived
     hom; the Z/72 one has nonzero homology in degrees -1 and 0, so its
     value is pinned too.  The adjunction triple has nonzero hom groups,
-    so it pins the currying path; it builds no tower, since with no depth
-    its arguments are resolved by reducing them.
+    so it pins the currying path; it builds no tower, since its arguments
+    are resolved by reducing them.
     """
     z12 = Zmod(12)
     rng = random.Random("reports")

@@ -492,8 +492,6 @@ def test_tower_depth_gate_reports_requirement():
     with pytest.raises(DepthInsufficient) as info:
         limit_tower(tower, fs)
     assert info.value.required == 2
-    with pytest.raises(DepthInsufficient):
-        resolve(m, "injective", depth=1)
 
 
 def test_tower_stabilizes_beyond_required_depth():
@@ -505,14 +503,6 @@ def test_tower_stabilizes_beyond_required_depth():
     assert all(m.is_zero() for m in tower.complements[-1].modules)
     cert = limit_tower(tower, fs)
     assert validate_certificate(cert)
-
-
-def test_resolve_accepts_extra_depth_on_bounded_input():
-    m = x2_complex(Zmod(4))
-    cert = resolve(m, "injective", depth=2)
-    assert validate_certificate(cert)
-    certp = resolve(m, "projective", depth=3)
-    assert validate_certificate(certp)
 
 
 def test_required_depth_windows():
