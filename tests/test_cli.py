@@ -699,9 +699,11 @@ def test_text_report(tmp_path):
 # the argv grammar: purcat <command> <input> [--json] [--depth N]
 
 # outcomes: the --json towers report of depth 3; a --json report of the
-# handler's own error; the help on stdout; nothing on stdout and the usage
-# with a one-line reason on stderr
-DEPTH_3, HANDLER_ERROR, HELP, USAGE = "depth-3", "handler-error", "help", "usage"
+# handler's own error; the --json report of the same command without its
+# --depth; the help on stdout; nothing on stdout and the usage with a
+# one-line reason on stderr
+DEPTH_3, HANDLER_ERROR, IGNORED, HELP, USAGE = (
+    "depth-3", "handler-error", "ignored", "help", "usage")
 
 GRAMMAR = [
     (["towers", "{ws}", "--json", "--depth", "3"], 0, DEPTH_3),
@@ -709,6 +711,10 @@ GRAMMAR = [
     (["towers", "--depth=3", "{ws}", "--json"], 0, DEPTH_3),
     (["--json", "towers", "-", "--depth=3"], 0, DEPTH_3),
     (["towers", "{ws}", "--json", "--depth", "-1"], 2, HANDLER_ERROR),
+    # only towers reads a depth: the others parse the flag and ignore it
+    (["resolve", "{ws}", "--json", "--depth", "-1"], 0, IGNORED),
+    (["phom", "{ws}", "--json", "--depth=-1"], 0, IGNORED),
+    (["adjunction", "{ws}", "--json", "--depth", "-1"], 0, IGNORED),
     (["--help"], 0, HELP),
     (["towers", "{ws}", "-h"], 0, HELP),
     (["nosuch", "{ws}"], 2, USAGE),
@@ -755,6 +761,10 @@ def test_argv_grammar(tmp_path, monkeypatch, argv, code, outcome):
         assert err == ""
     elif outcome == HANDLER_ERROR:
         assert json.loads(out)["results"] == {"error": "tower depth must be nonnegative"}
+    elif outcome == IGNORED:
+        _, reference, _ = call([argv[0], "{ws}", "--json"])
+        assert without_timing(json.loads(out)) == without_timing(json.loads(reference))
+        assert err == ""
     elif outcome == HELP:
         assert out == cli.HELP and err == ""
         assert all(command in out for command in cli.COMMANDS)
