@@ -247,10 +247,6 @@ class Cone(Record):
 
     __slots__ = ("complex", "map")
 
-    def __init__(self, complex: Complex, map: ChainMap) -> None:
-        _set(self, "complex", complex)
-        _set(self, "map", map)
-
     @property
     def inclusion(self) -> ChainMap:
         src, tgt, cx = self.map.src, self.map.tgt, self.complex
@@ -735,12 +731,6 @@ class Homotopy(Record):
 
     __slots__ = ("src", "tgt", "lo", "components")
 
-    def __init__(self, src: Complex, tgt: Complex, lo: int, components: tuple) -> None:
-        _set(self, "src", src)
-        _set(self, "tgt", tgt)
-        _set(self, "lo", lo)
-        _set(self, "components", components)
-
     def component(self, i: int) -> ModuleMap:
         k = i - self.lo
         if 0 <= k < len(self.components):
@@ -815,13 +805,6 @@ class HomComplex(Record):
 
     __slots__ = ("source", "target", "complex", "slot_data")
 
-    def __init__(self, source: Complex, target: Complex, complex: Complex,
-                 slot_data: tuple) -> None:
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "complex", complex)
-        _set(self, "slot_data", slot_data)
-
     def slots(self, i: int) -> tuple:
         k = i - self.complex.lo
         if 0 <= k < len(self.slot_data):
@@ -883,13 +866,6 @@ class TensorComplex(Record):
     """
 
     __slots__ = ("left", "right", "complex", "slot_data")
-
-    def __init__(self, left: Complex, right: Complex, complex: Complex,
-                 slot_data: tuple) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "complex", complex)
-        _set(self, "slot_data", slot_data)
 
     def slots(self, t: int) -> tuple:
         k = t - self.complex.lo

@@ -52,12 +52,14 @@ _set = object.__setattr__
 class Record:
     """Base of the immutable value types.
 
-    A record lists its fields in __slots__ and stores them from a plain
-    __init__ with _set; a slot whose name starts with an underscore (a
-    cache) is not a field.  Records of one class are equal when their
-    field tuples are, and hash as that tuple, which is the hash a frozen
-    data class gives; repr has the data class format, and assignment or
-    deletion raises AttributeError.
+    A record lists its fields in __slots__, and the one positional
+    __init__ below stores them in that order; a class that checks its
+    input, takes defaults or fills a cache has an __init__ of its own,
+    which stores them with _set.  A slot whose name starts with an
+    underscore (a cache) is not a field.  Records of one class are equal
+    when their field tuples are, and hash as that tuple, which is the
+    hash a frozen data class gives; repr has the data class format, and
+    assignment or deletion raises AttributeError.
     Nothing is generated with exec, so a record class costs an import
     about what a plain class does, and no start imports the standard
     data class module with the inspect, ast, dis and tokenize under it.
@@ -70,6 +72,14 @@ class Record:
         get = attrgetter(*names)
         cls._fields = names
         cls._values = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *values) -> None:
+        names = self._fields
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} field values, "
+                            f"not {len(values)}")
+        for name, value in zip(names, values):
+            _set(self, name, value)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -328,6 +338,12 @@ def block_diag(*mats: IntMatrix) -> IntMatrix:
 def _rows(mat: IntMatrix, start: int, stop: int) -> IntMatrix:
     """Rows start..stop-1 of mat, shared, not copied."""
     return IntMatrix._trusted(stop - start, mat.cols, mat.data[start:stop])
+
+
+def _cols(mat: IntMatrix, start: int, stop: int) -> IntMatrix:
+    """Columns start..stop-1 of mat."""
+    return IntMatrix._trusted(mat.rows, stop - start,
+                              tuple(row[start:stop] for row in mat.data))
 
 
 def from_columns(cols: Iterable[Iterable[int]], height: int) -> IntMatrix:

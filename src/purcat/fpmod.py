@@ -63,11 +63,6 @@ class Decomposition(Record):
 
     __slots__ = ("factors", "to_diag", "from_diag")
 
-    def __init__(self, factors: tuple, to_diag: IntMatrix, from_diag: IntMatrix) -> None:
-        _set(self, "factors", factors)
-        _set(self, "to_diag", to_diag)
-        _set(self, "from_diag", from_diag)
-
 
 class FpModule(Record):
     # _decomp and _gcds cache decomposition() and the row gcds; not fields
@@ -515,12 +510,6 @@ def _hom_cyclic(ring: Ring, a: int, b: int) -> tuple:
 class HomSlot(Record):
     __slots__ = ("src_index", "tgt_index", "order", "multiplier")
 
-    def __init__(self, src_index: int, tgt_index: int, order: int, multiplier: int) -> None:
-        _set(self, "src_index", src_index)
-        _set(self, "tgt_index", tgt_index)
-        _set(self, "order", order)
-        _set(self, "multiplier", multiplier)
-
 
 class HomModule(Record):
     """Hom(source, target) as a module plus coordinate conversions.
@@ -534,13 +523,6 @@ class HomModule(Record):
     """
 
     __slots__ = ("source", "target", "module", "slots")
-
-    def __init__(self, source: FpModule, target: FpModule, module: FpModule,
-                 slots: tuple) -> None:
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "module", module)
-        _set(self, "slots", slots)
 
     @property
     def invariant_factors(self) -> tuple:

@@ -21,12 +21,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from purcat.exact_linalg import IntMatrix, Record, _set
-from purcat.fpmod import FpModule, MapSolver
+from purcat.exact_linalg import IntMatrix, Record
+from purcat.fpmod import MapSolver
 from purcat.complexes import (
     ChainMap,
     Complex,
-    HomComplex,
     Homotopy,
     hom_complex,
     homology,
@@ -45,13 +44,6 @@ class KHomGroup(Record):
     """
 
     __slots__ = ("source", "target", "hom", "module")
-
-    def __init__(self, source: Complex, target: Complex, hom: HomComplex,
-                 module: FpModule) -> None:
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "hom", hom)
-        _set(self, "module", module)
 
     @property
     def invariant_factors(self) -> tuple:

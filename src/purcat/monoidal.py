@@ -14,7 +14,7 @@ no map is formed per basis element nor any whole hom complex decoded.
 
 from __future__ import annotations
 
-from purcat.exact_linalg import IntMatrix, InputError, Record, _rows, _set, from_columns
+from purcat.exact_linalg import IntMatrix, InputError, Record, _cols, _rows, from_columns
 from purcat.fpmod import (
     HomModule,
     ModuleMap,
@@ -32,11 +32,10 @@ from purcat.complexes import (
     vanishes,
 )
 from purcat.homotopy import hom_dpur, hom_k
-from purcat.purity import PurityVerdict, is_pure_qis
+from purcat.purity import is_pure_qis
 from purcat.resolutions import (
     INJECTIVE,
     PROJECTIVE,
-    ResolutionCertificate,
     _require_injective_scope,
     resolve,
 )
@@ -50,12 +49,6 @@ class TensorDescentReport(Record):
     """Evidence that a pure qis survives tensoring and truncation."""
 
     __slots__ = ("induced", "tensor_verdict", "truncation_verdicts")
-
-    def __init__(self, induced: ChainMap, tensor_verdict: PurityVerdict,
-                 truncation_verdicts: dict) -> None:
-        _set(self, "induced", induced)
-        _set(self, "tensor_verdict", tensor_verdict)
-        _set(self, "truncation_verdicts", truncation_verdicts)
 
     @property
     def ok(self) -> bool:
@@ -141,18 +134,6 @@ class AdjunctionWitness(Record):
     """
 
     __slots__ = ("flat", "nested", "forward", "backward")
-
-    def __init__(self, flat: HomComplex, nested: HomComplex,
-                 forward: ChainMap, backward: ChainMap) -> None:
-        _set(self, "flat", flat)
-        _set(self, "nested", nested)
-        _set(self, "forward", forward)
-        _set(self, "backward", backward)
-
-
-def _cols(mat: IntMatrix, start: int, stop: int) -> IntMatrix:
-    return IntMatrix._trusted(mat.rows, stop - start,
-                              tuple(row[start:stop] for row in mat.data))
 
 
 def _coordinate(hm: HomModule, slot, x: int) -> int:
@@ -352,12 +333,6 @@ class DerivedHomResult(Record):
 
     __slots__ = ("hom", "proj_res", "inj_res")
 
-    def __init__(self, hom: HomComplex, proj_res: ResolutionCertificate,
-                 inj_res: ResolutionCertificate) -> None:
-        _set(self, "hom", hom)
-        _set(self, "proj_res", proj_res)
-        _set(self, "inj_res", inj_res)
-
     @property
     def value(self) -> Complex:
         return self.hom.complex
@@ -390,11 +365,6 @@ class LinkCheck(Record):
 
     __slots__ = ("name", "left", "right")
 
-    def __init__(self, name: str, left: tuple, right: tuple) -> None:
-        _set(self, "name", name)
-        _set(self, "left", left)
-        _set(self, "right", right)
-
     @property
     def ok(self) -> bool:
         return self.left == self.right
@@ -404,10 +374,6 @@ class AdjunctionReport(Record):
     """Per-link evidence for the derived tensor-hom adjunction."""
 
     __slots__ = ("links", "witness_ok")
-
-    def __init__(self, links: tuple, witness_ok: bool) -> None:
-        _set(self, "links", links)
-        _set(self, "witness_ok", witness_ok)
 
     @property
     def ok(self) -> bool:

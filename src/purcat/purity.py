@@ -79,12 +79,6 @@ class PurityVerdict(Record):
 
     __slots__ = ("verdict", "witness", "probe")
 
-    def __init__(self, verdict: str, witness: object = None,
-                 probe: Optional[FpModule] = None) -> None:
-        _set(self, "verdict", verdict)
-        _set(self, "witness", witness)
-        _set(self, "probe", probe)
-
     def is_pure(self) -> bool:
         return self.verdict == PURE
 
@@ -261,14 +255,14 @@ def is_pure_acyclic(cx: Complex, diagonals: Optional[tuple] = None) -> PurityVer
     if contraction is not None:
         if not contraction.witnesses():
             raise WorkbenchError("contraction fails d h + h d = id")
-        return PurityVerdict(PURE, witness=contraction)
+        return PurityVerdict(PURE, contraction, None)
     diagonals = diagonals or smith_diagonals(cx)
     hit = failing_probe_for_acyclic(cx, smith_battery(cx, diagonals), diagonals)
     if hit is None:
         raise WorkbenchError("no contraction exists, yet no probe of the complete "
                              "battery fails: the two decisions disagree")
     probe, degree = hit
-    return PurityVerdict(NOT_PURE, witness=degree, probe=probe)
+    return PurityVerdict(NOT_PURE, degree, probe)
 
 
 def is_pure_qis(f: ChainMap) -> PurityVerdict:

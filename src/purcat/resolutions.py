@@ -28,7 +28,8 @@ from purcat.exact_linalg import (
     InputError,
     Record,
     WorkbenchError,
-    _set,
+    _cols,
+    _rows,
 )
 from purcat.fpmod import (
     FpModule,
@@ -84,15 +85,6 @@ class ResolutionCertificate(Record):
     """
 
     __slots__ = ("source", "target", "map", "side", "qis_witness", "termwise_flags")
-
-    def __init__(self, source: Complex, target: Complex, map: ChainMap, side: str,
-                 qis_witness: Homotopy, termwise_flags: tuple) -> None:
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "map", map)
-        _set(self, "side", side)
-        _set(self, "qis_witness", qis_witness)
-        _set(self, "termwise_flags", termwise_flags)
 
 
 def termwise_ok(side: str, cx: Complex) -> tuple:
@@ -244,12 +236,6 @@ class DegreewiseFamily(Record):
 
     __slots__ = ("src", "tgt", "lo", "components")
 
-    def __init__(self, src: Complex, tgt: Complex, lo: int, components: tuple) -> None:
-        _set(self, "src", src)
-        _set(self, "tgt", tgt)
-        _set(self, "lo", lo)
-        _set(self, "components", components)
-
 
 # ---------------------------------------------------------------------------
 # the shared extension steps
@@ -293,8 +279,7 @@ def _extend_injective(q: ChainMap):
         if n_mod.generators and cq.complex.module(d - 1).generators:
             # the cone's degree d-1 term starts with N^d
             g_d = g.component(d - 1).matrix
-            n_part = IntMatrix.from_rows(row[:n_mod.generators] for row in g_d.data)
-            blocks.append((i_mod.generators, 0, 1, n_part))
+            blocks.append((i_mod.generators, 0, 1, _cols(g_d, 0, n_mod.generators)))
         h_comps.append(block_map(n_mod, total, blocks))
         section_comps.append(summand_injection(i_mod, total, 0))
     h = ChainMap(n_cx, level, lo, tuple(h_comps))
@@ -335,8 +320,8 @@ def _extend_projective(a: ChainMap):
         blocks = [(0, gq, 1, a.component(d).matrix)]
         if gq and cmod.generators and n_mod.generators:
             # w lands in cone(a)^d = P^(d+1) (+) N^d; v uses its N^d rows
-            rows = w.component(d).matrix.data[cmod.generators - n_mod.generators:]
-            blocks.append((0, 0, -1, IntMatrix(n_mod.generators, gq, rows)))
+            blocks.append((0, 0, -1, _rows(w.component(d).matrix,
+                                           cmod.generators - n_mod.generators, cmod.generators)))
         v_comps.append(block_map(total, n_mod, blocks))
         retr_comps.append(summand_projection(total, p_cx.module(d), gq))
         proj_comps.append(summand_projection(total, q_cx.module(d), 0))
@@ -369,22 +354,6 @@ class SemiSplitTower(Record):
 
     __slots__ = ("side", "source", "truncations", "transitions", "levels", "downs", "ups",
                  "complements", "complement_maps", "cone_certificates", "base_witness")
-
-    def __init__(self, side: str, source: Complex, truncations: tuple, transitions: tuple,
-                 levels: tuple, downs: tuple, ups: tuple, complements: tuple,
-                 complement_maps: tuple, cone_certificates: tuple,
-                 base_witness: Homotopy) -> None:
-        _set(self, "side", side)
-        _set(self, "source", source)
-        _set(self, "truncations", truncations)
-        _set(self, "transitions", transitions)
-        _set(self, "levels", levels)
-        _set(self, "downs", downs)
-        _set(self, "ups", ups)
-        _set(self, "complements", complements)
-        _set(self, "complement_maps", complement_maps)
-        _set(self, "cone_certificates", cone_certificates)
-        _set(self, "base_witness", base_witness)
 
     @property
     def depth(self) -> int:

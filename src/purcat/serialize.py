@@ -196,6 +196,14 @@ def decode_complex(ring: Ring, data, where: str, modules=None) -> Complex:
     return Complex(ring, lo, tuple(mods), tuple(diffs))
 
 
+def _encode_components(f) -> dict:
+    """{"lo", "components"} of a chain map, homotopy or other family."""
+    return {
+        "lo": f.lo,
+        "components": [encode_matrix(c.matrix) for c in f.components],
+    }
+
+
 def _decode_components(data, where: str, lo_default: int, src: Complex, tgt: Complex,
                        step: int) -> tuple:
     """(lo, maps src^i -> tgt^(i - step)) from {"lo", "components"}.
@@ -246,8 +254,7 @@ def encode_chain_map(f: ChainMap, complex_names=None) -> dict:
     return {
         "src": names.get(f.src, None) or encode_complex(f.src),
         "tgt": names.get(f.tgt, None) or encode_complex(f.tgt),
-        "lo": f.lo,
-        "components": [encode_matrix(c.matrix) for c in f.components],
+        **_encode_components(f),
     }
 
 
@@ -275,13 +282,6 @@ def decode_chain_map(ring: Ring, data, where: str,
 # certificates
 
 
-def _encode_homotopy(h: Homotopy) -> dict:
-    return {
-        "lo": h.lo,
-        "components": [encode_matrix(c.matrix) for c in h.components],
-    }
-
-
 def _decode_homotopy(c: Complex, data, where: str) -> Homotopy:
     """Rebuild a contraction of c from its component matrices."""
     return Homotopy(c, c, *_decode_components(data, where, 0, c, c, 1))
@@ -293,11 +293,8 @@ def encode_certificate(cert: ResolutionCertificate) -> dict:
         "side": cert.side,
         "source": encode_complex(cert.source),
         "target": encode_complex(cert.target),
-        "map": {
-            "lo": cert.map.lo,
-            "components": [encode_matrix(c.matrix) for c in cert.map.components],
-        },
-        "qis_witness": _encode_homotopy(cert.qis_witness),
+        "map": _encode_components(cert.map),
+        "qis_witness": _encode_components(cert.qis_witness),
         "termwise_flags": [bool(flag) for flag in cert.termwise_flags],
     }
 

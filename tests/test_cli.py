@@ -561,15 +561,32 @@ def resolve_report(tmp_path, cx, side, flags=()):
                parameters={"complex": "m", "side": side}, flags=flags)
 
 
-def test_validate_cert_refutes_a_tampered_certificate(tmp_path):
-    cx = random_complex(random.Random(97), Zmod(12), -1, 3)
-    code, report = resolve_report(tmp_path, cx, "projective")
+def bump_first_row(witness):
+    next(r for comp in witness for r in comp if r)[0] += 1
+
+
+def negate_first_component(witness):
+    # a negated component still respects relations, so the certificate
+    # decodes, where one entry moved by one may not
+    comp = next(comp for comp in witness if any(x for row in comp for x in row))
+    comp[:] = [[-x for x in row] for row in comp]
+
+
+@pytest.mark.parametrize("command, seed, lo, length, max_gens, side, tamper", [
+    pytest.param("resolve", 97, -1, 3, 2, "projective", bump_first_row, id="resolve"),
+    # the L = 8 injective towers report of the CI tamper step
+    pytest.param("towers", 7, -6, 8, 3, "injective", negate_first_component,
+                 id="towers-injective"),
+])
+def test_validate_cert_refutes_a_tampered_certificate(tmp_path, command, seed, lo, length,
+                                                      max_gens, side, tamper):
+    cx = random_complex(random.Random(seed), Zmod(12), lo, length, max_gens=max_gens)
+    code, report = run(tmp_path, command, cx.ring, complexes={"m": cx},
+                       parameters={"complex": "m", "side": side})
     assert code == 0
     cert = report["results"]["certificate"]
     assert validate_cert(tmp_path, cert)[0] == 0
-    witness = cert["qis_witness"]["components"]
-    row = next(r for comp in witness for r in comp if r)
-    row[0] += 1
+    tamper(cert["qis_witness"]["components"])
     code, checked = validate_cert(tmp_path, cert)
     assert code == 1
     assert checked["status"] == "refuted"

@@ -2,19 +2,25 @@
 
 Every exact_linalg.Record subclass of the package is compared with a
 dataclass twin built here from its fields: equal records have equal
-twins, and ==, hash and repr agree with the twin's.  Assignment and
-deletion raise, a filled FpModule decomposition cache and the cone
+twins, and ==, hash and repr agree with the twin's.  A record is built
+by Record's one positional __init__, which stores each value in its
+field in order and refuses a wrong count, unless its class needs an
+__init__ of its own; that one takes the fields in order too, and no
+class in src/purcat has one that only stores its arguments.  Assignment
+and deletion raise, a filled FpModule decomposition cache and the cone
 complex kept on a ChainMap stay outside equality and hash, and copies
 and pickles come back equal.  WorkbenchInput is the one mutable record: it
 compares by its fields and has no hash, like a plain dataclass.
 """
 
+import ast
 import copy
 import dataclasses
 import inspect
 import pickle
 import random
 from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -85,14 +91,49 @@ def case_values(cls, side) -> list:
 @pytest.mark.parametrize("cls, side", CASES)
 def test_init_takes_the_fields_in_order(cls, side):
     assert cls._fields
-    params = list(inspect.signature(cls.__init__).parameters)
-    assert params == ["self", *cls._fields]
-    if side is not None:
-        # the tower record only stores its arguments: each lands in its field
-        values = case_values(cls, side)
-        obj = cls(*values)
-        assert [getattr(obj, name) for name in cls._fields] == values
-        assert obj.side == side
+    if cls.__init__ is not Record.__init__:
+        params = list(inspect.signature(cls.__init__).parameters)
+        assert params == ["self", *cls._fields]
+        return
+    # the one positional constructor: each value lands in its field
+    values = case_values(cls, side)
+    obj = cls(*values)
+    assert [getattr(obj, name) for name in cls._fields] == values
+    for wrong in (values[:-1], values + [("extra",)]):
+        with pytest.raises(TypeError, match=f"{cls.__name__} takes {len(values)} "):
+            cls(*wrong)
+
+
+def _sets_parameter(stmt, params) -> bool:
+    """Whether stmt is _set(self, "x", x) for a parameter x."""
+    call = stmt.value if isinstance(stmt, ast.Expr) else None
+    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "_set" and len(call.args) == 3):
+        return False
+    name, value = call.args[1:]
+    return (isinstance(value, ast.Name) and value.id in params
+            and isinstance(name, ast.Constant) and name.value == value.id)
+
+
+def store_only_inits() -> list:
+    """The record classes of src/purcat whose __init__ only stores its
+    parameters in fields of the same names, which Record.__init__ does."""
+    records = {(cls.__module__.split(".")[1], cls.__qualname__) for cls in CLASSES}
+    found = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "purcat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ClassDef) and (path.stem, node.name) in records):
+                continue
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    params = {a.arg for a in fn.args.args[1:]}
+                    if all(_sets_parameter(stmt, params) for stmt in fn.body):
+                        found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_no_record_has_a_store_only_init():
+    assert store_only_inits() == []
 
 
 @pytest.mark.parametrize("cls, side", CASES)

@@ -208,8 +208,8 @@ def test_certificate_is_refused_unless_it_validates():
 
 
 def rebuilt(tower, **fields):
-    values = {name: getattr(tower, name) for name in SemiSplitTower._fields}
-    return SemiSplitTower(**{**values, **fields})
+    return SemiSplitTower(*[fields.get(name, getattr(tower, name))
+                            for name in SemiSplitTower._fields])
 
 
 def replaced(seq, k, value):
